@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-json benchdiff bin sarif sarifdiff
+.PHONY: check vet lint build test race bench bench-json benchdiff bin sarif
 
 check: vet build race lint
 
@@ -28,22 +28,10 @@ lint: bin/spartanvet
 # sarif aggregates the whole module into one SARIF 2.1.0 log for GitHub
 # code scanning; it reports rather than gates (exit 0 on findings), but
 # the emitted log must pass the strict validator before anyone uploads
-# or diffs it.
+# it.
 sarif: bin/spartanvet
 	./bin/spartanvet -sarif ./... > spartanvet.sarif
 	./bin/spartanvet -sarifvalidate spartanvet.sarif
-
-# sarifdiff is the local equivalent of CI's PR gate: build BASE's report
-# with BASE's own tool in a throwaway worktree, build the working tree's
-# report, and fail (exit 2) on findings that are new here. Pre-existing
-# findings on BASE never block.
-BASE ?= origin/main
-sarifdiff: bin/spartanvet sarif
-	rm -rf .sarif-base
-	git worktree add --force --detach .sarif-base $(BASE)
-	$(MAKE) -C .sarif-base sarif
-	./bin/spartanvet -sarifdiff .sarif-base/spartanvet.sarif spartanvet.sarif; \
-	status=$$?; git worktree remove --force .sarif-base; exit $$status
 
 build:
 	$(GO) build ./...

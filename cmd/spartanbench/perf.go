@@ -102,7 +102,7 @@ func printPhases(w *os.File, snap *bench.Snapshot) {
 }
 
 // diffMain compares two snapshots; exit code 2 signals regressions past
-// the threshold (matching the sarifdiff convention), 0 means clean.
+// the threshold (matching spartanvet's gating text mode), 0 means clean.
 func diffMain(args []string) (exit int, err error) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	threshold := fs.Float64("threshold", bench.DefaultThreshold,

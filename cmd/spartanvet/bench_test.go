@@ -3,8 +3,8 @@ package main
 // Self-benchmark for the analyzer suite: every registered analyzer runs
 // over a fixed fixture corpus so `go test -bench=. ./cmd/spartanvet`
 // attributes analysis cost per analyzer. The corpus is the flow-heavy
-// subset of the golden fixtures — decode paths, taint chains, index
-// proofs, writer/reader pairs, goroutine spawns — so the numbers track
+// subset of the golden fixtures — decode paths, taint chains, overflow
+// proofs, goroutine spawns, resource obligations — so the numbers track
 // the expensive layers (dataflow fixpoints, interval analysis, call
 // graphs), not trivial syntax walks. Record a baseline before growing
 // the suite and compare with benchstat or `-benchtime=10x` eyeballing;
@@ -34,11 +34,8 @@ var benchCorpus = []string{
 	"cart",
 	"taintalloc",
 	"sizeoverflow",
-	"indexbound",
-	"wiresym",
-	"locksetrace",
+	"boundedspawn",
 	"hotalloc",
-	"detorder",
 	"closeleak",
 }
 

@@ -3,37 +3,26 @@
 // syntactic (raw float equality on tolerances, unfinished pipeline
 // spans, unbalanced registry locks, swallowed archive-write errors,
 // malformed metric names, context-threading conventions in the pipeline
-// packages); four are flow-sensitive, built on the control-flow graphs
+// packages); three are flow-sensitive, built on the control-flow graphs
 // and dataflow solver in internal/analysis/cfg and
 // internal/analysis/dataflow (values used on proven-error paths, defers
-// accumulating inside per-row loops, WaitGroup Add/Done discipline,
-// hint-less allocations in row-bounded loops); two are interprocedural,
-// built on the call graph and function summaries in
-// internal/analysis/callgraph and internal/analysis/summary (taintalloc:
-// untrusted wire integers reaching allocations unguarded, sizeoverflow:
-// overflow-prone arithmetic on wire values), fed by the funcsummary fact
-// producer, which hands per-function dataflow summaries across package
-// boundaries through vet's .vetx fact files; three ride the value-range
-// interval layer in internal/analysis/vrange (the rangesummary fact
-// producer, which proves bounds bottom-up over call-graph SCCs and also
-// range-filters the taint analyzers' sinks; indexbound: wire-derived
-// slice indexes the interval analysis cannot prove within len; wiresym:
-// writer/reader pairs in the codec packages whose fixed-width binary
-// operations disagree in width, order or endianness); four are concurrency
-// analyzers built on the goroutine-spawn model, lockset dataflow and
-// concsummary facts in internal/analysis/conc (locksetrace: goroutine
-// accesses with provably disjoint locksets, gocapture: loop state
-// captured by reference in go closures, boundedspawn: per-row goroutine
-// spawns with no concurrency bound, chanleak: goroutines parked forever
-// on a local channel); two ride the per-function effect summaries and
-// effectsummary facts in internal/analysis/effects (detorder:
-// nondeterministic values — map iteration order, the wall clock,
-// unseeded rand, goroutine completion order, addresses — flowing into
-// encoded archive bytes, with sorted-keys / seeded-source /
-// commutative-accumulator idioms as sanitizers; closeleak: opened
+// accumulating inside per-row loops, hint-less allocations in
+// row-bounded loops); two are interprocedural, built on the call graph
+// and function summaries in internal/analysis/callgraph and
+// internal/analysis/summary (taintalloc: untrusted wire integers
+// reaching allocations unguarded, sizeoverflow: overflow-prone
+// arithmetic on wire values), fed by the funcsummary fact producer,
+// which hands per-function dataflow summaries across package boundaries
+// through vet's .vetx fact files, and range-filtered by the rangesummary
+// fact producer in internal/analysis/vrange, which proves value bounds
+// bottom-up over call-graph SCCs; boundedspawn (per-row goroutine spawns
+// with no concurrency bound) rides the goroutine-spawn model and
+// concsummary facts in internal/analysis/conc; closeleak (opened
 // io.Closer handles not closed on every CFG exit path, defer- and
-// ownership-transfer-aware). A synthetic check, staleignore, flags
-// //spartanvet:ignore directives that no longer suppress anything.
+// ownership-transfer-aware) rides the resource summaries and
+// effectsummary facts in internal/analysis/effects. A synthetic check,
+// staleignore, flags //spartanvet:ignore directives that no longer
+// suppress anything.
 //
 // It speaks the `go vet` tool protocol; run it through the go command:
 //
@@ -61,18 +50,13 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/conc"
 	"repro/internal/analysis/conc/boundedspawn"
-	"repro/internal/analysis/conc/chanleak"
-	"repro/internal/analysis/conc/gocapture"
-	"repro/internal/analysis/conc/locksetrace"
 	"repro/internal/analysis/ctxfirst"
 	"repro/internal/analysis/deferloop"
 	"repro/internal/analysis/effects"
 	"repro/internal/analysis/effects/closeleak"
-	"repro/internal/analysis/effects/detorder"
 	"repro/internal/analysis/errcheckio"
 	"repro/internal/analysis/floatcmp"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/indexbound"
 	"repro/internal/analysis/lockbalance"
 	"repro/internal/analysis/metricname"
 	"repro/internal/analysis/nilflow"
@@ -82,8 +66,6 @@ import (
 	"repro/internal/analysis/taintalloc"
 	"repro/internal/analysis/unitchecker"
 	"repro/internal/analysis/vrange"
-	"repro/internal/analysis/wgbalance"
-	"repro/internal/analysis/wiresym"
 )
 
 // analyzers is the full suite in registration order; the self-benchmark
@@ -97,21 +79,14 @@ var analyzers = []*analysis.Analyzer{
 	ctxfirst.Analyzer,
 	nilflow.Analyzer,
 	deferloop.Analyzer,
-	wgbalance.Analyzer,
 	hotalloc.Analyzer,
 	summary.Analyzer,
 	vrange.Analyzer,
 	taintalloc.Analyzer,
 	sizeoverflow.Analyzer,
-	indexbound.Analyzer,
-	wiresym.Analyzer,
 	conc.Analyzer,
-	locksetrace.Analyzer,
-	gocapture.Analyzer,
 	boundedspawn.Analyzer,
-	chanleak.Analyzer,
 	effects.Analyzer,
-	detorder.Analyzer,
 	closeleak.Analyzer,
 }
 

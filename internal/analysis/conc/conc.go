@@ -1,31 +1,22 @@
 // Package conc is spartanvet's goroutine-aware concurrency layer: the
-// shared models the four concurrency analyzers (locksetrace, gocapture,
-// boundedspawn, chanleak) build on, assembled from the existing CFG,
-// dataflow, callgraph and summary infrastructure.
+// shared model the boundedspawn analyzer builds on, assembled from the
+// existing callgraph and summary infrastructure.
 //
-// Three pieces live here:
+// Two pieces live here:
 //
 //   - a goroutine-spawn model over function bodies (spawn.go): every go
-//     statement with the set of variables its closure captures by
-//     reference, plus — through the concurrency summaries — calls to
-//     helpers that themselves start goroutines;
-//   - a forward must-lockset dataflow problem (lockset.go), a
-//     dataflow.Problem instance computing the set of mutexes provably
-//     held at every block, reusing lockbalance's acquire/release
-//     recognition and resolving helper calls through summaries;
-//   - per-function concurrency summary facts (summary.go): locks
-//     acquired/released on parameters, goroutines spawned (and whether
-//     they can outlive the call), and parameters written without a lock
-//     held — serialized cross-package as the "concsummary" fact exactly
-//     like funcsummary.
+//     statement with its innermost enclosing loop, plus — through the
+//     concurrency summaries — calls to helpers that themselves start
+//     goroutines;
+//   - per-function concurrency summary facts (summary.go): goroutines
+//     spawned and whether they can outlive the call — serialized
+//     cross-package as the "concsummary" fact exactly like funcsummary.
 //
-// The models are deliberately conservative in the same direction as the
-// dynamic race detector's absence of a report is not proof of absence:
-// they aim for zero false positives on the repo's established
-// concurrency idioms (GOMAXPROCS semaphore + WaitGroup with per-index
-// sharded result slots, read after Wait) while still catching a deleted
-// lock, an unbounded per-row spawn, or a goroutine wedged on an
-// unserved channel.
+// The model is deliberately conservative: it aims for zero false
+// positives on the repo's established concurrency idiom (GOMAXPROCS
+// semaphore + WaitGroup, joined before return) while still catching an
+// unbounded per-row spawn. Races and leaked goroutines are left to the
+// -race stress tests.
 package conc
 
 import (
@@ -33,109 +24,25 @@ import (
 	"go/types"
 )
 
-// ReleaseFor maps a mutex acquire method to its release method — the
-// same pairing lockbalance checks for panic-safety.
-var ReleaseFor = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
-
-// AcquireFor is the inverse of ReleaseFor.
-var AcquireFor = map[string]string{"Unlock": "Lock", "RUnlock": "RLock"}
-
-// MutexCall reports the rendered receiver and method name if call is a
-// method call on a sync.Mutex or sync.RWMutex (possibly via pointer).
-// The rendered receiver ("mu", "r.mu", "shards[i].mu") is the lock key
-// the lockset analysis tracks.
-func MutexCall(info *types.Info, call *ast.CallExpr) (recv, method string) {
-	return syncCall(info, call, "Mutex", "RWMutex")
-}
-
-// WaitGroupCall reports the rendered receiver and method name if call
-// is a method call on a sync.WaitGroup — the Add/Done/Wait triples the
-// spawn model uses to recognize join points.
-func WaitGroupCall(info *types.Info, call *ast.CallExpr) (recv, method string) {
-	return syncCall(info, call, "WaitGroup")
-}
-
-// syncCall matches a method call whose receiver is one of the named
-// types from package sync.
-func syncCall(info *types.Info, call *ast.CallExpr, typeNames ...string) (recv, method string) {
+// isWaitGroupWait reports whether call is a Wait method call on a
+// sync.WaitGroup (possibly via pointer) — the join point that bounds a
+// spawned goroutine's lifetime.
+func isWaitGroupWait(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
+	if !ok || sel.Sel.Name != "Wait" {
+		return false
 	}
 	t := info.TypeOf(sel.X)
 	if t == nil {
-		return "", ""
+		return false
 	}
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return "", ""
+		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return "", ""
-	}
-	for _, name := range typeNames {
-		if obj.Name() == name {
-			return ExprString(sel.X), sel.Sel.Name
-		}
-	}
-	return "", ""
-}
-
-// ExprString renders an expression as a stable receiver key, the same
-// way lockbalance does, so "s.mu" in two statements names one lock.
-func ExprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return ExprString(e.X) + "." + e.Sel.Name
-	case *ast.ParenExpr:
-		return "(" + ExprString(e.X) + ")"
-	case *ast.StarExpr:
-		return "*" + ExprString(e.X)
-	case *ast.IndexExpr:
-		return ExprString(e.X) + "[" + ExprString(e.Index) + "]"
-	default:
-		return "mutex"
-	}
-}
-
-// RootIdent returns the leftmost identifier of a selector/index/star
-// chain ("s" for s.mu, cols[i].Floats, *p), or nil when the expression
-// is not rooted in an identifier.
-func RootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// RootVar resolves the root identifier of e to its variable object, or
-// nil.
-func RootVar(info *types.Info, e ast.Expr) *types.Var {
-	id := RootIdent(e)
-	if id == nil {
-		return nil
-	}
-	v, _ := info.Uses[id].(*types.Var)
-	if v == nil {
-		v, _ = info.Defs[id].(*types.Var)
-	}
-	return v
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
 }

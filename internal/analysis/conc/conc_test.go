@@ -44,75 +44,6 @@ func funcBody(f *ast.File, name string) *ast.BlockStmt {
 	return nil
 }
 
-func TestLocksetAtAndExit(t *testing.T) {
-	_, f, info := check(t, `package p
-
-import "sync"
-
-type s struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (x *s) balanced() {
-	x.mu.Lock()
-	x.n++
-	x.mu.Unlock()
-	x.n--
-}
-
-func (x *s) deferred() {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.n++
-}
-
-func (x *s) leaky() {
-	x.mu.Lock()
-	x.n++
-}
-`)
-	find := func(name, sub string) token.Pos {
-		body := funcBody(f, name)
-		var pos token.Pos
-		ast.Inspect(body, func(n ast.Node) bool {
-			if inc, ok := n.(*ast.IncDecStmt); ok {
-				if inc.Tok.String() == sub {
-					pos = inc.Pos()
-				}
-			}
-			return true
-		})
-		return pos
-	}
-
-	ls := conc.SolveLocksets(funcBody(f, "balanced"), info, nil)
-	if set, ok := ls.At(find("balanced", "++")); !ok || !set.Has("x.mu") {
-		t.Errorf("x.mu should be held at the guarded increment (ok=%v keys=%v)", ok, set.Keys())
-	}
-	if set, ok := ls.At(find("balanced", "--")); !ok || set.Has("x.mu") {
-		t.Errorf("x.mu should be released at the decrement (ok=%v keys=%v)", ok, set.Keys())
-	}
-	if exit, ok := ls.AtExit(); !ok || len(exit.Keys()) != 0 {
-		t.Errorf("balanced should exit lock-free, got %v", exit.Keys())
-	}
-
-	// A deferred unlock nets the exit set to empty even though the
-	// straight-line code never releases.
-	ls = conc.SolveLocksets(funcBody(f, "deferred"), info, nil)
-	if set, ok := ls.At(find("deferred", "++")); !ok || !set.Has("x.mu") {
-		t.Errorf("x.mu should be held at deferred's increment (ok=%v keys=%v)", ok, set.Keys())
-	}
-	if exit, ok := ls.AtExit(); !ok || len(exit.Keys()) != 0 {
-		t.Errorf("deferred unlock should clear the exit set, got %v", exit.Keys())
-	}
-
-	ls = conc.SolveLocksets(funcBody(f, "leaky"), info, nil)
-	if exit, ok := ls.AtExit(); !ok || !exit.Has("x.mu") {
-		t.Errorf("leaky should exit holding x.mu, got ok=%v %v", ok, exit.Keys())
-	}
-}
-
 func TestSpawnsCapturesAndLoops(t *testing.T) {
 	_, f, info := check(t, `package p
 
@@ -132,32 +63,13 @@ func spawner(rows []int) {
 	if len(spawns) != 2 {
 		t.Fatalf("expected 2 spawns, got %d", len(spawns))
 	}
-	inLoop := spawns[0]
-	if inLoop.Lit == nil || inLoop.Loop == nil {
-		t.Fatalf("first spawn should be a closure inside the loop")
+	// The closure spawned per row sits in the range loop; the go
+	// statement after the loop sits in none. Both are direct spawns.
+	if inLoop := spawns[0]; inLoop.Go == nil || inLoop.Loop == nil {
+		t.Errorf("first spawn should be a direct go inside the loop: %+v", inLoop)
 	}
-	var names []string
-	for _, v := range inLoop.Captured {
-		names = append(names, v.Name())
-	}
-	// r is declared by the range clause (per-iteration, still captured);
-	// shared is the function-local accumulator.
-	want := map[string]bool{"shared": true, "r": true}
-	for _, n := range names {
-		if !want[n] {
-			t.Errorf("unexpected captured variable %q", n)
-		}
-		delete(want, n)
-	}
-	for n := range want {
-		t.Errorf("capture of %q not detected", n)
-	}
-	if inLoop.FirstUse[inLoop.Captured[0]] == token.NoPos {
-		t.Errorf("captured variable should carry its first use position")
-	}
-	named := spawns[1]
-	if named.Lit != nil || named.Loop != nil || named.Go == nil {
-		t.Errorf("second spawn should be a named-function go outside the loop")
+	if named := spawns[1]; named.Go == nil || named.Loop != nil || named.Via != nil {
+		t.Errorf("second spawn should be a direct go outside the loop: %+v", named)
 	}
 }
 
@@ -166,37 +78,23 @@ func TestComputeSummaries(t *testing.T) {
 
 import "sync"
 
-type store struct {
-	mu sync.Mutex
-	n  int
+func work() {}
+
+func fire() {
+	go work()
 }
 
-func (s *store) lock()   { s.mu.Lock() }
-func (s *store) unlock() { s.mu.Unlock() }
-
-func (s *store) addGuarded(v int) {
-	s.lock()
-	s.n += v
-	s.unlock()
-}
-
-func (s *store) addRaw(v int) {
-	s.n += v
-}
-
-func fire(s *store) {
-	go s.addRaw(1)
-}
-
-func fireJoined(s *store) {
+func fireJoined() {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.addRaw(1)
+		work()
 	}()
 	wg.Wait()
 }
+
+func viaFire() { fire() }
 `)
 	res := conc.Compute(fset, []*ast.File{f}, info, nil)
 	byName := map[string]*conc.FuncConc{}
@@ -204,30 +102,16 @@ func fireJoined(s *store) {
 		byName[fn.Name()] = s
 	}
 
-	lockSum := byName["lock"]
-	if len(lockSum.NetLocks) != 1 || lockSum.NetLocks[0].Op != "lock" || lockSum.NetLocks[0].Param != 0 || lockSum.NetLocks[0].Path != "mu" {
-		t.Errorf("lock helper summary wrong: %+v", lockSum.NetLocks)
-	}
-	unlockSum := byName["unlock"]
-	if len(unlockSum.NetLocks) != 1 || unlockSum.NetLocks[0].Op != "unlock" {
-		t.Errorf("unlock helper summary wrong: %+v", unlockSum.NetLocks)
-	}
-
-	// addGuarded's write happens between the summarized lock and unlock
-	// helpers, so the interprocedural lockset covers it.
-	if n := len(byName["addGuarded"].UnguardedWrites); n != 0 {
-		t.Errorf("addGuarded should have no unguarded writes, got %d", n)
-	}
-	raw := byName["addRaw"]
-	if len(raw.UnguardedWrites) != 1 || raw.UnguardedWrites[0].Param != 0 {
-		t.Errorf("addRaw should record one unguarded receiver write, got %+v", raw.UnguardedWrites)
-	}
-
 	if s := byName["fire"]; !s.Spawns || !s.AsyncSpawn || len(s.SpawnSites) != 1 {
 		t.Errorf("fire should spawn asynchronously: %+v", s)
 	}
 	if s := byName["fireJoined"]; !s.Spawns || s.AsyncSpawn {
 		t.Errorf("fireJoined should spawn but join before returning: %+v", s)
+	}
+	// An async spawn inherited through a callee stays async and names
+	// the helper it came from.
+	if s := byName["viaFire"]; !s.Spawns || !s.AsyncSpawn || s.Via != "fire" {
+		t.Errorf("viaFire should inherit fire's async spawn: %+v", s)
 	}
 
 	// The fact roundtrip drops empty summaries and preserves the rest.
@@ -239,13 +123,11 @@ func fireJoined(s *store) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if _, ok := decoded["(*p.store).lock"]; !ok {
-		t.Errorf("decoded fact should keep the lock helper, has %d entries", len(decoded))
+	if _, ok := decoded["p.fire"]; !ok {
+		t.Errorf("decoded fact should keep the spawning fire, has %d entries", len(decoded))
 	}
-	for name, s := range decoded {
-		if !s.Spawns && !s.AsyncSpawn && len(s.NetLocks) == 0 && len(s.UnguardedWrites) == 0 {
-			t.Errorf("empty summary %q should not round-trip", name)
-		}
+	if _, ok := decoded["p.work"]; ok {
+		t.Errorf("empty summary of work should not round-trip")
 	}
 }
 

@@ -13,29 +13,9 @@ import (
 )
 
 // FactName is the analyzer name concurrency summaries are stored under
-// in a FactStore; the four conc analyzers read the fact directly, the
-// same way taintalloc reads "funcsummary".
+// in a FactStore; boundedspawn reads the fact directly, the same way
+// taintalloc reads "funcsummary".
 const FactName = "concsummary"
-
-// LockEffect is one net lock operation a function performs on a mutex
-// reachable from a parameter: `func (s *store) lock() { s.mu.Lock() }`
-// summarizes as {Param: 0, Path: "mu", Op: "lock"}. Param counts the
-// receiver first, like funcsummary's indices.
-type LockEffect struct {
-	Param int    `json:"param"`
-	Path  string `json:"path,omitempty"` // field path to the mutex; "" when the param is the mutex
-	Op    string `json:"op"`             // "lock", "rlock", "unlock", "runlock"
-}
-
-// ParamWrite marks a parameter (receiver first) that the function
-// writes through — *p, p.f, p[i] on a pointer/slice/map parameter —
-// with no lock held at the write. Callers running the callee on a
-// goroutine must either hold a common lock around the call or own the
-// argument exclusively.
-type ParamWrite struct {
-	Param int              `json:"param"`
-	Pos   summary.Position `json:"pos"`
-}
 
 // FuncConc is the serialized concurrency summary of one function, keyed
 // in a package fact by types.Func.FullName.
@@ -55,15 +35,10 @@ type FuncConc struct {
 	// Via names the callee the spawn was inherited from, when the
 	// function spawns only through another function.
 	Via string `json:"via,omitempty"`
-	// NetLocks lists lock operations on parameters that do not balance
-	// out inside the function (lock helpers, unlock helpers).
-	NetLocks []LockEffect `json:"netLocks,omitempty"`
-	// UnguardedWrites lists parameters written without any lock held.
-	UnguardedWrites []ParamWrite `json:"unguardedWrites,omitempty"`
 }
 
 func (s *FuncConc) empty() bool {
-	return !s.Spawns && !s.AsyncSpawn && len(s.NetLocks) == 0 && len(s.UnguardedWrites) == 0
+	return !s.Spawns && !s.AsyncSpawn
 }
 
 func (s *FuncConc) equal(o *FuncConc) bool {
@@ -98,8 +73,7 @@ func (r *Result) LookupIn(imported Lookup) Lookup {
 
 // Compute builds the package call graph, orders it bottom-up by SCC,
 // and summarizes every function body. imported resolves cross-package
-// callees (nil is fine: unknown callees are treated as lock-neutral
-// non-spawners).
+// callees (nil is fine: unknown callees are treated as non-spawners).
 func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported Lookup) *Result {
 	g := callgraph.Build(files, info)
 	res := &Result{ByFunc: map[*types.Func]*FuncConc{}}
@@ -132,7 +106,6 @@ func computeFunc(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, look
 	if decl.Body == nil {
 		return sum
 	}
-	params := paramVars(decl, info)
 
 	// Spawn shape: direct go statements and async callees, outside
 	// nested function literals (a closure's spawns belong to whoever
@@ -146,7 +119,7 @@ func computeFunc(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, look
 			sum.SpawnSites = append(sum.SpawnSites, position(fset, n.Pos()))
 			spawnEnds = append(spawnEnds, n.Pos())
 		case *ast.CallExpr:
-			if _, method := WaitGroupCall(info, n); method == "Wait" {
+			if isWaitGroupWait(info, n) {
 				if n.Pos() > lastWait {
 					lastWait = n.Pos()
 				}
@@ -174,188 +147,7 @@ func computeFunc(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, look
 			sum.AsyncSpawn = true
 		}
 	}
-
-	// Net lock effects on parameters, and unguarded parameter writes,
-	// both read off the solved lockset.
-	ls := SolveLocksets(decl.Body, info, EffectFromLookup(info, lookup))
-	acquireOp := map[string]string{} // lock key -> "lock" | "rlock"
-	releaseSeen := map[string]string{}
-	walkOutsideFuncLits(decl.Body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		recv, method := MutexCall(info, call)
-		if recv == "" {
-			return
-		}
-		switch method {
-		case "Lock":
-			acquireOp[recv] = "lock"
-		case "RLock":
-			acquireOp[recv] = "rlock"
-		case "Unlock":
-			releaseSeen[recv] = "unlock"
-		case "RUnlock":
-			releaseSeen[recv] = "runlock"
-		}
-	})
-	if exit, ok := ls.AtExit(); ok {
-		for key := range exit.Keys() {
-			if pi, path, ok := paramRelative(key, params); ok {
-				op := acquireOp[key]
-				if op == "" {
-					op = "lock"
-				}
-				sum.NetLocks = append(sum.NetLocks, LockEffect{Param: pi, Path: path, Op: op})
-			}
-		}
-	}
-	for key, op := range releaseSeen {
-		if acquireOp[key] != "" {
-			continue // balanced inside the function
-		}
-		if pi, path, ok := paramRelative(key, params); ok {
-			sum.NetLocks = append(sum.NetLocks, LockEffect{Param: pi, Path: path, Op: op})
-		}
-	}
-	sortLockEffects(sum.NetLocks)
-
-	walkOutsideFuncLits(decl.Body, func(n ast.Node) {
-		for _, w := range WriteTargets(info, n, nil) {
-			root := RootVar(info, w.Expr)
-			if root == nil {
-				continue
-			}
-			pi := paramIndex(root, params)
-			if pi < 0 || !writableThrough(root.Type()) {
-				continue
-			}
-			if _, isIdent := w.Expr.(*ast.Ident); isIdent {
-				continue // assigning the parameter variable itself is local
-			}
-			set, ok := ls.At(w.Pos)
-			if !ok || len(set.Keys()) > 0 {
-				continue
-			}
-			sum.UnguardedWrites = append(sum.UnguardedWrites, ParamWrite{Param: pi, Pos: position(fset, w.Pos)})
-		}
-	})
 	return sum
-}
-
-// EffectFromLookup adapts summary lookups into the lockset problem's
-// call-effect resolver: a call to a summarized lock/unlock helper
-// acquires or releases the corresponding caller-side key.
-func EffectFromLookup(info *types.Info, lookup Lookup) EffectFn {
-	if lookup == nil {
-		return nil
-	}
-	return func(call *ast.CallExpr) []Effect {
-		callee, dynamic, isCall := callgraph.StaticCallee(info, call)
-		if !isCall || dynamic || callee == nil {
-			return nil
-		}
-		cs := lookup(callee)
-		if cs == nil || len(cs.NetLocks) == 0 {
-			return nil
-		}
-		var out []Effect
-		for _, e := range cs.NetLocks {
-			arg := argExpr(call, callee, e.Param)
-			if arg == nil {
-				continue
-			}
-			key := ExprString(arg)
-			if e.Path != "" {
-				key += "." + e.Path
-			}
-			out = append(out, Effect{Key: key, Acquire: e.Op == "lock" || e.Op == "rlock"})
-		}
-		return out
-	}
-}
-
-// argExpr maps a receiver-first parameter index to the call-site
-// expression bound to it.
-func argExpr(call *ast.CallExpr, callee *types.Func, param int) ast.Expr {
-	sig, _ := callee.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		if param == 0 {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				return sel.X
-			}
-			return nil
-		}
-		param--
-	}
-	if param < 0 || param >= len(call.Args) {
-		return nil
-	}
-	return call.Args[param]
-}
-
-// paramRelative splits a lock key rooted at a parameter name into
-// (param index, remaining field path). "s.mu" with receiver s yields
-// (0, "mu").
-func paramRelative(key string, params []*types.Var) (int, string, bool) {
-	root, path, _ := strings.Cut(key, ".")
-	for i, p := range params {
-		if p != nil && p.Name() == root {
-			return i, path, true
-		}
-	}
-	return -1, "", false
-}
-
-func paramIndex(v *types.Var, params []*types.Var) int {
-	for i, p := range params {
-		if p == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// writableThrough reports whether writing through a variable of this
-// type is visible outside the function (pointer, slice, map).
-func writableThrough(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map:
-		return true
-	}
-	return false
-}
-
-// paramVars lists the parameter objects of a declaration: receiver
-// first, then parameters, matching funcsummary's index convention.
-func paramVars(decl *ast.FuncDecl, info *types.Info) []*types.Var {
-	var out []*types.Var
-	addField := func(f *ast.Field) {
-		if len(f.Names) == 0 {
-			out = append(out, nil)
-			return
-		}
-		for _, name := range f.Names {
-			if name.Name == "_" {
-				out = append(out, nil)
-				continue
-			}
-			v, _ := info.Defs[name].(*types.Var)
-			out = append(out, v)
-		}
-	}
-	if decl.Recv != nil {
-		for _, f := range decl.Recv.List {
-			addField(f)
-		}
-	}
-	if decl.Type.Params != nil {
-		for _, f := range decl.Type.Params.List {
-			addField(f)
-		}
-	}
-	return out
 }
 
 // walkOutsideFuncLits visits every node of body that executes on the
@@ -377,18 +169,6 @@ func walkOutsideFuncLits(body *ast.BlockStmt, visit func(ast.Node)) {
 func position(fset *token.FileSet, pos token.Pos) summary.Position {
 	p := fset.Position(pos)
 	return summary.Position{File: p.Filename, Line: p.Line, Col: p.Column}
-}
-
-func sortLockEffects(effects []LockEffect) {
-	for i := 1; i < len(effects); i++ {
-		for j := i; j > 0; j-- {
-			a, b := effects[j-1], effects[j]
-			if a.Param < b.Param || (a.Param == b.Param && a.Path <= b.Path) {
-				break
-			}
-			effects[j-1], effects[j] = b, a
-		}
-	}
 }
 
 // Encode serializes the non-empty summaries as the package fact body.
@@ -461,12 +241,11 @@ func FactLookup(store *analysis.FactStore) Lookup {
 }
 
 // Analyzer is the fact producer: it emits no diagnostics, only the
-// "concsummary" package fact the four concurrency analyzers consume for
-// cross-package calls. Drivers run it over dependencies because Facts
-// is set.
+// "concsummary" package fact boundedspawn consumes for cross-package
+// calls. Drivers run it over dependencies because Facts is set.
 var Analyzer = &analysis.Analyzer{
 	Name:  FactName,
-	Doc:   "concsummary: compute per-function concurrency summaries (net lock effects on parameters, goroutine spawns and whether they outlive the call, parameters written without a lock) bottom-up over call-graph SCCs and export them as a package fact for the concurrency analyzers",
+	Doc:   "concsummary: compute per-function concurrency summaries (goroutine spawns and whether they outlive the call) bottom-up over call-graph SCCs and export them as a package fact for boundedspawn",
 	Facts: true,
 	Run: func(pass *analysis.Pass) error {
 		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, ModuleScoped(pass.Pkg.Path(), FactLookup(pass.Facts)))

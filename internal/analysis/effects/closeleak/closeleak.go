@@ -65,11 +65,7 @@ func run(pass *analysis.Pass) error {
 func report(pass *analysis.Pass, lf effects.LeakFinding) {
 	related := make([]analysis.RelatedLocation, 0, len(lf.Steps))
 	for _, st := range lf.Steps {
-		rl := analysis.RelatedLocation{Pos: st.Pos, Message: st.Msg}
-		if !st.Pos.IsValid() {
-			rl.Position = st.Position.ToTokenPosition()
-		}
-		related = append(related, rl)
+		related = append(related, analysis.RelatedLocation{Pos: st.Pos, Message: st.Msg})
 	}
 	pass.Report(analysis.Diagnostic{
 		Pos: lf.OpenPos,

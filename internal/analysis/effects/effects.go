@@ -1,23 +1,16 @@
-// Package effects computes per-function effect summaries — the fifth
-// rung of spartanvet's interprocedural layer, on top of cfg, callgraph,
-// summary (dataflow), vrange and conc. A FuncEffects answers, for one
-// function, the two questions SPARTAN's archival-determinism and
-// resource-lifecycle analyzers need without re-analyzing the body:
-//
-//   - which results carry a nondeterministic value (map-range iteration
-//     order, the wall clock, the shared math/rand source, goroutine
-//     completion order, %p / unsafe address values), and which
-//     parameters the function writes to wire output (NondetResults,
-//     WriteParams) — consumed by detorder;
-//   - which results carry an open io.Closer, and whether the function
-//     closes or stores a parameter, discharging the caller's obligation
-//     (Opens, ClosesParams, StoresParams) — consumed by closeleak.
+// Package effects computes per-function resource-effect summaries on
+// top of cfg and callgraph. A FuncEffects answers, for one function,
+// the question SPARTAN's resource-lifecycle analyzer (closeleak) needs
+// without re-analyzing the body: which results carry an open
+// io.Closer, and whether the function closes or stores a parameter,
+// discharging the caller's obligation (Opens, ClosesParams,
+// StoresParams).
 //
 // Summaries are computed bottom-up over the SCCs of the package call
 // graph (fixpoint iteration inside recursive components) and serialized
 // as the "effectsummary" analyzer fact, so downstream packages reuse
 // them through the unitchecker's vetx files without dependency source —
-// exactly the funcsummary/concsummary/rangesummary plumbing.
+// exactly the funcsummary/concsummary plumbing.
 package effects
 
 import (
@@ -33,41 +26,8 @@ import (
 )
 
 // FactName is the analyzer name effect summaries are stored under in a
-// FactStore; detorder and closeleak read the fact directly.
+// FactStore; closeleak reads the fact directly.
 const FactName = "effectsummary"
-
-// Nondeterminism kinds. Each names why a value can differ between two
-// runs over identical input — the property the archival format must
-// exclude from encoded bytes.
-const (
-	KindMapOrder  = "map-order"  // map-range iteration order
-	KindChanOrder = "chan-order" // goroutine completion / channel receive order
-	KindTime      = "time"       // wall clock (time.Now and friends)
-	KindRand      = "rand"       // shared or unseeded math/rand source
-	KindAddr      = "addr"       // address-derived value (%p, unsafe.Pointer)
-)
-
-// NondetResult marks a result (by index) that may carry a
-// nondeterministic value out of the function.
-type NondetResult struct {
-	Result int              `json:"result"`
-	Kind   string           `json:"kind"`
-	Pos    summary.Position `json:"pos"`
-	// Via names the callee the nondeterminism was inherited from, when
-	// the source lives in another function.
-	Via string `json:"via,omitempty"`
-}
-
-// WriteParam marks a parameter (receiver first, funcsummary's index
-// convention) whose value the function writes to wire output — an
-// io.Writer, a hash state, binary.Write — directly or through a
-// summarized callee. Callers treat a call to such a function as a sink
-// for the corresponding argument.
-type WriteParam struct {
-	Param int              `json:"param"`
-	Pos   summary.Position `json:"pos"`
-	Via   string           `json:"via,omitempty"`
-}
 
 // OpenResult marks a result that carries an open io.Closer the caller
 // becomes responsible for: the function opened it (os.Open and friends,
@@ -82,9 +42,7 @@ type OpenResult struct {
 // FuncEffects is the serialized effect summary of one function, keyed
 // in a package fact by types.Func.FullName.
 type FuncEffects struct {
-	NondetResults []NondetResult `json:"nondetResults,omitempty"`
-	WriteParams   []WriteParam   `json:"writeParams,omitempty"`
-	Opens         []OpenResult   `json:"opens,omitempty"`
+	Opens []OpenResult `json:"opens,omitempty"`
 	// ClosesParams lists parameters the function closes on some path
 	// (directly, deferred, or through a summarized closer): passing an
 	// open handle to it discharges the caller's obligation.
@@ -96,8 +54,7 @@ type FuncEffects struct {
 }
 
 func (s *FuncEffects) empty() bool {
-	return len(s.NondetResults) == 0 && len(s.WriteParams) == 0 &&
-		len(s.Opens) == 0 && len(s.ClosesParams) == 0 && len(s.StoresParams) == 0
+	return len(s.Opens) == 0 && len(s.ClosesParams) == 0 && len(s.StoresParams) == 0
 }
 
 func (s *FuncEffects) equal(o *FuncEffects) bool {
@@ -158,8 +115,8 @@ func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported 
 	res := &Result{ByFunc: map[*types.Func]*FuncEffects{}}
 	lookup := res.LookupIn(imported)
 	for _, scc := range g.SCCs() {
-		// Summaries only grow (a nondet source discovered through a
-		// mutually recursive callee adds an entry, never removes one), so
+		// Summaries only grow (an opener discovered through a mutually
+		// recursive callee adds an entry, never removes one), so
 		// a short fixpoint converges; four rounds bound pathological
 		// growth the same way funcsummary's and concsummary's do.
 		for round := 0; ; round++ {
@@ -179,22 +136,14 @@ func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported 
 	return res
 }
 
-// computeFunc summarizes one function declaration: the nondeterminism
-// engine supplies NondetResults and WriteParams, the resource engine
-// Opens, ClosesParams and StoresParams.
+// computeFunc summarizes one function declaration with the resource
+// engine.
 func computeFunc(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, lookup Lookup) *FuncEffects {
-	sum := &FuncEffects{}
 	if decl.Body == nil {
-		return sum
+		return &FuncEffects{}
 	}
-	nd := analyzeNondet(fset, info, decl, lookup)
-	sum.NondetResults = nd.ResultNondet
-	sum.WriteParams = nd.ParamWrites
 	rs := analyzeResources(fset, info, decl, lookup)
-	sum.Opens = rs.Opens
-	sum.ClosesParams = rs.ClosesParams
-	sum.StoresParams = rs.StoresParams
-	return sum
+	return &FuncEffects{Opens: rs.Opens, ClosesParams: rs.ClosesParams, StoresParams: rs.StoresParams}
 }
 
 // Encode serializes the non-empty summaries as the package fact body.
@@ -320,12 +269,11 @@ func position(fset *token.FileSet, pos token.Pos) summary.Position {
 }
 
 // Analyzer is the fact producer: it emits no diagnostics, only the
-// "effectsummary" package fact detorder and closeleak consume for
-// cross-package calls. Drivers run it over dependencies because Facts
-// is set.
+// "effectsummary" package fact closeleak consumes for cross-package
+// calls. Drivers run it over dependencies because Facts is set.
 var Analyzer = &analysis.Analyzer{
 	Name:  FactName,
-	Doc:   "effectsummary: compute per-function effect summaries (nondeterminism sources reaching results, parameters written to wire output, open io.Closer results, parameters closed or stored) bottom-up over call-graph SCCs and export them as a package fact for the determinism and resource-lifecycle analyzers",
+	Doc:   "effectsummary: compute per-function effect summaries (open io.Closer results, parameters closed or stored) bottom-up over call-graph SCCs and export them as a package fact for the resource-lifecycle analyzer",
 	Facts: true,
 	Run: func(pass *analysis.Pass) error {
 		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, ModuleScoped(pass.Pkg.Path(), FactLookup(pass.Facts)))

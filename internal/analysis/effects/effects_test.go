@@ -51,118 +51,6 @@ func summaryOf(t *testing.T, res *effects.Result, name string) *effects.FuncEffe
 	return nil
 }
 
-func TestNondetResultSummaries(t *testing.T) {
-	res, _, _ := compute(t, `package p
-
-import (
-	"math/rand"
-	"sort"
-	"time"
-)
-
-func clock() int64 { return time.Now().UnixNano() }
-
-func shared() int { return rand.Int() }
-
-func seeded(seed int64) int {
-	r := rand.New(rand.NewSource(seed))
-	return r.Int()
-}
-
-func firstKey(m map[string]int) string {
-	for k := range m {
-		return k
-	}
-	return ""
-}
-
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func viaClock() int64 { return clock() }
-`)
-	cases := []struct {
-		fn   string
-		kind string // "" means no nondet result expected
-	}{
-		{"clock", effects.KindTime},
-		{"shared", effects.KindRand},
-		{"seeded", ""},
-		{"firstKey", effects.KindMapOrder},
-		{"sortedKeys", ""},
-		{"viaClock", effects.KindTime},
-	}
-	for _, c := range cases {
-		s := summaryOf(t, res, c.fn)
-		if c.kind == "" {
-			if len(s.NondetResults) != 0 {
-				t.Errorf("%s: want no nondet results, got %+v", c.fn, s.NondetResults)
-			}
-			continue
-		}
-		found := false
-		for _, nr := range s.NondetResults {
-			if nr.Kind == c.kind && nr.Result == 0 {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: want result 0 nondet kind %q, got %+v", c.fn, c.kind, s.NondetResults)
-		}
-	}
-	// The inherited summary must name the callee.
-	via := summaryOf(t, res, "viaClock")
-	if len(via.NondetResults) == 0 || via.NondetResults[0].Via == "" {
-		t.Errorf("viaClock: want Via naming the callee, got %+v", via.NondetResults)
-	}
-}
-
-func TestWriteParamSummaries(t *testing.T) {
-	res, _, _ := compute(t, `package p
-
-import (
-	"bytes"
-	"hash/fnv"
-)
-
-func emit(w *bytes.Buffer, b []byte) { w.Write(b) }
-
-func fingerprint(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
-func emitVia(w *bytes.Buffer, b []byte) { emit(w, b) }
-`)
-	s := summaryOf(t, res, "emit")
-	found := false
-	for _, wp := range s.WriteParams {
-		if wp.Param == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("emit: want param 1 as write param, got %+v", s.WriteParams)
-	}
-	s = summaryOf(t, res, "emitVia")
-	found = false
-	for _, wp := range s.WriteParams {
-		if wp.Param == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("emitVia: want inherited write param 1, got %+v", s.WriteParams)
-	}
-}
-
 func TestResourceSummaries(t *testing.T) {
 	res, _, _ := compute(t, `package p
 
@@ -277,9 +165,11 @@ func clean(path string) error {
 func TestFactRoundTrip(t *testing.T) {
 	res, _, _ := compute(t, `package p
 
-import "time"
+import "os"
 
-func clock() int64 { return time.Now().UnixNano() }
+func open(path string) (*os.File, error) { return os.Open(path) }
+
+func pure(n int) int { return n + 1 }
 `)
 	blob, err := res.Encode()
 	if err != nil {
@@ -292,11 +182,14 @@ func clock() int64 { return time.Now().UnixNano() }
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	s, ok := decoded["p.clock"]
+	s, ok := decoded["p.open"]
 	if !ok {
-		t.Fatalf("decoded fact missing p.clock: %v", decoded)
+		t.Fatalf("decoded fact missing p.open: %v", decoded)
 	}
-	if len(s.NondetResults) != 1 || s.NondetResults[0].Kind != effects.KindTime {
-		t.Errorf("round-tripped summary: got %+v", s.NondetResults)
+	if len(s.Opens) != 1 || s.Opens[0].Result != 0 {
+		t.Errorf("round-tripped summary: got %+v", s.Opens)
+	}
+	if _, ok := decoded["p.pure"]; ok {
+		t.Errorf("empty summary of pure should not round-trip")
 	}
 }

@@ -30,6 +30,13 @@ import (
 	"repro/internal/analysis/cfg"
 )
 
+// Step is one hop of a leak path, rendered as a Diagnostic.Related
+// location.
+type Step struct {
+	Pos token.Pos
+	Msg string
+}
+
 // LeakFinding is one open obligation with a CFG exit path that never
 // discharges it; closeleak renders it as a diagnostic with the
 // open→exit path attached.
@@ -738,6 +745,45 @@ func reassignsVar(info *types.Info, node ast.Node, v *types.Var) bool {
 		return !found
 	})
 	return found
+}
+
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, isB := info.Uses[id].(*types.Builtin)
+	return isB
+}
+
+func unparenIdent(x ast.Expr) *ast.Ident {
+	id, _ := ast.Unparen(x).(*ast.Ident)
+	return id
+}
+
+// rootVarOf resolves the variable at the base of an lvalue-ish
+// expression: x, x.f, x[i], *x, (&x).f.
+func rootVarOf(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return varOfIdent(info, x)
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 func varOfIdent(info *types.Info, id *ast.Ident) *types.Var {

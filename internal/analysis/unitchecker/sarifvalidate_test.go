@@ -10,6 +10,37 @@ import (
 	"repro/internal/analysis/sarif"
 )
 
+// writeSarifLog marshals a minimal log holding the given results.
+func writeSarifLog(t *testing.T, path string, results []sarif.Result) {
+	t.Helper()
+	log := sarif.Log{
+		Schema:  sarif.SchemaURI,
+		Version: sarif.Version,
+		Runs: []sarif.Run{{
+			Tool:    sarif.Tool{Driver: sarif.Driver{Name: "spartanvet"}},
+			Results: results,
+		}},
+	}
+	data, err := log.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func result(rule, uri, msg string, line int) sarif.Result {
+	return sarif.Result{
+		RuleID:  rule,
+		Message: sarif.Message{Text: msg},
+		Locations: []sarif.Location{{PhysicalLocation: sarif.PhysicalLocation{
+			ArtifactLocation: sarif.ArtifactLocation{URI: uri},
+			Region:           &sarif.Region{StartLine: line, StartColumn: 1},
+		}}},
+	}
+}
+
 // TestSarifValidate drives the -sarifvalidate mode through the CLI
 // entry point: a well-formed emitted log passes, a log with fields
 // outside the model fails, and usage errors exit 1.
@@ -17,7 +48,7 @@ func TestSarifValidate(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.sarif")
 	writeSarifLog(t, good, []sarif.Result{
-		result("locksetrace", "core/core.go", "total is written in a spawned goroutine", 12),
+		result("taintalloc", "codec/decode.go", "wire-read value flows into make", 12),
 	})
 
 	t.Run("valid log passes", func(t *testing.T) {

@@ -25,9 +25,6 @@
 //
 // The data formats exit zero on findings because they exist to report,
 // not to gate; the text mode remains the CI tripwire. A third mode,
-// `tool -sarifdiff base.sarif head.sarif`, compares two such logs and
-// exits 2 when head has findings absent from base — the PR gate that
-// blocks new findings without penalizing pre-existing ones. A fourth,
 // `tool -sarifvalidate report.sarif`, strictly validates an emitted log
 // against the SARIF 2.1.0 model before it is uploaded. In all modes a
 // //spartanvet:ignore directive that no longer suppresses anything is
@@ -104,12 +101,9 @@ func run(progname string, args []string, analyzers []*analysis.Analyzer, stdout,
 	enabled := map[string]*bool{}
 	opts := &options{stderr: stderr}
 	var positional []string
-	sarifDiff := false
 	sarifValidate := false
 	for _, arg := range args {
 		switch {
-		case arg == "-sarifdiff" || arg == "--sarifdiff":
-			sarifDiff = true
 		case arg == "-sarifvalidate" || arg == "--sarifvalidate":
 			sarifValidate = true
 		case arg == "-V=full" || arg == "--V=full":
@@ -164,9 +158,6 @@ func run(progname string, args []string, analyzers []*analysis.Analyzer, stdout,
 	// deselected: a partial run cannot prove a directive useless.
 	opts.judgeAll = len(enabled) == 0
 
-	if sarifDiff {
-		return runSarifDiff(progname, positional, stdout, stderr)
-	}
 	if sarifValidate {
 		return runSarifValidate(progname, positional, stdout, stderr)
 	}
@@ -178,9 +169,8 @@ func run(progname string, args []string, analyzers []*analysis.Analyzer, stdout,
 		fmt.Fprintf(stderr, "%s: this tool speaks the `go vet` protocol; invoke it as:\n"+
 			"  go vet -vettool=%s ./...       (per-unit, build-cached)\n"+
 			"  %s [-json|-sarif] ./...        (standalone, aggregated report)\n"+
-			"  %s -sarifdiff base.sarif head.sarif  (fail on findings new in head)\n"+
-			"  %s -sarifvalidate report.sarif       (strict SARIF 2.1.0 check)\n",
-			progname, progname, progname, progname, progname)
+			"  %s -sarifvalidate report.sarif (strict SARIF 2.1.0 check)\n",
+			progname, progname, progname, progname)
 		return 1
 	}
 	cfgFile := positional[0]

@@ -67,7 +67,7 @@ func TestFlagsProtocol(t *testing.T) {
 	}
 	want := map[string]bool{
 		"floatcmp": true, "spanfinish": true, "lockbalance": true, "errcheckio": true, "metricname": true,
-		"nilflow": true, "deferloop": true, "wgbalance": true, "hotalloc": true,
+		"nilflow": true, "deferloop": true, "hotalloc": true, "boundedspawn": true, "closeleak": true,
 	}
 	for _, f := range flags {
 		delete(want, f.Name)

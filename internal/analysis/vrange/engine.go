@@ -1,7 +1,6 @@
 package vrange
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -13,14 +12,12 @@ import (
 )
 
 // Site is one slice index or slice-expression bound the engine
-// examined: either proved in bounds or left for the analyzers to
-// judge by the value's derivation.
+// examined: either proved in bounds or not, with the index value's
+// derivation.
 type Site struct {
-	// Kind is "index" or "slice bound" for local sites, or the
-	// callee's What when lifted from a callee IndexParam.
+	// Kind is "index" or "slice bound".
 	Kind string
-	// Expr is the index/bound expression (the call argument for lifted
-	// sites); Base the indexed expression (nil for lifted sites).
+	// Expr is the index/bound expression; Base the indexed expression.
 	Expr ast.Expr
 	Base ast.Expr
 	Pos  token.Pos
@@ -31,16 +28,6 @@ type Site struct {
 	Proven bool
 	// Deriv is the origin of the index value (wire / parameters).
 	Deriv Deriv
-	// Callee is set when the site was lifted from a callee's
-	// IndexParam; CalleePos locates the site inside the callee.
-	Callee    *types.Func
-	CalleePos Position
-	Via       string
-
-	// baseParam/idxParam record pristine parameter indices of the
-	// indexed slice and the index value (-1 when not parameters), for
-	// the function's own IndexParam summary entries.
-	baseParam, idxParam int
 }
 
 // FuncResult is the engine's full output for one function.
@@ -55,7 +42,6 @@ type FuncResult struct {
 	Range *FuncRange
 
 	siteByExpr map[ast.Expr]*Site
-	params     []*types.Var
 }
 
 // IvOf returns the proved interval of an expression, or Top. Nil-safe,
@@ -106,16 +92,15 @@ type Engine struct {
 	Info   *types.Info
 	Lookup RLookup
 
-	fr         *FuncResult
-	params     []*types.Var
-	results    []*types.Var
-	resultIvs  []Interval
-	resultMin  []map[int]bool // nil until the first return is seen
-	resultDv   []Deriv
-	resultLen  []map[int]bool // SameLenAs accumulator, nil until first return
-	condSet    map[ast.Expr]bool
-	record     bool
-	pristineIn map[*types.Var]int // param var → index, for summary checks
+	fr        *FuncResult
+	params    []*types.Var
+	results   []*types.Var
+	resultIvs []Interval
+	resultMin []map[int]bool // nil until the first return is seen
+	resultDv  []Deriv
+	resultLen []map[int]bool // SameLenAs accumulator, nil until first return
+	condSet   map[ast.Expr]bool
+	record    bool
 }
 
 // sourceFuncs are the untrusted wire reads (FullName → wire-derived
@@ -135,7 +120,6 @@ func (e *Engine) Run(decl *ast.FuncDecl) *FuncResult {
 		siteByExpr: map[ast.Expr]*Site{},
 	}
 	e.params = paramVars(decl, e.Info)
-	e.fr.params = e.params
 	e.results = resultVars(decl, e.Info)
 	nres := 0
 	if decl.Type.Results != nil {
@@ -153,12 +137,6 @@ func (e *Engine) Run(decl *ast.FuncDecl) *FuncResult {
 	e.resultLen = make([]map[int]bool, nres)
 	for i := range e.resultIvs {
 		e.resultIvs[i] = Empty()
-	}
-	e.pristineIn = map[*types.Var]int{}
-	for i, p := range e.params {
-		if p != nil {
-			e.pristineIn[p] = i
-		}
 	}
 	if decl.Body == nil {
 		e.fr.Range = e.makeRange(decl)
@@ -210,10 +188,7 @@ func (e *Engine) seed() *VState {
 		if i >= sourceBit || !isIntegerKind(p.Type()) {
 			continue
 		}
-		s.dv[p] = Deriv{
-			mask:  1 << uint(i),
-			chain: &Step{Pos: p.Pos(), What: "parameter " + p.Name()},
-		}
+		s.dv[p] = Deriv{mask: 1 << uint(i)}
 	}
 	return s
 }
@@ -398,7 +373,7 @@ func (e *Engine) assign(x *ast.AssignStmt, s *VState) {
 			t = e.compound(x.Tok, v, t, s)
 			rhs = nil
 		}
-		e.assignVar(v, t, rhs, x.Pos(), s)
+		e.assignVar(v, t, rhs, s)
 	}
 	// Cross-result length equalities from a summarized call.
 	if len(x.Rhs) == 1 && len(x.Lhs) > 1 {
@@ -446,7 +421,7 @@ func (e *Engine) compound(tok token.Token, v *types.Var, rhs val, s *VState) val
 // expression when the assignment is a plain 1:1 binding (nil for
 // compound assignments and multi-value unpacking), used for the
 // relational bindings a bare value cannot carry.
-func (e *Engine) assignVar(v *types.Var, t val, rhs ast.Expr, pos token.Pos, s *VState) {
+func (e *Engine) assignVar(v *types.Var, t val, rhs ast.Expr, s *VState) {
 	if isIntegerKind(v.Type()) {
 		var w, lenOf *types.Var
 		if rhs != nil {
@@ -456,7 +431,7 @@ func (e *Engine) assignVar(v *types.Var, t val, rhs ast.Expr, pos token.Pos, s *
 		s.killInt(v)
 		s.setIv(v, meetType(t.iv, v.Type()))
 		if t.dv.mask != 0 {
-			s.dv[v] = t.dv.step(pos, "flows into "+v.Name())
+			s.dv[v] = t.dv
 		}
 		if w != nil && w != v {
 			// Wrap-free copy: v inherits w's ordering facts, v ≤ w ≤ v.
@@ -615,7 +590,7 @@ func (e *Engine) valueSpec(vs *ast.ValueSpec, s *VState) {
 		if len(vs.Values) == len(vs.Names) {
 			rhs = vs.Values[i]
 		}
-		e.assignVar(v, vals[i], rhs, vs.Pos(), s)
+		e.assignVar(v, vals[i], rhs, s)
 	}
 }
 
@@ -759,7 +734,7 @@ func (e *Engine) isNilExpr(x ast.Expr) bool {
 }
 
 // makeRange assembles the function's serializable summary from the
-// accumulated return facts and the unproven sites.
+// accumulated return facts.
 func (e *Engine) makeRange(decl *ast.FuncDecl) *FuncRange {
 	fr := &FuncRange{Params: len(e.params)}
 	if len(e.resultIvs) > 0 {
@@ -780,33 +755,6 @@ func (e *Engine) makeRange(decl *ast.FuncDecl) *FuncRange {
 			}
 			sort.Ints(rr.SameLenAs)
 			fr.Results[i] = rr
-		}
-	}
-	// Unproven sites whose index derives from a parameter surface as
-	// IndexParams for callers to prove or report.
-	seen := map[string]bool{}
-	for _, site := range e.fr.Sites {
-		if site.Proven {
-			continue
-		}
-		for _, p := range site.Deriv.ParamBits() {
-			ip := IndexParam{
-				Param:     p,
-				BaseParam: -1,
-				Le:        site.AllowEq,
-				What:      site.Kind,
-				Pos:       toPosition(e.Fset.Position(site.Pos)),
-				Via:       site.Via,
-			}
-			if site.idxParam == p {
-				ip.BaseParam = site.baseParam
-			}
-			key := fmt.Sprintf("%d|%d|%v|%s|%v", ip.Param, ip.BaseParam, ip.Le, ip.What, ip.Pos)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			fr.IndexParams = append(fr.IndexParams, ip)
 		}
 	}
 	return fr
@@ -950,36 +898,16 @@ func (e *Engine) addLocalSite(kind string, expr, base ast.Expr, v val, allowEq b
 		return
 	}
 	site := &Site{
-		Kind:      kind,
-		Expr:      expr,
-		Base:      base,
-		Pos:       expr.Pos(),
-		AllowEq:   allowEq,
-		Deriv:     v.dv,
-		baseParam: -1,
-		idxParam:  -1,
-	}
-	site.Proven = e.provenBound(expr, base, v.iv, allowEq, s)
-	if bv := e.plainVar(base); bv != nil {
-		site.baseParam = e.pristineParam(bv, s)
-	}
-	if w := e.wrapFreeVar(expr, s); w != nil {
-		site.idxParam = e.pristineParam(w, s)
+		Kind:    kind,
+		Expr:    expr,
+		Base:    base,
+		Pos:     expr.Pos(),
+		AllowEq: allowEq,
+		Deriv:   v.dv,
+		Proven:  e.provenBound(expr, base, v.iv, allowEq, s),
 	}
 	e.fr.Sites = append(e.fr.Sites, site)
 	e.fr.siteByExpr[expr] = site
-}
-
-// pristineParam returns v's parameter index when v is a parameter the
-// function has not reassigned, else -1.
-func (e *Engine) pristineParam(v *types.Var, s *VState) int {
-	if v == nil || !s.pristine[v] {
-		return -1
-	}
-	if i, ok := e.pristineIn[v]; ok {
-		return i
-	}
-	return -1
 }
 
 // provenBound discharges idx ∈ [0, len(base)) (or [0, len] for slice
@@ -1072,8 +1000,8 @@ func (e *Engine) calleeOf(call *ast.CallExpr) *types.Func {
 
 // evalCall evaluates a call (or conversion, or builtin), returning one
 // val per result. Summarized callees contribute result intervals,
-// min-of-params clamping against the actual arguments, derivations,
-// and lifted unproven index sites.
+// min-of-params clamping against the actual arguments, and
+// derivations.
 func (e *Engine) evalCall(call *ast.CallExpr, s *VState) []val {
 	if tv, ok := e.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		in := e.eval(call.Args[0], s)
@@ -1084,10 +1012,7 @@ func (e *Engine) evalCall(call *ast.CallExpr, s *VState) []val {
 			if e.lenBoundedConv(call.Args[0], from, to, s) {
 				iv = in.iv // value-preserving: operand sits under a length
 			}
-			return []val{{
-				iv: iv,
-				dv: in.dv.step(call.Pos(), "converted to "+types.TypeString(to, nil)),
-			}}
+			return []val{{iv: iv, dv: in.dv}}
 		}
 		return []val{{iv: Top(), dv: in.dv}}
 	}
@@ -1098,7 +1023,6 @@ func (e *Engine) evalCall(call *ast.CallExpr, s *VState) []val {
 	}
 
 	var argVals []val
-	var argExprs []ast.Expr
 	var fn *types.Func
 	switch f := unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -1110,7 +1034,6 @@ func (e *Engine) evalCall(call *ast.CallExpr, s *VState) []val {
 			// the callee's summary.
 			e.eval1(f.X, s)
 			argVals = append(argVals, val{iv: Top()})
-			argExprs = append(argExprs, f.X)
 		} else {
 			fn, _ = e.Info.Uses[f.Sel].(*types.Func)
 		}
@@ -1119,7 +1042,6 @@ func (e *Engine) evalCall(call *ast.CallExpr, s *VState) []val {
 	}
 	for _, a := range call.Args {
 		argVals = append(argVals, e.eval(a, s))
-		argExprs = append(argExprs, a)
 	}
 
 	var sig *types.Signature
@@ -1151,10 +1073,7 @@ func (e *Engine) evalCall(call *ast.CallExpr, s *VState) []val {
 		}
 		out[ridx] = val{
 			iv: iv,
-			dv: Deriv{
-				mask:  1 << sourceBit,
-				chain: &Step{Pos: call.Pos(), What: "read from wire by " + fn.Name()},
-			},
+			dv: Deriv{mask: 1 << sourceBit},
 		}
 		return out
 	}
@@ -1187,7 +1106,6 @@ func (e *Engine) evalCall(call *ast.CallExpr, s *VState) []val {
 		if r.Wire {
 			dv.mask |= 1 << sourceBit
 		}
-		dv = dv.step(call.Pos(), "returned by "+fn.Name())
 		if sig != nil && i < sig.Results().Len() {
 			if rt := sig.Results().At(i).Type(); isIntegerKind(rt) {
 				iv = meetType(iv, rt)
@@ -1197,64 +1115,7 @@ func (e *Engine) evalCall(call *ast.CallExpr, s *VState) []val {
 		}
 		out[i] = val{iv: iv, dv: dv}
 	}
-	if e.record {
-		e.liftSites(call, fn, rr, argVals, argExprs, s)
-	}
 	return out
-}
-
-// liftSites imports a callee's unproven param-indexed sites at this
-// call: proved here when the argument is ordered against the matching
-// slice argument, otherwise re-exposed with the argument's derivation.
-func (e *Engine) liftSites(call *ast.CallExpr, fn *types.Func, rr *FuncRange, argVals []val, argExprs []ast.Expr, s *VState) {
-	for _, ip := range rr.IndexParams {
-		p := ip.Param
-		if p < 0 || p >= len(argVals) {
-			continue
-		}
-		av := argVals[p]
-		var ax ast.Expr
-		if p < len(argExprs) {
-			ax = argExprs[p]
-		}
-		site := &Site{
-			Kind:      ip.What,
-			Expr:      ax,
-			Pos:       call.Pos(),
-			AllowEq:   ip.Le,
-			Deriv:     av.dv,
-			Callee:    fn,
-			CalleePos: ip.Pos,
-			Via:       fn.Name(),
-			baseParam: -1,
-			idxParam:  -1,
-		}
-		if ax != nil {
-			site.Pos = ax.Pos()
-		}
-		if ip.Via != "" {
-			site.Via = fn.Name() + " → " + ip.Via
-		}
-		if ip.BaseParam >= 0 && ip.BaseParam < len(argExprs) && ax != nil {
-			bx := argExprs[ip.BaseParam]
-			site.Base = bx
-			site.Proven = e.provenBound(ax, bx, av.iv, ip.Le, s)
-			if bw := e.plainVar(bx); bw != nil {
-				site.baseParam = e.pristineParam(bw, s)
-			}
-		}
-		if ax != nil {
-			if w := e.wrapFreeVar(ax, s); w != nil {
-				site.idxParam = e.pristineParam(w, s)
-			}
-		}
-		e.fr.Sites = append(e.fr.Sites, site)
-		if ax != nil {
-			if _, taken := e.fr.siteByExpr[ax]; !taken {
-				e.fr.siteByExpr[ax] = site
-			}
-		}
-	}
 }
 
 func (e *Engine) evalBuiltin(b *types.Builtin, call *ast.CallExpr, s *VState) []val {

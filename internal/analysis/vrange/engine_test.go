@@ -267,47 +267,6 @@ func caller(n, i int) int {
 	wantAllProven(t, res, "caller")
 }
 
-func TestInterproceduralIndexParam(t *testing.T) {
-	res := computeSrc(t, `package p
-
-import "encoding/binary"
-
-func pick(xs []int, i int) int { return xs[i] }
-
-func guarded(xs []int, i int) int {
-	if i < 0 || i >= len(xs) {
-		return 0
-	}
-	return pick(xs, i)
-}
-
-func wild(xs []int, data []byte) int {
-	v, _ := binary.Uvarint(data)
-	return pick(xs, int(v))
-}
-`)
-	r := rangeOf(t, res, "pick")
-	found := false
-	for _, ip := range r.IndexParams {
-		if ip.Param == 1 && ip.BaseParam == 0 && ip.What == "index" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("pick IndexParams = %+v, want param 1 indexing base param 0", r.IndexParams)
-	}
-	wantAllProven(t, res, "guarded")
-
-	fr := funcResult(t, res, "wild")
-	_, unproven := sitesOf(fr)
-	if len(unproven) != 1 || !unproven[0].Deriv.FromWire() || unproven[0].Callee == nil {
-		t.Fatalf("wild sites = %d unproven (want 1 wire-derived lifted site)", len(unproven))
-	}
-	if steps := unproven[0].Deriv.Steps(); len(steps) == 0 {
-		t.Error("wild: lifted site has no derivation path")
-	}
-}
-
 func TestWireIndexUnproven(t *testing.T) {
 	res := computeSrc(t, `package p
 

@@ -20,12 +20,11 @@
 //     unlike taint, a guard does not launder a value's origin, it only
 //     (maybe) bounds it.
 //
-// Per-function results feed three consumers: the indexbound analyzer
-// (wire-derived indexes must carry a range proof), the range-aware
-// taintalloc/sizeoverflow upgrade in package summary (proved intervals
-// replace syntactic clamp detection), and the "rangesummary" package
-// fact, which propagates result ranges, min-of-params clamp shapes and
-// unproven param-indexed sites bottom-up over call-graph SCCs, across
+// Per-function results feed two consumers: the range-aware
+// taintalloc/sizeoverflow sink filter in package summary (proved
+// intervals replace syntactic clamp detection), and the "rangesummary"
+// package fact, which propagates result ranges, min-of-params clamp
+// shapes and same-length results bottom-up over call-graph SCCs, across
 // package boundaries through the unitchecker's vetx files.
 package vrange
 

@@ -2,7 +2,6 @@ package vrange
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -10,21 +9,12 @@ import (
 // parameter origins (the same convention as the taint engine's masks).
 const sourceBit = 62
 
-// Step is one hop of a derivation path, an immutable chain so
-// diagnostics can replay wire-read → index.
-type Step struct {
-	prev *Step
-	Pos  token.Pos
-	What string
-}
-
 // Deriv is the origin set of a value — which parameters and whether
 // the untrusted wire may have produced it — tracked through
 // assignments with no guard kills: a bounds check changes what a value
 // can be, never where it came from.
 type Deriv struct {
-	mask  uint64
-	chain *Step
+	mask uint64
 }
 
 // FromWire reports an untrusted wire read among the origins.
@@ -41,32 +31,10 @@ func (d Deriv) ParamBits() []int {
 	return out
 }
 
-// Steps returns the recorded path in origin→latest order.
-func (d Deriv) Steps() []Step {
-	var rev []Step
-	for s := d.chain; s != nil; s = s.prev {
-		rev = append(rev, *s)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-func (d Deriv) step(pos token.Pos, what string) Deriv {
-	if d.mask == 0 {
-		return d
-	}
-	return Deriv{mask: d.mask, chain: &Step{prev: d.chain, Pos: pos, What: what}}
-}
-
 func unionD(ds ...Deriv) Deriv {
 	var out Deriv
 	for _, d := range ds {
 		out.mask |= d.mask
-		if out.chain == nil {
-			out.chain = d.chain
-		}
 	}
 	return out
 }

@@ -11,25 +11,8 @@ import (
 )
 
 // FactName is the analyzer name range summaries are stored under in a
-// FactStore; indexbound and the range-aware summary engine read it.
+// FactStore; the range-aware summary engine reads it.
 const FactName = "rangesummary"
-
-// Position is a serializable source position for facts — cross-package
-// sites cannot travel as token.Pos.
-type Position struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-}
-
-func toPosition(p token.Position) Position {
-	return Position{File: p.Filename, Line: p.Line, Col: p.Column}
-}
-
-// ToTokenPosition converts back for diagnostics.
-func (p Position) ToTokenPosition() token.Position {
-	return token.Position{Filename: p.File, Line: p.Line, Column: p.Col}
-}
 
 // ResultRange describes one result of a function, joined over every
 // return site.
@@ -53,34 +36,14 @@ type ResultRange struct {
 	SameLenAs []int `json:"sameLenAs,omitempty"`
 }
 
-// IndexParam marks a parameter used (possibly via callees) as a slice
-// index or slice bound at a site the range analysis could not prove in
-// bounds. Callers either prove their argument against the indexed
-// slice (BaseParam) or, when the argument is wire-derived, report.
-type IndexParam struct {
-	Param int `json:"param"`
-	// BaseParam is the parameter index of the indexed slice when the
-	// site indexes a parameter directly (else -1): the caller can then
-	// discharge the proof with arg < len(baseArg).
-	BaseParam int      `json:"base"`
-	Le        bool     `json:"le,omitempty"` // site allows index == len (slice bound)
-	What      string   `json:"what"`
-	Pos       Position `json:"pos"`
-	Via       string   `json:"via,omitempty"`
-}
-
 // FuncRange is the serialized value-range summary of one function,
 // keyed in a package fact by types.Func.FullName.
 type FuncRange struct {
-	Params      int           `json:"params"`
-	Results     []ResultRange `json:"results,omitempty"`
-	IndexParams []IndexParam  `json:"indexParams,omitempty"`
+	Params  int           `json:"params"`
+	Results []ResultRange `json:"results,omitempty"`
 }
 
 func (f *FuncRange) empty() bool {
-	if len(f.IndexParams) > 0 {
-		return false
-	}
 	for _, r := range f.Results {
 		if r.Lo != NegInf || r.Hi != PosInf || r.Wire ||
 			len(r.MinOfParams) > 0 || len(r.Params) > 0 || len(r.SameLenAs) > 0 {
@@ -192,11 +155,11 @@ func FactLookup(store *analysis.FactStore) RLookup {
 }
 
 // Analyzer is the fact producer: it emits no diagnostics, only the
-// "rangesummary" package fact that indexbound and the range-aware
-// taintalloc/sizeoverflow upgrade consume for cross-package calls.
+// "rangesummary" package fact the range-aware taintalloc/sizeoverflow
+// sink filter consumes for cross-package calls.
 var Analyzer = &analysis.Analyzer{
 	Name:  FactName,
-	Doc:   "rangesummary: compute per-function value-range summaries (result intervals, min-of-params clamp shapes, wire-derived results, unproven param-indexed sites) bottom-up over call-graph SCCs and export them as a package fact for the range-aware analyzers",
+	Doc:   "rangesummary: compute per-function value-range summaries (result intervals, min-of-params clamp shapes, wire-derived results, same-length results) bottom-up over call-graph SCCs and export them as a package fact for the range-aware analyzers",
 	Facts: true,
 	Run: func(pass *analysis.Pass) error {
 		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, FactLookup(pass.Facts))

@@ -14,14 +14,23 @@ import (
 // pipeline — the GOMAXPROCS-bounded outlier scan inside Compress and
 // the GOMAXPROCS-bounded model reconstruction inside Decompress — from
 // several pipelines at once. Its job is to give the race detector
-// something to bite on: the static guarantees from the conc analyzers
-// (locksetrace, boundedspawn) say these phases are sharded and
-// semaphore-bounded; this test is the dynamic half of that claim.
+// something to bite on: it is the check that the outlier scan's
+// workers shard their result slots and guard their shared totals, and
+// that no worker goroutine leaks or deadlocks (a missed Done hangs
+// the test). boundedspawn covers the semaphore bound statically.
+//
+// Both fan-outs size their semaphore from GOMAXPROCS. At GOMAXPROCS=1
+// the semaphore's channel operations order every worker after the
+// previous one, and -race sees no concurrent access to report, so the
+// test raises GOMAXPROCS to at least 4 for its duration: the workers
+// then overlap on any host, single-core CI runners included.
 // It runs in CI's race job and is skipped under -short.
 func TestStressParallelPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test: meaningful only under -race in the full run")
 	}
+	prev := runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 
 	const pipelines = 4
 	rows := 600 * runtime.GOMAXPROCS(0)

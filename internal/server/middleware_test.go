@@ -169,8 +169,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"spartan_compress_ratio_count 1",
 		"spartan_compress_predicted_attributes_count 1",
 		`spartan_compress_tolerance_bucket{le="0.01"} 1`,
-		`spartan_compress_phase_seconds_count{phase="dependency_finder"} 1`,
-		`spartan_compress_phase_seconds_count{phase="encode"} 1`,
+		`spartan_phase_duration_seconds_count{trace="compress",phase="dependency_finder"} 1`,
+		`spartan_phase_duration_seconds_count{trace="compress",phase="encode"} 1`,
 		"spartan_compress_raw_bytes_total",
 		"spartan_compress_compressed_bytes_total",
 	} {

@@ -90,7 +90,6 @@ type metrics struct {
 	ratio          obs.Histogram // spartan_compress_ratio
 	predictedAttrs obs.Histogram // spartan_compress_predicted_attributes
 	tolerance      obs.Histogram // spartan_compress_tolerance
-	phaseSeconds   obs.Histogram // spartan_compress_phase_seconds{phase}
 	rawBytes       obs.Counter   // spartan_compress_raw_bytes_total
 	outBytes       obs.Counter   // spartan_compress_compressed_bytes_total
 
@@ -228,9 +227,6 @@ func newMetrics(reg *obs.Registry) metrics {
 		tolerance: reg.Histogram("spartan_compress_tolerance",
 			"Numeric error tolerance requested per /compress call (fraction of range).",
 			[]float64{0, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25}),
-		phaseSeconds: reg.Histogram("spartan_compress_phase_seconds",
-			"Pipeline phase duration in seconds, by phase (paper §4.2 accounting).",
-			obs.DefBuckets, "phase"),
 		rawBytes: reg.Counter("spartan_compress_raw_bytes_total",
 			"Raw (uncompressed) bytes accepted by /compress."),
 		outBytes: reg.Counter("spartan_compress_compressed_bytes_total",
@@ -342,18 +338,12 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Pipeline trace: as each phase finishes, its span feeds both the
-	// compress-specific phase histogram and the generic spartan_phase_*
-	// bridge families (with allocation attribution, hence
-	// CaptureResources).
+	// Pipeline trace: as each phase finishes, its span feeds the
+	// spartan_phase_* bridge families (with allocation attribution,
+	// hence CaptureResources).
 	tr := obs.NewTrace("compress")
 	tr.CaptureResources()
-	tr.OnSpanEnd(func(sp *obs.Span) {
-		s.spanObs(sp)
-		if sp.Name != core.SpanCompress {
-			s.m.phaseSeconds.Observe(sp.Duration().Seconds(), sp.Name)
-		}
-	})
+	tr.OnSpanEnd(s.spanObs)
 
 	opts := core.Options{Tolerances: tol, Trace: tr}
 	switch sel := r.URL.Query().Get("selection"); sel {

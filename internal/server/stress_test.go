@@ -12,10 +12,11 @@ import (
 
 // TestStressConcurrentTraffic hammers one server with interleaved
 // /compress and /query requests. The handlers share the obs registry,
-// the overload limiter, and the parallel pipeline underneath, so this
-// is the load-shaped counterpart to the conc analyzers' static
-// guarantees — it exists to fail under -race if any of those shared
-// structures regress. Runs in CI's race job; skipped under -short.
+// the overload limiter, and the parallel pipeline underneath; this test
+// exists to fail under -race if any of those shared structures regress,
+// and to hang if a worker goroutine leaks or misses its Done.
+// lockbalance covers the registry's lock discipline statically. Runs in
+// CI's race job; skipped under -short.
 func TestStressConcurrentTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test: meaningful only under -race in the full run")
