@@ -17,11 +17,7 @@ import (
 // ArchiveWriter appends independently compressed segments to a stream.
 type ArchiveWriter = archive.Writer
 
-// ArchiveReader iterates the segments of an archive as a forward-only
-// stream (both the current v2 format and legacy v1 archives).
-type ArchiveReader = archive.Reader
-
-// Archive reads a v2 archive through its footer: segments decode on
+// Archive reads an archive through its footer: segments decode on
 // demand, and Query prunes segments via zone maps.
 type Archive = archive.SegReader
 
@@ -44,6 +40,10 @@ type FramingError = archive.FramingError
 // that contains zero segments; test for it with errors.Is.
 var ErrEmptyArchive = archive.ErrEmptyArchive
 
+// ErrNotArchive is returned by OpenArchive for input that is not a
+// segmented archive; test for it with errors.Is.
+var ErrNotArchive = archive.ErrNotArchive
+
 // DefaultSegmentRows is the segment size used when SegmentOptions
 // leaves SegmentRows zero.
 const DefaultSegmentRows = archive.DefaultSegmentRows
@@ -56,13 +56,9 @@ func NewArchiveWriter(w io.Writer, opts Options) (*ArchiveWriter, error) {
 	return archive.NewWriter(w, opts)
 }
 
-// NewArchiveReader opens an archive for segment-at-a-time streaming.
-func NewArchiveReader(r io.Reader) (*ArchiveReader, error) {
-	return archive.NewReader(r)
-}
-
-// ReadArchive decompresses a whole archive into one table (rows in
-// segment order).
+// ReadArchive reads r to the end and decompresses it into one table. It
+// accepts either format: a segmented archive (rows in segment order) or
+// a single compressed stream.
 func ReadArchive(r io.Reader) (*Table, error) {
 	return archive.ReadAll(r)
 }
@@ -79,8 +75,9 @@ func CompressArchiveContext(ctx context.Context, w io.Writer, t *Table, opts Opt
 	return archive.WriteTableContext(ctx, w, t, opts, seg)
 }
 
-// OpenArchive parses the footer of a seekable v2 archive for on-demand
-// segment access and zone-map-pruned queries.
+// OpenArchive parses the footer of a seekable archive for on-demand
+// segment access and zone-map-pruned queries. Use a Segment(i) loop to
+// read an archive with memory bounded by one segment.
 func OpenArchive(r io.ReadSeeker) (*Archive, error) {
 	return archive.OpenSegmented(r)
 }

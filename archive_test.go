@@ -2,8 +2,6 @@ package spartan
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"math"
 	"testing"
 
@@ -81,8 +79,8 @@ func TestArchiveRoundTripToleranceRespected(t *testing.T) {
 	}
 }
 
-// TestArchiveReaderStreamsBlocks reads the archive block by block via
-// the public reader and checks the stream terminates cleanly.
+// TestArchiveReaderStreamsBlocks reads the archive block by block
+// through the public Archive's Segment and checks every row comes back.
 func TestArchiveReaderStreamsBlocks(t *testing.T) {
 	tb := datagen.CDR(1200, 5)
 	var buf bytes.Buffer
@@ -108,24 +106,20 @@ func TestArchiveReaderStreamsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ar, err := NewArchiveReader(bytes.NewReader(buf.Bytes()))
+	a, err := OpenArchive(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer a.Close()
 	rows := 0
-	blocks := 0
-	for {
-		block, err := ar.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
+	for i := 0; i < a.NumSegments(); i++ {
+		block, err := a.Segment(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks++
 		rows += block.NumRows()
 	}
-	if blocks != 2 || rows != tb.NumRows() {
-		t.Errorf("streamed %d blocks / %d rows, want 2 / %d", blocks, rows, tb.NumRows())
+	if a.NumSegments() != 2 || rows != tb.NumRows() {
+		t.Errorf("read %d blocks / %d rows, want 2 / %d", a.NumSegments(), rows, tb.NumRows())
 	}
 }

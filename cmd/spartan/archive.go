@@ -1,9 +1,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,47 +8,24 @@ import (
 	"repro"
 )
 
-// Archive magics mirrored from internal/archive for auto-detection.
-const (
-	archiveMagicV1 = "SPARC1\n"
-	archiveMagicV2 = "SPARC2\n"
-)
-
-// readCompressedFile decompresses either a single-stream file or a
-// segmented archive (v1 or v2), detected by magic.
+// readCompressedFile decompresses a single-stream file or a segmented
+// archive.
 func readCompressedFile(path string) (*spartan.Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	head, err := br.Peek(len(archiveMagicV2))
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	if bytes.Equal(head, []byte(archiveMagicV1)) || bytes.Equal(head, []byte(archiveMagicV2)) {
-		return spartan.ReadArchive(br)
-	}
-	return spartan.Decompress(br)
+	return spartan.ReadArchive(f)
 }
 
-// errNotSegmented reports that a file is not a seekable v2 archive;
-// callers fall back to whole-stream decompression.
-var errNotSegmented = errors.New("not a segmented v2 archive")
-
-// openArchiveFile opens path as a seekable v2 archive, or returns
-// errNotSegmented when the file is some other format. The archive owns
-// the underlying file: the caller's Close on the archive closes it.
+// openArchiveFile opens path as a seekable archive; a file in another
+// format fails with spartan.ErrNotArchive. The archive owns the
+// underlying file: the caller's Close on the archive closes it.
 func openArchiveFile(path string) (*spartan.Archive, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
-	}
-	head := make([]byte, len(archiveMagicV2))
-	if _, err := io.ReadFull(f, head); err != nil || !bytes.Equal(head, []byte(archiveMagicV2)) {
-		_ = f.Close()
-		return nil, errNotSegmented
 	}
 	a, err := spartan.OpenArchive(f)
 	if err != nil {

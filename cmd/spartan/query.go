@@ -50,12 +50,12 @@ func cmdQuery(args []string) error {
 	var res *spartan.QueryResult
 	a, err := openArchiveFile(*in)
 	if err != nil {
-		if !errors.Is(err, errNotSegmented) {
+		if !errors.Is(err, spartan.ErrNotArchive) {
 			return err
 		}
 	}
 	if a != nil {
-		// Segmented v2 archive: query through the footer so zone maps can
+		// Segmented archive: query through the footer so zone maps can
 		// skip segments the predicate refutes before any decoding.
 		defer a.Close()
 		pred, err := spartan.ParsePredicate(*where, a.Schema())

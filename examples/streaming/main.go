@@ -1,8 +1,8 @@
 // Streaming archive: compress a table far larger than you'd want in
 // memory by feeding rows in blocks. Each block is independently
 // semantically compressed (its own sample, CaRT models and outliers), and
-// the archive reader restores blocks one at a time — memory stays bounded
-// by the block size on both sides.
+// the archive's footer lets a reader restore blocks one at a time — memory
+// stays bounded by the block size on both sides.
 //
 //	go run ./examples/streaming
 package main
@@ -10,7 +10,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -55,24 +54,22 @@ func main() {
 	fmt.Printf("\narchive: %d B for %d raw B (ratio %.3f, %d blocks)\n\n",
 		buf.Len(), rawTotal, float64(buf.Len())/float64(rawTotal), aw.Blocks())
 
-	// Read back block by block: bounded memory on the consumer too.
-	ar, err := spartan.NewArchiveReader(bytes.NewReader(buf.Bytes()))
+	// Read back block by block through the footer: memory stays bounded
+	// by one block on the consumer too.
+	a, err := spartan.OpenArchive(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	blocks, rows := 0, 0
-	for {
-		block, err := ar.Next()
-		if err == io.EOF {
-			break
-		}
+	defer a.Close()
+	rows := 0
+	for i := 0; i < a.NumSegments(); i++ {
+		block, err := a.Segment(i)
 		if err != nil {
 			log.Fatal(err)
 		}
-		blocks++
 		rows += block.NumRows()
 	}
-	fmt.Printf("restored %d rows from %d blocks\n", rows, blocks)
+	fmt.Printf("restored %d rows from %d blocks\n", rows, a.NumSegments())
 }
 
 // sensorBlock synthesizes one batch of sensor telemetry: temperature and

@@ -7,35 +7,32 @@
 // that lets readers skip segments a predicate provably excludes without
 // touching their bodies.
 //
-// Format v2 ("SPARC2\n"): magic, then for each segment a uvarint byte
+// Format ("SPARC2\n"): magic, then for each segment a uvarint byte
 // length followed by a standard codec stream; a zero length terminates
 // the segment region; then the footer and a fixed-size trailer (see
-// docs/FORMAT.md). The body framing is identical to format v1
-// ("SPARC1\n"), which had no footer, so the streaming Reader accepts
-// both versions. All segments must share one schema (attribute names and
-// kinds); categorical dictionaries may differ per segment and are
-// re-unified on read.
+// docs/FORMAT.md). SegReader is the only decoder, so every read path
+// checks the trailer, the footer checksum and each segment's row count
+// against its footer entry. This package is the only one that knows the
+// container magic: OpenSegmented refuses anything else with ErrNotArchive,
+// and ReadAll falls back to decoding a bare codec stream. All segments
+// must share one schema (attribute names and kinds); categorical
+// dictionaries may differ per segment and are re-unified on read.
 package archive
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/table"
 )
 
-const (
-	magicV1 = "SPARC1\n"
-	magicV2 = "SPARC2\n"
-)
+const magic = "SPARC2\n"
 
 // maxArchiveBytes caps every wire-declared byte extent (1 TiB): an
 // offset or length past it is a lie, and bounding the values up front
@@ -49,10 +46,13 @@ const maxArchiveBytes = 1 << 40
 // must test for this error with errors.Is.
 var ErrEmptyArchive = errors.New("archive: empty archive (no segments)")
 
+// ErrNotArchive is returned by OpenSegmented for input that does not
+// start with the archive magic; test for it with errors.Is.
+var ErrNotArchive = errors.New("archive: not a segmented archive")
+
 // FramingError reports a segment whose codec stream did not fill its
-// declared frame length. The trailing slack would desync every later
-// frame in a streaming read, so the mismatch is fatal rather than
-// skippable.
+// declared frame length. The frame then holds bytes no decoder reads, so
+// the mismatch is fatal rather than skippable.
 type FramingError struct {
 	Segment  int   // zero-based segment index
 	Declared int64 // frame length from the uvarint prefix
@@ -64,7 +64,7 @@ func (e *FramingError) Error() string {
 		e.Segment, e.Consumed, e.Declared)
 }
 
-// Writer appends independently compressed segments to a v2 archive
+// Writer appends independently compressed segments to an archive
 // stream, accumulating the footer's per-segment metadata as it goes.
 //
 // The first write error latches: a frame torn mid-write leaves the
@@ -88,10 +88,10 @@ type Writer struct {
 // cross-segment consistency.
 func NewWriter(w io.Writer, opts core.Options) (*Writer, error) {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magicV2); err != nil {
+	if _, err := bw.WriteString(magic); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, opts: opts, off: int64(len(magicV2))}, nil
+	return &Writer{w: bw, opts: opts, off: int64(len(magic))}, nil
 }
 
 // WriteBlock compresses one segment of rows. Every segment must carry
@@ -106,27 +106,14 @@ func (aw *Writer) WriteBlock(t *table.Table) (*core.Stats, error) {
 	if err := aw.noteSchema(t.Schema()); err != nil {
 		return nil, err
 	}
-	// Vary the sampling seed per segment so pathological segment orderings
-	// don't resample identical row offsets; determinism is preserved.
-	opts := aw.opts
-	if opts.Seed == 0 {
-		opts.Seed = 1
+	res := compressSegment(context.Background(), t, aw.blocks, aw.opts)
+	if res.err != nil {
+		return nil, res.err // nothing reached the stream; the writer stays usable
 	}
-	opts.Seed += int64(aw.blocks)
-
-	var block countBuffer
-	stats, err := core.Compress(&block, t, opts)
-	if err != nil {
-		return nil, err // nothing reached the stream; the writer stays usable
-	}
-	zones, err := computeZones(t, aw.opts.Tolerances)
-	if err != nil {
+	if err := aw.appendFrame(res.frame, res.rows, res.zones); err != nil {
 		return nil, err
 	}
-	if err := aw.appendFrame(block.data, t.NumRows(), zones); err != nil {
-		return nil, err
-	}
-	return stats, nil
+	return res.stats, nil
 }
 
 // noteSchema records the archive schema from the first segment and
@@ -239,98 +226,6 @@ func sameSchema(a, b table.Schema) error {
 	return nil
 }
 
-// Reader iterates the segments of an archive as a forward-only stream.
-// It accepts both format versions: v1 has no footer, and a v2 footer
-// simply follows the terminator the reader stops at.
-type Reader struct {
-	r      *bufio.Reader
-	lim    codec.DecodeLimits
-	schema table.Schema
-	read   int // frames consumed so far
-	done   bool
-}
-
-// NewReader opens an archive stream with default decode limits.
-func NewReader(r io.Reader) (*Reader, error) {
-	return NewReaderLimited(r, codec.DecodeLimits{})
-}
-
-// NewReaderLimited is NewReader with explicit codec decode limits, which
-// every segment decode applies.
-func NewReaderLimited(r io.Reader, lim codec.DecodeLimits) (*Reader, error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(magicV2))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("archive: reading magic: %w", err)
-	}
-	if string(got) != magicV1 && string(got) != magicV2 {
-		return nil, fmt.Errorf("archive: bad magic %q", got)
-	}
-	return &Reader{r: br, lim: lim}, nil
-}
-
-// NextFrame returns the next segment's raw compressed bytes, or io.EOF
-// after the terminator.
-func (ar *Reader) NextFrame() ([]byte, error) {
-	if ar.done {
-		return nil, io.EOF
-	}
-	frameLen, err := binary.ReadUvarint(ar.r)
-	if err != nil {
-		return nil, fmt.Errorf("archive: reading segment length: %w", err)
-	}
-	if frameLen == 0 {
-		ar.done = true
-		return nil, io.EOF
-	}
-	frame, err := readFrameBytes(ar.r, frameLen)
-	if err != nil {
-		return nil, fmt.Errorf("archive: reading segment %d: %w", ar.read, err)
-	}
-	ar.read++
-	return frame, nil
-}
-
-// Next decompresses the next segment, or returns io.EOF after the
-// terminator. A frame whose codec stream is shorter than its declared
-// length fails with *FramingError.
-func (ar *Reader) Next() (*table.Table, error) {
-	frame, err := ar.NextFrame()
-	if err != nil {
-		return nil, err
-	}
-	t, err := decodeFrame(frame, ar.read-1, ar.lim)
-	if err != nil {
-		return nil, err
-	}
-	if err := ar.noteSchema(t.Schema()); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func (ar *Reader) noteSchema(s table.Schema) error {
-	if ar.schema == nil {
-		ar.schema = s.Clone()
-		return nil
-	}
-	return sameSchema(ar.schema, s)
-}
-
-// decodeFrame decodes one in-memory frame and verifies the codec stream
-// fills it exactly: a shorter stream means trailing garbage inside the
-// frame (the drain-and-count framing check).
-func decodeFrame(frame []byte, idx int, lim codec.DecodeLimits) (*table.Table, error) {
-	t, consumed, err := codec.DecodeCounted(bytes.NewReader(frame), lim)
-	if err != nil {
-		return nil, fmt.Errorf("archive: decoding segment %d: %w", idx, err)
-	}
-	if consumed < int64(len(frame)) {
-		return nil, &FramingError{Segment: idx, Declared: int64(len(frame)), Consumed: consumed}
-	}
-	return t, nil
-}
-
 // readFrameBytes reads exactly n frame bytes, growing the buffer in
 // bounded chunks so a lying length prefix cannot force a huge upfront
 // allocation: a truncated stream fails after at most one chunk of slack.
@@ -359,33 +254,6 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// decodeFrames decodes every frame concurrently and in order. The
-// semaphore caps live goroutines at GOMAXPROCS: each decode holds a
-// whole decompressed segment, so one goroutine per frame on a
-// thousand-segment archive would hold the entire table at once.
-func decodeFrames(frames [][]byte, lim codec.DecodeLimits) ([]*table.Table, error) {
-	tables := make([]*table.Table, len(frames))
-	errs := make([]error, len(frames))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range frames {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			tables[i], errs[i] = decodeFrame(frames[i], i, lim)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return tables, nil
 }
 
 // mergeTables concatenates the rows of equal-schema tables in order,
@@ -424,33 +292,23 @@ func mergeTables(tables []*table.Table) (*table.Table, error) {
 	return builder.Build()
 }
 
-// ReadAll decompresses every segment (concurrently, bounded at
-// GOMAXPROCS) and concatenates the rows in segment order. A structurally
-// valid archive with zero segments returns ErrEmptyArchive.
+// ReadAll reads r to the end and decodes it as one table: an archive
+// through SegReader.ReadAll, anything else as a bare codec stream. Read
+// errors are wrapped with %w, so callers can still match the reader's
+// own error types. A structurally valid archive with zero segments
+// returns ErrEmptyArchive.
 func ReadAll(r io.Reader) (*table.Table, error) {
-	return ReadAllLimited(r, codec.DecodeLimits{})
-}
-
-// ReadAllLimited is ReadAll with explicit codec decode limits.
-func ReadAllLimited(r io.Reader, lim codec.DecodeLimits) (*table.Table, error) {
-	ar, err := NewReaderLimited(r, lim)
+	data, err := io.ReadAll(r)
 	if err != nil {
+		return nil, fmt.Errorf("archive: reading input: %w", err)
+	}
+	sr, err := OpenSegmented(bytes.NewReader(data))
+	if err != nil {
+		if errors.Is(err, ErrNotArchive) {
+			return core.Decompress(bytes.NewReader(data))
+		}
 		return nil, err
 	}
-	var frames [][]byte
-	for {
-		frame, err := ar.NextFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, frame)
-	}
-	tables, err := decodeFrames(frames, lim)
-	if err != nil {
-		return nil, err
-	}
-	return mergeTables(tables)
+	defer sr.Close()
+	return sr.ReadAll()
 }

@@ -2,7 +2,7 @@ package archive
 
 import (
 	"bytes"
-	"io"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -112,30 +112,21 @@ func TestArchiveIteratesBlocks(t *testing.T) {
 	if err := aw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ar, err := NewReader(bytes.NewReader(buf.Bytes()))
+	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	for {
-		blk, err := ar.Next()
-		if err == io.EOF {
-			break
-		}
+	if sr.NumSegments() != len(blocks) {
+		t.Fatalf("footer records %d segments, want %d", sr.NumSegments(), len(blocks))
+	}
+	for i, want := range blocks {
+		blk, err := sr.Segment(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !table.Equal(blocks[count], blk) {
-			t.Errorf("block %d changed", count)
+		if !table.Equal(want, blk) {
+			t.Errorf("block %d changed", i)
 		}
-		count++
-	}
-	if count != len(blocks) {
-		t.Errorf("iterated %d blocks, want %d", count, len(blocks))
-	}
-	// Next after EOF stays EOF.
-	if _, err := ar.Next(); err != io.EOF {
-		t.Errorf("Next after EOF = %v", err)
 	}
 }
 
@@ -171,10 +162,13 @@ func TestArchiveWriterClosed(t *testing.T) {
 }
 
 func TestArchiveErrors(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Error("NewReader accepted bad magic")
+	if _, err := OpenSegmented(bytes.NewReader([]byte("nope"))); !errors.Is(err, ErrNotArchive) {
+		t.Errorf("OpenSegmented on bad magic = %v, want ErrNotArchive", err)
 	}
-	if _, err := ReadAll(bytes.NewReader([]byte(magicV2))); err == nil {
+	if _, err := ReadAll(bytes.NewReader([]byte("nope"))); err == nil {
+		t.Error("ReadAll accepted bad magic")
+	}
+	if _, err := ReadAll(bytes.NewReader([]byte(magic))); err == nil {
 		t.Error("ReadAll accepted missing terminator")
 	}
 	// Empty archive (just terminator): no blocks is an error for ReadAll.

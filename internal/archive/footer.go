@@ -1,9 +1,8 @@
-// Archive v2 footer: per-segment metadata (byte extents, row counts,
-// zone maps) serialized after the segment region's terminator, followed
-// by a fixed-size trailer that locates and checksums it. Readers with a
-// seekable stream parse the footer alone to plan which segment bodies to
-// decode; the body framing never references the footer, so streaming
-// readers can ignore it entirely.
+// Archive footer: per-segment metadata (byte extents, row counts, zone
+// maps) serialized after the segment region's terminator, followed by a
+// fixed-size trailer that locates and checksums it. Every read parses
+// the footer first: it plans which segment bodies to decode, and each
+// decoded segment is checked against its entry.
 package archive
 
 import (
@@ -205,7 +204,7 @@ func readFooter(br *bufio.Reader, size int64, lim codec.DecodeLimits) (table.Sch
 		if err != nil {
 			return nil, nil, err
 		}
-		if off > maxArchiveBytes || off > uint64(size) || off < uint64(len(magicV2)) {
+		if off > maxArchiveBytes || off > uint64(size) || off < uint64(len(magic)) {
 			return nil, nil, fmt.Errorf("archive: footer segment %d offset %d outside archive of %d bytes", s, off, size)
 		}
 		if length > maxArchiveBytes || length > uint64(size)-off {

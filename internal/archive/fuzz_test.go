@@ -9,13 +9,14 @@ import (
 	"repro/internal/datagen"
 )
 
-// FuzzDecodeArchive asserts the archive readers never panic on corrupted
+// FuzzDecodeArchive asserts the archive reader never panics on corrupted
 // bytes: every input must either decode to a valid table or fail with an
-// error, through both the streaming reader and the footer-driven seek
-// reader. Run with `go test -fuzz=FuzzDecodeArchive ./internal/archive`
-// for real fuzzing; the seed corpus runs as a normal test.
+// error, through ReadAll and through per-segment decodes under tight
+// limits. Input with the retired block-archive magic must always fail.
+// Run with `go test -fuzz=FuzzDecodeArchive ./internal/archive` for real
+// fuzzing; the seed corpus runs as a normal test.
 func FuzzDecodeArchive(f *testing.F) {
-	// Seed with a valid two-segment v2 archive plus targeted corruptions.
+	// Seed with a valid two-segment archive plus targeted corruptions.
 	tb := datagen.CDR(600, 1)
 	var buf bytes.Buffer
 	aw, err := NewWriter(&buf, core.Options{})
@@ -42,20 +43,20 @@ func FuzzDecodeArchive(f *testing.F) {
 
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte(magicV2))             // header only: no terminator, no footer
-	f.Add([]byte(magicV1))             // v1 header only
+	f.Add([]byte(magic))               // header only: no terminator, no footer
+	f.Add([]byte(retiredMagic))        // retired block-archive header only
 	f.Add(valid[:len(valid)/2])        // truncated mid-segment-body
 	f.Add(append([]byte(nil), 'X', 0)) // wrong magic
 	// Truncated mid-length-prefix: segment frames are KBs, so the first
 	// length uvarint spans several bytes; cut after its first byte.
-	f.Add(valid[:len(magicV2)+1])
+	f.Add(valid[:len(magic)+1])
 	// Truncated mid-footer: keep the terminator and part of the footer
 	// but drop the trailer and the footer's tail.
 	f.Add(valid[: len(valid)-trailerSize-3 : len(valid)-trailerSize-3])
 	// Truncated mid-trailer.
 	f.Add(valid[:len(valid)-trailerSize/2])
 	flippedLen := append([]byte(nil), valid...)
-	flippedLen[len(magicV2)] ^= 0xFF // corrupt the first segment-length varint
+	flippedLen[len(magic)] ^= 0xFF // corrupt the first segment-length varint
 	f.Add(flippedLen)
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)/2] ^= 0xFF // corrupt segment payload or footer
@@ -81,9 +82,8 @@ func FuzzDecodeArchive(f *testing.F) {
 		if err == nil && tbl == nil {
 			t.Error("ReadAll returned nil table without error")
 		}
-		tbl, err = ReadAllLimited(bytes.NewReader(data), lim)
-		if err == nil && tbl == nil {
-			t.Error("ReadAllLimited returned nil table without error")
+		if err == nil && bytes.HasPrefix(data, []byte(retiredMagic)) {
+			t.Error("ReadAll decoded a block archive")
 		}
 		sr, err := OpenSegmentedLimited(bytes.NewReader(data), lim)
 		if err != nil {

@@ -4,9 +4,8 @@
 // selection, CaRT construction, outlier scan) is independent — while a
 // single writer goroutine appends frames strictly in segment order, so
 // the output bytes are identical at any worker count. SegReader opens
-// the footer of a seekable v2 archive and decodes segment bodies on
-// demand, letting Query skip segments whose zone maps refute the
-// predicate.
+// the footer of a seekable archive and decodes segment bodies on demand,
+// letting Query skip segments whose zone maps refute the predicate.
 package archive
 
 import (
@@ -20,6 +19,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -77,7 +77,7 @@ type segResult struct {
 	err   error
 }
 
-// WriteTable compresses t into a segmented v2 archive on w. It is
+// WriteTable compresses t into a segmented archive on w. It is
 // WriteTableContext with a background context.
 func WriteTable(w io.Writer, t *table.Table, opts core.Options, seg SegmentOptions) (*TableStats, error) {
 	return WriteTableContext(context.Background(), w, t, opts, seg)
@@ -85,10 +85,10 @@ func WriteTable(w io.Writer, t *table.Table, opts core.Options, seg SegmentOptio
 
 // WriteTableContext splits t into row segments and compresses them
 // concurrently (bounded by seg.Workers), writing frames in segment
-// order. Output bytes are deterministic: each segment's sampling seed is
-// derived from its index exactly as sequential WriteBlock calls would
-// derive it, so any worker count — including 1 — produces identical
-// archives. Cancelling ctx abandons in-flight segments and returns.
+// order. Output bytes are deterministic: segments compress through the
+// same compressSegment as sequential WriteBlock calls, so any worker
+// count — including 1 — produces identical archives. Cancelling ctx
+// abandons in-flight segments and returns.
 func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts core.Options, seg SegmentOptions) (*TableStats, error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("archive: nil or empty table")
@@ -115,6 +115,11 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	if seg.Workers > 1 {
+		// Segment-level parallelism already saturates the cores; don't
+		// multiply it by the outlier scan's internal fan-out.
+		opts.ScanWorkers = 1
+	}
 
 	// Each result channel is buffered so a finished worker never blocks:
 	// the writer drains them strictly in order, and after an error the
@@ -136,7 +141,12 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 			}
 			go func(i int) {
 				defer func() { <-sem }()
-				results[i] <- compressSegment(cctx, t, i, seg, opts)
+				part, err := segmentRows(t, i, seg.SegmentRows)
+				if err != nil {
+					results[i] <- segResult{err: err}
+					return
+				}
+				results[i] <- compressSegment(cctx, part, i, opts)
 			}(i)
 		}
 	}()
@@ -163,34 +173,29 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 	return stats, nil
 }
 
-// compressSegment compresses rows [idx·segRows, idx·segRows+segRows) of
-// t into a frame. It only reads t, so segments compress concurrently
-// over one shared table.
-func compressSegment(ctx context.Context, t *table.Table, idx int, seg SegmentOptions, opts core.Options) segResult {
-	lo := idx * seg.SegmentRows
-	hi := lo + seg.SegmentRows
-	if hi > t.NumRows() {
-		hi = t.NumRows()
-	}
+// segmentRows returns rows [idx·n, idx·n+n) of t. It only reads t, so
+// segments slice concurrently over one shared table.
+func segmentRows(t *table.Table, idx, n int) (*table.Table, error) {
+	lo := idx * n
+	hi := min(lo+n, t.NumRows())
 	sel := make([]int, hi-lo)
 	for i := range sel {
 		sel[i] = lo + i
 	}
-	part, err := t.SelectRows(sel)
-	if err != nil {
-		return segResult{err: err}
-	}
-	// Same per-segment seed rule as sequential WriteBlock calls, so the
-	// parallel path emits byte-identical frames.
+	return t.SelectRows(sel)
+}
+
+// compressSegment compresses segment idx of an archive into a frame and
+// its zone maps. It is the one place segment bytes are made, for both
+// WriteBlock and WriteTable: the sampling seed varies per segment (so
+// pathological orderings don't resample identical row offsets) but
+// depends only on idx, which keeps the output byte-identical at any
+// worker count.
+func compressSegment(ctx context.Context, part *table.Table, idx int, opts core.Options) segResult {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
 	opts.Seed += int64(idx)
-	if seg.Workers > 1 {
-		// Segment-level parallelism already saturates the cores; don't
-		// multiply it by the outlier scan's internal fan-out.
-		opts.ScanWorkers = 1
-	}
 	var frame countBuffer
 	stats, err := core.CompressContext(ctx, &frame, part, opts)
 	if err != nil {
@@ -203,7 +208,7 @@ func compressSegment(ctx context.Context, t *table.Table, idx int, seg SegmentOp
 	return segResult{frame: frame.data, rows: part.NumRows(), zones: zones, stats: stats}
 }
 
-// SegReader reads a v2 archive through its footer: segments decode on
+// SegReader reads an archive through its footer: segments decode on
 // demand by index, and Query consults zone maps to skip segments a
 // predicate refutes. Methods that touch the underlying stream share its
 // seek position and must not be called concurrently.
@@ -238,8 +243,9 @@ func (sr *SegReader) Close() error {
 	return nil
 }
 
-// OpenSegmented parses the footer of a seekable v2 archive with default
-// decode limits. v1 archives have no footer; read them with NewReader.
+// OpenSegmented parses the footer of a seekable archive with default
+// decode limits. Input that does not start with the archive magic fails
+// with ErrNotArchive.
 func OpenSegmented(r io.ReadSeeker) (*SegReader, error) {
 	return OpenSegmentedLimited(r, codec.DecodeLimits{})
 }
@@ -250,23 +256,21 @@ func OpenSegmentedLimited(r io.ReadSeeker, lim codec.DecodeLimits) (*SegReader, 
 	if _, err := r.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	got := make([]byte, len(magicV2))
-	if _, err := io.ReadFull(r, got); err != nil {
+	got := make([]byte, len(magic))
+	n, err := io.ReadFull(r, got)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return nil, fmt.Errorf("archive: reading magic: %w", err)
 	}
-	if string(got) == magicV1 {
-		return nil, fmt.Errorf("archive: v1 archive has no footer; use NewReader")
-	}
-	if string(got) != magicV2 {
-		return nil, fmt.Errorf("archive: bad magic %q", got)
+	if string(got[:n]) != magic {
+		return nil, fmt.Errorf("%w: magic %q", ErrNotArchive, got[:n])
 	}
 	size, err := r.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, err
 	}
 	// Smallest legal archive: magic, terminator byte, empty footer, trailer.
-	if size < int64(len(magicV2))+1+int64(trailerSize) {
-		return nil, fmt.Errorf("archive: %d bytes is too short for a v2 archive", size)
+	if size < int64(len(magic))+1+int64(trailerSize) {
+		return nil, fmt.Errorf("archive: %d bytes is too short for an archive", size)
 	}
 	if _, err := r.Seek(size-int64(trailerSize), io.SeekStart); err != nil {
 		return nil, err
@@ -276,11 +280,11 @@ func OpenSegmentedLimited(r io.ReadSeeker, lim codec.DecodeLimits) (*SegReader, 
 		return nil, fmt.Errorf("archive: reading trailer: %w", err)
 	}
 	if string(tr[8:]) != endMagic {
-		return nil, fmt.Errorf("archive: bad end magic %q (truncated or not a v2 archive)", tr[8:])
+		return nil, fmt.Errorf("archive: bad end magic %q (truncated archive)", tr[8:])
 	}
 	wantCRC := binary.LittleEndian.Uint32(tr[0:4])
 	footLen := int64(binary.LittleEndian.Uint32(tr[4:8]))
-	if footLen > maxFooterBytes || footLen > size-int64(trailerSize)-int64(len(magicV2))-1 {
+	if footLen > maxFooterBytes || footLen > size-int64(trailerSize)-int64(len(magic))-1 {
 		return nil, fmt.Errorf("archive: trailer claims %d-byte footer in %d-byte archive", footLen, size)
 	}
 	if _, err := r.Seek(size-int64(trailerSize)-footLen, io.SeekStart); err != nil {
@@ -319,31 +323,58 @@ func (sr *SegReader) Info(i int) SegmentInfo { return sr.segs[i] }
 // TotalRows returns the archive-wide row count from the footer.
 func (sr *SegReader) TotalRows() int { return sr.rows }
 
-// frame reads segment i's raw compressed bytes.
-func (sr *SegReader) frame(i int) ([]byte, error) {
+// decode reads the frames of segments idx, then decodes them
+// concurrently and in order. Every segment read goes through here. The
+// semaphore caps live goroutines at GOMAXPROCS: each decode holds a
+// whole decompressed segment, so one goroutine per frame on a
+// thousand-segment archive would hold the entire table at once.
+func (sr *SegReader) decode(idx []int) ([]*table.Table, error) {
 	if sr.closed {
 		return nil, ErrReaderClosed
 	}
-	seg := sr.segs[i]
-	if _, err := sr.r.Seek(seg.Offset, io.SeekStart); err != nil {
-		return nil, err
+	frames := make([][]byte, len(idx))
+	for k, i := range idx {
+		seg := sr.segs[i]
+		if _, err := sr.r.Seek(seg.Offset, io.SeekStart); err != nil {
+			return nil, err
+		}
+		var err error
+		if frames[k], err = readFrameBytes(sr.r, uint64(seg.Length)); err != nil {
+			return nil, fmt.Errorf("archive: reading segment %d: %w", i, err)
+		}
 	}
-	frame, err := readFrameBytes(sr.r, uint64(seg.Length))
-	if err != nil {
-		return nil, fmt.Errorf("archive: reading segment %d: %w", i, err)
+	tables := make([]*table.Table, len(idx))
+	errs := make([]error, len(idx))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for k, i := range idx {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(k, i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			tables[k], errs[k] = sr.decodeSegment(i, frames[k])
+		}(k, i)
 	}
-	return frame, nil
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return tables, nil
 }
 
-// Segment decodes segment i, verifying its frame against the footer.
-func (sr *SegReader) Segment(i int) (*table.Table, error) {
-	frame, err := sr.frame(i)
+// decodeSegment decodes segment i's frame and checks it against the
+// footer: the codec stream must fill the frame exactly (a shorter stream
+// means trailing garbage inside the frame) and yield the recorded rows.
+func (sr *SegReader) decodeSegment(i int, frame []byte) (*table.Table, error) {
+	t, consumed, err := codec.DecodeCounted(bytes.NewReader(frame), sr.lim)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("archive: decoding segment %d: %w", i, err)
 	}
-	t, err := decodeFrame(frame, i, sr.lim)
-	if err != nil {
-		return nil, err
+	if consumed < int64(len(frame)) {
+		return nil, &FramingError{Segment: i, Declared: int64(len(frame)), Consumed: consumed}
 	}
 	if t.NumRows() != sr.segs[i].Rows {
 		return nil, fmt.Errorf("archive: segment %d decoded %d rows, footer records %d", i, t.NumRows(), sr.segs[i].Rows)
@@ -351,17 +382,23 @@ func (sr *SegReader) Segment(i int) (*table.Table, error) {
 	return t, nil
 }
 
+// Segment decodes segment i, verifying its frame against the footer.
+func (sr *SegReader) Segment(i int) (*table.Table, error) {
+	tables, err := sr.decode([]int{i})
+	if err != nil {
+		return nil, err
+	}
+	return tables[0], nil
+}
+
 // ReadAll decodes every segment (concurrently, bounded at GOMAXPROCS)
 // and concatenates the rows. An empty archive returns ErrEmptyArchive.
 func (sr *SegReader) ReadAll() (*table.Table, error) {
-	frames := make([][]byte, len(sr.segs))
-	for i := range sr.segs {
-		var err error
-		if frames[i], err = sr.frame(i); err != nil {
-			return nil, err
-		}
+	idx := make([]int, len(sr.segs))
+	for i := range idx {
+		idx[i] = i
 	}
-	tables, err := decodeFrames(frames, sr.lim)
+	tables, err := sr.decode(idx)
 	if err != nil {
 		return nil, err
 	}
@@ -460,20 +497,9 @@ func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, 
 			return nil, nil, err
 		}
 	} else {
-		frames := make([][]byte, len(kept))
-		for k, i := range kept {
-			if frames[k], err = sr.frame(i); err != nil {
-				return nil, nil, err
-			}
-		}
-		tables, err := decodeFrames(frames, sr.lim)
+		tables, err := sr.decode(kept)
 		if err != nil {
 			return nil, nil, err
-		}
-		for k, dt := range tables {
-			if dt.NumRows() != sr.segs[kept[k]].Rows {
-				return nil, nil, fmt.Errorf("archive: segment %d decoded %d rows, footer records %d", kept[k], dt.NumRows(), sr.segs[kept[k]].Rows)
-			}
 		}
 		if t, err = mergeTables(tables); err != nil {
 			return nil, nil, err

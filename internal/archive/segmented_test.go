@@ -56,13 +56,13 @@ func TestWriteTableRoundTrip(t *testing.T) {
 	if stats.CompressedBytes != buf.Len() {
 		t.Errorf("CompressedBytes = %d, archive is %d bytes", stats.CompressedBytes, buf.Len())
 	}
-	// Streaming read path.
+	// Whole-input read path.
 	back, err := ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !table.Equal(tb, back) {
-		t.Error("streaming round trip changed the table")
+		t.Error("ReadAll round trip changed the table")
 	}
 	// Footer-driven read path.
 	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
@@ -220,44 +220,93 @@ func assertSameResult(t *testing.T, got, want *query.Result) {
 	}
 }
 
+// singleFrameArchive writes a one-segment archive whose frame and footer
+// row count are given verbatim, through the writer's own framing and
+// footer code, so tests can plant exactly one inconsistency.
+func singleFrameArchive(t *testing.T, tb *table.Table, frame []byte, rows int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	aw, err := NewWriter(&buf, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zones, err := computeZones(tb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.noteSchema(tb.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.appendFrame(frame, rows, zones); err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestFramingGarbage (framing bugfix): a frame whose declared length
 // exceeds its codec stream must fail with FramingError instead of
-// silently desyncing the reader on the trailing garbage.
+// silently ignoring the trailing garbage.
 func TestFramingGarbage(t *testing.T) {
 	tb := datagen.CDR(200, 5)
 	var stream bytes.Buffer
 	if _, err := core.Compress(&stream, tb, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// Hand-frame an archive whose single frame is the valid codec stream
-	// padded with trailing garbage, all inside the declared length.
+	// The single frame is the valid codec stream padded with trailing
+	// garbage, all inside the declared length.
 	garbage := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	data := []byte(magicV2)
-	data = binary.AppendUvarint(data, uint64(stream.Len()+len(garbage)))
-	data = append(data, stream.Bytes()...)
-	data = append(data, garbage...)
-	data = append(data, 0)
+	padded := append(append([]byte(nil), stream.Bytes()...), garbage...)
+	data := singleFrameArchive(t, tb, padded, tb.NumRows())
 
 	_, err := ReadAll(bytes.NewReader(data))
 	var fe *FramingError
 	if !errors.As(err, &fe) {
 		t.Fatalf("ReadAll = %v, want FramingError", err)
 	}
-	if fe.Segment != 0 || fe.Declared != int64(stream.Len()+len(garbage)) || fe.Consumed != int64(stream.Len()) {
+	if fe.Segment != 0 || fe.Declared != int64(len(padded)) || fe.Consumed != int64(stream.Len()) {
 		t.Errorf("FramingError = %+v, want segment 0, declared %d, consumed %d",
-			fe, stream.Len()+len(garbage), stream.Len())
+			fe, len(padded), stream.Len())
 	}
 	// A correctly framed stream still decodes.
-	ok := []byte(magicV2)
-	ok = binary.AppendUvarint(ok, uint64(stream.Len()))
-	ok = append(ok, stream.Bytes()...)
-	ok = append(ok, 0)
+	ok := singleFrameArchive(t, tb, stream.Bytes(), tb.NumRows())
 	back, err := ReadAll(bytes.NewReader(ok))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !table.Equal(tb, back) {
 		t.Error("hand-framed archive round trip changed the table")
+	}
+}
+
+// TestFooterRowCountMismatch (footer bugfix): a footer whose row count
+// disagrees with the segment it describes is rejected on every read
+// path, not only by per-segment decodes.
+func TestFooterRowCountMismatch(t *testing.T) {
+	tb := datagen.CDR(300, 5)
+	var stream bytes.Buffer
+	if _, err := core.Compress(&stream, tb, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	data := singleFrameArchive(t, tb, stream.Bytes(), tb.NumRows()+7)
+
+	if _, err := ReadAll(bytes.NewReader(data)); err == nil {
+		t.Error("ReadAll accepted a footer row count of rows+7")
+	}
+	sr, err := OpenSegmented(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sr.ReadAll(); err == nil {
+		t.Error("SegReader.ReadAll accepted a footer row count of rows+7")
+	}
+	if _, err := sr.Segment(0); err == nil {
+		t.Error("SegReader.Segment accepted a footer row count of rows+7")
+	}
+	if _, _, err := sr.Query(nil, query.Query{Agg: query.Count}); err == nil {
+		t.Error("SegReader.Query accepted a footer row count of rows+7")
 	}
 }
 
@@ -281,7 +330,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 // the Writer must refuse further writes and surface the original error
 // from Close, instead of appending frames to a torn stream.
 func TestWriterStickyError(t *testing.T) {
-	aw, err := NewWriter(&failAfterWriter{n: len(magicV2)}, core.Options{})
+	aw, err := NewWriter(&failAfterWriter{n: len(magic)}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,27 +378,20 @@ func TestEmptyArchive(t *testing.T) {
 	if _, _, err := sr.Query(nil, query.Query{Agg: query.Count}); !errors.Is(err, ErrEmptyArchive) {
 		t.Errorf("SegReader.Query = %v, want ErrEmptyArchive", err)
 	}
-	// The streaming reader's Next reports plain EOF (no rows is only an
-	// error when a caller asks for a merged table).
-	ar, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ar.Next(); err != io.EOF {
-		t.Errorf("Next on empty archive = %v, want io.EOF", err)
-	}
 }
 
-// TestV1ReadCompat: the streaming reader still decodes v1 archives
-// (magic "SPARC1\n", same framing, no footer).
+// retiredMagic opened the block archives that had no footer. Nothing
+// writes them any more, and no reader accepts them.
+const retiredMagic = "SPARC1\n"
+
+// TestV1ReadCompat: block archives (magic "SPARC1\n", same framing, no
+// footer) are refused with the typed ErrNotArchive instead of decoding.
 func TestV1ReadCompat(t *testing.T) {
 	tb := datagen.CDR(900, 9)
-	blocks := splitBlocks(t, tb, 300)
-	data := []byte(magicV1)
-	for i, block := range blocks {
+	data := []byte(retiredMagic)
+	for i, block := range splitBlocks(t, tb, 300) {
 		var stream bytes.Buffer
-		opts := core.Options{Seed: 1 + int64(i)} // v1 writer's per-block seed rule
-		if _, err := core.Compress(&stream, block, opts); err != nil {
+		if _, err := core.Compress(&stream, block, core.Options{Seed: 1 + int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 		data = binary.AppendUvarint(data, uint64(stream.Len()))
@@ -357,15 +399,11 @@ func TestV1ReadCompat(t *testing.T) {
 	}
 	data = append(data, 0)
 
-	back, err := ReadAll(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := OpenSegmented(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
+		t.Errorf("OpenSegmented = %v, want ErrNotArchive", err)
 	}
-	if !table.Equal(tb, back) {
-		t.Error("v1 archive round trip changed the table")
-	}
-	if _, err := OpenSegmented(bytes.NewReader(data)); err == nil {
-		t.Error("OpenSegmented accepted a v1 archive (it has no footer)")
+	if _, err := ReadAll(bytes.NewReader(data)); err == nil {
+		t.Error("ReadAll decoded a block archive")
 	}
 }
 

@@ -9,8 +9,8 @@
 //	GET  /healthz                         liveness probe
 //	GET  /metrics                         Prometheus text exposition
 //	POST /compress?tolerance=F[&...]      table in (CSV or raw binary) → compressed stream
-//	POST /decompress                      compressed stream → table (CSV or raw binary by Accept)
-//	POST /query?agg=A[&col=C]...          compressed stream → JSON aggregate with bounds
+//	POST /decompress                      stream or archive → table (CSV or raw binary by Accept)
+//	POST /query?agg=A[&col=C]...          stream or archive → JSON aggregate with bounds
 //
 // Every route is instrumented: requests carry an X-Request-Id (minted if
 // absent), emit a structured log/slog access line, and feed the metrics
@@ -39,13 +39,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/table"
-)
-
-// Archive magics mirrored from internal/archive so /query can sniff the
-// body format without consuming the stream.
-const (
-	archiveMagicV1 = "SPARC1\n"
-	archiveMagicV2 = "SPARC2\n"
 )
 
 // maxRequestBytes is the default request-body bound (tables and
@@ -379,7 +372,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	if segRows > 0 {
 		// Segmented archive: segments compress concurrently; the response
-		// is a seekable v2 archive with zone maps for pruned /query calls.
+		// is a seekable archive with zone maps for pruned /query calls.
 		astats, err := archive.WriteTableContext(r.Context(), &buf, t, opts,
 			archive.SegmentOptions{SegmentRows: segRows})
 		if !s.answerCompressErr(w, err) {
@@ -438,7 +431,7 @@ func (s *Server) answerCompressErr(w http.ResponseWriter, err error) bool {
 
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(nil, r.Body, s.maxBodyBytes)
-	t, err := core.Decompress(body)
+	t, err := archive.ReadAll(body)
 	if err != nil {
 		s.bodyError(w, err)
 		return
@@ -502,10 +495,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	spec := query.Query{Agg: agg, Column: q.Get("col"), GroupBy: q.Get("groupby")}
 
-	// The body is buffered so the container format can be sniffed by magic:
-	// a segmented v2 archive answers through its footer — zone maps refute
-	// segments before any decoding — while v1 archives and single streams
-	// decode whole.
+	// The body is buffered so it can be opened as a seekable archive: its
+	// footer answers first, and zone maps refute segments before any
+	// decoding. Anything that is not an archive decodes as one stream.
 	body := http.MaxBytesReader(nil, r.Body, s.maxBodyBytes)
 	data, err := io.ReadAll(body)
 	if err != nil {
@@ -513,19 +505,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	decodeSpan := root.StartChild("decode")
+	sr, err := archive.OpenSegmented(bytes.NewReader(data))
+	var t *table.Table
+	if errors.Is(err, archive.ErrNotArchive) {
+		t, err = core.Decompress(bytes.NewReader(data))
+	}
+	decodeSpan.Finish()
+	if err != nil {
+		s.bodyError(w, err)
+		return
+	}
+
 	var (
-		res        *query.Result
-		decodeSpan *obs.Span
-		aggSpan    *obs.Span
+		res     *query.Result
+		aggSpan *obs.Span
 	)
-	if bytes.HasPrefix(data, []byte(archiveMagicV2)) {
-		decodeSpan = root.StartChild("decode")
-		sr, err := archive.OpenSegmented(bytes.NewReader(data))
-		decodeSpan.Finish()
-		if err != nil {
-			s.bodyError(w, err)
-			return
-		}
+	if sr != nil {
 		if spec.Where, err = query.ParsePredicate(q.Get("where"), sr.Schema()); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -544,18 +540,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Spartan-Segments-Decoded", strconv.Itoa(qs.Decoded))
 		w.Header().Set("X-Spartan-Segments-Pruned", strconv.Itoa(qs.Pruned))
 	} else {
-		decodeSpan = root.StartChild("decode")
-		var t *table.Table
-		if bytes.HasPrefix(data, []byte(archiveMagicV1)) {
-			t, err = archive.ReadAll(bytes.NewReader(data))
-		} else {
-			t, err = core.Decompress(bytes.NewReader(data))
-		}
-		decodeSpan.Finish()
-		if err != nil {
-			s.bodyError(w, err)
-			return
-		}
 		// Decompression can eat most of a tight request timeout; bail before
 		// the aggregation stage if the deadline already passed.
 		if err := r.Context().Err(); err != nil {
