@@ -45,17 +45,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# bench-json records one BENCH_<n>.json trajectory snapshot (auto-numbered
-# under BENCH_DIR); benchdiff gates NEW against OLD the way CI does.
-# See docs/OBSERVABILITY.md for the schema and the before/after workflow.
-BENCH_ROWS ?= 4000
-BENCH_REPS ?= 3
-BENCH_DIR ?= .
+# bench-json runs benchmark/ on every BENCHMARK.json workload (seeds 1-3
+# plus one traced run, about 8.5 minutes) into the next BENCH_<n>.json;
+# benchdiff gates NEW against OLD by the BENCHMARK.json bounds. See
+# docs/OBSERVABILITY.md for the schema and the before/after workflow.
 bench-json:
-	$(GO) run ./cmd/spartanbench perf -rows $(BENCH_ROWS) -reps $(BENCH_REPS) -dir $(BENCH_DIR)
+	$(GO) run ./cmd/spartanbench record
 
 # OLD defaults to the newest snapshot committed to git (the recorded
-# baseline), so `make benchdiff NEW=BENCH_2.json` gates against the
+# baseline), so `make benchdiff NEW=BENCH_6.json` gates against the
 # trajectory without spelling out which point.
 OLD ?= $(shell git ls-files 'BENCH_*.json' | sort -V | tail -1)
 benchdiff:

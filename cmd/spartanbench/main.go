@@ -12,12 +12,12 @@
 //	spartanbench ablate  [-rows N] [-seed S]   design-choice ablations
 //	spartanbench summary [-rows N] [-seed S]   everything above
 //
-// Performance trajectory (docs/OBSERVABILITY.md):
+// Performance trajectory, run from the repository root (docs/OBSERVABILITY.md):
 //
-//	spartanbench perf [-rows N] [-reps R] [-warmup W] [-scenarios LIST] [-out F|-dir D] [-profile D]
-//	    record a BENCH_<n>.json snapshot (rows/sec, allocs/op, per-phase spans)
-//	spartanbench diff [-threshold F] OLD.json NEW.json
-//	    compare two snapshots; exit 2 on regressions past the threshold
+//	spartanbench record
+//	    run benchmark/ on every BENCHMARK.json workload into the next BENCH_<n>.json
+//	spartanbench diff OLD.json NEW.json
+//	    compare two snapshots by the BENCHMARK.json bounds; exit 2 on a regression
 //
 // -rows 0 (the default) selects per-dataset scaled-down versions of the
 // paper's table sizes; see EXPERIMENTS.md for the mapping.
@@ -38,17 +38,17 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	// The trajectory subcommands own their flag sets (different knobs,
-	// positional snapshot arguments, regression exit code).
+	// The trajectory subcommands take no flags: BENCHMARK.json sets the
+	// workloads, run length and bounds.
 	switch cmd {
-	case "perf":
-		if _, err := perfMain(os.Args[2:], os.Stdout); err != nil {
+	case "record":
+		if err := recordMain(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "spartanbench:", err)
 			os.Exit(1)
 		}
 		return
 	case "diff":
-		code, err := diffMain(os.Args[2:])
+		code, err := diffMain(os.Args[2:], specPath, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spartanbench:", err)
 			os.Exit(1)
@@ -119,8 +119,8 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage: spartanbench <fig5|fig6a|fig6b|fig6c|table1|lossless|ablate|summary> [-rows N] [-seed S] [-csv] [-trace]
-       spartanbench perf [-rows N] [-reps R] [-warmup W] [-scenarios LIST] [-out F|-dir D] [-profile D]
-       spartanbench diff [-threshold F] OLD.json NEW.json
+       spartanbench record
+       spartanbench diff OLD.json NEW.json
 `)
 }
 

@@ -1,10 +1,6 @@
 package main
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // Small-row smoke tests over every report: they exercise the full
 // experiment drivers and the printers without asserting numbers (the
@@ -28,48 +24,5 @@ func TestReportsSmoke(t *testing.T) {
 		if err := run(rows, 1); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-	}
-}
-
-// TestPerfDiffEndToEnd drives the trajectory workflow the way CI does:
-// record two tiny snapshots, diff them (exit 0), then diff against a
-// handicapped run (exit 2) via the SPARTAN_BENCH_HANDICAP test hook.
-func TestPerfDiffEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	old := filepath.Join(dir, "BENCH_1.json")
-	cur := filepath.Join(dir, "BENCH_2.json")
-	args := []string{"-rows", "400", "-reps", "1", "-warmup", "0",
-		"-scenarios", "micro/cart_build"}
-	for _, out := range []string{old, cur} {
-		path, err := perfMain(append(args, "-out", out), nil)
-		if err != nil {
-			t.Fatalf("perf -out %s: %v", out, err)
-		}
-		if path != out {
-			t.Fatalf("perf wrote %s, want %s", path, out)
-		}
-	}
-	// Two honest runs of the same code must pass the gate.
-	code, err := diffMain([]string{old, cur})
-	if err != nil {
-		t.Fatalf("diff: %v", err)
-	}
-	if code != 0 {
-		t.Fatalf("diff of two honest runs exited %d, want 0", code)
-	}
-
-	// A handicapped snapshot must fail it.
-	slow := filepath.Join(dir, "BENCH_slow.json")
-	os.Setenv("SPARTAN_BENCH_HANDICAP", "250ms")
-	defer os.Unsetenv("SPARTAN_BENCH_HANDICAP")
-	if _, err := perfMain(append(args, "-out", slow), nil); err != nil {
-		t.Fatalf("handicapped perf: %v", err)
-	}
-	code, err = diffMain([]string{old, slow})
-	if err != nil {
-		t.Fatalf("diff vs handicapped: %v", err)
-	}
-	if code != 2 {
-		t.Fatalf("diff vs handicapped run exited %d, want 2", code)
 	}
 }

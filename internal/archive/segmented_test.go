@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -307,6 +308,39 @@ func TestFooterRowCountMismatch(t *testing.T) {
 	}
 	if _, _, err := sr.Query(nil, query.Query{Agg: query.Count}); err == nil {
 		t.Error("SegReader.Query accepted a footer row count of rows+7")
+	}
+}
+
+// TestQueryErrorNamesArchiveSegment: a read error names the segment's
+// index in the archive, not its position among the segments a query
+// kept after pruning.
+func TestQueryErrorNamesArchiveSegment(t *testing.T) {
+	// Segments 0-1 hold v in [0,9], segments 2-3 hold v in [1000,1009].
+	tb := prunableTable(t, 300)
+	var buf bytes.Buffer
+	if _, err := WriteTable(&buf, tb, core.Options{}, SegmentOptions{SegmentRows: 150}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	sr, err := OpenSegmented(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := query.Query{Agg: query.Count, Where: query.NumCmp("v", query.Gt, 500)}
+	if _, qs, err := sr.Query(nil, pruned); err != nil || qs.Pruned != 2 {
+		t.Fatalf("intact archive: stats %+v, err %v; want 2 segments pruned", qs, err)
+	}
+	// A bad codec magic in the last segment: position 1 among the
+	// segments the pruned query keeps, index 3 in the archive.
+	data[sr.Info(3).Offset] ^= 0xff
+	for name, q := range map[string]query.Query{
+		"pruned":    pruned,
+		"full scan": {Agg: query.Count},
+	} {
+		_, _, err := sr.Query(nil, q)
+		if err == nil || !strings.Contains(err.Error(), "decoding segment 3:") {
+			t.Errorf("%s query: error %v, want one naming segment 3", name, err)
+		}
 	}
 }
 

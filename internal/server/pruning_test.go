@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/archive"
 	"repro/internal/table"
 )
 
@@ -123,6 +124,37 @@ func TestQueryPruningHeaders(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestQueryErrorNamesArchiveSegment: when the one segment a pruned
+// /query decodes is corrupt, the error names its index in the archive,
+// not its position among the kept segments.
+func TestQueryErrorNamesArchiveSegment(t *testing.T) {
+	srv := testServer(t)
+	compressed := monotonicArchive(t, srv)
+	sr, err := archive.OpenSegmented(bytes.NewReader(compressed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := sr.Info(3)
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	compressed[last.Offset] ^= 0xff // the last segment's codec magic
+
+	resp, err := http.Post(srv.URL+"/query?agg=count&where="+url.QueryEscape("v >= 1500"),
+		"application/x-spartan", bytes.NewReader(compressed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "decoding segment 3:") {
+		t.Fatalf("status %d, body %q; want 422 naming segment 3", resp.StatusCode, body)
 	}
 }
 
