@@ -11,11 +11,10 @@
 // and function summaries in internal/analysis/callgraph and
 // internal/analysis/summary (taintalloc: untrusted wire integers
 // reaching allocations unguarded, sizeoverflow: overflow-prone
-// arithmetic on wire values), fed by the funcsummary fact producer,
-// which hands per-function dataflow summaries across package boundaries
-// through vet's .vetx fact files, and range-filtered by the rangesummary
-// fact producer in internal/analysis/vrange, which proves value bounds
-// bottom-up over call-graph SCCs; boundedspawn (per-row goroutine spawns
+// arithmetic on wire values; a DecodeLimits comparison clears a value
+// for both), fed by the funcsummary fact producer, which hands
+// per-function dataflow summaries across package boundaries through
+// vet's .vetx fact files; boundedspawn (per-row goroutine spawns
 // with no concurrency bound) rides the goroutine-spawn model and
 // concsummary facts in internal/analysis/conc; closeleak (opened
 // io.Closer handles not closed on every CFG exit path, defer- and
@@ -65,7 +64,6 @@ import (
 	"repro/internal/analysis/summary"
 	"repro/internal/analysis/taintalloc"
 	"repro/internal/analysis/unitchecker"
-	"repro/internal/analysis/vrange"
 )
 
 // analyzers is the full suite in registration order; the self-benchmark
@@ -81,7 +79,6 @@ var analyzers = []*analysis.Analyzer{
 	deferloop.Analyzer,
 	hotalloc.Analyzer,
 	summary.Analyzer,
-	vrange.Analyzer,
 	taintalloc.Analyzer,
 	sizeoverflow.Analyzer,
 	conc.Analyzer,

@@ -49,7 +49,7 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-var scope = []string{"core", "codec", "archive", "selector", "cart", "fascicle", "obs", "server", "spartand", "bench"}
+var scope = []string{"core", "codec", "archive", "selector", "cart", "fascicle", "obs", "server", "spartand"}
 
 func run(pass *analysis.Pass) error {
 	if !pass.PackageBase(scope...) {

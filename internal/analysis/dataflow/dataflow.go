@@ -8,11 +8,8 @@
 // An analyzer defines its own problem by implementing Problem[S]: the
 // abstract state type S, its join and equality, a boundary value, and a
 // per-block transfer function. Solve iterates to a fixpoint; SPARTAN
-// function CFGs are small, so the plain worklist algorithm terminates
-// in a handful of passes. Problems over infinite-height lattices (the
-// interval domain in package vrange) additionally implement the
-// optional EdgeTransferrer and Widener hooks for branch refinement and
-// loop widening.
+// function CFGs are small and every lattice in use has finite height,
+// so the plain worklist algorithm terminates in a handful of passes.
 package dataflow
 
 import (
@@ -53,37 +50,6 @@ type Problem[S any] interface {
 	Transfer(b *cfg.Block, in S) S
 }
 
-// EdgeTransferrer is an optional refinement of Problem for forward
-// analyses that want edge-sensitive states: when implemented, the state
-// flowing from a block to its i'th successor is EdgeTransfer(from, i,
-// out) rather than the block's plain Out state. The block ordering
-// convention of package cfg makes this the hook for branch refinement:
-// for a block ending in a condition, Succs[0] is the true edge and
-// Succs[1] the false edge, so an interval domain can narrow `n` on the
-// false edge of `if n > lim.MaxRows`. Implementations must not mutate
-// out; return a fresh state (or out itself when nothing changes).
-type EdgeTransferrer[S any] interface {
-	EdgeTransfer(from *cfg.Block, succIdx int, out S) S
-}
-
-// Widener is an optional refinement of Problem for domains with
-// unbounded ascending chains (intervals). Once a block has been
-// visited more than wideningThreshold times, the solver replaces the
-// freshly joined arrival state with Widen(prev, next), where prev is
-// the block's previous arrival state. Widen must return a state ≥ both
-// arguments in lattice order and must guarantee stabilization (e.g. by
-// blowing growing bounds to ±∞); Join alone is used below the
-// threshold so short chains keep full precision.
-type Widener[S any] interface {
-	Widen(prev, next S) S
-}
-
-// wideningThreshold is the number of visits after which a Widener
-// problem starts widening a block's arrival state. Small enough to
-// terminate quickly on nested loops, large enough to let a loop body's
-// first couple of iterations sharpen constants before giving up.
-const wideningThreshold = 4
-
 // Result holds the fixpoint: the state at each block's start (In) and
 // end (Out), in execution order regardless of problem direction.
 type Result[S any] struct {
@@ -123,13 +89,9 @@ func Solve[S any](g *cfg.CFG, p Problem[S]) Result[S] {
 		return len(b.Succs) == 0
 	}
 
-	edger, hasEdger := p.(EdgeTransferrer[S])
-	widener, hasWidener := p.(Widener[S])
-
 	work := make([]*cfg.Block, len(g.Blocks))
 	copy(work, g.Blocks)
 	queued := make([]bool, len(g.Blocks))
-	visits := make([]int, len(g.Blocks))
 	for i := range queued {
 		queued[i] = true
 	}
@@ -137,7 +99,6 @@ func Solve[S any](g *cfg.CFG, p Problem[S]) Result[S] {
 		b := work[0]
 		work = work[1:]
 		queued[b.Index] = false
-		visits[b.Index]++
 
 		var arrive S
 		if isBoundary(b) {
@@ -147,28 +108,9 @@ func Solve[S any](g *cfg.CFG, p Problem[S]) Result[S] {
 		}
 		for _, src := range sources(b) {
 			if forward {
-				out := res.Out[src]
-				if hasEdger {
-					// A source may reach b over more than one edge
-					// (e.g. both arms of a condition targeting the
-					// same block); join every matching edge.
-					for i, s := range src.Succs {
-						if s == b {
-							arrive = p.Join(arrive, edger.EdgeTransfer(src, i, out))
-						}
-					}
-				} else {
-					arrive = p.Join(arrive, out)
-				}
+				arrive = p.Join(arrive, res.Out[src])
 			} else {
 				arrive = p.Join(arrive, res.In[src])
-			}
-		}
-		if hasWidener && visits[b.Index] > wideningThreshold {
-			if forward {
-				arrive = widener.Widen(res.In[b], arrive)
-			} else {
-				arrive = widener.Widen(res.Out[b], arrive)
 			}
 		}
 		depart := p.Transfer(b, arrive)

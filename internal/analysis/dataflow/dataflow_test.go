@@ -129,73 +129,6 @@ func TestForwardFixpointLoop(t *testing.T) {
 	}
 }
 
-// edgeProblem records which successor edge a state travelled over:
-// EdgeTransfer sets bit succIdx. On the diamond, the then-arm must see
-// only bit 0 (entry's first out-edge) and the else-arm only bit 1.
-type edgeProblem struct{ genKillProblem }
-
-func (p *edgeProblem) EdgeTransfer(from *cfg.Block, succIdx int, out BitSet) BitSet {
-	return out.With(succIdx)
-}
-
-func TestEdgeTransferBranchSensitivity(t *testing.T) {
-	g := diamond()
-	p := &edgeProblem{genKillProblem{n: 2, gen: map[int]BitSet{}, kill: map[int]BitSet{}}}
-	res := Solve[BitSet](g, p)
-	thenIn := res.In[g.Blocks[2]]
-	if !thenIn.Has(0) || thenIn.Has(1) {
-		t.Errorf("then-arm in-state = %v, want exactly the true-edge bit 0", thenIn)
-	}
-	elseIn := res.In[g.Blocks[3]]
-	if !elseIn.Has(1) || elseIn.Has(0) {
-		t.Errorf("else-arm in-state = %v, want exactly the false-edge bit 1", elseIn)
-	}
-	// Both edges join at the merge block.
-	joinIn := res.In[g.Blocks[4]]
-	if !joinIn.Has(0) || !joinIn.Has(1) {
-		t.Errorf("join in-state = %v, want both edge bits", joinIn)
-	}
-}
-
-// counterProblem is a deliberately infinite-height lattice: the state is
-// a counter, join is max, and the loop body increments. Without
-// widening the solver would climb forever; the Widen hook must blow the
-// state to the sentinel and terminate.
-const widenSentinel = 1 << 30
-
-type counterProblem struct{}
-
-func (counterProblem) Direction() Direction { return Forward }
-func (counterProblem) Boundary() int        { return 1 }
-func (counterProblem) Init() int            { return 0 }
-func (counterProblem) Join(a, b int) int    { return max(a, b) }
-func (counterProblem) Equal(a, b int) bool  { return a == b }
-func (counterProblem) Transfer(b *cfg.Block, in int) int {
-	if b.Kind == "body" && in < widenSentinel {
-		return in + 1
-	}
-	return in
-}
-func (counterProblem) Widen(prev, next int) int {
-	if next > prev {
-		return widenSentinel
-	}
-	return next
-}
-
-func TestWideningTerminatesInfiniteChain(t *testing.T) {
-	g := loopGraph()
-	res := Solve[int](g, counterProblem{})
-	if got := res.In[g.Blocks[2]]; got != widenSentinel {
-		t.Errorf("header in-state = %d, want the widened sentinel %d", got, widenSentinel)
-	}
-	// The exit still sees a finite (widened) value, proving the solver
-	// reached a fixpoint rather than looping.
-	if got := res.In[g.Blocks[1]]; got != widenSentinel {
-		t.Errorf("exit in-state = %d, want %d", got, widenSentinel)
-	}
-}
-
 // backwardProblem is liveness's skeleton: use/def per block over one
 // variable (bit 0).
 type useDefProblem struct {

@@ -9,18 +9,15 @@
 //     value (uint64→int, int64→int32, any signedness flip at equal
 //     width). A 2^63 wire delta converted with int(delta) wraps
 //     negative, sails past `row >= nrows` checks, and panics as a
-//     negative slice index. Guard the range first — the conversion of a
-//     bounded value is fine.
+//     negative slice index. Compare the value against a limit first —
+//     the conversion of a bounded value is fine.
 //   - products: a multiplication or left shift with a wire-tainted
 //     operand (rows*cols, n<<k). Even individually-bounded factors can
 //     overflow the product; bound each factor so the product fits, or
 //     cross-check with a division (`a > Max/b`) — both kill the taint.
 //
-// Both rules are range-aware: a narrowing whose operand interval the
-// value-range analysis (internal/analysis/vrange) proves to fit the
-// target type, or a product whose raw operand-interval result fits the
-// expression's type, is not reported — the proof comes from the guards
-// actually present, not a syntactic clamp pattern.
+// Only a comparison (or builtin min) clears a value: a mask such as
+// `n & 0xffff` does not, so a masked conversion is still reported.
 //
 // Scope: codec, cart, archive — the hostile-input decode path.
 package sizeoverflow
@@ -33,13 +30,12 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/summary"
 	"repro/internal/analysis/taintalloc"
-	"repro/internal/analysis/vrange"
 )
 
 // Analyzer flags overflow-prone size arithmetic on wire-tainted values.
 var Analyzer = &analysis.Analyzer{
 	Name: "sizeoverflow",
-	Doc:  "sizeoverflow: report overflow-prone arithmetic on untrusted wire integers — value-changing narrowing conversions (uint64→int wraps a huge count negative) and unguarded products/shifts feeding size computations; bound the value first (DecodeLimits comparison or clamp)",
+	Doc:  "sizeoverflow: report overflow-prone arithmetic on untrusted wire integers — value-changing narrowing conversions (uint64→int wraps a huge count negative) and unguarded products/shifts feeding size computations; bound the value first (DecodeLimits comparison or builtin min)",
 	Run:  run,
 }
 
@@ -47,8 +43,7 @@ func run(pass *analysis.Pass) error {
 	if !pass.PackageBase("codec", "cart", "archive") {
 		return nil
 	}
-	vr := vrange.Compute(pass.Fset, pass.Files, pass.TypesInfo, vrange.FactLookup(pass.Facts))
-	res := summary.Compute(pass.Fset, pass.Files, pass.TypesInfo, summary.FactLookup(pass.Facts), vr)
+	res := summary.Compute(pass.Fset, pass.Files, pass.TypesInfo, summary.FactLookup(pass.Facts))
 
 	fns := make([]*types.Func, 0, len(res.Flows))
 	for fn := range res.Flows {
@@ -77,7 +72,7 @@ func run(pass *analysis.Pass) error {
 			pass.Report(analysis.Diagnostic{
 				Pos: h.Pos,
 				Message: fmt.Sprintf(
-					"size arithmetic (%s) on a wire-tainted operand may overflow; bound the factors (DecodeLimits comparison or clamp) before multiplying",
+					"size arithmetic (%s) on a wire-tainted operand may overflow; bound the factors (DecodeLimits comparison or builtin min) before multiplying",
 					h.Op),
 				Related: taintalloc.StepsPath(h.Taint),
 			})

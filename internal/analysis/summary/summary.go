@@ -16,12 +16,13 @@
 // "funcsummary" analyzer fact so downstream packages reuse them through
 // the unitchecker's vetx files without access to dependency source.
 //
-// The engine is range-aware: when the caller supplies the package's
-// value-range result (internal/analysis/vrange), a sink whose size
-// expression has a *proved* finite upper bound is dropped — the range
-// analysis discharges clamps (minInt, builtin min with a constant),
-// mask/modulo reductions and guard refinements uniformly, instead of
-// the syntactic clamp-shape matching earlier revisions used.
+// Taint dies only through a few local rules: a comparison against an
+// untainted value on the edge where it holds (`if n > lim.MaxRows {
+// return err }`), the same comparison on the left of && or ||,
+// reassignment from an untainted value, and builtin min with an
+// untainted argument. A mask, a modulo or a hand-written clamp helper
+// does not clear taint; the decoders bound every wire count with a
+// DecodeLimits comparison instead.
 package summary
 
 import (
@@ -32,7 +33,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
-	"repro/internal/analysis/vrange"
 )
 
 // FactName is the analyzer name summaries are stored under in a
@@ -121,11 +121,8 @@ type Result struct {
 // Compute builds the call graph of the package, orders it bottom-up by
 // SCC, and runs the taint engine over every function body. imported
 // resolves summaries of cross-package callees (nil is fine: those
-// callees are treated as unknown, conservatively summary-free). ranges
-// is the package's value-range result; when non-nil, sinks whose size
-// the interval analysis proves bounded are dropped (nil keeps every
-// taint-reachable sink).
-func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported Lookup, ranges *vrange.Result) *Result {
+// callees are treated as unknown, conservatively summary-free).
+func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported Lookup) *Result {
 	g := callgraph.Build(files, info)
 	res := &Result{
 		ByFunc: map[*types.Func]*FuncSummary{},
@@ -149,11 +146,7 @@ func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported 
 		for round := 0; ; round++ {
 			changed := false
 			for _, n := range scc {
-				var fr *vrange.FuncResult
-				if ranges != nil {
-					fr = ranges.Funcs[n.Func]
-				}
-				e := &Engine{Fset: fset, Info: info, Lookup: lookup, Ranges: fr}
+				e := &Engine{Fset: fset, Info: info, Lookup: lookup}
 				flow := e.Run(n.Decl)
 				sum := flow.Summary()
 				if old := res.ByFunc[n.Func]; old == nil || !old.equal(sum) {
@@ -218,11 +211,10 @@ func FactLookup(store *analysis.FactStore) Lookup {
 // Drivers run it over dependencies because Facts is set.
 var Analyzer = &analysis.Analyzer{
 	Name:  FactName,
-	Doc:   "funcsummary: compute per-function dataflow summaries (param→return flows, unguarded sink parameters, wire-source returns) bottom-up over call-graph SCCs, range-filtered through vrange, and export them as a package fact for the interprocedural analyzers",
+	Doc:   "funcsummary: compute per-function dataflow summaries (param→return flows, unguarded sink parameters, wire-source returns) bottom-up over call-graph SCCs, and export them as a package fact for the interprocedural analyzers",
 	Facts: true,
 	Run: func(pass *analysis.Pass) error {
-		vr := vrange.Compute(pass.Fset, pass.Files, pass.TypesInfo, vrange.FactLookup(pass.Facts))
-		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, FactLookup(pass.Facts), vr)
+		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, FactLookup(pass.Facts))
 		blob, err := res.Encode()
 		if err != nil {
 			return err

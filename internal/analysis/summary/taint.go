@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/analysis/callgraph"
 	"repro/internal/analysis/cfg"
-	"repro/internal/analysis/vrange"
 )
 
 // The taint lattice: a value's taint is the set of origins that may
@@ -205,12 +204,6 @@ type Engine struct {
 	Fset   *token.FileSet
 	Info   *types.Info
 	Lookup Lookup
-	// Ranges is this function's value-range result. A sink whose size
-	// expression the interval analysis proved bounded above is not a
-	// finding, whatever its taint — the proof subsumes the syntactic
-	// clamp heuristics. Nil disables range filtering (the FuncResult
-	// query methods are nil-safe and answer "no proof").
-	Ranges *vrange.FuncResult
 
 	flow     *Flow
 	results  []*types.Var
@@ -406,13 +399,7 @@ func (e *Engine) loopBoundSink(cond ast.Expr, s state) {
 		if !ok || !isComparison(be.Op) {
 			return true
 		}
-		// An operand with a proved finite upper bound caps the trip
-		// count regardless of taint.
-		for _, op := range []ast.Expr{be.X, be.Y} {
-			if !e.Ranges.Bounded(op) {
-				t = unionT(t, e.evalNoRecord(op, s))
-			}
-		}
+		t = unionT(t, e.evalNoRecord(be.X, s), e.evalNoRecord(be.Y, s))
 		return true
 	})
 	e.sink(cond.Pos(), "allocating loop bound", t, nil, nil)
@@ -547,7 +534,7 @@ func (e *Engine) eval(x ast.Expr, s state) Taint {
 			return Taint{}
 		case token.MUL, token.SHL:
 			t := unionT(l, r)
-			if e.record && t.FromSource() && !e.productFits(x) {
+			if e.record && t.FromSource() {
 				e.flow.Products = append(e.flow.Products, ProductHit{Pos: x.OpPos, Op: x.Op, Taint: t})
 			}
 			return t
@@ -572,8 +559,7 @@ func (e *Engine) eval(x ast.Expr, s state) Taint {
 			return Taint{} // generic instantiation, not an index
 		}
 		idx := e.eval(x.Index, s)
-		if e.record && idx.Tainted() && indexableSeq(e.Info.TypeOf(x.X)) &&
-			!e.Ranges.SiteProven(x.Index) {
+		if e.record && idx.Tainted() && indexableSeq(e.Info.TypeOf(x.X)) {
 			e.sink(x.Index.Pos(), "index", idx, nil, nil)
 		}
 	case *ast.IndexListExpr:
@@ -585,7 +571,7 @@ func (e *Engine) eval(x ast.Expr, s state) Taint {
 				continue
 			}
 			t := e.eval(bound, s)
-			if e.record && t.Tainted() && !e.Ranges.SiteProven(bound) {
+			if e.record && t.Tainted() {
 				e.sink(bound.Pos(), "slice bound", t, nil, nil)
 			}
 		}
@@ -654,8 +640,7 @@ func (e *Engine) evalCall(call *ast.CallExpr, s state) []Taint {
 		t := e.eval(call.Args[0], s)
 		from := e.Info.TypeOf(call.Args[0])
 		to := e.Info.TypeOf(call)
-		if e.record && t.Tainted() && isNarrowing(from, to) &&
-			!vrange.FitsConversion(e.Ranges.IvOf(call.Args[0]), from, to) {
+		if e.record && t.Tainted() && isNarrowing(from, to) {
 			e.flow.Narrowings = append(e.flow.Narrowings, NarrowHit{
 				Pos: call.Pos(), From: from, To: to, Taint: t,
 			})
@@ -687,8 +672,7 @@ func (e *Engine) evalCall(call *ast.CallExpr, s state) []Taint {
 
 	// Well-known allocation sinks. sk.arg indexes call.Args; argTaints
 	// may be shifted by a prepended method receiver.
-	if sk, ok := sinkCalls[full]; ok && sk.arg < len(call.Args) &&
-		!e.Ranges.Bounded(call.Args[sk.arg]) {
+	if sk, ok := sinkCalls[full]; ok && sk.arg < len(call.Args) {
 		off := len(args) - len(call.Args)
 		e.sink(call.Args[sk.arg].Pos(), sk.what, argTaints[sk.arg+off], nil, nil)
 	}
@@ -716,11 +700,6 @@ func (e *Engine) evalCall(call *ast.CallExpr, s state) []Taint {
 		}
 		t := argTaints[sp.Param]
 		if !t.Tainted() {
-			continue
-		}
-		// A proved-bounded argument cannot drive the callee's
-		// allocation unbounded, whatever its origin.
-		if sp.Param < len(args) && e.Ranges.Bounded(args[sp.Param]) {
 			continue
 		}
 		pos := call.Pos()
@@ -762,12 +741,11 @@ func (e *Engine) evalBuiltin(name string, call *ast.CallExpr, s state) []Taint {
 	}
 	switch name {
 	case "make":
-		// make(T, len[, cap]): both size arguments are sinks, unless the
-		// range analysis proved the size finite.
-		if len(call.Args) > 1 && !e.Ranges.Bounded(call.Args[1]) {
+		// make(T, len[, cap]): both size arguments are sinks.
+		if len(call.Args) > 1 {
 			e.sink(call.Args[1].Pos(), "make size", argTaints[1], nil, nil)
 		}
-		if len(call.Args) > 2 && !e.Ranges.Bounded(call.Args[2]) {
+		if len(call.Args) > 2 {
 			e.sink(call.Args[2].Pos(), "make capacity", argTaints[2], nil, nil)
 		}
 		return []Taint{{}}
@@ -785,23 +763,6 @@ func (e *Engine) evalBuiltin(name string, call *ast.CallExpr, s state) []Taint {
 		return []Taint{{}}
 	}
 	return []Taint{{}}
-}
-
-// productFits reports that the proved operand intervals make the
-// multiplication/shift overflow-free in the expression's type. The raw
-// result is recomputed with vrange.BinOp from the operands: the
-// engine's own ExprIv for the product is already met with the machine
-// range, which would pass FitsType vacuously.
-func (e *Engine) productFits(x *ast.BinaryExpr) bool {
-	if e.Ranges == nil {
-		return false
-	}
-	raw := vrange.BinOp(x.Op, e.Ranges.IvOf(x.X), e.Ranges.IvOf(x.Y))
-	// A finite raw interval is required: the uint64 machine range tops
-	// out at the lattice's +inf sentinel, which any unbounded product
-	// would "fit" vacuously.
-	return raw.BoundedBelow() && raw.BoundedAbove() &&
-		vrange.FitsType(raw, e.Info.TypeOf(x))
 }
 
 func (e *Engine) lookup(fn *types.Func) *FuncSummary {

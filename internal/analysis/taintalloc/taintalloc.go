@@ -4,12 +4,10 @@
 // read — binary.ReadUvarint and friends, or a function whose summary
 // says a wire value flows into its result — is tainted. Taint dies when
 // the value passes a bounding comparison against an untainted limit
-// (the DecodeLimits discipline from PR 4: `if n > lim.MaxRows { return
-// err }`) or is reassigned a trusted value; independently, a sink whose
-// size the value-range analysis (internal/analysis/vrange) proves
-// bounded above — a minInt/builtin-min clamp with a constant bound, a
-// mask or modulo reduction, a refined guard — is not a finding at all.
-// Tainted values must not reach:
+// (the DecodeLimits discipline: `if n > lim.MaxRows { return err }`),
+// is reassigned a trusted value, or goes through builtin min with an
+// untainted argument. A mask or a hand-written clamp helper does not
+// clear it. Tainted values must not reach:
 //
 //   - make sizes or capacities,
 //   - the bound of a loop that appends or makes per iteration,
@@ -23,9 +21,9 @@
 // the SARIF report (and CI annotations) show where the value entered
 // and every assignment it travelled through.
 //
-// Scope: the hostile-input decode packages — codec, cart, archive.
-// Other wire decoders (fascicle, table, pzipref) predate the
-// DecodeLimits discipline and are tracked on the ROADMAP.
+// Scope: the hostile-input decode packages — codec, cart, archive —
+// whose every wire count passes a DecodeLimits comparison. The other
+// wire decoders (fascicle, table, pzipref) are out of scope.
 package taintalloc
 
 import (
@@ -37,13 +35,12 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/summary"
-	"repro/internal/analysis/vrange"
 )
 
 // Analyzer flags unguarded wire-derived values reaching allocations.
 var Analyzer = &analysis.Analyzer{
 	Name: "taintalloc",
-	Doc:  "taintalloc: report untrusted wire-read integers (varint/length/count decodes) that reach make, append-growing loop bounds, Buffer.Grow, io.CopyN or slice indexing without first passing a bounding comparison (DecodeLimits) or clamp; interprocedural via function summaries",
+	Doc:  "taintalloc: report untrusted wire-read integers (varint/length/count decodes) that reach make, append-growing loop bounds, Buffer.Grow, io.CopyN or slice indexing without first passing a bounding comparison (DecodeLimits) or a builtin min clamp; interprocedural via function summaries",
 	Run:  run,
 }
 
@@ -51,8 +48,7 @@ func run(pass *analysis.Pass) error {
 	if !pass.PackageBase("codec", "cart", "archive") {
 		return nil
 	}
-	vr := vrange.Compute(pass.Fset, pass.Files, pass.TypesInfo, vrange.FactLookup(pass.Facts))
-	res := summary.Compute(pass.Fset, pass.Files, pass.TypesInfo, summary.FactLookup(pass.Facts), vr)
+	res := summary.Compute(pass.Fset, pass.Files, pass.TypesInfo, summary.FactLookup(pass.Facts))
 
 	// Deterministic report order: by function position.
 	fns := make([]*types.Func, 0, len(res.Flows))
@@ -80,11 +76,11 @@ func diagnose(pass *analysis.Pass, hit summary.SinkHit) analysis.Diagnostic {
 			via += " → " + hit.CalleeSink.Via
 		}
 		msg = fmt.Sprintf(
-			"wire-tainted value flows into %s and reaches %s unguarded; compare it against DecodeLimits (or clamp) before the call",
+			"wire-tainted value flows into %s and reaches %s unguarded; compare it against DecodeLimits (or clamp it with builtin min) before the call",
 			via, hit.CalleeSink.What)
 	} else {
 		msg = fmt.Sprintf(
-			"wire-tainted value reaches %s unguarded; compare it against DecodeLimits (or clamp) before allocating",
+			"wire-tainted value reaches %s unguarded; compare it against DecodeLimits (or clamp it with builtin min) before allocating",
 			hit.What)
 	}
 	d := analysis.Diagnostic{Pos: hit.Pos, Message: msg, Related: TaintPath(hit)}

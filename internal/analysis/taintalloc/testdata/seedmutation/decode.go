@@ -19,18 +19,11 @@ type DecodeLimits struct {
 	MaxModelBytes uint64
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // readFullGrowing reads n bytes in bounded chunks, growing dst as data
 // actually arrives — the loop bound n is a sink parameter.
 func readFullGrowing(br *bufio.Reader, dst []byte, n int) ([]byte, error) {
 	for len(dst) < n {
-		chunk := minInt(n-len(dst), 1<<20)
+		chunk := min(n-len(dst), 1<<20)
 		buf := make([]byte, chunk)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, err
@@ -59,7 +52,7 @@ func decodeHeader(br *bufio.Reader, lim DecodeLimits) ([]float64, []byte, error)
 	if modelsLen > lim.MaxModelBytes {
 		return nil, nil, fmt.Errorf("models length %d exceeds limit %d", modelsLen, lim.MaxModelBytes)
 	}
-	modelBytes := make([]byte, 0, minInt(int(modelsLen), 1<<20))
+	modelBytes := make([]byte, 0, min(int(modelsLen), 1<<20))
 	modelBytes, err = readFullGrowing(br, modelBytes, int(modelsLen))
 	if err != nil {
 		return nil, nil, err

@@ -89,27 +89,3 @@ func shiftUnguarded(br *bufio.Reader) (uint64, error) {
 	}
 	return n << 8, nil // want "size arithmetic \(<<\) on a wire-tainted operand may overflow"
 }
-
-// Masks bound both factors without any comparison: the taint survives
-// the &, but the interval product provably fits uint64 — clean under
-// the range-aware rules where the old clamp heuristic would flag it.
-func maskedProduct(br *bufio.Reader) ([]float64, error) {
-	rows, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	return make([]float64, (rows&0xfff)*(cols&0xfff)), nil
-}
-
-// Same for narrowing: n&0xffff fits int, no range check needed.
-func maskedNarrow(br *bufio.Reader) (int, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, err
-	}
-	return int(n & 0xffff), nil
-}

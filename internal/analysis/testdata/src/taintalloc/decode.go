@@ -1,7 +1,7 @@
 // Fixture for the taintalloc analyzer (declares package codec so the
 // scoped analyzer runs). Mirrors the shape of the real decode path:
-// varint counts, DecodeLimits guards, clamp helpers, allocation
-// helpers whose parameters are summarized sinks.
+// varint counts, DecodeLimits guards, min-clamped capacity hints,
+// allocation helpers whose parameters are summarized sinks.
 package codec
 
 import (
@@ -17,13 +17,6 @@ type DecodeLimits struct {
 }
 
 var errTooBig = errors.New("too big")
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // zeroFill's n bounds an appending loop: a summarized sink parameter.
 func zeroFill(n int) []float64 {
@@ -64,7 +57,7 @@ func decodeClamped(br *bufio.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return make([]byte, 0, minInt(int(n), 1<<12)), nil
+	return make([]byte, 0, min(n, 1<<12)), nil
 }
 
 // The taint survives the readCount wrapper (interprocedural source).
@@ -143,16 +136,6 @@ func decodeShortCircuit(br *bufio.Reader, seen []bool) error {
 	}
 	seen[a] = true
 	return nil
-}
-
-// A mask reduction proves the size finite with no comparison and no
-// clamp helper anywhere — only the interval analysis clears this.
-func decodeMasked(br *bufio.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	return make([]byte, n&0xffff), nil
 }
 
 // Reassignment to a trusted value ends suspicion.

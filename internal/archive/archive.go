@@ -234,7 +234,7 @@ func readFrameBytes(r io.Reader, n uint64) ([]byte, error) {
 	if n > maxArchiveBytes {
 		return nil, fmt.Errorf("implausible segment length %d", n)
 	}
-	dst := make([]byte, 0, minInt(int(n), chunk))
+	dst := make([]byte, 0, min(int(n), chunk))
 	for uint64(len(dst)) < n {
 		want := n - uint64(len(dst))
 		if want > chunk {
@@ -247,13 +247,6 @@ func readFrameBytes(r io.Reader, n uint64) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // mergeTables concatenates the rows of equal-schema tables in order,

@@ -194,7 +194,7 @@ func readFooter(br *bufio.Reader, size int64, lim codec.DecodeLimits) (table.Sch
 	}
 	// Grow incrementally so a lying count cannot force a huge allocation
 	// before the footer bytes run out.
-	segs := make([]SegmentInfo, 0, minInt(int(nsegs), 1<<12))
+	segs := make([]SegmentInfo, 0, min(int(nsegs), 1<<12))
 	for s := uint64(0); s < nsegs; s++ {
 		off, err := binary.ReadUvarint(br)
 		if err != nil {

@@ -229,7 +229,7 @@ func decodeNode(br *bufio.Reader, kind table.Kind, depth int) (*Node, error) {
 			if k > 1<<20 {
 				return nil, fmt.Errorf("cart: implausible split set size %d", k)
 			}
-			n.SplitLeft = make([]int32, 0, minInt(int(k), 1<<12))
+			n.SplitLeft = make([]int32, 0, min(int(k), 1<<12))
 			for i := uint64(0); i < k; i++ {
 				c, err := binary.ReadUvarint(br)
 				if err != nil {
@@ -278,13 +278,6 @@ func readFloat32(br *bufio.Reader) (float64, error) {
 		return 0, err
 	}
 	return float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[:]))), nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func asByteReader(r io.Reader) *bufio.Reader {

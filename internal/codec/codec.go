@@ -322,7 +322,7 @@ func decode(br *bufio.Reader, lim DecodeLimits) (*table.Table, error) {
 		return nil, fmt.Errorf("codec: reading models checksum: %w", err)
 	}
 	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
-	modelBytes := make([]byte, 0, minInt(int(modelsLen), 1<<20))
+	modelBytes := make([]byte, 0, min(int(modelsLen), 1<<20))
 	modelBytes, err = readFullGrowing(br, modelBytes, int(modelsLen), lim)
 	if err != nil {
 		return nil, fmt.Errorf("codec: reading models: %w", err)
@@ -592,7 +592,7 @@ func readColumn(br *bufio.Reader, c *table.Column, nrows int) error {
 		c.Floats = floats
 		return nil
 	}
-	codes := make([]int32, 0, minInt(nrows, 1<<16))
+	codes := make([]int32, 0, min(nrows, 1<<16))
 	for r := 0; r < nrows; r++ {
 		code, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -607,19 +607,12 @@ func readColumn(br *bufio.Reader, c *table.Column, nrows int) error {
 	return nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func readNumericColumn(br *bufio.Reader, nrows int) ([]float64, error) {
 	enc, err := br.ReadByte()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 0, minInt(nrows, 1<<16))
+	out := make([]float64, 0, min(nrows, 1<<16))
 	var buf [4]byte
 	switch enc {
 	case numEncRaw:
@@ -665,17 +658,17 @@ func readNumericColumn(br *bufio.Reader, nrows int) ([]float64, error) {
 // incremental-growth policy used everywhere else header varints drive
 // allocation.
 func zeroFloats(n int) []float64 {
-	out := make([]float64, 0, minInt(n, 1<<16))
+	out := make([]float64, 0, min(n, 1<<16))
 	for len(out) < n {
-		out = append(out, make([]float64, minInt(n-len(out), 1<<16))...)
+		out = append(out, make([]float64, min(n-len(out), 1<<16))...)
 	}
 	return out
 }
 
 func zeroCodes(n int) []int32 {
-	out := make([]int32, 0, minInt(n, 1<<16))
+	out := make([]int32, 0, min(n, 1<<16))
 	for len(out) < n {
-		out = append(out, make([]int32, minInt(n-len(out), 1<<16))...)
+		out = append(out, make([]int32, min(n-len(out), 1<<16))...)
 	}
 	return out
 }
@@ -773,7 +766,7 @@ func readSchemaLimited(br *bufio.Reader, lim DecodeLimits) (table.Schema, [][]st
 			}
 			// Grow incrementally so a lying header cannot force a huge
 			// allocation before the stream runs out.
-			dict := make([]string, 0, minInt(int(dlen), 1<<12))
+			dict := make([]string, 0, min(int(dlen), 1<<12))
 			for d := uint64(0); d < dlen; d++ {
 				s, err := getString(br)
 				if err != nil {

@@ -219,10 +219,12 @@ func Decompress(data []byte) (*table.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			attr := int(attrU)
-			if attr >= ncols {
-				return nil, fmt.Errorf("fascicle: compact attribute %d out of range", attr)
+			// Compare before converting: int() wraps a varint ≥ 2^63
+			// negative, which would pass attr >= ncols.
+			if attrU >= uint64(ncols) {
+				return nil, fmt.Errorf("fascicle: compact attribute %d out of range", attrU)
 			}
+			attr := int(attrU)
 			skip[attr] = true
 			if schema[attr].Kind == table.Numeric {
 				v, err := readFloat64(br)
@@ -328,7 +330,7 @@ func readSchema(br *bufio.Reader) (table.Schema, [][]string, error) {
 			if dlen > 1<<22 {
 				return nil, nil, fmt.Errorf("fascicle: implausible dictionary size %d", dlen)
 			}
-			dict := make([]string, 0, minInt(int(dlen), 1<<12))
+			dict := make([]string, 0, min(int(dlen), 1<<12))
 			for d := uint64(0); d < dlen; d++ {
 				s, err := getString(br)
 				if err != nil {
@@ -340,13 +342,6 @@ func readSchema(br *bufio.Reader) (table.Schema, [][]string, error) {
 		}
 	}
 	return schema, dicts, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func putUvarint(bw *bufio.Writer, v uint64) error {

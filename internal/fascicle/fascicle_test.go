@@ -1,6 +1,9 @@
 package fascicle
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -334,6 +337,53 @@ func TestDecompressRejectsCorruption(t *testing.T) {
 	bad[2] ^= 0x55
 	if _, err := Decompress(bad); err == nil {
 		t.Error("Decompress accepted corrupted magic")
+	}
+}
+
+// TestDecompressRejectsHugeCompactAttribute patches the first
+// compact-attribute index of a valid stream to 2^63. The decoder must
+// refuse it with an error; converting it to int first wraps it
+// negative, past the column-count check, into a panicking index.
+func TestDecompressRejectsHugeCompactAttribute(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tb := clusteredTable(rng, 100)
+	c, err := Cluster(tb, Params{K: 2, Widths: []float64{1, 1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Fascicles) == 0 || len(c.Fascicles[0].CompactAttrs) == 0 {
+		t.Fatal("fixture has no fascicle with compact attributes")
+	}
+	data, err := c.Encode(tb, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The body before the first attribute index: schema, fascicle
+	// count, the first fascicle's compact-attribute count.
+	var prefix bytes.Buffer
+	bw := bufio.NewWriter(&prefix)
+	if err := writeSchema(bw, tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := putUvarint(bw, uint64(len(c.Fascicles))); err != nil {
+		t.Fatal(err)
+	}
+	if err := putUvarint(bw, uint64(len(c.Fascicles[0].CompactAttrs))); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	off := len(fascicleMagic) + 1 + prefix.Len()
+	if !bytes.Equal(data[len(fascicleMagic)+1:off], prefix.Bytes()) ||
+		data[off] != byte(c.Fascicles[0].CompactAttrs[0]) {
+		t.Fatal("stream layout does not match the encoder's")
+	}
+	hostile := append([]byte(nil), data[:off]...)
+	hostile = binary.AppendUvarint(hostile, 1<<63)
+	hostile = append(hostile, data[off+1:]...)
+	if _, err := Decompress(hostile); err == nil {
+		t.Error("Decompress accepted a compact attribute index of 2^63")
 	}
 }
 

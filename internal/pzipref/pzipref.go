@@ -322,7 +322,7 @@ func readSchema(br *bufio.Reader) (table.Schema, [][]string, error) {
 			if dlen > 1<<22 {
 				return nil, nil, fmt.Errorf("pzipref: implausible dictionary size %d", dlen)
 			}
-			dict := make([]string, 0, minInt(int(dlen), 1<<12))
+			dict := make([]string, 0, min(int(dlen), 1<<12))
 			for d := uint64(0); d < dlen; d++ {
 				s, err := getString(br)
 				if err != nil {
@@ -334,13 +334,6 @@ func readSchema(br *bufio.Reader) (table.Schema, [][]string, error) {
 		}
 	}
 	return schema, dicts, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func putUvarint(bw *bufio.Writer, v uint64) error {
