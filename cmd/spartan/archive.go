@@ -35,17 +35,17 @@ func openArchiveFile(path string) (*spartan.Archive, error) {
 	return a, nil
 }
 
-// writeSegmented compresses t into a segmented archive, reporting
-// per-segment and total statistics on stderr.
-func writeSegmented(w io.Writer, t *spartan.Table, opts spartan.Options, seg spartan.SegmentOptions) error {
+// writeSegmented compresses t into a segmented archive on w, reporting
+// per-segment and total statistics on report.
+func writeSegmented(w, report io.Writer, t *spartan.Table, opts spartan.Options, seg spartan.SegmentOptions) error {
 	stats, err := spartan.CompressArchive(w, t, opts, seg)
 	if err != nil {
 		return err
 	}
 	for i, s := range stats.PerSegment {
-		fmt.Fprintf(os.Stderr, "segment %d: ratio %.4f (%d outliers)\n", i, s.Ratio, s.Outliers)
+		fmt.Fprintf(report, "segment %d: ratio %.4f (%d outliers)\n", i, s.Ratio, s.Outliers)
 	}
-	fmt.Fprintf(os.Stderr, "archive: %d segments, %d rows, %d B (ratio %.4f)\n",
+	fmt.Fprintf(report, "archive: %d segments, %d rows, %d B (ratio %.4f)\n",
 		stats.Segments, stats.Rows, stats.CompressedBytes, stats.Ratio)
 	return nil
 }

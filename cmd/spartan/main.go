@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -102,7 +103,6 @@ func cmdCompress(args []string) error {
 	quiet := fs.Bool("q", false, "suppress the statistics report")
 	trace := fs.Bool("trace", false, "print the per-phase pipeline span tree (paper §4.2 running-time breakdown)")
 	segRows := fs.Int("segment-rows", 0, "write a segmented archive with this many rows per segment (0 = single stream)")
-	blockRows := fs.Int("block-rows", 0, "deprecated synonym for -segment-rows")
 	workers := fs.Int("workers", 0, "segments compressed concurrently (0 = GOMAXPROCS; output bytes are identical at any setting)")
 	forceCat := fs.String("categorical", "", "comma-separated CSV columns to force categorical (numeric-looking codes)")
 	tol, catTol, sample, sel, theta, noRowAgg, seed := compressionFlags(fs)
@@ -140,12 +140,13 @@ func cmdCompress(args []string) error {
 	}
 	defer f.Close()
 	start := time.Now()
-	if *segRows == 0 {
-		*segRows = *blockRows
-	}
 	if *segRows > 0 {
 		seg := spartan.SegmentOptions{SegmentRows: *segRows, Workers: *workers}
-		if err := writeSegmented(f, t, opts, seg); err != nil {
+		report := io.Writer(os.Stderr)
+		if *quiet {
+			report = io.Discard
+		}
+		if err := writeSegmented(f, report, t, opts, seg); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -83,7 +84,7 @@ func TestBlockArchiveFlow(t *testing.T) {
 	dir := filepath.Dir(binPath)
 	sptn := filepath.Join(dir, "blocks.sptn")
 	if err := cmdCompress([]string{"-in", binPath, "-out", sptn,
-		"-tolerance", "0.01", "-block-rows", "300", "-q"}); err != nil {
+		"-tolerance", "0.01", "-segment-rows", "300", "-q"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdVerify([]string{"-original", binPath, "-compressed", sptn,
@@ -93,6 +94,44 @@ func TestBlockArchiveFlow(t *testing.T) {
 	if err := cmdQuery([]string{"-in", sptn, "-agg", "sum", "-col", "charge_cents",
 		"-where", "duration_sec > 100", "-groupby", "plan", "-tolerance", "0.01"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected into a pipe and
+// returns what fn wrote there.
+func captureStderr(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		got <- string(b)
+	}()
+	old := os.Stderr
+	os.Stderr = w
+	err = fn()
+	os.Stderr = old
+	w.Close()
+	return <-got, err
+}
+
+// TestCompressQuietSegmented checks that -q also silences the
+// per-segment and archive statistics of a segmented compress.
+func TestCompressQuietSegmented(t *testing.T) {
+	_, binPath := writeTempTable(t)
+	sptn := filepath.Join(filepath.Dir(binPath), "quiet.sptn")
+	stderr, err := captureStderr(t, func() error {
+		return cmdCompress([]string{"-in", binPath, "-out", sptn,
+			"-tolerance", "0.01", "-segment-rows", "300", "-q"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stderr != "" {
+		t.Errorf("-q compress wrote to stderr:\n%s", stderr)
 	}
 }
 

@@ -13,30 +13,28 @@
 // reaching allocations unguarded, sizeoverflow: overflow-prone
 // arithmetic on wire values; a DecodeLimits comparison clears a value
 // for both), fed by the funcsummary fact producer, which hands
-// per-function dataflow summaries across package boundaries through
-// vet's .vetx fact files; boundedspawn (per-row goroutine spawns
-// with no concurrency bound) rides the goroutine-spawn model and
-// concsummary facts in internal/analysis/conc; closeleak (opened
-// io.Closer handles not closed on every CFG exit path, defer- and
+// per-function dataflow summaries across package boundaries as
+// in-memory facts; boundedspawn (per-row goroutine spawns with no
+// concurrency bound) rides the goroutine-spawn model and concsummary
+// facts in internal/analysis/conc; closeleak (opened io.Closer handles
+// not closed on every CFG exit path, defer- and
 // ownership-transfer-aware) rides the resource summaries and
 // effectsummary facts in internal/analysis/effects. A synthetic check,
 // staleignore, flags //spartanvet:ignore directives that no longer
 // suppress anything.
 //
-// It speaks the `go vet` tool protocol; run it through the go command:
+// It runs over package patterns, test files included, and gates on any
+// finding:
 //
 //	go build -o bin/spartanvet ./cmd/spartanvet
-//	go vet -vettool=bin/spartanvet ./...
+//	bin/spartanvet ./...
 //
-// or simply `make lint`. Individual analyzers can be selected the same
-// way as with stock vet: `go vet -vettool=bin/spartanvet -floatcmp ./...`.
+// or simply `make lint`. The same run can instead aggregate the module
+// into one SARIF 2.1.0 log for GitHub code scanning, which reports
+// rather than gates, and validate such a log strictly:
 //
-// It also runs standalone over package patterns, aggregating the whole
-// module into one report for CI:
-//
-//	bin/spartanvet -sarif ./... > spartanvet.sarif   # GitHub code scanning
-//	bin/spartanvet -json ./...                       # scripting
-//	bin/spartanvet -debug.cfg=EncodeFascicle ./...   # dump a function's CFG
+//	bin/spartanvet -sarif ./... > spartanvet.sarif
+//	bin/spartanvet -sarifvalidate spartanvet.sarif
 //
 // See docs/DEVELOPMENT.md for the analyzer catalogue, the
 // //spartanvet:ignore suppression syntax, and a guide to writing new

@@ -7,9 +7,9 @@
 //
 //   - analyzertest runs an analyzer over golden files in testdata/src and
 //     checks diagnostics against `// want "regexp"` comments;
-//   - unitchecker speaks the `go vet -vettool` command-line protocol so
-//     the whole suite runs as `go vet -vettool=$(which spartanvet) ./...`
-//     (the `make lint` entry point).
+//   - unitchecker loads packages, test files included, through
+//     `go list` and runs the whole suite as `spartanvet ./...` (the
+//     `make lint` entry point).
 //
 // The analyzers themselves encode SPARTAN invariants the compiler cannot
 // see: tolerance comparisons must not use raw float equality (floatcmp),
@@ -37,7 +37,7 @@ type Analyzer struct {
 	// Doc is the help text: one summary line, a blank line, then detail.
 	Doc string
 	// Run executes the check on one package and reports findings via
-	// pass.Reportf. A non-nil error aborts the whole vet run — reserve it
+	// pass.Reportf. A non-nil error fails the whole lint run — reserve it
 	// for internal failures, not findings.
 	Run func(pass *Pass) error
 	// Facts marks a fact-producing analyzer: drivers must run it over
@@ -50,8 +50,8 @@ type Analyzer struct {
 // RelatedLocation is one step of a finding's explanation — for the
 // interprocedural analyzers, one hop of a taint path from source to
 // sink. Pos locates steps inside the analyzed package; steps that live
-// in an already-compiled dependency (known only through a serialized
-// fact) carry a pre-resolved Position instead, with Pos == token.NoPos.
+// in another package (known only through a fact) carry a pre-resolved
+// Position instead, with Pos == token.NoPos.
 type RelatedLocation struct {
 	Pos      token.Pos
 	Position token.Position // used only when Pos is NoPos
@@ -82,8 +82,8 @@ type Pass struct {
 	// use it to publish suppressed results instead of dropping them.
 	SuppressedSink func(Diagnostic, *Directive)
 
-	// Facts, when the driver provides one, holds the serialized facts of
-	// every dependency package (and receives this package's own exports).
+	// Facts, when the driver provides one, holds the facts of every
+	// dependency package (and receives this package's own exports).
 	// Nil under drivers that do not plumb facts (analyzertest); analyzers
 	// must degrade to intraprocedural reasoning in that case.
 	Facts *FactStore
@@ -247,10 +247,10 @@ func (s *Suppressions) covering(fset *token.FileSet, pos token.Pos, analyzer str
 // under StaleIgnoreName. known holds the analyzer names that actually
 // ran: a directive for an analyzer outside that set is not judged (the
 // driver cannot know whether it would have fired). Call it only after
-// every selected analyzer has run over the package; drivers that run a
-// user-selected subset should pass exactly that subset, and "all"
-// directives are judged only when judgeAll is set (i.e. the full suite
-// ran).
+// every analyzer in known has run over the package. "all" directives
+// are judged only when judgeAll is set: the spartanvet driver always
+// runs the full suite and sets it; a harness running one analyzer
+// cannot prove such a directive useless.
 func (s *Suppressions) Stale(known map[string]bool, judgeAll bool) []Diagnostic {
 	var out []Diagnostic
 	for _, dir := range s.directives {

@@ -22,11 +22,8 @@
 package cfg
 
 import (
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
-	"strings"
 )
 
 // CFG is the control-flow graph of one function body.
@@ -725,55 +722,4 @@ func (g *CFG) BlockOf(pos token.Pos) *Block {
 		}
 	}
 	return best
-}
-
-// Format renders the graph for golden tests and the spartanvet
-// -debug.cfg flag: one paragraph per block with its kind, nodes (as
-// source), and successor indices.
-func (g *CFG) Format(fset *token.FileSet) string {
-	var sb strings.Builder
-	for _, b := range g.Blocks {
-		fmt.Fprintf(&sb, ".%d %s\n", b.Index, b.Kind)
-		for _, n := range b.Nodes {
-			fmt.Fprintf(&sb, "\t%s\n", formatNode(fset, n))
-		}
-		if len(b.Succs) > 0 {
-			ids := make([]string, len(b.Succs))
-			for i, s := range b.Succs {
-				ids[i] = fmt.Sprintf("%d", s.Index)
-			}
-			fmt.Fprintf(&sb, "\t→ %s\n", strings.Join(ids, " "))
-		}
-	}
-	return sb.String()
-}
-
-func formatNode(fset *token.FileSet, n ast.Node) string {
-	if r, ok := n.(*ast.RangeStmt); ok {
-		// Render only the header; the body is decomposed into blocks.
-		head := "range " + formatNode(fset, r.X)
-		if r.Key != nil {
-			assign := "="
-			if r.Tok == token.DEFINE {
-				assign = ":="
-			}
-			kv := formatNode(fset, r.Key)
-			if r.Value != nil {
-				kv += ", " + formatNode(fset, r.Value)
-			}
-			head = kv + " " + assign + " " + head
-		}
-		return "for " + head
-	}
-	var sb strings.Builder
-	if err := printer.Fprint(&sb, fset, n); err != nil {
-		return fmt.Sprintf("<%T>", n)
-	}
-	// Keep dumps one-line even for multi-line nodes (e.g. defer of a
-	// multi-line closure).
-	out := sb.String()
-	if i := strings.IndexByte(out, '\n'); i >= 0 {
-		out = out[:i] + " …"
-	}
-	return out
 }

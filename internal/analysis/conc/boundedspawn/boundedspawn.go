@@ -55,7 +55,7 @@ func run(pass *analysis.Pass) error {
 	if !pass.PackageBase(scope...) {
 		return nil
 	}
-	imported := conc.ModuleScoped(pass.Pkg.Path(), conc.FactLookup(pass.Facts))
+	imported := conc.FactLookup(pass.Facts)
 	local := conc.Compute(pass.Fset, pass.Files, pass.TypesInfo, imported)
 	lookup := local.LookupIn(imported)
 	for _, f := range pass.Files {

@@ -9,7 +9,7 @@
 //     concurrency summaries — calls to helpers that themselves start
 //     goroutines;
 //   - per-function concurrency summary facts (summary.go): goroutines
-//     spawned and whether they can outlive the call — serialized
+//     spawned and whether they can outlive the call — exported
 //     cross-package as the "concsummary" fact exactly like funcsummary.
 //
 // The model is deliberately conservative: it aims for zero false

@@ -113,44 +113,4 @@ func viaFire() { fire() }
 	if s := byName["viaFire"]; !s.Spawns || !s.AsyncSpawn || s.Via != "fire" {
 		t.Errorf("viaFire should inherit fire's async spawn: %+v", s)
 	}
-
-	// The fact roundtrip drops empty summaries and preserves the rest.
-	blob, err := res.Encode()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	decoded, err := conc.DecodeFact(blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if _, ok := decoded["p.fire"]; !ok {
-		t.Errorf("decoded fact should keep the spawning fire, has %d entries", len(decoded))
-	}
-	if _, ok := decoded["p.work"]; ok {
-		t.Errorf("empty summary of work should not round-trip")
-	}
-}
-
-func TestModuleScopedLookup(t *testing.T) {
-	fset, f, info := check(t, `package p
-
-func helper() { go func() {}() }
-`)
-	res := conc.Compute(fset, []*ast.File{f}, info, nil)
-	var helperFn *types.Func
-	for fn := range res.ByFunc {
-		if fn.Name() == "helper" {
-			helperFn = fn
-		}
-	}
-	if helperFn == nil {
-		t.Fatal("helper not summarized")
-	}
-	all := func(fn *types.Func) *conc.FuncConc { return res.ByFunc[fn] }
-	if got := conc.ModuleScoped("p", all)(helperFn); got == nil || !got.Spawns {
-		t.Errorf("same-module lookup should resolve helper, got %+v", got)
-	}
-	if got := conc.ModuleScoped("repro/internal/core", all)(helperFn); got != nil {
-		t.Errorf("cross-module lookup should be filtered, got %+v", got)
-	}
 }

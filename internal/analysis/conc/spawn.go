@@ -18,7 +18,7 @@ type Spawn struct {
 	// call otherwise).
 	Call *ast.CallExpr
 	// Via is the summarized helper for indirect spawns, with the go
-	// statements inside it (as serialized positions — the helper may
+	// statements inside it (as resolved positions — the helper may
 	// live in another package).
 	Via      *types.Func
 	ViaConc  *FuncConc

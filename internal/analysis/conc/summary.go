@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
@@ -17,8 +16,8 @@ import (
 // taintalloc reads "funcsummary".
 const FactName = "concsummary"
 
-// FuncConc is the serialized concurrency summary of one function, keyed
-// in a package fact by types.Func.FullName.
+// FuncConc is the concurrency summary of one function, keyed in a
+// package fact by types.Func.FullName.
 type FuncConc struct {
 	// Spawns reports that the function starts goroutines, directly or
 	// through a callee.
@@ -171,89 +170,35 @@ func position(fset *token.FileSet, pos token.Pos) summary.Position {
 	return summary.Position{File: p.Filename, Line: p.Line, Col: p.Column}
 }
 
-// Encode serializes the non-empty summaries as the package fact body.
-func (r *Result) Encode() ([]byte, error) {
-	byName := map[string]*FuncConc{}
-	for fn, s := range r.ByFunc {
-		if !s.empty() {
-			byName[fn.FullName()] = s
-		}
-	}
-	if len(byName) == 0 {
-		return nil, nil
-	}
-	return json.Marshal(byName)
-}
-
-// DecodeFact parses a fact blob produced by Encode.
-func DecodeFact(data []byte) (map[string]*FuncConc, error) {
-	byName := map[string]*FuncConc{}
-	if len(data) == 0 {
-		return byName, nil
-	}
-	if err := json.Unmarshal(data, &byName); err != nil {
-		return nil, err
-	}
-	return byName, nil
-}
-
-// ModuleScoped restricts a lookup to functions whose package shares the
-// module root of pkgPath. Concurrency summaries of other modules — the
-// standard library above all — describe goroutines those libraries
-// manage themselves: http's per-connection goroutines, pprof's profile
-// writer, testing's tRunner. Propagating them makes every transitive
-// caller a "spawner" (fmt.Errorf reaches one eventually) and drowns the
-// repo's own signal, so the analyzers inherit summaries only within the
-// module under analysis.
-func ModuleScoped(pkgPath string, l Lookup) Lookup {
-	root := moduleRoot(pkgPath)
-	return func(fn *types.Func) *FuncConc {
-		if fn == nil || fn.Pkg() == nil || moduleRoot(fn.Pkg().Path()) != root {
-			return nil
-		}
-		return l(fn)
-	}
-}
-
-// moduleRoot is the leading element of an import path: "repro" for
-// "repro/internal/core", "testing" for "testing".
-func moduleRoot(path string) string {
-	root, _, _ := strings.Cut(path, "/")
-	return root
-}
-
-// FactLookup adapts a driver FactStore into a cross-package Lookup,
-// caching each dependency's decoded fact. Safe with a nil store.
+// FactLookup adapts a driver FactStore into a cross-package Lookup.
+// Safe with a nil store.
 func FactLookup(store *analysis.FactStore) Lookup {
-	cache := map[string]map[string]*FuncConc{}
 	return func(fn *types.Func) *FuncConc {
 		if fn == nil || fn.Pkg() == nil {
 			return nil
 		}
-		path := fn.Pkg().Path()
-		pkg, ok := cache[path]
-		if !ok {
-			pkg, _ = DecodeFact(store.Get(path, FactName))
-			cache[path] = pkg
-		}
-		return pkg[fn.FullName()]
+		fact, _ := store.Get(fn.Pkg().Path(), FactName).(map[string]*FuncConc)
+		return fact[fn.FullName()]
 	}
 }
 
 // Analyzer is the fact producer: it emits no diagnostics, only the
-// "concsummary" package fact boundedspawn consumes for cross-package
+// "concsummary" package fact — the non-empty summaries keyed by
+// types.Func.FullName — that boundedspawn consumes for cross-package
 // calls. Drivers run it over dependencies because Facts is set.
 var Analyzer = &analysis.Analyzer{
 	Name:  FactName,
 	Doc:   "concsummary: compute per-function concurrency summaries (goroutine spawns and whether they outlive the call) bottom-up over call-graph SCCs and export them as a package fact for boundedspawn",
 	Facts: true,
 	Run: func(pass *analysis.Pass) error {
-		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, ModuleScoped(pass.Pkg.Path(), FactLookup(pass.Facts)))
-		blob, err := res.Encode()
-		if err != nil {
-			return err
+		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, FactLookup(pass.Facts))
+		fact := map[string]*FuncConc{}
+		for fn, s := range res.ByFunc {
+			if !s.empty() {
+				fact[fn.FullName()] = s
+			}
 		}
-		pass.ExportFact(blob)
+		pass.ExportFact(fact)
 		return nil
 	},
 }

@@ -45,7 +45,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	imported := effects.ModuleScoped(pass.Pkg.Path(), effects.FactLookup(pass.Facts))
+	imported := effects.FactLookup(pass.Facts)
 	local := effects.Compute(pass.Fset, pass.Files, pass.TypesInfo, imported)
 	lookup := local.LookupIn(imported)
 	for _, f := range pass.Files {

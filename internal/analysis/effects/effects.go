@@ -7,10 +7,10 @@
 // StoresParams).
 //
 // Summaries are computed bottom-up over the SCCs of the package call
-// graph (fixpoint iteration inside recursive components) and serialized
+// graph (fixpoint iteration inside recursive components) and exported
 // as the "effectsummary" analyzer fact, so downstream packages reuse
-// them through the unitchecker's vetx files without dependency source —
-// exactly the funcsummary/concsummary plumbing.
+// them without re-analyzing dependency source — exactly the
+// funcsummary/concsummary plumbing.
 package effects
 
 import (
@@ -18,7 +18,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/callgraph"
@@ -39,8 +38,8 @@ type OpenResult struct {
 	Pos    summary.Position `json:"pos"`
 }
 
-// FuncEffects is the serialized effect summary of one function, keyed
-// in a package fact by types.Func.FullName.
+// FuncEffects is the effect summary of one function, keyed in a
+// package fact by types.Func.FullName.
 type FuncEffects struct {
 	Opens []OpenResult `json:"opens,omitempty"`
 	// ClosesParams lists parameters the function closes on some path
@@ -146,70 +145,15 @@ func computeFunc(fset *token.FileSet, info *types.Info, decl *ast.FuncDecl, look
 	return &FuncEffects{Opens: rs.Opens, ClosesParams: rs.ClosesParams, StoresParams: rs.StoresParams}
 }
 
-// Encode serializes the non-empty summaries as the package fact body.
-func (r *Result) Encode() ([]byte, error) {
-	byName := map[string]*FuncEffects{}
-	for fn, s := range r.ByFunc {
-		if !s.empty() {
-			byName[fn.FullName()] = s
-		}
-	}
-	if len(byName) == 0 {
-		return nil, nil
-	}
-	return json.Marshal(byName)
-}
-
-// DecodeFact parses a fact blob produced by Encode.
-func DecodeFact(data []byte) (map[string]*FuncEffects, error) {
-	byName := map[string]*FuncEffects{}
-	if len(data) == 0 {
-		return byName, nil
-	}
-	if err := json.Unmarshal(data, &byName); err != nil {
-		return nil, err
-	}
-	return byName, nil
-}
-
-// ModuleScoped restricts a lookup to functions whose package shares the
-// module root of pkgPath. Effect summaries of other modules — the
-// standard library above all — are not computed anyway (the drivers
-// only visit the module under analysis), but the filter keeps the
-// contract symmetric with conc.ModuleScoped and guards against a
-// future driver that widens the fact horizon.
-func ModuleScoped(pkgPath string, l Lookup) Lookup {
-	root := moduleRoot(pkgPath)
-	return func(fn *types.Func) *FuncEffects {
-		if fn == nil || fn.Pkg() == nil || moduleRoot(fn.Pkg().Path()) != root {
-			return nil
-		}
-		return l(fn)
-	}
-}
-
-// moduleRoot is the leading element of an import path: "repro" for
-// "repro/internal/core", "testing" for "testing".
-func moduleRoot(path string) string {
-	root, _, _ := strings.Cut(path, "/")
-	return root
-}
-
-// FactLookup adapts a driver FactStore into a cross-package Lookup,
-// caching each dependency's decoded fact. Safe with a nil store.
+// FactLookup adapts a driver FactStore into a cross-package Lookup.
+// Safe with a nil store.
 func FactLookup(store *analysis.FactStore) Lookup {
-	cache := map[string]map[string]*FuncEffects{}
 	return func(fn *types.Func) *FuncEffects {
 		if fn == nil || fn.Pkg() == nil {
 			return nil
 		}
-		path := fn.Pkg().Path()
-		pkg, ok := cache[path]
-		if !ok {
-			pkg, _ = DecodeFact(store.Get(path, FactName))
-			cache[path] = pkg
-		}
-		return pkg[fn.FullName()]
+		fact, _ := store.Get(fn.Pkg().Path(), FactName).(map[string]*FuncEffects)
+		return fact[fn.FullName()]
 	}
 }
 
@@ -269,19 +213,22 @@ func position(fset *token.FileSet, pos token.Pos) summary.Position {
 }
 
 // Analyzer is the fact producer: it emits no diagnostics, only the
-// "effectsummary" package fact closeleak consumes for cross-package
+// "effectsummary" package fact — the non-empty summaries keyed by
+// types.Func.FullName — that closeleak consumes for cross-package
 // calls. Drivers run it over dependencies because Facts is set.
 var Analyzer = &analysis.Analyzer{
 	Name:  FactName,
 	Doc:   "effectsummary: compute per-function effect summaries (open io.Closer results, parameters closed or stored) bottom-up over call-graph SCCs and export them as a package fact for the resource-lifecycle analyzer",
 	Facts: true,
 	Run: func(pass *analysis.Pass) error {
-		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, ModuleScoped(pass.Pkg.Path(), FactLookup(pass.Facts)))
-		blob, err := res.Encode()
-		if err != nil {
-			return err
+		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, FactLookup(pass.Facts))
+		fact := map[string]*FuncEffects{}
+		for fn, s := range res.ByFunc {
+			if !s.empty() {
+				fact[fn.FullName()] = s
+			}
 		}
-		pass.ExportFact(blob)
+		pass.ExportFact(fact)
 		return nil
 	},
 }

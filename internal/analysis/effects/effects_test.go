@@ -161,35 +161,3 @@ func clean(path string) error {
 		t.Errorf("clean: want no leaks, got %+v", got)
 	}
 }
-
-func TestFactRoundTrip(t *testing.T) {
-	res, _, _ := compute(t, `package p
-
-import "os"
-
-func open(path string) (*os.File, error) { return os.Open(path) }
-
-func pure(n int) int { return n + 1 }
-`)
-	blob, err := res.Encode()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if len(blob) == 0 {
-		t.Fatalf("encode: want non-empty fact blob")
-	}
-	decoded, err := effects.DecodeFact(blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	s, ok := decoded["p.open"]
-	if !ok {
-		t.Fatalf("decoded fact missing p.open: %v", decoded)
-	}
-	if len(s.Opens) != 1 || s.Opens[0].Result != 0 {
-		t.Errorf("round-tripped summary: got %+v", s.Opens)
-	}
-	if _, ok := decoded["p.pure"]; ok {
-		t.Errorf("empty summary of pure should not round-trip")
-	}
-}

@@ -1,20 +1,12 @@
 package analysis
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
-
-// FactStore carries serialized per-package analyzer facts between
-// passes. A fact is an opaque blob keyed by (package import path,
-// analyzer name); only the producing analyzer understands its encoding.
-// The unitchecker persists one package's facts as the JSON body of its
-// .vetx file and hands dependency facts back through Config.PackageVetx;
-// the standalone driver keeps the whole module's facts in one in-memory
-// store, filled in `go list -deps` dependency order.
+// FactStore carries per-package analyzer facts between passes. A fact
+// is a Go value keyed by (package import path, analyzer name); only the
+// producing analyzer and its consumers know its type. The driver keeps
+// the whole run's facts in one store, filled in `go list -deps`
+// dependency order.
 type FactStore struct {
-	m map[factKey][]byte
+	m map[factKey]any
 }
 
 type factKey struct {
@@ -24,83 +16,23 @@ type factKey struct {
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{m: map[factKey][]byte{}}
+	return &FactStore{m: map[factKey]any{}}
 }
 
 // Get returns the fact analyzer exported for pkgPath, or nil.
-func (s *FactStore) Get(pkgPath, analyzer string) []byte {
+func (s *FactStore) Get(pkgPath, analyzer string) any {
 	if s == nil {
 		return nil
 	}
 	return s.m[factKey{pkgPath, analyzer}]
 }
 
-// Set records a fact. A nil or empty blob deletes any existing entry so
-// encoders never persist vacuous facts.
-func (s *FactStore) Set(pkgPath, analyzer string, data []byte) {
-	k := factKey{pkgPath, analyzer}
-	if len(data) == 0 {
-		delete(s.m, k)
-		return
-	}
-	s.m[k] = data
-}
-
 // ExportFact is the call analyzers make from their Run function: it
-// records data as p.Analyzer's fact for the package under analysis.
-// A no-op when the driver attached no store.
-func (p *Pass) ExportFact(data []byte) {
+// records fact as p.Analyzer's fact for the package under analysis,
+// replacing any earlier one. A no-op when the driver attached no store.
+func (p *Pass) ExportFact(fact any) {
 	if p.Facts == nil {
 		return
 	}
-	p.Facts.Set(p.Pkg.Path(), p.Analyzer.Name, data)
-}
-
-// EncodePackage serializes every fact recorded for pkgPath as a JSON
-// object {analyzer: blob}. This is the body of a unitchecker .vetx
-// file; an empty store encodes as "{}".
-func (s *FactStore) EncodePackage(pkgPath string) ([]byte, error) {
-	byAnalyzer := map[string]json.RawMessage{}
-	for k, v := range s.m {
-		if k.pkgPath != pkgPath {
-			continue
-		}
-		if !json.Valid(v) {
-			return nil, fmt.Errorf("fact %s for %s is not valid JSON", k.analyzer, pkgPath)
-		}
-		byAnalyzer[k.analyzer] = json.RawMessage(v)
-	}
-	return json.Marshal(byAnalyzer)
-}
-
-// DecodePackage merges a blob produced by EncodePackage into the store
-// under pkgPath. Unknown analyzer names are kept — a newer tool may
-// read an older vetx file and vice versa; consumers simply miss facts
-// they cannot decode.
-func (s *FactStore) DecodePackage(pkgPath string, data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var byAnalyzer map[string]json.RawMessage
-	if err := json.Unmarshal(data, &byAnalyzer); err != nil {
-		return fmt.Errorf("facts for %s: %v", pkgPath, err)
-	}
-	for name, blob := range byAnalyzer {
-		s.Set(pkgPath, name, blob)
-	}
-	return nil
-}
-
-// Packages lists every package path with at least one fact, sorted.
-func (s *FactStore) Packages() []string {
-	seen := map[string]bool{}
-	for k := range s.m {
-		seen[k.pkgPath] = true
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	p.Facts.m[factKey{p.Pkg.Path(), p.Analyzer.Name}] = fact
 }

@@ -12,9 +12,9 @@
 //
 // Summaries are computed bottom-up over the SCCs of the package call
 // graph (fixpoint iteration inside recursive components) by the
-// edge-sensitive taint engine in taint.go, and serialized as the
-// "funcsummary" analyzer fact so downstream packages reuse them through
-// the unitchecker's vetx files without access to dependency source.
+// edge-sensitive taint engine in taint.go, and exported as the
+// "funcsummary" analyzer fact so downstream packages reuse them without
+// re-analyzing dependency source.
 //
 // Taint dies only through a few local rules: a comparison against an
 // untainted value on the edge where it holds (`if n > lim.MaxRows {
@@ -39,8 +39,9 @@ import (
 // FactStore; taintalloc and sizeoverflow read the fact directly.
 const FactName = "funcsummary"
 
-// Position is a serializable source position for facts — cross-package
-// sink sites cannot travel as token.Pos.
+// Position is a resolved source position for facts — cross-package
+// sink sites cannot travel as token.Pos, because the driver parses each
+// package into its own FileSet.
 type Position struct {
 	File string `json:"file"`
 	Line int    `json:"line"`
@@ -77,8 +78,8 @@ type SinkParam struct {
 	Via string `json:"via,omitempty"`
 }
 
-// FuncSummary is the serialized dataflow summary of one function,
-// keyed in a package fact by types.Func.FullName.
+// FuncSummary is the dataflow summary of one function, keyed in a
+// package fact by types.Func.FullName.
 type FuncSummary struct {
 	Params      int          `json:"params"`
 	ReturnFlows []ReturnFlow `json:"returns,omitempty"`
@@ -163,50 +164,21 @@ func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, imported 
 	return res
 }
 
-// Encode serializes the non-empty summaries as the package fact body.
-func (r *Result) Encode() ([]byte, error) {
-	byName := map[string]*FuncSummary{}
-	for fn, s := range r.ByFunc {
-		if !s.empty() {
-			byName[fn.FullName()] = s
-		}
-	}
-	return json.Marshal(byName)
-}
-
-// DecodeFact parses a fact blob produced by Encode.
-func DecodeFact(data []byte) (map[string]*FuncSummary, error) {
-	byName := map[string]*FuncSummary{}
-	if len(data) == 0 {
-		return byName, nil
-	}
-	if err := json.Unmarshal(data, &byName); err != nil {
-		return nil, err
-	}
-	return byName, nil
-}
-
-// FactLookup adapts a driver FactStore into a cross-package Lookup,
-// caching each dependency's decoded fact. Safe with a nil store (every
-// lookup misses).
+// FactLookup adapts a driver FactStore into a cross-package Lookup.
+// Safe with a nil store (every lookup misses).
 func FactLookup(store *analysis.FactStore) Lookup {
-	cache := map[string]map[string]*FuncSummary{}
 	return func(fn *types.Func) *FuncSummary {
 		if fn == nil || fn.Pkg() == nil {
 			return nil
 		}
-		path := fn.Pkg().Path()
-		pkg, ok := cache[path]
-		if !ok {
-			pkg, _ = DecodeFact(store.Get(path, FactName))
-			cache[path] = pkg
-		}
-		return pkg[fn.FullName()]
+		fact, _ := store.Get(fn.Pkg().Path(), FactName).(map[string]*FuncSummary)
+		return fact[fn.FullName()]
 	}
 }
 
 // Analyzer is the fact producer: it emits no diagnostics, only the
-// "funcsummary" package fact that taintalloc and sizeoverflow (and any
+// "funcsummary" package fact — the non-empty summaries keyed by
+// types.Func.FullName — that taintalloc and sizeoverflow (and any
 // future bound-checking analyzer) consume for cross-package calls.
 // Drivers run it over dependencies because Facts is set.
 var Analyzer = &analysis.Analyzer{
@@ -215,11 +187,13 @@ var Analyzer = &analysis.Analyzer{
 	Facts: true,
 	Run: func(pass *analysis.Pass) error {
 		res := Compute(pass.Fset, pass.Files, pass.TypesInfo, FactLookup(pass.Facts))
-		blob, err := res.Encode()
-		if err != nil {
-			return err
+		fact := map[string]*FuncSummary{}
+		for fn, s := range res.ByFunc {
+			if !s.empty() {
+				fact[fn.FullName()] = s
+			}
 		}
-		pass.ExportFact(blob)
+		pass.ExportFact(fact)
 		return nil
 	},
 }

@@ -356,27 +356,3 @@ func pong(n int) []byte {
 		t.Errorf("pingAlloc: sink param lost through mutual recursion")
 	}
 }
-
-func TestFactRoundTrip(t *testing.T) {
-	res, _, _ := compute(t, `package p
-func alloc(n int) []byte { return make([]byte, n) }
-func clean(a, b int) int { return 42 }
-`)
-	blob, err := res.Encode()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	decoded, err := DecodeFact(blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if _, ok := decoded["p.alloc"]; !ok {
-		t.Errorf("p.alloc missing from fact: %v", decoded)
-	}
-	if _, ok := decoded["p.clean"]; ok {
-		t.Errorf("empty summary p.clean should not be serialized")
-	}
-	if s := decoded["p.alloc"]; len(s.SinkParams) != 1 || s.SinkParams[0].Pos.Line == 0 {
-		t.Errorf("p.alloc decoded sinks = %+v, want one with a position", s.SinkParams)
-	}
-}

@@ -162,7 +162,7 @@ type sinkKey struct {
 	what string
 }
 
-// Summary distills the flow into the serializable FuncSummary.
+// Summary distills the flow into the FuncSummary callers consume.
 func (f *Flow) Summary() *FuncSummary {
 	sum := &FuncSummary{Params: len(f.params)}
 	for _, mask := range f.resultMasks {

@@ -1,69 +1,16 @@
 package unitchecker
 
-// The machine-readable output formats: a flat JSON diagnostic array for
-// scripting, and a SARIF 2.1.0 log for GitHub code scanning. Both carry
-// suppressed findings explicitly (SARIF as result suppressions, JSON as
-// a boolean) so a dashboard can distinguish "clean" from "silenced".
+// The SARIF 2.1.0 report for GitHub code scanning. It carries
+// suppressed findings explicitly, as result suppressions, so a
+// dashboard can distinguish "clean" from "silenced".
 
 import (
-	"encoding/json"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/sarif"
 )
-
-// jsonDiag is the -json output element.
-type jsonDiag struct {
-	File          string    `json:"file"`
-	Line          int       `json:"line"`
-	Column        int       `json:"column"`
-	Analyzer      string    `json:"analyzer"`
-	Message       string    `json:"message"`
-	Suppressed    bool      `json:"suppressed,omitempty"`
-	Justification string    `json:"justification,omitempty"`
-	Related       []jsonRel `json:"related,omitempty"`
-}
-
-// jsonRel is one step of a finding's source→sink path.
-type jsonRel struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Message string `json:"message"`
-}
-
-// marshalJSON renders the diagnostics as an indented JSON array with a
-// trailing newline. An empty run prints [] rather than null.
-func marshalJSON(diags []Diag) ([]byte, error) {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		jd := jsonDiag{
-			File:          filepath.ToSlash(d.Position.Filename),
-			Line:          d.Position.Line,
-			Column:        d.Position.Column,
-			Analyzer:      d.Analyzer,
-			Message:       d.Message,
-			Suppressed:    d.Suppressed,
-			Justification: d.Justification,
-		}
-		for _, rel := range d.Related {
-			jd.Related = append(jd.Related, jsonRel{
-				File:    filepath.ToSlash(rel.Position.Filename),
-				Line:    rel.Position.Line,
-				Column:  rel.Position.Column,
-				Message: rel.Message,
-			})
-		}
-		out = append(out, jd)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
 
 // buildSARIF assembles one single-run SARIF log: a rule per registered
 // analyzer (plus the synthetic staleignore rule), a result per

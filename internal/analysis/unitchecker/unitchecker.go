@@ -1,42 +1,31 @@
-// Package unitchecker implements the command-line protocol that `go vet`
-// speaks to an external analysis tool (`go vet -vettool=...`). It is a
-// standard-library-only equivalent of
-// golang.org/x/tools/go/analysis/unitchecker, providing exactly what
-// cmd/spartanvet needs:
+// Package unitchecker is the driver behind cmd/spartanvet. It resolves
+// package patterns through `go list -json -deps -export -test`, which
+// compiles what it must and hands back export data for every package,
+// type-checks each matched package from source against that export
+// data, runs the analyzers over it, and emits one aggregated report:
 //
-//   - `tool -V=full` prints a content-addressed version line the go
-//     command uses for build caching;
-//   - `tool -flags` prints the supported flags as JSON;
-//   - `tool [flags] $dir/vet.cfg` type-checks one package unit described
-//     by the JSON config (source files plus export data for every
-//     dependency) and runs the analyzers over it.
-//
-// Diagnostics are printed to stderr as "file:line:col: message [name]"
-// and make the process exit non-zero, which `go vet` reports as failure.
-//
-// Beyond the vet protocol, the tool also runs standalone over package
-// patterns (`tool -sarif ./...`): it resolves the patterns and their
-// export data through `go list`, analyzes every matched package, and
-// emits one aggregated report. Output formats:
-//
-//   - default: the vet-style text lines on stderr, exit 2 on findings;
-//   - -json: a JSON array of diagnostics on stdout, exit 0;
+//   - default: "file:line:col: message [name]" lines on stderr, each
+//     followed by its indented source→sink path; exit 2 on findings;
 //   - -sarif: a SARIF 2.1.0 log on stdout (GitHub code scanning), exit 0.
 //
-// The data formats exit zero on findings because they exist to report,
-// not to gate; the text mode remains the CI tripwire. A third mode,
+// The SARIF mode exits zero on findings because it exists to report,
+// not to gate; the text mode is the CI tripwire. A third mode,
 // `tool -sarifvalidate report.sarif`, strictly validates an emitted log
-// against the SARIF 2.1.0 model before it is uploaded. In all modes a
+// against the SARIF 2.1.0 model before it is uploaded. A
 // //spartanvet:ignore directive that no longer suppresses anything is
-// itself reported as a finding under the name "staleignore" (the
-// "ignore all" form is only judged when the full suite runs, since a
-// partial run cannot tell whether the directive still earns its keep).
-// -debug.cfg=<func> dumps the control-flow graph of every function with
-// that name to stderr while checking, for analyzer debugging.
+// itself reported as a finding under the name "staleignore".
+//
+// Test files are covered through the test variants `go list -test`
+// reports. A package with in-package tests is analyzed as "p [p.test]"
+// (its sources plus its _test.go files) in place of p; an external
+// test package "p_test [p.test]" is analyzed on its own; the generated
+// "p.test" main is skipped. Each variant is type-checked under its
+// plain import path, so analyzer scopes and fact keys are the ones the
+// plain package has.
 package unitchecker
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -46,219 +35,53 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/cfg"
 )
 
-// Config is the package-unit description the go command writes to
-// $objdir/vet.cfg. Field names follow cmd/go/internal/work.vetConfig;
-// fields the checker does not need are accepted and ignored.
-type Config struct {
-	ID         string
-	Compiler   string
-	Dir        string
-	ImportPath string
-	GoVersion  string
-	GoFiles    []string
-
-	ImportMap   map[string]string
-	PackageFile map[string]string
-
-	// PackageVetx maps each dependency's import path to the .vetx file a
-	// previous VetxOnly run of this tool produced for it — the facts the
-	// interprocedural analyzers consume for cross-package calls.
-	PackageVetx map[string]string
-
-	VetxOnly   bool
-	VetxOutput string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// Run is the entry point for a vettool main: it interprets the protocol
-// arguments in args (typically os.Args[1:]) and never returns.
+// Run is the entry point for the spartanvet main: it interprets args
+// (typically os.Args[1:]) and never returns.
 func Run(progname string, args []string, analyzers []*analysis.Analyzer) {
-	exit(run(progname, args, analyzers, os.Stdout, os.Stderr))
-}
-
-func exit(code int) { os.Exit(code) }
-
-// options carries the output and debugging switches shared by the
-// protocol and standalone modes.
-type options struct {
-	format   string // "" (vet text), "json", or "sarif"
-	debugCFG string // function name whose CFG is dumped to stderr
-	judgeAll bool   // full suite ran: "ignore all" directives are judged
-	stderr   io.Writer
+	os.Exit(run(progname, args, analyzers, os.Stdout, os.Stderr))
 }
 
 func run(progname string, args []string, analyzers []*analysis.Analyzer, stdout, stderr io.Writer) int {
-	enabled := map[string]*bool{}
-	opts := &options{stderr: stderr}
+	sarifOut, sarifValidate := false, false
 	var positional []string
-	sarifValidate := false
 	for _, arg := range args {
 		switch {
+		case arg == "-sarif" || arg == "--sarif":
+			sarifOut = true
 		case arg == "-sarifvalidate" || arg == "--sarifvalidate":
 			sarifValidate = true
-		case arg == "-V=full" || arg == "--V=full":
-			fmt.Fprintln(stdout, versionLine(progname))
-			return 0
-		case arg == "-V" || strings.HasPrefix(arg, "-V="):
-			// Plain -V: a short version is enough.
-			fmt.Fprintf(stdout, "%s version devel\n", progname)
-			return 0
-		case arg == "-flags" || arg == "--flags":
-			fmt.Fprintln(stdout, flagsJSON(analyzers))
-			return 0
-		case arg == "-json" || arg == "--json":
-			opts.format = "json"
-		case arg == "-sarif" || arg == "--sarif":
-			opts.format = "sarif"
-		case strings.HasPrefix(arg, "-debug.cfg="), strings.HasPrefix(arg, "--debug.cfg="):
-			_, opts.debugCFG, _ = strings.Cut(arg, "=")
 		case strings.HasPrefix(arg, "-"):
-			name, val, ok := parseBoolFlag(arg)
-			if !ok {
-				fmt.Fprintf(stderr, "%s: unrecognized flag %s\n", progname, arg)
-				return 2
-			}
-			enabled[name] = &val
+			fmt.Fprintf(stderr, "%s: unrecognized flag %s\n", progname, arg)
+			return 2
 		default:
 			positional = append(positional, arg)
 		}
 	}
-
-	// Honor per-analyzer -name=true/false flags the way `go vet` does: if
-	// any analyzer is explicitly enabled, only the enabled set runs.
-	selected := analyzers
-	if anyExplicitTrue(enabled) {
-		selected = nil
-		for _, a := range analyzers {
-			if v := enabled[a.Name]; v != nil && *v {
-				selected = append(selected, a)
-			}
-		}
-	} else {
-		var keep []*analysis.Analyzer
-		for _, a := range analyzers {
-			if v := enabled[a.Name]; v != nil && !*v {
-				continue
-			}
-			keep = append(keep, a)
-		}
-		selected = keep
-	}
-	// Unused "ignore all" directives can only be judged when nothing was
-	// deselected: a partial run cannot prove a directive useless.
-	opts.judgeAll = len(enabled) == 0
-
 	if sarifValidate {
 		return runSarifValidate(progname, positional, stdout, stderr)
 	}
-
-	if len(positional) != 1 || !strings.HasSuffix(positional[0], ".cfg") {
-		if len(positional) > 0 {
-			return runStandalone(progname, positional, selected, opts, stdout, stderr)
-		}
-		fmt.Fprintf(stderr, "%s: this tool speaks the `go vet` protocol; invoke it as:\n"+
-			"  go vet -vettool=%s ./...       (per-unit, build-cached)\n"+
-			"  %s [-json|-sarif] ./...        (standalone, aggregated report)\n"+
+	if len(positional) == 0 {
+		fmt.Fprintf(stderr, "usage:\n"+
+			"  %s [-sarif] packages...        (lint; -sarif prints a SARIF 2.1.0 log)\n"+
 			"  %s -sarifvalidate report.sarif (strict SARIF 2.1.0 check)\n",
-			progname, progname, progname, progname)
-		return 1
-	}
-	cfgFile := positional[0]
-
-	cfg, err := readConfig(cfgFile)
-	if err != nil {
-		fmt.Fprintf(stderr, "%s: %v\n", progname, err)
+			progname, progname)
 		return 1
 	}
 
-	facts := loadFacts(cfg)
-
-	// The go command runs the tool over every dependency with
-	// VetxOnly=true so that fact-producing analyzers (funcsummary) can
-	// hand their results downstream. Only the producers run on such
-	// units; their exports become the body of the unit's .vetx file. A
-	// dependency that fails to analyze writes an empty vetx instead of
-	// failing the whole vet run — missing facts only cost downstream
-	// precision, never correctness.
-	if cfg.VetxOnly {
-		if producers := factProducers(selected); len(producers) > 0 {
-			if err := checkFactsOnly(cfg, producers, opts, facts); err != nil {
-				fmt.Fprintf(stderr, "%s: %s (facts skipped): %v\n", progname, cfg.ImportPath, err)
-			}
-		}
-		if err := writeVetx(cfg, facts); err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", progname, err)
-			return 1
-		}
-		return 0
-	}
-
-	diags, err := checkPackage(cfg, selected, opts, facts)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(stderr, "%s: %s: %v\n", progname, cfg.ImportPath, err)
+	diags, ok := analyze(progname, positional, analyzers, stderr)
+	if !ok {
 		return 1
 	}
-	if err := writeVetx(cfg, facts); err != nil {
-		fmt.Fprintf(stderr, "%s: %v\n", progname, err)
-		return 1
-	}
-	return report(progname, selected, diags, opts, stdout, stderr)
-}
-
-// factProducers filters the analyzers that export package facts.
-func factProducers(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
-	var out []*analysis.Analyzer
-	for _, a := range analyzers {
-		if a.Facts {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// checkFactsOnly runs the fact producers over a dependency unit. Fact
-// runs cover every dependency — the standard library included — so a
-// producer tripping over code the module never shaped is contained
-// here: the panic becomes an error, the unit just exports no facts.
-func checkFactsOnly(cfg *Config, producers []*analysis.Analyzer, opts *options, facts *analysis.FactStore) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("fact producer panicked: %v", r)
-		}
-	}()
-	_, err = checkPackage(cfg, producers, opts, facts)
-	return err
-}
-
-// report renders diagnostics in the selected format and returns the
-// process exit code. The vet-style text mode prints unsuppressed
-// findings to stderr and fails; the data formats print everything —
-// suppressed results included, marked as such — to stdout and succeed,
-// because they feed dashboards rather than gate merges.
-func report(progname string, analyzers []*analysis.Analyzer, diags []Diag, opts *options, stdout, stderr io.Writer) int {
-	switch opts.format {
-	case "json":
-		out, err := marshalJSON(diags)
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", progname, err)
-			return 1
-		}
-		stdout.Write(out)
-		return 0
-	case "sarif":
+	if sarifOut {
 		out, err := buildSARIF(progname, analyzers, diags).Marshal()
 		if err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", progname, err)
@@ -266,133 +89,166 @@ func report(progname string, analyzers []*analysis.Analyzer, diags []Diag, opts 
 		}
 		stdout.Write(out)
 		return 0
-	default:
-		failed := false
-		for _, d := range diags {
-			if d.Suppressed {
-				continue
-			}
-			fmt.Fprintln(stderr, d)
-			for _, rel := range d.Related {
-				fmt.Fprintf(stderr, "\t%s: %s\n", rel.Position, rel.Message)
-			}
-			failed = true
-		}
-		if failed {
-			return 2
-		}
-		return 0
 	}
+	// Text mode prints the unsuppressed findings and fails on any.
+	failed := false
+	for _, d := range diags {
+		if d.Suppressed {
+			continue
+		}
+		fmt.Fprintln(stderr, d)
+		for _, rel := range d.Related {
+			fmt.Fprintf(stderr, "\t%s: %s\n", rel.Position, rel.Message)
+		}
+		failed = true
+	}
+	if failed {
+		return 2
+	}
+	return 0
 }
 
-func parseBoolFlag(arg string) (name string, val bool, ok bool) {
-	arg = strings.TrimPrefix(arg, "-")
-	arg = strings.TrimPrefix(arg, "-") // tolerate --name
-	name, s, hasVal := strings.Cut(arg, "=")
-	if !hasVal {
-		return name, true, true
-	}
-	switch s {
-	case "true", "1":
-		return name, true, true
-	case "false", "0":
-		return name, false, true
-	}
-	return "", false, false
+// listPackage is the subset of `go list -json` output the driver
+// consumes.
+type listPackage struct {
+	Dir        string
+	ImportPath string
+	Name       string
+	ForTest    string
+	GoFiles    []string
+	ImportMap  map[string]string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
-func anyExplicitTrue(m map[string]*bool) bool {
-	for _, v := range m {
-		if v != nil && *v {
-			return true
+// plainPath strips the " [p.test]" suffix go list gives test variants.
+func (p *listPackage) plainPath() string {
+	path, _, _ := strings.Cut(p.ImportPath, " ")
+	return path
+}
+
+// analyze checks every package matched by patterns and returns the
+// diagnostics of all of them; ok is false when a package failed to
+// load or type-check.
+//
+// All packages share one in-memory fact store. `go list -deps` lists
+// dependencies before their importers, so a package's dependency facts
+// are present when it is analyzed: analyzed packages export facts as
+// part of their full run, and the packages the run does not analyze
+// itself get a facts-only pass at their place in the list. Those are
+// the dependencies outside the patterns, the plain twins of in-package
+// test variants (go list puts every test variant after all plain
+// packages, too late for their importers), and dependencies recompiled
+// for some package's tests.
+func analyze(progname string, patterns []string, analyzers []*analysis.Analyzer, stderr io.Writer) (diags []Diag, ok bool) {
+	pkgs, exports, err := loadPackages(patterns)
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", progname, err)
+		return nil, false
+	}
+	hasTestVariant := map[string]bool{}
+	for _, p := range pkgs {
+		if p.ForTest != "" && p.plainPath() == p.ForTest {
+			hasTestVariant[p.ForTest] = true
 		}
 	}
-	return false
-}
 
-// versionLine matches the format cmd/go's toolID parser accepts for a
-// development tool: "name version devel ... buildID=<content-id>". The
-// content ID hashes the executable so rebuilding the tool (new or changed
-// analyzers) invalidates `go vet`'s result cache.
-func versionLine(progname string) string {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%x", sum[:12])
-		}
-	}
-	return fmt.Sprintf("%s version devel buildID=%s", progname, id)
-}
-
-// flagsJSON describes the tool's flags in the JSON shape `go vet`
-// expects from `tool -flags`: one boolean flag per analyzer.
-func flagsJSON(analyzers []*analysis.Analyzer) string {
-	type flagDesc struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	descs := make([]flagDesc, 0, len(analyzers))
+	cwd, _ := os.Getwd()
+	facts := analysis.NewFactStore()
+	var producers []*analysis.Analyzer
 	for _, a := range analyzers {
-		summary, _, _ := strings.Cut(a.Doc, "\n")
-		descs = append(descs, flagDesc{Name: a.Name, Bool: true, Usage: summary})
+		if a.Facts {
+			producers = append(producers, a)
+		}
 	}
-	out, err := json.Marshal(descs)
-	if err != nil {
-		return "[]"
-	}
-	return string(out)
-}
-
-func readConfig(path string) (*Config, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg := new(Config)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		return nil, fmt.Errorf("parsing vet config %s: %w", path, err)
-	}
-	if cfg.ImportPath == "" {
-		cfg.ImportPath = cfg.ID
-	}
-	return cfg, nil
-}
-
-// loadFacts reads the .vetx file of every dependency named in
-// cfg.PackageVetx into a fresh store. Unreadable or malformed files are
-// skipped — the downstream analyzers just see fewer facts.
-func loadFacts(cfg *Config) *analysis.FactStore {
-	store := analysis.NewFactStore()
-	for path, file := range cfg.PackageVetx {
-		data, err := os.ReadFile(file)
+	ok = true
+	for _, p := range pkgs {
+		var full bool
+		switch plain := p.plainPath(); {
+		case p.ForTest == "" && p.Name == "main" && strings.HasSuffix(p.ImportPath, ".test"):
+			continue // generated test main
+		case p.ForTest == "":
+			full = !p.DepOnly && !hasTestVariant[plain]
+		default:
+			full = !p.DepOnly && (plain == p.ForTest || plain == p.ForTest+"_test")
+		}
+		if !full {
+			// A facts-only pass that fails costs downstream precision,
+			// not the run.
+			if err := checkFactsOnly(p, exports, cwd, producers, facts); err != nil {
+				fmt.Fprintf(stderr, "%s: %s (facts skipped): %v\n", progname, p.ImportPath, err)
+			}
+			continue
+		}
+		d, err := checkPackage(p, exports, cwd, analyzers, facts)
 		if err != nil {
+			fmt.Fprintf(stderr, "%s: %s: %v\n", progname, p.ImportPath, err)
+			ok = false
 			continue
 		}
-		if err := store.DecodePackage(path, data); err != nil {
-			continue
-		}
+		diags = append(diags, d...)
 	}
-	return store
+	return diags, ok
 }
 
-// writeVetx persists this unit's exported facts as its .vetx body.
-func writeVetx(cfg *Config, facts *analysis.FactStore) error {
-	if cfg.VetxOutput == "" {
-		return nil
+// loadPackages shells out to the go command for pattern expansion,
+// test variants and export data, returning every non-standard package
+// with Go files in the dependency closure — dependencies before
+// importers, matched packages flagged by DepOnly=false — plus an
+// import-path → export-file map covering the whole closure.
+func loadPackages(patterns []string) (pkgs []*listPackage, exports map[string]string, err error) {
+	args := append([]string{"list", "-json", "-deps", "-export", "-test"}, patterns...)
+	cmd := exec.Command("go", args...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		msg := bytes.TrimSpace(stderr.Bytes())
+		if len(msg) > 0 {
+			return nil, nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, msg)
+		}
+		return nil, nil, fmt.Errorf("go list %v: %v", patterns, err)
 	}
-	body, err := facts.EncodePackage(cfg.ImportPath)
-	if err != nil {
-		return err
+
+	exports = map[string]string{}
+	dec := json.NewDecoder(&stdout)
+	for dec.More() {
+		p := new(listPackage)
+		if err := dec.Decode(p); err != nil {
+			return nil, nil, fmt.Errorf("decoding go list output: %w", err)
+		}
+		if p.Error != nil {
+			return nil, nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
+		}
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+		if !p.Standard && len(p.GoFiles) > 0 {
+			pkgs = append(pkgs, p)
+		}
 	}
-	return os.WriteFile(cfg.VetxOutput, body, 0o666)
+	return pkgs, exports, nil
+}
+
+// checkFactsOnly runs the fact producers over a package the run does
+// not analyze. A producer tripping over code the patterns never
+// selected is contained here: the panic becomes an error, the package
+// just exports no facts.
+func checkFactsOnly(p *listPackage, exports map[string]string, cwd string, producers []*analysis.Analyzer, facts *analysis.FactStore) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("fact producer panicked: %v", r)
+		}
+	}()
+	_, err = checkPackage(p, exports, cwd, producers, facts)
+	return err
 }
 
 // Diag is one rendered diagnostic. Suppressed diagnostics (silenced by
-// a //spartanvet:ignore directive) are carried along for the data
-// formats, which report them as SARIF suppressions instead of dropping
-// them.
+// a //spartanvet:ignore directive) are carried along for the SARIF
+// report, which lists them as suppressions instead of dropping them.
 type Diag struct {
 	Position   token.Position
 	Message    string
@@ -417,26 +273,24 @@ func (d Diag) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Position, d.Message, d.Analyzer)
 }
 
-// checkPackage parses and type-checks the unit and runs the analyzers.
-// Dependency facts arrive through facts; fact-producing analyzers
-// export this package's facts into the same store.
-func checkPackage(cfg *Config, analyzers []*analysis.Analyzer, opts *options, facts *analysis.FactStore) ([]Diag, error) {
+// checkPackage parses and type-checks p under its plain import path,
+// resolving imports through p.ImportMap to the export data in exports,
+// and runs the analyzers. Dependency facts arrive through facts;
+// fact-producing analyzers export this package's facts into the same
+// store. File names in the diagnostics are made relative to cwd.
+func checkPackage(p *listPackage, exports map[string]string, cwd string, analyzers []*analysis.Analyzer, facts *analysis.FactStore) ([]Diag, error) {
 	fset := token.NewFileSet()
-	files := make([]*ast.File, 0, len(cfg.GoFiles))
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+	files := make([]*ast.File, 0, len(p.GoFiles))
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
 
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	base := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
+	base := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
@@ -451,17 +305,12 @@ func checkPackage(cfg *Config, analyzers []*analysis.Analyzer, opts *options, fa
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
 	tcfg := &types.Config{
-		Importer:  mappedImporter{m: cfg.ImportMap, next: base},
-		GoVersion: cfg.GoVersion,
-		Sizes:     types.SizesFor(compiler, buildArch()),
+		Importer: mappedImporter{m: p.ImportMap, next: base},
+		Sizes:    types.SizesFor("gc", buildArch()),
 	}
-	pkg, err := tcfg.Check(cfg.ImportPath, fset, files, info)
+	pkg, err := tcfg.Check(p.plainPath(), fset, files, info)
 	if err != nil {
 		return nil, err
-	}
-
-	if opts.debugCFG != "" {
-		dumpCFGs(opts.stderr, fset, files, opts.debugCFG)
 	}
 
 	// One suppression index shared by every analyzer, so that after the
@@ -469,7 +318,7 @@ func checkPackage(cfg *Config, analyzers []*analysis.Analyzer, opts *options, fa
 	sup := analysis.IndexSuppressions(fset, files)
 	toDiag := func(d analysis.Diagnostic) Diag {
 		pos := fset.Position(d.Pos)
-		pos.Filename = relativeTo(pos.Filename, cfg.Dir)
+		pos.Filename = relativeTo(pos.Filename, cwd)
 		out := Diag{Position: pos, Message: d.Message, Analyzer: d.Analyzer}
 		for _, rel := range d.Related {
 			// In-package steps carry a token.Pos; cross-package sites (a
@@ -478,7 +327,7 @@ func checkPackage(cfg *Config, analyzers []*analysis.Analyzer, opts *options, fa
 			if rel.Pos.IsValid() {
 				rp = fset.Position(rel.Pos)
 			}
-			rp.Filename = relativeTo(rp.Filename, cfg.Dir)
+			rp.Filename = relativeTo(rp.Filename, cwd)
 			out.Related = append(out.Related, RelDiag{Position: rp, Message: rel.Message})
 		}
 		return out
@@ -501,7 +350,7 @@ func checkPackage(cfg *Config, analyzers []*analysis.Analyzer, opts *options, fa
 			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
 	}
-	for _, d := range sup.Stale(known, opts.judgeAll) {
+	for _, d := range sup.Stale(known, true) {
 		diags = append(diags, toDiag(d))
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -517,22 +366,8 @@ func checkPackage(cfg *Config, analyzers []*analysis.Analyzer, opts *options, fa
 	return diags, nil
 }
 
-// dumpCFGs prints the control-flow graph of every function declaration
-// named name, for analyzer debugging (-debug.cfg=<func>).
-func dumpCFGs(w io.Writer, fset *token.FileSet, files []*ast.File, name string) {
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != name || fd.Body == nil {
-				continue
-			}
-			fmt.Fprintf(w, "# CFG %s (%s)\n%s", name, fset.Position(fd.Pos()), cfg.New(fd.Body).Format(fset))
-		}
-	}
-}
-
 // relativeTo shortens absolute file names to be relative to the working
-// directory `go vet` launched the tool in, matching cmd/vet output.
+// directory the tool runs in.
 func relativeTo(filename, dir string) string {
 	if dir == "" {
 		return filename
@@ -550,8 +385,9 @@ func buildArch() string {
 	return runtime.GOARCH
 }
 
-// mappedImporter resolves source-level import paths through the unit's
-// ImportMap (vendoring, test variants) before loading export data.
+// mappedImporter resolves source-level import paths through the
+// package's ImportMap (vendoring, test variants) before loading export
+// data.
 type mappedImporter struct {
 	m    map[string]string
 	next types.Importer

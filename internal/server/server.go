@@ -86,8 +86,7 @@ type metrics struct {
 	rawBytes       obs.Counter   // spartan_compress_raw_bytes_total
 	outBytes       obs.Counter   // spartan_compress_compressed_bytes_total
 
-	queryLatency  obs.Histogram // spartan_query_duration_seconds
-	querySegments obs.Counter   // spartan_query_segments_total{result}
+	querySegments obs.Counter // spartan_query_segments_total{result}
 }
 
 // Option customizes the service.
@@ -228,9 +227,6 @@ func newMetrics(reg *obs.Registry) metrics {
 			"Requests rejected by overload protection, by reason (concurrency, timeout, body_too_large).", "reason"),
 		pipelines: reg.Gauge("spartan_pipelines_in_flight",
 			"Compression/query pipelines currently executing."),
-		queryLatency: reg.Histogram("spartan_query_duration_seconds",
-			"End-to-end /query pipeline duration in seconds (decode + aggregate).",
-			obs.DefBuckets),
 		querySegments: reg.Counter("spartan_query_segments_total",
 			"Archive segments seen by /query, by result (decoded, pruned).", "result"),
 	}
@@ -574,7 +570,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Close the root before stamping headers so Total is frozen (Finish is
 	// idempotent; the deferred call becomes a no-op).
 	root.Finish()
-	s.m.queryLatency.Observe(root.Duration().Seconds())
 	h := w.Header()
 	h.Set("X-Spartan-Timing-Decode", decodeSpan.Duration().String())
 	h.Set("X-Spartan-Timing-Aggregate", aggSpan.Duration().String())

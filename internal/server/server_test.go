@@ -211,7 +211,7 @@ func TestPhaseMetricsExposition(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		`spartan_query_duration_seconds_count 1`,
+		`spartan_phase_duration_seconds_count{trace="query",phase="query"} 1`,
 		`spartan_phase_duration_seconds_count{trace="query",phase="decode"} 1`,
 		`spartan_phase_duration_seconds_count{trace="query",phase="aggregate"} 1`,
 		`spartan_phase_duration_seconds_count{trace="compress",phase="cart_selection"} 1`,
