@@ -16,7 +16,9 @@
 // container magic: OpenSegmented refuses anything else with ErrNotArchive,
 // and ReadAll falls back to decoding a bare codec stream. All segments
 // must share one schema (attribute names and kinds); categorical
-// dictionaries may differ per segment and are re-unified on read.
+// dictionaries may differ per segment, and a multi-segment read unions
+// them in segment order. A read that keeps one segment returns it as
+// decoded.
 package archive
 
 import (
@@ -249,40 +251,57 @@ func readFrameBytes(r io.Reader, n uint64) ([]byte, error) {
 	return dst, nil
 }
 
-// mergeTables concatenates the rows of equal-schema tables in order,
-// re-unifying categorical dictionaries.
+// mergeTables concatenates equal-schema tables column by column, in
+// order. Numeric columns append; a categorical column's dictionary is the
+// union of the segment dictionaries in segment order, and each segment's
+// codes remap through one translation of its dictionary. One table is
+// returned as decoded.
 func mergeTables(tables []*table.Table) (*table.Table, error) {
-	var builder *table.Builder
-	var schema table.Schema
-	for _, t := range tables {
-		if builder == nil {
-			schema = t.Schema().Clone()
-			var err error
-			builder, err = table.NewBuilder(schema)
-			if err != nil {
-				return nil, err
-			}
-		} else if err := sameSchema(schema, t.Schema()); err != nil {
-			return nil, err
-		}
-		row := make([]any, t.NumCols())
-		for r := 0; r < t.NumRows(); r++ {
-			for c := 0; c < t.NumCols(); c++ {
-				if t.Attr(c).Kind == table.Numeric {
-					row[c] = t.Float(r, c)
-				} else {
-					row[c] = t.CatString(r, c)
-				}
-			}
-			if err := builder.AppendRow(row...); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if builder == nil {
+	if len(tables) == 0 {
 		return nil, ErrEmptyArchive
 	}
-	return builder.Build()
+	schema := tables[0].Schema()
+	rows := 0
+	for _, t := range tables {
+		if err := sameSchema(schema, t.Schema()); err != nil {
+			return nil, err
+		}
+		rows += t.NumRows()
+	}
+	if len(tables) == 1 {
+		return tables[0], nil
+	}
+	cols := make([]*table.Column, len(schema))
+	for c, a := range schema {
+		col := &table.Column{Kind: a.Kind}
+		if a.Kind == table.Numeric {
+			col.Floats = make([]float64, 0, rows)
+			for _, t := range tables {
+				col.Floats = append(col.Floats, t.Col(c).Floats...)
+			}
+		} else {
+			col.Codes = make([]int32, 0, rows)
+			union := make(map[string]int32)
+			for _, t := range tables {
+				src := t.Col(c)
+				remap := make([]int32, len(src.Dict))
+				for i, s := range src.Dict {
+					code, ok := union[s]
+					if !ok {
+						code = int32(len(col.Dict))
+						union[s] = code
+						col.Dict = append(col.Dict, s)
+					}
+					remap[i] = code
+				}
+				for _, code := range src.Codes {
+					col.Codes = append(col.Codes, remap[code])
+				}
+			}
+		}
+		cols[c] = col
+	}
+	return table.New(schema, cols)
 }
 
 // ReadAll reads r to the end and decodes it as one table: an archive

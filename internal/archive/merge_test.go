@@ -1,0 +1,165 @@
+package archive
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/obs"
+	"repro/internal/query"
+	"repro/internal/table"
+)
+
+// catTable builds a (v, g) table from parallel value and group slices,
+// so each call gets its own dictionary in first-seen order.
+func catTable(t *testing.T, vs []float64, gs []string) *table.Table {
+	t.Helper()
+	b, err := table.NewBuilder(table.Schema{
+		{Name: "v", Kind: table.Numeric},
+		{Name: "g", Kind: table.Categorical},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range vs {
+		b.MustAppendRow(vs[i], gs[i])
+	}
+	tb, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// TestMergeTranslatesDictionaries: segments written from independently
+// built tables carry their own dictionaries — reordered, and one with a
+// value the others lack — and every read path must translate each
+// segment's codes into the merged dictionary.
+func TestMergeTranslatesDictionaries(t *testing.T) {
+	vs := [][]float64{{1, 2, 3, 4}, {5, 6, 7}, {8, 9, 10, 11}}
+	gs := [][]string{{"b", "a", "b", "a"}, {"a", "b", "a"}, {"c", "a", "c", "b"}}
+	var buf bytes.Buffer
+	aw, err := NewWriter(&buf, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allV []float64
+	var allG []string
+	for i := range vs {
+		if _, err := aw.WriteBlock(catTable(t, vs[i], gs[i])); err != nil {
+			t.Fatal(err)
+		}
+		allV = append(allV, vs[i]...)
+		allG = append(allG, gs[i]...)
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	input := catTable(t, allV, allG)
+
+	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range [][]string{{"b", "a"}, {"a", "b"}, {"c", "a", "b"}} {
+		seg, err := sr.Segment(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := seg.Col(1).Dict; !slices.Equal(got, want) {
+			t.Fatalf("segment %d dictionary %q, want %q", i, got, want)
+		}
+	}
+
+	back, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !table.Equal(input, back) {
+		t.Error("ReadAll of segments with differing dictionaries changed the table")
+	}
+	q := query.Query{Agg: query.Sum, Column: "v", GroupBy: "g"}
+	got, _, err := sr.Query(nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := query.Run(input, nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, got, want)
+}
+
+// TestMergeAllocations: merging decoded segments costs allocations per
+// column and segment, not per row, and a lone segment comes back as
+// decoded.
+func TestMergeAllocations(t *testing.T) {
+	tb := datagen.CDR(32<<10, 1)
+	var buf bytes.Buffer
+	if _, err := WriteTable(&buf, tb, core.Options{}, SegmentOptions{SegmentRows: 8 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := sr.decode([]int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := mergeTables(tables); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Errorf("merging 4 segments of %d rows took %.0f allocations, want at most 200", tb.NumRows(), allocs)
+	}
+
+	one, err := mergeTables(tables[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one != tables[0] {
+		t.Error("merging one segment rebuilt it instead of returning it as decoded")
+	}
+}
+
+// TestQuerySpans: a parent span gets one prune, decode and aggregate
+// child, in that order.
+func TestQuerySpans(t *testing.T) {
+	tb := prunableTable(t, 300)
+	var buf bytes.Buffer
+	if _, err := WriteTable(&buf, tb, core.Options{}, SegmentOptions{SegmentRows: 300}); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("query")
+	root := tr.Start("query")
+	_, qs, err := sr.QuerySpan(root, nil, query.Query{Agg: query.Count, Where: query.NumCmp("v", query.Gt, 500)})
+	root.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qs.Pruned != 1 {
+		t.Errorf("pruned %d segments, want 1", qs.Pruned)
+	}
+	var names []string
+	for _, s := range tr.Spans() {
+		if s.Depth != 0 && s.Depth != 1 {
+			t.Errorf("span %q at depth %d", s.Name, s.Depth)
+		}
+		if s.End.IsZero() {
+			t.Errorf("span %q left open", s.Name)
+		}
+		names = append(names, s.Name)
+	}
+	if want := []string{"query", "prune", "decode", "aggregate"}; !slices.Equal(names, want) {
+		t.Errorf("spans %q, want %q", names, want)
+	}
+}

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/table"
 )
@@ -420,13 +421,52 @@ type QueryStats struct {
 // evaluates with the archive-wide row count and value bounds in scope,
 // so the result — definite rows, uncertain rows and interval bounds —
 // is identical to decoding every segment and querying the whole table.
+// It is QuerySpan with no parent span.
 func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
+	return sr.QuerySpan(nil, tol, q)
+}
+
+// QuerySpan is Query with its stages timed as children of parent:
+// "prune" for the zone-map checks, "decode" for the frame reads, the
+// parallel segment decode and the merge, and "aggregate" for the
+// evaluation. A nil parent records nothing.
+func (sr *SegReader) QuerySpan(parent *obs.Span, tol table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
 	if sr.closed {
 		return nil, nil, ErrReaderClosed
 	}
 	if len(sr.segs) == 0 {
 		return nil, nil, ErrEmptyArchive
 	}
+	if tol == nil {
+		tol = make(table.Tolerances, len(sr.schema))
+	}
+
+	pruneSpan := parent.StartChild("prune")
+	kept, scope, stats, err := sr.prune(tol, q)
+	pruneSpan.Finish()
+	if err != nil {
+		return nil, nil, err
+	}
+
+	decodeSpan := parent.StartChild("decode")
+	t, err := sr.keptTable(kept)
+	decodeSpan.Finish()
+	if err != nil {
+		return nil, nil, err
+	}
+
+	aggSpan := parent.StartChild("aggregate")
+	res, err := query.RunScoped(t, tol, q, scope)
+	aggSpan.Finish()
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, stats, nil
+}
+
+// prune returns the segments whose zone maps cannot refute q.Where, in
+// archive order, and the archive-wide scope the query evaluates in.
+func (sr *SegReader) prune(tol table.Tolerances, q query.Query) ([]int, *query.Scope, *QueryStats, error) {
 	colIdx := make(map[string]int, len(sr.schema))
 	for i, a := range sr.schema {
 		colIdx[a.Name] = i
@@ -449,12 +489,9 @@ func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, 
 		scope.Ranges[a.Name] = [2]float64{lo, hi}
 		ranges[i] = hi - lo
 	}
-	if tol == nil {
-		tol = make(table.Tolerances, len(sr.schema))
-	}
 	resolved, err := tol.ResolveRanges(sr.schema, ranges)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	tolMap := make(map[string]float64, len(sr.schema))
 	for i, a := range sr.schema {
@@ -484,30 +521,23 @@ func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, 
 			stats.RowsPruned += seg.Rows
 		}
 	}
+	return kept, scope, stats, nil
+}
 
-	var t *table.Table
+// keptTable decodes and merges the kept segments. With none kept it is
+// an empty table with the footer schema, so query validation and group
+// synthesis still run.
+func (sr *SegReader) keptTable(kept []int) (*table.Table, error) {
 	if len(kept) == 0 {
-		// Every segment refuted: query an empty table with the footer
-		// schema so validation and group synthesis still run.
 		cols := make([]*table.Column, len(sr.schema))
 		for i, a := range sr.schema {
 			cols[i] = &table.Column{Kind: a.Kind}
 		}
-		if t, err = table.New(sr.schema.Clone(), cols); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		tables, err := sr.decode(kept)
-		if err != nil {
-			return nil, nil, err
-		}
-		if t, err = mergeTables(tables); err != nil {
-			return nil, nil, err
-		}
+		return table.New(sr.schema, cols)
 	}
-	res, err := query.RunScoped(t, tol, q, scope)
+	tables, err := sr.decode(kept)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return res, stats, nil
+	return mergeTables(tables)
 }

@@ -501,32 +501,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	decodeSpan := root.StartChild("decode")
+	// The footer opens under "open". An archive's query then times its
+	// own prune, decode and aggregate spans under root; a bare stream
+	// decodes and aggregates under spans of the same names here.
+	openSpan := root.StartChild("open")
 	sr, err := archive.OpenSegmented(bytes.NewReader(data))
+	openSpan.Finish()
 	var t *table.Table
 	if errors.Is(err, archive.ErrNotArchive) {
+		decodeSpan := root.StartChild("decode")
 		t, err = core.Decompress(bytes.NewReader(data))
+		decodeSpan.Finish()
 	}
-	decodeSpan.Finish()
 	if err != nil {
 		s.bodyError(w, err)
 		return
 	}
 
-	var (
-		res     *query.Result
-		aggSpan *obs.Span
-	)
+	var res *query.Result
 	if sr != nil {
 		if spec.Where, err = query.ParsePredicate(q.Get("where"), sr.Schema()); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 		tol := table.UniformTolerancesSchema(sr.Schema(), numTol, catTol)
-		aggSpan = root.StartChild("aggregate")
 		var qs *archive.QueryStats
-		res, qs, err = sr.Query(tol, spec)
-		aggSpan.Finish()
+		res, qs, err = sr.QuerySpan(root, tol, spec)
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, err)
 			return
@@ -550,7 +550,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		tol := table.UniformTolerances(t, numTol, catTol)
-		aggSpan = root.StartChild("aggregate")
+		aggSpan := root.StartChild("aggregate")
 		res, err = query.Run(t, tol, spec)
 		aggSpan.Finish()
 		if err != nil {
@@ -571,8 +571,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// idempotent; the deferred call becomes a no-op).
 	root.Finish()
 	h := w.Header()
-	h.Set("X-Spartan-Timing-Decode", decodeSpan.Duration().String())
-	h.Set("X-Spartan-Timing-Aggregate", aggSpan.Duration().String())
+	h.Set("X-Spartan-Timing-Decode", (openSpan.Duration() + tr.Find("decode").Duration()).String())
+	h.Set("X-Spartan-Timing-Aggregate", tr.Find("aggregate").Duration().String())
 	h.Set("X-Spartan-Timing-Total", root.Duration().String())
 	h.Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)

@@ -286,6 +286,18 @@ func TestSegmentedCompressAndQuery(t *testing.T) {
 	if got := resp2.Header.Get("X-Spartan-Segments-Decoded"); got != "1" {
 		t.Errorf("X-Spartan-Segments-Decoded = %q, want 1", got)
 	}
+	// The stage headers are disjoint spans, so they fit inside the total.
+	var staged time.Duration
+	for _, hdr := range []string{"X-Spartan-Timing-Decode", "X-Spartan-Timing-Aggregate"} {
+		d, err := time.ParseDuration(resp2.Header.Get(hdr))
+		if err != nil {
+			t.Fatalf("%s: %v", hdr, err)
+		}
+		staged += d
+	}
+	if total, err := time.ParseDuration(resp2.Header.Get("X-Spartan-Timing-Total")); err != nil || staged > total {
+		t.Errorf("Decode + Aggregate = %v exceeds Total %q (%v)", staged, resp2.Header.Get("X-Spartan-Timing-Total"), err)
+	}
 	var out queryResponse
 	if err := json.NewDecoder(resp2.Body).Decode(&out); err != nil {
 		t.Fatal(err)
@@ -303,9 +315,15 @@ func TestSegmentedCompressAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One span per stage: the server times the footer open, and the
+	// archive's query times prune, decode and aggregate.
 	for _, want := range []string{
 		`spartan_query_segments_total{result="pruned"} 3`,
 		`spartan_query_segments_total{result="decoded"} 1`,
+		`spartan_phase_duration_seconds_count{trace="query",phase="open"} 1`,
+		`spartan_phase_duration_seconds_count{trace="query",phase="prune"} 1`,
+		`spartan_phase_duration_seconds_count{trace="query",phase="decode"} 1`,
+		`spartan_phase_duration_seconds_count{trace="query",phase="aggregate"} 1`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
