@@ -8,13 +8,15 @@ import (
 )
 
 // Segmented archives: tables far larger than memory compress in bounded
-// space by splitting rows into segments, each independently semantically
-// compressed (concurrently, on a bounded worker pool). The archive's
-// footer records per-segment byte extents, row counts and zone maps, so
+// space by splitting rows into segments. The CaRT models are learned
+// once per archive and stored once; each segment applies them to its
+// rows (concurrently, on a bounded worker pool). The archive's footer
+// records per-segment byte extents, row counts and zone maps, so
 // seekable readers decode segments on demand and queries skip segments
 // their predicate provably excludes.
 
-// ArchiveWriter appends independently compressed segments to a stream.
+// ArchiveWriter appends segments to a stream, all compressed with the
+// models learned from its first segment.
 type ArchiveWriter = archive.Writer
 
 // Archive reads an archive through its footer: segments decode on
@@ -48,10 +50,12 @@ var ErrNotArchive = archive.ErrNotArchive
 // leaves SegmentRows zero.
 const DefaultSegmentRows = archive.DefaultSegmentRows
 
-// NewArchiveWriter starts an archive on w; the options apply to every
-// segment (prefer absolute tolerances so all segments enforce one
-// bound). Use CompressArchive to split and compress a whole table in
-// parallel instead of framing segments by hand.
+// NewArchiveWriter starts an archive on w. The models are learned from
+// the first block written, and quantile tolerances resolve against that
+// block's value ranges, so prefer absolute tolerances when later blocks
+// may range wider. Use CompressArchive to split and compress a whole
+// table in parallel instead of framing segments by hand; it learns on
+// the whole table.
 func NewArchiveWriter(w io.Writer, opts Options) (*ArchiveWriter, error) {
 	return archive.NewWriter(w, opts)
 }
@@ -63,9 +67,10 @@ func ReadArchive(r io.Reader) (*Table, error) {
 	return archive.ReadAll(r)
 }
 
-// CompressArchive splits t into row segments and writes a segmented
-// archive to w, compressing segments concurrently. The output bytes do
-// not depend on the worker count.
+// CompressArchive learns the models on all of t, splits t into row
+// segments and writes a segmented archive to w, applying the models to
+// segments concurrently. Quantile tolerances resolve against all of t.
+// The output bytes do not depend on the worker count.
 func CompressArchive(w io.Writer, t *Table, opts Options, seg SegmentOptions) (*ArchiveStats, error) {
 	return archive.WriteTable(w, t, opts, seg)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro"
 )
@@ -36,11 +37,15 @@ func openArchiveFile(path string) (*spartan.Archive, error) {
 }
 
 // writeSegmented compresses t into a segmented archive on w, reporting
-// per-segment and total statistics on report.
+// the shared plan once, then per-segment and total statistics, on report.
 func writeSegmented(w, report io.Writer, t *spartan.Table, opts spartan.Options, seg spartan.SegmentOptions) error {
 	stats, err := spartan.CompressArchive(w, t, opts, seg)
 	if err != nil {
 		return err
+	}
+	if len(stats.PerSegment) > 0 {
+		// The first segment carries the learn step's statistics.
+		fmt.Fprintf(report, "predicted: %s (shared by every segment)\n", strings.Join(stats.PerSegment[0].Predicted, ", "))
 	}
 	for i, s := range stats.PerSegment {
 		fmt.Fprintf(report, "segment %d: ratio %.4f (%d outliers)\n", i, s.Ratio, s.Outliers)

@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro"
@@ -132,6 +133,24 @@ func TestCompressQuietSegmented(t *testing.T) {
 	}
 	if stderr != "" {
 		t.Errorf("-q compress wrote to stderr:\n%s", stderr)
+	}
+}
+
+// TestCompressSegmentedReport checks that a segmented compress names the
+// shared predicted attributes once, before the per-segment lines.
+func TestCompressSegmentedReport(t *testing.T) {
+	_, binPath := writeTempTable(t)
+	sptn := filepath.Join(filepath.Dir(binPath), "report.sptn")
+	stderr, err := captureStderr(t, func() error {
+		return cmdCompress([]string{"-in", binPath, "-out", sptn, "-tolerance", "0.01", "-segment-rows", "300"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(stderr), "\n")
+	if len(lines) < 3 || !strings.HasPrefix(lines[0], "predicted: ") || !strings.HasPrefix(lines[1], "segment 0: ") ||
+		strings.Count(stderr, "predicted") != 1 {
+		t.Errorf("segmented compress report:\n%s\nwant one predicted line before the segment lines", stderr)
 	}
 }
 

@@ -1,8 +1,9 @@
-// Archive footer: per-segment metadata (byte extents, row counts, zone
-// maps) serialized after the segment region's terminator, followed by a
-// fixed-size trailer that locates and checksums it. Every read parses
-// the footer first: it plans which segment bodies to decode, and each
-// decoded segment is checked against its entry.
+// Archive footer: the model block's extent and per-segment metadata
+// (byte extents, row counts, zone maps), serialized after the model
+// block, followed by a fixed-size trailer that locates and checksums it.
+// Every read parses the footer first: it locates the model block, plans
+// which segment bodies to decode, and each decoded segment is checked
+// against its entry.
 package archive
 
 import (
@@ -21,7 +22,7 @@ import (
 // Trailer layout: crc32(footer) uint32 LE, footer length uint32 LE, end
 // magic. Fixed size so a reader finds it at EOF−16 without scanning.
 const (
-	endMagic    = "SPARC2E\n"
+	endMagic    = "SPARC3E\n"
 	trailerSize = 4 + 4 + len(endMagic)
 )
 
@@ -32,9 +33,10 @@ const maxFooterBytes = 1 << 28
 // ZoneMap summarizes one column of one segment for predicate pruning.
 type ZoneMap struct {
 	// Min and Max bound every value the segment can decode to for a
-	// numeric column: the observed range widened by the segment's
-	// resolved compression tolerance, so lossy reconstruction stays
-	// inside the zone. Zero for categorical columns.
+	// numeric column: the observed range widened by the archive-wide
+	// resolved compression tolerance, the bound every segment
+	// reconstructs within, so lossy reconstruction stays inside the
+	// zone. Zero for categorical columns.
 	Min, Max float64
 	// Fingerprint is a 64-bit membership filter for a categorical
 	// column: bit fpBit(v) is set for every dictionary value v present
@@ -56,11 +58,15 @@ func fpBit(value string) uint64 {
 	return 1 << (h.Sum64() % 64)
 }
 
-// SegmentInfo is one footer entry: where a segment's codec stream lives
+// extent is where a section lives in the archive: its byte offset and
+// length.
+type extent struct{ Offset, Length int64 }
+
+// SegmentInfo is one footer entry: where a segment's codec body lives
 // and what its rows can contain.
 type SegmentInfo struct {
-	// Offset is the stream position of the segment's codec bytes (after
-	// the uvarint length prefix); Length is their byte count.
+	// Offset is the stream position of the segment's codec body (after
+	// the uvarint length prefix); Length is its byte count.
 	Offset, Length int64
 	// Rows is the segment's row count.
 	Rows int
@@ -69,22 +75,18 @@ type SegmentInfo struct {
 }
 
 // computeZones builds the per-column zone maps for one segment. Numeric
-// zones are widened by the segment's resolved tolerance so decoded
-// (lossy) values provably stay inside them; tol may be nil for lossless.
-func computeZones(t *table.Table, tol table.Tolerances) ([]ZoneMap, error) {
-	if tol == nil {
-		tol = table.ZeroTolerances(t)
-	}
-	resolved, err := tol.Resolve(t)
-	if err != nil {
-		return nil, err
-	}
+// zones are widened by the archive's resolved tolerances (nil for
+// lossless) so decoded (lossy) values provably stay inside them.
+func computeZones(t *table.Table, resolved table.Tolerances) []ZoneMap {
 	zones := make([]ZoneMap, t.NumCols())
 	for i := 0; i < t.NumCols(); i++ {
 		col := t.Col(i)
 		if t.Attr(i).Kind == table.Numeric {
 			lo, hi := col.MinMax()
-			e := resolved[i].Value
+			e := 0.0
+			if resolved != nil {
+				e = resolved[i].Value
+			}
 			zones[i] = ZoneMap{Min: lo - e, Max: hi + e}
 			continue
 		}
@@ -99,23 +101,19 @@ func computeZones(t *table.Table, tol table.Tolerances) ([]ZoneMap, error) {
 		}
 		zones[i] = ZoneMap{Fingerprint: fp}
 	}
-	return zones, nil
+	return zones
 }
 
-// writeFooter serializes the footer: schema (names and kinds), then the
-// segment directory with zone maps. Dictionaries are not repeated here —
-// each segment's codec stream carries its own.
-func writeFooter(bw *bufio.Writer, schema table.Schema, segs []SegmentInfo) error {
-	if err := putUvarint(bw, uint64(len(schema))); err != nil {
+// writeFooter serializes the footer: the model block's extent (of length
+// zero in an archive with no segments), then the segment directory with
+// zone maps laid out by the schema's kinds. The schema itself, with its
+// dictionaries, is in the model block.
+func writeFooter(bw *bufio.Writer, modelBlock extent, schema table.Schema, segs []SegmentInfo) error {
+	if err := putUvarint(bw, uint64(modelBlock.Offset)); err != nil {
 		return err
 	}
-	for _, a := range schema {
-		if err := putString(bw, a.Name); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(a.Kind)); err != nil {
-			return err
-		}
+	if err := putUvarint(bw, uint64(modelBlock.Length)); err != nil {
+		return err
 	}
 	if err := putUvarint(bw, uint64(len(segs))); err != nil {
 		return err
@@ -155,95 +153,88 @@ func writeFooter(bw *bufio.Writer, schema table.Schema, segs []SegmentInfo) erro
 	return nil
 }
 
-// readFooter parses a footer. size is the total archive byte size, used
-// to reject segment extents pointing outside the file; lim bounds the
-// allocations a hostile footer could otherwise demand.
-func readFooter(br *bufio.Reader, size int64, lim codec.DecodeLimits) (table.Schema, []SegmentInfo, error) {
-	lim = lim.WithDefaults()
-	ncols, err := binary.ReadUvarint(br)
+// readExtent reads an extent from the footer and checks it lies inside
+// an archive of size bytes, after the magic.
+func readExtent(br *bufio.Reader, size int64, what string) (extent, error) {
+	off, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, nil, fmt.Errorf("archive: reading footer column count: %w", err)
+		return extent{}, fmt.Errorf("archive: reading %s offset: %w", what, err)
 	}
-	if ncols > lim.MaxCols {
-		return nil, nil, fmt.Errorf("archive: footer column count %d exceeds limit %d", ncols, lim.MaxCols)
+	length, err := binary.ReadUvarint(br)
+	if err != nil {
+		return extent{}, fmt.Errorf("archive: reading %s length: %w", what, err)
 	}
-	schema := make(table.Schema, ncols)
-	for i := range schema {
-		name, err := getString(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		kb, err := br.ReadByte()
-		if err != nil {
-			return nil, nil, err
-		}
-		kind := table.Kind(kb)
-		if kind != table.Numeric && kind != table.Categorical {
-			return nil, nil, fmt.Errorf("archive: footer has unknown kind %d", kb)
-		}
-		schema[i] = table.Attribute{Name: name, Kind: kind}
+	if off > maxArchiveBytes || off > uint64(size) || off < uint64(len(magic)) {
+		return extent{}, fmt.Errorf("archive: footer %s offset %d outside archive of %d bytes", what, off, size)
 	}
+	if length > maxArchiveBytes || length > uint64(size)-off {
+		return extent{}, fmt.Errorf("archive: footer %s length %d overruns archive of %d bytes", what, length, size)
+	}
+	return extent{Offset: int64(off), Length: int64(length)}, nil
+}
+
+// readSegments parses the footer's segment directory, which follows the
+// model block's extent. schema is the model block's (nil when the
+// archive has none, which then must have no segments); size is the
+// total archive byte size, used to reject segment extents pointing
+// outside the file; lim bounds the allocations a hostile footer could
+// otherwise demand.
+func readSegments(br *bufio.Reader, size int64, schema table.Schema, lim codec.DecodeLimits) ([]SegmentInfo, error) {
+	lim = lim.WithDefaults()
 	nsegs, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, nil, fmt.Errorf("archive: reading footer segment count: %w", err)
+		return nil, fmt.Errorf("archive: reading footer segment count: %w", err)
 	}
 	if nsegs > maxFooterBytes || nsegs > uint64(size) {
 		// Every segment costs at least one stream byte (and several footer
 		// bytes), so a count past either size is a lie regardless of limits.
-		return nil, nil, fmt.Errorf("archive: footer claims %d segments in a %d-byte archive", nsegs, size)
+		return nil, fmt.Errorf("archive: footer claims %d segments in a %d-byte archive", nsegs, size)
+	}
+	if nsegs > 0 && schema == nil {
+		return nil, fmt.Errorf("archive: footer claims %d segments but no model block", nsegs)
 	}
 	// Grow incrementally so a lying count cannot force a huge allocation
 	// before the footer bytes run out.
 	segs := make([]SegmentInfo, 0, min(int(nsegs), 1<<12))
 	for s := uint64(0); s < nsegs; s++ {
-		off, err := binary.ReadUvarint(br)
+		ext, err := readExtent(br, size, fmt.Sprintf("segment %d", s))
 		if err != nil {
-			return nil, nil, err
-		}
-		length, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		if off > maxArchiveBytes || off > uint64(size) || off < uint64(len(magic)) {
-			return nil, nil, fmt.Errorf("archive: footer segment %d offset %d outside archive of %d bytes", s, off, size)
-		}
-		if length > maxArchiveBytes || length > uint64(size)-off {
-			return nil, nil, fmt.Errorf("archive: footer segment %d length %d overruns archive of %d bytes", s, length, size)
+			return nil, err
 		}
 		rows, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if rows > lim.MaxRows {
-			return nil, nil, fmt.Errorf("archive: footer segment %d row count %d exceeds limit %d", s, rows, lim.MaxRows)
+			return nil, fmt.Errorf("archive: footer segment %d row count %d exceeds limit %d", s, rows, lim.MaxRows)
 		}
-		zones := make([]ZoneMap, ncols)
+		zones := make([]ZoneMap, len(schema))
 		for i := range zones {
 			var b [8]byte
 			if schema[i].Kind == table.Numeric {
 				if _, err := io.ReadFull(br, b[:]); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				zones[i].Min = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 				if _, err := io.ReadFull(br, b[:]); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				zones[i].Max = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 			} else {
 				if _, err := io.ReadFull(br, b[:]); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				zones[i].Fingerprint = binary.LittleEndian.Uint64(b[:])
 			}
 		}
 		segs = append(segs, SegmentInfo{
-			Offset: int64(off),
-			Length: int64(length),
+			Offset: ext.Offset,
+			Length: ext.Length,
 			Rows:   int(rows),
 			Zones:  zones,
 		})
 	}
-	return schema, segs, nil
+	return segs, nil
 }
 
 // makeTrailer builds the fixed-size trailer for the serialized footer.
@@ -263,27 +254,4 @@ func putUvarint(bw *bufio.Writer, v uint64) error {
 	n := binary.PutUvarint(buf[:], v)
 	_, err := bw.Write(buf[:n])
 	return err
-}
-
-func putString(bw *bufio.Writer, s string) error {
-	if err := putUvarint(bw, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := bw.WriteString(s)
-	return err
-}
-
-func getString(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<24 {
-		return "", fmt.Errorf("archive: implausible string length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -11,8 +11,8 @@ import (
 
 // FuzzDecodeArchive asserts the archive reader never panics on corrupted
 // bytes: every input must either decode to a valid table or fail with an
-// error, through ReadAll and through per-segment decodes under tight
-// limits. Input with the retired block-archive magic must always fail.
+// error, through ReadAll and through per-segment decodes against the
+// shared model block under tight limits. Input with the retired block-archive magic must always fail.
 // Run with `go test -fuzz=FuzzDecodeArchive ./internal/archive` for real
 // fuzzing; the seed corpus runs as a normal test.
 func FuzzDecodeArchive(f *testing.F) {
@@ -67,6 +67,15 @@ func FuzzDecodeArchive(f *testing.F) {
 	badCRC := append([]byte(nil), valid...)
 	badCRC[len(badCRC)-trailerSize] ^= 0xFF // corrupt the footer checksum
 	f.Add(badCRC)
+	// The model block starts after the last segment and the terminator.
+	sr, err := OpenSegmented(bytes.NewReader(valid))
+	if err != nil {
+		f.Fatal(err)
+	}
+	last := sr.Info(sr.NumSegments() - 1)
+	badModel := append([]byte(nil), valid...)
+	badModel[last.Offset+last.Length+8] ^= 0xFF // corrupt the model block
+	f.Add(badModel)
 
 	// Tight limits: no corrupted input may allocate past these, and a
 	// valid archive that fits them must still decode.

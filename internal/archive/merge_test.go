@@ -33,10 +33,10 @@ func catTable(t *testing.T, vs []float64, gs []string) *table.Table {
 	return tb
 }
 
-// TestMergeTranslatesDictionaries: segments written from independently
-// built tables carry their own dictionaries — reordered, and one with a
-// value the others lack — and every read path must translate each
-// segment's codes into the merged dictionary.
+// TestMergeTranslatesDictionaries: blocks built independently carry
+// their own dictionaries — reordered, and one with a value the others
+// lack. WriteBlock recodes each block into the archive dictionary, so
+// every segment decodes with it and every read path returns the input.
 func TestMergeTranslatesDictionaries(t *testing.T) {
 	vs := [][]float64{{1, 2, 3, 4}, {5, 6, 7}, {8, 9, 10, 11}}
 	gs := [][]string{{"b", "a", "b", "a"}, {"a", "b", "a"}, {"c", "a", "c", "b"}}
@@ -63,13 +63,16 @@ func TestMergeTranslatesDictionaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range [][]string{{"b", "a"}, {"a", "b"}, {"c", "a", "b"}} {
+	for i := range vs {
 		seg, err := sr.Segment(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := seg.Col(1).Dict; !slices.Equal(got, want) {
-			t.Fatalf("segment %d dictionary %q, want %q", i, got, want)
+		if got, want := seg.Col(1).Dict, []string{"b", "a", "c"}; !slices.Equal(got, want) {
+			t.Fatalf("segment %d dictionary %q, want the archive's %q", i, got, want)
+		}
+		if !table.Equal(seg, catTable(t, vs[i], gs[i])) {
+			t.Errorf("segment %d changed", i)
 		}
 	}
 

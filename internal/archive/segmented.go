@@ -1,11 +1,12 @@
 // Segment-parallel archive construction and footer-driven reading.
-// WriteTable splits a table into row segments and compresses them on a
-// bounded worker pool — each segment's SPARTAN pipeline (sample, model
-// selection, CaRT construction, outlier scan) is independent — while a
-// single writer goroutine appends frames strictly in segment order, so
-// the output bytes are identical at any worker count. SegReader opens
-// the footer of a seekable archive and decodes segment bodies on demand,
-// letting Query skip segments whose zone maps refute the predicate.
+// WriteTable learns the archive's models once, on the whole table, then
+// splits the table into row segments and applies the models to them on a
+// bounded worker pool — each segment's row aggregation, outlier scan and
+// encode are independent — while a single writer goroutine appends
+// frames strictly in segment order, so the output bytes are identical at
+// any worker count. SegReader opens the footer and model block of a
+// seekable archive and decodes segment bodies on demand, letting Query
+// skip segments whose zone maps refute the predicate.
 package archive
 
 import (
@@ -29,10 +30,11 @@ import (
 )
 
 // DefaultSegmentRows is the segment size used when SegmentOptions leaves
-// SegmentRows zero. Large enough that per-segment model overhead (each
-// segment carries its own dictionaries and CaRTs) stays small against
-// the compressed payload, small enough that a handful of segments fit in
-// memory during parallel compression.
+// SegmentRows zero. Segments share one model block, so their size does
+// not change what is learned; it trades pruning granularity and the
+// per-segment cost (framing, zone maps, a gzip stream and the numeric
+// value dictionaries of its T') against how many segments fit in memory
+// during parallel compression.
 const DefaultSegmentRows = 64 << 10
 
 // SegmentOptions shapes how WriteTable splits and schedules work.
@@ -58,7 +60,11 @@ func (o SegmentOptions) withDefaults(rows int) SegmentOptions {
 	return o
 }
 
-// TableStats aggregates per-segment compression statistics.
+// TableStats aggregates per-segment compression statistics. The learn
+// step runs once per archive, and PerSegment[0] carries its share — the
+// dependency-finder and CaRT-selection timings, CartsBuilt, Predicted,
+// Materialized and the model block's bytes — so a sum over PerSegment
+// counts learning exactly once.
 type TableStats struct {
 	Segments        int
 	Rows            int
@@ -84,12 +90,13 @@ func WriteTable(w io.Writer, t *table.Table, opts core.Options, seg SegmentOptio
 	return WriteTableContext(context.Background(), w, t, opts, seg)
 }
 
-// WriteTableContext splits t into row segments and compresses them
+// WriteTableContext learns the archive's models on all of t, then
+// splits t into row segments and applies the models to them
 // concurrently (bounded by seg.Workers), writing frames in segment
 // order. Output bytes are deterministic: segments compress through the
-// same compressSegment as sequential WriteBlock calls, so any worker
-// count — including 1 — produces identical archives. Cancelling ctx
-// abandons in-flight segments and returns.
+// same compressSegment as WriteBlock calls, so any worker count —
+// including 1 — produces identical archives. Cancelling ctx abandons
+// in-flight segments and returns.
 func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts core.Options, seg SegmentOptions) (*TableStats, error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("archive: nil or empty table")
@@ -104,24 +111,25 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 	}
 	if nseg == 0 {
 		// A zero-row table yields a legal empty archive; readers report
-		// ErrEmptyArchive because no segment ever recorded the schema.
+		// ErrEmptyArchive because no model was ever learned.
 		if err := aw.Close(); err != nil {
 			return nil, err
 		}
 		return &TableStats{CompressedBytes: int(aw.total)}, nil
 	}
-	if err := aw.noteSchema(t.Schema()); err != nil {
-		return nil, err
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	if seg.Workers > 1 {
 		// Segment-level parallelism already saturates the cores; don't
 		// multiply it by the outlier scan's internal fan-out.
 		opts.ScanWorkers = 1
 	}
+	m, err := core.Learn(ctx, t, opts)
+	if err != nil {
+		return nil, err
+	}
+	aw.setModel(m)
 
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	// Each result channel is buffered so a finished worker never blocks:
 	// the writer drains them strictly in order, and after an error the
 	// unread buffers are simply garbage-collected.
@@ -147,7 +155,7 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 					results[i] <- segResult{err: err}
 					return
 				}
-				results[i] <- compressSegment(cctx, part, i, opts)
+				results[i] <- compressSegment(cctx, m, part)
 			}(i)
 		}
 	}()
@@ -167,6 +175,12 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 	if err := aw.Close(); err != nil {
 		return nil, err
 	}
+	first := stats.PerSegment[0]
+	m.AddLearnStats(first)
+	first.HeaderBytes += aw.block.HeaderBytes
+	first.ModelBytes += aw.block.ModelBytes
+	first.CompressedBytes += aw.block.Total()
+	first.Ratio = float64(first.CompressedBytes) / float64(first.RawBytes)
 	stats.CompressedBytes = int(aw.total)
 	if stats.RawBytes > 0 {
 		stats.Ratio = float64(stats.CompressedBytes) / float64(stats.RawBytes)
@@ -186,27 +200,18 @@ func segmentRows(t *table.Table, idx, n int) (*table.Table, error) {
 	return t.SelectRows(sel)
 }
 
-// compressSegment compresses segment idx of an archive into a frame and
-// its zone maps. It is the one place segment bytes are made, for both
-// WriteBlock and WriteTable: the sampling seed varies per segment (so
-// pathological orderings don't resample identical row offsets) but
-// depends only on idx, which keeps the output byte-identical at any
-// worker count.
-func compressSegment(ctx context.Context, part *table.Table, idx int, opts core.Options) segResult {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	opts.Seed += int64(idx)
+// compressSegment applies the archive's model to one segment, returning
+// its codec body and zone maps. It is the one place segment bytes are
+// made, for both WriteBlock and WriteTable, and it depends only on the
+// model and the segment's rows, which keeps the output byte-identical at
+// any worker count.
+func compressSegment(ctx context.Context, m *core.Model, part *table.Table) segResult {
 	var frame countBuffer
-	stats, err := core.CompressContext(ctx, &frame, part, opts)
+	stats, err := m.Apply(ctx, &frame, part)
 	if err != nil {
 		return segResult{err: err}
 	}
-	zones, err := computeZones(part, opts.Tolerances)
-	if err != nil {
-		return segResult{err: err}
-	}
-	return segResult{frame: frame.data, rows: part.NumRows(), zones: zones, stats: stats}
+	return segResult{frame: frame.data, rows: part.NumRows(), zones: computeZones(part, m.Tolerances()), stats: stats}
 }
 
 // SegReader reads an archive through its footer: segments decode on
@@ -216,6 +221,7 @@ func compressSegment(ctx context.Context, part *table.Table, idx int, opts core.
 type SegReader struct {
 	r      io.ReadSeeker
 	lim    codec.DecodeLimits
+	model  *codec.ModelBlock // nil for an empty archive
 	schema table.Schema
 	segs   []SegmentInfo
 	size   int64
@@ -252,7 +258,8 @@ func OpenSegmented(r io.ReadSeeker) (*SegReader, error) {
 }
 
 // OpenSegmentedLimited is OpenSegmented with explicit decode limits,
-// applied to the footer parse and every segment decode.
+// applied to the footer parse, the model block and every segment decode.
+// The model block is decoded here, once for all segments.
 func OpenSegmentedLimited(r io.ReadSeeker, lim codec.DecodeLimits) (*SegReader, error) {
 	if _, err := r.Seek(0, io.SeekStart); err != nil {
 		return nil, err
@@ -269,7 +276,7 @@ func OpenSegmentedLimited(r io.ReadSeeker, lim codec.DecodeLimits) (*SegReader, 
 	if err != nil {
 		return nil, err
 	}
-	// Smallest legal archive: magic, terminator byte, empty footer, trailer.
+	// Smallest legal archive: magic, terminator byte, footer, trailer.
 	if size < int64(len(magic))+1+int64(trailerSize) {
 		return nil, fmt.Errorf("archive: %d bytes is too short for an archive", size)
 	}
@@ -298,18 +305,35 @@ func OpenSegmentedLimited(r io.ReadSeeker, lim codec.DecodeLimits) (*SegReader, 
 	if got := crc32.ChecksumIEEE(foot); got != wantCRC {
 		return nil, fmt.Errorf("archive: footer checksum mismatch (want %08x, got %08x)", wantCRC, got)
 	}
-	schema, segs, err := readFooter(bufio.NewReader(bytes.NewReader(foot)), size, lim)
+	fbr := bufio.NewReader(bytes.NewReader(foot))
+	blockExt, err := readExtent(fbr, size, "model block")
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, seg := range segs {
-		if seg.Rows > math.MaxInt-total {
+	sr := &SegReader{r: r, lim: lim, size: size}
+	if blockExt.Length > 0 {
+		if _, err := r.Seek(blockExt.Offset, io.SeekStart); err != nil {
+			return nil, err
+		}
+		block, err := readFrameBytes(r, uint64(blockExt.Length))
+		if err != nil {
+			return nil, fmt.Errorf("archive: reading model block: %w", err)
+		}
+		if sr.model, err = codec.DecodeModelBlock(block, lim); err != nil {
+			return nil, fmt.Errorf("archive: decoding model block: %w", err)
+		}
+		sr.schema = sr.model.Schema
+	}
+	if sr.segs, err = readSegments(fbr, size, sr.schema, lim); err != nil {
+		return nil, err
+	}
+	for _, seg := range sr.segs {
+		if seg.Rows > math.MaxInt-sr.rows {
 			return nil, fmt.Errorf("archive: footer row counts overflow")
 		}
-		total += seg.Rows
+		sr.rows += seg.Rows
 	}
-	return &SegReader{r: r, lim: lim, schema: schema, segs: segs, size: size, rows: total}, nil
+	return sr, nil
 }
 
 // Schema returns the archive schema (nil for an empty archive).
@@ -366,11 +390,12 @@ func (sr *SegReader) decode(idx []int) ([]*table.Table, error) {
 	return tables, nil
 }
 
-// decodeSegment decodes segment i's frame and checks it against the
-// footer: the codec stream must fill the frame exactly (a shorter stream
-// means trailing garbage inside the frame) and yield the recorded rows.
+// decodeSegment decodes segment i's frame against the archive's model
+// block and checks it against the footer: the codec body must fill the
+// frame exactly (a shorter body means trailing garbage inside the frame)
+// and yield the recorded rows.
 func (sr *SegReader) decodeSegment(i int, frame []byte) (*table.Table, error) {
-	t, consumed, err := codec.DecodeCounted(bytes.NewReader(frame), sr.lim)
+	t, consumed, err := sr.model.DecodeBody(bytes.NewReader(frame), sr.lim)
 	if err != nil {
 		return nil, fmt.Errorf("archive: decoding segment %d: %w", i, err)
 	}

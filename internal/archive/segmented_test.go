@@ -6,6 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -93,38 +96,75 @@ func TestWriteTableRoundTrip(t *testing.T) {
 }
 
 // TestParallelDeterminism: the archive bytes must not depend on the
-// worker count, and must match what sequential WriteBlock calls over the
-// same row split produce.
+// worker count.
 func TestParallelDeterminism(t *testing.T) {
 	tb := datagen.CDR(2000, 11)
 	write := func(workers int) []byte {
 		var buf bytes.Buffer
-		if _, err := WriteTable(&buf, tb, core.Options{}, SegmentOptions{SegmentRows: 500, Workers: workers}); err != nil {
+		opts := core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)}
+		if _, err := WriteTable(&buf, tb, opts, SegmentOptions{SegmentRows: 500, Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	serial := write(1)
-	parallel := write(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("parallel archive bytes differ from sequential")
+	for _, workers := range []int{2, 4} {
+		if !bytes.Equal(serial, write(workers)) {
+			t.Fatalf("archive bytes at %d workers differ from 1 worker", workers)
+		}
 	}
-	// Sequential WriteBlock over the same split.
-	var buf bytes.Buffer
-	aw, err := NewWriter(&buf, core.Options{})
+}
+
+// TestLearnOnce: WriteTable learns one model for the whole table. The
+// learn step's counts appear once, in the first segment's statistics,
+// and every segment decodes with the archive dictionaries.
+func TestLearnOnce(t *testing.T) {
+	tb := datagen.CDR(2000, 4)
+	opts := core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)}
+	var stream bytes.Buffer
+	want, err := core.Compress(&stream, tb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, block := range splitBlocks(t, tb, 500) {
-		if _, err := aw.WriteBlock(block); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := aw.Close(); err != nil {
+	var buf bytes.Buffer
+	stats, err := WriteTable(&buf, tb, opts, SegmentOptions{SegmentRows: 500})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(serial, buf.Bytes()) {
-		t.Fatal("WriteTable bytes differ from sequential WriteBlock calls")
+	first := stats.PerSegment[0]
+	if first.CartsBuilt != want.CartsBuilt || !slices.Equal(first.Predicted, want.Predicted) {
+		t.Errorf("first segment: %d CaRTs built, predicted %v; the stream built %d and predicted %v",
+			first.CartsBuilt, first.Predicted, want.CartsBuilt, want.Predicted)
+	}
+	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The segments' statistics count their bodies and, in the first, the
+	// model block; the rest is the magic, the frame prefixes, the
+	// terminator, the footer and the trailer.
+	data := buf.Bytes()
+	footLen := int(binary.LittleEndian.Uint32(data[len(data)-trailerSize+4:]))
+	counted := stats.CompressedBytes - len(magic) - 1 - footLen - trailerSize
+	for i, st := range stats.PerSegment {
+		counted -= st.CompressedBytes + len(binary.AppendUvarint(nil, uint64(sr.Info(i).Length)))
+		if i > 0 && (st.CartsBuilt != 0 || len(st.Predicted) != 0 || st.Timings.CaRTSelection != 0) {
+			t.Errorf("segment %d repeats the learn step's statistics: %+v", i, st)
+		}
+	}
+	if counted != 0 {
+		t.Errorf("segment statistics miscount the archive's bytes by %d", counted)
+	}
+	for i := 0; i < sr.NumSegments(); i++ {
+		seg, err := sr.Segment(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < seg.NumCols(); c++ {
+			if !slices.Equal(seg.Col(c).Dict, tb.Col(c).Dict) {
+				t.Fatalf("segment %d column %d dictionary %q, want the table's %q", i, c, seg.Col(c).Dict, tb.Col(c).Dict)
+			}
+		}
 	}
 }
 
@@ -208,6 +248,107 @@ func TestZoneMapPruningLossy(t *testing.T) {
 	assertSameResult(t, res, want)
 }
 
+// TestZoneMapsUseArchiveTolerance: in a table sorted by one column the
+// segments' value ranges are much narrower than the table's, so a
+// quantile tolerance resolved per segment would be much narrower than
+// the archive-wide one every segment reconstructs within. Zones must be
+// widened by the archive-wide tolerance: every decoded value lies inside
+// its segment's zone, the archive stays within the tolerance resolved
+// against the whole table, and a pruned query equals the full-decode
+// query. The CDR table sorted by start_hour is the benchmark's; in the
+// second table a CaRT predicts y from the sorted x, so its predictions
+// can leave a segment's observed range.
+func TestZoneMapsUseArchiveTolerance(t *testing.T) {
+	cdr := datagen.CDR(4000, 3)
+	hour := cdr.Col(cdr.Schema().Index("start_hour")).Floats
+	order := make([]int, cdr.NumRows())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return hour[order[a]] < hour[order[b]] })
+	sorted, err := cdr.SelectRows(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear := table.MustBuilder(table.Schema{{Name: "x", Kind: table.Numeric}, {Name: "y", Kind: table.Numeric}})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4000; i++ {
+		linear.MustAppendRow(float64(i), float64(3*i+rng.Intn(50)))
+	}
+	cases := []struct {
+		name  string
+		tb    *table.Table
+		where string
+		q     query.Query
+	}{
+		{"cdr by start_hour", sorted, "start_hour>=22", query.Query{Agg: query.Avg, Column: "charge_cents", GroupBy: "plan"}},
+		{"y predicted from x", linear.MustBuild(), "x>=3500", query.Query{Agg: query.Sum, Column: "y"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := tc.tb
+			tol := table.UniformTolerances(tb, 0.01, 0)
+			resolved, err := tol.Resolve(tb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := WriteTable(&buf, tb, core.Options{Tolerances: tol}, SegmentOptions{SegmentRows: 1000}); err != nil {
+				t.Fatal(err)
+			}
+			sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < sr.NumSegments(); i++ {
+				seg, err := sr.Segment(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, z := range sr.Info(i).Zones {
+					if tb.Attr(c).Kind != table.Numeric {
+						continue
+					}
+					for r, v := range seg.Col(c).Floats {
+						if v < z.Min || v > z.Max {
+							t.Fatalf("segment %d row %d: %s = %g outside its zone [%g, %g]", i, r, tb.Attr(c).Name, v, z.Min, z.Max)
+						}
+					}
+				}
+			}
+			full, err := sr.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffs, err := table.MaxAbsDiff(tb, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, d := range diffs {
+				if tb.Attr(c).Kind == table.Numeric && d > resolved[c].Value {
+					t.Errorf("%s differs by %g, the whole-table tolerance is %g", tb.Attr(c).Name, d, resolved[c].Value)
+				}
+			}
+			q := tc.q
+			if q.Where, err = query.ParsePredicate(tc.where, tb.Schema()); err != nil {
+				t.Fatal(err)
+			}
+			res, qs, err := sr.Query(resolved, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if qs.Pruned == 0 {
+				t.Errorf("no segment pruned (stats %+v)", qs)
+			}
+			want, err := query.Run(full, resolved, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, res, want)
+		})
+	}
+}
+
 func assertSameResult(t *testing.T, got, want *query.Result) {
 	t.Helper()
 	if len(got.Groups) != len(want.Groups) {
@@ -221,24 +362,33 @@ func assertSameResult(t *testing.T, got, want *query.Result) {
 	}
 }
 
-// singleFrameArchive writes a one-segment archive whose frame and footer
-// row count are given verbatim, through the writer's own framing and
-// footer code, so tests can plant exactly one inconsistency.
-func singleFrameArchive(t *testing.T, tb *table.Table, frame []byte, rows int) []byte {
+// learnBody learns a model on tb and returns it with tb's codec body.
+func learnBody(t *testing.T, tb *table.Table) (*core.Model, []byte) {
+	t.Helper()
+	m, err := core.Learn(context.Background(), tb, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if _, err := m.Apply(context.Background(), &body, tb); err != nil {
+		t.Fatal(err)
+	}
+	return m, body.Bytes()
+}
+
+// singleFrameArchive writes a one-segment archive with model m whose
+// frame and footer row count are given verbatim, through the writer's
+// own framing, model-block and footer code, so tests can plant exactly
+// one inconsistency.
+func singleFrameArchive(t *testing.T, m *core.Model, tb *table.Table, frame []byte, rows int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	aw, err := NewWriter(&buf, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zones, err := computeZones(tb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := aw.noteSchema(tb.Schema()); err != nil {
-		t.Fatal(err)
-	}
-	if err := aw.appendFrame(frame, rows, zones); err != nil {
+	aw.setModel(m)
+	if err := aw.appendFrame(frame, rows, computeZones(tb, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := aw.Close(); err != nil {
@@ -248,31 +398,28 @@ func singleFrameArchive(t *testing.T, tb *table.Table, frame []byte, rows int) [
 }
 
 // TestFramingGarbage (framing bugfix): a frame whose declared length
-// exceeds its codec stream must fail with FramingError instead of
+// exceeds its codec body must fail with FramingError instead of
 // silently ignoring the trailing garbage.
 func TestFramingGarbage(t *testing.T) {
 	tb := datagen.CDR(200, 5)
-	var stream bytes.Buffer
-	if _, err := core.Compress(&stream, tb, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// The single frame is the valid codec stream padded with trailing
+	m, body := learnBody(t, tb)
+	// The single frame is the valid codec body padded with trailing
 	// garbage, all inside the declared length.
 	garbage := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	padded := append(append([]byte(nil), stream.Bytes()...), garbage...)
-	data := singleFrameArchive(t, tb, padded, tb.NumRows())
+	padded := append(append([]byte(nil), body...), garbage...)
+	data := singleFrameArchive(t, m, tb, padded, tb.NumRows())
 
 	_, err := ReadAll(bytes.NewReader(data))
 	var fe *FramingError
 	if !errors.As(err, &fe) {
 		t.Fatalf("ReadAll = %v, want FramingError", err)
 	}
-	if fe.Segment != 0 || fe.Declared != int64(len(padded)) || fe.Consumed != int64(stream.Len()) {
+	if fe.Segment != 0 || fe.Declared != int64(len(padded)) || fe.Consumed != int64(len(body)) {
 		t.Errorf("FramingError = %+v, want segment 0, declared %d, consumed %d",
-			fe, len(padded), stream.Len())
+			fe, len(padded), len(body))
 	}
-	// A correctly framed stream still decodes.
-	ok := singleFrameArchive(t, tb, stream.Bytes(), tb.NumRows())
+	// A correctly framed body still decodes.
+	ok := singleFrameArchive(t, m, tb, body, tb.NumRows())
 	back, err := ReadAll(bytes.NewReader(ok))
 	if err != nil {
 		t.Fatal(err)
@@ -287,11 +434,8 @@ func TestFramingGarbage(t *testing.T) {
 // path, not only by per-segment decodes.
 func TestFooterRowCountMismatch(t *testing.T) {
 	tb := datagen.CDR(300, 5)
-	var stream bytes.Buffer
-	if _, err := core.Compress(&stream, tb, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	data := singleFrameArchive(t, tb, stream.Bytes(), tb.NumRows()+7)
+	m, body := learnBody(t, tb)
+	data := singleFrameArchive(t, m, tb, body, tb.NumRows()+7)
 
 	if _, err := ReadAll(bytes.NewReader(data)); err == nil {
 		t.Error("ReadAll accepted a footer row count of rows+7")
@@ -330,7 +474,7 @@ func TestQueryErrorNamesArchiveSegment(t *testing.T) {
 	if _, qs, err := sr.Query(nil, pruned); err != nil || qs.Pruned != 2 {
 		t.Fatalf("intact archive: stats %+v, err %v; want 2 segments pruned", qs, err)
 	}
-	// A bad codec magic in the last segment: position 1 among the
+	// A bad row count in the last segment: position 1 among the
 	// segments the pruned query keeps, index 3 in the archive.
 	data[sr.Info(3).Offset] ^= 0xff
 	for name, q := range map[string]query.Query{

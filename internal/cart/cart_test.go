@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -374,6 +375,9 @@ func TestModelEncodeDecodeRoundTrip(t *testing.T) {
 		if err := m.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
+		if err := EncodeOutliers(&buf, m.TargetKind, m.Outliers); err != nil {
+			t.Fatal(err)
+		}
 		got, err := DecodeModel(&buf)
 		if err != nil {
 			t.Fatal(err)
@@ -381,8 +385,12 @@ func TestModelEncodeDecodeRoundTrip(t *testing.T) {
 		if got.Target != m.Target || got.TargetKind != m.TargetKind {
 			t.Fatalf("decoded header mismatch: %+v vs %+v", got, m)
 		}
-		if len(got.Outliers) != len(m.Outliers) {
-			t.Fatalf("outlier count %d != %d", len(got.Outliers), len(m.Outliers))
+		outliers, err := DecodeOutliers(&buf, m.TargetKind, tb.NumRows(), len(tb.Col(m.Target).Dict))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(outliers, m.Outliers) {
+			t.Fatalf("outliers %v, want %v", outliers, m.Outliers)
 		}
 		// Predictions must agree row by row.
 		for r := 0; r < tb.NumRows(); r++ {
@@ -428,32 +436,41 @@ func TestDecodeModelRejectsCorruption(t *testing.T) {
 	}()
 }
 
-// TestDecodeModelRejectsHostileWireValues hand-crafts model streams
-// whose varints are structurally valid but semantically hostile: a row
-// delta that would wrap negative when narrowed to int (sailing under
-// the codec's `Row >= nrows` check into a negative slice index), and
-// codes/attributes beyond any plausible range. Each must fail with an
+// TestDecodeModelRejectsHostileWireValues hand-crafts model and outlier
+// streams whose varints are structurally valid but semantically hostile:
+// a row delta that would wrap negative when narrowed to int (sailing
+// under the `row >= rows` check into a negative slice index), outlier
+// rows and codes outside the body, and codes/attributes beyond any
+// plausible range. Each must fail with an
 // error, not wrap. These are the streams the taintalloc/sizeoverflow
 // analyzers guard against regressing.
 func TestDecodeModelRejectsHostileWireValues(t *testing.T) {
-	// Prefix: target=0, kind=Numeric, root = numeric leaf 0.
-	prefix := func() *bytes.Buffer {
-		var buf bytes.Buffer
-		buf.Write(binary.AppendUvarint(nil, 0)) // target attr
-		buf.WriteByte(byte(table.Numeric))
-		buf.WriteByte(0)           // tagLeafNum
-		buf.Write(make([]byte, 4)) // leaf value 0.0
-		return &buf
-	}
-
 	t.Run("huge row delta", func(t *testing.T) {
-		buf := prefix()
+		var buf bytes.Buffer
 		buf.Write(binary.AppendUvarint(nil, 1))     // one outlier
 		buf.Write(binary.AppendUvarint(nil, 1<<62)) // delta wraps int
 		buf.Write(make([]byte, 4))                  // outlier value
-		m, err := DecodeModel(bytes.NewReader(buf.Bytes()))
+		outliers, err := DecodeOutliers(bytes.NewReader(buf.Bytes()), table.Numeric, 1<<40, 0)
 		if err == nil {
-			t.Fatalf("DecodeModel accepted a 2^62 row delta: %+v", m.Outliers)
+			t.Fatalf("DecodeOutliers accepted a 2^62 row delta: %+v", outliers)
+		}
+	})
+	t.Run("outlier row beyond rows", func(t *testing.T) {
+		var buf bytes.Buffer
+		buf.Write(binary.AppendUvarint(nil, 1)) // one outlier
+		buf.Write(binary.AppendUvarint(nil, 7)) // row 7 of 7
+		buf.Write(make([]byte, 4))              // outlier value
+		if _, err := DecodeOutliers(bytes.NewReader(buf.Bytes()), table.Numeric, 7, 0); err == nil {
+			t.Fatal("DecodeOutliers accepted row 7 of a 7-row body")
+		}
+	})
+	t.Run("outlier code outside dictionary", func(t *testing.T) {
+		var buf bytes.Buffer
+		buf.Write(binary.AppendUvarint(nil, 1)) // one outlier
+		buf.Write(binary.AppendUvarint(nil, 0)) // row 0
+		buf.Write(binary.AppendUvarint(nil, 3)) // code 3 of a 3-entry dictionary
+		if _, err := DecodeOutliers(bytes.NewReader(buf.Bytes()), table.Categorical, 10, 3); err == nil {
+			t.Fatal("DecodeOutliers accepted a code outside the dictionary")
 		}
 	})
 	t.Run("huge target attribute", func(t *testing.T) {
@@ -493,8 +510,8 @@ func TestEncodeRejectsUnorderedOutliers(t *testing.T) {
 		Root:       &Node{Leaf: true, NumValue: 1},
 		Outliers:   []Outlier{{Row: 5, Num: 1}, {Row: 2, Num: 2}},
 	}
-	if err := m.Encode(&bytes.Buffer{}); err == nil {
-		t.Error("Encode accepted out-of-order outliers")
+	if err := EncodeOutliers(&bytes.Buffer{}, m.TargetKind, m.Outliers); err == nil {
+		t.Error("EncodeOutliers accepted out-of-order outliers")
 	}
 }
 

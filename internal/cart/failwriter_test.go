@@ -44,17 +44,21 @@ func TestEncodePropagatesWriteErrors(t *testing.T) {
 		if err := m.ComputeOutliers(tb, tol); err != nil {
 			t.Fatal(err)
 		}
-		// Learn the stream size, then sweep failure points inside it;
+		// Learn each stream's size, then sweep failure points inside it;
 		// every write must surface the error.
-		var probe failAfter
-		probe.n = 1 << 30
-		if err := m.Encode(&probe); err != nil {
-			t.Fatal(err)
-		}
-		for cut := 0; cut < probe.written; cut += 1 + probe.written/8 {
-			if err := m.Encode(&failAfter{n: cut}); err == nil {
-				t.Errorf("target %d: Encode succeeded with writer failing at %d/%d bytes",
-					target, cut, probe.written)
+		for name, encode := range map[string]func(w *failAfter) error{
+			"Encode":         func(w *failAfter) error { return m.Encode(w) },
+			"EncodeOutliers": func(w *failAfter) error { return EncodeOutliers(w, m.TargetKind, m.Outliers) },
+		} {
+			probe := failAfter{n: 1 << 30}
+			if err := encode(&probe); err != nil {
+				t.Fatal(err)
+			}
+			for cut := 0; cut < probe.written; cut += 1 + probe.written/8 {
+				if err := encode(&failAfter{n: cut}); err == nil {
+					t.Errorf("target %d: %s succeeded with writer failing at %d/%d bytes",
+						target, name, cut, probe.written)
+				}
 			}
 		}
 	}

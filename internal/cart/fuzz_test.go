@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/table"
 )
 
-// FuzzDecodeModel asserts the model decoder never panics on arbitrary
-// input.
+// FuzzDecodeModel asserts the model and outlier decoders never panic on
+// arbitrary input, and that every outlier they accept lies inside the
+// body and dictionary they were given.
 func FuzzDecodeModel(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	tb := correlatedTable(rng, 100)
@@ -23,6 +26,9 @@ func FuzzDecodeModel(f *testing.F) {
 	if err := m.Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
+	if err := EncodeOutliers(&buf, m.TargetKind, m.Outliers); err != nil {
+		f.Fatal(err)
+	}
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add([]byte{})
@@ -34,10 +40,23 @@ func FuzzDecodeModel(f *testing.F) {
 	deep := bytes.Repeat([]byte{0x00, 0x00, tagInternalNum, 0x01}, 2000)
 	f.Add(deep)
 
+	const rows, dictSize = 200, 3
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeModel(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		m, err := DecodeModel(r)
 		if err == nil && m == nil {
 			t.Error("DecodeModel returned nil model without error")
+		}
+		for _, kind := range []table.Kind{table.Numeric, table.Categorical} {
+			outliers, err := DecodeOutliers(bytes.NewReader(data), kind, rows, dictSize)
+			if err != nil {
+				continue
+			}
+			for _, o := range outliers {
+				if o.Row < 0 || o.Row >= rows || o.Code < 0 || o.Code >= dictSize {
+					t.Errorf("DecodeOutliers accepted %+v", o)
+				}
+			}
 		}
 	})
 }

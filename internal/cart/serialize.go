@@ -10,9 +10,12 @@ import (
 	"repro/internal/table"
 )
 
-// Model wire format (used inside the compressed-table codec):
+// Model wire format (used inside the compressed-table codec). A model's
+// tree lives in the codec's model block, shared by every body encoded
+// against it; its outliers live in each body, since they depend on the
+// rows:
 //
-//	model   := target(uvarint) kind(byte) tree outliers
+//	model   := target(uvarint) kind(byte) tree
 //	tree    := leafNum | leafCat | internalNum | internalCat
 //	leafNum := 0x00 float32
 //	leafCat := 0x01 uvarint(code)
@@ -32,7 +35,8 @@ const (
 	tagInternalCat
 )
 
-// Encode writes the model to w.
+// Encode writes the model's target, kind and tree to w. Its outliers are
+// not written; see EncodeOutliers.
 func (m *Model) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if err := putUvarint(bw, uint64(m.Target)); err != nil {
@@ -44,30 +48,11 @@ func (m *Model) Encode(w io.Writer) error {
 	if err := encodeNode(bw, m.Root, m.TargetKind); err != nil {
 		return err
 	}
-	if err := putUvarint(bw, uint64(len(m.Outliers))); err != nil {
-		return err
-	}
-	prev := 0
-	for _, o := range m.Outliers {
-		if o.Row < prev {
-			return fmt.Errorf("cart: outliers not in increasing row order (%d after %d)", o.Row, prev)
-		}
-		if err := putUvarint(bw, uint64(o.Row-prev)); err != nil {
-			return err
-		}
-		prev = o.Row
-		if m.TargetKind == table.Numeric {
-			if err := putFloat32(bw, o.Num); err != nil {
-				return err
-			}
-		} else if err := putUvarint(bw, uint64(o.Code)); err != nil {
-			return err
-		}
-	}
 	return bw.Flush()
 }
 
-// DecodeModel reads a model written by Encode.
+// DecodeModel reads a model written by Encode. The returned model has no
+// outliers.
 func DecodeModel(r io.Reader) (*Model, error) {
 	br := asByteReader(r)
 	target, err := binary.ReadUvarint(br)
@@ -89,14 +74,51 @@ func DecodeModel(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &Model{Target: int(target), TargetKind: kind, Root: root}, nil
+}
+
+// EncodeOutliers writes the outliers of a target of the given kind to w.
+// They must be in increasing row order, as the outlier scan produces
+// them.
+func EncodeOutliers(w io.Writer, kind table.Kind, outliers []Outlier) error {
+	bw := bufio.NewWriter(w)
+	if err := putUvarint(bw, uint64(len(outliers))); err != nil {
+		return err
+	}
+	prev := 0
+	for _, o := range outliers {
+		if o.Row < prev {
+			return fmt.Errorf("cart: outliers not in increasing row order (%d after %d)", o.Row, prev)
+		}
+		if err := putUvarint(bw, uint64(o.Row-prev)); err != nil {
+			return err
+		}
+		prev = o.Row
+		if kind == table.Numeric {
+			if err := putFloat32(bw, o.Num); err != nil {
+				return err
+			}
+		} else if err := putUvarint(bw, uint64(o.Code)); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// DecodeOutliers reads outliers written by EncodeOutliers for a target of
+// the given kind. Every row must lie in [0, rows) and, for a categorical
+// target, every code in [0, dictSize): a decoded outlier is then safe to
+// patch into a reconstructed column.
+func DecodeOutliers(r io.Reader, kind table.Kind, rows, dictSize int) ([]Outlier, error) {
+	br := asByteReader(r)
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("cart: reading outlier count: %w", err)
 	}
-	if count > 1<<30 {
-		return nil, fmt.Errorf("cart: implausible outlier count %d", count)
+	if count > 1<<30 || count > uint64(rows) {
+		return nil, fmt.Errorf("cart: %d outliers for %d rows", count, rows)
 	}
-	m := &Model{Target: int(target), TargetKind: kind, Root: root}
+	out := make([]Outlier, 0, min(int(count), 1<<12))
 	row := 0
 	for i := uint64(0); i < count; i++ {
 		delta, err := binary.ReadUvarint(br)
@@ -104,21 +126,23 @@ func DecodeModel(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("cart: reading outlier row: %w", err)
 		}
 		// A huge delta narrowed to int would wrap negative, and a
-		// negative Row sails under downstream `Row >= nrows` checks
+		// negative Row sails under the `row >= rows` check below
 		// straight into a slice-index panic. Bound it first.
 		if delta > 1<<30 {
 			return nil, fmt.Errorf("cart: implausible outlier row delta %d", delta)
 		}
 		row += int(delta)
+		if row >= rows {
+			return nil, fmt.Errorf("cart: outlier row %d beyond %d rows", row, rows)
+		}
 		o := Outlier{Row: row}
 		if kind == table.Numeric {
 			o.Num, err = readFloat32(br)
 		} else {
 			var code uint64
-			code, err = binary.ReadUvarint(br)
-			if err == nil {
-				if code > math.MaxInt32 {
-					return nil, fmt.Errorf("cart: outlier code %d overflows int32", code)
+			if code, err = binary.ReadUvarint(br); err == nil {
+				if code > math.MaxInt32 || code >= uint64(dictSize) {
+					return nil, fmt.Errorf("cart: outlier code %d outside dictionary of %d", code, dictSize)
 				}
 				o.Code = int32(code)
 			}
@@ -126,9 +150,9 @@ func DecodeModel(r io.Reader) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cart: reading outlier value: %w", err)
 		}
-		m.Outliers = append(m.Outliers, o)
+		out = append(out, o)
 	}
-	return m, nil
+	return out, nil
 }
 
 func encodeNode(bw *bufio.Writer, n *Node, kind table.Kind) error {
@@ -181,7 +205,7 @@ func encodeNode(bw *bufio.Writer, n *Node, kind table.Kind) error {
 
 const maxTreeDepth = 512 // defends against malformed recursive input
 
-func decodeNode(br *bufio.Reader, kind table.Kind, depth int) (*Node, error) {
+func decodeNode(br byteReader, kind table.Kind, depth int) (*Node, error) {
 	if depth > maxTreeDepth {
 		return nil, fmt.Errorf("cart: tree deeper than %d; corrupt stream", maxTreeDepth)
 	}
@@ -272,7 +296,7 @@ func putFloat32(bw *bufio.Writer, v float64) error {
 	return err
 }
 
-func readFloat32(br *bufio.Reader) (float64, error) {
+func readFloat32(br byteReader) (float64, error) {
 	var buf [4]byte
 	if _, err := io.ReadFull(br, buf[:]); err != nil {
 		return 0, err
@@ -280,8 +304,17 @@ func readFloat32(br *bufio.Reader) (float64, error) {
 	return float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[:]))), nil
 }
 
-func asByteReader(r io.Reader) *bufio.Reader {
-	if br, ok := r.(*bufio.Reader); ok {
+// byteReader is what the decoders read from. Readers that already have
+// ReadByte (bufio.Reader, bytes.Reader, bytes.Buffer) are used as they
+// are, so a decoder consumes exactly its own bytes and the next one can
+// continue from the same reader.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+func asByteReader(r io.Reader) byteReader {
+	if br, ok := r.(byteReader); ok {
 		return br
 	}
 	return bufio.NewReader(r)

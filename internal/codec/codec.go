@@ -1,8 +1,11 @@
 // Package codec defines the wire format of a SPARTAN-compressed table
-// T_c = <T', {M₁…Mₚ}> (paper §2.2): a schema header, the list of
-// materialized attributes, the serialized CaRT models with their outlier
-// lists, and the deflated projection T' of the (quantized) table onto the
-// materialized attributes.
+// T_c = <T', {M₁…Mₚ}> (paper §2.2) in two parts. The model block holds
+// what learning produced: the schema with its categorical dictionaries,
+// the list of materialized attributes and the CaRT trees. A body holds
+// what one set of rows adds: the row count, each model's outliers and the
+// deflated projection T' onto the materialized attributes. A stream is a
+// magic, one model block and one body; an archive (internal/archive)
+// stores one model block for all of its bodies.
 //
 // Decoding reverses the pipeline: T' columns are restored verbatim and the
 // predicted columns are recomputed by running each model over T' and
@@ -20,6 +23,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -27,84 +31,126 @@ import (
 	"repro/internal/table"
 )
 
-const magic = "SPRTN1\n"
+const magic = "SPRTN2\n"
 
 // Breakdown reports where the compressed bytes went; the paper quotes
 // these fractions (e.g. "CaRTs + outliers consume 6.25% of the
 // uncompressed table").
 type Breakdown struct {
-	HeaderBytes int // magic, schema, dictionaries, attribute lists
-	ModelBytes  int // serialized CaRTs including outliers
+	HeaderBytes int // magic, framing, schema, dictionaries, attribute lists, row count
+	ModelBytes  int // serialized CaRT trees and outliers
 	TPrimeBytes int // deflated materialized projection
 }
 
 // Total returns the full compressed size in bytes.
 func (b Breakdown) Total() int { return b.HeaderBytes + b.ModelBytes + b.TPrimeBytes }
 
-// Encode writes the compressed stream. src must be the full-width table
-// whose materialized columns carry the final (e.g. fascicle-quantized)
-// values; predicted columns of src are ignored (the models replace them).
-// models must have distinct targets, all outside materialized, and their
-// predictors inside it.
-func Encode(w io.Writer, src *table.Table, materialized []int, models []*cart.Model) (Breakdown, error) {
-	var bd Breakdown
+// ModelBlock is the learned half of a compressed table, shared by every
+// body encoded against it.
+type ModelBlock struct {
+	Schema table.Schema
+	// Dicts holds each categorical attribute's dictionary (nil for
+	// numeric attributes). Every body's categorical codes index these.
+	Dicts [][]string
+	// Materialized lists the materialized attributes in ascending order.
+	Materialized []int
+	// Models holds one CaRT per predicted attribute, in ascending target
+	// order. Only the trees belong to the block; outliers belong to
+	// bodies, so these models carry none.
+	Models []*cart.Model
+}
+
+// NewModelBlock checks a compression plan against src and returns its
+// model block: src's schema and dictionaries, the materialized attributes
+// and the models' trees. models must have distinct targets, all outside
+// materialized, and their predictors inside it.
+func NewModelBlock(src *table.Table, materialized []int, models []*cart.Model) (*ModelBlock, error) {
 	if err := validatePlan(src, materialized, models); err != nil {
-		return bd, err
+		return nil, err
 	}
+	mb := &ModelBlock{
+		Schema:       src.Schema().Clone(),
+		Dicts:        make([][]string, src.NumCols()),
+		Materialized: slices.Clone(materialized),
+	}
+	for i := range mb.Dicts {
+		mb.Dicts[i] = src.Col(i).Dict
+	}
+	sort.Ints(mb.Materialized)
+	for _, m := range sortedByTarget(models) {
+		tree := *m
+		tree.Outliers = nil
+		mb.Models = append(mb.Models, &tree)
+	}
+	return mb, nil
+}
 
-	var header bytes.Buffer
-	hw := bufio.NewWriter(&header)
-	_, _ = header.WriteString(magic) // bytes.Buffer writes cannot fail
-	if err := writeSchema(hw, src); err != nil {
+// sortedByTarget returns the models in ascending target order, the order
+// of a model block and of a body's outlier lists.
+func sortedByTarget(models []*cart.Model) []*cart.Model {
+	out := slices.Clone(models)
+	slices.SortFunc(out, func(a, b *cart.Model) int { return a.Target - b.Target })
+	return out
+}
+
+// Encode writes the model block: the byte length and CRC-32 of its
+// payload, then the payload (schema with dictionaries, materialized
+// attributes, model count and trees).
+func (mb *ModelBlock) Encode(w io.Writer) (Breakdown, error) {
+	var bd Breakdown
+	var payload bytes.Buffer
+	pw := bufio.NewWriter(&payload)
+	if err := writeSchema(pw, mb.Schema, mb.Dicts); err != nil {
 		return bd, err
 	}
-	if err := putUvarint(hw, uint64(src.NumRows())); err != nil {
+	if err := putUvarint(pw, uint64(len(mb.Materialized))); err != nil {
 		return bd, err
 	}
-	if err := putUvarint(hw, uint64(len(materialized))); err != nil {
-		return bd, err
-	}
-	sorted := append([]int(nil), materialized...)
-	sort.Ints(sorted)
-	for _, a := range sorted {
-		if err := putUvarint(hw, uint64(a)); err != nil {
+	for _, a := range mb.Materialized {
+		if err := putUvarint(pw, uint64(a)); err != nil {
 			return bd, err
 		}
 	}
-	if err := hw.Flush(); err != nil {
+	if err := pw.Flush(); err != nil {
 		return bd, err
 	}
-	bd.HeaderBytes = header.Len()
-
-	var modelBuf bytes.Buffer
-	mw := bufio.NewWriter(&modelBuf)
-	if err := putUvarint(mw, uint64(len(models))); err != nil {
-		return bd, err
-	}
-	if err := mw.Flush(); err != nil {
-		return bd, err
-	}
-	ms := append([]*cart.Model(nil), models...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Target < ms[j].Target })
-	for _, m := range ms {
-		if err := m.Encode(&modelBuf); err != nil {
+	header := payload.Len()
+	_, _ = payload.Write(binary.AppendUvarint(nil, uint64(len(mb.Models)))) // bytes.Buffer writes cannot fail
+	for _, m := range mb.Models {
+		if err := m.Encode(&payload); err != nil {
 			return bd, err
 		}
 	}
-	// The models section is length-prefixed and CRC-protected: the T'
-	// block inherits gzip's checksum, models need their own.
-	var modelHdr bytes.Buffer
-	hw2 := bufio.NewWriter(&modelHdr)
-	if err := putUvarint(hw2, uint64(modelBuf.Len())); err != nil {
+	n, err := writeChecked(w, payload.Bytes())
+	if err != nil {
 		return bd, err
 	}
-	if err := hw2.Flush(); err != nil {
-		return bd, err
+	bd.HeaderBytes = n - payload.Len() + header
+	bd.ModelBytes = payload.Len() - header
+	return bd, nil
+}
+
+// EncodeBody writes one body: src's row count, the outliers (outliers[i]
+// belongs to mb.Models[i]) and T'. src must have mb's schema, its
+// categorical codes must index the dictionaries the body is decoded
+// with, and its materialized columns carry the final (e.g.
+// fascicle-quantized) values; its predicted columns are ignored (the
+// models replace them).
+func (mb *ModelBlock) EncodeBody(w io.Writer, src *table.Table, outliers [][]cart.Outlier) (Breakdown, error) {
+	var bd Breakdown
+	if src.NumCols() != len(mb.Schema) {
+		return bd, fmt.Errorf("codec: body has %d attributes, model block %d", src.NumCols(), len(mb.Schema))
 	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(modelBuf.Bytes()))
-	_, _ = modelHdr.Write(crcBuf[:]) // bytes.Buffer writes cannot fail
-	bd.ModelBytes = modelHdr.Len() + modelBuf.Len()
+	if len(outliers) != len(mb.Models) {
+		return bd, fmt.Errorf("codec: %d outlier lists for %d models", len(outliers), len(mb.Models))
+	}
+	rows := binary.AppendUvarint(nil, uint64(src.NumRows()))
+	var outBuf bytes.Buffer
+	for i, m := range mb.Models {
+		if err := cart.EncodeOutliers(&outBuf, m.TargetKind, outliers[i]); err != nil {
+			return bd, err
+		}
+	}
 
 	var tprime bytes.Buffer
 	zw, err := gzip.NewWriterLevel(&tprime, gzip.BestCompression)
@@ -112,7 +158,7 @@ func Encode(w io.Writer, src *table.Table, materialized []int, models []*cart.Mo
 		return bd, err
 	}
 	zbw := bufio.NewWriter(zw)
-	for _, a := range sorted {
+	for _, a := range mb.Materialized {
 		if err := writeColumn(zbw, src.Col(a)); err != nil {
 			return bd, err
 		}
@@ -123,22 +169,58 @@ func Encode(w io.Writer, src *table.Table, materialized []int, models []*cart.Mo
 	if err := zw.Close(); err != nil {
 		return bd, err
 	}
-	bd.TPrimeBytes = tprime.Len() + uvarintLen(uint64(tprime.Len()))
 
-	for _, chunk := range [][]byte{header.Bytes(), modelHdr.Bytes(), modelBuf.Bytes()} {
-		if _, err := w.Write(chunk); err != nil {
-			return bd, err
-		}
+	if _, err := w.Write(rows); err != nil {
+		return bd, err
 	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(tprime.Len()))
-	if _, err := w.Write(lenBuf[:n]); err != nil {
+	bd.HeaderBytes = len(rows)
+	if bd.ModelBytes, err = writeChecked(w, outBuf.Bytes()); err != nil {
+		return bd, err
+	}
+	tpLen := binary.AppendUvarint(nil, uint64(tprime.Len()))
+	if _, err := w.Write(tpLen); err != nil {
 		return bd, err
 	}
 	if _, err := w.Write(tprime.Bytes()); err != nil {
 		return bd, err
 	}
+	bd.TPrimeBytes = len(tpLen) + tprime.Len()
 	return bd, nil
+}
+
+// EncodeStream writes a complete stream: the magic, the model block and
+// one body (see EncodeBody).
+func (mb *ModelBlock) EncodeStream(w io.Writer, src *table.Table, outliers [][]cart.Outlier) (Breakdown, error) {
+	if _, err := io.WriteString(w, magic); err != nil {
+		return Breakdown{}, err
+	}
+	block, err := mb.Encode(w)
+	if err != nil {
+		return Breakdown{}, err
+	}
+	body, err := mb.EncodeBody(w, src, outliers)
+	if err != nil {
+		return Breakdown{}, err
+	}
+	return Breakdown{
+		HeaderBytes: len(magic) + block.HeaderBytes + body.HeaderBytes,
+		ModelBytes:  block.ModelBytes + body.ModelBytes,
+		TPrimeBytes: block.TPrimeBytes + body.TPrimeBytes,
+	}, nil
+}
+
+// writeChecked writes a length-prefixed, CRC-32-protected section and
+// returns the bytes written.
+func writeChecked(w io.Writer, payload []byte) (int, error) {
+	head := binary.AppendUvarint(nil, uint64(len(payload)))
+	head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(head); err != nil {
+		return 0, err
+	}
+	if _, err := w.Write(payload); err != nil {
+		return 0, err
+	}
+	return len(head) + len(payload), nil
 }
 
 func validatePlan(src *table.Table, materialized []int, models []*cart.Model) error {
@@ -183,15 +265,16 @@ func validatePlan(src *table.Table, materialized []int, models []*cart.Model) er
 // them as-is and DecodeLimited lets callers tighten (or, by setting huge
 // values, effectively loosen) individual caps.
 type DecodeLimits struct {
-	// MaxRows bounds the header's row count (default 1<<34).
+	// MaxRows bounds a body's row count (default 1<<34).
 	MaxRows uint64
 	// MaxCols bounds the schema's column count (default 1<<16).
 	MaxCols uint64
 	// MaxDictEntries bounds each categorical dictionary (default 1<<24).
 	MaxDictEntries uint64
-	// MaxModelBytes bounds the serialized models section (default 1<<31).
+	// MaxModelBytes bounds the model block and each body's outlier
+	// section (default 1<<31).
 	MaxModelBytes uint64
-	// MaxUnverifiedRows bounds the row count of a stream with no
+	// MaxUnverifiedRows bounds the row count of a body with no
 	// materialized columns, where no payload ever substantiates the
 	// claimed count (default 1<<26).
 	MaxUnverifiedRows uint64
@@ -224,8 +307,8 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 // maxDeflateRatio is the largest expansion stored deflate data can
 // achieve (one literal per bit plus framing, ≈1032:1). The T' block's
 // compressed length therefore bounds how many decompressed bytes — and
-// hence rows — the stream can actually deliver, letting Decode reject
-// inflated header row counts before allocating for them.
+// hence rows — a body can actually deliver, letting the decoder reject
+// inflated row counts before allocating for them.
 const maxDeflateRatio = 1032
 
 // Decode reads a compressed stream and reconstructs the full table,
@@ -235,23 +318,52 @@ func Decode(r io.Reader) (*table.Table, error) {
 }
 
 // DecodeLimited is Decode with explicit resource limits; zero fields of
-// lim keep their defaults. Streams whose headers claim more than the
-// limits allow — or more rows than their T' payload could possibly
-// deliver — fail early with a descriptive error instead of allocating.
+// lim keep their defaults. Streams that claim more than the limits allow
+// — or more rows than their T' payload could possibly deliver — fail
+// early with a descriptive error instead of allocating.
 func DecodeLimited(r io.Reader, lim DecodeLimits) (*table.Table, error) {
-	return decode(bufio.NewReader(r), lim)
+	lim = lim.withDefaults()
+	br := bufio.NewReader(r)
+	got := make([]byte, len(magic))
+	if _, err := io.ReadFull(br, got); err != nil {
+		return nil, fmt.Errorf("codec: reading magic: %w", err)
+	}
+	if string(got) != magic {
+		return nil, fmt.Errorf("codec: bad magic %q", got)
+	}
+	mb, err := readModelBlock(br, lim)
+	if err != nil {
+		return nil, err
+	}
+	return mb.readBody(br, lim)
 }
 
-// DecodeCounted is DecodeLimited that additionally reports how many
-// bytes of r the stream logically occupied — read-ahead the decoder
-// buffered but never interpreted is excluded. Framed containers use the
-// count to verify a stream fills its declared length exactly: a shorter
-// stream means the frame carries trailing bytes that would desync every
-// later frame.
-func DecodeCounted(r io.Reader, lim DecodeLimits) (*table.Table, int64, error) {
+// DecodeModelBlock decodes a model block written by ModelBlock.Encode,
+// which must fill data exactly. Its trees are structurally validated
+// against the schema, dictionaries and materialized attributes, so they
+// are safe to run over any body that decodes against the block.
+func DecodeModelBlock(data []byte, lim DecodeLimits) (*ModelBlock, error) {
+	br := bytes.NewReader(data)
+	mb, err := readModelBlock(br, lim.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	if br.Len() != 0 {
+		return nil, fmt.Errorf("codec: %d bytes after the model block", br.Len())
+	}
+	return mb, nil
+}
+
+// DecodeBody decodes one body written by EncodeBody against mb and
+// reports how many bytes of r it logically occupied — read-ahead the
+// decoder buffered but never interpreted is excluded. Framed containers
+// use the count to verify a body fills its declared length exactly: a
+// shorter body means the frame carries trailing bytes that would desync
+// every later frame.
+func (mb *ModelBlock) DecodeBody(r io.Reader, lim DecodeLimits) (*table.Table, int64, error) {
 	cr := &countingReader{r: r}
 	br := bufio.NewReader(cr)
-	t, err := decode(br, lim)
+	t, err := mb.readBody(br, lim.withDefaults())
 	return t, cr.n - int64(br.Buffered()), err
 }
 
@@ -267,71 +379,71 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func decode(br *bufio.Reader, lim DecodeLimits) (*table.Table, error) {
-	lim = lim.withDefaults()
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("codec: reading magic: %w", err)
+// byteReader is what the section decoders read from.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// readChecked reads a section written by writeChecked, verifying its
+// CRC. The length is bounded by lim.MaxModelBytes before any allocation.
+func readChecked(br byteReader, what string, lim DecodeLimits) ([]byte, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("codec: reading %s length: %w", what, err)
 	}
-	if string(got) != magic {
-		return nil, fmt.Errorf("codec: bad magic %q", got)
+	if n > lim.MaxModelBytes {
+		return nil, fmt.Errorf("codec: %s length %d exceeds limit %d", what, n, lim.MaxModelBytes)
 	}
-	schema, dicts, err := readSchemaLimited(br, lim)
+	var crcBuf [4]byte
+	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
+		return nil, fmt.Errorf("codec: reading %s checksum: %w", what, err)
+	}
+	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
+	payload := make([]byte, 0, min(int(n), 1<<20))
+	payload, err = readFullGrowing(br, payload, int(n), lim)
+	if err != nil {
+		return nil, fmt.Errorf("codec: reading %s: %w", what, err)
+	}
+	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
+		return nil, fmt.Errorf("codec: %s checksum mismatch (%08x != %08x)", what, got, wantCRC)
+	}
+	return payload, nil
+}
+
+// readModelBlock reads and validates a model block. lim has its defaults.
+func readModelBlock(br byteReader, lim DecodeLimits) (*ModelBlock, error) {
+	payload, err := readChecked(br, "model block", lim)
+	if err != nil {
+		return nil, err
+	}
+	pr := bytes.NewReader(payload)
+	schema, dicts, err := readSchemaLimited(pr, lim)
 	if err != nil {
 		return nil, err
 	}
 	ncols := len(schema)
-	nrowsU, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("codec: reading row count: %w", err)
-	}
-	if nrowsU > lim.MaxRows {
-		return nil, fmt.Errorf("codec: row count %d exceeds limit %d", nrowsU, lim.MaxRows)
-	}
-	nrows := int(nrowsU)
-	nmat, err := binary.ReadUvarint(br)
+	nmat, err := binary.ReadUvarint(pr)
 	if err != nil {
 		return nil, fmt.Errorf("codec: reading materialized count: %w", err)
 	}
 	if nmat > uint64(ncols) {
 		return nil, fmt.Errorf("codec: %d materialized attributes for %d columns", nmat, ncols)
 	}
-	matIdx := make([]int, nmat)
+	mb := &ModelBlock{Schema: schema, Dicts: dicts, Materialized: make([]int, nmat)}
 	isMat := make([]bool, ncols)
-	for i := range matIdx {
-		a, err := binary.ReadUvarint(br)
+	for i := range mb.Materialized {
+		a, err := binary.ReadUvarint(pr)
 		if err != nil {
 			return nil, fmt.Errorf("codec: reading materialized attribute: %w", err)
 		}
-		if a >= uint64(ncols) || isMat[a] {
+		if a >= uint64(ncols) || (i > 0 && int(a) <= mb.Materialized[i-1]) {
 			return nil, fmt.Errorf("codec: bad materialized attribute %d", a)
 		}
-		matIdx[i] = int(a)
+		mb.Materialized[i] = int(a)
 		isMat[a] = true
 	}
-	// Models section: length-prefixed, CRC32-protected.
-	modelsLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("codec: reading models length: %w", err)
-	}
-	if modelsLen > lim.MaxModelBytes {
-		return nil, fmt.Errorf("codec: models length %d exceeds limit %d", modelsLen, lim.MaxModelBytes)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("codec: reading models checksum: %w", err)
-	}
-	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
-	modelBytes := make([]byte, 0, min(int(modelsLen), 1<<20))
-	modelBytes, err = readFullGrowing(br, modelBytes, int(modelsLen), lim)
-	if err != nil {
-		return nil, fmt.Errorf("codec: reading models: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(modelBytes); got != wantCRC {
-		return nil, fmt.Errorf("codec: models checksum mismatch (%08x != %08x)", got, wantCRC)
-	}
-	mbr := bufio.NewReader(bytes.NewReader(modelBytes))
-	nmodels, err := binary.ReadUvarint(mbr)
+	nmodels, err := binary.ReadUvarint(pr)
 	if err != nil {
 		return nil, fmt.Errorf("codec: reading model count: %w", err)
 	}
@@ -342,35 +454,65 @@ func decode(br *bufio.Reader, lim DecodeLimits) (*table.Table, error) {
 	for i, d := range dicts {
 		dictSizes[i] = len(d)
 	}
-	models := make([]*cart.Model, nmodels)
-	for i := range models {
-		m, err := cart.DecodeModel(mbr)
+	mb.Models = make([]*cart.Model, nmodels)
+	for i := range mb.Models {
+		m, err := cart.DecodeModel(pr)
 		if err != nil {
 			return nil, fmt.Errorf("codec: decoding model %d: %w", i, err)
 		}
-		if m.Target >= ncols || isMat[m.Target] {
+		// Strictly ascending targets outside the materialized set give
+		// every predicted attribute exactly one model.
+		if m.Target >= ncols || isMat[m.Target] || (i > 0 && m.Target <= mb.Models[i-1].Target) {
 			return nil, fmt.Errorf("codec: model %d has invalid target %d", i, m.Target)
 		}
 		if err := m.ValidateStructure(schema, dictSizes, func(a int) bool { return isMat[a] }); err != nil {
 			return nil, fmt.Errorf("codec: model %d: %w", i, err)
 		}
-		for _, o := range m.Outliers {
-			// The lower bound matters as much as the upper one: a wrapped
-			// delta in the model stream would yield a negative row, which
-			// indexes the column slice from the wrong end in Reconstruct.
-			if o.Row < 0 || o.Row >= nrows {
-				return nil, fmt.Errorf("codec: outlier row %d beyond %d rows", o.Row, nrows)
-			}
+		mb.Models[i] = m
+	}
+	if pr.Len() != 0 {
+		return nil, fmt.Errorf("codec: %d trailing bytes in the model block", pr.Len())
+	}
+	return mb, nil
+}
+
+// readBody reads one body and reconstructs its table. lim has its
+// defaults.
+func (mb *ModelBlock) readBody(br *bufio.Reader, lim DecodeLimits) (*table.Table, error) {
+	ncols := len(mb.Schema)
+	nrowsU, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("codec: reading row count: %w", err)
+	}
+	if nrowsU > lim.MaxRows {
+		return nil, fmt.Errorf("codec: row count %d exceeds limit %d", nrowsU, lim.MaxRows)
+	}
+	nrows := int(nrowsU)
+
+	// Outliers: one CRC-protected list per model, in model order. Each
+	// row and code is checked against this body before it can be patched
+	// into a column.
+	outPayload, err := readChecked(br, "outliers", lim)
+	if err != nil {
+		return nil, err
+	}
+	or := bytes.NewReader(outPayload)
+	outliers := make([][]cart.Outlier, len(mb.Models))
+	for i, m := range mb.Models {
+		if outliers[i], err = cart.DecodeOutliers(or, m.TargetKind, nrows, len(mb.Dicts[m.Target])); err != nil {
+			return nil, fmt.Errorf("codec: model %d outliers: %w", i, err)
 		}
-		models[i] = m
+	}
+	if or.Len() != 0 {
+		return nil, fmt.Errorf("codec: %d trailing bytes in the outliers section", or.Len())
 	}
 
-	// T' block. Before trusting the header's row count, cross-check it
-	// against what the compressed payload could possibly contain: every
-	// materialized column costs at least one decompressed byte per row,
-	// and deflate expands at most maxDeflateRatio:1, so a claimed count
-	// beyond tpLen·ratio/nmat rows cannot be backed by data. This rejects
-	// inflated headers before any row-sized work begins.
+	// T' block. Before trusting the row count, cross-check it against what
+	// the compressed payload could possibly contain: every materialized
+	// column costs at least one decompressed byte per row, and deflate
+	// expands at most maxDeflateRatio:1, so a claimed count beyond
+	// tpLen·ratio/nmat rows cannot be backed by data. This rejects
+	// inflated counts before any row-sized work begins.
 	tpLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("codec: reading T' length: %w", err)
@@ -378,7 +520,7 @@ func decode(br *bufio.Reader, lim DecodeLimits) (*table.Table, error) {
 	if tpLen > math.MaxInt64 {
 		return nil, fmt.Errorf("codec: implausible T' length %d", tpLen)
 	}
-	if nmat > 0 {
+	if nmat := uint64(len(mb.Materialized)); nmat > 0 {
 		maxRows := uint64(math.MaxUint64)
 		if tpLen < math.MaxUint64/maxDeflateRatio {
 			maxRows = tpLen * maxDeflateRatio / nmat
@@ -400,9 +542,9 @@ func decode(br *bufio.Reader, lim DecodeLimits) (*table.Table, error) {
 
 	cols := make([]*table.Column, ncols)
 	for a := 0; a < ncols; a++ {
-		cols[a] = &table.Column{Kind: schema[a].Kind, Dict: dicts[a]}
+		cols[a] = &table.Column{Kind: mb.Schema[a].Kind, Dict: mb.Dicts[a]}
 	}
-	for _, a := range matIdx {
+	for _, a := range mb.Materialized {
 		if err := readColumn(zbr, cols[a], nrows); err != nil {
 			return nil, fmt.Errorf("codec: reading column %d: %w", a, err)
 		}
@@ -412,7 +554,7 @@ func decode(br *bufio.Reader, lim DecodeLimits) (*table.Table, error) {
 	// satisfied from buffered output), so the full declared tpLen is
 	// consumed from the stream; any residue means the declared length and
 	// the payload disagree — a corrupt or hostile frame that would
-	// otherwise silently desync callers framing streams back to back.
+	// otherwise silently desync callers framing bodies back to back.
 	if _, err := zbr.ReadByte(); err != io.EOF {
 		if err == nil {
 			return nil, fmt.Errorf("codec: trailing data in T' block")
@@ -423,49 +565,48 @@ func decode(br *bufio.Reader, lim DecodeLimits) (*table.Table, error) {
 	// Routing table: placeholder predicted columns so PredictRow can walk
 	// split attributes (which are all materialized). The row count was
 	// cross-checked against the T' payload above, and the placeholders
-	// grow in bounded chunks rather than one header-sized allocation, so
-	// a lying stream fails cheaply instead of reserving gigabytes.
-	for a := 0; a < ncols; a++ {
-		if isMat[a] {
-			continue
-		}
-		if schema[a].Kind == table.Numeric {
+	// grow in bounded chunks rather than one count-sized allocation, so
+	// a lying body fails cheaply instead of reserving gigabytes.
+	for _, m := range mb.Models {
+		a := m.Target
+		if mb.Schema[a].Kind == table.Numeric {
 			cols[a].Floats = zeroFloats(nrows)
 			continue
 		}
-		if nrows > 0 && len(dicts[a]) == 0 {
+		if nrows > 0 && len(mb.Dicts[a]) == 0 {
 			return nil, fmt.Errorf("codec: predicted categorical attribute %d has empty dictionary", a)
 		}
 		cols[a].Codes = zeroCodes(nrows)
 	}
-	routing, err := table.New(schema, cols)
+	routing, err := table.New(mb.Schema, cols)
 	if err != nil {
 		return nil, fmt.Errorf("codec: assembling T': %w", err)
 	}
 	// Predicted columns are mutually independent (predictors are always
-	// materialized), so models reconstruct in parallel. ValidateStructure
-	// above already guarantees every produced code fits its dictionary.
-	// The semaphore caps live goroutines at GOMAXPROCS: a hostile or
-	// merely wide archive can carry thousands of models, and each
-	// Reconstruct holds a full column of intermediate values.
+	// materialized), so models reconstruct in parallel. The block's
+	// validation guarantees every produced code fits its dictionary. The
+	// semaphore caps live goroutines at GOMAXPROCS: a hostile or merely
+	// wide table can carry thousands of models, and each Reconstruct
+	// holds a full column of intermediate values.
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, m := range models {
+	for i, m := range mb.Models {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(m *cart.Model) {
+		go func(m cart.Model, outliers []cart.Outlier) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rec := m.Reconstruct(routing, dicts[m.Target])
+			m.Outliers = outliers
+			rec := m.Reconstruct(routing, mb.Dicts[m.Target])
 			if rec.Kind == table.Numeric {
 				copy(cols[m.Target].Floats, rec.Floats)
 			} else {
 				copy(cols[m.Target].Codes, rec.Codes)
 			}
-		}(m)
+		}(*m, outliers[i])
 	}
 	wg.Wait()
-	return table.New(schema, cols)
+	return table.New(mb.Schema, cols)
 }
 
 // EstimateBitsPerValue encodes a column exactly as the T' block would
@@ -698,19 +839,13 @@ func readFullGrowing(r io.Reader, dst []byte, n int, lim DecodeLimits) ([]byte, 
 	return dst, nil
 }
 
-func uvarintLen(v uint64) int {
-	var buf [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(buf[:], v)
-}
-
 // --- schema helpers (same layout as the raw table format) ---
 
-func writeSchema(bw *bufio.Writer, t *table.Table) error {
-	if err := putUvarint(bw, uint64(t.NumCols())); err != nil {
+func writeSchema(bw *bufio.Writer, schema table.Schema, dicts [][]string) error {
+	if err := putUvarint(bw, uint64(len(schema))); err != nil {
 		return err
 	}
-	for i := 0; i < t.NumCols(); i++ {
-		a := t.Attr(i)
+	for i, a := range schema {
 		if err := putString(bw, a.Name); err != nil {
 			return err
 		}
@@ -718,11 +853,10 @@ func writeSchema(bw *bufio.Writer, t *table.Table) error {
 			return err
 		}
 		if a.Kind == table.Categorical {
-			dict := t.Col(i).Dict
-			if err := putUvarint(bw, uint64(len(dict))); err != nil {
+			if err := putUvarint(bw, uint64(len(dicts[i]))); err != nil {
 				return err
 			}
-			for _, s := range dict {
+			for _, s := range dicts[i] {
 				if err := putString(bw, s); err != nil {
 					return err
 				}
@@ -732,7 +866,7 @@ func writeSchema(bw *bufio.Writer, t *table.Table) error {
 	return nil
 }
 
-func readSchemaLimited(br *bufio.Reader, lim DecodeLimits) (table.Schema, [][]string, error) {
+func readSchemaLimited(br byteReader, lim DecodeLimits) (table.Schema, [][]string, error) {
 	ncols, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, nil, fmt.Errorf("codec: reading column count: %w", err)
@@ -795,7 +929,7 @@ func putString(bw *bufio.Writer, s string) error {
 	return err
 }
 
-func getString(br *bufio.Reader) (string, error) {
+func getString(br byteReader) (string, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return "", err

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -61,6 +62,20 @@ func buildPlanErr(tb *table.Table, tol float64) ([]int, []*cart.Model, error) {
 	return []int{0, 3}, []*cart.Model{my, mc}, nil
 }
 
+// encode writes a complete stream for src under a plan whose models
+// carry their outliers.
+func encode(w io.Writer, src *table.Table, materialized []int, models []*cart.Model) (Breakdown, error) {
+	mb, err := NewModelBlock(src, materialized, models)
+	if err != nil {
+		return Breakdown{}, err
+	}
+	outliers := make([][]cart.Outlier, 0, len(models))
+	for _, m := range sortedByTarget(models) {
+		outliers = append(outliers, m.Outliers)
+	}
+	return mb.EncodeStream(w, src, outliers)
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tb := testTable(rng, 1000)
@@ -68,7 +83,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	mats, models := buildPlan(t, tb, tol)
 
 	var buf bytes.Buffer
-	bd, err := Encode(&buf, tb, mats, models)
+	bd, err := encode(&buf, tb, mats, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +118,7 @@ func TestLosslessRoundTrip(t *testing.T) {
 	tb := testTable(rng, 500)
 	mats, models := buildPlan(t, tb, 0)
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, tb, mats, models); err != nil {
+	if _, err := encode(&buf, tb, mats, models); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Decode(&buf)
@@ -120,7 +135,7 @@ func TestBreakdownSections(t *testing.T) {
 	tb := testTable(rng, 800)
 	mats, models := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
-	bd, err := Encode(&buf, tb, mats, models)
+	bd, err := encode(&buf, tb, mats, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,20 +155,20 @@ func TestValidatePlanErrors(t *testing.T) {
 	_, models := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
 
-	if _, err := Encode(&buf, tb, []int{0, 0, 3}, models[:1]); err == nil {
-		t.Error("Encode accepted duplicate materialized attribute")
+	if _, err := encode(&buf, tb, []int{0, 0, 3}, models[:1]); err == nil {
+		t.Error("NewModelBlock accepted duplicate materialized attribute")
 	}
-	if _, err := Encode(&buf, tb, []int{0, 99}, models); err == nil {
-		t.Error("Encode accepted out-of-range materialized attribute")
+	if _, err := encode(&buf, tb, []int{0, 99}, models); err == nil {
+		t.Error("NewModelBlock accepted out-of-range materialized attribute")
 	}
-	if _, err := Encode(&buf, tb, []int{0, 1, 3}, models); err == nil {
-		t.Error("Encode accepted attribute both materialized and predicted")
+	if _, err := encode(&buf, tb, []int{0, 1, 3}, models); err == nil {
+		t.Error("NewModelBlock accepted attribute both materialized and predicted")
 	}
-	if _, err := Encode(&buf, tb, []int{0, 3}, models[:1]); err == nil {
-		t.Error("Encode accepted incomplete partition")
+	if _, err := encode(&buf, tb, []int{0, 3}, models[:1]); err == nil {
+		t.Error("NewModelBlock accepted incomplete partition")
 	}
-	if _, err := Encode(&buf, tb, []int{0, 3}, []*cart.Model{models[0], models[0]}); err == nil {
-		t.Error("Encode accepted duplicate model targets")
+	if _, err := encode(&buf, tb, []int{0, 3}, []*cart.Model{models[0], models[0]}); err == nil {
+		t.Error("NewModelBlock accepted duplicate model targets")
 	}
 	// Model using a non-materialized predictor.
 	cm := cart.NewCostModel(tb)
@@ -161,8 +176,8 @@ func TestValidatePlanErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Encode(&buf, tb, []int{2, 3}, []*cart.Model{bad, mustModel(t, tb, cm, 0)}); err == nil {
-		t.Error("Encode accepted model with non-materialized predictor")
+	if _, err := encode(&buf, tb, []int{2, 3}, []*cart.Model{bad, mustModel(t, tb, cm, 0)}); err == nil {
+		t.Error("NewModelBlock accepted model with non-materialized predictor")
 	}
 }
 
@@ -180,7 +195,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	tb := testTable(rng, 200)
 	mats, models := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, tb, mats, models); err != nil {
+	if _, err := encode(&buf, tb, mats, models); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -241,7 +256,7 @@ func TestAllPredictedExceptOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, tb, []int{0}, []*cart.Model{my, mc, mj}); err != nil {
+	if _, err := encode(&buf, tb, []int{0}, []*cart.Model{my, mc, mj}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Decode(&buf)
@@ -281,7 +296,7 @@ func TestEncodePropagatesWriteErrors(t *testing.T) {
 	tb := testTable(rng, 200)
 	mats, models := buildPlan(t, tb, 10)
 	for _, cut := range []int{0, 10, 200} {
-		if _, err := Encode(&failAfter{n: cut}, tb, mats, models); err == nil {
+		if _, err := encode(&failAfter{n: cut}, tb, mats, models); err == nil {
 			t.Errorf("Encode succeeded with writer failing at %d bytes", cut)
 		}
 	}
@@ -292,17 +307,79 @@ func TestDecodeDetectsModelCorruption(t *testing.T) {
 	tb := testTable(rng, 300)
 	mats, models := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
-	bd, err := Encode(&buf, tb, mats, models)
+	bd, err := encode(&buf, tb, mats, models)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// Flip a byte in the middle of the models section: the CRC must
+	// Flip a byte in the middle of the trees and outliers: a CRC must
 	// catch it even if the byte still parses structurally.
 	pos := bd.HeaderBytes + bd.ModelBytes/2
 	bad := append([]byte(nil), data...)
 	bad[pos] ^= 0x40
 	if _, err := Decode(bytes.NewReader(bad)); err == nil {
 		t.Error("Decode accepted a corrupted models section")
+	}
+}
+
+// TestBodiesShareModelBlock: one model block, written once, decodes
+// every body encoded against it, and each body holds its own rows and
+// outliers.
+func TestBodiesShareModelBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tb := testTable(rng, 600)
+	tol := 10.0
+	mats, models := buildPlan(t, tb, tol)
+	mb, err := NewModelBlock(tb, mats, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var block bytes.Buffer
+	if _, err := mb.Encode(&block); err != nil {
+		t.Fatal(err)
+	}
+	shared, err := DecodeModelBlock(block.Bytes(), DecodeLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeModelBlock(append(block.Bytes(), 0), DecodeLimits{}); err == nil {
+		t.Error("DecodeModelBlock accepted a trailing byte")
+	}
+	for _, rows := range [][2]int{{0, 250}, {250, 600}} {
+		idx := make([]int, 0, rows[1]-rows[0])
+		for r := rows[0]; r < rows[1]; r++ {
+			idx = append(idx, r)
+		}
+		part, err := tb.SelectRows(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outliers := make([][]cart.Outlier, 0, len(mb.Models))
+		for _, tree := range mb.Models {
+			m := *tree
+			if err := m.ComputeOutliers(part, map[int]float64{1: tol, 2: 0}[m.Target]); err != nil {
+				t.Fatal(err)
+			}
+			outliers = append(outliers, m.Outliers)
+		}
+		var body bytes.Buffer
+		bd, err := mb.EncodeBody(&body, part, outliers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, n, err := shared.DecodeBody(bytes.NewReader(body.Bytes()), DecodeLimits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(body.Len()) || bd.Total() != body.Len() {
+			t.Errorf("body of %d bytes: decoder consumed %d, breakdown says %d", body.Len(), n, bd.Total())
+		}
+		diffs, err := table.MaxAbsDiff(part, back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diffs[0] != 0 || diffs[1] > tol || diffs[2] != 0 || diffs[3] != 0 {
+			t.Errorf("rows %v: bounds violated: %v", rows, diffs)
+		}
 	}
 }

@@ -19,7 +19,7 @@ func FuzzDecode(f *testing.F) {
 	tb := testTable(rng, 50)
 	mats, models := buildPlanF(f, tb, 10)
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, tb, mats, models); err != nil {
+	if _, err := encode(&buf, tb, mats, models); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -38,6 +38,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(hostileDictStream())
 	f.Add(hostileModelsStream())
 	f.Add(hostileTPrimeStream())
+	f.Add(hostileShortTPrimeStream())
+	f.Add(hostileLeafCodeStream())
+	f.Add(hostileOutlierRowStream())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, err := Decode(bytes.NewReader(data))

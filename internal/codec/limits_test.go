@@ -2,8 +2,10 @@ package codec
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -30,38 +32,59 @@ func (b *hostileBuf) str(s string) {
 	_, _ = b.WriteString(s)
 }
 
-// numericSchema writes a one-column numeric schema.
-func (b *hostileBuf) numericSchema() {
-	b.uvarint(1)
-	b.str("a")
-	b.b1(byte(table.Numeric))
+func (b *hostileBuf) f32(v float32) {
+	_, _ = b.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
+}
+
+// checked writes payload as a section with a correct length and CRC, the
+// framing of the model block and of a body's outliers.
+func (b *hostileBuf) checked(payload []byte) {
+	b.uvarint(uint64(len(payload)))
+	_, _ = b.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload)))
+	_, _ = b.Write(payload)
+}
+
+// oneNumericBlock writes a valid model block for a one-column numeric
+// table whose column is materialized: no models.
+func (b *hostileBuf) oneNumericBlock() {
+	var p hostileBuf
+	p.uvarint(1) // ncols
+	p.str("a")
+	p.b1(byte(table.Numeric))
+	p.uvarint(1) // nmat
+	p.uvarint(0) // materialized attribute 0
+	p.uvarint(0) // nmodels
+	b.checked(p.Bytes())
 }
 
 // hostileColsStream claims 2^40 columns.
 func hostileColsStream() []byte {
-	var b hostileBuf
+	var b, p hostileBuf
 	b.magic()
-	b.uvarint(1 << 40)
+	p.uvarint(1 << 40)
+	b.checked(p.Bytes())
 	return b.Bytes()
 }
 
-// hostileRowsStream claims 2^40 rows behind a valid one-column schema.
+// hostileRowsStream claims 2^40 rows behind a valid one-column model
+// block.
 func hostileRowsStream() []byte {
 	var b hostileBuf
 	b.magic()
-	b.numericSchema()
+	b.oneNumericBlock()
 	b.uvarint(1 << 40)
 	return b.Bytes()
 }
 
 // hostileDictStream claims a 2^40-entry categorical dictionary.
 func hostileDictStream() []byte {
-	var b hostileBuf
+	var b, p hostileBuf
 	b.magic()
-	b.uvarint(1)
-	b.str("a")
-	b.b1(byte(table.Categorical))
-	b.uvarint(1 << 40)
+	p.uvarint(1)
+	p.str("a")
+	p.b1(byte(table.Categorical))
+	p.uvarint(1 << 40)
+	b.checked(p.Bytes())
 	return b.Bytes()
 }
 
@@ -71,31 +94,97 @@ func hostileDictStream() []byte {
 func hostileTPrimeStream() []byte {
 	var b hostileBuf
 	b.magic()
-	b.numericSchema()
+	b.oneNumericBlock()
 	b.uvarint(1 << 30) // nrows
-	b.uvarint(1)       // nmat
-	b.uvarint(0)       // materialized attribute 0
-	// Models section: one byte (nmodels=0) with its CRC.
-	modelBytes := []byte{0}
-	b.uvarint(uint64(len(modelBytes)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(modelBytes))
-	_, _ = b.Write(crc[:]) // bytes.Buffer writes cannot fail
-	_, _ = b.Write(modelBytes)
-	b.uvarint(1) // tpLen: one byte for 2^30 claimed rows
+	b.checked(nil)     // no models, no outliers
+	b.uvarint(1)       // tpLen: one byte for 2^30 claimed rows
 	b.b1(0)
 	return b.Bytes()
 }
 
-// hostileModelsStream claims a 2^40-byte models section.
+// hostileShortTPrimeStream claims more rows than its T' block holds, but
+// few enough to pass the deflate-ratio cross-check: the T' block is a
+// real gzip stream of 10 raw cells, and the column runs out long before
+// the claimed count.
+func hostileShortTPrimeStream() []byte {
+	var cells hostileBuf
+	cells.b1(numEncRaw)
+	for i := 0; i < 10; i++ {
+		cells.f32(float32(i))
+	}
+	var tp bytes.Buffer
+	zw := gzip.NewWriter(&tp)
+	_, _ = zw.Write(cells.Bytes()) // a bytes.Buffer sink cannot fail
+	_ = zw.Close()
+
+	var b hostileBuf
+	b.magic()
+	b.oneNumericBlock()
+	b.uvarint(uint64(tp.Len()) * maxDeflateRatio) // nrows: the most the cross-check admits
+	b.checked(nil)
+	b.uvarint(uint64(tp.Len()))
+	_, _ = b.Write(tp.Bytes())
+	return b.Bytes()
+}
+
+// hostileModelsStream claims a 2^40-byte model block.
 func hostileModelsStream() []byte {
 	var b hostileBuf
 	b.magic()
-	b.numericSchema()
-	b.uvarint(10)      // nrows
-	b.uvarint(1)       // nmat
-	b.uvarint(0)       // materialized attribute 0
-	b.uvarint(1 << 40) // modelsLen
+	b.uvarint(1 << 40) // model block length
+	return b.Bytes()
+}
+
+// twoColumnBlock writes a model block for (x numeric, y) with x
+// materialized and y predicted by the one-node tree leaf.
+func (b *hostileBuf) twoColumnBlock(yKind table.Kind, dict []string, leaf func(*hostileBuf)) {
+	var p hostileBuf
+	p.uvarint(2) // ncols
+	p.str("x")
+	p.b1(byte(table.Numeric))
+	p.str("y")
+	p.b1(byte(yKind))
+	if yKind == table.Categorical {
+		p.uvarint(uint64(len(dict)))
+		for _, s := range dict {
+			p.str(s)
+		}
+	}
+	p.uvarint(1) // nmat
+	p.uvarint(0) // x
+	p.uvarint(1) // nmodels
+	p.uvarint(1) // target y
+	p.b1(byte(yKind))
+	leaf(&p)
+	b.checked(p.Bytes())
+}
+
+// hostileLeafCodeStream carries a CaRT whose leaf predicts code 5 of a
+// one-entry dictionary.
+func hostileLeafCodeStream() []byte {
+	var b hostileBuf
+	b.magic()
+	b.twoColumnBlock(table.Categorical, []string{"only"}, func(p *hostileBuf) {
+		p.b1(1) // categorical leaf
+		p.uvarint(5)
+	})
+	return b.Bytes()
+}
+
+// hostileOutlierRowStream has a valid model block, but its body stores
+// an outlier at row 2 of a 2-row body.
+func hostileOutlierRowStream() []byte {
+	var b, out hostileBuf
+	b.magic()
+	b.twoColumnBlock(table.Numeric, nil, func(p *hostileBuf) {
+		p.b1(0) // numeric leaf
+		p.f32(0)
+	})
+	b.uvarint(2)   // nrows
+	out.uvarint(1) // one outlier
+	out.uvarint(2) // row 2
+	out.f32(7)
+	b.checked(out.Bytes())
 	return b.Bytes()
 }
 
@@ -111,11 +200,13 @@ func allocDelta(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestDecodeRejectsHostileHeaders feeds Decode headers whose claimed
-// sizes (2^40 rows, columns, dictionary entries, model bytes; a row
-// count no T' payload could deliver) must be rejected by the default
-// limits — with an error naming the violated bound, and without
-// allocating anything near the claimed size.
+// TestDecodeRejectsHostileHeaders feeds Decode streams whose claimed
+// sizes (2^40 rows, columns, dictionary entries, model-block bytes; a
+// row count no T' payload could deliver, or more rows than the T' block
+// holds) or whose contents point outside the table (a CaRT leaf code
+// outside the shared dictionary, an outlier row past the body's row
+// count) must be rejected — with an error naming the violated bound, and
+// without allocating anything near the claimed size.
 func TestDecodeRejectsHostileHeaders(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -125,8 +216,11 @@ func TestDecodeRejectsHostileHeaders(t *testing.T) {
 		{"rows", hostileRowsStream(), "row count"},
 		{"cols", hostileColsStream(), "column count"},
 		{"dict", hostileDictStream(), "dictionary size"},
-		{"models", hostileModelsStream(), "models length"},
+		{"models", hostileModelsStream(), "model block length"},
 		{"tprime", hostileTPrimeStream(), "cannot fit"},
+		{"tprime-short", hostileShortTPrimeStream(), "reading column 0"},
+		{"leaf-code", hostileLeafCodeStream(), "outside dictionary"},
+		{"outlier-row", hostileOutlierRowStream(), "outlier row 2 beyond 2 rows"},
 	}
 	// Well under the smallest hostile claim (2^30 rows × 8 bytes); far
 	// above the decoder's legitimate buffers.
@@ -196,7 +290,7 @@ func TestDecodeLimitedTightens(t *testing.T) {
 	tb := testTable(rng, 200)
 	mats, models := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, tb, mats, models); err != nil {
+	if _, err := encode(&buf, tb, mats, models); err != nil {
 		t.Fatal(err)
 	}
 

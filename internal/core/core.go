@@ -3,6 +3,13 @@
 //
 //	DependencyFinder → CaRTSelector ⇄ CaRTBuilder → RowAggregator → codec
 //
+// The pipeline has two steps. Learn runs the dependency finder and CaRT
+// selection on a sample and resolves tolerances against the whole input;
+// Apply runs row aggregation, the outlier scan and the encoder over one
+// set of rows. Compress is Learn followed by one Apply, as the paper
+// describes ("then uses the CaRTs built to compress the full data set in
+// one pass"); a segmented archive learns once and applies per segment.
+//
 // It is the paper's primary contribution — everything else under internal/
 // is a substrate it composes. The exported types here are re-exported by
 // the root spartan package, which is the intended import path for users.
@@ -15,6 +22,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,11 +35,15 @@ import (
 	"repro/internal/table"
 )
 
-// Span names emitted by Compress, one per pipeline component (paper
-// §2.3) plus the encoder, all children of SpanCompress. Consumers keying
-// metrics or assertions off the trace should use these constants.
+// Span names emitted by the pipeline, one per component (paper §2.3)
+// plus the encoder. Compress puts all five under a SpanCompress root;
+// Learn puts the first two under a SpanLearn root and Apply the last
+// three under a SpanApply root. Consumers keying metrics or assertions
+// off the trace should use these constants.
 const (
 	SpanCompress         = "compress"
+	SpanLearn            = "learn"
+	SpanApply            = "apply"
 	SpanDependencyFinder = "dependency_finder"
 	SpanCaRTSelection    = "cart_selection"
 	SpanRowAggregation   = "row_aggregation"
@@ -75,7 +87,7 @@ func (s SelectionStrategy) String() string {
 type Options struct {
 	// Tolerances is the error-tolerance vector ē; nil means all-zero
 	// (lossless). Quantile-form numeric entries are resolved against the
-	// input table's value ranges.
+	// value ranges of the table the models are learned on.
 	Tolerances table.Tolerances
 	// SampleBytes is the model-inference sample size (the paper's default
 	// is 50 KB, §4.1). Zero selects the default.
@@ -153,8 +165,8 @@ type Stats struct {
 	Outliers     int      // total outlier values stored
 	Fascicles    int      // fascicles found by the RowAggregator
 
-	HeaderBytes int // schema + dictionaries + attribute lists
-	ModelBytes  int // serialized CaRTs incl. outliers
+	HeaderBytes int // magic, framing, schema + dictionaries, attribute lists, row count
+	ModelBytes  int // serialized CaRT trees and outliers
 	TPrimeBytes int // deflated materialized projection
 
 	Timings Timings
@@ -175,11 +187,122 @@ func Compress(w io.Writer, t *table.Table, opts Options) (*Stats, error) {
 // abandons the run within milliseconds. The returned error wraps
 // ctx.Err() together with the phase the run died in, and the trace span
 // of that phase (plus the root) is annotated cancelled=true.
+//
+// It is Learn followed by one Apply over all of t, written as one stream
+// (magic, model block, body), with every phase under one SpanCompress
+// root.
 func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Options) (*Stats, error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("spartan: nil or empty table")
 	}
 	opts = opts.withDefaults()
+	stats := &Stats{RawBytes: t.RawSizeBytes()}
+	root := startRoot(opts, SpanCompress, t).SetAttr("raw_bytes", stats.RawBytes)
+	defer root.Finish()
+
+	m, err := learn(ctx, root, t, opts)
+	if err != nil {
+		return nil, failCompress(root, err)
+	}
+	m.AddLearnStats(stats)
+	err = m.apply(ctx, root, t, stats, func(applied *table.Table, outliers [][]cart.Outlier) (codec.Breakdown, error) {
+		return m.block.EncodeStream(w, applied, outliers)
+	})
+	if err != nil {
+		return nil, failCompress(root, err)
+	}
+	root.SetAttr("ratio", fmt.Sprintf("%.4f", stats.Ratio))
+	return stats, nil
+}
+
+// Model is the learn step's product: the tolerances resolved against the
+// learn input, the selected CaRTs and the codec model block they
+// serialize to. Apply never modifies it, so any number of Apply calls —
+// one per archive segment — may share one Model concurrently.
+type Model struct {
+	opts     Options
+	resolved table.Tolerances
+	plan     *selector.Result
+	block    *codec.ModelBlock
+	learned  Stats // the learn step's share; see AddLearnStats
+}
+
+// Learn runs the learn step on t: the dependency finder on a sample of
+// t, CaRT selection, and the resolution of quantile tolerances against
+// all of t. Its dependency_finder and cart_selection spans go under a
+// SpanLearn root on opts.Trace.
+func Learn(ctx context.Context, t *table.Table, opts Options) (*Model, error) {
+	if t == nil || t.NumCols() == 0 {
+		return nil, fmt.Errorf("spartan: nil or empty table")
+	}
+	opts = opts.withDefaults()
+	root := startRoot(opts, SpanLearn, t)
+	defer root.Finish()
+	m, err := learn(ctx, root, t, opts)
+	if err != nil {
+		return nil, failCompress(root, err)
+	}
+	return m, nil
+}
+
+// Block returns the model block every body of this model decodes
+// against.
+func (m *Model) Block() *codec.ModelBlock { return m.block }
+
+// Tolerances returns the absolute tolerances the model was learned
+// under: every body it encodes reconstructs within them.
+func (m *Model) Tolerances() table.Tolerances { return m.resolved }
+
+// AddLearnStats adds the learn step's share of the statistics to st: the
+// dependency-finder and CaRT-selection timings, CartsBuilt, Predicted
+// and Materialized. Apply leaves these zero, so an archive adds them to
+// its first segment and a sum over segments counts learning once.
+func (m *Model) AddLearnStats(st *Stats) {
+	st.Timings.DependencyFinder += m.learned.Timings.DependencyFinder
+	st.Timings.CaRTSelection += m.learned.Timings.CaRTSelection
+	st.CartsBuilt += m.learned.CartsBuilt
+	st.Predicted = append(st.Predicted, m.learned.Predicted...)
+	st.Materialized = append(st.Materialized, m.learned.Materialized...)
+}
+
+// Apply runs the apply step on body — row aggregation, the outlier scan
+// and the encoder — and writes one codec body to w (no magic, no model
+// block; see Block). body must have the learn input's schema, and its
+// categorical codes must index the dictionaries the body is decoded
+// with. The row_aggregation, outlier_scan and encode spans go under a
+// SpanApply root on the learn options' Trace. The returned Stats cover
+// the apply step only (see AddLearnStats).
+func (m *Model) Apply(ctx context.Context, w io.Writer, body *table.Table) (*Stats, error) {
+	if body == nil || !slices.Equal(body.Schema(), m.block.Schema) {
+		return nil, fmt.Errorf("spartan: body schema differs from the learned schema")
+	}
+	stats := &Stats{RawBytes: body.RawSizeBytes()}
+	root := startRoot(m.opts, SpanApply, body)
+	defer root.Finish()
+	err := m.apply(ctx, root, body, stats, func(applied *table.Table, outliers [][]cart.Outlier) (codec.Breakdown, error) {
+		return m.block.EncodeBody(w, applied, outliers)
+	})
+	if err != nil {
+		return nil, failCompress(root, err)
+	}
+	return stats, nil
+}
+
+// startRoot opens the root span of one pipeline run on opts.Trace, or on
+// a private trace when the caller supplied none: tracing is
+// unconditional because Timings is read off the spans, and a
+// caller-supplied Trace additionally sees every span (plus whatever
+// observer it registered via OnSpanEnd).
+func startRoot(opts Options, name string, t *table.Table) *obs.Span {
+	tr := opts.Trace
+	if tr == nil {
+		tr = obs.NewTrace(name)
+	}
+	return tr.Start(name).SetAttr("rows", t.NumRows()).SetAttr("cols", t.NumCols())
+}
+
+// learn runs the learn step's phases under root.
+func learn(ctx context.Context, root *obs.Span, t *table.Table, opts Options) (*Model, error) {
 	tol := opts.Tolerances
 	if tol == nil {
 		tol = table.ZeroTolerances(t)
@@ -188,21 +311,8 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	stats := &Stats{RawBytes: t.RawSizeBytes()}
+	m := &Model{opts: opts, resolved: resolved}
 	rng := rand.New(rand.NewSource(opts.Seed))
-
-	// Tracing is unconditional: Timings is read off the spans, and a
-	// caller-supplied Trace additionally sees every span (plus whatever
-	// observer it registered via OnSpanEnd).
-	tr := opts.Trace
-	if tr == nil {
-		tr = obs.NewTrace(SpanCompress)
-	}
-	root := tr.Start(SpanCompress)
-	root.SetAttr("rows", t.NumRows()).
-		SetAttr("cols", t.NumCols()).
-		SetAttr("raw_bytes", stats.RawBytes)
-	defer root.Finish()
 
 	// DependencyFinder: Bayesian network on a sample. A quarter of the
 	// sample budget is held out for honest prediction-cost estimates
@@ -211,7 +321,7 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		sample, build, holdout *table.Table
 		net                    *bayesnet.Network
 	)
-	err = runPhase(ctx, root, SpanDependencyFinder, &stats.Timings.DependencyFinder, func(sp *obs.Span) error {
+	err = runPhase(ctx, root, SpanDependencyFinder, &m.learned.Timings.DependencyFinder, func(sp *obs.Span) error {
 		sample = t.SampleBytes(opts.SampleBytes, rng)
 		var err error
 		build, holdout, err = splitSample(sample)
@@ -227,14 +337,13 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		return nil
 	})
 	if err != nil {
-		return nil, failCompress(root, err)
+		return nil, err
 	}
 
 	// CaRTSelector. Materialization costs are estimated by entropy-coding
 	// the sample's columns, so the MaterCost-vs-PredCost trade-off matches
 	// what the T' encoder actually achieves.
-	var plan *selector.Result
-	err = runPhase(ctx, root, SpanCaRTSelection, &stats.Timings.CaRTSelection, func(sp *obs.Span) error {
+	err = runPhase(ctx, root, SpanCaRTSelection, &m.learned.Timings.CaRTSelection, func(sp *obs.Span) error {
 		cost := cart.NewCostModel(t)
 		materBits, err := estimateMaterBits(sample)
 		if err != nil {
@@ -251,6 +360,7 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 			Cost:    cost,
 			CartCfg: cart.Config{FullRows: t.NumRows(), Prune: opts.Prune},
 		}
+		var plan *selector.Result
 		switch opts.Selection {
 		case SelectGreedy:
 			plan, err = selector.GreedyContext(ctx, in, opts.Theta)
@@ -262,13 +372,19 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		if err != nil {
 			return fmt.Errorf("spartan: CaRT selection: %w", err)
 		}
-		stats.CartsBuilt = plan.CartsBuilt
+		models := make([]*cart.Model, 0, len(plan.Predicted))
 		for _, a := range plan.Predicted {
-			stats.Predicted = append(stats.Predicted, t.Attr(a).Name)
+			models = append(models, plan.Models[a])
+			m.learned.Predicted = append(m.learned.Predicted, t.Attr(a).Name)
 		}
 		for _, a := range plan.Materialized {
-			stats.Materialized = append(stats.Materialized, t.Attr(a).Name)
+			m.learned.Materialized = append(m.learned.Materialized, t.Attr(a).Name)
 		}
+		if m.block, err = codec.NewModelBlock(t, plan.Materialized, models); err != nil {
+			return fmt.Errorf("spartan: CaRT selection: %w", err)
+		}
+		m.plan = plan
+		m.learned.CartsBuilt = plan.CartsBuilt
 		sp.SetAttr("strategy", opts.Selection.String()).
 			SetAttr("carts_built", plan.CartsBuilt).
 			SetAttr("predicted", len(plan.Predicted)).
@@ -276,16 +392,22 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		return nil
 	})
 	if err != nil {
-		return nil, failCompress(root, err)
+		return nil, err
 	}
+	return m, nil
+}
 
+// apply runs the apply step's phases over t under root, filling stats;
+// encode writes the result.
+func (m *Model) apply(ctx context.Context, root *obs.Span, t *table.Table, stats *Stats,
+	encode func(applied *table.Table, outliers [][]cart.Outlier) (codec.Breakdown, error)) error {
 	// RowAggregator: fascicle-quantize the materialized projection without
 	// crossing any CaRT split value.
-	applyTable := t
-	err = runPhase(ctx, root, SpanRowAggregation, &stats.Timings.RowAggregation, func(sp *obs.Span) error {
-		if !opts.DisableRowAggregation && len(plan.Materialized) > 0 {
+	applied := t
+	err := runPhase(ctx, root, SpanRowAggregation, &stats.Timings.RowAggregation, func(sp *obs.Span) error {
+		if !m.opts.DisableRowAggregation && len(m.plan.Materialized) > 0 {
 			var err error
-			applyTable, stats.Fascicles, err = rowAggregate(ctx, t, plan, resolved, opts)
+			applied, stats.Fascicles, err = rowAggregate(ctx, t, m.plan, m.resolved, m.opts)
 			if err != nil {
 				return fmt.Errorf("spartan: row aggregation: %w", err)
 			}
@@ -294,39 +416,41 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 		return nil
 	})
 	if err != nil {
-		return nil, failCompress(root, err)
+		return err
 	}
 
-	// Outlier scan: one pass over the full table per model (paper §2.3:
+	// Outlier scan: one pass over the rows per model (paper §2.3:
 	// "SPARTAN then uses the CaRTs built to compress the full data set in
 	// one pass").
-	models := make([]*cart.Model, len(plan.Predicted))
+	trees := m.block.Models
+	outliers := make([][]cart.Outlier, len(trees))
 	err = runPhase(ctx, root, SpanOutlierScan, &stats.Timings.OutlierScan, func(sp *obs.Span) error {
 		// One scan per predicted attribute, bounded to GOMAXPROCS workers
 		// (the same semaphore pattern the WMIS selector uses) so a wide
 		// table cannot spawn hundreds of full-table scans at once. Each
-		// scan checks ctx between row batches.
-		scanErrs := make([]error, len(plan.Predicted))
+		// scan checks ctx between row batches, and collects its outliers
+		// on a copy of the shared tree.
+		scanErrs := make([]error, len(trees))
 		var wg sync.WaitGroup
 		workers := runtime.GOMAXPROCS(0)
-		if opts.ScanWorkers > 0 {
-			workers = opts.ScanWorkers
+		if m.opts.ScanWorkers > 0 {
+			workers = m.opts.ScanWorkers
 		}
 		sem := make(chan struct{}, workers)
-		for i, a := range plan.Predicted {
+		for i, tree := range trees {
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(i, a int) {
+			go func(i int, scan cart.Model) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				m := plan.Models[a]
+				a := scan.Target
 				var perClass map[int32]float64
 				if t.Attr(a).Kind == table.Categorical {
-					perClass = resolved[a].ClassBudgets(t.Col(a).Dict)
+					perClass = m.resolved[a].ClassBudgets(t.Col(a).Dict)
 				}
-				scanErrs[i] = m.ComputeOutliersBudgetContext(ctx, applyTable, resolved[a].Value, perClass)
-				models[i] = m
-			}(i, a)
+				scanErrs[i] = scan.ComputeOutliersBudgetContext(ctx, applied, m.resolved[a].Value, perClass)
+				outliers[i] = scan.Outliers
+			}(i, *tree)
 		}
 		wg.Wait()
 		for _, err := range scanErrs {
@@ -334,20 +458,20 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 				return fmt.Errorf("spartan: outlier scan: %w", err)
 			}
 		}
-		for _, m := range models {
-			stats.Outliers += len(m.Outliers)
+		for _, o := range outliers {
+			stats.Outliers += len(o)
 		}
-		sp.SetAttr("rows_scanned", t.NumRows()*len(plan.Predicted)).
+		sp.SetAttr("rows_scanned", t.NumRows()*len(trees)).
 			SetAttr("outliers", stats.Outliers)
 		return nil
 	})
 	if err != nil {
-		return nil, failCompress(root, err)
+		return err
 	}
 
 	// Encode.
-	err = runPhase(ctx, root, SpanEncode, &stats.Timings.Encode, func(sp *obs.Span) error {
-		bd, err := codec.Encode(w, applyTable, plan.Materialized, models)
+	return runPhase(ctx, root, SpanEncode, &stats.Timings.Encode, func(sp *obs.Span) error {
+		bd, err := encode(applied, outliers)
 		if err != nil {
 			return fmt.Errorf("spartan: encoding: %w", err)
 		}
@@ -364,11 +488,6 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 			SetAttr("tprime_bytes", stats.TPrimeBytes)
 		return nil
 	})
-	if err != nil {
-		return nil, failCompress(root, err)
-	}
-	root.SetAttr("ratio", fmt.Sprintf("%.4f", stats.Ratio))
-	return stats, nil
 }
 
 // runPhase runs one pipeline component inside a child span of root,

@@ -367,8 +367,9 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	if segRows > 0 {
-		// Segmented archive: segments compress concurrently; the response
-		// is a seekable archive with zone maps for pruned /query calls.
+		// Segmented archive: the models are learned once, then applied to
+		// the segments concurrently; the response is a seekable archive
+		// with zone maps for pruned /query calls.
 		astats, err := archive.WriteTableContext(r.Context(), &buf, t, opts,
 			archive.SegmentOptions{SegmentRows: segRows})
 		if !s.answerCompressErr(w, err) {
@@ -382,6 +383,12 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		h.Set("X-Spartan-Compressed-Bytes", strconv.Itoa(astats.CompressedBytes))
 		h.Set("X-Spartan-Ratio", strconv.FormatFloat(astats.Ratio, 'f', 4, 64))
 		h.Set("X-Spartan-Segments", strconv.Itoa(astats.Segments))
+		if astats.Segments > 0 {
+			// The first segment carries the shared plan (see TableStats).
+			predicted := astats.PerSegment[0].Predicted
+			s.m.predictedAttrs.Observe(float64(len(predicted)))
+			h.Set("X-Spartan-Predicted", strings.Join(predicted, ","))
+		}
 	} else {
 		stats, err := core.CompressContext(r.Context(), &buf, t, opts)
 		if !s.answerCompressErr(w, err) {

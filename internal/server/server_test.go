@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -223,25 +224,29 @@ func TestPhaseMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestSegmentedCompressAndQuery: /compress?segment-rows= yields a v2
-// archive, and /query answers it through the footer, pruning zone-map
-// refuted segments without decoding them (visible in headers and the
+// TestSegmentedCompressAndQuery: /compress?segment-rows= yields an
+// archive whose shared plan is named in X-Spartan-Predicted, and /query
+// answers it through the footer, pruning zone-map refuted segments
+// without decoding them (visible in headers and the
 // spartan_query_segments_total counter).
 func TestSegmentedCompressAndQuery(t *testing.T) {
 	srv := testServer(t)
 	// The leading column increases with the row index, so each segment
 	// covers a disjoint value range and a range predicate can refute
-	// whole segments.
+	// whole segments. h is a function of the random g, so a CaRT
+	// predicts it.
 	b, err := table.NewBuilder(table.Schema{
 		{Name: "v", Kind: table.Numeric},
 		{Name: "g", Kind: table.Categorical},
+		{Name: "h", Kind: table.Categorical},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := []string{"a", "b"}
+	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
-		b.MustAppendRow(float64(i), groups[i%2])
+		g := rng.Intn(2)
+		b.MustAppendRow(float64(i), []string{"a", "b"}[g], []string{"x", "y"}[g])
 	}
 	tb, err := b.Build()
 	if err != nil {
@@ -264,8 +269,20 @@ func TestSegmentedCompressAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(compressed, []byte("SPARC2\n")) {
-		t.Fatalf("compressed body does not start with the v2 archive magic")
+	if !bytes.HasPrefix(compressed, []byte("SPARC3\n")) {
+		t.Fatalf("compressed body does not start with the archive magic")
+	}
+	// The plan is learned once on the whole table, so it is the one a
+	// single-stream /compress of the same rows reports.
+	stream, err := http.Post(srv.URL+"/compress", "application/octet-stream", tableBody(t, tb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, stream.Body)
+	stream.Body.Close()
+	got, want := resp.Header.Get("X-Spartan-Predicted"), stream.Header.Get("X-Spartan-Predicted")
+	if got == "" || got != want {
+		t.Errorf("segmented X-Spartan-Predicted = %q, want the stream's %q", got, want)
 	}
 
 	// v > 1700 refutes the first three segments ([0,500), [500,1000),

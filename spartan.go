@@ -86,9 +86,13 @@ type (
 )
 
 // Span names emitted by Compress: a SpanCompress root with one child per
-// pipeline component, in PhaseSpans order.
+// pipeline component, in PhaseSpans order. CompressArchive emits one
+// SpanLearn root (dependency finder, CaRT selection) and one SpanApply
+// root per segment (row aggregation, outlier scan, encode) instead.
 const (
 	SpanCompress         = core.SpanCompress
+	SpanLearn            = core.SpanLearn
+	SpanApply            = core.SpanApply
 	SpanDependencyFinder = core.SpanDependencyFinder
 	SpanCaRTSelection    = core.SpanCaRTSelection
 	SpanRowAggregation   = core.SpanRowAggregation
