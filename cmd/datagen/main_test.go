@@ -58,3 +58,31 @@ func TestRunErrors(t *testing.T) {
 		t.Error("accepted unknown dataset")
 	}
 }
+
+// TestRunClosesFiles: run leaves the process with the file descriptors
+// it started with, whether it writes a table or fails. It skips where
+// /proc/self/fd cannot be read (anything but Linux).
+func TestRunClosesFiles(t *testing.T) {
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open files: %v", err)
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+	for out, wantErr := range map[string]bool{
+		filepath.Join(dir, "t.bin"):            false,
+		filepath.Join(dir, "t.csv"):            false,
+		filepath.Join(dir, "missing", "t.bin"): true, // create fails
+		"/dev/full":                            true, // writes fail after the open
+	} {
+		before := openFDs()
+		if err := run("cdr", 50, out, 1); (err != nil) != wantErr {
+			t.Errorf("run -out %s: error %v, want error %v", out, err, wantErr)
+		}
+		if after := openFDs(); after != before {
+			t.Errorf("run -out %s: %d open files before, %d after", out, before, after)
+		}
+	}
+}

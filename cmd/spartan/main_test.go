@@ -106,6 +106,7 @@ func captureStderr(t *testing.T, fn func() error) (string, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	got := make(chan string)
 	go func() {
 		b, _ := io.ReadAll(r)

@@ -4,9 +4,9 @@ package main
 // over a fixed fixture corpus so `go test -bench=. ./cmd/spartanvet`
 // attributes analysis cost per analyzer. The corpus is the flow-heavy
 // subset of the golden fixtures — decode paths, taint chains, overflow
-// checks, goroutine spawns, resource obligations — so the numbers track
-// the expensive layers (dataflow fixpoints, taint propagation, call
-// graphs), not trivial syntax walks. Record a baseline before growing
+// checks, row-bounded allocations — so the numbers track the expensive
+// layers (dataflow fixpoints, taint propagation, call graphs), not
+// trivial syntax walks. Record a baseline before growing
 // the suite and compare with benchstat or `-benchtime=10x` eyeballing;
 // a new analyzer that doubles the total shows up here long before it
 // shows up as a slow `make lint`.
@@ -34,9 +34,7 @@ var benchCorpus = []string{
 	"cart",
 	"taintalloc",
 	"sizeoverflow",
-	"boundedspawn",
 	"hotalloc",
-	"closeleak",
 }
 
 type benchPkg struct {

@@ -14,14 +14,12 @@
 // arithmetic on wire values; a DecodeLimits comparison clears a value
 // for both), fed by the funcsummary fact producer, which hands
 // per-function dataflow summaries across package boundaries as
-// in-memory facts; boundedspawn (per-row goroutine spawns with no
-// concurrency bound) rides the goroutine-spawn model and concsummary
-// facts in internal/analysis/conc; closeleak (opened io.Closer handles
-// not closed on every CFG exit path, defer- and
-// ownership-transfer-aware) rides the resource summaries and
-// effectsummary facts in internal/analysis/effects. A synthetic check,
-// staleignore, flags //spartanvet:ignore directives that no longer
-// suppress anything.
+// in-memory facts. A synthetic check, staleignore, flags
+// //spartanvet:ignore directives that no longer suppress anything.
+//
+// Bounded goroutine fan-out and file-handle closing have no analyzer:
+// internal/par's tests and its go-statement test pin the first, and
+// cmd/spartan's /proc/self/fd test pins the second.
 //
 // It runs over package patterns, test files included, and gates on any
 // finding:
@@ -45,12 +43,8 @@ import (
 	"os"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/conc"
-	"repro/internal/analysis/conc/boundedspawn"
 	"repro/internal/analysis/ctxfirst"
 	"repro/internal/analysis/deferloop"
-	"repro/internal/analysis/effects"
-	"repro/internal/analysis/effects/closeleak"
 	"repro/internal/analysis/errcheckio"
 	"repro/internal/analysis/floatcmp"
 	"repro/internal/analysis/hotalloc"
@@ -79,10 +73,6 @@ var analyzers = []*analysis.Analyzer{
 	summary.Analyzer,
 	taintalloc.Analyzer,
 	sizeoverflow.Analyzer,
-	conc.Analyzer,
-	boundedspawn.Analyzer,
-	effects.Analyzer,
-	closeleak.Analyzer,
 }
 
 func main() {

@@ -1,10 +1,9 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies, on the standard library alone. It is the foundation
 // of spartanvet's flow-sensitive analyzers (nilflow, deferloop,
-// hotalloc, closeleak): the AST pattern checks of the first analyzer
-// generation cannot see that a value is used only on the error path,
-// or that a handle leaks when an early return skips its Close — a CFG
-// can.
+// hotalloc) and of summary's taint engine: the AST pattern checks of the
+// first analyzer generation cannot see that a value is used only on the
+// error path, or that a guard dominates an allocation — a CFG can.
 //
 // The graph decomposes a *ast.BlockStmt into basic blocks of
 // straight-line statements connected by edges for every Go control

@@ -1,9 +1,8 @@
 // Package dataflow is a generic intraprocedural dataflow engine over
-// the CFGs of package cfg: a forward/backward worklist solver
-// parameterized by a small lattice interface, plus the two classic
-// instances spartanvet's flow-sensitive analyzers build on —
-// reaching definitions (which assignment of a variable can be live at a
-// use) and liveness (which variables are still needed after a point).
+// the CFGs of package cfg: a forward worklist solver parameterized by a
+// small lattice interface, plus the classic instance spartanvet's
+// flow-sensitive analyzers build on — reaching definitions (which
+// assignment of a variable can be live at a use).
 //
 // An analyzer defines its own problem by implementing Problem[S]: the
 // abstract state type S, its join and equality, a boundary value, and a
@@ -16,27 +15,12 @@ import (
 	"repro/internal/analysis/cfg"
 )
 
-// Direction selects how facts propagate through the graph.
-type Direction int
-
-const (
-	// Forward propagates facts from entry along successor edges
-	// (reaching definitions, available expressions).
-	Forward Direction = iota
-	// Backward propagates facts from the exits along predecessor edges
-	// (liveness, very busy expressions).
-	Backward
-)
-
 // Problem is the lattice-plus-transfer description of one dataflow
 // analysis. S is the abstract state attached to block boundaries.
 // Implementations must treat states as immutable: Join and Transfer
 // return fresh values rather than mutating their inputs.
 type Problem[S any] interface {
-	Direction() Direction
-	// Boundary is the state at the graph's boundary: the entry block
-	// for a forward problem, the exit (and every dead-end block) for a
-	// backward one.
+	// Boundary is the state at the entry block.
 	Boundary() S
 	// Init is the optimistic initial state of every other block,
 	// typically the lattice bottom (empty set for may-problems, full
@@ -51,7 +35,7 @@ type Problem[S any] interface {
 }
 
 // Result holds the fixpoint: the state at each block's start (In) and
-// end (Out), in execution order regardless of problem direction.
+// end (Out).
 type Result[S any] struct {
 	In  map[*cfg.Block]S
 	Out map[*cfg.Block]S
@@ -66,29 +50,6 @@ func Solve[S any](g *cfg.CFG, p Problem[S]) Result[S] {
 		res.Out[b] = p.Init()
 	}
 
-	forward := p.Direction() == Forward
-	// sources returns the edges facts arrive over; sinks the blocks to
-	// revisit when this block's result changes.
-	sources := func(b *cfg.Block) []*cfg.Block {
-		if forward {
-			return b.Preds
-		}
-		return b.Succs
-	}
-	sinks := func(b *cfg.Block) []*cfg.Block {
-		if forward {
-			return b.Succs
-		}
-		return b.Preds
-	}
-	isBoundary := func(b *cfg.Block) bool {
-		if forward {
-			return b.Index == 0 // entry
-		}
-		// Backward boundary: the exit and every dead-end (panic) block.
-		return len(b.Succs) == 0
-	}
-
 	work := make([]*cfg.Block, len(g.Blocks))
 	copy(work, g.Blocks)
 	queued := make([]bool, len(g.Blocks))
@@ -100,35 +61,20 @@ func Solve[S any](g *cfg.CFG, p Problem[S]) Result[S] {
 		work = work[1:]
 		queued[b.Index] = false
 
-		var arrive S
-		if isBoundary(b) {
-			arrive = p.Boundary()
-		} else {
-			arrive = p.Init()
+		in := p.Init()
+		if b.Index == 0 { // entry
+			in = p.Boundary()
 		}
-		for _, src := range sources(b) {
-			if forward {
-				arrive = p.Join(arrive, res.Out[src])
-			} else {
-				arrive = p.Join(arrive, res.In[src])
-			}
+		for _, pred := range b.Preds {
+			in = p.Join(in, res.Out[pred])
 		}
-		depart := p.Transfer(b, arrive)
-
-		if forward {
-			res.In[b] = arrive
-			if p.Equal(depart, res.Out[b]) {
-				continue
-			}
-			res.Out[b] = depart
-		} else {
-			res.Out[b] = arrive
-			if p.Equal(depart, res.In[b]) {
-				continue
-			}
-			res.In[b] = depart
+		res.In[b] = in
+		out := p.Transfer(b, in)
+		if p.Equal(out, res.Out[b]) {
+			continue
 		}
-		for _, s := range sinks(b) {
+		res.Out[b] = out
+		for _, s := range b.Succs {
 			if !queued[s.Index] {
 				queued[s.Index] = true
 				work = append(work, s)

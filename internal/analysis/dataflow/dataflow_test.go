@@ -60,7 +60,6 @@ type genKillProblem struct {
 	gen, kill map[int]BitSet
 }
 
-func (p *genKillProblem) Direction() Direction    { return Forward }
 func (p *genKillProblem) Boundary() BitSet        { return NewBitSet(p.n) }
 func (p *genKillProblem) Init() BitSet            { return NewBitSet(p.n) }
 func (p *genKillProblem) Join(a, b BitSet) BitSet { return a.Union(b) }
@@ -126,52 +125,6 @@ func TestForwardFixpointLoop(t *testing.T) {
 	}
 	if !res.In[g.Blocks[1]].Has(0) {
 		t.Error("def must reach the exit via header")
-	}
-}
-
-// backwardProblem is liveness's skeleton: use/def per block over one
-// variable (bit 0).
-type useDefProblem struct {
-	use, def map[int]bool
-}
-
-func (p *useDefProblem) Direction() Direction    { return Backward }
-func (p *useDefProblem) Boundary() BitSet        { return NewBitSet(1) }
-func (p *useDefProblem) Init() BitSet            { return NewBitSet(1) }
-func (p *useDefProblem) Join(a, b BitSet) BitSet { return a.Union(b) }
-func (p *useDefProblem) Equal(a, b BitSet) bool  { return a.Equal(b) }
-func (p *useDefProblem) Transfer(b *cfg.Block, out BitSet) BitSet {
-	in := out
-	if p.def[b.Index] {
-		in = in.Without(0)
-	}
-	if p.use[b.Index] {
-		in = in.With(0)
-	}
-	return in
-}
-
-// TestBackwardFixpointLoop: a variable used in the loop body is live
-// around the back edge — live-in at the header — but dead after its
-// defining block kills it.
-func TestBackwardFixpointLoop(t *testing.T) {
-	g := loopGraph()
-	p := &useDefProblem{
-		use: map[int]bool{3: true}, // body reads x
-		def: map[int]bool{0: true}, // entry writes x
-	}
-	res := Solve[BitSet](g, p)
-	if !res.In[g.Blocks[2]].Has(0) {
-		t.Error("x must be live at the loop header (body reads it)")
-	}
-	if !res.Out[g.Blocks[0]].Has(0) {
-		t.Error("x must be live out of its defining block")
-	}
-	if res.In[g.Blocks[0]].Has(0) {
-		t.Error("x must be dead before its definition")
-	}
-	if res.In[g.Blocks[1]].Has(0) {
-		t.Error("x must be dead at the exit")
 	}
 }
 
@@ -266,66 +219,5 @@ func f() int {
 	}
 	if as, ok := defs[0].Site.(*ast.AssignStmt); !ok || as.Tok != token.ASSIGN {
 		t.Errorf("surviving def is %T/%v, want the plain assignment", defs[0].Site, defs[0].Site)
-	}
-}
-
-func TestLivenessLoopCarried(t *testing.T) {
-	fd, info, _ := typeCheck(t, `
-func f(n int) int {
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += i
-	}
-	return sum
-}`)
-	g := cfg.New(fd.Body)
-	lv := NewLiveness(g, info)
-
-	sumVar := varOf(info, findIdent(fd, "sum", 0))
-	if sumVar == nil {
-		t.Fatal("sum did not resolve")
-	}
-	// sum is live out of the entry block (read in the loop and at return).
-	if !lv.LiveAt(sumVar, g.Blocks[0]) {
-		t.Error("sum must be live out of entry")
-	}
-	// i is live out of the loop header only within the loop; it is dead
-	// at the exit.
-	iVar := varOf(info, findIdent(fd, "i", 0))
-	if lv.LiveAt(iVar, g.Blocks[1]) {
-		t.Error("i must be dead at the function exit")
-	}
-	var header *cfg.Block
-	for _, b := range g.Blocks {
-		if b.Kind == "for.header" {
-			header = b
-		}
-	}
-	if header == nil {
-		t.Fatal("no for.header block")
-	}
-	if !lv.LiveAt(iVar, header) {
-		t.Error("i must be live out of the loop header (body and post read it)")
-	}
-}
-
-// TestLivenessClosureCapture: variables captured by a FuncLit count as
-// uses at the closure's creation point.
-func TestLivenessClosureCapture(t *testing.T) {
-	fd, info, _ := typeCheck(t, `
-func f(cond bool) func() int {
-	captured := 42
-	if cond {
-		return func() int { return captured }
-	}
-	return nil
-}`)
-	g := cfg.New(fd.Body)
-	lv := NewLiveness(g, info)
-	capturedVar := varOf(info, findIdent(fd, "captured", 0))
-	// captured is read by the closure in the then-branch, so it is live
-	// out of the entry block (which ends at the condition).
-	if !lv.LiveAt(capturedVar, g.Blocks[0]) {
-		t.Error("captured must be live out of entry (closure in branch reads it)")
 	}
 }

@@ -93,9 +93,8 @@ func (rd *ReachingDefs) addDef(d Def) {
 
 // Problem implementation: forward may-analysis, empty-set bottom.
 
-func (rd *ReachingDefs) Direction() Direction { return Forward }
-func (rd *ReachingDefs) Boundary() BitSet     { return rd.params.Clone() }
-func (rd *ReachingDefs) Init() BitSet         { return NewBitSet(len(rd.Defs)) }
+func (rd *ReachingDefs) Boundary() BitSet { return rd.params.Clone() }
+func (rd *ReachingDefs) Init() BitSet     { return NewBitSet(len(rd.Defs)) }
 func (rd *ReachingDefs) Join(a, b BitSet) BitSet {
 	return a.Union(b)
 }

@@ -6,10 +6,10 @@
 // body allocates fresh garbage every iteration.
 //
 // A loop counts as row-bounded when its trip count depends on data
-// (the classification lives in internal/analysis/loopbound, shared with
-// boundedspawn): any range loop, a for loop whose condition involves a
-// non-constant bound, or an unconditional for {}. Loops with small
-// constant bounds (`for i := 0; i < 8; i++`) are exempt.
+// (the classification lives in internal/analysis/loopbound): any range
+// loop, a for loop whose condition involves a non-constant bound, or an
+// unconditional for {}. Loops with small constant bounds
+// (`for i := 0; i < 8; i++`) are exempt.
 //
 // The growth checks are flow-sensitive: the container's creation is
 // resolved through reaching definitions, so re-making a slice with

@@ -1,10 +1,9 @@
 // Package loopbound classifies loops by trip count: is a loop bounded
 // by a small compile-time constant, or does it run once per row, value,
 // or model — i.e. proportionally to the data? The distinction drives
-// two very different analyzer families: hotalloc flags per-iteration
-// allocation in data-proportional loops, and boundedspawn flags
-// goroutine creation there (a constant-trip loop can spawn at most a
-// constant number of goroutines; a row-bounded one can spawn millions).
+// hotalloc, which flags per-iteration allocation in data-proportional
+// loops only: a constant-trip loop allocates a constant amount, a
+// row-bounded one allocates once per row.
 //
 // A loop counts as row-bounded when its trip count depends on data: any
 // range loop over a non-constant operand, a for loop whose condition

@@ -135,9 +135,9 @@ func (aw *Writer) WriteBlock(t *table.Table) (*core.Stats, error) {
 			return nil, err
 		}
 	}
-	res := compressSegment(context.Background(), m, t)
-	if res.err != nil {
-		return nil, res.err // nothing reached the stream; the writer stays usable
+	res, err := compressSegment(context.Background(), m, t)
+	if err != nil {
+		return nil, err // nothing reached the stream; the writer stays usable
 	}
 	if aw.model == nil {
 		aw.setModel(m)

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"slices"
 	"testing"
 
@@ -108,7 +109,7 @@ func TestMergeAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := sr.decode([]int{0, 1, 2, 3})
+	tables, err := sr.decode(context.Background(), []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestQuerySpans(t *testing.T) {
 	}
 	tr := obs.NewTrace("query")
 	root := tr.Start("query")
-	_, qs, err := sr.QuerySpan(root, nil, query.Query{Agg: query.Count, Where: query.NumCmp("v", query.Gt, 500)})
+	_, qs, err := sr.QuerySpan(context.Background(), root, nil, query.Query{Agg: query.Count, Where: query.NumCmp("v", query.Gt, 500)})
 	root.Finish()
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,11 @@
 // WriteTable learns the archive's models once, on the whole table, then
 // splits the table into row segments and applies the models to them on a
 // bounded worker pool — each segment's row aggregation, outlier scan and
-// encode are independent — while a single writer goroutine appends
-// frames strictly in segment order, so the output bytes are identical at
-// any worker count. SegReader opens the footer and model block of a
-// seekable archive and decodes segment bodies on demand, letting Query
-// skip segments whose zone maps refute the predicate.
+// encode are independent — and appends the frames strictly in segment
+// order, so the output bytes are identical at any worker count.
+// SegReader opens the footer and model block of a seekable archive and
+// decodes segment bodies on demand, letting Query skip segments whose
+// zone maps refute the predicate.
 package archive
 
 import (
@@ -19,12 +19,11 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/query"
 	"repro/internal/table"
 )
@@ -47,19 +46,6 @@ type SegmentOptions struct {
 	Workers int
 }
 
-func (o SegmentOptions) withDefaults(rows int) SegmentOptions {
-	if o.SegmentRows <= 0 {
-		o.SegmentRows = DefaultSegmentRows
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if nseg := (rows + o.SegmentRows - 1) / o.SegmentRows; o.Workers > nseg && nseg > 0 {
-		o.Workers = nseg
-	}
-	return o
-}
-
 // TableStats aggregates per-segment compression statistics. The learn
 // step runs once per archive, and PerSegment[0] carries its share — the
 // dependency-finder and CaRT-selection timings, CartsBuilt, Predicted,
@@ -75,13 +61,12 @@ type TableStats struct {
 	PerSegment      []*core.Stats
 }
 
-// segResult carries one compressed segment from a worker to the writer.
+// segResult is one compressed segment, ready to append.
 type segResult struct {
 	frame []byte
 	rows  int
 	zones []ZoneMap
 	stats *core.Stats
-	err   error
 }
 
 // WriteTable compresses t into a segmented archive on w. It is
@@ -95,14 +80,18 @@ func WriteTable(w io.Writer, t *table.Table, opts core.Options, seg SegmentOptio
 // concurrently (bounded by seg.Workers), writing frames in segment
 // order. Output bytes are deterministic: segments compress through the
 // same compressSegment as WriteBlock calls, so any worker count —
-// including 1 — produces identical archives. Cancelling ctx abandons
+// including 1 — produces identical archives. The frames are held until
+// every segment is done, then appended in order; they are a fraction of
+// the table, which is already in memory. Cancelling ctx abandons
 // in-flight segments and returns.
 func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts core.Options, seg SegmentOptions) (*TableStats, error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("archive: nil or empty table")
 	}
 	rows := t.NumRows()
-	seg = seg.withDefaults(rows)
+	if seg.SegmentRows <= 0 {
+		seg.SegmentRows = DefaultSegmentRows
+	}
 	nseg := (rows + seg.SegmentRows - 1) / seg.SegmentRows
 
 	aw, err := NewWriter(w, opts)
@@ -117,55 +106,29 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 		}
 		return &TableStats{CompressedBytes: int(aw.total)}, nil
 	}
-	if seg.Workers > 1 {
-		// Segment-level parallelism already saturates the cores; don't
-		// multiply it by the outlier scan's internal fan-out.
-		opts.ScanWorkers = 1
-	}
 	m, err := core.Learn(ctx, t, opts)
 	if err != nil {
 		return nil, err
 	}
 	aw.setModel(m)
 
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Each result channel is buffered so a finished worker never blocks:
-	// the writer drains them strictly in order, and after an error the
-	// unread buffers are simply garbage-collected.
-	results := make([]chan segResult, nseg)
-	for i := range results {
-		results[i] = make(chan segResult, 1)
-	}
-	sem := make(chan struct{}, seg.Workers)
-	go func() {
-		for i := 0; i < nseg; i++ {
-			select {
-			case <-cctx.Done():
-				for j := i; j < nseg; j++ {
-					results[j] <- segResult{err: cctx.Err()}
-				}
-				return
-			case sem <- struct{}{}:
-			}
-			go func(i int) {
-				defer func() { <-sem }()
-				part, err := segmentRows(t, i, seg.SegmentRows)
-				if err != nil {
-					results[i] <- segResult{err: err}
-					return
-				}
-				results[i] <- compressSegment(cctx, m, part)
-			}(i)
+	results := make([]segResult, nseg)
+	err = par.ForEach(ctx, nseg, seg.Workers, func(ctx context.Context, i int) error {
+		part, err := segmentRows(t, i, seg.SegmentRows)
+		if err == nil {
+			results[i], err = compressSegment(ctx, m, part)
 		}
-	}()
+		if err != nil {
+			return fmt.Errorf("segment %d: %w", i, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("archive: %w", err)
+	}
 
 	stats := &TableStats{Segments: nseg, Rows: rows, RawBytes: t.RawSizeBytes()}
-	for i := 0; i < nseg; i++ {
-		res := <-results[i]
-		if res.err != nil {
-			return nil, fmt.Errorf("archive: segment %d: %w", i, res.err)
-		}
+	for _, res := range results {
 		if err := aw.appendFrame(res.frame, res.rows, res.zones); err != nil {
 			return nil, err
 		}
@@ -205,13 +168,13 @@ func segmentRows(t *table.Table, idx, n int) (*table.Table, error) {
 // made, for both WriteBlock and WriteTable, and it depends only on the
 // model and the segment's rows, which keeps the output byte-identical at
 // any worker count.
-func compressSegment(ctx context.Context, m *core.Model, part *table.Table) segResult {
+func compressSegment(ctx context.Context, m *core.Model, part *table.Table) (segResult, error) {
 	var frame countBuffer
 	stats, err := m.Apply(ctx, &frame, part)
 	if err != nil {
-		return segResult{err: err}
+		return segResult{}, err
 	}
-	return segResult{frame: frame.data, rows: part.NumRows(), zones: computeZones(part, m.Tolerances()), stats: stats}
+	return segResult{frame: frame.data, rows: part.NumRows(), zones: computeZones(part, m.Tolerances()), stats: stats}, nil
 }
 
 // SegReader reads an archive through its footer: segments decode on
@@ -350,10 +313,11 @@ func (sr *SegReader) TotalRows() int { return sr.rows }
 
 // decode reads the frames of segments idx, then decodes them
 // concurrently and in order. Every segment read goes through here. The
-// semaphore caps live goroutines at GOMAXPROCS: each decode holds a
-// whole decompressed segment, so one goroutine per frame on a
-// thousand-segment archive would hold the entire table at once.
-func (sr *SegReader) decode(idx []int) ([]*table.Table, error) {
+// fan-out is bounded at GOMAXPROCS: each decode holds a whole
+// decompressed segment, so one goroutine per frame on a
+// thousand-segment archive would hold the entire table at once. No
+// segment starts decoding once ctx is done.
+func (sr *SegReader) decode(ctx context.Context, idx []int) ([]*table.Table, error) {
 	if sr.closed {
 		return nil, ErrReaderClosed
 	}
@@ -369,23 +333,13 @@ func (sr *SegReader) decode(idx []int) ([]*table.Table, error) {
 		}
 	}
 	tables := make([]*table.Table, len(idx))
-	errs := make([]error, len(idx))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k, i := range idx {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k, i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			tables[k], errs[k] = sr.decodeSegment(i, frames[k])
-		}(k, i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.ForEach(ctx, len(idx), 0, func(_ context.Context, k int) error {
+		var err error
+		tables[k], err = sr.decodeSegment(idx[k], frames[k])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return tables, nil
 }
@@ -410,7 +364,7 @@ func (sr *SegReader) decodeSegment(i int, frame []byte) (*table.Table, error) {
 
 // Segment decodes segment i, verifying its frame against the footer.
 func (sr *SegReader) Segment(i int) (*table.Table, error) {
-	tables, err := sr.decode([]int{i})
+	tables, err := sr.decode(context.Background(), []int{i})
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +378,7 @@ func (sr *SegReader) ReadAll() (*table.Table, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	tables, err := sr.decode(idx)
+	tables, err := sr.decode(context.Background(), idx)
 	if err != nil {
 		return nil, err
 	}
@@ -446,16 +400,18 @@ type QueryStats struct {
 // evaluates with the archive-wide row count and value bounds in scope,
 // so the result — definite rows, uncertain rows and interval bounds —
 // is identical to decoding every segment and querying the whole table.
-// It is QuerySpan with no parent span.
+// It is QuerySpan with a background context and no parent span.
 func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
-	return sr.QuerySpan(nil, tol, q)
+	return sr.QuerySpan(context.Background(), nil, tol, q)
 }
 
-// QuerySpan is Query with its stages timed as children of parent:
-// "prune" for the zone-map checks, "decode" for the frame reads, the
-// parallel segment decode and the merge, and "aggregate" for the
-// evaluation. A nil parent records nothing.
-func (sr *SegReader) QuerySpan(parent *obs.Span, tol table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
+// QuerySpan is Query with cancellation and with its stages timed as
+// children of parent: "prune" for the zone-map checks, "decode" for the
+// frame reads, the parallel segment decode and the merge, and
+// "aggregate" for the evaluation. A nil parent records nothing. Once ctx
+// is done no further segment starts decoding, and the query fails with
+// ctx's error.
+func (sr *SegReader) QuerySpan(ctx context.Context, parent *obs.Span, tol table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
 	if sr.closed {
 		return nil, nil, ErrReaderClosed
 	}
@@ -474,7 +430,7 @@ func (sr *SegReader) QuerySpan(parent *obs.Span, tol table.Tolerances, q query.Q
 	}
 
 	decodeSpan := parent.StartChild("decode")
-	t, err := sr.keptTable(kept)
+	t, err := sr.keptTable(ctx, kept)
 	decodeSpan.Finish()
 	if err != nil {
 		return nil, nil, err
@@ -552,7 +508,7 @@ func (sr *SegReader) prune(tol table.Tolerances, q query.Query) ([]int, *query.S
 // keptTable decodes and merges the kept segments. With none kept it is
 // an empty table with the footer schema, so query validation and group
 // synthesis still run.
-func (sr *SegReader) keptTable(kept []int) (*table.Table, error) {
+func (sr *SegReader) keptTable(ctx context.Context, kept []int) (*table.Table, error) {
 	if len(kept) == 0 {
 		cols := make([]*table.Column, len(sr.schema))
 		for i, a := range sr.schema {
@@ -560,7 +516,7 @@ func (sr *SegReader) keptTable(kept []int) (*table.Table, error) {
 		}
 		return table.New(sr.schema, cols)
 	}
-	tables, err := sr.decode(kept)
+	tables, err := sr.decode(ctx, kept)
 	if err != nil {
 		return nil, err
 	}

@@ -7,13 +7,16 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/table"
 )
@@ -611,12 +614,49 @@ func TestWriteTableEmpty(t *testing.T) {
 	}
 }
 
-// TestSegmentedCancel: a cancelled context abandons the parallel write.
+// TestSegmentedCancel: a context cancelled before the write, after the
+// first segment is applied, or before a query abandons the work with an
+// error wrapping context.Canceled and leaves no goroutine behind.
 func TestSegmentedCancel(t *testing.T) {
+	before := runtime.NumGoroutine()
 	tb := datagen.CDR(3000, 13)
+	seg := SegmentOptions{SegmentRows: 300, Workers: 2}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := WriteTableContext(ctx, io.Discard, tb, core.Options{}, SegmentOptions{SegmentRows: 300}); err == nil {
-		t.Fatal("WriteTableContext succeeded with a cancelled context")
+	if _, err := WriteTableContext(ctx, io.Discard, tb, core.Options{}, seg); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled write: error %v, want context.Canceled", err)
+	}
+
+	// Mid-flight: cancel when the first segment's apply span ends, with
+	// segments still running and queued.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	tr := obs.NewTrace("write")
+	tr.OnSpanEnd(func(sp *obs.Span) {
+		if sp.Name == core.SpanApply {
+			cancel()
+		}
+	})
+	if _, err := WriteTableContext(ctx, io.Discard, tb, core.Options{Trace: tr}, seg); !errors.Is(err, context.Canceled) {
+		t.Errorf("mid-flight write: error %v, want context.Canceled", err)
+	}
+
+	var buf bytes.Buffer
+	if _, err := WriteTable(&buf, tb, core.Options{}, seg); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sr.QuerySpan(ctx, nil, nil, query.Query{Agg: query.Count}); !errors.Is(err, context.Canceled) {
+		t.Errorf("query: error %v, want context.Canceled", err)
+	}
+
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -17,17 +17,17 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/cart"
+	"repro/internal/par"
 	"repro/internal/table"
 )
 
@@ -585,27 +585,23 @@ func (mb *ModelBlock) readBody(br *bufio.Reader, lim DecodeLimits) (*table.Table
 	// Predicted columns are mutually independent (predictors are always
 	// materialized), so models reconstruct in parallel. The block's
 	// validation guarantees every produced code fits its dictionary. The
-	// semaphore caps live goroutines at GOMAXPROCS: a hostile or merely
-	// wide table can carry thousands of models, and each Reconstruct
-	// holds a full column of intermediate values.
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, m := range mb.Models {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(m cart.Model, outliers []cart.Outlier) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			m.Outliers = outliers
-			rec := m.Reconstruct(routing, mb.Dicts[m.Target])
-			if rec.Kind == table.Numeric {
-				copy(cols[m.Target].Floats, rec.Floats)
-			} else {
-				copy(cols[m.Target].Codes, rec.Codes)
-			}
-		}(*m, outliers[i])
+	// fan-out is bounded at GOMAXPROCS: a hostile or merely wide table can
+	// carry thousands of models, and each Reconstruct holds a full column
+	// of intermediate values.
+	err = par.ForEach(context.Background(), len(mb.Models), 0, func(_ context.Context, i int) error {
+		m := *mb.Models[i]
+		m.Outliers = outliers[i]
+		rec := m.Reconstruct(routing, mb.Dicts[m.Target])
+		if rec.Kind == table.Numeric {
+			copy(cols[m.Target].Floats, rec.Floats)
+		} else {
+			copy(cols[m.Target].Codes, rec.Codes)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	return table.New(mb.Schema, cols)
 }
 

@@ -21,9 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/bayesnet"
@@ -31,6 +29,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/fascicle"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/selector"
 	"repro/internal/table"
 )
@@ -108,11 +107,6 @@ type Options struct {
 	// Seed fixes all sampling randomness; zero means seed 1. Compression
 	// is fully deterministic for a given (table, options) pair.
 	Seed int64
-	// ScanWorkers bounds the outlier scan's concurrency; zero selects
-	// GOMAXPROCS. Segmented archive writers set 1 so segment-level
-	// parallelism is not multiplied by per-segment scan parallelism.
-	// The setting affects scheduling only, never output bytes.
-	ScanWorkers int
 	// Trace, when non-nil, receives one span per pipeline component
 	// (see PhaseSpans) under a SpanCompress root, annotated with rows
 	// scanned, CaRTs built, outliers found and bytes written. Tracing is
@@ -426,37 +420,22 @@ func (m *Model) apply(ctx context.Context, root *obs.Span, t *table.Table, stats
 	outliers := make([][]cart.Outlier, len(trees))
 	err = runPhase(ctx, root, SpanOutlierScan, &stats.Timings.OutlierScan, func(sp *obs.Span) error {
 		// One scan per predicted attribute, bounded to GOMAXPROCS workers
-		// (the same semaphore pattern the WMIS selector uses) so a wide
-		// table cannot spawn hundreds of full-table scans at once. Each
-		// scan checks ctx between row batches, and collects its outliers
-		// on a copy of the shared tree.
-		scanErrs := make([]error, len(trees))
-		var wg sync.WaitGroup
-		workers := runtime.GOMAXPROCS(0)
-		if m.opts.ScanWorkers > 0 {
-			workers = m.opts.ScanWorkers
-		}
-		sem := make(chan struct{}, workers)
-		for i, tree := range trees {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, scan cart.Model) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				a := scan.Target
-				var perClass map[int32]float64
-				if t.Attr(a).Kind == table.Categorical {
-					perClass = m.resolved[a].ClassBudgets(t.Col(a).Dict)
-				}
-				scanErrs[i] = scan.ComputeOutliersBudgetContext(ctx, applied, m.resolved[a].Value, perClass)
-				outliers[i] = scan.Outliers
-			}(i, *tree)
-		}
-		wg.Wait()
-		for _, err := range scanErrs {
-			if err != nil {
-				return fmt.Errorf("spartan: outlier scan: %w", err)
+		// so a wide table cannot run hundreds of full-table scans at once.
+		// Each scan checks ctx between row batches, and collects its
+		// outliers on a copy of the shared tree.
+		err := par.ForEach(ctx, len(trees), 0, func(ctx context.Context, i int) error {
+			scan := *trees[i]
+			a := scan.Target
+			var perClass map[int32]float64
+			if t.Attr(a).Kind == table.Categorical {
+				perClass = m.resolved[a].ClassBudgets(t.Col(a).Dict)
 			}
+			err := scan.ComputeOutliersBudgetContext(ctx, applied, m.resolved[a].Value, perClass)
+			outliers[i] = scan.Outliers
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("spartan: outlier scan: %w", err)
 		}
 		for _, o := range outliers {
 			stats.Outliers += len(o)

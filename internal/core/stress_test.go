@@ -17,13 +17,13 @@ import (
 // something to bite on: it is the check that the outlier scan's
 // workers shard their result slots and guard their shared totals, and
 // that no worker goroutine leaks or deadlocks (a missed Done hangs
-// the test). boundedspawn covers the semaphore bound statically.
+// the test). internal/par's tests pin the concurrency bound itself.
 //
-// Both fan-outs size their semaphore from GOMAXPROCS. At GOMAXPROCS=1
-// the semaphore's channel operations order every worker after the
-// previous one, and -race sees no concurrent access to report, so the
-// test raises GOMAXPROCS to at least 4 for its duration: the workers
-// then overlap on any host, single-core CI runners included.
+// Both fan-outs run through par.ForEach bounded at GOMAXPROCS. At
+// GOMAXPROCS=1 the bound orders every worker after the previous one,
+// and -race sees no concurrent access to report, so the test raises
+// GOMAXPROCS to at least 4 for its duration: the workers then overlap
+// on any host, single-core CI runners included.
 // It runs in CI's race job and is skipped under -short.
 func TestStressParallelPipeline(t *testing.T) {
 	if testing.Short() {

@@ -3,10 +3,9 @@ package selector
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/wmis"
 )
 
@@ -64,19 +63,12 @@ func MaxIndependentSetContext(ctx context.Context, in Input, nb Neighborhood) (*
 		// land in per-Xᵢ slots, keeping the algorithm deterministic.
 		matList := sortedKeys(mat)
 		slots := make([]candidateSlot, len(matList))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for si, xi := range matList {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(si, xi int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				slots[si] = buildCandidate(ctx, in, xi, neighborhood(xi), mat, predicted)
-			}(si, xi)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
+		err := par.ForEach(ctx, len(matList), 0, func(ctx context.Context, si int) error {
+			xi := matList[si]
+			slots[si] = buildCandidate(ctx, in, xi, neighborhood(xi), mat, predicted)
+			return ctx.Err() // a build cut short by cancellation is partial
+		})
+		if err != nil {
 			return nil, fmt.Errorf("selector: WMIS iteration cancelled: %w", err)
 		}
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/obs"
@@ -81,22 +83,43 @@ func TestConcurrencyLimit429(t *testing.T) {
 	}
 }
 
+// TestRequestTimeout503: a request whose timeout expires gets 503 and
+// one timeout count, on /compress and on /query of both a bare stream
+// and a segmented archive.
 func TestRequestTimeout503(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, srv := overloadServer(t, WithRequestTimeout(time.Nanosecond), WithRegistry(reg))
 
-	tb := datagen.CDR(2000, 1)
-	resp, err := http.Post(srv.URL+"/compress?tolerance=0.01", "application/octet-stream", tableBody(t, tb))
-	if err != nil {
+	tb := datagen.CDR(4000, 1)
+	var stream, arch bytes.Buffer
+	if _, err := core.Compress(&stream, tb, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d, want 503: %s", resp.StatusCode, body)
+	if _, err := archive.WriteTable(&arch, tb, core.Options{}, archive.SegmentOptions{SegmentRows: 1000}); err != nil {
+		t.Fatal(err)
 	}
-	if line := metricValue(t, reg, `spartan_http_rejected_total{reason="timeout"}`); !strings.HasSuffix(line, " 1") {
-		t.Errorf("timeout not counted: %q", line)
+	cases := []struct {
+		route string
+		body  func() io.Reader
+	}{
+		{"/compress?tolerance=0.01", func() io.Reader { return tableBody(t, tb) }},
+		{"/query?agg=count", func() io.Reader { return bytes.NewReader(stream.Bytes()) }},
+		{"/query?agg=count", func() io.Reader { return bytes.NewReader(arch.Bytes()) }},
+	}
+	for i, c := range cases {
+		resp, err := http.Post(srv.URL+c.route, "application/octet-stream", c.body())
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("case %d %s: status = %d, want 503: %s", i, c.route, resp.StatusCode, body)
+		}
+		want := fmt.Sprintf(" %d", i+1)
+		if line := metricValue(t, reg, `spartan_http_rejected_total{reason="timeout"}`); !strings.HasSuffix(line, want) {
+			t.Errorf("case %d %s: timeout not counted: %q", i, c.route, line)
+		}
 	}
 }
 

@@ -372,7 +372,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		// with zone maps for pruned /query calls.
 		astats, err := archive.WriteTableContext(r.Context(), &buf, t, opts,
 			archive.SegmentOptions{SegmentRows: segRows})
-		if !s.answerCompressErr(w, err) {
+		if !s.answerErr(w, err) {
 			return
 		}
 		s.m.ratio.Observe(astats.Ratio)
@@ -391,7 +391,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		stats, err := core.CompressContext(r.Context(), &buf, t, opts)
-		if !s.answerCompressErr(w, err) {
+		if !s.answerErr(w, err) {
 			return
 		}
 		s.m.ratio.Observe(stats.Ratio)
@@ -414,14 +414,14 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// answerCompressErr maps a compression error to its HTTP response and
-// reports whether the handler may proceed.
-func (s *Server) answerCompressErr(w http.ResponseWriter, err error) bool {
+// answerErr maps a /compress or /query pipeline error to its HTTP
+// response and reports whether the handler may proceed.
+func (s *Server) answerErr(w http.ResponseWriter, err error) bool {
 	switch {
 	case err == nil:
 		return true
 	case errors.Is(err, context.DeadlineExceeded):
-		// The per-request timeout cancelled the pipeline mid-flight.
+		// The per-request timeout stopped the pipeline mid-flight.
 		s.m.rejected.Inc("timeout")
 		httpError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.Canceled):
@@ -533,37 +533,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		tol := table.UniformTolerancesSchema(sr.Schema(), numTol, catTol)
 		var qs *archive.QueryStats
-		res, qs, err = sr.QuerySpan(root, tol, spec)
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err)
-			return
+		if res, qs, err = sr.QuerySpan(r.Context(), root, tol, spec); err == nil {
+			s.m.querySegments.Add(float64(qs.Decoded), "decoded")
+			s.m.querySegments.Add(float64(qs.Pruned), "pruned")
+			w.Header().Set("X-Spartan-Segments-Decoded", strconv.Itoa(qs.Decoded))
+			w.Header().Set("X-Spartan-Segments-Pruned", strconv.Itoa(qs.Pruned))
 		}
-		s.m.querySegments.Add(float64(qs.Decoded), "decoded")
-		s.m.querySegments.Add(float64(qs.Pruned), "pruned")
-		w.Header().Set("X-Spartan-Segments-Decoded", strconv.Itoa(qs.Decoded))
-		w.Header().Set("X-Spartan-Segments-Pruned", strconv.Itoa(qs.Pruned))
 	} else {
-		// Decompression can eat most of a tight request timeout; bail before
-		// the aggregation stage if the deadline already passed.
-		if err := r.Context().Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.m.rejected.Inc("timeout")
-				httpError(w, http.StatusServiceUnavailable, err)
-			}
-			return
-		}
 		if spec.Where, err = query.ParsePredicate(q.Get("where"), t.Schema()); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 		tol := table.UniformTolerances(t, numTol, catTol)
-		aggSpan := root.StartChild("aggregate")
-		res, err = query.Run(t, tol, spec)
-		aggSpan.Finish()
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err)
-			return
+		// Decompression can eat most of a tight request timeout; a done
+		// context stops the query before aggregation, as it stops an
+		// archive's segment decode.
+		if err = r.Context().Err(); err == nil {
+			aggSpan := root.StartChild("aggregate")
+			res, err = query.Run(t, tol, spec)
+			aggSpan.Finish()
 		}
+	}
+	if !s.answerErr(w, err) {
+		return
 	}
 	resp := queryResponse{Agg: agg.String(), Column: spec.Column}
 	for _, g := range res.Groups {
