@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/archive"
+	"repro/internal/codec"
 )
 
 // Segmented archives: tables far larger than memory compress in bounded
@@ -34,17 +35,17 @@ type ArchiveStats = archive.TableStats
 // pruning saved.
 type ArchiveQueryStats = archive.QueryStats
 
-// FramingError reports a segment whose codec stream did not fill its
-// declared frame length.
-type FramingError = archive.FramingError
+// FramingError reports a segment whose body did not fill its declared
+// frame length.
+type FramingError = codec.FramingError
 
 // ErrEmptyArchive is returned when reading a structurally valid archive
 // that contains zero segments; test for it with errors.Is.
-var ErrEmptyArchive = archive.ErrEmptyArchive
+var ErrEmptyArchive = codec.ErrEmptyArchive
 
-// ErrNotArchive is returned by OpenArchive for input that is not a
-// segmented archive; test for it with errors.Is.
-var ErrNotArchive = archive.ErrNotArchive
+// ErrNotArchive is returned by Decompress, ReadArchive and OpenArchive
+// for input that is not a SPARTAN archive; test for it with errors.Is.
+var ErrNotArchive = codec.ErrNotArchive
 
 // DefaultSegmentRows is the segment size used when SegmentOptions
 // leaves SegmentRows zero.
@@ -60,9 +61,8 @@ func NewArchiveWriter(w io.Writer, opts Options) (*ArchiveWriter, error) {
 	return archive.NewWriter(w, opts)
 }
 
-// ReadArchive reads r to the end and decompresses it into one table. It
-// accepts either format: a segmented archive (rows in segment order) or
-// a single compressed stream.
+// ReadArchive reads r to the end and decompresses it into one table,
+// rows in segment order. It is Decompress.
 func ReadArchive(r io.Reader) (*Table, error) {
 	return archive.ReadAll(r)
 }

@@ -2,10 +2,18 @@ package spartan
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"io"
+	"log/slog"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/server"
 )
 
 // TestArchiveRoundTripToleranceRespected drives the public archive API
@@ -121,5 +129,48 @@ func TestArchiveReaderStreamsBlocks(t *testing.T) {
 	}
 	if a.NumSegments() != 2 || rows != tb.NumRows() {
 		t.Errorf("read %d blocks / %d rows, want 2 / %d", a.NumSegments(), rows, tb.NumRows())
+	}
+}
+
+// TestRetiredStreamRefused: the retired stream format — the magic
+// "SPRTN2\n", a model block and one body, with no footer — is refused
+// with ErrNotArchive by every reader: Decompress, ReadArchive and
+// OpenArchive, and with 400 by /decompress and /query.
+func TestRetiredStreamRefused(t *testing.T) {
+	tb := datagen.CDR(300, 1)
+	m, err := core.Learn(context.Background(), tb, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := bytes.NewBufferString("SPRTN2\n")
+	if _, err := m.Block().Encode(stream); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Apply(context.Background(), stream, tb); err != nil {
+		t.Fatal(err)
+	}
+	data := stream.Bytes()
+
+	if _, err := Decompress(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
+		t.Errorf("Decompress = %v, want ErrNotArchive", err)
+	}
+	if _, err := ReadArchive(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
+		t.Errorf("ReadArchive = %v, want ErrNotArchive", err)
+	}
+	if _, err := OpenArchive(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
+		t.Errorf("OpenArchive = %v, want ErrNotArchive", err)
+	}
+	srv := httptest.NewServer(server.New(server.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))))
+	defer srv.Close()
+	for _, route := range []string{"/decompress", "/query?agg=count"} {
+		resp, err := http.Post(srv.URL+route, "application/x-spartan", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", route, resp.StatusCode)
+		}
 	}
 }

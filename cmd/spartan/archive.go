@@ -9,8 +9,7 @@ import (
 	"repro"
 )
 
-// readCompressedFile decompresses a single-stream file or a segmented
-// archive.
+// readCompressedFile decompresses a compressed file into one table.
 func readCompressedFile(path string) (*spartan.Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -20,9 +19,9 @@ func readCompressedFile(path string) (*spartan.Table, error) {
 	return spartan.ReadArchive(f)
 }
 
-// openArchiveFile opens path as a seekable archive; a file in another
-// format fails with spartan.ErrNotArchive. The archive owns the
-// underlying file: the caller's Close on the archive closes it.
+// openArchiveFile opens path as a seekable archive; any other file fails
+// with spartan.ErrNotArchive. The archive owns the underlying file: the
+// caller's Close on the archive closes it.
 func openArchiveFile(path string) (*spartan.Archive, error) {
 	f, err := os.Open(path)
 	if err != nil {

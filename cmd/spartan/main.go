@@ -61,10 +61,10 @@ func usage() {
 
 commands:
   compress    semantically compress a table within error tolerances
-  decompress  reconstruct a table from a compressed stream
-  verify      check a compressed stream against the original's tolerances
-  inspect     summarize a compressed stream
-  query       run a bounded approximate aggregate on a compressed stream
+  decompress  reconstruct a table from a compressed file
+  verify      check a compressed file against the original's tolerances
+  inspect     summarize a compressed file
+  query       run a bounded approximate aggregate on a compressed file
   deps        show the inferred Bayesian dependency network for a table
 
 run 'spartan <command> -h' for command flags
@@ -102,7 +102,7 @@ func cmdCompress(args []string) error {
 	out := fs.String("out", "", "output compressed file")
 	quiet := fs.Bool("q", false, "suppress the statistics report")
 	trace := fs.Bool("trace", false, "print the per-phase pipeline span tree (paper §4.2 running-time breakdown)")
-	segRows := fs.Int("segment-rows", 0, "write a segmented archive with this many rows per segment (0 = single stream)")
+	segRows := fs.Int("segment-rows", 0, "rows per archive segment (0 = one segment holding every row)")
 	workers := fs.Int("workers", 0, "segments compressed concurrently (0 = GOMAXPROCS; output bytes are identical at any setting)")
 	forceCat := fs.String("categorical", "", "comma-separated CSV columns to force categorical (numeric-looking codes)")
 	tol, catTol, sample, sel, theta, noRowAgg, seed := compressionFlags(fs)
@@ -210,8 +210,8 @@ func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	orig := fs.String("original", "", "original table (.csv or raw binary)")
 	comp := fs.String("compressed", "", "compressed file to check")
-	tol := fs.Float64("tolerance", 0, "numeric tolerance the stream was compressed with")
-	catTol := fs.Float64("cat-tolerance", 0, "categorical tolerance the stream was compressed with")
+	tol := fs.Float64("tolerance", 0, "numeric tolerance the file was compressed with")
+	catTol := fs.Float64("cat-tolerance", 0, "categorical tolerance the file was compressed with")
 	forceCat := fs.String("categorical", "", "comma-separated CSV columns to force categorical")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -1,7 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +16,7 @@ import (
 
 	"repro"
 	"repro/internal/datagen"
+	"repro/internal/server"
 )
 
 // writeTempTable materializes a CDR table as CSV and raw binary fixtures.
@@ -98,9 +106,9 @@ func TestBlockArchiveFlow(t *testing.T) {
 	}
 }
 
-// captureStderr runs fn with os.Stderr redirected into a pipe and
-// returns what fn wrote there.
-func captureStderr(t *testing.T, fn func() error) (string, error) {
+// captureOutput runs fn with *f (os.Stdout or os.Stderr) redirected into
+// a pipe and returns what fn wrote there.
+func captureOutput(t *testing.T, f **os.File, fn func() error) (string, error) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -112,10 +120,10 @@ func captureStderr(t *testing.T, fn func() error) (string, error) {
 		b, _ := io.ReadAll(r)
 		got <- string(b)
 	}()
-	old := os.Stderr
-	os.Stderr = w
+	old := *f
+	*f = w
 	err = fn()
-	os.Stderr = old
+	*f = old
 	w.Close()
 	return <-got, err
 }
@@ -125,7 +133,7 @@ func captureStderr(t *testing.T, fn func() error) (string, error) {
 func TestCompressQuietSegmented(t *testing.T) {
 	_, binPath := writeTempTable(t)
 	sptn := filepath.Join(filepath.Dir(binPath), "quiet.sptn")
-	stderr, err := captureStderr(t, func() error {
+	stderr, err := captureOutput(t, &os.Stderr, func() error {
 		return cmdCompress([]string{"-in", binPath, "-out", sptn,
 			"-tolerance", "0.01", "-segment-rows", "300", "-q"})
 	})
@@ -142,7 +150,7 @@ func TestCompressQuietSegmented(t *testing.T) {
 func TestCompressSegmentedReport(t *testing.T) {
 	_, binPath := writeTempTable(t)
 	sptn := filepath.Join(filepath.Dir(binPath), "report.sptn")
-	stderr, err := captureStderr(t, func() error {
+	stderr, err := captureOutput(t, &os.Stderr, func() error {
 		return cmdCompress([]string{"-in", binPath, "-out", sptn, "-tolerance", "0.01", "-segment-rows", "300"})
 	})
 	if err != nil {
@@ -174,6 +182,87 @@ func TestQueryAndInspectAndDeps(t *testing.T) {
 	}
 	if err := cmdDeps([]string{"-in", csvPath, "-dot"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueryEntryPointsAgree: on /compress output, /query, spartan query
+// and QueryArchive give the same answer, with tolerances resolved the
+// same way.
+func TestQueryEntryPointsAgree(t *testing.T) {
+	srv := httptest.NewServer(server.New(server.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))))
+	defer srv.Close()
+	var raw bytes.Buffer
+	if err := spartan.WriteBinary(&raw, datagen.CDR(800, 1)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/compress?tolerance=0.01", "application/octet-stream", &raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress: status %d, %v", resp.StatusCode, err)
+	}
+	const where = "duration_sec > 100"
+
+	a, err := spartan.OpenArchive(bytes.NewReader(compressed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := spartan.ParsePredicate(where, a.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := spartan.QueryArchive(a, spartan.UniformTolerancesSchema(a.Schema(), 0.01, 0),
+		spartan.Query{Agg: spartan.Avg, Column: "charge_cents", Where: pred, GroupBy: "plan"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err = http.Post(srv.URL+"/query?"+url.Values{
+		"agg": {"avg"}, "col": {"charge_cents"}, "groupby": {"plan"}, "tolerance": {"0.01"}, "where": {where},
+	}.Encode(), "application/x-spartan", bytes.NewReader(compressed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Groups []struct {
+			Key             string
+			Value, Lo, Hi   float64
+			Rows, Uncertain int
+		}
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Groups) != len(want.Groups) {
+		t.Fatalf("/query answered %d groups, QueryArchive %d", len(got.Groups), len(want.Groups))
+	}
+	for i, g := range got.Groups {
+		w := want.Groups[i]
+		if g.Key != w.Key || g.Value != w.Value || g.Lo != w.Lo || g.Hi != w.Hi || g.Rows != w.Rows || g.Uncertain != w.UncertainRows {
+			t.Errorf("/query group %+v, QueryArchive %+v", g, w)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "q.sptn")
+	if err := os.WriteFile(path, compressed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := captureOutput(t, &os.Stdout, func() error {
+		return cmdQuery([]string{"-in", path, "-agg", "avg", "-col", "charge_cents",
+			"-groupby", "plan", "-tolerance", "0.01", "-where", where})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range want.Groups {
+		line := fmt.Sprintf("%-16s %14.4g   [%.4g, %.4g]  (%d rows, %d uncertain)", w.Key, w.Value, w.Lo, w.Hi, w.Rows, w.UncertainRows)
+		if !strings.Contains(out, line) {
+			t.Errorf("spartan query output lacks QueryArchive's %q:\n%s", line, out)
+		}
 	}
 }
 

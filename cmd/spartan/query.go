@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -23,8 +22,8 @@ func cmdQuery(args []string) error {
 	col := fs.String("col", "", "aggregated numeric column (not used for count)")
 	where := fs.String("where", "", "filter expression, e.g. \"x > 3 && g == 'a'\"")
 	groupBy := fs.String("groupby", "", "categorical column to group by")
-	tol := fs.Float64("tolerance", 0, "numeric tolerance the stream was compressed with")
-	catTol := fs.Float64("cat-tolerance", 0, "categorical tolerance the stream was compressed with")
+	tol := fs.Float64("tolerance", 0, "numeric tolerance the file was compressed with")
+	catTol := fs.Float64("cat-tolerance", 0, "categorical tolerance the file was compressed with")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -47,52 +46,28 @@ func cmdQuery(args []string) error {
 		return fmt.Errorf("query: unknown aggregate %q", *agg)
 	}
 
-	var res *spartan.QueryResult
+	// Query through the footer so zone maps can skip segments the
+	// predicate refutes before any decoding.
 	a, err := openArchiveFile(*in)
 	if err != nil {
-		if !errors.Is(err, spartan.ErrNotArchive) {
-			return err
-		}
+		return err
 	}
-	if a != nil {
-		// Segmented archive: query through the footer so zone maps can
-		// skip segments the predicate refutes before any decoding.
-		defer a.Close()
-		pred, err := spartan.ParsePredicate(*where, a.Schema())
-		if err != nil {
-			return err
-		}
-		var qs *spartan.ArchiveQueryStats
-		res, qs, err = spartan.QueryArchive(a, spartan.UniformTolerancesSchema(a.Schema(), *tol, *catTol), spartan.Query{
-			Agg:     aggKind,
-			Column:  *col,
-			Where:   pred,
-			GroupBy: *groupBy,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("segments: %d decoded, %d pruned (%d of %d rows skipped)\n",
-			qs.Decoded, qs.Pruned, qs.RowsPruned, qs.RowsPruned+qs.RowsDecoded)
-	} else {
-		t, err := readCompressedFile(*in)
-		if err != nil {
-			return err
-		}
-		pred, err := spartan.ParsePredicate(*where, t.Schema())
-		if err != nil {
-			return err
-		}
-		res, err = spartan.RunQuery(t, spartan.UniformTolerances(t, *tol, *catTol), spartan.Query{
-			Agg:     aggKind,
-			Column:  *col,
-			Where:   pred,
-			GroupBy: *groupBy,
-		})
-		if err != nil {
-			return err
-		}
+	defer a.Close()
+	pred, err := spartan.ParsePredicate(*where, a.Schema())
+	if err != nil {
+		return err
 	}
+	res, qs, err := spartan.QueryArchive(a, spartan.UniformTolerancesSchema(a.Schema(), *tol, *catTol), spartan.Query{
+		Agg:     aggKind,
+		Column:  *col,
+		Where:   pred,
+		GroupBy: *groupBy,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("segments: %d decoded, %d pruned (%d of %d rows skipped)\n",
+		qs.Decoded, qs.Pruned, qs.RowsPruned, qs.RowsPruned+qs.RowsDecoded)
 	label := strings.ToUpper(*agg)
 	if *col != "" {
 		label += "(" + *col + ")"

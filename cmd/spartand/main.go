@@ -39,7 +39,7 @@ func main() {
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain for in-flight requests")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent compress/query pipelines; excess requests get 429 (0 = unlimited)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request pipeline deadline; overruns are cancelled and answered 503 (0 = none)")
-	segmentRows := flag.Int("segment-rows", 0, "default rows per archive segment for /compress; 0 keeps single-stream output (requests can override with ?segment-rows=)")
+	segmentRows := flag.Int("segment-rows", 0, "default rows per archive segment for /compress; 0 writes one segment (requests can override with ?segment-rows=)")
 	flag.Parse()
 
 	log, err := newLogger(*logFormat)

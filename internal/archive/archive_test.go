@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/table"
@@ -162,7 +163,7 @@ func TestArchiveWriterClosed(t *testing.T) {
 }
 
 func TestArchiveErrors(t *testing.T) {
-	if _, err := OpenSegmented(bytes.NewReader([]byte("nope"))); !errors.Is(err, ErrNotArchive) {
+	if _, err := OpenSegmented(bytes.NewReader([]byte("nope"))); !errors.Is(err, codec.ErrNotArchive) {
 		t.Errorf("OpenSegmented on bad magic = %v, want ErrNotArchive", err)
 	}
 	if _, err := ReadAll(bytes.NewReader([]byte("nope"))); err == nil {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/query"
 )
@@ -35,13 +36,13 @@ func TestSegReaderCloseIdempotent(t *testing.T) {
 		t.Fatalf("second Close should be a no-op, got %v", err)
 	}
 
-	if _, err := sr.Segment(0); !errors.Is(err, ErrReaderClosed) {
+	if _, err := sr.Segment(0); !errors.Is(err, codec.ErrReaderClosed) {
 		t.Errorf("Segment after Close: want ErrReaderClosed, got %v", err)
 	}
-	if _, err := sr.ReadAll(); !errors.Is(err, ErrReaderClosed) {
+	if _, err := sr.ReadAll(); !errors.Is(err, codec.ErrReaderClosed) {
 		t.Errorf("ReadAll after Close: want ErrReaderClosed, got %v", err)
 	}
-	if _, _, err := sr.Query(nil, query.Query{Agg: query.Count}); !errors.Is(err, ErrReaderClosed) {
+	if _, _, err := sr.Query(nil, query.Query{Agg: query.Count}); !errors.Is(err, codec.ErrReaderClosed) {
 		t.Errorf("Query after Close: want ErrReaderClosed, got %v", err)
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/table"
 )
 
 // TestDoubleCompressByteIdentity: compressing the same table twice must
@@ -44,5 +45,27 @@ func TestDoubleCompressByteIdentity(t *testing.T) {
 	defer sr.Close()
 	if got := sr.NumSegments(); got != 8 {
 		t.Fatalf("NumSegments = %d, want 8", got)
+	}
+}
+
+// TestCompressIsOneSegmentArchive: core.Compress writes exactly the
+// bytes of a WriteTable archive whose one segment holds every row,
+// lossless and lossy.
+func TestCompressIsOneSegmentArchive(t *testing.T) {
+	for name, tb := range map[string]*table.Table{"cdr": datagen.CDR(3000, 7), "census": datagen.Census(3000, 7)} {
+		for _, tol := range []float64{0, 0.01} {
+			opts := core.Options{Tolerances: table.UniformTolerances(tb, tol, 0)}
+			var single, arch bytes.Buffer
+			if _, err := core.Compress(&single, tb, opts); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := WriteTable(&arch, tb, opts, SegmentOptions{SegmentRows: tb.NumRows()}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(single.Bytes(), arch.Bytes()) {
+				t.Errorf("%s at tolerance %g: core.Compress wrote %d bytes, the one-segment archive %d",
+					name, tol, single.Len(), arch.Len())
+			}
+		}
 	}
 }

@@ -3,9 +3,12 @@ package archive
 import (
 	"bytes"
 	"context"
+	"io"
+	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/obs"
@@ -109,12 +112,12 @@ func TestMergeAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := sr.decode(context.Background(), []int{0, 1, 2, 3})
+	tables, err := sr.ReadSegments(context.Background(), []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := mergeTables(tables); err != nil {
+		if _, err := codec.Merge(tables); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -122,7 +125,7 @@ func TestMergeAllocations(t *testing.T) {
 		t.Errorf("merging 4 segments of %d rows took %.0f allocations, want at most 200", tb.NumRows(), allocs)
 	}
 
-	one, err := mergeTables(tables[:1])
+	one, err := codec.Merge(tables[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +168,44 @@ func TestQuerySpans(t *testing.T) {
 	}
 	if want := []string{"query", "prune", "decode", "aggregate"}; !slices.Equal(names, want) {
 		t.Errorf("spans %q, want %q", names, want)
+	}
+}
+
+// TestOneSegmentAllocations: a segment that spans the whole table is the
+// table itself, not a copy, so a one-segment WriteTable allocates what
+// core.Compress does.
+func TestOneSegmentAllocations(t *testing.T) {
+	tb := datagen.CDR(32<<10, 1)
+	allocs := testing.AllocsPerRun(5, func() {
+		if part, err := segmentRows(tb, 0, tb.NumRows()); err != nil || part != tb {
+			t.Fatalf("whole-table segment = %p, %v; want the table %p", part, err, tb)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a whole-table segment took %.0f allocations, want 0", allocs)
+	}
+
+	opts := core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)}
+	allocated := func(write func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	single := allocated(func() error {
+		_, err := core.Compress(io.Discard, tb, opts)
+		return err
+	})
+	one := allocated(func() error {
+		_, err := WriteTable(io.Discard, tb, opts, SegmentOptions{SegmentRows: tb.NumRows()})
+		return err
+	})
+	t.Logf("core.Compress allocated %d B, a one-segment WriteTable %d B (%+.2f%%)", single, one, 100*(float64(one)/float64(single)-1))
+	if one > single+single/100 {
+		t.Errorf("a one-segment WriteTable allocated %d B, more than 1%% over core.Compress's %d B", one, single)
 	}
 }

@@ -14,11 +14,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/table"
+)
+
+// The container's magic and fixed trailer size (see docs/FORMAT.md).
+const (
+	magic       = "SPARC3\n"
+	trailerSize = 16
 )
 
 // prunableTable builds a table whose halves occupy disjoint numeric
@@ -124,8 +131,8 @@ func TestParallelDeterminism(t *testing.T) {
 func TestLearnOnce(t *testing.T) {
 	tb := datagen.CDR(2000, 4)
 	opts := core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)}
-	var stream bytes.Buffer
-	want, err := core.Compress(&stream, tb, opts)
+	var single bytes.Buffer
+	want, err := core.Compress(&single, tb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +143,7 @@ func TestLearnOnce(t *testing.T) {
 	}
 	first := stats.PerSegment[0]
 	if first.CartsBuilt != want.CartsBuilt || !slices.Equal(first.Predicted, want.Predicted) {
-		t.Errorf("first segment: %d CaRTs built, predicted %v; the stream built %d and predicted %v",
+		t.Errorf("first segment: %d CaRTs built, predicted %v; core.Compress built %d and predicted %v",
 			first.CartsBuilt, first.Predicted, want.CartsBuilt, want.Predicted)
 	}
 	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
@@ -391,7 +398,7 @@ func singleFrameArchive(t *testing.T, m *core.Model, tb *table.Table, frame []by
 		t.Fatal(err)
 	}
 	aw.setModel(m)
-	if err := aw.appendFrame(frame, rows, computeZones(tb, nil)); err != nil {
+	if err := aw.cw.WriteSegment(frame, rows, codec.ComputeZones(tb, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := aw.Close(); err != nil {
@@ -413,7 +420,7 @@ func TestFramingGarbage(t *testing.T) {
 	data := singleFrameArchive(t, m, tb, padded, tb.NumRows())
 
 	_, err := ReadAll(bytes.NewReader(data))
-	var fe *FramingError
+	var fe *codec.FramingError
 	if !errors.As(err, &fe) {
 		t.Fatalf("ReadAll = %v, want FramingError", err)
 	}
@@ -543,7 +550,7 @@ func TestEmptyArchive(t *testing.T) {
 	if err := aw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadAll(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrEmptyArchive) {
+	if _, err := ReadAll(bytes.NewReader(buf.Bytes())); !errors.Is(err, codec.ErrEmptyArchive) {
 		t.Errorf("ReadAll = %v, want ErrEmptyArchive", err)
 	}
 	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
@@ -553,10 +560,10 @@ func TestEmptyArchive(t *testing.T) {
 	if sr.NumSegments() != 0 || sr.TotalRows() != 0 {
 		t.Errorf("empty archive reports %d segments / %d rows", sr.NumSegments(), sr.TotalRows())
 	}
-	if _, err := sr.ReadAll(); !errors.Is(err, ErrEmptyArchive) {
+	if _, err := sr.ReadAll(); !errors.Is(err, codec.ErrEmptyArchive) {
 		t.Errorf("SegReader.ReadAll = %v, want ErrEmptyArchive", err)
 	}
-	if _, _, err := sr.Query(nil, query.Query{Agg: query.Count}); !errors.Is(err, ErrEmptyArchive) {
+	if _, _, err := sr.Query(nil, query.Query{Agg: query.Count}); !errors.Is(err, codec.ErrEmptyArchive) {
 		t.Errorf("SegReader.Query = %v, want ErrEmptyArchive", err)
 	}
 }
@@ -580,7 +587,7 @@ func TestV1ReadCompat(t *testing.T) {
 	}
 	data = append(data, 0)
 
-	if _, err := OpenSegmented(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
+	if _, err := OpenSegmented(bytes.NewReader(data)); !errors.Is(err, codec.ErrNotArchive) {
 		t.Errorf("OpenSegmented = %v, want ErrNotArchive", err)
 	}
 	if _, err := ReadAll(bytes.NewReader(data)); err == nil {
@@ -609,7 +616,7 @@ func TestWriteTableEmpty(t *testing.T) {
 	if stats.CompressedBytes != buf.Len() {
 		t.Errorf("CompressedBytes = %d, archive is %d bytes", stats.CompressedBytes, buf.Len())
 	}
-	if _, err := ReadAll(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrEmptyArchive) {
+	if _, err := ReadAll(bytes.NewReader(buf.Bytes())); !errors.Is(err, codec.ErrEmptyArchive) {
 		t.Errorf("ReadAll = %v, want ErrEmptyArchive", err)
 	}
 }

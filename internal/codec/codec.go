@@ -3,9 +3,11 @@
 // what learning produced: the schema with its categorical dictionaries,
 // the list of materialized attributes and the CaRT trees. A body holds
 // what one set of rows adds: the row count, each model's outliers and the
-// deflated projection T' onto the materialized attributes. A stream is a
-// magic, one model block and one body; an archive (internal/archive)
-// stores one model block for all of its bodies.
+// deflated projection T' onto the materialized attributes. Both travel in
+// one container (container.go): one model block shared by one or more
+// segment bodies, and a footer of per-segment zone maps. The package is
+// the only one that knows the container's layout; Writer writes it and
+// Reader, the one reader, decodes it.
 //
 // Decoding reverses the pipeline: T' columns are restored verbatim and the
 // predicted columns are recomputed by running each model over T' and
@@ -31,13 +33,11 @@ import (
 	"repro/internal/table"
 )
 
-const magic = "SPRTN2\n"
-
 // Breakdown reports where the compressed bytes went; the paper quotes
 // these fractions (e.g. "CaRTs + outliers consume 6.25% of the
 // uncompressed table").
 type Breakdown struct {
-	HeaderBytes int // magic, framing, schema, dictionaries, attribute lists, row count
+	HeaderBytes int // length and checksum framing, schema, dictionaries, attribute lists, row count
 	ModelBytes  int // serialized CaRT trees and outliers
 	TPrimeBytes int // deflated materialized projection
 }
@@ -188,27 +188,6 @@ func (mb *ModelBlock) EncodeBody(w io.Writer, src *table.Table, outliers [][]car
 	return bd, nil
 }
 
-// EncodeStream writes a complete stream: the magic, the model block and
-// one body (see EncodeBody).
-func (mb *ModelBlock) EncodeStream(w io.Writer, src *table.Table, outliers [][]cart.Outlier) (Breakdown, error) {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return Breakdown{}, err
-	}
-	block, err := mb.Encode(w)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	body, err := mb.EncodeBody(w, src, outliers)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	return Breakdown{
-		HeaderBytes: len(magic) + block.HeaderBytes + body.HeaderBytes,
-		ModelBytes:  block.ModelBytes + body.ModelBytes,
-		TPrimeBytes: block.TPrimeBytes + body.TPrimeBytes,
-	}, nil
-}
-
 // writeChecked writes a length-prefixed, CRC-32-protected section and
 // returns the bytes written.
 func writeChecked(w io.Writer, payload []byte) (int, error) {
@@ -259,11 +238,11 @@ func validatePlan(src *table.Table, materialized []int, models []*cart.Model) er
 	return nil
 }
 
-// DecodeLimits caps the resources a hostile or corrupt stream can claim
+// DecodeLimits caps the resources a hostile or corrupt input can claim
 // before its payload backs the claim up. The zero value of every field
 // selects a generous default, so limits are always on: Decode applies
-// them as-is and DecodeLimited lets callers tighten (or, by setting huge
-// values, effectively loosen) individual caps.
+// them as-is and Open lets callers tighten (or, by setting huge values,
+// effectively loosen) individual caps.
 type DecodeLimits struct {
 	// MaxRows bounds a body's row count (default 1<<34).
 	MaxRows uint64
@@ -279,11 +258,6 @@ type DecodeLimits struct {
 	// claimed count (default 1<<26).
 	MaxUnverifiedRows uint64
 }
-
-// WithDefaults returns the limits with zero fields replaced by their
-// documented defaults, for callers outside the codec (e.g. the archive
-// footer parser) that bound their own allocations by the same caps.
-func (l DecodeLimits) WithDefaults() DecodeLimits { return l.withDefaults() }
 
 func (l DecodeLimits) withDefaults() DecodeLimits {
 	if l.MaxRows == 0 {
@@ -311,33 +285,6 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 // inflated row counts before allocating for them.
 const maxDeflateRatio = 1032
 
-// Decode reads a compressed stream and reconstructs the full table,
-// applying the default DecodeLimits.
-func Decode(r io.Reader) (*table.Table, error) {
-	return DecodeLimited(r, DecodeLimits{})
-}
-
-// DecodeLimited is Decode with explicit resource limits; zero fields of
-// lim keep their defaults. Streams that claim more than the limits allow
-// — or more rows than their T' payload could possibly deliver — fail
-// early with a descriptive error instead of allocating.
-func DecodeLimited(r io.Reader, lim DecodeLimits) (*table.Table, error) {
-	lim = lim.withDefaults()
-	br := bufio.NewReader(r)
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("codec: reading magic: %w", err)
-	}
-	if string(got) != magic {
-		return nil, fmt.Errorf("codec: bad magic %q", got)
-	}
-	mb, err := readModelBlock(br, lim)
-	if err != nil {
-		return nil, err
-	}
-	return mb.readBody(br, lim)
-}
-
 // DecodeModelBlock decodes a model block written by ModelBlock.Encode,
 // which must fill data exactly. Its trees are structurally validated
 // against the schema, dictionaries and materialized attributes, so they
@@ -356,10 +303,12 @@ func DecodeModelBlock(data []byte, lim DecodeLimits) (*ModelBlock, error) {
 
 // DecodeBody decodes one body written by EncodeBody against mb and
 // reports how many bytes of r it logically occupied — read-ahead the
-// decoder buffered but never interpreted is excluded. Framed containers
-// use the count to verify a body fills its declared length exactly: a
-// shorter body means the frame carries trailing bytes that would desync
-// every later frame.
+// decoder buffered but never interpreted is excluded. The container
+// reader uses the count to verify a body fills its frame exactly: a
+// shorter body means the frame carries trailing bytes no decoder reads.
+// Bodies that claim more than lim allows — or more rows than their T'
+// payload could possibly deliver — fail early with a descriptive error
+// instead of allocating.
 func (mb *ModelBlock) DecodeBody(r io.Reader, lim DecodeLimits) (*table.Table, int64, error) {
 	cr := &countingReader{r: r}
 	br := bufio.NewReader(cr)
@@ -400,8 +349,7 @@ func readChecked(br byteReader, what string, lim DecodeLimits) ([]byte, error) {
 		return nil, fmt.Errorf("codec: reading %s checksum: %w", what, err)
 	}
 	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
-	payload := make([]byte, 0, min(int(n), 1<<20))
-	payload, err = readFullGrowing(br, payload, int(n), lim)
+	payload, err := readFullGrowing(br, n, lim.MaxModelBytes)
 	if err != nil {
 		return nil, fmt.Errorf("codec: reading %s: %w", what, err)
 	}
@@ -810,22 +758,20 @@ func zeroCodes(n int) []int32 {
 	return out
 }
 
-// readFullGrowing reads exactly n bytes, growing dst incrementally so a
-// lying length cannot force a huge upfront allocation. The total is
-// re-checked against lim.MaxModelBytes here rather than trusting the
-// caller's guard: the function is the allocation sink, so the bound
-// that protects it must travel with the call.
-func readFullGrowing(r io.Reader, dst []byte, n int, lim DecodeLimits) ([]byte, error) {
-	lim = lim.withDefaults()
-	if n < 0 || uint64(n) > lim.MaxModelBytes {
-		return nil, fmt.Errorf("codec: read length %d exceeds limit %d", n, lim.MaxModelBytes)
+// readFullGrowing reads exactly n bytes, growing the buffer in bounded
+// chunks so a lying length cannot force a huge upfront allocation: a
+// truncated input fails after at most one chunk of slack. n is checked
+// against limit here rather than trusting the caller's guard: the
+// function is the allocation sink, so the bound that protects it must
+// travel with the call.
+func readFullGrowing(r io.Reader, n, limit uint64) ([]byte, error) {
+	if n > limit {
+		return nil, fmt.Errorf("codec: read length %d exceeds limit %d", n, limit)
 	}
 	const chunk = 1 << 20
-	for len(dst) < n {
-		want := n - len(dst)
-		if want > chunk {
-			want = chunk
-		}
+	dst := make([]byte, 0, min(n, chunk))
+	for uint64(len(dst)) < n {
+		want := min(n-uint64(len(dst)), chunk)
 		start := len(dst)
 		dst = append(dst, make([]byte, want)...)
 		if _, err := io.ReadFull(r, dst[start:]); err != nil {

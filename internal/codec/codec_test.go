@@ -62,8 +62,8 @@ func buildPlanErr(tb *table.Table, tol float64) ([]int, []*cart.Model, error) {
 	return []int{0, 3}, []*cart.Model{my, mc}, nil
 }
 
-// encode writes a complete stream for src under a plan whose models
-// carry their outliers.
+// encode writes a one-segment container for src under a plan whose
+// models carry their outliers. The breakdown covers every byte written.
 func encode(w io.Writer, src *table.Table, materialized []int, models []*cart.Model) (Breakdown, error) {
 	mb, err := NewModelBlock(src, materialized, models)
 	if err != nil {
@@ -73,7 +73,19 @@ func encode(w io.Writer, src *table.Table, materialized []int, models []*cart.Mo
 	for _, m := range sortedByTarget(models) {
 		outliers = append(outliers, m.Outliers)
 	}
-	return mb.EncodeStream(w, src, outliers)
+	var body bytes.Buffer
+	bd, err := mb.EncodeBody(&body, src, outliers)
+	if err != nil {
+		return bd, err
+	}
+	cw := NewWriter(w)
+	if err := cw.WriteSegment(body.Bytes(), src.NumRows(), ComputeZones(src, nil)); err != nil {
+		return bd, err
+	}
+	block, err := cw.Close(mb)
+	bd.ModelBytes += block.ModelBytes
+	bd.HeaderBytes = int(cw.Size()) - bd.ModelBytes - bd.TPrimeBytes
+	return bd, err
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -307,16 +319,27 @@ func TestDecodeDetectsModelCorruption(t *testing.T) {
 	tb := testTable(rng, 300)
 	mats, models := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
-	bd, err := encode(&buf, tb, mats, models)
-	if err != nil {
+	if _, err := encode(&buf, tb, mats, models); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// Flip a byte in the middle of the trees and outliers: a CRC must
+	mb, err := NewModelBlock(tb, mats, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var block bytes.Buffer
+	bd, err := mb.Encode(&block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, block.Bytes())
+	if at < 0 {
+		t.Fatal("model block not found in the container")
+	}
+	// Flip a byte in the middle of the trees: the model block's CRC must
 	// catch it even if the byte still parses structurally.
-	pos := bd.HeaderBytes + bd.ModelBytes/2
 	bad := append([]byte(nil), data...)
-	bad[pos] ^= 0x40
+	bad[at+block.Len()-bd.ModelBytes/2] ^= 0x40
 	if _, err := Decode(bytes.NewReader(bad)); err == nil {
 		t.Error("Decode accepted a corrupted models section")
 	}

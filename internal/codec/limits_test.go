@@ -14,11 +14,11 @@ import (
 	"repro/internal/table"
 )
 
-// hostileBuf builds streams byte-by-byte so tests can forge headers the
-// encoder would never emit (claimed sizes with no payload behind them).
+// hostileBuf builds model blocks and bodies byte-by-byte so tests can
+// forge headers the encoder would never emit (claimed sizes with no
+// payload behind them).
 type hostileBuf struct{ bytes.Buffer }
 
-func (b *hostileBuf) magic()    { _, _ = b.WriteString(magic) }
 func (b *hostileBuf) b1(c byte) { _ = b.WriteByte(c) }
 
 func (b *hostileBuf) uvarint(v uint64) {
@@ -44,10 +44,33 @@ func (b *hostileBuf) checked(payload []byte) {
 	_, _ = b.Write(payload)
 }
 
-// oneNumericBlock writes a valid model block for a one-column numeric
-// table whose column is materialized: no models.
-func (b *hostileBuf) oneNumericBlock() {
-	var p hostileBuf
+// container wraps a hand-built model block, and body unless it is nil,
+// in a container through Writer's own framing, footer and trailer code.
+// schema lays out the segment's zone maps; the footer records zero rows,
+// so the body's own claims reach its decoder.
+func container(block, body []byte, schema table.Schema) []byte {
+	var buf bytes.Buffer
+	cw := NewWriter(&buf)
+	if body != nil {
+		_ = cw.WriteSegment(body, 0, make([]ZoneMap, len(schema))) // bytes.Buffer writes cannot fail
+	}
+	_ = cw.finish(block, schema)
+	return buf.Bytes()
+}
+
+// blockOnly wraps a model block payload in a container with no segment.
+func blockOnly(payload []byte) []byte {
+	var block hostileBuf
+	block.checked(payload)
+	return container(block.Bytes(), nil, nil)
+}
+
+var oneNumeric = table.Schema{{Name: "a", Kind: table.Numeric}}
+
+// oneNumericBlock is a valid model block for a one-column numeric table
+// whose column is materialized: no models.
+func oneNumericBlock() []byte {
+	var b, p hostileBuf
 	p.uvarint(1) // ncols
 	p.str("a")
 	p.b1(byte(table.Numeric))
@@ -55,58 +78,51 @@ func (b *hostileBuf) oneNumericBlock() {
 	p.uvarint(0) // materialized attribute 0
 	p.uvarint(0) // nmodels
 	b.checked(p.Bytes())
+	return b.Bytes()
 }
 
-// hostileColsStream claims 2^40 columns.
-func hostileColsStream() []byte {
-	var b, p hostileBuf
-	b.magic()
+// hostileCols claims 2^40 columns.
+func hostileCols() []byte {
+	var p hostileBuf
 	p.uvarint(1 << 40)
-	b.checked(p.Bytes())
-	return b.Bytes()
+	return blockOnly(p.Bytes())
 }
 
-// hostileRowsStream claims 2^40 rows behind a valid one-column model
-// block.
-func hostileRowsStream() []byte {
-	var b hostileBuf
-	b.magic()
-	b.oneNumericBlock()
-	b.uvarint(1 << 40)
-	return b.Bytes()
+// hostileRows claims 2^40 rows in a body of a valid one-column
+// model block.
+func hostileRows() []byte {
+	var body hostileBuf
+	body.uvarint(1 << 40)
+	return container(oneNumericBlock(), body.Bytes(), oneNumeric)
 }
 
-// hostileDictStream claims a 2^40-entry categorical dictionary.
-func hostileDictStream() []byte {
-	var b, p hostileBuf
-	b.magic()
+// hostileDict claims a 2^40-entry categorical dictionary.
+func hostileDict() []byte {
+	var p hostileBuf
 	p.uvarint(1)
 	p.str("a")
 	p.b1(byte(table.Categorical))
 	p.uvarint(1 << 40)
-	b.checked(p.Bytes())
-	return b.Bytes()
+	return blockOnly(p.Bytes())
 }
 
-// hostileTPrimeStream passes every individual limit but claims a row
+// hostileTPrime passes every individual limit but claims a row
 // count (2^30, under the 2^34 default cap) that a 1-byte T' block cannot
 // possibly back, triggering the payload cross-check.
-func hostileTPrimeStream() []byte {
-	var b hostileBuf
-	b.magic()
-	b.oneNumericBlock()
-	b.uvarint(1 << 30) // nrows
-	b.checked(nil)     // no models, no outliers
-	b.uvarint(1)       // tpLen: one byte for 2^30 claimed rows
-	b.b1(0)
-	return b.Bytes()
+func hostileTPrime() []byte {
+	var body hostileBuf
+	body.uvarint(1 << 30) // nrows
+	body.checked(nil)     // no models, no outliers
+	body.uvarint(1)       // tpLen: one byte for 2^30 claimed rows
+	body.b1(0)
+	return container(oneNumericBlock(), body.Bytes(), oneNumeric)
 }
 
-// hostileShortTPrimeStream claims more rows than its T' block holds, but
+// hostileShortTPrime claims more rows than its T' block holds, but
 // few enough to pass the deflate-ratio cross-check: the T' block is a
 // real gzip stream of 10 raw cells, and the column runs out long before
 // the claimed count.
-func hostileShortTPrimeStream() []byte {
+func hostileShortTPrime() []byte {
 	var cells hostileBuf
 	cells.b1(numEncRaw)
 	for i := 0; i < 10; i++ {
@@ -117,28 +133,25 @@ func hostileShortTPrimeStream() []byte {
 	_, _ = zw.Write(cells.Bytes()) // a bytes.Buffer sink cannot fail
 	_ = zw.Close()
 
-	var b hostileBuf
-	b.magic()
-	b.oneNumericBlock()
-	b.uvarint(uint64(tp.Len()) * maxDeflateRatio) // nrows: the most the cross-check admits
-	b.checked(nil)
-	b.uvarint(uint64(tp.Len()))
-	_, _ = b.Write(tp.Bytes())
-	return b.Bytes()
+	var body hostileBuf
+	body.uvarint(uint64(tp.Len()) * maxDeflateRatio) // nrows: the most the cross-check admits
+	body.checked(nil)
+	body.uvarint(uint64(tp.Len()))
+	_, _ = body.Write(tp.Bytes())
+	return container(oneNumericBlock(), body.Bytes(), oneNumeric)
 }
 
-// hostileModelsStream claims a 2^40-byte model block.
-func hostileModelsStream() []byte {
-	var b hostileBuf
-	b.magic()
-	b.uvarint(1 << 40) // model block length
-	return b.Bytes()
+// hostileModels claims a 2^40-byte model block.
+func hostileModels() []byte {
+	var block hostileBuf
+	block.uvarint(1 << 40) // model block length
+	return container(block.Bytes(), nil, nil)
 }
 
-// twoColumnBlock writes a model block for (x numeric, y) with x
-// materialized and y predicted by the one-node tree leaf.
-func (b *hostileBuf) twoColumnBlock(yKind table.Kind, dict []string, leaf func(*hostileBuf)) {
-	var p hostileBuf
+// twoColumnBlock is a model block for (x numeric, y) with x materialized
+// and y predicted by the one-node tree leaf.
+func twoColumnBlock(yKind table.Kind, dict []string, leaf func(*hostileBuf)) []byte {
+	var b, p hostileBuf
 	p.uvarint(2) // ncols
 	p.str("x")
 	p.b1(byte(table.Numeric))
@@ -157,39 +170,38 @@ func (b *hostileBuf) twoColumnBlock(yKind table.Kind, dict []string, leaf func(*
 	p.b1(byte(yKind))
 	leaf(&p)
 	b.checked(p.Bytes())
+	return b.Bytes()
 }
 
-// hostileLeafCodeStream carries a CaRT whose leaf predicts code 5 of a
+// hostileLeafCode carries a CaRT whose leaf predicts code 5 of a
 // one-entry dictionary.
-func hostileLeafCodeStream() []byte {
-	var b hostileBuf
-	b.magic()
-	b.twoColumnBlock(table.Categorical, []string{"only"}, func(p *hostileBuf) {
+func hostileLeafCode() []byte {
+	block := twoColumnBlock(table.Categorical, []string{"only"}, func(p *hostileBuf) {
 		p.b1(1) // categorical leaf
 		p.uvarint(5)
 	})
-	return b.Bytes()
+	return container(block, nil, nil)
 }
 
-// hostileOutlierRowStream has a valid model block, but its body stores
+// hostileOutlierRow has a valid model block, but its body stores
 // an outlier at row 2 of a 2-row body.
-func hostileOutlierRowStream() []byte {
-	var b, out hostileBuf
-	b.magic()
-	b.twoColumnBlock(table.Numeric, nil, func(p *hostileBuf) {
+func hostileOutlierRow() []byte {
+	block := twoColumnBlock(table.Numeric, nil, func(p *hostileBuf) {
 		p.b1(0) // numeric leaf
 		p.f32(0)
 	})
-	b.uvarint(2)   // nrows
-	out.uvarint(1) // one outlier
-	out.uvarint(2) // row 2
+	var body, out hostileBuf
+	body.uvarint(2) // nrows
+	out.uvarint(1)  // one outlier
+	out.uvarint(2)  // row 2
 	out.f32(7)
-	b.checked(out.Bytes())
-	return b.Bytes()
+	body.checked(out.Bytes())
+	schema := table.Schema{{Name: "x", Kind: table.Numeric}, {Name: "y", Kind: table.Numeric}}
+	return container(block, body.Bytes(), schema)
 }
 
 // allocDelta runs f and reports how many bytes it allocated. The decoder
-// is single-goroutine up to the point the hostile streams die, so the
+// is single-goroutine up to the point the hostile inputs die, so the
 // delta is deterministic enough for an order-of-magnitude bound.
 func allocDelta(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -200,7 +212,7 @@ func allocDelta(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestDecodeRejectsHostileHeaders feeds Decode streams whose claimed
+// TestDecodeRejectsHostileHeaders feeds Decode containers whose claimed
 // sizes (2^40 rows, columns, dictionary entries, model-block bytes; a
 // row count no T' payload could deliver, or more rows than the T' block
 // holds) or whose contents point outside the table (a CaRT leaf code
@@ -210,17 +222,17 @@ func allocDelta(f func()) uint64 {
 func TestDecodeRejectsHostileHeaders(t *testing.T) {
 	cases := []struct {
 		name    string
-		stream  []byte
+		data    []byte
 		wantErr string
 	}{
-		{"rows", hostileRowsStream(), "row count"},
-		{"cols", hostileColsStream(), "column count"},
-		{"dict", hostileDictStream(), "dictionary size"},
-		{"models", hostileModelsStream(), "model block length"},
-		{"tprime", hostileTPrimeStream(), "cannot fit"},
-		{"tprime-short", hostileShortTPrimeStream(), "reading column 0"},
-		{"leaf-code", hostileLeafCodeStream(), "outside dictionary"},
-		{"outlier-row", hostileOutlierRowStream(), "outlier row 2 beyond 2 rows"},
+		{"rows", hostileRows(), "row count"},
+		{"cols", hostileCols(), "column count"},
+		{"dict", hostileDict(), "dictionary size"},
+		{"models", hostileModels(), "model block length"},
+		{"tprime", hostileTPrime(), "cannot fit"},
+		{"tprime-short", hostileShortTPrime(), "reading column 0"},
+		{"leaf-code", hostileLeafCode(), "outside dictionary"},
+		{"outlier-row", hostileOutlierRow(), "outlier row 2 beyond 2 rows"},
 	}
 	// Well under the smallest hostile claim (2^30 rows × 8 bytes); far
 	// above the decoder's legitimate buffers.
@@ -229,7 +241,7 @@ func TestDecodeRejectsHostileHeaders(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error
 			delta := allocDelta(func() {
-				_, err = Decode(bytes.NewReader(tc.stream))
+				_, err = Decode(bytes.NewReader(tc.data))
 			})
 			if err == nil {
 				t.Fatal("Decode accepted a hostile header")
@@ -246,15 +258,14 @@ func TestDecodeRejectsHostileHeaders(t *testing.T) {
 
 // TestReadFullGrowingCapped drives the allocation sink directly with
 // lengths its callers should never let through: the function must
-// enforce the DecodeLimits cap itself, erroring before any allocation
+// enforce the cap it is given itself, erroring before any allocation
 // instead of trusting the caller's guard.
 func TestReadFullGrowingCapped(t *testing.T) {
-	lim := DecodeLimits{MaxModelBytes: 1 << 10}
-	hostile := []int{-1, 1<<10 + 1, 1 << 40}
-	for _, n := range hostile {
+	const limit = 1 << 10
+	for _, n := range []uint64{limit + 1, 1 << 40, math.MaxUint64} {
 		var err error
 		delta := allocDelta(func() {
-			_, err = readFullGrowing(bytes.NewReader(nil), nil, n, lim)
+			_, err = readFullGrowing(bytes.NewReader(nil), n, limit)
 		})
 		if err == nil {
 			t.Errorf("n=%d: readFullGrowing accepted a length past the cap", n)
@@ -266,10 +277,9 @@ func TestReadFullGrowingCapped(t *testing.T) {
 		}
 	}
 
-	// Zero-value limits fall back to the defaults, and an in-cap read
-	// still delivers exactly n bytes.
-	payload := bytes.Repeat([]byte{0xab}, 3000)
-	got, err := readFullGrowing(bytes.NewReader(payload), nil, len(payload), DecodeLimits{})
+	// An in-cap read delivers exactly n bytes, across chunk boundaries.
+	payload := bytes.Repeat([]byte{0xab}, 3<<20)
+	got, err := readFullGrowing(bytes.NewReader(payload), uint64(len(payload)), math.MaxUint64)
 	if err != nil {
 		t.Fatalf("in-cap read failed: %v", err)
 	}
@@ -277,13 +287,13 @@ func TestReadFullGrowingCapped(t *testing.T) {
 		t.Errorf("read %d bytes, want %d identical bytes", len(got), len(payload))
 	}
 	// Truncated input surfaces the read error, not a silent short buffer.
-	if _, err := readFullGrowing(bytes.NewReader(payload[:10]), nil, 3000, lim); err == nil {
-		t.Error("truncated stream did not error")
+	if _, err := readFullGrowing(bytes.NewReader(payload[:10]), 1000, limit); err == nil {
+		t.Error("truncated input did not error")
 	}
 }
 
 // TestDecodeLimitedTightens verifies explicit limits override the
-// defaults: a stream the default limits accept fails a tightened cap,
+// defaults: a container the default limits accept fails a tightened cap,
 // and zero-valued fields keep their defaults.
 func TestDecodeLimitedTightens(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -293,14 +303,21 @@ func TestDecodeLimitedTightens(t *testing.T) {
 	if _, err := encode(&buf, tb, mats, models); err != nil {
 		t.Fatal(err)
 	}
+	decode := func(lim DecodeLimits) error {
+		cr, err := Open(bytes.NewReader(buf.Bytes()), lim)
+		if err == nil {
+			_, err = cr.ReadAll()
+		}
+		return err
+	}
 
-	if _, err := DecodeLimited(bytes.NewReader(buf.Bytes()), DecodeLimits{}); err != nil {
-		t.Fatalf("zero-value limits rejected a valid stream: %v", err)
+	if err := decode(DecodeLimits{}); err != nil {
+		t.Fatalf("zero-value limits rejected a valid container: %v", err)
 	}
-	if _, err := DecodeLimited(bytes.NewReader(buf.Bytes()), DecodeLimits{MaxRows: 100}); err == nil {
-		t.Error("MaxRows=100 accepted a 200-row stream")
+	if err := decode(DecodeLimits{MaxRows: 100}); err == nil {
+		t.Error("MaxRows=100 accepted a 200-row container")
 	}
-	if _, err := DecodeLimited(bytes.NewReader(buf.Bytes()), DecodeLimits{MaxCols: 1}); err == nil {
-		t.Error("MaxCols=1 accepted a multi-column stream")
+	if err := decode(DecodeLimits{MaxCols: 1}); err == nil {
+		t.Error("MaxCols=1 accepted a multi-column container")
 	}
 }

@@ -16,6 +16,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -159,7 +160,7 @@ type Stats struct {
 	Outliers     int      // total outlier values stored
 	Fascicles    int      // fascicles found by the RowAggregator
 
-	HeaderBytes int // magic, framing, schema + dictionaries, attribute lists, row count
+	HeaderBytes int // container framing, footer and zone maps, schema + dictionaries, attribute lists, row count
 	ModelBytes  int // serialized CaRT trees and outliers
 	TPrimeBytes int // deflated materialized projection
 
@@ -182,9 +183,10 @@ func Compress(w io.Writer, t *table.Table, opts Options) (*Stats, error) {
 // ctx.Err() together with the phase the run died in, and the trace span
 // of that phase (plus the root) is annotated cancelled=true.
 //
-// It is Learn followed by one Apply over all of t, written as one stream
-// (magic, model block, body), with every phase under one SpanCompress
-// root.
+// It is Learn followed by one Apply over all of t, written as a
+// container with one segment, with every phase under one SpanCompress
+// root. The bytes are those of a segmented archive whose one segment
+// holds every row.
 func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Options) (*Stats, error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("spartan: nil or empty table")
@@ -200,7 +202,19 @@ func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Opti
 	}
 	m.AddLearnStats(stats)
 	err = m.apply(ctx, root, t, stats, func(applied *table.Table, outliers [][]cart.Outlier) (codec.Breakdown, error) {
-		return m.block.EncodeStream(w, applied, outliers)
+		var body bytes.Buffer
+		bd, err := m.block.EncodeBody(&body, applied, outliers)
+		if err != nil {
+			return bd, err
+		}
+		cw := codec.NewWriter(w)
+		if err := cw.WriteSegment(body.Bytes(), t.NumRows(), codec.ComputeZones(t, m.resolved)); err != nil {
+			return bd, err
+		}
+		block, err := cw.Close(m.block)
+		bd.ModelBytes += block.ModelBytes
+		bd.HeaderBytes = int(cw.Size()) - bd.ModelBytes - bd.TPrimeBytes
+		return bd, err
 	})
 	if err != nil {
 		return nil, failCompress(root, err)
@@ -260,8 +274,8 @@ func (m *Model) AddLearnStats(st *Stats) {
 }
 
 // Apply runs the apply step on body — row aggregation, the outlier scan
-// and the encoder — and writes one codec body to w (no magic, no model
-// block; see Block). body must have the learn input's schema, and its
+// and the encoder — and writes one codec body to w (no container, no
+// model block; see Block). body must have the learn input's schema, and its
 // categorical codes must index the dictionaries the body is decoded
 // with. The row_aggregation, outlier_scan and encode spans go under a
 // SpanApply root on the learn options' Trace. The returned Stats cover
@@ -610,7 +624,8 @@ func collectSplitValues(plan *selector.Result) map[int][]float64 {
 	return out
 }
 
-// Decompress reconstructs a table from a stream produced by Compress.
+// Decompress reads r to the end and reconstructs the table from a
+// container written by Compress or by a segmented archive writer.
 func Decompress(r io.Reader) (*table.Table, error) {
 	return codec.Decode(r)
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/table"
 )
 
-// TestDecompressSegmentedArchive: /decompress restores the archives that
-// /compress?segment-rows= produces, not only single streams.
+// TestDecompressSegmentedArchive: /decompress restores the multi-segment
+// archives that /compress?segment-rows= produces.
 func TestDecompressSegmentedArchive(t *testing.T) {
 	srv := testServer(t)
 	compressed := monotonicArchive(t, srv)

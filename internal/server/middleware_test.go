@@ -192,44 +192,65 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestTimingHeaders: every /compress answer carries the per-phase
+// X-Spartan-Timing-* headers, summed over its segments, and Total is
+// their sum. A segmented compress learns once, so its learn phases run
+// once and its apply phases once per segment.
 func TestTimingHeaders(t *testing.T) {
-	srv := httptest.NewServer(New(WithLogger(discardLogger())))
-	defer srv.Close()
-
 	tb := datagen.CDR(800, 5)
-	var buf bytes.Buffer
-	if err := table.WriteBinary(&buf, tb); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/compress?tolerance=0.01", "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body) // draining only; the asserts below are on the status
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compress status = %d", resp.StatusCode)
-	}
-
-	var total time.Duration
-	for _, th := range timingHeaders {
-		name := "X-Spartan-Timing-" + th.suffix
-		v := resp.Header.Get(name)
-		if v == "" {
-			t.Errorf("missing header %s", name)
-			continue
+	for route, segments := range map[string]string{
+		"/compress?tolerance=0.01":                  "1",
+		"/compress?tolerance=0.01&segment-rows=500": "2",
+	} {
+		srv := httptest.NewServer(New(WithLogger(discardLogger())))
+		var buf bytes.Buffer
+		if err := table.WriteBinary(&buf, tb); err != nil {
+			t.Fatal(err)
 		}
-		d, err := time.ParseDuration(v)
+		resp, err := http.Post(srv.URL+route, "application/octet-stream", &buf)
 		if err != nil {
-			t.Errorf("%s = %q not a duration: %v", name, v, err)
-			continue
+			t.Fatal(err)
 		}
-		if th.suffix == "Total" {
-			if d != total {
-				t.Errorf("Total %v != sum of phases %v", d, total)
+		_, _ = io.Copy(io.Discard, resp.Body) // draining only; the asserts below are on the status
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d", route, resp.StatusCode)
+		}
+
+		var total time.Duration
+		for _, th := range timingHeaders {
+			name := "X-Spartan-Timing-" + th.suffix
+			v := resp.Header.Get(name)
+			if v == "" {
+				t.Errorf("%s: missing header %s", route, name)
+				continue
 			}
-		} else {
-			total += d
+			d, err := time.ParseDuration(v)
+			if err != nil {
+				t.Errorf("%s: %s = %q not a duration: %v", route, name, v, err)
+				continue
+			}
+			if th.suffix == "Total" {
+				if d != total {
+					t.Errorf("%s: Total %v != sum of phases %v", route, d, total)
+				}
+			} else {
+				total += d
+			}
 		}
+
+		if got := resp.Header.Get("X-Spartan-Segments"); got != segments {
+			t.Errorf("%s: X-Spartan-Segments = %q, want %s", route, got, segments)
+		}
+		metrics := scrapeMetrics(t, srv)
+		for _, want := range []string{
+			`spartan_phase_duration_seconds_count{trace="compress",phase="cart_selection"} 1`,
+			`spartan_phase_duration_seconds_count{trace="compress",phase="encode"} ` + segments,
+		} {
+			if !strings.Contains(metrics, want) {
+				t.Errorf("%s: /metrics missing %q", route, want)
+			}
+		}
+		srv.Close()
 	}
 }

@@ -84,15 +84,15 @@ func TestConcurrencyLimit429(t *testing.T) {
 }
 
 // TestRequestTimeout503: a request whose timeout expires gets 503 and
-// one timeout count, on /compress and on /query of both a bare stream
-// and a segmented archive.
+// one timeout count, on /compress and on /query of a one-segment and a
+// four-segment archive.
 func TestRequestTimeout503(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, srv := overloadServer(t, WithRequestTimeout(time.Nanosecond), WithRegistry(reg))
 
 	tb := datagen.CDR(4000, 1)
-	var stream, arch bytes.Buffer
-	if _, err := core.Compress(&stream, tb, core.Options{}); err != nil {
+	var single, arch bytes.Buffer
+	if _, err := core.Compress(&single, tb, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := archive.WriteTable(&arch, tb, core.Options{}, archive.SegmentOptions{SegmentRows: 1000}); err != nil {
@@ -103,7 +103,7 @@ func TestRequestTimeout503(t *testing.T) {
 		body  func() io.Reader
 	}{
 		{"/compress?tolerance=0.01", func() io.Reader { return tableBody(t, tb) }},
-		{"/query?agg=count", func() io.Reader { return bytes.NewReader(stream.Bytes()) }},
+		{"/query?agg=count", func() io.Reader { return bytes.NewReader(single.Bytes()) }},
 		{"/query?agg=count", func() io.Reader { return bytes.NewReader(arch.Bytes()) }},
 	}
 	for i, c := range cases {
@@ -128,7 +128,7 @@ func TestBodyTooLarge413(t *testing.T) {
 	_, srv := overloadServer(t, WithMaxBodyBytes(64), WithRegistry(reg))
 
 	// /compress reads a raw table; /decompress and /query read a
-	// compressed stream, which must be valid so the decoder consumes
+	// compressed archive, which must be valid so the decoder consumes
 	// past the body limit instead of failing at the magic check.
 	tb := datagen.CDR(500, 1)
 	var compressed bytes.Buffer

@@ -141,7 +141,7 @@ func TestQueryErrorNamesArchiveSegment(t *testing.T) {
 	if err := sr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	compressed[last.Offset] ^= 0xff // the last segment's codec magic
+	compressed[last.Offset] ^= 0xff // the last segment's row count
 
 	resp, err := http.Post(srv.URL+"/query?agg=count&where="+url.QueryEscape("v >= 1500"),
 		"application/x-spartan", bytes.NewReader(compressed))

@@ -8,9 +8,9 @@
 //
 //	GET  /healthz                         liveness probe
 //	GET  /metrics                         Prometheus text exposition
-//	POST /compress?tolerance=F[&...]      table in (CSV or raw binary) → compressed stream
-//	POST /decompress                      stream or archive → table (CSV or raw binary by Accept)
-//	POST /query?agg=A[&col=C]...          stream or archive → JSON aggregate with bounds
+//	POST /compress?tolerance=F[&...]      table in (CSV or raw binary) → compressed archive
+//	POST /decompress                      archive → table (CSV or raw binary by Accept)
+//	POST /query?agg=A[&col=C]...          archive → JSON aggregate with bounds
 //
 // Every route is instrumented: requests carry an X-Request-Id (minted if
 // absent), emit a structured log/slog access line, and feed the metrics
@@ -57,9 +57,9 @@ type Server struct {
 
 	maxBodyBytes   int64
 	requestTimeout time.Duration
-	// segmentRows, when positive, makes /compress emit a segmented
-	// archive with this many rows per segment by default; requests can
-	// override it with ?segment-rows (0 restores the single stream).
+	// segmentRows, when positive, is /compress's default number of rows
+	// per archive segment; requests can override it with ?segment-rows.
+	// 0 writes one segment holding every row.
 	segmentRows int
 	// pipelineSem admits at most maxConcurrent pipeline-running requests
 	// (/compress and /query); nil means unlimited. Excess requests are
@@ -121,9 +121,9 @@ func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) { s.requestTimeout = d }
 }
 
-// WithSegmentRows makes /compress emit segmented archives with n rows
-// per segment by default; requests override with ?segment-rows. n <= 0
-// (the default) keeps the single-stream output.
+// WithSegmentRows makes /compress write archives with n rows per segment
+// by default; requests override with ?segment-rows. n <= 0 (the
+// default) writes one segment.
 func WithSegmentRows(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -365,47 +365,40 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	if hint := t.RawSizeBytes() / 4; hint > 0 {
 		buf.Grow(min(hint, 64<<20))
 	}
+	if segRows == 0 {
+		segRows = t.NumRows()
+	}
+	// The models are learned once, then applied to the segments
+	// concurrently; the response is a seekable archive with zone maps for
+	// pruned /query calls.
+	astats, err := archive.WriteTableContext(r.Context(), &buf, t, opts,
+		archive.SegmentOptions{SegmentRows: segRows})
+	if !s.answerErr(w, err) {
+		return
+	}
+	s.m.ratio.Observe(astats.Ratio)
+	s.m.tolerance.Observe(numericTol)
+	s.m.rawBytes.Add(float64(astats.RawBytes))
+	s.m.outBytes.Add(float64(astats.CompressedBytes))
 	h := w.Header()
-	if segRows > 0 {
-		// Segmented archive: the models are learned once, then applied to
-		// the segments concurrently; the response is a seekable archive
-		// with zone maps for pruned /query calls.
-		astats, err := archive.WriteTableContext(r.Context(), &buf, t, opts,
-			archive.SegmentOptions{SegmentRows: segRows})
-		if !s.answerErr(w, err) {
-			return
+	h.Set("X-Spartan-Raw-Bytes", strconv.Itoa(astats.RawBytes))
+	h.Set("X-Spartan-Compressed-Bytes", strconv.Itoa(astats.CompressedBytes))
+	h.Set("X-Spartan-Ratio", strconv.FormatFloat(astats.Ratio, 'f', 4, 64))
+	h.Set("X-Spartan-Segments", strconv.Itoa(astats.Segments))
+	if astats.Segments > 0 {
+		// The first segment carries the shared plan (see TableStats).
+		predicted := astats.PerSegment[0].Predicted
+		s.m.predictedAttrs.Observe(float64(len(predicted)))
+		h.Set("X-Spartan-Predicted", strings.Join(predicted, ","))
+	}
+	// Phase times summed over the segments; only the first carries the
+	// learn phases, so they count once.
+	for _, th := range timingHeaders {
+		var d time.Duration
+		for _, st := range astats.PerSegment {
+			d += th.get(st.Timings)
 		}
-		s.m.ratio.Observe(astats.Ratio)
-		s.m.tolerance.Observe(numericTol)
-		s.m.rawBytes.Add(float64(astats.RawBytes))
-		s.m.outBytes.Add(float64(astats.CompressedBytes))
-		h.Set("X-Spartan-Raw-Bytes", strconv.Itoa(astats.RawBytes))
-		h.Set("X-Spartan-Compressed-Bytes", strconv.Itoa(astats.CompressedBytes))
-		h.Set("X-Spartan-Ratio", strconv.FormatFloat(astats.Ratio, 'f', 4, 64))
-		h.Set("X-Spartan-Segments", strconv.Itoa(astats.Segments))
-		if astats.Segments > 0 {
-			// The first segment carries the shared plan (see TableStats).
-			predicted := astats.PerSegment[0].Predicted
-			s.m.predictedAttrs.Observe(float64(len(predicted)))
-			h.Set("X-Spartan-Predicted", strings.Join(predicted, ","))
-		}
-	} else {
-		stats, err := core.CompressContext(r.Context(), &buf, t, opts)
-		if !s.answerErr(w, err) {
-			return
-		}
-		s.m.ratio.Observe(stats.Ratio)
-		s.m.predictedAttrs.Observe(float64(len(stats.Predicted)))
-		s.m.tolerance.Observe(numericTol)
-		s.m.rawBytes.Add(float64(stats.RawBytes))
-		s.m.outBytes.Add(float64(stats.CompressedBytes))
-		h.Set("X-Spartan-Raw-Bytes", strconv.Itoa(stats.RawBytes))
-		h.Set("X-Spartan-Compressed-Bytes", strconv.Itoa(stats.CompressedBytes))
-		h.Set("X-Spartan-Ratio", strconv.FormatFloat(stats.Ratio, 'f', 4, 64))
-		h.Set("X-Spartan-Predicted", strings.Join(stats.Predicted, ","))
-		for _, th := range timingHeaders {
-			h.Set("X-Spartan-Timing-"+th.suffix, th.get(stats.Timings).String())
-		}
+		h.Set("X-Spartan-Timing-"+th.suffix, d.String())
 	}
 	h.Set("Content-Type", "application/x-spartan")
 	h.Set("Content-Length", strconv.Itoa(buf.Len()))
@@ -500,7 +493,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// The body is buffered so it can be opened as a seekable archive: its
 	// footer answers first, and zone maps refute segments before any
-	// decoding. Anything that is not an archive decodes as one stream.
+	// decoding.
 	body := http.MaxBytesReader(nil, r.Body, s.maxBodyBytes)
 	data, err := io.ReadAll(body)
 	if err != nil {
@@ -508,55 +501,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The footer opens under "open". An archive's query then times its
-	// own prune, decode and aggregate spans under root; a bare stream
-	// decodes and aggregates under spans of the same names here.
+	// The footer opens under "open"; the query then times its own prune,
+	// decode and aggregate spans under root.
 	openSpan := root.StartChild("open")
 	sr, err := archive.OpenSegmented(bytes.NewReader(data))
 	openSpan.Finish()
-	var t *table.Table
-	if errors.Is(err, archive.ErrNotArchive) {
-		decodeSpan := root.StartChild("decode")
-		t, err = core.Decompress(bytes.NewReader(data))
-		decodeSpan.Finish()
-	}
 	if err != nil {
 		s.bodyError(w, err)
 		return
 	}
-
-	var res *query.Result
-	if sr != nil {
-		if spec.Where, err = query.ParsePredicate(q.Get("where"), sr.Schema()); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		tol := table.UniformTolerancesSchema(sr.Schema(), numTol, catTol)
-		var qs *archive.QueryStats
-		if res, qs, err = sr.QuerySpan(r.Context(), root, tol, spec); err == nil {
-			s.m.querySegments.Add(float64(qs.Decoded), "decoded")
-			s.m.querySegments.Add(float64(qs.Pruned), "pruned")
-			w.Header().Set("X-Spartan-Segments-Decoded", strconv.Itoa(qs.Decoded))
-			w.Header().Set("X-Spartan-Segments-Pruned", strconv.Itoa(qs.Pruned))
-		}
-	} else {
-		if spec.Where, err = query.ParsePredicate(q.Get("where"), t.Schema()); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		tol := table.UniformTolerances(t, numTol, catTol)
-		// Decompression can eat most of a tight request timeout; a done
-		// context stops the query before aggregation, as it stops an
-		// archive's segment decode.
-		if err = r.Context().Err(); err == nil {
-			aggSpan := root.StartChild("aggregate")
-			res, err = query.Run(t, tol, spec)
-			aggSpan.Finish()
-		}
+	if spec.Where, err = query.ParsePredicate(q.Get("where"), sr.Schema()); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
+	tol := table.UniformTolerancesSchema(sr.Schema(), numTol, catTol)
+	res, qs, err := sr.QuerySpan(r.Context(), root, tol, spec)
 	if !s.answerErr(w, err) {
 		return
 	}
+	s.m.querySegments.Add(float64(qs.Decoded), "decoded")
+	s.m.querySegments.Add(float64(qs.Pruned), "pruned")
+	w.Header().Set("X-Spartan-Segments-Decoded", strconv.Itoa(qs.Decoded))
+	w.Header().Set("X-Spartan-Segments-Pruned", strconv.Itoa(qs.Pruned))
 	resp := queryResponse{Agg: agg.String(), Column: spec.Column}
 	for _, g := range res.Groups {
 		dto := queryGroupDTO{Key: g.Key, Rows: g.Rows, Uncertain: g.UncertainRows}

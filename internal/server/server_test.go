@@ -273,16 +273,16 @@ func TestSegmentedCompressAndQuery(t *testing.T) {
 		t.Fatalf("compressed body does not start with the archive magic")
 	}
 	// The plan is learned once on the whole table, so it is the one a
-	// single-stream /compress of the same rows reports.
-	stream, err := http.Post(srv.URL+"/compress", "application/octet-stream", tableBody(t, tb))
+	// one-segment /compress of the same rows reports.
+	single, err := http.Post(srv.URL+"/compress", "application/octet-stream", tableBody(t, tb))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = io.Copy(io.Discard, stream.Body)
-	stream.Body.Close()
-	got, want := resp.Header.Get("X-Spartan-Predicted"), stream.Header.Get("X-Spartan-Predicted")
+	_, _ = io.Copy(io.Discard, single.Body)
+	single.Body.Close()
+	got, want := resp.Header.Get("X-Spartan-Predicted"), single.Header.Get("X-Spartan-Predicted")
 	if got == "" || got != want {
-		t.Errorf("segmented X-Spartan-Predicted = %q, want the stream's %q", got, want)
+		t.Errorf("segmented X-Spartan-Predicted = %q, want the one-segment %q", got, want)
 	}
 
 	// v > 1700 refutes the first three segments ([0,500), [500,1000),

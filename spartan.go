@@ -166,7 +166,8 @@ func CompressContext(ctx context.Context, w io.Writer, t *Table, opts Options) (
 	return core.CompressContext(ctx, w, t, opts)
 }
 
-// Decompress reconstructs a table from a stream produced by Compress.
+// Decompress reads r to the end and reconstructs the table from an
+// archive written by Compress or CompressArchive.
 func Decompress(r io.Reader) (*Table, error) {
 	return core.Decompress(r)
 }
