@@ -3,9 +3,9 @@ package main
 // Self-benchmark for the analyzer suite: every registered analyzer runs
 // over a fixed fixture corpus so `go test -bench=. ./cmd/spartanvet`
 // attributes analysis cost per analyzer. The corpus is the flow-heavy
-// subset of the golden fixtures — decode paths, taint chains, overflow
-// checks, row-bounded allocations — so the numbers track the expensive
-// layers (dataflow fixpoints, taint propagation, call graphs), not
+// subset of the golden fixtures — archive writes, tolerance checks,
+// row-bounded allocations, error paths — so the numbers track the
+// expensive layers (CFG construction, dataflow fixpoints), not only
 // trivial syntax walks. Record a baseline before growing
 // the suite and compare with benchstat or `-benchtime=10x` eyeballing;
 // a new analyzer that doubles the total shows up here long before it
@@ -32,9 +32,8 @@ import (
 var benchCorpus = []string{
 	"codec",
 	"cart",
-	"taintalloc",
-	"sizeoverflow",
 	"hotalloc",
+	"nilflow",
 }
 
 type benchPkg struct {
@@ -94,9 +93,8 @@ func loadBenchCorpus(b *testing.B) []*benchPkg {
 }
 
 // BenchmarkAnalyzers runs each analyzer over the whole corpus per
-// iteration. Facts are nil — the analyzers degrade to intraprocedural
-// reasoning, exactly as under the fixture harness — so an op measures
-// one package-local pass, the unit `make lint` pays once per package.
+// iteration, so an op measures one package-local pass, the unit
+// `make lint` pays once per package.
 func BenchmarkAnalyzers(b *testing.B) {
 	corpus := loadBenchCorpus(b)
 	var reported int

@@ -7,19 +7,15 @@
 // and dataflow solver in internal/analysis/cfg and
 // internal/analysis/dataflow (values used on proven-error paths, defers
 // accumulating inside per-row loops, hint-less allocations in
-// row-bounded loops); two are interprocedural, built on the call graph
-// and function summaries in internal/analysis/callgraph and
-// internal/analysis/summary (taintalloc: untrusted wire integers
-// reaching allocations unguarded, sizeoverflow: overflow-prone
-// arithmetic on wire values; a DecodeLimits comparison clears a value
-// for both), fed by the funcsummary fact producer, which hands
-// per-function dataflow summaries across package boundaries as
-// in-memory facts. A synthetic check, staleignore, flags
-// //spartanvet:ignore directives that no longer suppress anything.
+// row-bounded loops). Every analyzer looks at one package at a time. A
+// synthetic check, staleignore, flags //spartanvet:ignore directives
+// that no longer suppress anything.
 //
-// Bounded goroutine fan-out and file-handle closing have no analyzer:
-// internal/par's tests and its go-statement test pin the first, and
-// cmd/spartan's /proc/self/fd test pins the second.
+// Some invariants have tests instead of an analyzer: the decoders'
+// hostile-input tables in internal/codec and internal/cart pin every
+// bound on untrusted wire counts, internal/par's tests and its
+// go-statement test pin bounded goroutine fan-out, and cmd/spartan's
+// /proc/self/fd test pins file-handle closing.
 //
 // It runs over package patterns, test files included, and gates on any
 // finding:
@@ -51,10 +47,7 @@ import (
 	"repro/internal/analysis/lockbalance"
 	"repro/internal/analysis/metricname"
 	"repro/internal/analysis/nilflow"
-	"repro/internal/analysis/sizeoverflow"
 	"repro/internal/analysis/spanfinish"
-	"repro/internal/analysis/summary"
-	"repro/internal/analysis/taintalloc"
 	"repro/internal/analysis/unitchecker"
 )
 
@@ -70,9 +63,6 @@ var analyzers = []*analysis.Analyzer{
 	nilflow.Analyzer,
 	deferloop.Analyzer,
 	hotalloc.Analyzer,
-	summary.Analyzer,
-	taintalloc.Analyzer,
-	sizeoverflow.Analyzer,
 }
 
 func main() {

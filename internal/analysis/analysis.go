@@ -28,8 +28,8 @@ import (
 )
 
 // Analyzer describes one static check. It mirrors
-// golang.org/x/tools/go/analysis.Analyzer minus requires; package-level
-// facts are supported through Pass.Facts (see FactStore).
+// golang.org/x/tools/go/analysis.Analyzer minus requires and facts:
+// every analyzer reasons about one package at a time.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //spartanvet:ignore directives. It must be a valid Go identifier.
@@ -40,32 +40,13 @@ type Analyzer struct {
 	// pass.Reportf. A non-nil error fails the whole lint run — reserve it
 	// for internal failures, not findings.
 	Run func(pass *Pass) error
-	// Facts marks a fact-producing analyzer: drivers must run it over
-	// dependency packages too (in dependency order) and make each
-	// package's exported facts available to downstream passes through
-	// Pass.Facts. Fact producers typically emit no diagnostics.
-	Facts bool
 }
 
-// RelatedLocation is one step of a finding's explanation — for the
-// interprocedural analyzers, one hop of a taint path from source to
-// sink. Pos locates steps inside the analyzed package; steps that live
-// in another package (known only through a fact) carry a pre-resolved
-// Position instead, with Pos == token.NoPos.
-type RelatedLocation struct {
-	Pos      token.Pos
-	Position token.Position // used only when Pos is NoPos
-	Message  string
-}
-
-// Diagnostic is one finding at a position. Related, when non-empty,
-// carries the explanation steps in source→sink order; drivers surface
-// them as SARIF relatedLocations and indented text lines.
+// Diagnostic is one finding at a position.
 type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
 	Analyzer string
-	Related  []RelatedLocation
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -81,12 +62,6 @@ type Pass struct {
 	// that did it. Drivers that emit machine-readable reports (SARIF)
 	// use it to publish suppressed results instead of dropping them.
 	SuppressedSink func(Diagnostic, *Directive)
-
-	// Facts, when the driver provides one, holds the facts of every
-	// dependency package (and receives this package's own exports).
-	// Nil under drivers that do not plumb facts (analyzertest); analyzers
-	// must degrade to intraprocedural reasoning in that case.
-	Facts *FactStore
 
 	report     func(Diagnostic)
 	suppressed *Suppressions
@@ -119,14 +94,7 @@ func NewPassShared(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *typ
 // Reportf records a finding unless a //spartanvet:ignore directive for
 // this analyzer covers the position's line.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Report records a fully-formed diagnostic (the way to attach Related
-// taint steps), honouring suppressions exactly like Reportf. The
-// Analyzer field is stamped by the pass.
-func (p *Pass) Report(d Diagnostic) {
-	d.Analyzer = p.Analyzer.Name
+	d := Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name}
 	if dir := p.suppressed.covering(p.Fset, d.Pos, p.Analyzer.Name); dir != nil {
 		dir.used = true
 		if p.SuppressedSink != nil {

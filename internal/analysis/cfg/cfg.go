@@ -1,9 +1,9 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies, on the standard library alone. It is the foundation
 // of spartanvet's flow-sensitive analyzers (nilflow, deferloop,
-// hotalloc) and of summary's taint engine: the AST pattern checks of the
-// first analyzer generation cannot see that a value is used only on the
-// error path, or that a guard dominates an allocation — a CFG can.
+// hotalloc): the AST pattern checks of the first analyzer generation
+// cannot see that a value is used only on the error path, or that a
+// defer sits on a loop — a CFG can.
 //
 // The graph decomposes a *ast.BlockStmt into basic blocks of
 // straight-line statements connected by edges for every Go control
@@ -529,110 +529,6 @@ func (g *CFG) Reachable() []bool {
 		walk(g.Blocks[0])
 	}
 	return seen
-}
-
-// Dominators computes the immediate dominator of every reachable block
-// (idom[entry] = -1; unreachable blocks also get -1) by iterating the
-// classic dominance dataflow to a fixpoint — SPARTAN function CFGs are
-// small, so the simple algorithm is plenty.
-func (g *CFG) Dominators() []int {
-	n := len(g.Blocks)
-	reach := g.Reachable()
-	// dom[i] = set of blocks dominating i, as a bitvector.
-	words := (n + 63) / 64
-	full := make([]uint64, words)
-	for i := 0; i < n; i++ {
-		if reach[i] {
-			full[i/64] |= 1 << (i % 64)
-		}
-	}
-	dom := make([][]uint64, n)
-	for i := range dom {
-		dom[i] = make([]uint64, words)
-		if i == 0 {
-			dom[i][0] = 1 // entry dominates itself only
-		} else {
-			copy(dom[i], full)
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := 1; i < n; i++ {
-			if !reach[i] {
-				continue
-			}
-			next := make([]uint64, words)
-			copy(next, full)
-			any := false
-			for _, p := range g.Blocks[i].Preds {
-				if !reach[p.Index] {
-					continue
-				}
-				any = true
-				for w := range next {
-					next[w] &= dom[p.Index][w]
-				}
-			}
-			if !any {
-				next = make([]uint64, words)
-			}
-			next[i/64] |= 1 << (i % 64)
-			for w := range next {
-				if next[w] != dom[i][w] {
-					dom[i] = next
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	// Extract immediate dominators: the strict dominator that is itself
-	// dominated by every other strict dominator.
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	for i := 1; i < n; i++ {
-		if !reach[i] {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if j == i || dom[i][j/64]&(1<<(j%64)) == 0 {
-				continue
-			}
-			// j strictly dominates i; is it the closest? It is iff
-			// every other strict dominator k of i also dominates j
-			// (i.e. sits above j on the dominator chain).
-			isIdom := true
-			for k := 0; k < n; k++ {
-				if k == i || k == j || dom[i][k/64]&(1<<(k%64)) == 0 {
-					continue
-				}
-				if dom[j][k/64]&(1<<(k%64)) == 0 {
-					isIdom = false // k is a strict dominator not above j
-					break
-				}
-			}
-			if isIdom {
-				idom[i] = j
-				break
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether block a dominates block b under idom (as
-// returned by Dominators). Every block dominates itself.
-func Dominates(idom []int, a, b int) bool {
-	for b != -1 {
-		if a == b {
-			return true
-		}
-		b = idom[b]
-	}
-	return false
 }
 
 // LoopBlocks returns, per block index, whether the block lies on a

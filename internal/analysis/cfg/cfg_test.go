@@ -528,82 +528,6 @@ func f() {
 	}
 }
 
-func TestDominators(t *testing.T) {
-	g, _ := buildFunc(t, `
-func f(a int) int {
-	x := 1
-	if a > 0 {
-		x = 2
-	}
-	return x
-}`)
-	idom := g.Dominators()
-	// entry dominates everything; if.then does not dominate if.done.
-	var thenIdx, doneIdx int
-	for _, b := range g.Blocks {
-		switch b.Kind {
-		case "if.then":
-			thenIdx = b.Index
-		case "if.done":
-			doneIdx = b.Index
-		}
-	}
-	if !Dominates(idom, 0, doneIdx) {
-		t.Error("entry must dominate if.done")
-	}
-	if Dominates(idom, thenIdx, doneIdx) {
-		t.Error("if.then must not dominate if.done")
-	}
-	if idom[doneIdx] != 0 {
-		t.Errorf("idom(if.done) = %d, want 0 (entry)", idom[doneIdx])
-	}
-}
-
-// TestDominatorChain exercises a ≥2-deep dominator chain: with two
-// sequential if-joins, the second join's immediate dominator is the
-// first join, not the entry. A naive idom extraction that only ever
-// selects the entry fails this.
-func TestDominatorChain(t *testing.T) {
-	g, _ := buildFunc(t, `
-func f(a int) int {
-	x := 1
-	if a > 0 {
-		x = 2
-	}
-	x++
-	if a > 1 {
-		x = 3
-	}
-	return x
-}`)
-	idom := g.Dominators()
-	var thens, dones []int
-	for _, b := range g.Blocks {
-		switch b.Kind {
-		case "if.then":
-			thens = append(thens, b.Index)
-		case "if.done":
-			dones = append(dones, b.Index)
-		}
-	}
-	if len(thens) != 2 || len(dones) != 2 {
-		t.Fatalf("blocks: thens=%v dones=%v, want two of each", thens, dones)
-	}
-	first, second := dones[0], dones[1]
-	if idom[second] != first {
-		t.Errorf("idom(second join .%d) = %d, want %d (first join)", second, idom[second], first)
-	}
-	if idom[thens[1]] != first {
-		t.Errorf("idom(second then .%d) = %d, want %d (first join)", thens[1], idom[thens[1]], first)
-	}
-	if !Dominates(idom, first, second) {
-		t.Error("first join must dominate second join")
-	}
-	if Dominates(idom, thens[0], second) {
-		t.Error("first then-block must not dominate second join")
-	}
-}
-
 // TestBlockOfInnermost: the range header carries the whole RangeStmt,
 // whose span encloses every body statement; BlockOf must resolve a body
 // statement to the body block, not the header.

@@ -71,17 +71,14 @@ type Configuration struct {
 	Level string `json:"level,omitempty"`
 }
 
-// Result is one finding. RelatedLocations carries auxiliary positions —
-// spartanvet uses them for taint paths: the wire read a value entered
-// through and every step it travelled to reach the sink.
+// Result is one finding.
 type Result struct {
-	RuleID           string        `json:"ruleId"`
-	RuleIndex        *int          `json:"ruleIndex,omitempty"`
-	Level            string        `json:"level,omitempty"`
-	Message          Message       `json:"message"`
-	Locations        []Location    `json:"locations,omitempty"`
-	RelatedLocations []Location    `json:"relatedLocations,omitempty"`
-	Suppressions     []Suppression `json:"suppressions,omitempty"`
+	RuleID       string        `json:"ruleId"`
+	RuleIndex    *int          `json:"ruleIndex,omitempty"`
+	Level        string        `json:"level,omitempty"`
+	Message      Message       `json:"message"`
+	Locations    []Location    `json:"locations,omitempty"`
+	Suppressions []Suppression `json:"suppressions,omitempty"`
 }
 
 // Message carries the result text.
@@ -89,11 +86,9 @@ type Message struct {
 	Text string `json:"text"`
 }
 
-// Location wraps a physical location; Message annotates it (used by
-// relatedLocations entries to label each taint step).
+// Location wraps a physical location.
 type Location struct {
 	PhysicalLocation PhysicalLocation `json:"physicalLocation"`
-	Message          *Message         `json:"message,omitempty"`
 }
 
 // PhysicalLocation is a file region.
@@ -221,11 +216,6 @@ func validateResult(r Result, ruleIndex map[string]int) error {
 			return fmt.Errorf("locations[%d]: %w", j, err)
 		}
 	}
-	for j, loc := range r.RelatedLocations {
-		if err := validateLocation(loc); err != nil {
-			return fmt.Errorf("relatedLocations[%d]: %w", j, err)
-		}
-	}
 	for j, s := range r.Suppressions {
 		if !suppressionKinds[s.Kind] {
 			return fmt.Errorf("suppressions[%d]: kind %q is not a SARIF suppression kind", j, s.Kind)
@@ -246,9 +236,6 @@ func validateLocation(loc Location) error {
 		if reg.StartColumn < 0 || reg.EndLine < 0 || reg.EndColumn < 0 {
 			return fmt.Errorf("region bounds must be non-negative")
 		}
-	}
-	if loc.Message != nil && loc.Message.Text == "" {
-		return fmt.Errorf("message.text is required when message is present")
 	}
 	return nil
 }

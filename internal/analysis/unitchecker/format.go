@@ -62,21 +62,6 @@ func buildSARIF(progname string, analyzers []*analysis.Analyzer, diags []Diag) *
 				Region:           &sarif.Region{StartLine: d.Position.Line, StartColumn: d.Position.Column},
 			}}}
 		}
-		// The taint analyzers attach the source→sink path; each step
-		// becomes a labelled related location so code-scanning UIs can
-		// render the flow.
-		for _, rel := range d.Related {
-			if rel.Position.Filename == "" || rel.Position.Line < 1 {
-				continue
-			}
-			res.RelatedLocations = append(res.RelatedLocations, sarif.Location{
-				PhysicalLocation: sarif.PhysicalLocation{
-					ArtifactLocation: sarif.ArtifactLocation{URI: filepath.ToSlash(rel.Position.Filename)},
-					Region:           &sarif.Region{StartLine: rel.Position.Line, StartColumn: rel.Position.Column},
-				},
-				Message: &sarif.Message{Text: rel.Message},
-			})
-		}
 		if d.Suppressed {
 			res.Suppressions = []sarif.Suppression{{Kind: "inSource", Justification: d.Justification}}
 		}

@@ -48,7 +48,7 @@ func TestSarifValidate(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.sarif")
 	writeSarifLog(t, good, []sarif.Result{
-		result("taintalloc", "codec/decode.go", "wire-read value flows into make", 12),
+		result("errcheckio", "codec/encode.go", "error from Write is discarded", 12),
 	})
 
 	t.Run("valid log passes", func(t *testing.T) {

@@ -4,8 +4,8 @@
 // type-checks each matched package from source against that export
 // data, runs the analyzers over it, and emits one aggregated report:
 //
-//   - default: "file:line:col: message [name]" lines on stderr, each
-//     followed by its indented source→sink path; exit 2 on findings;
+//   - default: "file:line:col: message [name]" lines on stderr; exit 2
+//     on findings;
 //   - -sarif: a SARIF 2.1.0 log on stdout (GitHub code scanning), exit 0.
 //
 // The SARIF mode exits zero on findings because it exists to report,
@@ -20,8 +20,8 @@
 // (its sources plus its _test.go files) in place of p; an external
 // test package "p_test [p.test]" is analyzed on its own; the generated
 // "p.test" main is skipped. Each variant is type-checked under its
-// plain import path, so analyzer scopes and fact keys are the ones the
-// plain package has.
+// plain import path, so analyzer scopes are the ones the plain package
+// has.
 package unitchecker
 
 import (
@@ -97,9 +97,6 @@ func run(progname string, args []string, analyzers []*analysis.Analyzer, stdout,
 			continue
 		}
 		fmt.Fprintln(stderr, d)
-		for _, rel := range d.Related {
-			fmt.Fprintf(stderr, "\t%s: %s\n", rel.Position, rel.Message)
-		}
 		failed = true
 	}
 	if failed {
@@ -131,17 +128,9 @@ func (p *listPackage) plainPath() string {
 
 // analyze checks every package matched by patterns and returns the
 // diagnostics of all of them; ok is false when a package failed to
-// load or type-check.
-//
-// All packages share one in-memory fact store. `go list -deps` lists
-// dependencies before their importers, so a package's dependency facts
-// are present when it is analyzed: analyzed packages export facts as
-// part of their full run, and the packages the run does not analyze
-// itself get a facts-only pass at their place in the list. Those are
-// the dependencies outside the patterns, the plain twins of in-package
-// test variants (go list puts every test variant after all plain
-// packages, too late for their importers), and dependencies recompiled
-// for some package's tests.
+// load or type-check. Dependencies outside the patterns only supply
+// export data; a package with an in-package test variant is analyzed
+// through that variant alone.
 func analyze(progname string, patterns []string, analyzers []*analysis.Analyzer, stderr io.Writer) (diags []Diag, ok bool) {
 	pkgs, exports, err := loadPackages(patterns)
 	if err != nil {
@@ -156,33 +145,19 @@ func analyze(progname string, patterns []string, analyzers []*analysis.Analyzer,
 	}
 
 	cwd, _ := os.Getwd()
-	facts := analysis.NewFactStore()
-	var producers []*analysis.Analyzer
-	for _, a := range analyzers {
-		if a.Facts {
-			producers = append(producers, a)
-		}
-	}
 	ok = true
 	for _, p := range pkgs {
-		var full bool
 		switch plain := p.plainPath(); {
+		case p.DepOnly:
+			continue
 		case p.ForTest == "" && p.Name == "main" && strings.HasSuffix(p.ImportPath, ".test"):
 			continue // generated test main
-		case p.ForTest == "":
-			full = !p.DepOnly && !hasTestVariant[plain]
-		default:
-			full = !p.DepOnly && (plain == p.ForTest || plain == p.ForTest+"_test")
+		case p.ForTest == "" && hasTestVariant[plain]:
+			continue // analyzed through its test variant
+		case p.ForTest != "" && plain != p.ForTest && plain != p.ForTest+"_test":
+			continue // a dependency recompiled for some package's tests
 		}
-		if !full {
-			// A facts-only pass that fails costs downstream precision,
-			// not the run.
-			if err := checkFactsOnly(p, exports, cwd, producers, facts); err != nil {
-				fmt.Fprintf(stderr, "%s: %s (facts skipped): %v\n", progname, p.ImportPath, err)
-			}
-			continue
-		}
-		d, err := checkPackage(p, exports, cwd, analyzers, facts)
+		d, err := checkPackage(p, exports, cwd, analyzers)
 		if err != nil {
 			fmt.Fprintf(stderr, "%s: %s: %v\n", progname, p.ImportPath, err)
 			ok = false
@@ -232,20 +207,6 @@ func loadPackages(patterns []string) (pkgs []*listPackage, exports map[string]st
 	return pkgs, exports, nil
 }
 
-// checkFactsOnly runs the fact producers over a package the run does
-// not analyze. A producer tripping over code the patterns never
-// selected is contained here: the panic becomes an error, the package
-// just exports no facts.
-func checkFactsOnly(p *listPackage, exports map[string]string, cwd string, producers []*analysis.Analyzer, facts *analysis.FactStore) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("fact producer panicked: %v", r)
-		}
-	}()
-	_, err = checkPackage(p, exports, cwd, producers, facts)
-	return err
-}
-
 // Diag is one rendered diagnostic. Suppressed diagnostics (silenced by
 // a //spartanvet:ignore directive) are carried along for the SARIF
 // report, which lists them as suppressions instead of dropping them.
@@ -257,16 +218,6 @@ type Diag struct {
 	// Justification is the directive's free-text reason, set only when
 	// Suppressed.
 	Justification string
-	// Related carries auxiliary positions — for the taint analyzers, the
-	// source→sink path: where the wire value entered and every step it
-	// travelled before reaching the sink.
-	Related []RelDiag
-}
-
-// RelDiag is one related location of a diagnostic.
-type RelDiag struct {
-	Position token.Position
-	Message  string
 }
 
 func (d Diag) String() string {
@@ -275,10 +226,9 @@ func (d Diag) String() string {
 
 // checkPackage parses and type-checks p under its plain import path,
 // resolving imports through p.ImportMap to the export data in exports,
-// and runs the analyzers. Dependency facts arrive through facts;
-// fact-producing analyzers export this package's facts into the same
-// store. File names in the diagnostics are made relative to cwd.
-func checkPackage(p *listPackage, exports map[string]string, cwd string, analyzers []*analysis.Analyzer, facts *analysis.FactStore) ([]Diag, error) {
+// and runs the analyzers. File names in the diagnostics are made
+// relative to cwd.
+func checkPackage(p *listPackage, exports map[string]string, cwd string, analyzers []*analysis.Analyzer) ([]Diag, error) {
 	fset := token.NewFileSet()
 	files := make([]*ast.File, 0, len(p.GoFiles))
 	for _, name := range p.GoFiles {
@@ -319,18 +269,7 @@ func checkPackage(p *listPackage, exports map[string]string, cwd string, analyze
 	toDiag := func(d analysis.Diagnostic) Diag {
 		pos := fset.Position(d.Pos)
 		pos.Filename = relativeTo(pos.Filename, cwd)
-		out := Diag{Position: pos, Message: d.Message, Analyzer: d.Analyzer}
-		for _, rel := range d.Related {
-			// In-package steps carry a token.Pos; cross-package sites (a
-			// summarized callee's allocation) arrive pre-resolved.
-			rp := rel.Position
-			if rel.Pos.IsValid() {
-				rp = fset.Position(rel.Pos)
-			}
-			rp.Filename = relativeTo(rp.Filename, cwd)
-			out.Related = append(out.Related, RelDiag{Position: rp, Message: rel.Message})
-		}
-		return out
+		return Diag{Position: pos, Message: d.Message, Analyzer: d.Analyzer}
 	}
 	var diags []Diag
 	known := map[string]bool{}
@@ -339,7 +278,6 @@ func checkPackage(p *listPackage, exports map[string]string, cwd string, analyze
 		pass := analysis.NewPassShared(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
 			diags = append(diags, toDiag(d))
 		}, sup)
-		pass.Facts = facts
 		pass.SuppressedSink = func(d analysis.Diagnostic, dir *analysis.Directive) {
 			sd := toDiag(d)
 			sd.Suppressed = true

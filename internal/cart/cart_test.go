@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -436,71 +438,114 @@ func TestDecodeModelRejectsCorruption(t *testing.T) {
 	}()
 }
 
+// wire builds model and outlier streams byte by byte.
+type wire struct{ bytes.Buffer }
+
+func (w *wire) uvarint(vs ...uint64) *wire {
+	for _, v := range vs {
+		w.Write(binary.AppendUvarint(nil, v))
+	}
+	return w
+}
+
+func (w *wire) b1(bs ...byte) *wire {
+	w.Write(bs)
+	return w
+}
+
+// allocDelta runs f and reports how many bytes it allocated.
+func allocDelta(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestDecodeModelRejectsHostileWireValues hand-crafts model and outlier
-// streams whose varints are structurally valid but semantically hostile:
-// a row delta that would wrap negative when narrowed to int (sailing
-// under the `row >= rows` check into a negative slice index), outlier
-// rows and codes outside the body, and codes/attributes beyond any
-// plausible range. Each must fail with an
-// error, not wrap. These are the streams the taintalloc/sizeoverflow
-// analyzers guard against regressing.
+// streams whose varints are structurally valid but semantically hostile,
+// one per guard on a wire count, index or code in serialize.go, and one
+// per chunked-growth clamp (a count within its guard that no payload
+// backs). Each must fail with an error naming the violated bound (or the
+// truncation), without panicking and without allocating the claim.
 func TestDecodeModelRejectsHostileWireValues(t *testing.T) {
-	t.Run("huge row delta", func(t *testing.T) {
-		var buf bytes.Buffer
-		buf.Write(binary.AppendUvarint(nil, 1))     // one outlier
-		buf.Write(binary.AppendUvarint(nil, 1<<62)) // delta wraps int
-		buf.Write(make([]byte, 4))                  // outlier value
-		outliers, err := DecodeOutliers(bytes.NewReader(buf.Bytes()), table.Numeric, 1<<40, 0)
-		if err == nil {
-			t.Fatalf("DecodeOutliers accepted a 2^62 row delta: %+v", outliers)
+	model := func(data []byte) error {
+		_, err := DecodeModel(bytes.NewReader(data))
+		return err
+	}
+	outliers := func(kind table.Kind, rows, dictSize int) func([]byte) error {
+		return func(data []byte) error {
+			_, err := DecodeOutliers(bytes.NewReader(data), kind, rows, dictSize)
+			return err
 		}
-	})
-	t.Run("outlier row beyond rows", func(t *testing.T) {
-		var buf bytes.Buffer
-		buf.Write(binary.AppendUvarint(nil, 1)) // one outlier
-		buf.Write(binary.AppendUvarint(nil, 7)) // row 7 of 7
-		buf.Write(make([]byte, 4))              // outlier value
-		if _, err := DecodeOutliers(bytes.NewReader(buf.Bytes()), table.Numeric, 7, 0); err == nil {
-			t.Fatal("DecodeOutliers accepted row 7 of a 7-row body")
-		}
-	})
-	t.Run("outlier code outside dictionary", func(t *testing.T) {
-		var buf bytes.Buffer
-		buf.Write(binary.AppendUvarint(nil, 1)) // one outlier
-		buf.Write(binary.AppendUvarint(nil, 0)) // row 0
-		buf.Write(binary.AppendUvarint(nil, 3)) // code 3 of a 3-entry dictionary
-		if _, err := DecodeOutliers(bytes.NewReader(buf.Bytes()), table.Categorical, 10, 3); err == nil {
-			t.Fatal("DecodeOutliers accepted a code outside the dictionary")
-		}
-	})
-	t.Run("huge target attribute", func(t *testing.T) {
-		var buf bytes.Buffer
-		buf.Write(binary.AppendUvarint(nil, 1<<40))
-		buf.WriteByte(byte(table.Numeric))
-		if _, err := DecodeModel(bytes.NewReader(buf.Bytes())); err == nil {
-			t.Fatal("DecodeModel accepted a 2^40 target attribute")
-		}
-	})
-	t.Run("huge split attribute", func(t *testing.T) {
-		var buf bytes.Buffer
-		buf.Write(binary.AppendUvarint(nil, 0))
-		buf.WriteByte(byte(table.Numeric))
-		buf.WriteByte(2)                            // tagInternalNum
-		buf.Write(binary.AppendUvarint(nil, 1<<40)) // split attr
-		if _, err := DecodeModel(bytes.NewReader(buf.Bytes())); err == nil {
-			t.Fatal("DecodeModel accepted a 2^40 split attribute")
-		}
-	})
-	t.Run("leaf code overflows int32", func(t *testing.T) {
-		var buf bytes.Buffer
-		buf.Write(binary.AppendUvarint(nil, 0))
-		buf.WriteByte(byte(table.Categorical))
-		buf.WriteByte(1)                            // tagLeafCat
-		buf.Write(binary.AppendUvarint(nil, 1<<33)) // code > MaxInt32
-		if _, err := DecodeModel(bytes.NewReader(buf.Bytes())); err == nil {
-			t.Fatal("DecodeModel accepted a leaf code beyond int32")
-		}
-	})
+	}
+	num, cat := byte(table.Numeric), byte(table.Categorical)
+	f32 := []byte{0, 0, 0, 0}
+	deep := new(wire).uvarint(0).b1(num)
+	for i := 0; i <= maxTreeDepth+1; i++ {
+		deep.b1(tagInternalNum).uvarint(0).b1(f32...)
+	}
+	cases := []struct {
+		name    string
+		decode  func([]byte) error
+		data    *wire
+		wantErr string
+	}{
+		// A delta of 2^63 wraps int64 negative: without its bound the row
+		// would sail under the `row >= rows` check.
+		{"huge row delta", outliers(table.Numeric, 1<<40, 0),
+			new(wire).uvarint(1, 1<<63).b1(f32...), "implausible outlier row delta 9223372036854775808"},
+		{"outlier count beyond rows", outliers(table.Numeric, 10, 0),
+			new(wire).uvarint(1 << 22), "4194304 outliers for 10 rows"},
+		{"outlier count beyond 2^30", outliers(table.Numeric, 1<<40, 0),
+			new(wire).uvarint(1 << 31), "2147483648 outliers for 1099511627776 rows"},
+		{"outlier count without payload", outliers(table.Numeric, 1<<40, 0),
+			new(wire).uvarint(1 << 20), "reading outlier row: EOF"},
+		{"outlier row beyond rows", outliers(table.Numeric, 7, 0),
+			new(wire).uvarint(1, 7).b1(f32...), "outlier row 7 beyond 7 rows"},
+		{"outlier code outside dictionary", outliers(table.Categorical, 10, 3),
+			new(wire).uvarint(1, 0, 3), "outlier code 3 outside dictionary of 3"},
+		{"huge target attribute", model,
+			new(wire).uvarint(1<<40).b1(num, tagLeafNum).b1(f32...), "implausible target attribute 1099511627776"},
+		{"huge split attribute", model,
+			new(wire).uvarint(0).b1(num, tagInternalNum).uvarint(1 << 40), "implausible split attribute 1099511627776"},
+		{"leaf code overflows int32", model,
+			new(wire).uvarint(0).b1(cat, tagLeafCat).uvarint(1 << 33), "leaf code 8589934592 overflows int32"},
+		{"split set too large", model,
+			new(wire).uvarint(0).b1(cat, tagInternalCat).uvarint(0, 1<<21), "implausible split set size 2097152"},
+		{"split set without payload", model,
+			new(wire).uvarint(0).b1(cat, tagInternalCat).uvarint(0, 1<<20), "EOF"},
+		{"split code overflows int32", model,
+			new(wire).uvarint(0).b1(cat, tagInternalCat).uvarint(0, 1, 1<<33), "split code 8589934592 overflows int32"},
+		{"tree too deep", model, deep, "tree deeper than 512"},
+	}
+	// A model or outlier list decodes in kilobytes here. 1 MB leaves
+	// room and still catches a split set allocated at its full 2^20-entry
+	// claim (4 MB) or an outlier list at its 2^20-entry claim (24 MB).
+	const allocLimit = 1 << 20
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			delta := allocDelta(func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("decoder panicked: %v", r)
+					}
+				}()
+				err = tc.decode(tc.data.Bytes())
+			})
+			if err == nil {
+				t.Fatal("decoder accepted a hostile stream")
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("error %q does not mention %q", err, tc.wantErr)
+			}
+			if delta > allocLimit {
+				t.Errorf("decoder allocated %d bytes rejecting the stream, want < %d", delta, allocLimit)
+			}
+		})
+	}
 }
 
 func TestEncodeRejectsUnorderedOutliers(t *testing.T) {

@@ -244,7 +244,8 @@ func validatePlan(src *table.Table, materialized []int, models []*cart.Model) er
 // them as-is and Open lets callers tighten (or, by setting huge values,
 // effectively loosen) individual caps.
 type DecodeLimits struct {
-	// MaxRows bounds a body's row count (default 1<<34).
+	// MaxRows bounds a body's row count (default 1<<34, at most
+	// math.MaxInt: row counts narrow to int).
 	MaxRows uint64
 	// MaxCols bounds the schema's column count (default 1<<16).
 	MaxCols uint64
@@ -263,6 +264,7 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 	if l.MaxRows == 0 {
 		l.MaxRows = 1 << 34
 	}
+	l.MaxRows = min(l.MaxRows, math.MaxInt)
 	if l.MaxCols == 0 {
 		l.MaxCols = 1 << 16
 	}

@@ -35,14 +35,9 @@ func FuzzDecode(f *testing.F) {
 	// Hostile headers claiming resources their payload cannot back; the
 	// decode limits must reject these without large allocation (see
 	// limits_test.go), and the fuzzer mutates them into near misses.
-	f.Add(hostileRows())
-	f.Add(hostileCols())
-	f.Add(hostileDict())
-	f.Add(hostileModels())
-	f.Add(hostileTPrime())
-	f.Add(hostileShortTPrime())
-	f.Add(hostileLeafCode())
-	f.Add(hostileOutlierRow())
+	for _, tc := range hostileCases() {
+		f.Add(tc.data)
+	}
 
 	// A valid two-segment container plus targeted corruptions of its
 	// framing, footer, trailer and model block.

@@ -65,15 +65,27 @@ func blockOnly(payload []byte) []byte {
 	return container(block.Bytes(), nil, nil)
 }
 
+// col writes one schema column: name, kind and, for a categorical
+// column, its dictionary.
+func (b *hostileBuf) col(name string, kind table.Kind, dict ...string) {
+	b.str(name)
+	b.b1(byte(kind))
+	if kind == table.Categorical {
+		b.uvarint(uint64(len(dict)))
+		for _, s := range dict {
+			b.str(s)
+		}
+	}
+}
+
 var oneNumeric = table.Schema{{Name: "a", Kind: table.Numeric}}
 
-// oneNumericBlock is a valid model block for a one-column numeric table
-// whose column is materialized: no models.
-func oneNumericBlock() []byte {
+// oneColumnBlock is a valid model block for a one-column table whose
+// column is materialized: no models.
+func oneColumnBlock(kind table.Kind, dict ...string) []byte {
 	var b, p hostileBuf
 	p.uvarint(1) // ncols
-	p.str("a")
-	p.b1(byte(table.Numeric))
+	p.col("a", kind, dict...)
 	p.uvarint(1) // nmat
 	p.uvarint(0) // materialized attribute 0
 	p.uvarint(0) // nmodels
@@ -81,71 +93,45 @@ func oneNumericBlock() []byte {
 	return b.Bytes()
 }
 
-// hostileCols claims 2^40 columns.
-func hostileCols() []byte {
-	var p hostileBuf
-	p.uvarint(1 << 40)
-	return blockOnly(p.Bytes())
-}
+func oneNumericBlock() []byte { return oneColumnBlock(table.Numeric) }
 
-// hostileRows claims 2^40 rows in a body of a valid one-column
-// model block.
-func hostileRows() []byte {
-	var body hostileBuf
-	body.uvarint(1 << 40)
-	return container(oneNumericBlock(), body.Bytes(), oneNumeric)
-}
-
-// hostileDict claims a 2^40-entry categorical dictionary.
-func hostileDict() []byte {
-	var p hostileBuf
-	p.uvarint(1)
-	p.str("a")
-	p.b1(byte(table.Categorical))
-	p.uvarint(1 << 40)
-	return blockOnly(p.Bytes())
-}
-
-// hostileTPrime passes every individual limit but claims a row
-// count (2^30, under the 2^34 default cap) that a 1-byte T' block cannot
-// possibly back, triggering the payload cross-check.
-func hostileTPrime() []byte {
-	var body hostileBuf
-	body.uvarint(1 << 30) // nrows
-	body.checked(nil)     // no models, no outliers
-	body.uvarint(1)       // tpLen: one byte for 2^30 claimed rows
-	body.b1(0)
-	return container(oneNumericBlock(), body.Bytes(), oneNumeric)
-}
-
-// hostileShortTPrime claims more rows than its T' block holds, but
-// few enough to pass the deflate-ratio cross-check: the T' block is a
-// real gzip stream of 10 raw cells, and the column runs out long before
-// the claimed count.
-func hostileShortTPrime() []byte {
-	var cells hostileBuf
-	cells.b1(numEncRaw)
-	for i := 0; i < 10; i++ {
-		cells.f32(float32(i))
-	}
+// tprime deflates raw T' bytes at level. gzip.NoCompression stores them,
+// so the compressed length grows with the payload and a body can claim
+// up to maxDeflateRatio rows per stored byte.
+func tprime(level int, raw []byte) []byte {
 	var tp bytes.Buffer
-	zw := gzip.NewWriter(&tp)
-	_, _ = zw.Write(cells.Bytes()) // a bytes.Buffer sink cannot fail
+	zw, _ := gzip.NewWriterLevel(&tp, level) // level is a valid constant
+	_, _ = zw.Write(raw)                     // a bytes.Buffer sink cannot fail
 	_ = zw.Close()
-
-	var body hostileBuf
-	body.uvarint(uint64(tp.Len()) * maxDeflateRatio) // nrows: the most the cross-check admits
-	body.checked(nil)
-	body.uvarint(uint64(tp.Len()))
-	_, _ = body.Write(tp.Bytes())
-	return container(oneNumericBlock(), body.Bytes(), oneNumeric)
+	return tp.Bytes()
 }
 
-// hostileModels claims a 2^40-byte model block.
-func hostileModels() []byte {
-	var block hostileBuf
-	block.uvarint(1 << 40) // model block length
-	return container(block.Bytes(), nil, nil)
+// body is a body of nrows rows, no outliers (its block has no models)
+// and the T' block tp.
+func body(nrows uint64, tp []byte) []byte {
+	var b hostileBuf
+	b.uvarint(nrows)
+	b.checked(nil)
+	b.uvarint(uint64(len(tp)))
+	_, _ = b.Write(tp)
+	return b.Bytes()
+}
+
+// forge lays out a container by hand: the magic, pad zero bytes, the
+// segment terminator, the model block, the footer foot writes given the
+// block's true offset, and a trailer that checksums the footer. It
+// reaches footers Writer never emits.
+func forge(block []byte, pad int, foot func(f *hostileBuf, blockOff uint64)) []byte {
+	var out, f hostileBuf
+	_, _ = out.WriteString(magic) // bytes.Buffer writes cannot fail
+	_, _ = out.Write(make([]byte, pad+1))
+	foot(&f, uint64(out.Len()))
+	_, _ = out.Write(block)
+	_, _ = out.Write(f.Bytes())
+	_, _ = out.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(f.Bytes())))
+	_, _ = out.Write(binary.LittleEndian.AppendUint32(nil, uint32(f.Len())))
+	_, _ = out.WriteString(endMagic)
+	return out.Bytes()
 }
 
 // twoColumnBlock is a model block for (x numeric, y) with x materialized
@@ -153,16 +139,8 @@ func hostileModels() []byte {
 func twoColumnBlock(yKind table.Kind, dict []string, leaf func(*hostileBuf)) []byte {
 	var b, p hostileBuf
 	p.uvarint(2) // ncols
-	p.str("x")
-	p.b1(byte(table.Numeric))
-	p.str("y")
-	p.b1(byte(yKind))
-	if yKind == table.Categorical {
-		p.uvarint(uint64(len(dict)))
-		for _, s := range dict {
-			p.str(s)
-		}
-	}
+	p.col("x", table.Numeric)
+	p.col("y", yKind, dict...)
 	p.uvarint(1) // nmat
 	p.uvarint(0) // x
 	p.uvarint(1) // nmodels
@@ -173,31 +151,237 @@ func twoColumnBlock(yKind table.Kind, dict []string, leaf func(*hostileBuf)) []b
 	return b.Bytes()
 }
 
-// hostileLeafCode carries a CaRT whose leaf predicts code 5 of a
-// one-entry dictionary.
-func hostileLeafCode() []byte {
-	block := twoColumnBlock(table.Categorical, []string{"only"}, func(p *hostileBuf) {
-		p.b1(1) // categorical leaf
-		p.uvarint(5)
-	})
-	return container(block, nil, nil)
+// hostileCase is one input the reader must refuse. Decode reads
+// it, or Open and ReadAll under lim when lim is set (for bounds that
+// only loosened limits can reach). wantErr is a fragment of the error
+// that names the violated bound; for claims a guard admits but no
+// payload backs, it is the truncation the decoder runs into.
+type hostileCase struct {
+	name    string
+	data    []byte
+	lim     DecodeLimits
+	wantErr string
 }
 
-// hostileOutlierRow has a valid model block, but its body stores
-// an outlier at row 2 of a 2-row body.
-func hostileOutlierRow() []byte {
-	block := twoColumnBlock(table.Numeric, nil, func(p *hostileBuf) {
+// hostileCases holds one input per guard on a wire count or index in
+// codec.go and container.go, and one per chunked-growth clamp. Claims
+// past a guard are sized so that, were the guard gone, the decoder would
+// allocate tens of megabytes, index out of range or read on to a
+// different error; claims a clamp admits would cost 16–256 MB
+// unclamped. FuzzDecode seeds its corpus from the same inputs.
+func hostileCases() []hostileCase {
+	var cases []hostileCase
+	add := func(name, wantErr string, data []byte) {
+		cases = append(cases, hostileCase{name: name, data: data, wantErr: wantErr})
+	}
+
+	// Model block framing and schema.
+	var models hostileBuf
+	models.uvarint(1 << 40) // model block length
+	add("models", "model block length", container(models.Bytes(), nil, nil))
+
+	var cols hostileBuf
+	cols.uvarint(1 << 18)
+	add("cols", "column count 262144 outside limit", blockOnly(cols.Bytes()))
+
+	var noCols hostileBuf
+	noCols.uvarint(0)
+	noCols.uvarint(0) // nmat
+	noCols.uvarint(0) // nmodels
+	add("no-cols", "column count 0 outside limit", blockOnly(noCols.Bytes()))
+
+	var name hostileBuf
+	name.uvarint(1)
+	name.uvarint(1 << 25) // column name length
+	add("name-length", "implausible string length 33554432", blockOnly(name.Bytes()))
+
+	dictOf := func(size uint64) []byte {
+		var p hostileBuf
+		p.uvarint(1)
+		p.str("a")
+		p.b1(byte(table.Categorical))
+		p.uvarint(size)
+		return blockOnly(p.Bytes())
+	}
+	add("dict", "dictionary size 1099511627776 exceeds limit", dictOf(1<<40))
+	// Within MaxDictEntries, but no entry follows: clamp.
+	add("dict-unbacked", "EOF", dictOf(1<<22))
+
+	// Materialized list and model count.
+	matBlock := func(ncols int, mats []uint64, nmat, nmodels uint64) []byte {
+		var p hostileBuf
+		p.uvarint(uint64(ncols))
+		for i := 0; i < ncols; i++ {
+			p.col(string(rune('a'+i)), table.Numeric)
+		}
+		p.uvarint(nmat)
+		for _, a := range mats {
+			p.uvarint(a)
+		}
+		p.uvarint(nmodels)
+		return blockOnly(p.Bytes())
+	}
+	add("mat-count", "4194304 materialized attributes for 1 columns", matBlock(1, nil, 1<<22, 0))
+	add("mat-attr-range", "bad materialized attribute 5", matBlock(1, []uint64{5}, 1, 0))
+	add("mat-attr-order", "bad materialized attribute 1", matBlock(2, []uint64{1, 1}, 2, 0))
+	add("model-count", "4194304 models for 0 predicted attributes", matBlock(1, []uint64{0}, 1, 1<<22))
+	add("model-target", "model 0 has invalid target 0", func() []byte {
+		var p hostileBuf
+		p.uvarint(2)
+		p.col("x", table.Numeric)
+		p.col("y", table.Numeric)
+		p.uvarint(1) // nmat
+		p.uvarint(0) // x
+		p.uvarint(1) // nmodels
+		p.uvarint(0) // target x, which is materialized
+		p.b1(byte(table.Numeric))
 		p.b1(0) // numeric leaf
 		p.f32(0)
-	})
-	var body, out hostileBuf
-	body.uvarint(2) // nrows
-	out.uvarint(1)  // one outlier
-	out.uvarint(2)  // row 2
+		return blockOnly(p.Bytes())
+	}())
+	add("leaf-code", "outside dictionary", container(twoColumnBlock(table.Categorical, []string{"only"}, func(p *hostileBuf) {
+		p.b1(1) // categorical leaf
+		p.uvarint(5)
+	}), nil, nil))
+
+	// Body: row count and outliers.
+	var rows hostileBuf
+	rows.uvarint(1 << 40)
+	add("rows", "row count 1099511627776 exceeds limit", container(oneNumericBlock(), rows.Bytes(), oneNumeric))
+
+	var out, outBody hostileBuf
+	outBody.uvarint(2) // nrows
+	out.uvarint(1)     // one outlier
+	out.uvarint(2)     // row 2
 	out.f32(7)
-	body.checked(out.Bytes())
-	schema := table.Schema{{Name: "x", Kind: table.Numeric}, {Name: "y", Kind: table.Numeric}}
-	return container(block, body.Bytes(), schema)
+	outBody.checked(out.Bytes())
+	xy := table.Schema{{Name: "x", Kind: table.Numeric}, {Name: "y", Kind: table.Numeric}}
+	numLeaf := func(p *hostileBuf) {
+		p.b1(0) // numeric leaf
+		p.f32(0)
+	}
+	add("outlier-row", "outlier row 2 beyond 2 rows", container(twoColumnBlock(table.Numeric, nil, numLeaf), outBody.Bytes(), xy))
+
+	// Body: the T' block and its claims.
+	var tpLen hostileBuf
+	tpLen.uvarint(1)
+	tpLen.checked(nil)
+	tpLen.uvarint(1 << 63)
+	add("tprime-length", "implausible T' length 9223372036854775808", container(oneNumericBlock(), tpLen.Bytes(), oneNumeric))
+
+	// 2^30 rows (under the 2^34 default cap) that a 1-byte T' block
+	// cannot possibly back.
+	add("tprime", "1073741824 rows cannot fit in a 1-byte T' block", container(oneNumericBlock(), body(1<<30, []byte{0}), oneNumeric))
+
+	// A predicted-only table: no T' payload ever backs the row count.
+	var unv, unvBlock, unvOut hostileBuf
+	unvBlock.uvarint(1)
+	unvBlock.col("y", table.Numeric)
+	unvBlock.uvarint(0) // nmat
+	unvBlock.uvarint(1) // nmodels
+	unvBlock.uvarint(0) // target y
+	unvBlock.b1(byte(table.Numeric))
+	numLeaf(&unvBlock)
+	var unvModel hostileBuf
+	unvModel.checked(unvBlock.Bytes())
+	unv.uvarint(1<<26 + 1) // nrows: one past MaxUnverifiedRows
+	unvOut.uvarint(0)      // no outliers
+	unv.checked(unvOut.Bytes())
+	unv.uvarint(0) // empty T' block
+	add("unverified-rows", "67108865 rows with no materialized columns exceeds limit", container(unvModel.Bytes(), unv.Bytes(), table.Schema{{Name: "y", Kind: table.Numeric}}))
+
+	cat := table.Schema{{Name: "a", Kind: table.Categorical}}
+	add("column-code", "code 5 outside dictionary of 1", container(oneColumnBlock(table.Categorical, "v"),
+		body(1, tprime(gzip.DefaultCompression, []byte{5})), cat))
+
+	var numDict hostileBuf
+	numDict.b1(numEncDict)
+	numDict.uvarint(1 << 22)
+	add("numeric-dict-size", "numeric dictionary size 4194304 exceeds limit", container(oneNumericBlock(),
+		body(1, tprime(gzip.DefaultCompression, numDict.Bytes())), oneNumeric))
+
+	var numIx hostileBuf
+	numIx.b1(numEncDict)
+	numIx.uvarint(1)
+	numIx.f32(0)
+	numIx.uvarint(3)
+	add("numeric-dict-index", "numeric dictionary index 3 out of range 1", container(oneNumericBlock(),
+		body(1, tprime(gzip.DefaultCompression, numIx.Bytes())), oneNumeric))
+
+	// Stored T' blocks of ~4 KB and ~8 KB claim the most rows the deflate
+	// cross-check admits (over 4 and 8 million) but hold a thousand
+	// numeric cells or 8000 codes: clamps.
+	var cells hostileBuf
+	cells.b1(numEncRaw)
+	for i := 0; i < 1000; i++ {
+		cells.f32(float32(i))
+	}
+	tp := tprime(gzip.NoCompression, cells.Bytes())
+	add("tprime-short", "reading column 0", container(oneNumericBlock(), body(uint64(len(tp))*maxDeflateRatio, tp), oneNumeric))
+	tp = tprime(gzip.NoCompression, make([]byte, 8000))
+	add("tprime-short-codes", "reading column 0", container(oneColumnBlock(table.Categorical, "v"),
+		body(uint64(len(tp))*maxDeflateRatio, tp), cat))
+
+	// Trailer and footer.
+	trailer := blockOnly(noCols.Bytes())
+	binary.LittleEndian.PutUint32(trailer[len(trailer)-trailerSize+4:], uint32(len(trailer)))
+	add("footer-length", "trailer claims", trailer)
+
+	// footer writes the model block's extent, then a segment count with
+	// no directory entries behind it.
+	block := oneNumericBlock()
+	footer := func(off, length, nsegs uint64) func(*hostileBuf, uint64) {
+		return func(f *hostileBuf, blockOff uint64) {
+			if off == 0 {
+				off = blockOff
+			}
+			f.uvarint(off)
+			f.uvarint(length)
+			f.uvarint(nsegs)
+		}
+	}
+	add("extent-offset", "footer model block offset 1073741824 outside archive",
+		forge(block, 0, footer(1<<30, uint64(len(block)), 0)))
+	add("extent-length", "footer model block length 549755813888 overruns archive",
+		forge(block, 0, footer(0, 1<<39, 0)))
+	add("segment-count", "footer claims 1048576 segments in a",
+		forge(block, 0, footer(0, uint64(len(block)), 1<<20)))
+	// Padded past 2^19 bytes, the archive admits 2^19 segments: clamp.
+	add("segment-count-unbacked", "reading segment 0 offset: EOF",
+		forge(block, 1<<19, footer(0, uint64(len(block)), 1<<19)))
+	add("segments-without-block", "footer claims 1 segments but no model block",
+		forge(nil, 0, footer(0, 0, 1)))
+
+	var empty hostileBuf
+	empty.uvarint(0) // a zero-row body, cut short after its row count
+	add("segment-rows", "footer segment 0 row count 17179869185 exceeds limit", func() []byte {
+		var buf bytes.Buffer
+		cw := NewWriter(&buf)
+		_ = cw.WriteSegment(empty.Bytes(), 1<<34+1, make([]ZoneMap, 1)) // bytes.Buffer writes cannot fail
+		_ = cw.finish(oneNumericBlock(), oneNumeric)
+		return buf.Bytes()
+	}())
+
+	// Per-segment row counts each within a loosened MaxRows, whose sum
+	// overflows int.
+	var sum bytes.Buffer
+	cw := NewWriter(&sum)
+	for i := 0; i < 2; i++ {
+		_ = cw.WriteSegment(empty.Bytes(), math.MaxInt, make([]ZoneMap, 1))
+	}
+	_ = cw.finish(oneNumericBlock(), oneNumeric)
+	cases = append(cases, hostileCase{name: "row-sum", data: sum.Bytes(), lim: DecodeLimits{MaxRows: math.MaxUint64}, wantErr: "footer row counts overflow"})
+
+	// Past math.MaxInt a row count would narrow to a negative int, which
+	// a 2^60-byte T' length claim lets through to the column reader.
+	var wrap hostileBuf
+	wrap.uvarint(1<<63 + 5) // nrows
+	wrap.checked(nil)
+	wrap.uvarint(1 << 60) // tpLen
+	_, _ = wrap.Write(tprime(gzip.DefaultCompression, cells.Bytes()))
+	cases = append(cases, hostileCase{name: "rows-past-int", data: container(oneNumericBlock(), wrap.Bytes(), oneNumeric),
+		lim: DecodeLimits{MaxRows: math.MaxUint64}, wantErr: "row count 9223372036854775813 exceeds limit 9223372036854775807"})
+	return cases
 }
 
 // allocDelta runs f and reports how many bytes it allocated. The decoder
@@ -212,45 +396,43 @@ func allocDelta(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestDecodeRejectsHostileHeaders feeds Decode containers whose claimed
-// sizes (2^40 rows, columns, dictionary entries, model-block bytes; a
-// row count no T' payload could deliver, or more rows than the T' block
-// holds) or whose contents point outside the table (a CaRT leaf code
-// outside the shared dictionary, an outlier row past the body's row
-// count) must be rejected — with an error naming the violated bound, and
-// without allocating anything near the claimed size.
+// TestDecodeRejectsHostileHeaders feeds the reader every hostileCases
+// input: claimed sizes past a bound, indexes outside the table, footer
+// extents outside the archive, and claims within the bounds that no
+// payload backs. Each must be rejected with an error naming the
+// violated bound (or the truncation), without panicking and without
+// allocating anything near the claimed size.
 func TestDecodeRejectsHostileHeaders(t *testing.T) {
-	cases := []struct {
-		name    string
-		data    []byte
-		wantErr string
-	}{
-		{"rows", hostileRows(), "row count"},
-		{"cols", hostileCols(), "column count"},
-		{"dict", hostileDict(), "dictionary size"},
-		{"models", hostileModels(), "model block length"},
-		{"tprime", hostileTPrime(), "cannot fit"},
-		{"tprime-short", hostileShortTPrime(), "reading column 0"},
-		{"leaf-code", hostileLeafCode(), "outside dictionary"},
-		{"outlier-row", hostileOutlierRow(), "outlier row 2 beyond 2 rows"},
-	}
-	// Well under the smallest hostile claim (2^30 rows × 8 bytes); far
-	// above the decoder's legitimate buffers.
+	// Far under the smallest claim a missing guard or clamp would
+	// allocate (16 MB); far above the decoder's legitimate buffers and
+	// the input copy Decode makes.
 	const allocLimit = 1 << 22
-	for _, tc := range cases {
+	for _, tc := range hostileCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error
 			delta := allocDelta(func() {
-				_, err = Decode(bytes.NewReader(tc.data))
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("decoder panicked: %v", r)
+					}
+				}()
+				if tc.lim == (DecodeLimits{}) {
+					_, err = Decode(bytes.NewReader(tc.data))
+					return
+				}
+				var cr *Reader
+				if cr, err = Open(bytes.NewReader(tc.data), tc.lim); err == nil {
+					_, err = cr.ReadAll()
+				}
 			})
 			if err == nil {
-				t.Fatal("Decode accepted a hostile header")
+				t.Fatal("decoder accepted a hostile input")
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
 			}
 			if delta > allocLimit {
-				t.Errorf("Decode allocated %d bytes rejecting the header, want < %d", delta, allocLimit)
+				t.Errorf("decoder allocated %d bytes rejecting the input, want < %d", delta, allocLimit)
 			}
 		})
 	}

@@ -150,7 +150,7 @@ func ReadBinary(r io.Reader) (*Table, error) {
 			if dlen > 1<<22 {
 				return nil, fmt.Errorf("table: implausible dictionary size %d", dlen)
 			}
-			dict := make([]string, 0, minCap(int(dlen), 1<<12))
+			dict := make([]string, 0, min(int(dlen), 1<<12))
 			for d := uint64(0); d < dlen; d++ {
 				s, err := readString(br)
 				if err != nil {
@@ -204,13 +204,6 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		}
 	}
 	return New(schema, cols)
-}
-
-func minCap(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) error {
