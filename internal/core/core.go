@@ -413,14 +413,20 @@ func (m *Model) apply(ctx context.Context, root *obs.Span, t *table.Table, stats
 	// crossing any CaRT split value.
 	applied := t
 	err := runPhase(ctx, root, SpanRowAggregation, &stats.Timings.RowAggregation, func(sp *obs.Span) error {
+		var seedsTried, rowsScanned int
 		if !m.opts.DisableRowAggregation && len(m.plan.Materialized) > 0 {
+			var clustering *fascicle.Clustering
 			var err error
-			applied, stats.Fascicles, err = rowAggregate(ctx, t, m.plan, m.resolved, m.opts)
+			applied, clustering, err = rowAggregate(ctx, t, m.plan, m.resolved, m.opts)
 			if err != nil {
 				return fmt.Errorf("spartan: row aggregation: %w", err)
 			}
+			stats.Fascicles = len(clustering.Fascicles)
+			seedsTried, rowsScanned = clustering.SeedsTried(), clustering.RowsScanned()
 		}
 		sp.SetAttr("fascicles", stats.Fascicles)
+		sp.SetAttr("seeds_tried", seedsTried)
+		sp.SetAttr("rows_scanned", rowsScanned)
 		return nil
 	})
 	if err != nil {
@@ -564,10 +570,10 @@ func splitSample(sample *table.Table) (build, holdout *table.Table, err error) {
 
 // rowAggregate runs the fascicle pass over the materialized projection and
 // grafts the quantized columns into a full-width copy of t.
-func rowAggregate(ctx context.Context, t *table.Table, plan *selector.Result, resolved table.Tolerances, opts Options) (*table.Table, int, error) {
+func rowAggregate(ctx context.Context, t *table.Table, plan *selector.Result, resolved table.Tolerances, opts Options) (*table.Table, *fascicle.Clustering, error) {
 	proj, err := t.Project(plan.Materialized)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	widths := make([]float64, proj.NumCols())
 	splits := make([][]float64, proj.NumCols())
@@ -584,7 +590,7 @@ func rowAggregate(ctx context.Context, t *table.Table, plan *selector.Result, re
 		MaxFascicles: opts.MaxFascicles,
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	quantized := clustering.Quantize(proj)
 
@@ -597,9 +603,9 @@ func rowAggregate(ctx context.Context, t *table.Table, plan *selector.Result, re
 	}
 	merged, err := table.New(t.Schema(), cols)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	return merged, len(clustering.Fascicles), nil
+	return merged, clustering, nil
 }
 
 // collectSplitValues walks every selected model and gathers, per

@@ -85,6 +85,21 @@ func TestCompressTrace(t *testing.T) {
 	if got := tr.Find(core.SpanCaRTSelection).Attr("carts_built"); got != stats.CartsBuilt {
 		t.Errorf("carts_built attr = %v, want %d", got, stats.CartsBuilt)
 	}
+	// Row aggregation reports its work: every fascicle comes from a tried
+	// seed, at most 4·MaxFascicles+64 seeds are tried, and each seed's
+	// candidate walk visits at least the seed and at most every row.
+	ra := tr.Find(core.SpanRowAggregation)
+	if got := ra.Attr("fascicles"); got != stats.Fascicles {
+		t.Errorf("fascicles attr = %v, want %d", got, stats.Fascicles)
+	}
+	seeds, _ := ra.Attr("seeds_tried").(int)
+	scanned, _ := ra.Attr("rows_scanned").(int)
+	if stats.Fascicles == 0 || seeds < stats.Fascicles || seeds > 4*500+64 {
+		t.Errorf("seeds_tried = %v with %d fascicles", ra.Attr("seeds_tried"), stats.Fascicles)
+	}
+	if scanned < seeds || scanned > seeds*tb.NumRows() {
+		t.Errorf("rows_scanned = %v with %d seeds over %d rows", ra.Attr("rows_scanned"), seeds, tb.NumRows())
+	}
 	if got := tr.Find(core.SpanOutlierScan).Attr("outliers"); got != stats.Outliers {
 		t.Errorf("outliers attr = %v, want %d", got, stats.Outliers)
 	}

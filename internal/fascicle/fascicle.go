@@ -23,9 +23,11 @@
 package fascicle
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/floats"
@@ -59,6 +61,11 @@ type Params struct {
 func (p Params) withDefaults(t *table.Table) (Params, error) {
 	if len(p.Widths) != t.NumCols() {
 		return p, fmt.Errorf("fascicle: %d widths for %d attributes", len(p.Widths), t.NumCols())
+	}
+	for a, w := range p.Widths {
+		if !(w >= 0) {
+			return p, fmt.Errorf("fascicle: attribute %d has width %g, want ≥ 0", a, w)
+		}
 	}
 	if p.K <= 0 {
 		p.K = 2 * t.NumCols() / 3
@@ -109,15 +116,27 @@ type Clustering struct {
 	Fascicles []Fascicle
 	// Leftover lists rows assigned to no fascicle; they are stored
 	// verbatim.
-	Leftover []int
-	params   Params
+	Leftover    []int
+	params      Params
+	seedsTried  int
+	rowsScanned int
 }
 
+// SeedsTried returns the number of seeds the clustering tried to grow,
+// successful or not.
+func (c *Clustering) SeedsTried() int { return c.seedsTried }
+
+// RowsScanned returns the number of candidate rows the seed growths
+// visited, counting the already-assigned rows a candidate walk skips.
+func (c *Clustering) RowsScanned() int { return c.rowsScanned }
+
 // Cluster detects fascicles greedily. The result is deterministic for a
-// given table and parameters. Complexity is O(n·cols) for index
-// construction plus near-O(output) per fascicle: windows are counted by
-// binary search on per-column sorted indexes, and candidate rows are
-// extracted only from the sparsest chosen attribute.
+// given table and parameters. Index construction is O(n·cols): a stable
+// radix sort makes at most 8 byte passes over each numeric column (fewer
+// when every value shares a key byte) and a counting sort makes one pass
+// over each categorical column. Each seed then costs O(cols·log n) to
+// size its windows by binary search, plus one walk over the sparsest
+// chosen attribute's window (RowsScanned sums those walks).
 func Cluster(t *table.Table, p Params) (*Clustering, error) {
 	return ClusterContext(context.Background(), t, p)
 }
@@ -131,8 +150,7 @@ func ClusterContext(ctx context.Context, t *table.Table, p Params) (*Clustering,
 		return nil, err
 	}
 	n := t.NumRows()
-	idx := buildIndex(t)
-	assigned := make([]bool, n)
+	g := newGrower(t, p)
 	fascicles := make([]Fascicle, 0, p.MaxFascicles)
 
 	// Seeds that fail to grow are skipped permanently; cap total attempts
@@ -143,111 +161,226 @@ func ClusterContext(ctx context.Context, t *table.Table, p Params) (*Clustering,
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fascicle: clustering cancelled: %w", err)
 		}
-		for seed < n && assigned[seed] {
+		for seed < n && g.assigned[seed] {
 			seed++
 		}
 		if seed >= n {
 			break
 		}
 		tries++
-		f, ok := growFascicle(t, p, idx, seed, assigned)
+		f, ok := g.grow(seed)
 		if !ok {
 			seed++ // this seed stays a leftover unless a later fascicle absorbs it
 			continue
 		}
 		for _, r := range f.Rows {
-			assigned[r] = true
+			g.assigned[r] = true
 		}
 		fascicles = append(fascicles, f)
 	}
 	free := 0
-	for _, done := range assigned {
+	for _, done := range g.assigned {
 		if !done {
 			free++
 		}
 	}
 	leftover := make([]int, 0, free)
 	for r := 0; r < n; r++ {
-		if !assigned[r] {
+		if !g.assigned[r] {
 			leftover = append(leftover, r)
 		}
 	}
-	return &Clustering{Fascicles: fascicles, Leftover: leftover, params: p}, nil
+	return &Clustering{Fascicles: fascicles, Leftover: leftover, params: p,
+		seedsTried: tries, rowsScanned: g.rowsScanned}, nil
 }
 
-// colIndex accelerates window membership queries.
+// colIndex accelerates window membership queries. sortedRows lists every
+// row in stable ascending order of its value (numeric) or code
+// (categorical), so equal values keep ascending row order.
 type colIndex struct {
-	// numeric: rows sorted by value.
-	sortedVals []float64
 	sortedRows []int
-	// categorical: rows per code.
-	buckets map[int32][]int
+	// sortedVals holds a numeric column's values in sortedRows order.
+	sortedVals []float64
+	// codeStart delimits a categorical column's buckets: the rows with
+	// code c are sortedRows[codeStart[c]:codeStart[c+1]].
+	codeStart []int
 }
 
+// buildIndex sorts every numeric column with a stable LSD radix sort on
+// order-preserving keys and buckets every categorical column by a
+// counting sort on its codes.
 func buildIndex(t *table.Table) []colIndex {
+	n := t.NumRows()
 	idx := make([]colIndex, t.NumCols())
-	for a := 0; a < t.NumCols(); a++ {
+	var keys, spareKeys []uint64
+	var spareRows []int
+	for a := range idx {
 		col := t.Col(a)
-		if col.Kind == table.Numeric {
-			order := make([]int, len(col.Floats))
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(i, j int) bool {
-				return col.Floats[order[i]] < col.Floats[order[j]]
-			})
-			vals := make([]float64, len(order))
-			for i, r := range order {
-				vals[i] = col.Floats[r]
-			}
-			idx[a] = colIndex{sortedVals: vals, sortedRows: order}
+		if col.Kind != table.Numeric {
+			idx[a] = bucketCodes(col.Codes, len(col.Dict))
 			continue
 		}
-		buckets := make(map[int32][]int, len(col.Dict))
-		for r, c := range col.Codes {
-			buckets[c] = append(buckets[c], r)
+		if keys == nil {
+			keys, spareKeys, spareRows = make([]uint64, n), make([]uint64, n), make([]int, n)
 		}
-		idx[a] = colIndex{buckets: buckets}
+		for r, v := range col.Floats {
+			keys[r] = sortKey(v)
+		}
+		rows := make([]int, n)
+		for r := range rows {
+			rows[r] = r
+		}
+		// The sorted order may land in either buffer; the other becomes
+		// the next column's scratch.
+		rows, spareRows = radixSort(keys, spareKeys, rows, spareRows)
+		vals := make([]float64, n)
+		for i, r := range rows {
+			vals[i] = col.Floats[r]
+		}
+		idx[a] = colIndex{sortedRows: rows, sortedVals: vals}
 	}
 	return idx
 }
 
-// countRange returns the number of rows with value in [lo, hi].
-func (ci *colIndex) countRange(lo, hi float64) int {
-	a := sort.SearchFloat64s(ci.sortedVals, lo)
-	b := sort.Search(len(ci.sortedVals), func(i int) bool { return ci.sortedVals[i] > hi })
-	return b - a
+// sortKey maps a finite float64 to a uint64 whose unsigned order is the
+// float's < order: flip every bit of a negative value, only the sign bit
+// of a positive one. -0 takes +0's key because -0 < +0 is false, so a
+// stable sort must keep the two zeros in row order.
+func sortKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b == 1<<63 {
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
-// rowsInRange appends the unassigned rows with value in [lo, hi].
-func (ci *colIndex) rowsInRange(lo, hi float64, assigned []bool, out []int) []int {
-	a := sort.SearchFloat64s(ci.sortedVals, lo)
-	b := sort.Search(len(ci.sortedVals), func(i int) bool { return ci.sortedVals[i] > hi })
-	for i := a; i < b; i++ {
-		if r := ci.sortedRows[i]; !assigned[r] {
-			out = append(out, r)
-		}
+// radixSort stably sorts rows by keys, one byte per pass from the least
+// significant, skipping every byte in which all keys agree. keys and
+// rows are permuted in step through the spare buffers of equal length;
+// it returns the buffer holding the sorted rows and the one left spare.
+func radixSort(keys, spareKeys []uint64, rows, spareRows []int) (sorted, spare []int) {
+	var differ uint64
+	for _, k := range keys {
+		differ |= k ^ keys[0]
 	}
-	return out
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (differ>>shift)&0xff == 0 {
+			continue
+		}
+		var start [256]int
+		for _, k := range keys {
+			start[(k>>shift)&0xff]++
+		}
+		sum := 0
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for i, k := range keys {
+			d := (k >> shift) & 0xff
+			spareKeys[start[d]] = k
+			spareRows[start[d]] = rows[i]
+			start[d]++
+		}
+		keys, spareKeys = spareKeys, keys
+		rows, spareRows = spareRows, rows
+	}
+	return rows, spareRows
+}
+
+// bucketCodes counting-sorts rows by categorical code; codes are already
+// validated against the dictionary size by table.New.
+func bucketCodes(codes []int32, dictSize int) colIndex {
+	start := make([]int, dictSize+1)
+	for _, c := range codes {
+		start[c+1]++
+	}
+	for c := 1; c <= dictSize; c++ {
+		start[c] += start[c-1]
+	}
+	next := make([]int, dictSize)
+	copy(next, start)
+	rows := make([]int, len(codes))
+	for r, c := range codes {
+		rows[next[c]] = r
+		next[c]++
+	}
+	return colIndex{sortedRows: rows, codeStart: start}
+}
+
+// window returns the index range [from, to) of sortedVals holding the
+// values in [lo, hi].
+func (ci *colIndex) window(lo, hi float64) (from, to int) {
+	from = sort.SearchFloat64s(ci.sortedVals, lo)
+	to = sort.Search(len(ci.sortedVals), func(i int) bool { return ci.sortedVals[i] > hi })
+	return from, to
 }
 
 // attrMatch records, for one attribute, the compactness window around the
-// current seed and an (index-estimated) population count.
+// current seed: sortedRows[from:to] of the attribute's index, which may
+// include already-assigned rows.
 type attrMatch struct {
-	attr  int
-	count int     // estimated rows in window (may include assigned rows)
-	lo    float64 // numeric window bounds
-	hi    float64
-	isCat bool
-	seedC int32 // seed's code (categorical attributes)
+	attr     int
+	from, to int
+	isCat    bool
+	lo, hi   float64   // numeric window bounds
+	vals     []float64 // the numeric column
+	codes    []int32   // the categorical column
+	seedC    int32     // seed's code (categorical attributes)
 }
 
-// growFascicle builds the candidate fascicle seeded at row seed and
-// reports whether it meets the minimum size.
-func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned []bool) (Fascicle, bool) {
-	ncols := t.NumCols()
-	matches := make([]attrMatch, 0, ncols)
-	for a := 0; a < ncols; a++ {
+// count is the window's population estimate.
+func (am *attrMatch) count() int { return am.to - am.from }
+
+// fits reports whether row r lies in the window.
+func (am *attrMatch) fits(r int) bool {
+	if am.isCat {
+		return am.codes[r] == am.seedC
+	}
+	v := am.vals[r]
+	return v >= am.lo && v <= am.hi
+}
+
+// grower grows fascicles from seeds over one table. Its buffers are
+// reused from seed to seed; only an accepted fascicle's slices are
+// allocated fresh.
+type grower struct {
+	t        *table.Table
+	p        Params
+	idx      []colIndex
+	assigned []bool
+
+	matches  []attrMatch
+	rows     []int
+	reps     []float64
+	counts   map[float64]int // distinct value -> position in tally
+	distinct []float64       // distinct values in first-seen order
+	tally    []int           // occurrences of distinct[i]
+
+	rowsScanned int
+}
+
+func newGrower(t *table.Table, p Params) *grower {
+	return &grower{
+		t:        t,
+		p:        p,
+		idx:      buildIndex(t),
+		assigned: make([]bool, t.NumRows()),
+		matches:  make([]attrMatch, 0, t.NumCols()),
+		reps:     make([]float64, 0, p.K),
+		counts:   make(map[float64]int, 16),
+	}
+}
+
+// grow builds the candidate fascicle seeded at row seed and reports
+// whether it meets the minimum size.
+func (g *grower) grow(seed int) (Fascicle, bool) {
+	t, p := g.t, g.p
+	g.matches = g.matches[:0]
+	for a := 0; a < t.NumCols(); a++ {
 		col := t.Col(a)
 		am := attrMatch{attr: a}
 		if col.Kind == table.Numeric {
@@ -256,65 +389,46 @@ func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned [
 			// anchorings and keep the most populated one. Counts come from
 			// the sorted index and may include already-assigned rows — a
 			// deliberate approximation that keeps scoring O(log n).
-			s, w := t.Float(seed, a), p.Widths[a]
+			am.vals = col.Floats
+			s, w := am.vals[seed], p.Widths[a]
 			splits := splitsFor(p, a)
-			am.count = -1
+			best := -1
 			for _, anchor := range [3][2]float64{{s - 2*w, s}, {s - w, s + w}, {s, s + 2*w}} {
 				lo, hi := clampWindow(s, anchor[0], anchor[1], splits)
-				if count := idx[a].countRange(lo, hi); count > am.count {
-					am.count = count
-					am.lo, am.hi = lo, hi
+				if from, to := g.idx[a].window(lo, hi); to-from > best {
+					best = to - from
+					am.from, am.to, am.lo, am.hi = from, to, lo, hi
 				}
 			}
 		} else {
-			am.isCat = true
-			am.seedC = col.Codes[seed]
-			am.count = len(idx[a].buckets[am.seedC])
+			am.isCat, am.codes = true, col.Codes
+			am.seedC = am.codes[seed]
+			am.from, am.to = g.idx[a].codeStart[am.seedC], g.idx[a].codeStart[am.seedC+1]
 		}
-		matches = append(matches, am)
-	}
-	if len(matches) < p.K {
-		return Fascicle{}, false
+		g.matches = append(g.matches, am)
 	}
 	// Keep the K attributes with the highest estimated population.
-	sort.SliceStable(matches, func(i, j int) bool {
-		return matches[i].count > matches[j].count
-	})
-	chosen := matches[:p.K]
+	slices.SortStableFunc(g.matches, func(x, y attrMatch) int { return cmp.Compare(y.count(), x.count()) })
+	chosen := g.matches[:p.K]
 
-	// Extract candidate rows from the sparsest chosen attribute, then
-	// filter by the remaining constraints.
-	sparse := chosen[0]
-	for _, am := range chosen[1:] {
-		if am.count < sparse.count {
-			sparse = am
+	// Walk the sparsest chosen attribute's window, keeping the unassigned
+	// rows that fit every other chosen window.
+	sparse := 0
+	for j := range chosen {
+		if chosen[j].count() < chosen[sparse].count() {
+			sparse = j
 		}
 	}
-	var cands []int
-	if sparse.isCat {
-		bucket := idx[sparse.attr].buckets[sparse.seedC]
-		cands = make([]int, 0, len(bucket))
-		for _, r := range bucket {
-			if !assigned[r] {
-				cands = append(cands, r)
-			}
+	window := g.idx[chosen[sparse].attr].sortedRows[chosen[sparse].from:chosen[sparse].to]
+	g.rowsScanned += len(window)
+	rows := g.rows[:0]
+	for _, r := range window {
+		if g.assigned[r] {
+			continue
 		}
-	} else {
-		cands = idx[sparse.attr].rowsInRange(sparse.lo, sparse.hi, assigned, nil)
-	}
-	rows := cands[:0]
-	for _, r := range cands {
 		ok := true
-		for _, am := range chosen {
-			if am.attr == sparse.attr {
-				continue
-			}
-			if am.isCat {
-				if t.Code(r, am.attr) != am.seedC {
-					ok = false
-					break
-				}
-			} else if v := t.Float(r, am.attr); v < am.lo || v > am.hi {
+		for j := range chosen {
+			if j != sparse && !chosen[j].fits(r) {
 				ok = false
 				break
 			}
@@ -323,11 +437,12 @@ func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned [
 			rows = append(rows, r)
 		}
 	}
+	g.rows = rows
 	if len(rows) < p.MinSize {
 		return Fascicle{}, false
 	}
-	sort.Ints(rows)
-	sort.Slice(chosen, func(i, j int) bool { return chosen[i].attr < chosen[j].attr })
+	slices.Sort(rows)
+	slices.SortFunc(chosen, func(x, y attrMatch) int { return cmp.Compare(x.attr, y.attr) })
 
 	// Representatives: the most frequent member value (ties broken low).
 	// Using an existing domain value — rather than the range midpoint —
@@ -336,28 +451,19 @@ func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned [
 	// the width from the representative are dropped below, keeping the
 	// error bound valid for every member by construction. (Values are
 	// float32-exact already, so no wire-format rounding applies.)
-	reps := make([]float64, len(chosen))
-	for ci, am := range chosen {
+	reps := g.reps[:0]
+	for _, am := range chosen {
 		if am.isCat {
+			reps = append(reps, 0)
 			continue
-		}
-		col := t.Col(am.attr)
-		counts := make(map[float64]int, 16)
-		for _, r := range rows {
-			counts[col.Floats[r]]++
-		}
-		bestV, bestC := math.Inf(1), -1
-		for v, c := range counts {
-			if c > bestC || (c == bestC && v < bestV) {
-				bestV, bestC = v, c
-			}
 		}
 		// Values built through table.Builder are float32-exact already;
 		// rounding here guards tables assembled via table.New from raw
 		// float64 columns (the member-validation pass below drops any row
 		// the rounding pushes out of bounds).
-		reps[ci] = floats.F32(bestV)
+		reps = append(reps, floats.F32(g.mode(am.vals, rows)))
 	}
+	g.reps = reps
 	valid := rows[:0]
 	for _, r := range rows {
 		ok := true
@@ -365,7 +471,7 @@ func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned [
 			if am.isCat {
 				continue
 			}
-			v := t.Float(r, am.attr)
+			v := am.vals[r]
 			if math.Abs(reps[ci]-v) > p.Widths[am.attr] ||
 				!sameSide(reps[ci], v, splitsFor(p, am.attr)) {
 				ok = false
@@ -379,18 +485,48 @@ func growFascicle(t *table.Table, p Params, idx []colIndex, seed int, assigned [
 	if len(valid) < p.MinSize {
 		return Fascicle{}, false
 	}
-	f := Fascicle{Rows: valid}
+	f := Fascicle{
+		Rows:         append(make([]int, 0, len(valid)), valid...),
+		CompactAttrs: make([]int, len(chosen)),
+		NumReps:      make([]float64, len(chosen)),
+		CatReps:      make([]int32, len(chosen)),
+	}
 	for ci, am := range chosen {
-		f.CompactAttrs = append(f.CompactAttrs, am.attr)
+		f.CompactAttrs[ci] = am.attr
 		if am.isCat {
-			f.NumReps = append(f.NumReps, 0)
-			f.CatReps = append(f.CatReps, am.seedC)
+			f.CatReps[ci] = am.seedC
 		} else {
-			f.NumReps = append(f.NumReps, reps[ci])
-			f.CatReps = append(f.CatReps, 0)
+			f.NumReps[ci] = reps[ci]
 		}
 	}
 	return f, true
+}
+
+// mode returns the most frequent of vals[r] over rows, the lowest on a
+// tie. The map keys a value by ==, so -0 and +0 share one entry; like the
+// key of a map[float64]int tally, whose every assignment rewrites the
+// stored float key, that entry reports the zero the rows reach last.
+func (g *grower) mode(vals []float64, rows []int) float64 {
+	clear(g.counts)
+	g.distinct, g.tally = g.distinct[:0], g.tally[:0]
+	for _, r := range rows {
+		v := vals[r]
+		if i, ok := g.counts[v]; ok {
+			g.distinct[i] = v
+			g.tally[i]++
+			continue
+		}
+		g.counts[v] = len(g.tally)
+		g.distinct = append(g.distinct, v)
+		g.tally = append(g.tally, 1)
+	}
+	bestV, bestC := math.Inf(1), -1
+	for i, v := range g.distinct {
+		if c := g.tally[i]; c > bestC || (c == bestC && v < bestV) {
+			bestV, bestC = v, c
+		}
+	}
+	return bestV
 }
 
 func splitsFor(p Params, attr int) []float64 {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,6 +107,11 @@ func TestClusterParamValidation(t *testing.T) {
 	if _, err := Cluster(tb, Params{Widths: paperWidths(),
 		SplitValues: [][]float64{nil}}); err == nil {
 		t.Error("Cluster accepted wrong-length split values")
+	}
+	for _, w := range []float64{-1, math.NaN()} {
+		if _, err := Cluster(tb, Params{Widths: []float64{2, w, 25000, 0}}); err == nil {
+			t.Errorf("Cluster accepted width %g", w)
+		}
 	}
 	// K larger than the column count clamps.
 	c, err := Cluster(tb, Params{K: 99, MinSize: 2, Widths: paperWidths()})
@@ -440,22 +446,20 @@ func TestColIndexRangeQueries(t *testing.T) {
 	tb := paperTable(t)
 	idx := buildIndex(tb)
 	// Salary column: values 15k..110k.
-	if got := idx[1].countRange(50000, 90000); got != 4 { // 50,76,80,90 (k)
-		t.Errorf("countRange = %d, want 4", got)
+	from, to := idx[1].window(50000, 90000)
+	if to-from != 4 { // 50,76,80,90 (k)
+		t.Errorf("window size = %d, want 4", to-from)
 	}
-	assigned := make([]bool, tb.NumRows())
-	rows := idx[1].rowsInRange(50000, 90000, assigned, nil)
-	if len(rows) != 4 {
-		t.Errorf("rowsInRange = %v, want 4 rows", rows)
-	}
-	assigned[4] = true // salary 50,000
-	rows = idx[1].rowsInRange(50000, 90000, assigned, nil)
-	if len(rows) != 3 {
-		t.Errorf("rowsInRange with assignment = %v, want 3 rows", rows)
+	rows := append([]int(nil), idx[1].sortedRows[from:to]...)
+	sort.Ints(rows)
+	if want := []int{0, 4, 5, 7}; !slices.Equal(rows, want) {
+		t.Errorf("window rows = %v, want %v", rows, want)
 	}
 	// Categorical buckets.
-	if got := len(idx[3].buckets[tb.Col(3).Codes[0]]); got != 5 { // "good"
-		t.Errorf("bucket size = %d, want 5", got)
+	good := tb.Col(3).Codes[0]
+	bucket := idx[3].sortedRows[idx[3].codeStart[good]:idx[3].codeStart[good+1]]
+	if want := []int{0, 1, 4, 5, 7}; !slices.Equal(bucket, want) {
+		t.Errorf("bucket = %v, want %v", bucket, want)
 	}
 }
 
