@@ -2,11 +2,10 @@ package main
 
 // Self-benchmark for the analyzer suite: every registered analyzer runs
 // over a fixed fixture corpus so `go test -bench=. ./cmd/spartanvet`
-// attributes analysis cost per analyzer. The corpus is the flow-heavy
-// subset of the golden fixtures — archive writes, tolerance checks,
-// row-bounded allocations, error paths — so the numbers track the
-// expensive layers (CFG construction, dataflow fixpoints), not only
-// trivial syntax walks. Record a baseline before growing
+// attributes analysis cost per analyzer. The corpus is a subset of the
+// golden fixtures — archive writes, tolerance checks, metric names, span
+// and lock discipline, loop bodies — so each analyzer meets code it
+// inspects, not only packages it skips. Record a baseline before growing
 // the suite and compare with benchstat or `-benchtime=10x` eyeballing;
 // a new analyzer that doubles the total shows up here long before it
 // shows up as a slow `make lint`.
@@ -32,8 +31,10 @@ import (
 var benchCorpus = []string{
 	"codec",
 	"cart",
-	"hotalloc",
-	"nilflow",
+	"metrics",
+	"obs",
+	"pipeline",
+	"deferloop",
 }
 
 type benchPkg struct {

@@ -1,21 +1,19 @@
 // Spartanvet is SPARTAN's domain-aware static-analysis suite:
-// analyzers that encode invariants the Go compiler cannot see. Six are
-// syntactic (raw float equality on tolerances, unfinished pipeline
-// spans, unbalanced registry locks, swallowed archive-write errors,
-// malformed metric names, context-threading conventions in the pipeline
-// packages); three are flow-sensitive, built on the control-flow graphs
-// and dataflow solver in internal/analysis/cfg and
-// internal/analysis/dataflow (values used on proven-error paths, defers
-// accumulating inside per-row loops, hint-less allocations in
-// row-bounded loops). Every analyzer looks at one package at a time. A
-// synthetic check, staleignore, flags //spartanvet:ignore directives
-// that no longer suppress anything.
+// analyzers that encode invariants the Go compiler cannot see. All seven
+// are syntactic and look at one package at a time: raw float equality on
+// tolerances, unfinished pipeline spans, unbalanced registry locks,
+// swallowed archive-write errors, malformed metric names,
+// context-threading conventions in the pipeline packages, and defers
+// inside per-row loops. A synthetic check, staleignore, flags
+// //spartanvet:ignore directives that no longer suppress anything.
 //
 // Some invariants have tests instead of an analyzer: the decoders'
 // hostile-input tables in internal/codec and internal/cart pin every
 // bound on untrusted wire counts, internal/par's tests and its
-// go-statement test pin bounded goroutine fan-out, and cmd/spartan's
-// /proc/self/fd test pins file-handle closing.
+// go-statement test pin bounded goroutine fan-out, cmd/spartan's
+// /proc/self/fd test pins file-handle closing, and
+// internal/core's TestApplyAllocationsDoNotGrowWithRows measures that
+// the apply step does not allocate per row.
 //
 // It runs over package patterns, test files included, and gates on any
 // finding:
@@ -30,9 +28,8 @@
 //	bin/spartanvet -sarif ./... > spartanvet.sarif
 //	bin/spartanvet -sarifvalidate spartanvet.sarif
 //
-// See docs/DEVELOPMENT.md for the analyzer catalogue, the
-// //spartanvet:ignore suppression syntax, and a guide to writing new
-// flow-sensitive analyzers.
+// See docs/DEVELOPMENT.md for the analyzer catalogue and the
+// //spartanvet:ignore suppression syntax.
 package main
 
 import (
@@ -43,10 +40,8 @@ import (
 	"repro/internal/analysis/deferloop"
 	"repro/internal/analysis/errcheckio"
 	"repro/internal/analysis/floatcmp"
-	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockbalance"
 	"repro/internal/analysis/metricname"
-	"repro/internal/analysis/nilflow"
 	"repro/internal/analysis/spanfinish"
 	"repro/internal/analysis/unitchecker"
 )
@@ -60,9 +55,7 @@ var analyzers = []*analysis.Analyzer{
 	errcheckio.Analyzer,
 	metricname.Analyzer,
 	ctxfirst.Analyzer,
-	nilflow.Analyzer,
 	deferloop.Analyzer,
-	hotalloc.Analyzer,
 }
 
 func main() {

@@ -1,22 +1,20 @@
-// Package deferloop flags defer statements whose enclosing block lies
-// on a CFG cycle in internal/fascicle, internal/cart and internal/codec
-// — the packages whose loops iterate per row or per fascicle. A defer
-// runs at function return, not at the end of the iteration that created
-// it, so a per-row `defer f.Close()` accumulates a million open
-// resources before the first one is released. The fix is to hoist the
-// defer out of the loop or wrap the iteration body in a function.
+// Package deferloop flags defer statements inside a for or range body
+// in internal/fascicle, internal/cart and internal/codec — the packages
+// whose loops iterate per row or per fascicle. A defer runs at function
+// return, not at the end of the iteration that created it, so a per-row
+// `defer f.Close()` accumulates a million open resources before the
+// first one is released. The fix is to hoist the defer out of the loop
+// or wrap the iteration body in a function.
 //
-// Detection is flow-sensitive: the loop membership test is a cycle
-// check on the function's control-flow graph, so irregular loops built
-// from labels and gotos are caught, and a defer in an if-branch that
-// merely *follows* a loop is not.
+// Detection is syntactic: a defer is flagged when a for or range
+// statement encloses it without a function literal in between. A loop
+// built from a label and goto is not seen; the module writes none.
 package deferloop
 
 import (
 	"go/ast"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/cfg"
 )
 
 // Analyzer flags defers that execute once per loop iteration.
@@ -37,45 +35,29 @@ func run(pass *analysis.Pass) error {
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
+			switch l := n.(type) {
+			case *ast.ForStmt:
+				checkLoopBody(pass, l.Body)
+			case *ast.RangeStmt:
+				checkLoopBody(pass, l.Body)
 			}
-			if body == nil {
-				return true
-			}
-			checkBody(pass, body)
 			return true
 		})
 	}
 	return nil
 }
 
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	// Cheap pre-scan: most functions have no defers at all.
-	hasDefer := false
+// checkLoopBody reports the defers of one loop body, stopping at
+// function literals (their defers run per call) and at nested loops
+// (run reaches those itself, so each defer is reported once).
+func checkLoopBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // separate function: its own CFG, its own check
+		switch n := n.(type) {
+		case *ast.FuncLit, *ast.ForStmt, *ast.RangeStmt:
+			return false
+		case *ast.DeferStmt:
+			pass.Reportf(n.Pos(), "defer inside a loop runs only when the function returns; each iteration accumulates another pending call — hoist it out of the loop or wrap the body in a function")
 		}
-		if _, ok := n.(*ast.DeferStmt); ok {
-			hasDefer = true
-		}
-		return !hasDefer
+		return true
 	})
-	if !hasDefer {
-		return
-	}
-
-	g := cfg.New(body)
-	inLoop := g.LoopBlocks()
-	for _, d := range g.Defers {
-		b := g.BlockOf(d.Pos())
-		if b != nil && inLoop[b.Index] {
-			pass.Reportf(d.Pos(), "defer inside a loop runs only when the function returns; each iteration accumulates another pending call — hoist it out of the loop or wrap the body in a function")
-		}
-	}
 }

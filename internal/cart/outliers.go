@@ -75,7 +75,6 @@ func (m *Model) ComputeOutliersBudgetContext(ctx context.Context, full *table.Ta
 			for r, end := base, minRow(base+scanBatchRows, full.NumRows()); r < end; r++ {
 				_, pred := m.PredictRow(full, r)
 				if actual := col.Codes[r]; actual != pred {
-					//spartanvet:ignore hotalloc misprediction count is unknowable before predicting; counting first would double the PredictRow cost
 					wrong = append(wrong, Outlier{Row: r, Code: actual})
 				}
 			}

@@ -282,17 +282,15 @@ func decodeNode(br byteReader, kind table.Kind, depth int) (*Node, error) {
 	}
 }
 
+// putUvarint and putFloat32 append into the writer's free buffer, so
+// writing an outlier does not heap-allocate a scratch array per value.
 func putUvarint(bw *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := bw.Write(buf[:n])
+	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 	return err
 }
 
 func putFloat32(bw *bufio.Writer, v float64) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v)))
-	_, err := bw.Write(buf[:])
+	_, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), math.Float32bits(float32(v))))
 	return err
 }
 

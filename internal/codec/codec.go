@@ -858,10 +858,10 @@ func readSchemaLimited(br byteReader, lim DecodeLimits) (table.Schema, [][]strin
 	return schema, dicts, nil
 }
 
+// putUvarint appends into the writer's free buffer, so the per-cell
+// T′ loop does not heap-allocate a scratch array on every call.
 func putUvarint(bw *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := bw.Write(buf[:n])
+	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 	return err
 }
 
