@@ -3,12 +3,12 @@ package main
 // Self-benchmark for the analyzer suite: every registered analyzer runs
 // over a fixed fixture corpus so `go test -bench=. ./cmd/spartanvet`
 // attributes analysis cost per analyzer. The corpus is a subset of the
-// golden fixtures — archive writes, tolerance checks, metric names, span
-// and lock discipline, loop bodies — so each analyzer meets code it
-// inspects, not only packages it skips. Record a baseline before growing
-// the suite and compare with benchstat or `-benchtime=10x` eyeballing;
-// a new analyzer that doubles the total shows up here long before it
-// shows up as a slow `make lint`.
+// golden fixtures — archive writes, tolerance checks, span and lock
+// discipline, loop bodies — so each analyzer meets code it inspects, not
+// only packages it skips. Record a baseline before growing the suite and
+// compare with benchstat or `-benchtime=10x` eyeballing; a new analyzer
+// that doubles the total shows up here long before it shows up as a slow
+// `make lint`.
 
 import (
 	"go/ast"
@@ -31,7 +31,6 @@ import (
 var benchCorpus = []string{
 	"codec",
 	"cart",
-	"metrics",
 	"obs",
 	"pipeline",
 	"deferloop",

@@ -1,11 +1,11 @@
 // Spartanvet is SPARTAN's domain-aware static-analysis suite:
-// analyzers that encode invariants the Go compiler cannot see. All seven
+// analyzers that encode invariants the Go compiler cannot see. All six
 // are syntactic and look at one package at a time: raw float equality on
 // tolerances, unfinished pipeline spans, unbalanced registry locks,
-// swallowed archive-write errors, malformed metric names,
-// context-threading conventions in the pipeline packages, and defers
-// inside per-row loops. A synthetic check, staleignore, flags
-// //spartanvet:ignore directives that no longer suppress anything.
+// swallowed archive-write errors, context-threading conventions in the
+// pipeline packages, and defers inside per-row loops. A synthetic check,
+// staleignore, flags //spartanvet:ignore directives that no longer
+// suppress anything.
 //
 // Some invariants have tests instead of an analyzer: the decoders'
 // hostile-input tables in internal/codec and internal/cart pin every
@@ -13,20 +13,17 @@
 // go-statement test pin bounded goroutine fan-out, cmd/spartan's
 // /proc/self/fd test pins file-handle closing, and
 // internal/core's TestApplyAllocationsDoNotGrowWithRows measures that
-// the apply step does not allocate per row.
+// the apply step does not allocate per row. Metric names and label sets
+// are checked by obs.Registry when each family is registered, so every
+// test that builds the HTTP server checks every registration.
 //
-// It runs over package patterns, test files included, and gates on any
-// finding:
+// It takes package patterns and no flags, covers test files, prints
+// one line per finding and gates on any:
 //
 //	go build -o bin/spartanvet ./cmd/spartanvet
 //	bin/spartanvet ./...
 //
-// or simply `make lint`. The same run can instead aggregate the module
-// into one SARIF 2.1.0 log for GitHub code scanning, which reports
-// rather than gates, and validate such a log strictly:
-//
-//	bin/spartanvet -sarif ./... > spartanvet.sarif
-//	bin/spartanvet -sarifvalidate spartanvet.sarif
+// or simply `make lint`.
 //
 // See docs/DEVELOPMENT.md for the analyzer catalogue and the
 // //spartanvet:ignore suppression syntax.
@@ -41,7 +38,6 @@ import (
 	"repro/internal/analysis/errcheckio"
 	"repro/internal/analysis/floatcmp"
 	"repro/internal/analysis/lockbalance"
-	"repro/internal/analysis/metricname"
 	"repro/internal/analysis/spanfinish"
 	"repro/internal/analysis/unitchecker"
 )
@@ -53,7 +49,6 @@ var analyzers = []*analysis.Analyzer{
 	spanfinish.Analyzer,
 	lockbalance.Analyzer,
 	errcheckio.Analyzer,
-	metricname.Analyzer,
 	ctxfirst.Analyzer,
 	deferloop.Analyzer,
 }

@@ -15,8 +15,9 @@
 // see: tolerance comparisons must not use raw float equality (floatcmp),
 // pipeline spans must be finished (spanfinish), registry locks must be
 // balanced and panic-safe (lockbalance), archive writes must not swallow
-// errors (errcheckio), and metric registrations must be valid and
-// consistent (metricname).
+// errors (errcheckio), pipeline functions take a context first
+// (ctxfirst), and per-row loops hold no defer (deferloop). Metric names
+// and label sets are checked at run time by obs.Registry itself.
 package analysis
 
 import (
@@ -57,12 +58,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// SuppressedSink, when non-nil, receives every diagnostic a
-	// //spartanvet:ignore directive swallowed, paired with the directive
-	// that did it. Drivers that emit machine-readable reports (SARIF)
-	// use it to publish suppressed results instead of dropping them.
-	SuppressedSink func(Diagnostic, *Directive)
-
 	report     func(Diagnostic)
 	suppressed *Suppressions
 }
@@ -97,9 +92,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	d := Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name}
 	if dir := p.suppressed.covering(p.Fset, d.Pos, p.Analyzer.Name); dir != nil {
 		dir.used = true
-		if p.SuppressedSink != nil {
-			p.SuppressedSink(d, dir)
-		}
 		return
 	}
 	p.report(d)
@@ -143,11 +135,10 @@ const IgnoreDirective = "//spartanvet:ignore"
 // like any other diagnostic. It cannot itself be suppressed.
 const StaleIgnoreName = "staleignore"
 
-// Directive is one parsed //spartanvet:ignore comment.
-type Directive struct {
-	Pos      token.Pos
-	Analyzer string // analyzer name, or "all"
-	Reason   string
+// directive is one parsed //spartanvet:ignore comment.
+type directive struct {
+	pos      token.Pos
+	analyzer string // analyzer name, or "all"
 	used     bool
 }
 
@@ -155,16 +146,16 @@ type Directive struct {
 // which directives actually swallowed a diagnostic so drivers can report
 // the stale remainder after every analyzer has run.
 type Suppressions struct {
-	directives []*Directive
+	directives []*directive
 	// byLine maps file → line → directives covering that line.
-	byLine map[string]map[int][]*Directive
+	byLine map[string]map[int][]*directive
 }
 
 // IndexSuppressions parses every //spartanvet:ignore directive in files.
 // A directive covers its own line (trailing-comment style) and the line
 // directly below it (comment-above style).
 func IndexSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
-	sup := &Suppressions{byLine: map[string]map[int][]*Directive{}}
+	sup := &Suppressions{byLine: map[string]map[int][]*directive{}}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -176,16 +167,12 @@ func IndexSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 				if len(fields) < 2 {
 					continue // no reason given: directive is inert
 				}
-				dir := &Directive{
-					Pos:      c.Pos(),
-					Analyzer: fields[0],
-					Reason:   strings.Join(fields[1:], " "),
-				}
+				dir := &directive{pos: c.Pos(), analyzer: fields[0]}
 				sup.directives = append(sup.directives, dir)
 				pos := fset.Position(c.Pos())
 				byLine := sup.byLine[pos.Filename]
 				if byLine == nil {
-					byLine = map[int][]*Directive{}
+					byLine = map[int][]*directive{}
 					sup.byLine[pos.Filename] = byLine
 				}
 				byLine[pos.Line] = append(byLine[pos.Line], dir)
@@ -198,13 +185,13 @@ func IndexSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 
 // covering returns the first directive that suppresses analyzer at pos,
 // or nil.
-func (s *Suppressions) covering(fset *token.FileSet, pos token.Pos, analyzer string) *Directive {
+func (s *Suppressions) covering(fset *token.FileSet, pos token.Pos, analyzer string) *directive {
 	if s == nil || !pos.IsValid() {
 		return nil
 	}
 	p := fset.Position(pos)
 	for _, dir := range s.byLine[p.Filename][p.Line] {
-		if dir.Analyzer == analyzer || dir.Analyzer == "all" {
+		if dir.analyzer == analyzer || dir.analyzer == "all" {
 			return dir
 		}
 	}
@@ -225,18 +212,18 @@ func (s *Suppressions) Stale(known map[string]bool, judgeAll bool) []Diagnostic 
 		if dir.used {
 			continue
 		}
-		if dir.Analyzer == "all" {
+		if dir.analyzer == "all" {
 			if !judgeAll {
 				continue
 			}
-		} else if !known[dir.Analyzer] {
+		} else if !known[dir.analyzer] {
 			continue
 		}
 		out = append(out, Diagnostic{
-			Pos:      dir.Pos,
+			Pos:      dir.pos,
 			Analyzer: StaleIgnoreName,
 			Message: fmt.Sprintf("unused //spartanvet:ignore %s directive: the analyzer reports nothing on this line; delete the stale suppression",
-				dir.Analyzer),
+				dir.analyzer),
 		})
 	}
 	return out

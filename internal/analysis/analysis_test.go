@@ -154,39 +154,6 @@ func f() {
 	}
 }
 
-// TestSuppressedSink: swallowed diagnostics are forwarded with their
-// directive so SARIF emitters can publish them as suppressed results.
-func TestSuppressedSink(t *testing.T) {
-	fset, files := parseOne(t, `package p
-
-func f() {
-	_ = 1 //spartanvet:ignore demo a justified discard
-}
-`)
-	a := &Analyzer{Name: "demo"}
-	sup := IndexSuppressions(fset, files)
-	pass := NewPassShared(a, fset, files, types.NewPackage("p", "p"), &types.Info{}, func(Diagnostic) {
-		t.Error("suppressed diagnostic must not reach the report sink")
-	}, sup)
-	var gotDiag []Diagnostic
-	var gotDir []*Directive
-	pass.SuppressedSink = func(d Diagnostic, dir *Directive) {
-		gotDiag = append(gotDiag, d)
-		gotDir = append(gotDir, dir)
-	}
-	tf := fset.File(files[0].Pos())
-	pass.Reportf(tf.LineStart(4), "swallowed")
-	if len(gotDiag) != 1 || gotDiag[0].Message != "swallowed" {
-		t.Fatalf("suppressed sink diagnostics = %+v", gotDiag)
-	}
-	if gotDir[0].Reason != "a justified discard" {
-		t.Errorf("directive reason = %q", gotDir[0].Reason)
-	}
-	if len(sup.Stale(map[string]bool{"demo": true}, true)) != 0 {
-		t.Error("a directive that swallowed a diagnostic must not be stale")
-	}
-}
-
 func TestReportfSuppressed(t *testing.T) {
 	fset, files := parseOne(t, `package p
 

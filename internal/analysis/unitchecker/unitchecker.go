@@ -2,18 +2,11 @@
 // package patterns through `go list -json -deps -export -test`, which
 // compiles what it must and hands back export data for every package,
 // type-checks each matched package from source against that export
-// data, runs the analyzers over it, and emits one aggregated report:
-//
-//   - default: "file:line:col: message [name]" lines on stderr; exit 2
-//     on findings;
-//   - -sarif: a SARIF 2.1.0 log on stdout (GitHub code scanning), exit 0.
-//
-// The SARIF mode exits zero on findings because it exists to report,
-// not to gate; the text mode is the CI tripwire. A third mode,
-// `tool -sarifvalidate report.sarif`, strictly validates an emitted log
-// against the SARIF 2.1.0 model before it is uploaded. A
-// //spartanvet:ignore directive that no longer suppresses anything is
-// itself reported as a finding under the name "staleignore".
+// data, runs the analyzers over it, and prints each finding as a
+// "file:line:col: message [name]" line on stderr, exiting 2 if there is
+// any. Findings a //spartanvet:ignore directive covers are dropped; a
+// directive that no longer suppresses anything is itself reported as a
+// finding under the name "staleignore".
 //
 // Test files are covered through the test variants `go list -test`
 // reports. A package with in-package tests is analyzed as "p [p.test]"
@@ -45,61 +38,31 @@ import (
 )
 
 // Run is the entry point for the spartanvet main: it interprets args
-// (typically os.Args[1:]) and never returns.
+// (typically os.Args[1:]), which are package patterns and nothing else,
+// and never returns.
 func Run(progname string, args []string, analyzers []*analysis.Analyzer) {
-	os.Exit(run(progname, args, analyzers, os.Stdout, os.Stderr))
+	os.Exit(run(progname, args, analyzers, os.Stderr))
 }
 
-func run(progname string, args []string, analyzers []*analysis.Analyzer, stdout, stderr io.Writer) int {
-	sarifOut, sarifValidate := false, false
-	var positional []string
-	for _, arg := range args {
-		switch {
-		case arg == "-sarif" || arg == "--sarif":
-			sarifOut = true
-		case arg == "-sarifvalidate" || arg == "--sarifvalidate":
-			sarifValidate = true
-		case strings.HasPrefix(arg, "-"):
+func run(progname string, patterns []string, analyzers []*analysis.Analyzer, stderr io.Writer) int {
+	for _, arg := range patterns {
+		if strings.HasPrefix(arg, "-") {
 			fmt.Fprintf(stderr, "%s: unrecognized flag %s\n", progname, arg)
 			return 2
-		default:
-			positional = append(positional, arg)
 		}
 	}
-	if sarifValidate {
-		return runSarifValidate(progname, positional, stdout, stderr)
-	}
-	if len(positional) == 0 {
-		fmt.Fprintf(stderr, "usage:\n"+
-			"  %s [-sarif] packages...        (lint; -sarif prints a SARIF 2.1.0 log)\n"+
-			"  %s -sarifvalidate report.sarif (strict SARIF 2.1.0 check)\n",
-			progname, progname)
+	if len(patterns) == 0 {
+		fmt.Fprintf(stderr, "usage: %s packages...\n", progname)
 		return 1
 	}
-
-	diags, ok := analyze(progname, positional, analyzers, stderr)
+	diags, ok := analyze(progname, patterns, analyzers, stderr)
 	if !ok {
 		return 1
 	}
-	if sarifOut {
-		out, err := buildSARIF(progname, analyzers, diags).Marshal()
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", progname, err)
-			return 1
-		}
-		stdout.Write(out)
-		return 0
-	}
-	// Text mode prints the unsuppressed findings and fails on any.
-	failed := false
 	for _, d := range diags {
-		if d.Suppressed {
-			continue
-		}
 		fmt.Fprintln(stderr, d)
-		failed = true
 	}
-	if failed {
+	if len(diags) > 0 {
 		return 2
 	}
 	return 0
@@ -207,17 +170,11 @@ func loadPackages(patterns []string) (pkgs []*listPackage, exports map[string]st
 	return pkgs, exports, nil
 }
 
-// Diag is one rendered diagnostic. Suppressed diagnostics (silenced by
-// a //spartanvet:ignore directive) are carried along for the SARIF
-// report, which lists them as suppressions instead of dropping them.
+// Diag is one rendered diagnostic.
 type Diag struct {
-	Position   token.Position
-	Message    string
-	Analyzer   string
-	Suppressed bool
-	// Justification is the directive's free-text reason, set only when
-	// Suppressed.
-	Justification string
+	Position token.Position
+	Message  string
+	Analyzer string
 }
 
 func (d Diag) String() string {
@@ -278,12 +235,6 @@ func checkPackage(p *listPackage, exports map[string]string, cwd string, analyze
 		pass := analysis.NewPassShared(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
 			diags = append(diags, toDiag(d))
 		}, sup)
-		pass.SuppressedSink = func(d analysis.Diagnostic, dir *analysis.Directive) {
-			sd := toDiag(d)
-			sd.Suppressed = true
-			sd.Justification = dir.Reason
-			diags = append(diags, sd)
-		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis/sarif"
 )
 
 // buildTool compiles cmd/spartanvet into a temp dir and returns its path.
@@ -107,21 +105,13 @@ func (t *Trace) Start(string) *Span { return &Span{} }
 
 func Leak(tr *Trace) { tr.Start("compress") }
 `,
-		"metrics/metrics.go": `package metrics
-
-type Registry struct{}
-
-func (r *Registry) Counter(name, help string, labels ...string) int { return 0 }
-
-func Register(r *Registry) { _ = r.Counter("bad-name", "help") }
-`,
 	})
 	_, stderr, code := runTool(t, dir, "./...")
 	if code != 2 {
 		t.Fatalf("exit %d on seeded violations, want 2; stderr:\n%s", code, stderr)
 	}
 	for _, wantFrag := range []string{
-		"[floatcmp]", "[lockbalance]", "[errcheckio]", "[spanfinish]", "[metricname]",
+		"[floatcmp]", "[lockbalance]", "[errcheckio]", "[spanfinish]",
 	} {
 		if !strings.Contains(stderr, wantFrag) {
 			t.Errorf("output missing a %s finding:\n%s", wantFrag, stderr)
@@ -220,12 +210,11 @@ func TestLeak(t *testing.T) {
 	}
 }
 
-// seedModule writes a scratch module with one floatcmp violation, one
-// suppressed errcheckio violation, and one stale ignore directive, and
-// returns its directory.
-func seedModule(t *testing.T) string {
-	t.Helper()
-	return writeModule(t, map[string]string{
+// TestStandaloneText checks the one output mode gates: findings print
+// to stderr and the exit code is non-zero, with the suppressed finding
+// dropped. Flags are refused: the tool takes package patterns only.
+func TestStandaloneText(t *testing.T) {
+	dir := writeModule(t, map[string]string{
 		"go.mod": "module seeded\n\ngo 1.22\n",
 		"cart/cart.go": `package cart
 
@@ -242,40 +231,6 @@ func Emit(w *bufio.Writer) { w.WriteByte(0) }
 func Noop() {}
 `,
 	})
-}
-
-// TestStandaloneSarif checks the aggregated `spartanvet -sarif ./...`
-// mode: the output must be a valid SARIF 2.1.0 log containing the
-// seeded finding, the suppressed finding (as a suppression), and the
-// stale-directive finding.
-func TestStandaloneSarif(t *testing.T) {
-	dir := seedModule(t)
-	stdout, stderr, code := runTool(t, dir, "-sarif", "./...")
-	if code != 0 {
-		t.Fatalf("-sarif exited %d (the SARIF report must not gate)\nstderr: %s", code, stderr)
-	}
-	if err := sarif.Validate([]byte(stdout)); err != nil {
-		t.Fatalf("output is not valid SARIF 2.1.0: %v\n%s", err, stdout)
-	}
-	for _, want := range []string{
-		`"ruleId": "floatcmp"`,
-		`"ruleId": "errcheckio"`,
-		`"ruleId": "staleignore"`,
-		`"kind": "inSource"`,
-		`"justification": "best-effort trailer write"`,
-		`"uri": "cart/cart.go"`,
-	} {
-		if !strings.Contains(stdout, want) {
-			t.Errorf("SARIF output missing %s\n%s", want, stdout)
-		}
-	}
-}
-
-// TestStandaloneText checks the default mode gates: findings print to
-// stderr and the exit code is non-zero, with the suppressed finding
-// excluded.
-func TestStandaloneText(t *testing.T) {
-	dir := seedModule(t)
 	_, stderr, code := runTool(t, dir, "./...")
 	if code != 2 {
 		t.Fatalf("text mode exited %d, want 2\nstderr: %s", code, stderr)
@@ -288,5 +243,9 @@ func TestStandaloneText(t *testing.T) {
 	}
 	if strings.Contains(stderr, "[errcheckio]") {
 		t.Errorf("suppressed errcheckio finding leaked into text output:\n%s", stderr)
+	}
+
+	if _, stderr, code := runTool(t, dir, "-sarif", "./..."); code != 2 || !strings.Contains(stderr, "unrecognized flag -sarif") {
+		t.Errorf("-sarif: exit %d, want 2 with an unrecognized-flag error\nstderr: %s", code, stderr)
 	}
 }

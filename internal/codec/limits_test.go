@@ -239,6 +239,17 @@ func hostileCases() []hostileCase {
 		p.f32(0)
 		return blockOnly(p.Bytes())
 	}())
+	// A model block cut short after its checksum: readChecked's payload
+	// read.
+	var cut hostileBuf
+	cut.uvarint(16)
+	_, _ = cut.Write(make([]byte, 4+3)) // CRC, then 3 of the 16 payload bytes
+	add("model-block-short", "reading model block: unexpected EOF", container(cut.Bytes(), nil, nil))
+	// A tree node tag cart.DecodeModel does not know, in a block whose
+	// checksum is valid.
+	add("model-node", "decoding model 0: cart:", container(twoColumnBlock(table.Numeric, nil, func(p *hostileBuf) {
+		p.b1(0xEE)
+	}), nil, nil))
 	add("leaf-code", "outside dictionary", container(twoColumnBlock(table.Categorical, []string{"only"}, func(p *hostileBuf) {
 		p.b1(1) // categorical leaf
 		p.uvarint(5)
@@ -289,6 +300,8 @@ func hostileCases() []hostileCase {
 	unv.checked(unvOut.Bytes())
 	unv.uvarint(0) // empty T' block
 	add("unverified-rows", "67108865 rows with no materialized columns exceeds limit", container(unvModel.Bytes(), unv.Bytes(), table.Schema{{Name: "y", Kind: table.Numeric}}))
+
+	add("tprime-not-gzip", "opening T' stream: gzip: invalid header", container(oneNumericBlock(), body(1, []byte("not a gzip stream")), oneNumeric))
 
 	cat := table.Schema{{Name: "a", Kind: table.Categorical}}
 	add("column-code", "code 5 outside dictionary of 1", container(oneColumnBlock(table.Categorical, "v"),

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,14 +58,23 @@ type child struct {
 	count        uint64
 }
 
-// register returns the family, creating it on first use. Re-registering
-// the same name with a different type or label set is a programming
-// error and panics.
+// register returns the family, creating it on first use. An invalid
+// metric or label name (see validName), an "le" label (histograms add
+// their own), and re-registering a name with a different type or
+// different label names are programming errors and panic.
 func (r *Registry) register(name, help string, typ metricType, buckets []float64, labels []string) *family {
+	if !validName(name, true) {
+		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	}
+	for _, l := range labels {
+		if l == "le" || !validName(l, false) {
+			panic(fmt.Sprintf("obs: metric %q has invalid label name %q", name, l))
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.byName[name]; ok {
-		if f.typ != typ || len(f.labels) != len(labels) {
+		if f.typ != typ || !slices.Equal(f.labels, labels) {
 			panic(fmt.Sprintf("obs: metric %q re-registered with different type or labels", name))
 		}
 		return f
@@ -80,6 +90,26 @@ func (r *Registry) register(name, help string, typ metricType, buckets []float64
 	r.families = append(r.families, f)
 	r.byName[name] = f
 	return f
+}
+
+// validName reports whether s is a Prometheus metric name
+// ([a-zA-Z_:][a-zA-Z0-9_:]*) or, without colon, a label name
+// ([a-zA-Z_][a-zA-Z0-9_]*), and is not one of the names starting with
+// "__" that Prometheus reserves.
+func validName(s string, colon bool) bool {
+	if s == "" || strings.HasPrefix(s, "__") {
+		return false
+	}
+	for i, c := range s {
+		switch {
+		case c == '_', 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z':
+		case c == ':' && colon:
+		case '0' <= c && c <= '9' && i > 0:
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 func (f *family) child(labelValues []string) *child {

@@ -76,10 +76,43 @@ func TestReregisterTypeMismatchPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	//spartanvet:ignore metricname distinct fresh registries per test; the panic on this mismatch is the behaviour under test
 	r.Counter("m", "h")
-	//spartanvet:ignore metricname same — the type-mismatch panic is the point
 	r.Gauge("m", "h")
+}
+
+// TestRegisterRejectsBadNames: every registration is checked against the
+// Prometheus name grammar, the reserved names, and the label names the
+// family was first registered with, so one test that builds the server
+// checks every family it registers, sampled or not.
+func TestRegisterRejectsBadNames(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		register func(r *Registry)
+	}{
+		{"bad metric name", func(r *Registry) { r.Counter("bad-name_total", "h") }},
+		{"leading digit", func(r *Registry) { r.Gauge("1m", "h") }},
+		{"reserved metric name", func(r *Registry) { r.Counter("__m_total", "h") }},
+		{"le label", func(r *Registry) { r.Histogram("h_seconds", "h", nil, "route", "le") }},
+		{"reserved label", func(r *Registry) { r.Counter("m_total", "h", "__x") }},
+		{"colon in label", func(r *Registry) { r.Counter("m_total", "h", "a:b") }},
+		{"swapped label names", func(r *Registry) {
+			r.Counter("m_total", "h", "a", "b")
+			r.Counter("m_total", "h", "b", "a")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("registration did not panic")
+				}
+			}()
+			tc.register(NewRegistry())
+		})
+	}
+	// The grammar's edges are accepted.
+	r := NewRegistry()
+	r.Counter("ns:sub_m_total", "h", "_a", "B9")
+	r.Counter("ns:sub_m_total", "h", "_a", "B9")
 }
 
 func TestLabelArityPanics(t *testing.T) {
@@ -89,7 +122,6 @@ func TestLabelArityPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	//spartanvet:ignore metricname fresh registry; label-arity panic is the behaviour under test
 	r.Counter("m", "h", "a", "b").Inc("only-one")
 }
 

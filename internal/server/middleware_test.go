@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"strings"
 	"testing"
@@ -126,26 +127,64 @@ func TestAccessLogFields(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint drives one full /compress through the real handler
-// stack and asserts /metrics then serves valid exposition text with the
-// acceptance-criteria metric families present.
+// metricFamilies is every family the server registers: newMetrics's
+// and obs.NewSpanObserver's.
+var metricFamilies = []string{
+	"spartan_http_requests_total",
+	"spartan_http_request_duration_seconds",
+	"spartan_http_in_flight_requests",
+	"spartan_http_panics_total",
+	"spartan_http_response_bytes_total",
+	"spartan_compress_ratio",
+	"spartan_compress_predicted_attributes",
+	"spartan_compress_tolerance",
+	"spartan_compress_raw_bytes_total",
+	"spartan_compress_compressed_bytes_total",
+	"spartan_http_rejected_total",
+	"spartan_pipelines_in_flight",
+	"spartan_query_segments_total",
+	"spartan_phase_duration_seconds",
+	"spartan_phase_alloc_bytes",
+	"spartan_phase_allocs",
+}
+
+// TestMetricsEndpoint drives every metric update site the routes reach
+// once — /compress, /decompress, a pruned archive /query, /healthz and
+// an oversized body — and asserts each answer's status, then that
+// /metrics serves valid exposition text holding every family but the
+// panic counter. The middleware recovers a panic (a label-arity mismatch
+// at an update site, say) as a 500, so a stray spartan_http_panics_total
+// sample fails the test too. The overload tests assert the other
+// rejection reasons.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(New(WithLogger(discardLogger())))
+	const maxBody = 1 << 20
+	srv := httptest.NewServer(New(WithLogger(discardLogger()), WithMaxBodyBytes(maxBody)))
 	defer srv.Close()
 
-	tb := datagen.CDR(1200, 7)
-	var buf bytes.Buffer
-	if err := table.WriteBinary(&buf, tb); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/compress?tolerance=0.01", "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body) // draining only; the asserts below are on the status
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compress status = %d", resp.StatusCode)
+	compressed := monotonicArchive(t, srv) // POST /compress?segment-rows=500
+	for _, req := range []struct {
+		method, path string
+		body         []byte
+		want         int
+	}{
+		{"POST", "/decompress", compressed, http.StatusOK},
+		{"POST", "/query?agg=count&where=" + url.QueryEscape("v >= 1500"), compressed, http.StatusOK},
+		{"GET", "/healthz", nil, http.StatusOK},
+		{"POST", "/decompress", make([]byte, maxBody+1), http.StatusRequestEntityTooLarge},
+	} {
+		hreq, err := http.NewRequest(req.method, srv.URL+req.path, bytes.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatalf("%s %s: %v", req.method, req.path, err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body) // draining only; the asserts are on the status
+		resp.Body.Close()
+		if resp.StatusCode != req.want {
+			t.Errorf("%s %s: status %d, want %d", req.method, req.path, resp.StatusCode, req.want)
+		}
 	}
 
 	mresp, err := http.Get(srv.URL + "/metrics")
@@ -162,17 +201,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	out := string(body)
 
+	for _, name := range metricFamilies {
+		present := strings.Contains(out, "# TYPE "+name+" ")
+		if want := name != "spartan_http_panics_total"; present != want {
+			t.Errorf("/metrics has family %s: %v, want %v", name, present, want)
+		}
+	}
 	for _, want := range []string{
 		`spartan_http_requests_total{route="/compress",code="200"} 1`,
-		`spartan_http_request_duration_seconds_bucket{route="/compress",le="+Inf"} 1`,
-		"spartan_http_in_flight_requests",
+		`spartan_http_requests_total{route="/decompress",code="413"} 1`,
+		`spartan_http_request_duration_seconds_bucket{route="/query",le="+Inf"} 1`,
 		"spartan_compress_ratio_count 1",
-		"spartan_compress_predicted_attributes_count 1",
-		`spartan_compress_tolerance_bucket{le="0.01"} 1`,
+		`spartan_compress_tolerance_bucket{le="0"} 1`,
+		`spartan_http_rejected_total{reason="body_too_large"} 1`,
+		`spartan_query_segments_total{result="decoded"} 1`,
+		`spartan_query_segments_total{result="pruned"} 3`,
 		`spartan_phase_duration_seconds_count{trace="compress",phase="dependency_finder"} 1`,
-		`spartan_phase_duration_seconds_count{trace="compress",phase="encode"} 1`,
-		"spartan_compress_raw_bytes_total",
-		"spartan_compress_compressed_bytes_total",
+		`spartan_phase_duration_seconds_count{trace="query",phase="aggregate"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -180,7 +225,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Minimal exposition-format validity: every non-comment line is
-	// "name{labels} value" and every HELP has a TYPE.
+	// "name{labels} value".
 	lineRE := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$`)
 	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {

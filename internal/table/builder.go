@@ -42,7 +42,8 @@ func MustBuilder(schema Schema) *Builder {
 }
 
 // AppendRow appends one tuple. Each value must be a float64 for numeric
-// attributes or a string for categorical attributes.
+// attributes, finite and within float32 range, or a string for
+// categorical attributes. A failed append leaves the builder unchanged.
 func (b *Builder) AppendRow(values ...any) error {
 	if len(values) != len(b.schema) {
 		return fmt.Errorf("table: row has %d values, schema has %d", len(values), len(b.schema))
@@ -55,8 +56,10 @@ func (b *Builder) AppendRow(values ...any) error {
 			if !ok {
 				return fmt.Errorf("table: attribute %q wants numeric, got %T", b.schema[i].Name, v)
 			}
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return fmt.Errorf("table: attribute %q value is not finite", b.schema[i].Name)
+			// Cells are stored as float32 (below), so a finite float64
+			// that rounds to ±Inf is refused too.
+			if g := float64(float32(f)); math.IsNaN(g) || math.IsInf(g, 0) {
+				return fmt.Errorf("table: attribute %q value %g is not a finite float32", b.schema[i].Name, f)
 			}
 		case Categorical:
 			if _, ok := v.(string); !ok {

@@ -73,6 +73,38 @@ func TestBuilderRejectsWrongTypes(t *testing.T) {
 	}
 }
 
+// TestBuilderRefusesFloat32Overflow: cells are stored as float32, so a
+// finite float64 that rounds to ±Inf is refused at AppendRow, naming the
+// attribute, instead of passing and failing Build later.
+func TestBuilderRefusesFloat32Overflow(t *testing.T) {
+	b := MustBuilder(Schema{{Name: "x", Kind: Numeric}})
+	for _, v := range []float64{1e308, -1e308} {
+		if err := b.AppendRow(v); err == nil || !strings.Contains(err.Error(), `"x"`) {
+			t.Errorf("AppendRow(%g) = %v, want an error naming attribute x", v, err)
+		}
+	}
+	if b.NumRows() != 0 {
+		t.Fatalf("refused appends left %d rows in the builder", b.NumRows())
+	}
+	for _, v := range []float64{math.MaxFloat32, -math.MaxFloat32} {
+		if err := b.AppendRow(v); err != nil {
+			t.Errorf("AppendRow(%g): %v", v, err)
+		}
+	}
+	tb, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Float(1, 0); got != -math.MaxFloat32 {
+		t.Errorf("Float(1,0) = %g, want %g", got, -math.MaxFloat32)
+	}
+
+	_, err = ReadCSV(strings.NewReader("dur\n1\n1e39\n"), nil)
+	if err == nil || !strings.Contains(err.Error(), `"dur"`) {
+		t.Errorf("ReadCSV of a 1e39 cell = %v, want an error naming attribute dur", err)
+	}
+}
+
 func TestBuilderAcceptsIntForNumeric(t *testing.T) {
 	b := MustBuilder(Schema{{Name: "x", Kind: Numeric}})
 	if err := b.AppendRow(7); err != nil {
