@@ -229,10 +229,11 @@ func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, 
 
 // QuerySpan is Query with cancellation and with its stages timed as
 // children of parent: "prune" for the zone-map checks, "decode" for the
-// frame reads, the parallel segment decode and the merge, and
-// "aggregate" for the evaluation. A nil parent records nothing. Once ctx
-// is done no further segment starts decoding, and the query fails with
-// ctx's error. After Close it fails with codec.ErrReaderClosed.
+// frame reads and the parallel segment decode, and "aggregate" for the
+// evaluation over the kept segments, which are queried where they lie
+// and never merged. A nil parent records nothing. Once ctx is done no
+// further segment starts decoding, and the query fails with ctx's error.
+// After Close it fails with codec.ErrReaderClosed.
 func (sr *SegReader) QuerySpan(ctx context.Context, parent *obs.Span, tol table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
 	if sr.NumSegments() == 0 {
 		return nil, nil, codec.ErrEmptyArchive
@@ -250,14 +251,14 @@ func (sr *SegReader) QuerySpan(ctx context.Context, parent *obs.Span, tol table.
 	}
 
 	decodeSpan := parent.StartChild("decode")
-	t, err := sr.keptTable(ctx, kept)
+	ts, err := sr.keptTables(ctx, kept)
 	decodeSpan.Finish()
 	if err != nil {
 		return nil, nil, err
 	}
 
 	aggSpan := parent.StartChild("aggregate")
-	res, err := query.RunScoped(t, tol, q, scope)
+	res, err := query.RunSegments(ts, tol, q, scope)
 	aggSpan.Finish()
 	if err != nil {
 		return nil, nil, err
@@ -327,21 +328,22 @@ func (sr *SegReader) prune(tol table.Tolerances, q query.Query) ([]int, *query.S
 	return kept, scope, stats, nil
 }
 
-// keptTable decodes and merges the kept segments. With none kept it is
-// an empty table with the archive schema, so query validation and group
+// keptTables decodes the kept segments. With none kept it is one empty
+// table with the archive schema, so query validation and group
 // synthesis still run.
-func (sr *SegReader) keptTable(ctx context.Context, kept []int) (*table.Table, error) {
+func (sr *SegReader) keptTables(ctx context.Context, kept []int) ([]*table.Table, error) {
 	tables, err := sr.ReadSegments(ctx, kept) // fails after Close even when nothing is kept
-	if err != nil {
-		return nil, err
-	}
-	if len(tables) > 0 {
-		return codec.Merge(tables)
+	if err != nil || len(tables) > 0 {
+		return tables, err
 	}
 	schema := sr.Schema()
 	cols := make([]*table.Column, len(schema))
 	for i, a := range schema {
 		cols[i] = &table.Column{Kind: a.Kind}
 	}
-	return table.New(schema, cols)
+	t, err := table.New(schema, cols)
+	if err != nil {
+		return nil, err
+	}
+	return []*table.Table{t}, nil
 }

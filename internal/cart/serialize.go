@@ -294,12 +294,24 @@ func putFloat32(bw *bufio.Writer, v float64) error {
 	return err
 }
 
+// readFloat32 reads the four little-endian bytes one ReadByte at a
+// time: a scratch array passed to Read through the byteReader interface
+// would escape, a heap allocation per value. Its errors are
+// io.ReadFull's: io.EOF before the first byte, io.ErrUnexpectedEOF
+// after it.
 func readFloat32(br byteReader) (float64, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return 0, err
+	var bits uint32
+	for i := 0; i < 4; i++ {
+		b, err := br.ReadByte()
+		if err != nil {
+			if err == io.EOF && i > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		bits |= uint32(b) << (8 * i)
 	}
-	return float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[:]))), nil
+	return float64(math.Float32frombits(bits)), nil
 }
 
 // byteReader is what the decoders read from. Readers that already have

@@ -293,15 +293,25 @@ type Reader struct {
 	closed bool
 }
 
-// Decode reads r to the end and decodes every segment into one table,
-// applying the default DecodeLimits. Read errors are wrapped with %w. An
+// Decode decodes every segment of the archive that r holds from its
+// current position to its end into one table, applying the default
+// DecodeLimits. An io.ReadSeeker at offset 0 is read in place; any other
+// reader is first read to the end, with read errors wrapped with %w. An
 // archive with zero segments returns ErrEmptyArchive.
 func Decode(r io.Reader) (*table.Table, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("codec: reading input: %w", err)
+	rs, ok := r.(io.ReadSeeker)
+	if ok {
+		off, err := rs.Seek(0, io.SeekCurrent)
+		ok = err == nil && off == 0
 	}
-	cr, err := Open(bytes.NewReader(data), DecodeLimits{})
+	if !ok {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, fmt.Errorf("codec: reading input: %w", err)
+		}
+		rs = bytes.NewReader(data)
+	}
+	cr, err := Open(rs, DecodeLimits{})
 	if err != nil {
 		return nil, err
 	}

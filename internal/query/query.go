@@ -25,7 +25,9 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/table"
 )
@@ -99,37 +101,67 @@ func (op CmpOp) String() string {
 
 // Predicate filters rows under three-valued logic.
 type Predicate interface {
-	eval(ctx *evalCtx, row int) tri
+	// fill sets out[r] to the predicate's verdict on row r of t, for
+	// every row of t; len(out) is t.NumRows().
+	fill(ctx *evalCtx, t *table.Table, out []tri)
 	// columns reports the referenced attribute names (for flip budgets
 	// and validation).
 	columns() []string
 }
 
+// evalCtx is what a query's evaluation shares across the tables it runs
+// on: one schema, the resolved tolerances and the dataset scope.
 type evalCtx struct {
-	t     *table.Table
-	tol   map[string]float64 // resolved tolerance per attribute name
-	cols  map[string]int     // name -> column index
-	scope *Scope             // nil when t is the whole dataset
+	ts     []*table.Table
+	schema table.Schema
+	tol    map[string]float64 // resolved tolerance per attribute name
+	cols   map[string]int     // name -> column index
+	scope  *Scope             // nil when ts is the whole dataset
 }
 
 // totalRows is the dataset-wide row count flip budgets scale with: the
-// scope's when t is a pruned subset, t's own otherwise.
+// scope's when ts is a pruned subset, the tables' own otherwise.
 func (c *evalCtx) totalRows() int {
 	if c.scope != nil && c.scope.TotalRows > 0 {
 		return c.scope.TotalRows
 	}
-	return c.t.NumRows()
+	n := 0
+	for _, t := range c.ts {
+		n += t.NumRows()
+	}
+	return n
 }
 
 // colBounds returns the dataset-wide value bounds of a numeric column:
-// the scope's when present, the observed column min/max otherwise.
+// the scope's when present, the observed min/max over ts otherwise.
 func (c *evalCtx) colBounds(column string) (lo, hi float64) {
 	if c.scope != nil {
 		if b, ok := c.scope.Ranges[column]; ok {
 			return b[0], b[1]
 		}
 	}
-	return c.t.Col(c.cols[column]).MinMax()
+	return observedBounds(c.ts, c.cols[column])
+}
+
+// observedBounds is the min/max of numeric column ci over the rows of
+// every table in ts, as if they were one table: (0, 0) when there are no
+// rows.
+func observedBounds(ts []*table.Table, ci int) (lo, hi float64) {
+	first := true
+	for _, t := range ts {
+		if t.NumRows() == 0 {
+			continue
+		}
+		l, h := t.Col(ci).MinMax()
+		if first || l < lo {
+			lo = l
+		}
+		if first || h > hi {
+			hi = h
+		}
+		first = false
+	}
+	return lo, hi
 }
 
 // Scope widens a query's frame of reference beyond the rows of the table
@@ -140,12 +172,12 @@ func (c *evalCtx) colBounds(column string) (lo, hi float64) {
 // the error bounds.
 type Scope struct {
 	// TotalRows is the archive-wide row count for categorical flip
-	// budgets; zero falls back to the table's own row count.
+	// budgets; zero falls back to the row count of the tables queried.
 	TotalRows int
 	// Ranges maps numeric attribute names to archive-wide [lo, hi] value
 	// bounds, used to resolve quantile tolerances and to bound what a
 	// flipped-in row could contribute. Attributes absent from the map
-	// fall back to the table's observed range.
+	// fall back to their observed range over the tables queried.
 	Ranges map[string][2]float64
 }
 
@@ -162,11 +194,17 @@ type numCmp struct {
 
 func (p *numCmp) columns() []string { return []string{p.column} }
 
-func (p *numCmp) eval(ctx *evalCtx, row int) tri {
-	ci := ctx.cols[p.column]
-	x := ctx.t.Float(row, ci)
+func (p *numCmp) fill(ctx *evalCtx, t *table.Table, out []tri) {
 	e := ctx.tol[p.column]
-	lo, hi := x-e, x+e // interval certain to contain the original value
+	for r, x := range t.Col(ctx.cols[p.column]).Floats {
+		out[r] = p.verdict(x, e)
+	}
+}
+
+// verdict compares the interval [x−e, x+e], certain to contain the
+// original value of a reconstructed x, against the constant.
+func (p *numCmp) verdict(x, e float64) tri {
+	lo, hi := x-e, x+e
 	switch p.op {
 	case Lt:
 		return intervalCmp(hi < p.value, lo >= p.value)
@@ -221,12 +259,19 @@ type catIn struct {
 
 func (p *catIn) columns() []string { return []string{p.column} }
 
-func (p *catIn) eval(ctx *evalCtx, row int) tri {
-	ci := ctx.cols[p.column]
-	if p.set[ctx.t.CatString(row, ci)] {
-		return yes
+// fill looks each dictionary code up in the value set once, then
+// indexes that verdict table by the column's codes.
+func (p *catIn) fill(ctx *evalCtx, t *table.Table, out []tri) {
+	col := t.Col(ctx.cols[p.column])
+	byCode := make([]tri, len(col.Dict))
+	for c, v := range col.Dict {
+		if p.set[v] {
+			byCode[c] = yes
+		}
 	}
-	return no
+	for r, c := range col.Codes {
+		out[r] = byCode[c]
+	}
 }
 
 // And conjoins predicates.
@@ -248,28 +293,29 @@ func (p *logical) columns() []string {
 	return out
 }
 
-func (p *logical) eval(ctx *evalCtx, row int) tri {
+func (p *logical) fill(ctx *evalCtx, t *table.Table, out []tri) {
 	if len(p.ps) == 0 {
+		v := yes
 		if p.or {
-			return no
+			v = no
 		}
-		return yes
+		for r := range out {
+			out[r] = v
+		}
+		return
 	}
-	acc := p.ps[0].eval(ctx, row)
+	p.ps[0].fill(ctx, t, out)
+	next := make([]tri, len(out))
 	for _, q := range p.ps[1:] {
-		if p.or {
-			acc = triOr(acc, q.eval(ctx, row))
-			if acc == yes {
-				return yes
-			}
-		} else {
-			acc = triAnd(acc, q.eval(ctx, row))
-			if acc == no {
-				return no
+		q.fill(ctx, t, next)
+		for r, v := range next {
+			if p.or {
+				out[r] = triOr(out[r], v)
+			} else {
+				out[r] = triAnd(out[r], v)
 			}
 		}
 	}
-	return acc
 }
 
 // Not negates a predicate.
@@ -277,8 +323,14 @@ func Not(p Predicate) Predicate { return &negation{p} }
 
 type negation struct{ p Predicate }
 
-func (n *negation) columns() []string          { return n.p.columns() }
-func (n *negation) eval(c *evalCtx, r int) tri { return triNot(n.p.eval(c, r)) }
+func (n *negation) columns() []string { return n.p.columns() }
+
+func (n *negation) fill(ctx *evalCtx, t *table.Table, out []tri) {
+	n.p.fill(ctx, t, out)
+	for r, v := range out {
+		out[r] = triNot(v)
+	}
+}
 
 // AggKind selects the aggregate function.
 type AggKind int
@@ -354,25 +406,52 @@ func Run(t *table.Table, tol table.Tolerances, q Query) (*Result, error) {
 // subset of a larger dataset (zone-map-refuted archive segments were
 // skipped), scope supplies the dataset-wide row count and value ranges
 // so the returned intervals still bound the answer the whole original
-// dataset would give. A nil scope behaves exactly like Run.
+// dataset would give. A nil scope behaves exactly like Run. It is
+// RunSegments on the one table t.
 func RunScoped(t *table.Table, tol table.Tolerances, q Query, scope *Scope) (*Result, error) {
-	if tol == nil {
-		tol = table.ZeroTolerances(t)
+	return RunSegments([]*table.Table{t}, tol, q, scope)
+}
+
+// RunSegments runs q over the rows of ts, taken in order, as one table:
+// the decoded segments of an archive are queried where they lie, without
+// being copied into one. The tables must share one schema, and more
+// than one table needs a scope, since segments are parts of a dataset
+// that the scope describes. Rows are visited in the order their
+// concatenation would hold them, so the result is identical to
+// RunScoped on that concatenation under the same scope. Attributes the
+// scope leaves out take their observed range over all of ts.
+func RunSegments(ts []*table.Table, tol table.Tolerances, q Query, scope *Scope) (*Result, error) {
+	if len(ts) == 0 {
+		return nil, fmt.Errorf("query: no table to run on")
 	}
-	resolved, err := resolveScoped(t, tol, scope)
+	if len(ts) > 1 && scope == nil {
+		return nil, fmt.Errorf("query: %d tables need a scope", len(ts))
+	}
+	schema := ts[0].Schema()
+	for i, t := range ts[1:] {
+		if !slices.Equal(t.Schema(), schema) {
+			return nil, fmt.Errorf("query: table %d's schema differs from table 0's", i+1)
+		}
+	}
+	if tol == nil {
+		tol = make(table.Tolerances, len(schema))
+	}
+	ctx := &evalCtx{
+		ts:     ts,
+		schema: schema,
+		tol:    make(map[string]float64, len(schema)),
+		cols:   make(map[string]int, len(schema)),
+		scope:  scope,
+	}
+	for i, a := range schema {
+		ctx.cols[a.Name] = i
+	}
+	resolved, err := resolveScoped(ctx, tol)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &evalCtx{
-		t:     t,
-		tol:   map[string]float64{},
-		cols:  map[string]int{},
-		scope: scope,
-	}
-	for i := 0; i < t.NumCols(); i++ {
-		name := t.Attr(i).Name
-		ctx.cols[name] = i
-		ctx.tol[name] = resolved[i].Value
+	for i, a := range schema {
+		ctx.tol[a.Name] = resolved[i].Value
 	}
 	if err := validate(ctx, q); err != nil {
 		return nil, err
@@ -381,55 +460,9 @@ func RunScoped(t *table.Table, tol table.Tolerances, q Query, scope *Scope) (*Re
 	// Categorical flip budget from predicate and group-by columns.
 	flips := flipBudget(ctx, q)
 
-	// Partition rows by group and match state.
-	type bucket struct {
-		key      string
-		def, unc []int
-	}
-	buckets := map[string]*bucket{}
-	order := []string{}
-	groupCol := -1
-	if q.GroupBy != "" {
-		groupCol = ctx.cols[q.GroupBy]
-	}
-	for r := 0; r < t.NumRows(); r++ {
-		m := yes
-		if q.Where != nil {
-			m = q.Where.eval(ctx, r)
-		}
-		if m == no {
-			continue
-		}
-		key := ""
-		if groupCol >= 0 {
-			key = t.CatString(r, groupCol)
-		}
-		b := buckets[key]
-		if b == nil {
-			b = &bucket{key: key}
-			buckets[key] = b
-			order = append(order, key)
-		}
-		if m == yes {
-			b.def = append(b.def, r)
-		} else {
-			b.unc = append(b.unc, r)
-		}
-	}
-	sort.Strings(order)
-
 	res := &Result{}
-	for _, key := range order {
-		b := buckets[key]
-		g, err := aggregate(ctx, q, b.key, b.def, b.unc, flips)
-		if err != nil {
-			return nil, err
-		}
-		res.Groups = append(res.Groups, g)
-	}
-	if len(res.Groups) == 0 && q.GroupBy == "" {
-		// An empty selection still yields one (empty) group.
-		g, err := aggregate(ctx, q, "", nil, nil, flips)
+	for _, b := range groupRows(ctx, q) {
+		g, err := aggregate(ctx, q, b, flips)
 		if err != nil {
 			return nil, err
 		}
@@ -438,26 +471,104 @@ func RunScoped(t *table.Table, tol table.Tolerances, q Query, scope *Scope) (*Re
 	return res, nil
 }
 
+// bucket is one group's matching rows: how many match definitely and
+// how many uncertainly, and, unless the query only counts, the
+// aggregated column's values on those rows in row order.
+type bucket struct {
+	key              string
+	def, unc         int
+	defVals, uncVals []float64
+}
+
+// groupRows evaluates q.Where over every table of ctx and puts each row
+// it does not refute into a bucket. Without GROUP BY there is exactly one
+// bucket, empty when nothing matches (an empty selection still yields
+// one group). With it there is one bucket per key of a matching row,
+// sorted by key, and a row finds its bucket through a slice indexed by
+// its group code; codes that share a string share a bucket.
+func groupRows(ctx *evalCtx, q Query) []*bucket {
+	valCol, groupCol := -1, -1
+	if q.Agg != Count {
+		valCol = ctx.cols[q.Column]
+	}
+	if q.GroupBy != "" {
+		groupCol = ctx.cols[q.GroupBy]
+	}
+	all := &bucket{}
+	byKey := map[string]*bucket{}
+	var match []tri
+	for _, t := range ctx.ts {
+		if q.Where != nil {
+			match = slices.Grow(match[:0], t.NumRows())[:t.NumRows()]
+			q.Where.fill(ctx, t, match)
+		}
+		var vals []float64
+		if valCol >= 0 {
+			vals = t.Col(valCol).Floats
+		}
+		var codes []int32
+		var dict []string
+		var byCode []*bucket
+		if groupCol >= 0 {
+			codes, dict = t.Col(groupCol).Codes, t.Col(groupCol).Dict
+			byCode = make([]*bucket, len(dict))
+		}
+		for r := 0; r < t.NumRows(); r++ {
+			m := yes
+			if q.Where != nil {
+				m = match[r]
+			}
+			if m == no {
+				continue
+			}
+			b := all
+			if groupCol >= 0 {
+				c := codes[r]
+				if b = byCode[c]; b == nil {
+					if b = byKey[dict[c]]; b == nil {
+						b = &bucket{key: dict[c]}
+						byKey[dict[c]] = b
+					}
+					byCode[c] = b
+				}
+			}
+			if m == yes {
+				b.def++
+				if vals != nil {
+					b.defVals = append(b.defVals, vals[r])
+				}
+			} else {
+				b.unc++
+				if vals != nil {
+					b.uncVals = append(b.uncVals, vals[r])
+				}
+			}
+		}
+	}
+	if groupCol < 0 {
+		return []*bucket{all}
+	}
+	out := make([]*bucket, 0, len(byKey))
+	for _, b := range byKey {
+		out = append(out, b)
+	}
+	slices.SortFunc(out, func(a, b *bucket) int { return strings.Compare(a.key, b.key) })
+	return out
+}
+
 // resolveScoped converts quantile tolerances to absolute bounds against
-// the scope's dataset-wide ranges where known, the table's observed
+// the scope's dataset-wide ranges where known, the tables' observed
 // ranges otherwise. Resolving against the widest range keeps the
 // absolute bound identical to what an unpruned run would use.
-func resolveScoped(t *table.Table, tol table.Tolerances, scope *Scope) (table.Tolerances, error) {
-	if scope == nil || scope.Ranges == nil {
-		return tol.Resolve(t)
-	}
-	ranges := make([]float64, t.NumCols())
-	for i := 0; i < t.NumCols(); i++ {
-		if t.Attr(i).Kind != table.Numeric {
-			continue
-		}
-		if b, ok := scope.Ranges[t.Attr(i).Name]; ok {
-			ranges[i] = b[1] - b[0]
-		} else {
-			ranges[i] = t.Col(i).Range()
+func resolveScoped(ctx *evalCtx, tol table.Tolerances) (table.Tolerances, error) {
+	ranges := make([]float64, len(ctx.schema))
+	for i, a := range ctx.schema {
+		if a.Kind == table.Numeric {
+			lo, hi := ctx.colBounds(a.Name)
+			ranges[i] = hi - lo
 		}
 	}
-	return tol.ResolveRanges(t.Schema(), ranges)
+	return tol.ResolveRanges(ctx.schema, ranges)
 }
 
 func validate(ctx *evalCtx, q Query) error {
@@ -474,7 +585,7 @@ func validate(ctx *evalCtx, q Query) error {
 		if err := check(q.Column); err != nil {
 			return err
 		}
-		if ctx.t.Attr(ctx.cols[q.Column]).Kind != table.Numeric {
+		if ctx.kind(q.Column) != table.Numeric {
 			return fmt.Errorf("query: %v needs a numeric column, %q is categorical", q.Agg, q.Column)
 		}
 	}
@@ -482,7 +593,7 @@ func validate(ctx *evalCtx, q Query) error {
 		if err := check(q.GroupBy); err != nil {
 			return err
 		}
-		if ctx.t.Attr(ctx.cols[q.GroupBy]).Kind != table.Categorical {
+		if ctx.kind(q.GroupBy) != table.Categorical {
 			return fmt.Errorf("query: GROUP BY needs a categorical column, %q is numeric", q.GroupBy)
 		}
 	}
@@ -491,13 +602,9 @@ func validate(ctx *evalCtx, q Query) error {
 			if err := check(name); err != nil {
 				return err
 			}
-			ci := ctx.cols[name]
-			// numCmp on categorical or CatIn on numeric are type errors.
-			// The predicate types enforce usage implicitly: NumCmp reads
-			// Float, CatIn reads CatString; verify kinds up front for
-			// clean errors instead of panics.
-			_ = ci
 		}
+		// NumCmp on a categorical column or CatIn on a numeric one would
+		// read the wrong slice; reject them up front with a clean error.
 		if err := checkPredicateKinds(ctx, q.Where); err != nil {
 			return err
 		}
@@ -505,14 +612,17 @@ func validate(ctx *evalCtx, q Query) error {
 	return nil
 }
 
+// kind is the attribute kind of a column known to exist.
+func (c *evalCtx) kind(column string) table.Kind { return c.schema[c.cols[column]].Kind }
+
 func checkPredicateKinds(ctx *evalCtx, p Predicate) error {
 	switch v := p.(type) {
 	case *numCmp:
-		if ctx.t.Attr(ctx.cols[v.column]).Kind != table.Numeric {
+		if ctx.kind(v.column) != table.Numeric {
 			return fmt.Errorf("query: numeric comparison on categorical column %q", v.column)
 		}
 	case *catIn:
-		if ctx.t.Attr(ctx.cols[v.column]).Kind != table.Categorical {
+		if ctx.kind(v.column) != table.Categorical {
 			return fmt.Errorf("query: categorical predicate on numeric column %q", v.column)
 		}
 	case *logical:
@@ -539,8 +649,7 @@ func flipBudget(ctx *evalCtx, q Query) int {
 			return
 		}
 		seen[name] = true
-		ci := ctx.cols[name]
-		if ctx.t.Attr(ci).Kind == table.Categorical {
+		if ctx.kind(name) == table.Categorical {
 			total += int(ctx.tol[name] * float64(ctx.totalRows()))
 		}
 	}
@@ -557,55 +666,50 @@ func flipBudget(ctx *evalCtx, q Query) int {
 
 // aggregate computes the point estimate and the sound interval for one
 // group.
-func aggregate(ctx *evalCtx, q Query, key string, def, unc []int, flips int) (Group, error) {
-	g := Group{Key: key, Rows: len(def), UncertainRows: len(unc) + flips}
+func aggregate(ctx *evalCtx, q Query, b *bucket, flips int) (Group, error) {
+	g := Group{Key: b.key, Rows: b.def, UncertainRows: b.unc + flips}
 	switch q.Agg {
 	case Count:
-		g.Value = float64(len(def))
-		g.Lo = math.Max(0, float64(len(def)-flips))
-		g.Hi = float64(len(def) + len(unc) + flips)
+		g.Value = float64(b.def)
+		g.Lo = math.Max(0, float64(b.def-flips))
+		g.Hi = float64(b.def + b.unc + flips)
 	case Sum:
-		sumInterval(ctx, q.Column, def, unc, flips, &g)
+		sumInterval(ctx, q.Column, b.defVals, b.uncVals, flips, &g)
 	case Avg:
 		var s Group
-		sumInterval(ctx, q.Column, def, unc, flips, &s)
-		cntLo := math.Max(0, float64(len(def)-flips))
-		cntHi := float64(len(def) + len(unc) + flips)
-		if len(def) == 0 {
+		sumInterval(ctx, q.Column, b.defVals, b.uncVals, flips, &s)
+		cntLo := math.Max(0, float64(b.def-flips))
+		cntHi := float64(b.def + b.unc + flips)
+		if b.def == 0 {
 			g.Value = math.NaN()
 		} else {
-			g.Value = s.Value / float64(len(def))
+			g.Value = s.Value / float64(b.def)
 		}
 		g.Lo, g.Hi = divideInterval(s.Lo, s.Hi, cntLo, cntHi)
 	case Min:
-		extremeInterval(ctx, q.Column, def, unc, flips, true, &g)
+		extremeInterval(ctx, q.Column, b.defVals, b.uncVals, flips, true, &g)
 	case Max:
-		extremeInterval(ctx, q.Column, def, unc, flips, false, &g)
+		extremeInterval(ctx, q.Column, b.defVals, b.uncVals, flips, false, &g)
 	default:
 		return g, fmt.Errorf("query: unknown aggregate %d", q.Agg)
 	}
 	return g, nil
 }
 
-// sumInterval fills g with the SUM estimate and bounds: definite rows
-// contribute their full value interval; uncertain rows contribute only
-// when that widens the bound; flip-budget rows may add or remove the
-// most extreme definite contributions.
-func sumInterval(ctx *evalCtx, column string, def, unc []int, flips int, g *Group) {
-	ci := ctx.cols[column]
+// sumInterval fills g with the SUM estimate and bounds over the definite
+// values def and the uncertain values unc: definite rows contribute
+// their full value interval; uncertain rows contribute only when that
+// widens the bound; flip-budget rows may add or remove the most extreme
+// definite contributions. With flips it sorts def in place.
+func sumInterval(ctx *evalCtx, column string, def, unc []float64, flips int, g *Group) {
 	e := ctx.tol[column]
-	col := ctx.t.Col(ci)
 	sum, lo, hi := 0.0, 0.0, 0.0
-	var defVals []float64
-	for _, r := range def {
-		v := col.Floats[r]
+	for _, v := range def {
 		sum += v
 		lo += v - e
 		hi += v + e
-		defVals = append(defVals, v)
 	}
-	for _, r := range unc {
-		v := col.Floats[r]
+	for _, v := range unc {
 		lo += math.Min(0, v-e)
 		hi += math.Max(0, v+e)
 	}
@@ -615,14 +719,14 @@ func sumInterval(ctx *evalCtx, column string, def, unc []int, flips int, g *Grou
 	// values for removals.
 	if flips > 0 {
 		tLo, tHi := ctx.colBounds(column)
-		sort.Float64s(defVals)
+		sort.Float64s(def)
 		for i := 0; i < flips; i++ {
 			lo += math.Min(0, tLo-e)
 			hi += math.Max(0, tHi+e)
 			// Removal of the largest/smallest member values.
-			if i < len(defVals) {
-				hiVal := defVals[len(defVals)-1-i]
-				loVal := defVals[i]
+			if i < len(def) {
+				hiVal := def[len(def)-1-i]
+				loVal := def[i]
 				lo -= math.Max(0, hiVal+e) // removing a large positive shrinks the sum
 				hi -= math.Min(0, loVal-e) // removing a negative grows the sum
 			}
@@ -652,11 +756,11 @@ func divideInterval(sLo, sHi, cLo, cHi float64) (float64, float64) {
 	return lo, hi
 }
 
-// extremeInterval fills g for MIN (isMin) or MAX.
-func extremeInterval(ctx *evalCtx, column string, def, unc []int, flips int, isMin bool, g *Group) {
-	ci := ctx.cols[column]
+// extremeInterval fills g for MIN (isMin) or MAX over the definite
+// values def and the uncertain values unc. With flips it sorts def in
+// place.
+func extremeInterval(ctx *evalCtx, column string, def, unc []float64, flips int, isMin bool, g *Group) {
 	e := ctx.tol[column]
-	col := ctx.t.Col(ci)
 	if len(def) == 0 && len(unc) == 0 {
 		g.Value, g.Lo, g.Hi = math.NaN(), math.NaN(), math.NaN()
 		return
@@ -665,8 +769,7 @@ func extremeInterval(ctx *evalCtx, column string, def, unc []int, flips int, isM
 	if !isMin {
 		best = math.Inf(-1)
 	}
-	for _, r := range def {
-		v := col.Floats[r]
+	for _, v := range def {
 		if isMin {
 			best = math.Min(best, v)
 		} else {
@@ -680,8 +783,7 @@ func extremeInterval(ctx *evalCtx, column string, def, unc []int, flips int, isM
 	// Bounds: uncertain/flipped rows can push the extreme outward but a
 	// definite extreme limits how far inward it can be.
 	outward := best
-	for _, r := range unc {
-		v := col.Floats[r]
+	for _, v := range unc {
 		if isMin {
 			outward = math.Min(outward, v)
 		} else {
@@ -696,41 +798,25 @@ func extremeInterval(ctx *evalCtx, column string, def, unc []int, flips int, isM
 			outward = math.Max(outward, tHi)
 		}
 	}
+	if flips > 0 && len(def) > 0 {
+		sort.Float64s(def)
+	}
 	if isMin {
 		g.Lo = outward - e
 		g.Hi = best + e
 		if flips > 0 && len(def) > 0 {
 			// The current minimum row might be a flip mistake; the true
 			// minimum could be as high as the (flips+1)-th smallest.
-			vals := sortedColumnValues(col, def)
-			idx := flips
-			if idx >= len(vals) {
-				idx = len(vals) - 1
-			}
-			g.Hi = vals[idx] + e
+			g.Hi = def[min(flips, len(def)-1)] + e
 		}
 	} else {
 		g.Lo = best - e
 		g.Hi = outward + e
 		if flips > 0 && len(def) > 0 {
-			vals := sortedColumnValues(col, def)
-			idx := len(vals) - 1 - flips
-			if idx < 0 {
-				idx = 0
-			}
-			g.Lo = vals[idx] - e
+			g.Lo = def[max(len(def)-1-flips, 0)] - e
 		}
 	}
 	if math.IsNaN(g.Value) {
 		g.Lo, g.Hi = math.NaN(), math.NaN()
 	}
-}
-
-func sortedColumnValues(col *table.Column, rows []int) []float64 {
-	vals := make([]float64, len(rows))
-	for i, r := range rows {
-		vals[i] = col.Floats[r]
-	}
-	sort.Float64s(vals)
-	return vals
 }
