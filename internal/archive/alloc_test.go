@@ -2,8 +2,12 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/query"
@@ -88,4 +92,75 @@ func TestDecodeAllocationsDoNotGrowWithRows(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDecodeAllocatesColumnsOnce pins that decoding builds each column
+// once: a one-segment 32k-row CDR archive may allocate its decoded
+// columns, the inflated T′ and a fixed slack, and the slack is smaller
+// than the predicted columns, so allocating any predicted column a
+// second time (a placeholder, or a copy) fails.
+func TestDecodeAllocatesColumnsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumented appends allocate a copy of each buffer they grow")
+	}
+	const rows = 32000
+	tb := datagen.CDR(rows, 1)
+	var buf bytes.Buffer
+	st, err := core.Compress(&buf, tb, core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	cr, err := codec.Open(bytes.NewReader(data), codec.DecodeLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The body ends with T′'s gzip trailer, whose last four bytes
+	// (ISIZE) are the inflated T′'s length.
+	seg := cr.Info(0)
+	tprime := uint64(binary.LittleEndian.Uint32(data[seg.Offset+seg.Length-4:]))
+	var columns, predicted uint64
+	for i := 0; i < tb.NumCols(); i++ {
+		size := uint64(rows) * 8
+		if tb.Attr(i).Kind == table.Categorical {
+			size = rows * 4
+		}
+		columns += size
+		if slices.Contains(st.Predicted, tb.Attr(i).Name) {
+			predicted += size
+		}
+	}
+	var allocated uint64
+	for i := 0; i < 3; i++ { // the least of three runs: a GC mid-run allocates too
+		delta := allocDelta(func() {
+			if _, err := core.Decompress(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if i == 0 || delta < allocated {
+			allocated = delta
+		}
+	}
+	// What else a decode allocates: the frame the reader copies (141 KB
+	// here), gzip's inflater, the model block and the flattened trees.
+	// 310 KB measured (linux/amd64, go1.24).
+	const slack = 400 << 10
+	if slack >= predicted {
+		t.Fatalf("slack %d must stay under the predicted columns' %d bytes", slack, predicted)
+	}
+	t.Logf("allocated %d bytes: columns %d (predicted %d), inflated T′ %d, rest %d",
+		allocated, columns, predicted, tprime, int64(allocated)-int64(columns+tprime))
+	if allocated > columns+tprime+slack {
+		t.Errorf("decode allocated %d bytes, want ≤ %d (columns) + %d (T′) + %d", allocated, columns, tprime, slack)
+	}
+}
+
+// allocDelta runs f and reports how many bytes it allocated.
+func allocDelta(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

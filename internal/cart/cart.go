@@ -15,6 +15,7 @@ package cart
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/table"
@@ -40,14 +41,6 @@ type Node struct {
 	CatValue int32   // predicted code (classification)
 }
 
-// route returns the child a row falls into.
-func (n *Node) route(t *table.Table, row int) *Node {
-	if n.takeLeft(t, row) {
-		return n.Left
-	}
-	return n.Right
-}
-
 func (n *Node) takeLeft(t *table.Table, row int) bool {
 	if n.SplitIsCat {
 		code := t.Code(row, n.SplitAttr)
@@ -69,6 +62,111 @@ func containsCode(sorted []int32, c int32) bool {
 	return lo < len(sorted) && sorted[lo] == c
 }
 
+// flatTree is a tree laid out in preorder as one array, each split bound
+// to its column of one table: a node's left child follows it and right
+// indexes the other, and a walk reads the split column's values directly.
+type flatTree []flatNode
+
+// Node kinds of a flatTree.
+const (
+	flatLeaf uint8 = iota
+	flatNum        // left when floats[r] <= value
+	flatBits       // left when codes[r]'s bit is set in bits
+	flatSet        // left when codes[r] is in the sorted set
+)
+
+type flatNode struct {
+	kind   uint8
+	right  int32
+	code   int32     // a categorical leaf's prediction
+	value  float64   // a numeric split's threshold, or a numeric leaf's prediction
+	floats []float64 // a numeric split's column
+	codes  []int32   // a categorical split's column
+	bits   []uint64
+	set    []int32
+}
+
+// flatten lays the tree out over cols, a table's columns by attribute
+// index. It runs once per pass over a table rather than being cached on
+// m: segments decode concurrently against one shared model.
+func (m *Model) flatten(cols []*table.Column) flatTree {
+	f := make(flatTree, 0, m.NumNodes())
+	var add func(n *Node)
+	add = func(n *Node) {
+		i := len(f)
+		f = append(f, flatNode{kind: flatLeaf, value: n.NumValue, code: n.CatValue})
+		if n.Leaf {
+			return
+		}
+		fn := flatNode{kind: flatNum, value: n.SplitValue, floats: cols[n.SplitAttr].Floats}
+		if n.SplitIsCat {
+			fn = catSplit(n.SplitLeft, cols[n.SplitAttr].Codes)
+		}
+		add(n.Left)
+		fn.right = int32(len(f))
+		f[i] = fn
+		add(n.Right)
+	}
+	add(m.Root)
+	return f
+}
+
+// catSplit tests a categorical split against a bitmap of its left codes,
+// but only when the bitmap is no larger than the set: a split on a huge
+// code keeps the sorted search, so memory stays linear in the model. A
+// set that is not sorted and non-negative, as the builder writes it,
+// keeps the search too, which a bitmap would answer differently.
+func catSplit(left, codes []int32) flatNode {
+	n := flatNode{kind: flatSet, codes: codes, set: left}
+	if len(left) == 0 || left[0] < 0 || !slices.IsSorted(left) {
+		return n
+	}
+	words := int(left[len(left)-1])/64 + 1
+	if words > len(left)+1 {
+		return n
+	}
+	n.kind, n.bits = flatBits, make([]uint64, words)
+	for _, c := range left {
+		n.bits[c/64] |= 1 << (c % 64)
+	}
+	return n
+}
+
+// predict returns the tree's raw prediction for row r (before outlier
+// substitution).
+func (f flatTree) predict(r int) (float64, int32) {
+	i := 0
+	for {
+		n := &f[i]
+		var left bool
+		switch n.kind {
+		case flatLeaf:
+			return n.value, n.code
+		case flatNum:
+			left = n.floats[r] <= n.value
+		case flatBits:
+			c := uint32(n.codes[r])
+			left = c/64 < uint32(len(n.bits)) && n.bits[c/64]&(1<<(c%64)) != 0
+		default:
+			left = containsCode(n.set, n.codes[r])
+		}
+		if left {
+			i++
+		} else {
+			i = int(n.right)
+		}
+	}
+}
+
+// columns returns t's columns by attribute index.
+func columns(t *table.Table) []*table.Column {
+	cols := make([]*table.Column, t.NumCols())
+	for i := range cols {
+		cols[i] = t.Col(i)
+	}
+	return cols
+}
+
 // Outlier records a row whose predicted value violates the tolerance; the
 // exact value is stored in the compressed output.
 type Outlier struct {
@@ -86,16 +184,6 @@ type Model struct {
 	// contains every row violating the absolute bound; for categorical
 	// targets it contains misclassified rows beyond the probability budget.
 	Outliers []Outlier
-}
-
-// PredictRow returns the model's raw prediction for one row of t (before
-// outlier substitution).
-func (m *Model) PredictRow(t *table.Table, row int) (float64, int32) {
-	n := m.Root
-	for !n.Leaf {
-		n = n.route(t, row)
-	}
-	return n.NumValue, n.CatValue
 }
 
 // UsedPredictors returns the sorted set of attribute indices that actually

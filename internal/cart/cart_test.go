@@ -73,7 +73,7 @@ func TestPaperExample11Classification(t *testing.T) {
 	}
 	// Reconstruction must be exact (tolerance 0 means all misclassified
 	// rows are stored).
-	rec := m.Reconstruct(tb, tb.Col(colCredit).Dict)
+	rec := reconstruct(m, tb)
 	for r := 0; r < tb.NumRows(); r++ {
 		if rec.Codes[r] != tb.Col(colCredit).Codes[r] {
 			t.Errorf("row %d: reconstructed credit %d != %d",
@@ -100,7 +100,7 @@ func TestPaperExample11Regression(t *testing.T) {
 		t.Errorf("assets model stores %d values, paper achieves 6\n%s", got, m)
 	}
 	// Every reconstructed value is within tolerance.
-	rec := m.Reconstruct(tb, nil)
+	rec := reconstruct(m, tb)
 	for r := 0; r < tb.NumRows(); r++ {
 		if d := math.Abs(rec.Floats[r] - tb.Float(r, colAssets)); d > 25000 {
 			t.Errorf("row %d: |err| = %g > 25000", r, d)
@@ -164,7 +164,7 @@ func TestRegressionErrorGuaranteeProperty(t *testing.T) {
 		if err := m.ComputeOutliers(tb, tol); err != nil {
 			return false
 		}
-		rec := m.Reconstruct(tb, nil)
+		rec := reconstruct(m, tb)
 		for r := 0; r < tb.NumRows(); r++ {
 			if math.Abs(rec.Floats[r]-tb.Float(r, 1)) > tol+1e-9 {
 				return false
@@ -190,7 +190,7 @@ func TestClassificationErrorGuaranteeProperty(t *testing.T) {
 		if err := m.ComputeOutliers(tb, tol); err != nil {
 			return false
 		}
-		rec := m.Reconstruct(tb, tb.Col(2).Dict)
+		rec := reconstruct(m, tb)
 		wrong := 0
 		for r := 0; r < tb.NumRows(); r++ {
 			if rec.Codes[r] != tb.Col(2).Codes[r] {
@@ -219,7 +219,7 @@ func TestSampleBuildFullApply(t *testing.T) {
 	if err := m.ComputeOutliers(full, tol); err != nil {
 		t.Fatal(err)
 	}
-	rec := m.Reconstruct(full, nil)
+	rec := reconstruct(m, full)
 	for r := 0; r < full.NumRows(); r++ {
 		if math.Abs(rec.Floats[r]-full.Float(r, 1)) > tol {
 			t.Fatalf("row %d violates tolerance after outlier pass", r)
@@ -299,7 +299,7 @@ func TestLosslessToleranceZero(t *testing.T) {
 	if err := m.ComputeOutliers(tb, 0); err != nil {
 		t.Fatal(err)
 	}
-	rec := m.Reconstruct(tb, nil)
+	rec := reconstruct(m, tb)
 	for r := 0; r < tb.NumRows(); r++ {
 		if !floats.SameBits(rec.Floats[r], tb.Float(r, 1)) {
 			t.Fatalf("lossless reconstruction differs at row %d", r)
@@ -320,7 +320,7 @@ func TestPruneModesAgreeOnGuarantee(t *testing.T) {
 		if err := m.ComputeOutliers(tb, tol); err != nil {
 			t.Fatal(err)
 		}
-		rec := m.Reconstruct(tb, nil)
+		rec := reconstruct(m, tb)
 		for r := 0; r < tb.NumRows(); r++ {
 			if math.Abs(rec.Floats[r]-tb.Float(r, 1)) > tol {
 				t.Fatalf("mode %d: row %d violates tolerance", mode, r)
@@ -396,8 +396,8 @@ func TestModelEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		// Predictions must agree row by row.
 		for r := 0; r < tb.NumRows(); r++ {
-			f1, c1 := m.PredictRow(tb, r)
-			f2, c2 := got.PredictRow(tb, r)
+			f1, c1 := predictRef(m, tb, r)
+			f2, c2 := predictRef(got, tb, r)
 			if !floats.SameBits(f1, f2) || c1 != c2 {
 				t.Fatalf("row %d prediction differs after round trip", r)
 			}

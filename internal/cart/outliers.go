@@ -44,6 +44,7 @@ func (m *Model) ComputeOutliersBudget(full *table.Table, tol float64, perClass m
 // leaving the model's outlier list in an unspecified but safe state.
 func (m *Model) ComputeOutliersBudgetContext(ctx context.Context, full *table.Table, tol float64, perClass map[int32]float64) error {
 	m.Outliers = m.Outliers[:0]
+	f := m.flatten(columns(full))
 	switch m.TargetKind {
 	case table.Numeric:
 		col := full.Col(m.Target)
@@ -55,7 +56,7 @@ func (m *Model) ComputeOutliersBudgetContext(ctx context.Context, full *table.Ta
 				return fmt.Errorf("cart: outlier scan: %w", err)
 			}
 			for r, end := base, minRow(base+scanBatchRows, full.NumRows()); r < end; r++ {
-				pred, _ := m.PredictRow(full, r)
+				pred, _ := f.predict(r)
 				actual := col.Floats[r]
 				if diff := actual - pred; diff > tol || diff < -tol {
 					m.Outliers = append(m.Outliers, Outlier{Row: r, Num: actual})
@@ -73,7 +74,7 @@ func (m *Model) ComputeOutliersBudgetContext(ctx context.Context, full *table.Ta
 				return fmt.Errorf("cart: outlier scan: %w", err)
 			}
 			for r, end := base, minRow(base+scanBatchRows, full.NumRows()); r < end; r++ {
-				_, pred := m.PredictRow(full, r)
+				_, pred := f.predict(r)
 				if actual := col.Codes[r]; actual != pred {
 					wrong = append(wrong, Outlier{Row: r, Code: actual})
 				}
@@ -124,12 +125,13 @@ func minRow(a, b int) int {
 // subtracted. Selectors use this on a holdout sample for honest
 // prediction-cost estimates.
 func (m *Model) CountViolations(t *table.Table, tol float64) int {
+	f := m.flatten(columns(t))
 	switch m.TargetKind {
 	case table.Numeric:
 		col := t.Col(m.Target)
 		n := 0
 		for r := 0; r < t.NumRows(); r++ {
-			pred, _ := m.PredictRow(t, r)
+			pred, _ := f.predict(r)
 			if diff := col.Floats[r] - pred; diff > tol || diff < -tol {
 				n++
 			}
@@ -139,7 +141,7 @@ func (m *Model) CountViolations(t *table.Table, tol float64) int {
 		col := t.Col(m.Target)
 		wrong := 0
 		for r := 0; r < t.NumRows(); r++ {
-			_, pred := m.PredictRow(t, r)
+			_, pred := f.predict(r)
 			if col.Codes[r] != pred {
 				wrong++
 			}
@@ -152,29 +154,26 @@ func (m *Model) CountViolations(t *table.Table, tol float64) int {
 	}
 }
 
-// Reconstruct materializes the predicted column for the full table:
-// model predictions with outliers substituted. The returned column has the
-// same kind and (for categorical targets) shares the target dictionary of
-// the reference table.
-func (m *Model) Reconstruct(predictorData *table.Table, dict []string) *table.Column {
-	n := predictorData.NumRows()
-	out := &table.Column{Kind: m.TargetKind, Dict: dict}
+// Reconstruct fills the model's target column, cols[m.Target], with its
+// predictions over the predictor columns in cols (a table's columns by
+// attribute index) and patches in its outliers. The caller allocates the
+// target column with the table's row count.
+func (m *Model) Reconstruct(cols []*table.Column) {
+	f := m.flatten(cols)
+	out := cols[m.Target]
 	if m.TargetKind == table.Numeric {
-		out.Floats = make([]float64, n)
-		for r := 0; r < n; r++ {
-			out.Floats[r], _ = m.PredictRow(predictorData, r)
+		for r := range out.Floats {
+			out.Floats[r], _ = f.predict(r)
 		}
 		for _, o := range m.Outliers {
 			out.Floats[o.Row] = o.Num
 		}
-		return out
+		return
 	}
-	out.Codes = make([]int32, n)
-	for r := 0; r < n; r++ {
-		_, out.Codes[r] = m.PredictRow(predictorData, r)
+	for r := range out.Codes {
+		_, out.Codes[r] = f.predict(r)
 	}
 	for _, o := range m.Outliers {
 		out.Codes[o.Row] = o.Code
 	}
-	return out
 }

@@ -303,31 +303,16 @@ func DecodeModelBlock(data []byte, lim DecodeLimits) (*ModelBlock, error) {
 	return mb, nil
 }
 
-// DecodeBody decodes one body written by EncodeBody against mb and
-// reports how many bytes of r it logically occupied — read-ahead the
-// decoder buffered but never interpreted is excluded. The container
-// reader uses the count to verify a body fills its frame exactly: a
-// shorter body means the frame carries trailing bytes no decoder reads.
-// Bodies that claim more than lim allows — or more rows than their T'
-// payload could possibly deliver — fail early with a descriptive error
-// instead of allocating.
-func (mb *ModelBlock) DecodeBody(r io.Reader, lim DecodeLimits) (*table.Table, int64, error) {
-	cr := &countingReader{r: r}
-	br := bufio.NewReader(cr)
-	t, err := mb.readBody(br, lim.withDefaults())
-	return t, cr.n - int64(br.Buffered()), err
-}
-
-// countingReader counts the bytes drawn from the underlying reader.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+// DecodeBody decodes one body written by EncodeBody against mb from the
+// front of frame and reports how many bytes of frame the body occupies.
+// The container reader passes a segment's whole frame and uses the count
+// to verify the body fills it exactly: a shorter body means the frame
+// carries trailing bytes no decoder reads. Bodies that claim more than
+// lim allows — or more rows than their T' payload could possibly deliver
+// — fail early with a descriptive error instead of allocating.
+func (mb *ModelBlock) DecodeBody(frame []byte, lim DecodeLimits) (*table.Table, int, error) {
+	t, rest, err := mb.readBody(frame, lim.withDefaults())
+	return t, len(frame) - len(rest), err
 }
 
 // byteReader is what the section decoders read from.
@@ -426,16 +411,16 @@ func readModelBlock(br byteReader, lim DecodeLimits) (*ModelBlock, error) {
 	return mb, nil
 }
 
-// readBody reads one body and reconstructs its table. lim has its
-// defaults.
-func (mb *ModelBlock) readBody(br *bufio.Reader, lim DecodeLimits) (*table.Table, error) {
-	ncols := len(mb.Schema)
+// readBody reads one body from the front of frame, reconstructs its
+// table and returns the bytes after it. lim has its defaults.
+func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits) (*table.Table, []byte, error) {
+	br := bytes.NewReader(frame)
 	nrowsU, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("codec: reading row count: %w", err)
+		return nil, nil, fmt.Errorf("codec: reading row count: %w", err)
 	}
 	if nrowsU > lim.MaxRows {
-		return nil, fmt.Errorf("codec: row count %d exceeds limit %d", nrowsU, lim.MaxRows)
+		return nil, nil, fmt.Errorf("codec: row count %d exceeds limit %d", nrowsU, lim.MaxRows)
 	}
 	nrows := int(nrowsU)
 
@@ -444,17 +429,17 @@ func (mb *ModelBlock) readBody(br *bufio.Reader, lim DecodeLimits) (*table.Table
 	// into a column.
 	outPayload, err := readChecked(br, "outliers", lim)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	or := bytes.NewReader(outPayload)
 	outliers := make([][]cart.Outlier, len(mb.Models))
 	for i, m := range mb.Models {
 		if outliers[i], err = cart.DecodeOutliers(or, m.TargetKind, nrows, len(mb.Dicts[m.Target])); err != nil {
-			return nil, fmt.Errorf("codec: model %d outliers: %w", i, err)
+			return nil, nil, fmt.Errorf("codec: model %d outliers: %w", i, err)
 		}
 	}
 	if or.Len() != 0 {
-		return nil, fmt.Errorf("codec: %d trailing bytes in the outliers section", or.Len())
+		return nil, nil, fmt.Errorf("codec: %d trailing bytes in the outliers section", or.Len())
 	}
 
 	// T' block. Before trusting the row count, cross-check it against what
@@ -465,94 +450,88 @@ func (mb *ModelBlock) readBody(br *bufio.Reader, lim DecodeLimits) (*table.Table
 	// inflated counts before any row-sized work begins.
 	tpLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("codec: reading T' length: %w", err)
+		return nil, nil, fmt.Errorf("codec: reading T' length: %w", err)
 	}
-	if tpLen > math.MaxInt64 {
-		return nil, fmt.Errorf("codec: implausible T' length %d", tpLen)
+	rest := frame[len(frame)-br.Len():]
+	if tpLen > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("codec: implausible T' length %d: %d bytes left in the body", tpLen, len(rest))
 	}
 	if nmat := uint64(len(mb.Materialized)); nmat > 0 {
-		maxRows := uint64(math.MaxUint64)
-		if tpLen < math.MaxUint64/maxDeflateRatio {
-			maxRows = tpLen * maxDeflateRatio / nmat
-		}
-		if uint64(nrows) > maxRows {
-			return nil, fmt.Errorf("codec: %d rows cannot fit in a %d-byte T' block", nrows, tpLen)
+		if uint64(nrows) > tpLen*maxDeflateRatio/nmat {
+			return nil, nil, fmt.Errorf("codec: %d rows cannot fit in a %d-byte T' block", nrows, tpLen)
 		}
 	} else if uint64(nrows) > lim.MaxUnverifiedRows {
 		// With no materialized columns the claimed row count is never
 		// substantiated by payload, so cap it outright.
-		return nil, fmt.Errorf("codec: %d rows with no materialized columns exceeds limit %d", nrows, lim.MaxUnverifiedRows)
+		return nil, nil, fmt.Errorf("codec: %d rows with no materialized columns exceeds limit %d", nrows, lim.MaxUnverifiedRows)
 	}
-	zr, err := gzip.NewReader(io.LimitReader(br, int64(tpLen)))
+	p, err := inflate(rest[:tpLen])
+	if err != nil {
+		return nil, nil, err
+	}
+	cols := make([]*table.Column, len(mb.Schema))
+	for _, a := range mb.Materialized {
+		cols[a] = &table.Column{Kind: mb.Schema[a].Kind, Dict: mb.Dicts[a]}
+		if p, err = parseColumn(p, cols[a], nrows); err != nil {
+			return nil, nil, fmt.Errorf("codec: reading column %d: %w", a, err)
+		}
+	}
+	// The T' block must end exactly where its columns do.
+	if len(p) != 0 {
+		return nil, nil, fmt.Errorf("codec: trailing data in T' block")
+	}
+
+	// Predicted columns are mutually independent (predictors are always
+	// materialized), so models reconstruct in parallel, each into its own
+	// column. The block's validation guarantees every produced code fits
+	// its dictionary. The fan-out is bounded at GOMAXPROCS: a hostile or
+	// merely wide table can carry thousands of models.
+	for _, m := range mb.Models {
+		a := m.Target
+		cols[a] = &table.Column{Kind: m.TargetKind, Dict: mb.Dicts[a]}
+		if m.TargetKind == table.Numeric {
+			cols[a].Floats = make([]float64, nrows)
+		} else {
+			cols[a].Codes = make([]int32, nrows)
+		}
+	}
+	err = par.ForEach(context.Background(), len(mb.Models), 0, func(_ context.Context, i int) error {
+		m := *mb.Models[i]
+		m.Outliers = outliers[i]
+		m.Reconstruct(cols)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := table.New(mb.Schema, cols)
+	return t, rest[tpLen:], err
+}
+
+// inflate decompresses a T' block whole. The gzip trailer's ISIZE sizes
+// the buffer, clamped to what deflate could expand tp to; it is only a
+// hint: the buffer grows in readFullGrowing's chunks, so a lying ISIZE
+// costs at most one chunk up front, and an honest T' past 4 GiB (ISIZE
+// is its length mod 2^32) reads on to the end. gzip checks ISIZE itself.
+func inflate(tp []byte) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(tp))
 	if err != nil {
 		return nil, fmt.Errorf("codec: opening T' stream: %w", err)
 	}
 	defer zr.Close()
-	zbr := bufio.NewReader(zr)
-
-	cols := make([]*table.Column, ncols)
-	for a := 0; a < ncols; a++ {
-		cols[a] = &table.Column{Kind: mb.Schema[a].Kind, Dict: mb.Dicts[a]}
+	// The gzip header alone is 10 bytes, so tp holds a trailer's worth.
+	limit := uint64(len(tp)) * maxDeflateRatio
+	hint := min(uint64(binary.LittleEndian.Uint32(tp[len(tp)-4:])), limit)
+	p, err := readFullGrowing(zr, hint, limit)
+	if err == nil {
+		var more []byte
+		more, err = io.ReadAll(zr)
+		p = append(p, more...)
 	}
-	for _, a := range mb.Materialized {
-		if err := readColumn(zbr, cols[a], nrows); err != nil {
-			return nil, fmt.Errorf("codec: reading column %d: %w", a, err)
-		}
-	}
-	// The T' block must end exactly where its columns do. Reading one more
-	// byte forces gzip through its trailer (the columns alone can be
-	// satisfied from buffered output), so the full declared tpLen is
-	// consumed from the stream; any residue means the declared length and
-	// the payload disagree — a corrupt or hostile frame that would
-	// otherwise silently desync callers framing bodies back to back.
-	if _, err := zbr.ReadByte(); err != io.EOF {
-		if err == nil {
-			return nil, fmt.Errorf("codec: trailing data in T' block")
-		}
-		return nil, fmt.Errorf("codec: draining T' block: %w", err)
-	}
-
-	// Routing table: placeholder predicted columns so PredictRow can walk
-	// split attributes (which are all materialized). The row count was
-	// cross-checked against the T' payload above, and the placeholders
-	// grow in bounded chunks rather than one count-sized allocation, so
-	// a lying body fails cheaply instead of reserving gigabytes.
-	for _, m := range mb.Models {
-		a := m.Target
-		if mb.Schema[a].Kind == table.Numeric {
-			cols[a].Floats = zeroFloats(nrows)
-			continue
-		}
-		if nrows > 0 && len(mb.Dicts[a]) == 0 {
-			return nil, fmt.Errorf("codec: predicted categorical attribute %d has empty dictionary", a)
-		}
-		cols[a].Codes = zeroCodes(nrows)
-	}
-	routing, err := table.New(mb.Schema, cols)
 	if err != nil {
-		return nil, fmt.Errorf("codec: assembling T': %w", err)
+		return nil, fmt.Errorf("codec: inflating T': %w", err)
 	}
-	// Predicted columns are mutually independent (predictors are always
-	// materialized), so models reconstruct in parallel. The block's
-	// validation guarantees every produced code fits its dictionary. The
-	// fan-out is bounded at GOMAXPROCS: a hostile or merely wide table can
-	// carry thousands of models, and each Reconstruct holds a full column
-	// of intermediate values.
-	err = par.ForEach(context.Background(), len(mb.Models), 0, func(_ context.Context, i int) error {
-		m := *mb.Models[i]
-		m.Outliers = outliers[i]
-		rec := m.Reconstruct(routing, mb.Dicts[m.Target])
-		if rec.Kind == table.Numeric {
-			copy(cols[m.Target].Floats, rec.Floats)
-		} else {
-			copy(cols[m.Target].Codes, rec.Codes)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return table.New(mb.Schema, cols)
+	return p, nil
 }
 
 // EstimateBitsPerValue encodes a column exactly as the T' block would
@@ -670,94 +649,94 @@ func writeNumericColumn(bw *bufio.Writer, vals []float64) error {
 	return nil
 }
 
-func readColumn(br *bufio.Reader, c *table.Column, nrows int) error {
-	if c.Kind == table.Numeric {
-		floats, err := readNumericColumn(br, nrows)
-		if err != nil {
-			return err
+// parseColumn parses c's nrows cells from the front of p and returns
+// the rest. Before allocating the column it checks that p can back nrows
+// cells: at least 1 byte per code or dictionary index and 4 per raw
+// float.
+func parseColumn(p []byte, c *table.Column, nrows int) ([]byte, error) {
+	if c.Kind == table.Categorical {
+		if err := backs(p, nrows, 1); err != nil {
+			return nil, err
 		}
-		c.Floats = floats
-		return nil
-	}
-	codes := make([]int32, 0, min(nrows, 1<<16))
-	for r := 0; r < nrows; r++ {
-		code, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
+		c.Codes = make([]int32, nrows)
+		for r := range c.Codes {
+			v, n := cell(p)
+			if n <= 0 {
+				return nil, fmt.Errorf("row %d: truncated or overlong cell", r)
+			}
+			if v >= uint64(len(c.Dict)) {
+				return nil, fmt.Errorf("code %d outside dictionary of %d", v, len(c.Dict))
+			}
+			c.Codes[r], p = int32(v), p[n:]
 		}
-		if code >= uint64(len(c.Dict)) {
-			return fmt.Errorf("code %d outside dictionary of %d", code, len(c.Dict))
-		}
-		codes = append(codes, int32(code))
+		return p, nil
 	}
-	c.Codes = codes
-	return nil
-}
-
-func readNumericColumn(br *bufio.Reader, nrows int) ([]float64, error) {
-	enc, err := br.ReadByte()
-	if err != nil {
-		return nil, err
+	if len(p) == 0 {
+		return nil, io.ErrUnexpectedEOF
 	}
-	out := make([]float64, 0, min(nrows, 1<<16))
-	var buf [4]byte
+	enc, p := p[0], p[1:]
 	switch enc {
 	case numEncRaw:
-		for r := 0; r < nrows; r++ {
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return nil, err
-			}
-			out = append(out, float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[:]))))
-		}
-	case numEncDict:
-		dlen, err := binary.ReadUvarint(br)
-		if err != nil {
+		if err := backs(p, nrows, 4); err != nil {
 			return nil, err
+		}
+		c.Floats = make([]float64, nrows)
+		for r := range c.Floats {
+			c.Floats[r] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*r:])))
+		}
+		return p[4*nrows:], nil
+	case numEncDict:
+		dlen, n := binary.Uvarint(p)
+		if n <= 0 {
+			return nil, fmt.Errorf("truncated or overlong numeric dictionary size")
 		}
 		if dlen > dictLimit {
 			return nil, fmt.Errorf("numeric dictionary size %d exceeds limit", dlen)
 		}
+		p = p[n:]
+		if err := backs(p, int(dlen), 4); err != nil {
+			return nil, err
+		}
 		dict := make([]float64, dlen)
 		for i := range dict {
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return nil, err
-			}
-			dict[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[:])))
+			dict[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])))
 		}
-		for r := 0; r < nrows; r++ {
-			ix, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if ix >= dlen {
-				return nil, fmt.Errorf("numeric dictionary index %d out of range %d", ix, dlen)
-			}
-			out = append(out, dict[ix])
+		p = p[4*dlen:]
+		if err := backs(p, nrows, 1); err != nil {
+			return nil, err
 		}
+		c.Floats = make([]float64, nrows)
+		for r := range c.Floats {
+			v, n := cell(p)
+			if n <= 0 {
+				return nil, fmt.Errorf("row %d: truncated or overlong cell", r)
+			}
+			if v >= dlen {
+				return nil, fmt.Errorf("numeric dictionary index %d out of range %d", v, dlen)
+			}
+			c.Floats[r], p = dict[v], p[n:]
+		}
+		return p, nil
 	default:
 		return nil, fmt.Errorf("unknown numeric column encoding %d", enc)
 	}
-	return out, nil
 }
 
-// zeroFloats and zeroCodes allocate placeholder column storage in
-// bounded chunks instead of one header-sized request, matching the
-// incremental-growth policy used everywhere else header varints drive
-// allocation.
-func zeroFloats(n int) []float64 {
-	out := make([]float64, 0, min(n, 1<<16))
-	for len(out) < n {
-		out = append(out, make([]float64, min(n-len(out), 1<<16))...)
+// backs checks that p holds at least size bytes for each of n cells.
+func backs(p []byte, n, size int) error {
+	if uint64(len(p))/uint64(size) < uint64(n) {
+		return fmt.Errorf("%d cells of at least %d bytes each cannot fit in %d bytes", n, size, len(p))
 	}
-	return out
+	return nil
 }
 
-func zeroCodes(n int) []int32 {
-	out := make([]int32, 0, min(n, 1<<16))
-	for len(out) < n {
-		out = append(out, make([]int32, min(n-len(out), 1<<16))...)
+// cell parses one uvarint cell from the front of p like binary.Uvarint;
+// a byte below 0x80 is a whole cell.
+func cell(p []byte) (uint64, int) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), 1
 	}
-	return out
+	return binary.Uvarint(p)
 }
 
 // readFullGrowing reads exactly n bytes, growing the buffer in bounded

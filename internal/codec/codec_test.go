@@ -390,11 +390,11 @@ func TestBodiesShareModelBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, n, err := shared.DecodeBody(bytes.NewReader(body.Bytes()), DecodeLimits{})
+		back, n, err := shared.DecodeBody(body.Bytes(), DecodeLimits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != int64(body.Len()) || bd.Total() != body.Len() {
+		if n != body.Len() || bd.Total() != body.Len() {
 			t.Errorf("body of %d bytes: decoder consumed %d, breakdown says %d", body.Len(), n, bd.Total())
 		}
 		diffs, err := table.MaxAbsDiff(part, back)

@@ -548,12 +548,12 @@ func (cr *Reader) ReadSegments(ctx context.Context, idx []int) ([]*table.Table, 
 // shorter body means trailing garbage inside the frame) and yield the
 // recorded rows.
 func (cr *Reader) decodeSegment(i int, frame []byte) (*table.Table, error) {
-	t, consumed, err := cr.model.DecodeBody(bytes.NewReader(frame), cr.lim)
+	t, consumed, err := cr.model.DecodeBody(frame, cr.lim)
 	if err != nil {
 		return nil, fmt.Errorf("codec: decoding segment %d: %w", i, err)
 	}
-	if consumed < int64(len(frame)) {
-		return nil, &FramingError{Segment: i, Declared: int64(len(frame)), Consumed: consumed}
+	if consumed < len(frame) {
+		return nil, &FramingError{Segment: i, Declared: int64(len(frame)), Consumed: int64(consumed)}
 	}
 	if t.NumRows() != cr.segs[i].Rows {
 		return nil, fmt.Errorf("codec: segment %d decoded %d rows, footer records %d", i, t.NumRows(), cr.segs[i].Rows)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -323,17 +324,69 @@ func hostileCases() []hostileCase {
 
 	// Stored T' blocks of ~4 KB and ~8 KB claim the most rows the deflate
 	// cross-check admits (over 4 and 8 million) but hold a thousand
-	// numeric cells or 8000 codes: clamps.
+	// numeric cells or 8000 codes: the cells cannot back the rows.
 	var cells hostileBuf
 	cells.b1(numEncRaw)
 	for i := 0; i < 1000; i++ {
 		cells.f32(float32(i))
 	}
 	tp := tprime(gzip.NoCompression, cells.Bytes())
-	add("tprime-short", "reading column 0", container(oneNumericBlock(), body(uint64(len(tp))*maxDeflateRatio, tp), oneNumeric))
+	add("tprime-short", "cells of at least 4 bytes each cannot fit in 4000 bytes", container(oneNumericBlock(), body(uint64(len(tp))*maxDeflateRatio, tp), oneNumeric))
 	tp = tprime(gzip.NoCompression, make([]byte, 8000))
-	add("tprime-short-codes", "reading column 0", container(oneColumnBlock(table.Categorical, "v"),
+	add("tprime-short-codes", "cells of at least 1 bytes each cannot fit in 8000 bytes", container(oneColumnBlock(table.Categorical, "v"),
 		body(uint64(len(tp))*maxDeflateRatio, tp), cat))
+	var dictShort hostileBuf
+	dictShort.b1(numEncDict)
+	dictShort.uvarint(1 << 16)
+	add("numeric-dict-short", "65536 cells of at least 4 bytes each cannot fit in 0 bytes", container(oneNumericBlock(),
+		body(1, tprime(gzip.DefaultCompression, dictShort.Bytes())), oneNumeric))
+	var ixShort hostileBuf
+	ixShort.b1(numEncDict)
+	ixShort.uvarint(1)
+	ixShort.f32(0)
+	tp = tprime(gzip.NoCompression, ixShort.Bytes())
+	add("numeric-dict-cells-short", "cells of at least 1 bytes each cannot fit in 0 bytes", container(oneNumericBlock(),
+		body(uint64(len(tp))*maxDeflateRatio, tp), oneNumeric))
+	// Two-byte varints whose second byte is missing: a code, a numeric
+	// dictionary's size and a dictionary index.
+	add("cell-cut", "row 0: truncated or overlong cell", container(oneColumnBlock(table.Categorical, "v"),
+		body(1, tprime(gzip.DefaultCompression, []byte{0x80})), cat))
+	add("numeric-dict-size-cut", "truncated or overlong numeric dictionary size", container(oneNumericBlock(),
+		body(1, tprime(gzip.DefaultCompression, []byte{numEncDict, 0x80})), oneNumeric))
+	var ixCut hostileBuf
+	ixCut.b1(numEncDict)
+	ixCut.uvarint(1)
+	ixCut.f32(0)
+	ixCut.b1(0x80)
+	add("numeric-dict-cell-cut", "row 0: truncated or overlong cell", container(oneNumericBlock(),
+		body(1, tprime(gzip.DefaultCompression, ixCut.Bytes())), oneNumeric))
+	// A numeric column with no encoding byte, and a cell past the last
+	// column.
+	add("numeric-encoding-missing", "reading column 0: unexpected EOF", container(oneNumericBlock(),
+		body(1, tprime(gzip.DefaultCompression, nil)), oneNumeric))
+	add("tprime-trailing", "trailing data in T' block", container(oneColumnBlock(table.Categorical, "v"),
+		body(1, tprime(gzip.DefaultCompression, []byte{0, 0})), cat))
+
+	// A T' length one byte past the end of the body.
+	tp = tprime(gzip.DefaultCompression, []byte{0})
+	var overrun hostileBuf
+	overrun.uvarint(1)
+	overrun.checked(nil)
+	overrun.uvarint(uint64(len(tp) + 1))
+	_, _ = overrun.Write(tp)
+	add("tprime-overrun", fmt.Sprintf("implausible T' length %d: %d bytes left in the body", len(tp)+1, len(tp)), container(oneColumnBlock(table.Categorical, "v"), overrun.Bytes(), cat))
+
+	// ISIZE, the gzip trailer's length, lying high and low. The stored
+	// ~8 KB block admits 8 MB of output: were ISIZE trusted as a size
+	// up front, the lie would allocate it. Sized as a hint, it is a
+	// capacity that grows only as data arrives; gzip refuses both lies.
+	isize := func(v uint32) []byte {
+		tp := tprime(gzip.NoCompression, make([]byte, 8000))
+		binary.LittleEndian.PutUint32(tp[len(tp)-4:], v)
+		return container(oneColumnBlock(table.Categorical, "v"), body(8000, tp), cat)
+	}
+	add("isize-high", "inflating T': gzip: invalid checksum", isize(math.MaxUint32))
+	add("isize-low", "inflating T': gzip: invalid checksum", isize(1))
 
 	// Trailer and footer.
 	trailer := blockOnly(noCols.Bytes())
@@ -484,6 +537,23 @@ func TestReadFullGrowingCapped(t *testing.T) {
 	// Truncated input surfaces the read error, not a silent short buffer.
 	if _, err := readFullGrowing(bytes.NewReader(payload[:10]), 1000, limit); err == nil {
 		t.Error("truncated input did not error")
+	}
+}
+
+// TestInflateClampsISIZE drives inflate with a tiny T' block whose ISIZE
+// claims 4 GiB. The hint is clamped to what deflate could expand the
+// block to, so the lie costs kilobytes rather than a 1 MiB chunk, and
+// gzip refuses it.
+func TestInflateClampsISIZE(t *testing.T) {
+	tp := tprime(gzip.DefaultCompression, []byte("abc"))
+	binary.LittleEndian.PutUint32(tp[len(tp)-4:], math.MaxUint32)
+	var err error
+	delta := allocDelta(func() { _, err = inflate(tp) })
+	if err == nil || !strings.Contains(err.Error(), "invalid checksum") {
+		t.Errorf("inflate of a lying ISIZE: error %v, want gzip's checksum error", err)
+	}
+	if delta > 1<<18 {
+		t.Errorf("inflate of a %d-byte block allocated %d bytes", len(tp), delta)
 	}
 }
 
