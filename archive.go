@@ -21,7 +21,8 @@ import (
 type ArchiveWriter = archive.Writer
 
 // Archive reads an archive through its footer: segments decode on
-// demand, and Query prunes segments via zone maps.
+// demand, Tolerances returns the tolerance vector it was written under,
+// and Query prunes segments via zone maps.
 type Archive = archive.SegReader
 
 // SegmentOptions shapes how CompressArchive splits rows into segments
@@ -88,9 +89,10 @@ func OpenArchive(r io.ReadSeeker) (*Archive, error) {
 }
 
 // QueryArchive runs q against an opened archive, decoding only the
-// segments whose zone maps cannot refute the predicate. The result is
-// identical to decompressing the whole archive and running the query
-// over it.
-func QueryArchive(a *Archive, tol Tolerances, q Query) (*QueryResult, *ArchiveQueryStats, error) {
-	return a.Query(tol, q)
+// segments whose zone maps cannot refute the predicate. The intervals
+// come from the tolerances the archive records (a.Tolerances()), the
+// bounds it was written under; the result is identical to decompressing
+// the whole archive and running the query over it with that vector.
+func QueryArchive(a *Archive, q Query) (*QueryResult, *ArchiveQueryStats, error) {
+	return a.QuerySpan(context.Background(), nil, q)
 }

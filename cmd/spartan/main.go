@@ -62,7 +62,7 @@ func usage() {
 commands:
   compress    semantically compress a table within error tolerances
   decompress  reconstruct a table from a compressed file
-  verify      check a compressed file against the original's tolerances
+  verify      check a compressed file against the original, within the tolerances it records
   inspect     summarize a compressed file
   query       run a bounded approximate aggregate on a compressed file
   deps        show the inferred Bayesian dependency network for a table
@@ -210,8 +210,6 @@ func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	orig := fs.String("original", "", "original table (.csv or raw binary)")
 	comp := fs.String("compressed", "", "compressed file to check")
-	tol := fs.Float64("tolerance", 0, "numeric tolerance the file was compressed with")
-	catTol := fs.Float64("cat-tolerance", 0, "categorical tolerance the file was compressed with")
 	forceCat := fs.String("categorical", "", "comma-separated CSV columns to force categorical")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -223,11 +221,16 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	restored, err := readCompressedFile(*comp)
+	a, err := openArchiveFile(*comp)
 	if err != nil {
 		return err
 	}
-	if err := spartan.Verify(t, restored, spartan.UniformTolerances(t, *tol, *catTol)); err != nil {
+	defer a.Close()
+	restored, err := a.ReadAll()
+	if err != nil {
+		return err
+	}
+	if err := spartan.Verify(t, restored, a.Tolerances()); err != nil {
 		return err
 	}
 	fmt.Printf("ok: %d rows, %d attributes within tolerances\n",
@@ -248,22 +251,28 @@ func cmdInspect(args []string) error {
 	if err != nil {
 		return err
 	}
-	t, err := readCompressedFile(*in)
+	a, err := openArchiveFile(*in)
 	if err != nil {
 		return err
 	}
+	defer a.Close()
+	t, err := a.ReadAll()
+	if err != nil {
+		return err
+	}
+	tol := a.Tolerances()
 	fmt.Printf("compressed    %d B\n", fi.Size())
 	fmt.Printf("rows          %d\n", t.NumRows())
 	fmt.Printf("raw size      %d B (ratio %.4f)\n", t.RawSizeBytes(),
 		float64(fi.Size())/float64(t.RawSizeBytes()))
 	fmt.Printf("attributes    %d\n", t.NumCols())
 	for i := 0; i < t.NumCols(); i++ {
-		a := t.Attr(i)
-		if a.Kind == spartan.Numeric {
+		attr := t.Attr(i)
+		if attr.Kind == spartan.Numeric {
 			lo, hi := t.Col(i).MinMax()
-			fmt.Printf("  %-20s numeric     range [%g, %g]\n", a.Name, lo, hi)
+			fmt.Printf("  %-20s numeric     range [%g, %g]  max error %g\n", attr.Name, lo, hi, tol[i].Value)
 		} else {
-			fmt.Printf("  %-20s categorical %d values\n", a.Name, t.Col(i).DomainSize())
+			fmt.Printf("  %-20s categorical %d values  max mismatch rate %g\n", attr.Name, t.Col(i).DomainSize(), tol[i].Value)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,9 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -54,7 +58,7 @@ func TestCompressVerifyDecompressFlow(t *testing.T) {
 	if err := cmdCompress([]string{"-in", binPath, "-out", sptn, "-tolerance", "0.01", "-q"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdVerify([]string{"-original", binPath, "-compressed", sptn, "-tolerance", "0.01"}); err != nil {
+	if err := cmdVerify([]string{"-original", binPath, "-compressed", sptn}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdDecompress([]string{"-in", sptn, "-out", out}); err != nil {
@@ -83,7 +87,7 @@ func TestCompressCSVWithForcedCategorical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := cmdVerify([]string{"-original", csvPath, "-compressed", sptn,
-		"-tolerance", "0.01", "-categorical", "src_exchange,dst_exchange"}); err != nil {
+		"-categorical", "src_exchange,dst_exchange"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,12 +100,11 @@ func TestBlockArchiveFlow(t *testing.T) {
 		"-tolerance", "0.01", "-segment-rows", "300", "-q"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdVerify([]string{"-original", binPath, "-compressed", sptn,
-		"-tolerance", "0.01"}); err != nil {
+	if err := cmdVerify([]string{"-original", binPath, "-compressed", sptn}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdQuery([]string{"-in", sptn, "-agg", "sum", "-col", "charge_cents",
-		"-where", "duration_sec > 100", "-groupby", "plan", "-tolerance", "0.01"}); err != nil {
+		"-where", "duration_sec > 100", "-groupby", "plan"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,11 +174,29 @@ func TestQueryAndInspectAndDeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := cmdQuery([]string{"-in", sptn, "-agg", "avg", "-col", "charge_cents",
-		"-groupby", "call_type", "-tolerance", "0.01"}); err != nil {
+		"-groupby", "call_type"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdInspect([]string{"-in", sptn}); err != nil {
+	out, err := captureOutput(t, &os.Stdout, func() error { return cmdInspect([]string{"-in", sptn}) })
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Each attribute's line names the tolerance the file records: 1% of
+	// the original's range for a numeric attribute, 0 for a categorical.
+	orig, err := readTable(binPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range spartan.UniformTolerances(orig, 0.01, 0) {
+		a := orig.Attr(i)
+		want := fmt.Sprintf("max mismatch rate %g", e.Value)
+		if a.Kind == spartan.Numeric {
+			want = fmt.Sprintf("max error %g", e.Value*orig.Col(i).Range())
+		}
+		line := regexp.MustCompile(`(?m)^  ` + regexp.QuoteMeta(a.Name) + ` .*$`).FindString(out)
+		if !strings.HasSuffix(line, want) {
+			t.Errorf("inspect line for %s does not end in %q:\n%s", a.Name, want, out)
+		}
 	}
 	if err := cmdDeps([]string{"-in", csvPath}); err != nil {
 		t.Fatal(err)
@@ -186,8 +207,8 @@ func TestQueryAndInspectAndDeps(t *testing.T) {
 }
 
 // TestQueryEntryPointsAgree: on /compress output, /query, spartan query
-// and QueryArchive give the same answer, with tolerances resolved the
-// same way.
+// and QueryArchive give the same answer, all from the tolerances the
+// archive records.
 func TestQueryEntryPointsAgree(t *testing.T) {
 	srv := httptest.NewServer(server.New(server.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))))
 	defer srv.Close()
@@ -214,14 +235,13 @@ func TestQueryEntryPointsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := spartan.QueryArchive(a, spartan.UniformTolerancesSchema(a.Schema(), 0.01, 0),
-		spartan.Query{Agg: spartan.Avg, Column: "charge_cents", Where: pred, GroupBy: "plan"})
+	want, _, err := spartan.QueryArchive(a, spartan.Query{Agg: spartan.Avg, Column: "charge_cents", Where: pred, GroupBy: "plan"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	resp, err = http.Post(srv.URL+"/query?"+url.Values{
-		"agg": {"avg"}, "col": {"charge_cents"}, "groupby": {"plan"}, "tolerance": {"0.01"}, "where": {where},
+		"agg": {"avg"}, "col": {"charge_cents"}, "groupby": {"plan"}, "where": {where},
 	}.Encode(), "application/x-spartan", bytes.NewReader(compressed))
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +273,7 @@ func TestQueryEntryPointsAgree(t *testing.T) {
 	}
 	out, err := captureOutput(t, &os.Stdout, func() error {
 		return cmdQuery([]string{"-in", path, "-agg", "avg", "-col", "charge_cents",
-			"-groupby", "plan", "-tolerance", "0.01", "-where", where})
+			"-groupby", "plan", "-where", where})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,9 +310,9 @@ func TestCommandErrors(t *testing.T) {
 		}},
 		{"decompress missing flags", func() error { return cmdDecompress(nil) }},
 		{"verify missing flags", func() error { return cmdVerify(nil) }},
-		{"verify wrong tolerance", func() error {
-			// compressed lossless above, verifying with tolerance 0 passes;
-			// verify against a *different* original must fail.
+		{"verify different original", func() error {
+			// Compressed lossless above: verifying against a *different*
+			// original must fail.
 			other := filepath.Join(dir, "other.bin")
 			f, err := os.Create(other)
 			if err != nil {
@@ -333,5 +353,134 @@ func TestSelectionFromName(t *testing.T) {
 	}
 	if _, err := selectionFromName("zzz"); err == nil {
 		t.Error("selectionFromName accepted unknown name")
+	}
+}
+
+// TestArchiveQueriesUseRecordedTolerance: a lossy archive is queried
+// through every entry point with no tolerance from the caller. Each
+// takes the tolerance the archive records, so every interval contains
+// the answer on the original table; with a zero tolerance they did not.
+// The archive holds 8000 CDR rows sorted by start_hour in 4 segments,
+// written at 1% numeric tolerance, so start_hour>=22 is answered from
+// the pruned archive and duration_sec>60 from every segment.
+func TestArchiveQueriesUseRecordedTolerance(t *testing.T) {
+	cdr := datagen.CDR(8000, 1)
+	hour := cdr.Col(cdr.Schema().Index("start_hour")).Floats
+	order := make([]int, cdr.NumRows())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return hour[order[a]] < hour[order[b]] })
+	orig, err := cdr.SelectRows(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeTol := spartan.UniformTolerances(orig, 0.01, 0)
+	var buf bytes.Buffer
+	if _, err := spartan.CompressArchive(&buf, orig, spartan.Options{Tolerances: writeTol}, spartan.SegmentOptions{SegmentRows: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	compressed := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "sorted.sptn")
+	if err := os.WriteFile(path, compressed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := spartan.OpenArchive(bytes.NewReader(compressed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	srv := httptest.NewServer(server.New(server.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))))
+	defer srv.Close()
+
+	contains := func(what string, g spartan.QueryGroup, truth map[string]float64) {
+		t.Helper()
+		if w := truth[g.Key]; !(w >= g.Lo && w <= g.Hi) {
+			t.Errorf("%s: group %q: truth %g outside [%g, %g]", what, g.Key, w, g.Lo, g.Hi)
+		}
+	}
+	for _, where := range []string{"duration_sec > 60", "start_hour >= 22"} {
+		t.Run(where, func(t *testing.T) {
+			pred, err := spartan.ParsePredicate(where, orig.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := spartan.Query{Agg: spartan.Avg, Column: "charge_cents", Where: pred, GroupBy: "plan"}
+			exact, err := spartan.RunQuery(orig, nil, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth := make(map[string]float64, len(exact.Groups))
+			for _, g := range exact.Groups {
+				truth[g.Key] = g.Value
+			}
+
+			want, _, err := spartan.QueryArchive(a, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Groups) != len(exact.Groups) {
+				t.Fatalf("QueryArchive answered %d groups, the original table %d", len(want.Groups), len(exact.Groups))
+			}
+			for _, g := range want.Groups {
+				contains("QueryArchive", g, truth)
+			}
+			spanned, _, err := a.QuerySpan(context.Background(), nil, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range spanned.Groups {
+				contains("SegReader.QuerySpan", g, truth)
+			}
+			zero, _, err := a.Query(make(spartan.Tolerances, len(orig.Schema())), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			written, _, err := a.Query(writeTol, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(zero, written) {
+				t.Errorf("SegReader.Query with a zero tolerance answered %+v, with the write tolerance %+v", zero.Groups, written.Groups)
+			}
+
+			resp, err := http.Post(srv.URL+"/query?"+url.Values{
+				"agg": {"avg"}, "col": {"charge_cents"}, "groupby": {"plan"}, "where": {where},
+			}.Encode(), "application/x-spartan", bytes.NewReader(compressed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got struct {
+				Groups []struct {
+					Key    string
+					Lo, Hi float64
+				}
+			}
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Groups) != len(exact.Groups) {
+				t.Fatalf("/query answered %d groups, the original table %d", len(got.Groups), len(exact.Groups))
+			}
+			for _, g := range got.Groups {
+				contains("/query", spartan.QueryGroup{Key: g.Key, Lo: g.Lo, Hi: g.Hi}, truth)
+			}
+
+			// spartan query prints QueryArchive's intervals, rounded.
+			out, err := captureOutput(t, &os.Stdout, func() error {
+				return cmdQuery([]string{"-in", path, "-agg", "avg", "-col", "charge_cents", "-groupby", "plan", "-where", where})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range want.Groups {
+				line := fmt.Sprintf("%-16s %14.4g   [%.4g, %.4g]  (%d rows, %d uncertain)", w.Key, w.Value, w.Lo, w.Hi, w.Rows, w.UncertainRows)
+				if !strings.Contains(out, line) {
+					t.Errorf("spartan query output lacks QueryArchive's %q:\n%s", line, out)
+				}
+			}
+		})
 	}
 }

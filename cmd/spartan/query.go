@@ -14,7 +14,9 @@ import (
 //
 //	spartan query -in data.sptn -agg sum -col charge_cents \
 //	    -where "duration_sec > 200 && plan == 'saver'" \
-//	    -groupby call_type -tolerance 0.01
+//	    -groupby call_type
+//
+// The bounds come from the tolerances the file records.
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	in := fs.String("in", "", "compressed file")
@@ -22,8 +24,6 @@ func cmdQuery(args []string) error {
 	col := fs.String("col", "", "aggregated numeric column (not used for count)")
 	where := fs.String("where", "", "filter expression, e.g. \"x > 3 && g == 'a'\"")
 	groupBy := fs.String("groupby", "", "categorical column to group by")
-	tol := fs.Float64("tolerance", 0, "numeric tolerance the file was compressed with")
-	catTol := fs.Float64("cat-tolerance", 0, "categorical tolerance the file was compressed with")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -57,7 +57,7 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, qs, err := spartan.QueryArchive(a, spartan.UniformTolerancesSchema(a.Schema(), *tol, *catTol), spartan.Query{
+	res, qs, err := spartan.QueryArchive(a, spartan.Query{
 		Agg:     aggKind,
 		Column:  *col,
 		Where:   pred,

@@ -6,7 +6,7 @@
 //	curl -X POST --data-binary @table.csv -H 'Content-Type: text/csv' \
 //	    'localhost:8080/compress?tolerance=0.01' > table.sptn
 //	curl -X POST --data-binary @table.sptn \
-//	    'localhost:8080/query?agg=avg&col=charge&tolerance=0.01'
+//	    'localhost:8080/query?agg=avg&col=charge&groupby=plan'
 //	curl 'localhost:8080/metrics'
 //
 // The server logs one structured line per request (text or JSON by

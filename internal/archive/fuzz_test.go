@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/query"
+	"repro/internal/table"
 )
 
 // FuzzDecodeArchive asserts the archive layer never panics on corrupted
@@ -20,7 +21,8 @@ import (
 // Run with `go test -fuzz=FuzzDecodeArchive ./internal/archive` for real
 // fuzzing; the seed corpus runs as a normal test.
 func FuzzDecodeArchive(f *testing.F) {
-	// Seed with a valid two-segment archive plus targeted corruptions.
+	// Seed with a valid two-segment lossless archive plus targeted
+	// corruptions.
 	tb := datagen.CDR(600, 1)
 	var buf bytes.Buffer
 	aw, err := NewWriter(&buf, core.Options{})
@@ -40,8 +42,15 @@ func FuzzDecodeArchive(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
+	// A lossy archive of the same rows, so the fuzzed path also runs
+	// with a nonzero recorded tolerance vector.
+	var lossy bytes.Buffer
+	if _, err := WriteTable(&lossy, tb, core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)}, SegmentOptions{SegmentRows: 300}); err != nil {
+		f.Fatal(err)
+	}
 
 	f.Add(valid)
+	f.Add(lossy.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte(magic))               // header only: no terminator, no footer
 	f.Add([]byte(retiredMagic))        // retired block-archive header only

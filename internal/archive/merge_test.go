@@ -148,7 +148,7 @@ func TestQuerySpans(t *testing.T) {
 	}
 	tr := obs.NewTrace("query")
 	root := tr.Start("query")
-	_, qs, err := sr.QuerySpan(context.Background(), root, nil, query.Query{Agg: query.Count, Where: query.NumCmp("v", query.Gt, 500)})
+	_, qs, err := sr.QuerySpan(context.Background(), root, query.Query{Agg: query.Count, Where: query.NumCmp("v", query.Gt, 500)})
 	root.Finish()
 	if err != nil {
 		t.Fatal(err)

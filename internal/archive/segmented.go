@@ -6,7 +6,7 @@
 // order, so the output bytes are identical at any worker count.
 // SegReader opens the footer and model block of a seekable archive
 // through codec.Reader, and Query skips segments whose zone maps refute
-// the predicate.
+// the predicate under the tolerances the model block records.
 package archive
 
 import (
@@ -217,14 +217,16 @@ type QueryStats struct {
 }
 
 // Query runs q against the archive, decoding only segments whose zone
-// maps cannot refute the WHERE predicate. Tolerances (quantile forms
-// included) resolve against archive-wide footer ranges, and the query
+// maps cannot refute the WHERE predicate. The intervals come from the
+// tolerance vector the model block records (Tolerances), and the query
 // evaluates with the archive-wide row count and value bounds in scope,
 // so the result — definite rows, uncertain rows and interval bounds —
-// is identical to decoding every segment and querying the whole table.
-// It is QuerySpan with a background context and no parent span.
-func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
-	return sr.QuerySpan(context.Background(), nil, tol, q)
+// is identical to decoding every segment and querying the whole table
+// under that vector. tol is ignored; it stays in the signature until the
+// benchmark's callers drop it. It is QuerySpan with a background context
+// and no parent span.
+func (sr *SegReader) Query(_ table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
+	return sr.QuerySpan(context.Background(), nil, q)
 }
 
 // QuerySpan is Query with cancellation and with its stages timed as
@@ -234,21 +236,15 @@ func (sr *SegReader) Query(tol table.Tolerances, q query.Query) (*query.Result, 
 // and never merged. A nil parent records nothing. Once ctx is done no
 // further segment starts decoding, and the query fails with ctx's error.
 // After Close it fails with codec.ErrReaderClosed.
-func (sr *SegReader) QuerySpan(ctx context.Context, parent *obs.Span, tol table.Tolerances, q query.Query) (*query.Result, *QueryStats, error) {
+func (sr *SegReader) QuerySpan(ctx context.Context, parent *obs.Span, q query.Query) (*query.Result, *QueryStats, error) {
 	if sr.NumSegments() == 0 {
 		return nil, nil, codec.ErrEmptyArchive
 	}
-	schema := sr.Schema()
-	if tol == nil {
-		tol = make(table.Tolerances, len(schema))
-	}
+	tol := sr.Tolerances()
 
 	pruneSpan := parent.StartChild("prune")
-	kept, scope, stats, err := sr.prune(tol, q)
+	kept, scope, stats := sr.prune(tol, q)
 	pruneSpan.Finish()
-	if err != nil {
-		return nil, nil, err
-	}
 
 	decodeSpan := parent.StartChild("decode")
 	ts, err := sr.keptTables(ctx, kept)
@@ -266,20 +262,19 @@ func (sr *SegReader) QuerySpan(ctx context.Context, parent *obs.Span, tol table.
 	return res, stats, nil
 }
 
-// prune returns the segments whose zone maps cannot refute q.Where, in
-// archive order, and the archive-wide scope the query evaluates in.
-func (sr *SegReader) prune(tol table.Tolerances, q query.Query) ([]int, *query.Scope, *QueryStats, error) {
+// prune returns the segments whose zone maps cannot refute q.Where under
+// the recorded tolerances tol, in archive order, and the archive-wide
+// scope the query evaluates in: every row, and the union of the
+// segments' zones as each numeric column's value bounds.
+func (sr *SegReader) prune(tol table.Tolerances, q query.Query) ([]int, *query.Scope, *QueryStats) {
 	schema := sr.Schema()
 	colIdx := make(map[string]int, len(schema))
+	tolMap := make(map[string]float64, len(schema))
 	for i, a := range schema {
 		colIdx[a.Name] = i
+		tolMap[a.Name] = tol[i].Value
 	}
-	// Archive-wide value bounds: the union of the (tolerance-widened)
-	// segment zones. Resolving quantile tolerances against these instead
-	// of a pruned subset's narrower ranges keeps the error bounds the
-	// full-decode path would use.
 	scope := &query.Scope{TotalRows: sr.TotalRows(), Ranges: make(map[string][2]float64)}
-	ranges := make([]float64, len(schema))
 	for i, a := range schema {
 		if a.Kind != table.Numeric {
 			continue
@@ -290,15 +285,6 @@ func (sr *SegReader) prune(tol table.Tolerances, q query.Query) ([]int, *query.S
 			hi = math.Max(hi, sr.Info(s).Zones[i].Max)
 		}
 		scope.Ranges[a.Name] = [2]float64{lo, hi}
-		ranges[i] = hi - lo
-	}
-	resolved, err := tol.ResolveRanges(schema, ranges)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tolMap := make(map[string]float64, len(schema))
-	for i, a := range schema {
-		tolMap[a.Name] = resolved[i].Value
 	}
 
 	stats := &QueryStats{Segments: sr.NumSegments()}
@@ -325,7 +311,7 @@ func (sr *SegReader) prune(tol table.Tolerances, q query.Query) ([]int, *query.S
 			stats.RowsPruned += seg.Rows
 		}
 	}
-	return kept, scope, stats, nil
+	return kept, scope, stats
 }
 
 // keptTables decodes the kept segments. With none kept it is one empty

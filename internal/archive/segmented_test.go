@@ -656,7 +656,7 @@ func TestSegmentedCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sr.QuerySpan(ctx, nil, nil, query.Query{Agg: query.Count}); !errors.Is(err, context.Canceled) {
+	if _, _, err := sr.QuerySpan(ctx, nil, query.Query{Agg: query.Count}); !errors.Is(err, context.Canceled) {
 		t.Errorf("query: error %v, want context.Canceled", err)
 	}
 
@@ -666,4 +666,80 @@ func TestSegmentedCancel(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// assertContains fails unless every group of got has a group of truth
+// with its key whose value lies in the group's interval, and every group
+// of truth appears in got.
+func assertContains(t *testing.T, what string, got, truth *query.Result) {
+	t.Helper()
+	want := make(map[string]float64, len(truth.Groups))
+	for _, g := range truth.Groups {
+		want[g.Key] = g.Value
+	}
+	for _, g := range got.Groups {
+		w, ok := want[g.Key]
+		if !ok {
+			continue
+		}
+		delete(want, g.Key)
+		if !(w >= g.Lo && w <= g.Hi) {
+			t.Errorf("%s: group %q: truth %g outside [%g, %g]", what, g.Key, w, g.Lo, g.Hi)
+		}
+	}
+	for key, w := range want {
+		t.Errorf("%s: no group %q for truth %g", what, key, w)
+	}
+}
+
+// TestPerClassBudgetsBoundQueries: with a scalar categorical tolerance of
+// 0 and a per-class budget of 0.3 on every class, compression may leave
+// 30% of each class misclassified. Queries must widen their intervals by
+// that budget: the archive records it, and query.Run resolves it from
+// the caller's vector. With only the scalar 0, COUNT GROUP BY
+// income_band on this table answered [1767, 1767] for the class "high",
+// whose true count is 1766.
+func TestPerClassBudgetsBoundQueries(t *testing.T) {
+	tb := datagen.Census(8000, 1)
+	tol := make(table.Tolerances, tb.NumCols())
+	for c := range tol {
+		if tb.Attr(c).Kind != table.Categorical {
+			continue
+		}
+		tol[c].PerClass = make(map[string]float64)
+		for _, v := range tb.Col(c).Dict {
+			tol[c].PerClass[v] = 0.3
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := WriteTable(&buf, tb, core.Options{Tolerances: tol}, SegmentOptions{SegmentRows: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := OpenSegmented(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	band := tb.Schema().Index("income_band")
+	if got := sr.Tolerances()[band].Value; got != 0.3 {
+		t.Errorf("archive records income_band's tolerance as %g, want the per-class 0.3", got)
+	}
+	q := query.Query{Agg: query.Count, GroupBy: "income_band"}
+	truth, err := query.Run(tb, nil, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := sr.Query(tol, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertContains(t, "SegReader.Query", res, truth)
+
+	decoded, err := sr.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = query.Run(decoded, tol, q); err != nil {
+		t.Fatal(err)
+	}
+	assertContains(t, "query.Run", res, truth)
 }

@@ -1,7 +1,8 @@
 // Package codec defines the wire format of a SPARTAN-compressed table
 // T_c = <T', {M₁…Mₚ}> (paper §2.2) in two parts. The model block holds
 // what learning produced: the schema with its categorical dictionaries,
-// the list of materialized attributes and the CaRT trees. A body holds
+// the tolerance vector ē the bodies reconstruct within, the list of
+// materialized attributes and the CaRT trees. A body holds
 // what one set of rows adds: the row count, each model's outliers and the
 // deflated projection T' onto the materialized attributes. Both travel in
 // one container (container.go): one model block shared by one or more
@@ -37,7 +38,7 @@ import (
 // these fractions (e.g. "CaRTs + outliers consume 6.25% of the
 // uncompressed table").
 type Breakdown struct {
-	HeaderBytes int // length and checksum framing, schema, dictionaries, attribute lists, row count
+	HeaderBytes int // length and checksum framing, schema, dictionaries, recorded tolerances, attribute lists, row count
 	ModelBytes  int // serialized CaRT trees and outliers
 	TPrimeBytes int // deflated materialized projection
 }
@@ -52,6 +53,12 @@ type ModelBlock struct {
 	// Dicts holds each categorical attribute's dictionary (nil for
 	// numeric attributes). Every body's categorical codes index these.
 	Dicts [][]string
+	// Tolerances records, per attribute, the bound every body of the
+	// block reconstructs within: for a numeric attribute the absolute
+	// error, for a categorical one the largest fraction of rows that may
+	// decode to a different value (table.Tolerance.Bound). Only Value is
+	// set. Queries over the block's bodies take their intervals from it.
+	Tolerances table.Tolerances
 	// Materialized lists the materialized attributes in ascending order.
 	Materialized []int
 	// Models holds one CaRT per predicted attribute, in ascending target
@@ -61,9 +68,10 @@ type ModelBlock struct {
 }
 
 // NewModelBlock checks a compression plan against src and returns its
-// model block: src's schema and dictionaries, the materialized attributes
-// and the models' trees. models must have distinct targets, all outside
-// materialized, and their predictors inside it.
+// model block: src's schema and dictionaries, all-zero (lossless)
+// tolerances, the materialized attributes and the models' trees. models
+// must have distinct targets, all outside materialized, and their
+// predictors inside it.
 func NewModelBlock(src *table.Table, materialized []int, models []*cart.Model) (*ModelBlock, error) {
 	if err := validatePlan(src, materialized, models); err != nil {
 		return nil, err
@@ -71,6 +79,7 @@ func NewModelBlock(src *table.Table, materialized []int, models []*cart.Model) (
 	mb := &ModelBlock{
 		Schema:       src.Schema().Clone(),
 		Dicts:        make([][]string, src.NumCols()),
+		Tolerances:   table.ZeroTolerances(src),
 		Materialized: slices.Clone(materialized),
 	}
 	for i := range mb.Dicts {
@@ -94,14 +103,26 @@ func sortedByTarget(models []*cart.Model) []*cart.Model {
 }
 
 // Encode writes the model block: the byte length and CRC-32 of its
-// payload, then the payload (schema with dictionaries, materialized
-// attributes, model count and trees).
+// payload, then the payload (schema with dictionaries, recorded
+// tolerances, materialized attributes, model count and trees). It
+// refuses a tolerance the decoder would refuse.
 func (mb *ModelBlock) Encode(w io.Writer) (Breakdown, error) {
 	var bd Breakdown
+	if len(mb.Tolerances) != len(mb.Schema) {
+		return bd, fmt.Errorf("codec: %d tolerances for %d attributes", len(mb.Tolerances), len(mb.Schema))
+	}
 	var payload bytes.Buffer
 	pw := bufio.NewWriter(&payload)
 	if err := writeSchema(pw, mb.Schema, mb.Dicts); err != nil {
 		return bd, err
+	}
+	for i, e := range mb.Tolerances {
+		if err := checkTolerance(mb.Schema, i, e.Value); err != nil {
+			return bd, err
+		}
+		if _, err := pw.Write(binary.LittleEndian.AppendUint64(pw.AvailableBuffer(), math.Float64bits(e.Value))); err != nil {
+			return bd, err
+		}
 	}
 	if err := putUvarint(pw, uint64(len(mb.Materialized))); err != nil {
 		return bd, err
@@ -346,6 +367,34 @@ func readChecked(br byteReader, what string, lim DecodeLimits) ([]byte, error) {
 	return payload, nil
 }
 
+// ToleranceError reports a model block whose recorded tolerance vector
+// is cut short or holds a value no writer records: a NaN, an infinity, a
+// negative value, or a categorical mismatch rate above 1. Queries take
+// their intervals from the vector, so the whole archive is refused.
+type ToleranceError struct {
+	Attr  string  // the attribute's name
+	Value float64 // the recorded value; zero when the vector is cut short
+	Err   error   // the read error when the vector is cut short, else nil
+}
+
+func (e *ToleranceError) Error() string {
+	if e.Err != nil {
+		return fmt.Sprintf("codec: reading recorded tolerance of %q: %v", e.Attr, e.Err)
+	}
+	return fmt.Sprintf("codec: recorded tolerance %g of %q is out of range", e.Value, e.Attr)
+}
+
+func (e *ToleranceError) Unwrap() error { return e.Err }
+
+// checkTolerance checks the recorded tolerance v of attribute i: finite
+// and non-negative, and at most 1 for a categorical attribute.
+func checkTolerance(schema table.Schema, i int, v float64) error {
+	if !(v >= 0) || math.IsInf(v, 0) || (schema[i].Kind == table.Categorical && v > 1) {
+		return &ToleranceError{Attr: schema[i].Name, Value: v}
+	}
+	return nil
+}
+
 // readModelBlock reads and validates a model block. lim has its defaults.
 func readModelBlock(br byteReader, lim DecodeLimits) (*ModelBlock, error) {
 	payload, err := readChecked(br, "model block", lim)
@@ -358,6 +407,17 @@ func readModelBlock(br byteReader, lim DecodeLimits) (*ModelBlock, error) {
 		return nil, err
 	}
 	ncols := len(schema)
+	tols := make(table.Tolerances, ncols)
+	var b [8]byte
+	for i := range tols {
+		if _, err := io.ReadFull(pr, b[:]); err != nil {
+			return nil, &ToleranceError{Attr: schema[i].Name, Err: err}
+		}
+		tols[i].Value = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		if err := checkTolerance(schema, i, tols[i].Value); err != nil {
+			return nil, err
+		}
+	}
 	nmat, err := binary.ReadUvarint(pr)
 	if err != nil {
 		return nil, fmt.Errorf("codec: reading materialized count: %w", err)
@@ -365,7 +425,7 @@ func readModelBlock(br byteReader, lim DecodeLimits) (*ModelBlock, error) {
 	if nmat > uint64(ncols) {
 		return nil, fmt.Errorf("codec: %d materialized attributes for %d columns", nmat, ncols)
 	}
-	mb := &ModelBlock{Schema: schema, Dicts: dicts, Materialized: make([]int, nmat)}
+	mb := &ModelBlock{Schema: schema, Dicts: dicts, Tolerances: tols, Materialized: make([]int, nmat)}
 	isMat := make([]bool, ncols)
 	for i := range mb.Materialized {
 		a, err := binary.ReadUvarint(pr)

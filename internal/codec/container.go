@@ -19,6 +19,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/par"
 	"repro/internal/table"
@@ -69,10 +70,10 @@ func (e *FramingError) Error() string {
 // ZoneMap summarizes one column of one segment for predicate pruning.
 type ZoneMap struct {
 	// Min and Max bound every value the segment can decode to for a
-	// numeric column: the observed range widened by the archive-wide
-	// resolved compression tolerance, the bound every segment
-	// reconstructs within, so lossy reconstruction stays inside the
-	// zone. Zero for categorical columns.
+	// numeric column: the observed range widened by the tolerance the
+	// model block records, the bound every segment reconstructs within,
+	// so lossy reconstruction stays inside the zone. Zero for
+	// categorical columns.
 	Min, Max float64
 	// Fingerprint is a 64-bit membership filter for a categorical
 	// column: bit fpBit(v) is set for every dictionary value v present
@@ -499,6 +500,18 @@ func (cr *Reader) Schema() table.Schema {
 		return nil
 	}
 	return cr.model.Schema
+}
+
+// Tolerances returns the tolerance vector the model block records: per
+// attribute, the absolute error bound (numeric) or the largest mismatch
+// rate (categorical) every segment reconstructs within. It is the only
+// vector a query over the archive's rows may assume; nil when the
+// archive has no segments.
+func (cr *Reader) Tolerances() table.Tolerances {
+	if cr.model == nil {
+		return nil
+	}
+	return slices.Clone(cr.model.Tolerances)
 }
 
 // NumSegments returns how many segments the footer records.

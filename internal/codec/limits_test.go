@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -35,6 +36,13 @@ func (b *hostileBuf) str(s string) {
 
 func (b *hostileBuf) f32(v float32) {
 	_, _ = b.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
+}
+
+// tols writes a recorded tolerance vector, the float64s after the schema.
+func (b *hostileBuf) tols(vs ...float64) {
+	for _, v := range vs {
+		_, _ = b.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
 }
 
 // checked writes payload as a section with a correct length and CRC, the
@@ -87,6 +95,7 @@ func oneColumnBlock(kind table.Kind, dict ...string) []byte {
 	var b, p hostileBuf
 	p.uvarint(1) // ncols
 	p.col("a", kind, dict...)
+	p.tols(0)
 	p.uvarint(1) // nmat
 	p.uvarint(0) // materialized attribute 0
 	p.uvarint(0) // nmodels
@@ -142,6 +151,7 @@ func twoColumnBlock(yKind table.Kind, dict []string, leaf func(*hostileBuf)) []b
 	p.uvarint(2) // ncols
 	p.col("x", table.Numeric)
 	p.col("y", yKind, dict...)
+	p.tols(0, 0)
 	p.uvarint(1) // nmat
 	p.uvarint(0) // x
 	p.uvarint(1) // nmodels
@@ -215,6 +225,7 @@ func hostileCases() []hostileCase {
 		for i := 0; i < ncols; i++ {
 			p.col(string(rune('a'+i)), table.Numeric)
 		}
+		p.tols(make([]float64, ncols)...)
 		p.uvarint(nmat)
 		for _, a := range mats {
 			p.uvarint(a)
@@ -231,6 +242,7 @@ func hostileCases() []hostileCase {
 		p.uvarint(2)
 		p.col("x", table.Numeric)
 		p.col("y", table.Numeric)
+		p.tols(0, 0)
 		p.uvarint(1) // nmat
 		p.uvarint(0) // x
 		p.uvarint(1) // nmodels
@@ -289,6 +301,7 @@ func hostileCases() []hostileCase {
 	var unv, unvBlock, unvOut hostileBuf
 	unvBlock.uvarint(1)
 	unvBlock.col("y", table.Numeric)
+	unvBlock.tols(0)
 	unvBlock.uvarint(0) // nmat
 	unvBlock.uvarint(1) // nmodels
 	unvBlock.uvarint(0) // target y
@@ -447,7 +460,58 @@ func hostileCases() []hostileCase {
 	_, _ = wrap.Write(tprime(gzip.DefaultCompression, cells.Bytes()))
 	cases = append(cases, hostileCase{name: "rows-past-int", data: container(oneNumericBlock(), wrap.Bytes(), oneNumeric),
 		lim: DecodeLimits{MaxRows: math.MaxUint64}, wantErr: "row count 9223372036854775813 exceeds limit 9223372036854775807"})
-	return cases
+	return append(cases, toleranceCases()...)
+}
+
+// toleranceCases holds one-column archives whose model block records a
+// tolerance no writer records, or is cut inside the tolerance vector.
+// Each carries a one-row body that decodes cleanly; Open refuses the
+// archive from its model block alone, before any body is read.
+func toleranceCases() []hostileCase {
+	archive := func(kind table.Kind, afterSchema []byte) []byte {
+		var b, p hostileBuf
+		p.uvarint(1) // ncols
+		p.col("a", kind, "v")
+		_, _ = p.Write(afterSchema)
+		b.checked(p.Bytes())
+		cell := []byte{0} // code 0
+		if kind == table.Numeric {
+			cell = []byte{numEncRaw, 0, 0, 0, 0}
+		}
+		return container(b.Bytes(), body(1, tprime(gzip.DefaultCompression, cell)), table.Schema{{Name: "a", Kind: kind}})
+	}
+	recorded := func(kind table.Kind, v float64) []byte {
+		var p hostileBuf
+		p.tols(v)
+		p.uvarint(1) // nmat
+		p.uvarint(0) // materialized attribute 0
+		p.uvarint(0) // nmodels
+		return archive(kind, p.Bytes())
+	}
+	const outOfRange = `recorded tolerance %s of "a" is out of range`
+	return []hostileCase{
+		{name: "tolerance-cut", data: archive(table.Numeric, make([]byte, 3)),
+			wantErr: `reading recorded tolerance of "a": unexpected EOF`},
+		{name: "tolerance-nan", data: recorded(table.Numeric, math.NaN()), wantErr: fmt.Sprintf(outOfRange, "NaN")},
+		{name: "tolerance-inf", data: recorded(table.Numeric, math.Inf(1)), wantErr: fmt.Sprintf(outOfRange, "+Inf")},
+		{name: "tolerance-minus-inf", data: recorded(table.Numeric, math.Inf(-1)), wantErr: fmt.Sprintf(outOfRange, "-Inf")},
+		{name: "tolerance-negative", data: recorded(table.Numeric, -0.5), wantErr: fmt.Sprintf(outOfRange, "-0.5")},
+		{name: "tolerance-categorical", data: recorded(table.Categorical, 1.5), wantErr: fmt.Sprintf(outOfRange, "1.5")},
+	}
+}
+
+// TestRecordedToleranceErrors: every toleranceCases archive is refused
+// by Open, before any body decodes, with a *ToleranceError.
+func TestRecordedToleranceErrors(t *testing.T) {
+	for _, tc := range toleranceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Open(bytes.NewReader(tc.data), DecodeLimits{})
+			var te *ToleranceError
+			if !errors.As(err, &te) || te.Attr != "a" {
+				t.Errorf("Open error %v, want a *ToleranceError for attribute a", err)
+			}
+		})
+	}
 }
 
 // allocDelta runs f and reports how many bytes it allocated. The decoder

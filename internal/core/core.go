@@ -391,6 +391,9 @@ func learn(ctx context.Context, root *obs.Span, t *table.Table, opts Options) (*
 		if m.block, err = codec.NewModelBlock(t, plan.Materialized, models); err != nil {
 			return fmt.Errorf("spartan: CaRT selection: %w", err)
 		}
+		for i, e := range resolved {
+			m.block.Tolerances[i].Value = e.Bound()
+		}
 		m.plan = plan
 		m.learned.CartsBuilt = plan.CartsBuilt
 		sp.SetAttr("strategy", opts.Selection.String()).

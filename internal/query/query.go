@@ -559,7 +559,9 @@ func groupRows(ctx *evalCtx, q Query) []*bucket {
 // resolveScoped converts quantile tolerances to absolute bounds against
 // the scope's dataset-wide ranges where known, the tables' observed
 // ranges otherwise. Resolving against the widest range keeps the
-// absolute bound identical to what an unpruned run would use.
+// absolute bound identical to what an unpruned run would use. A
+// categorical tolerance becomes its Bound: with per-class budgets, up to
+// that fraction of all rows may be misclassified.
 func resolveScoped(ctx *evalCtx, tol table.Tolerances) (table.Tolerances, error) {
 	ranges := make([]float64, len(ctx.schema))
 	for i, a := range ctx.schema {
@@ -568,7 +570,11 @@ func resolveScoped(ctx *evalCtx, tol table.Tolerances) (table.Tolerances, error)
 			ranges[i] = hi - lo
 		}
 	}
-	return tol.ResolveRanges(ctx.schema, ranges)
+	resolved, err := tol.ResolveRanges(ctx.schema, ranges)
+	for i := range resolved {
+		resolved[i].Value = resolved[i].Bound()
+	}
+	return resolved, err
 }
 
 func validate(ctx *evalCtx, q Query) error {

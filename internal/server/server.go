@@ -12,6 +12,9 @@
 //	POST /decompress                      archive → table (CSV or raw binary by Accept)
 //	POST /query?agg=A[&col=C]...          archive → JSON aggregate with bounds
 //
+// /query takes agg, col, where and groupby, and no tolerance: its bounds
+// come from the tolerances the archive's model block records.
+//
 // Every route is instrumented: requests carry an X-Request-Id (minted if
 // absent), emit a structured log/slog access line, and feed the metrics
 // registry (see docs/OBSERVABILITY.md for the full metric and span
@@ -266,39 +269,21 @@ func (s *Server) bodyError(w http.ResponseWriter, err error) {
 	httpError(w, http.StatusBadRequest, err)
 }
 
-// tolParams parses the shared tolerance request parameters: tolerance
-// (numeric fraction of range) and cat-tolerance (categorical
-// probability).
-func tolParams(r *http.Request) (numeric, cat float64, err error) {
-	parse := func(name string) (float64, error) {
-		s := r.URL.Query().Get(name)
-		if s == "" {
-			return 0, nil
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s: %w", name, err)
-		}
-		return v, nil
-	}
-	if numeric, err = parse("tolerance"); err != nil {
-		return 0, 0, err
-	}
-	if cat, err = parse("cat-tolerance"); err != nil {
-		return 0, 0, err
-	}
-	return numeric, cat, nil
-}
-
-// tolerancesFromQuery builds the tolerance vector from request
-// parameters. The raw numeric fraction is also returned for the
-// tolerance-distribution metric.
+// tolerancesFromQuery builds the tolerance vector from the request
+// parameters tolerance (numeric fraction of range) and cat-tolerance
+// (categorical probability). The raw numeric fraction is also returned
+// for the tolerance-distribution metric.
 func tolerancesFromQuery(r *http.Request, t *table.Table) (table.Tolerances, float64, error) {
-	numeric, cat, err := tolParams(r)
-	if err != nil {
-		return nil, 0, err
+	var frac [2]float64
+	for i, name := range []string{"tolerance", "cat-tolerance"} {
+		if v := r.URL.Query().Get(name); v != "" {
+			var err error
+			if frac[i], err = strconv.ParseFloat(v, 64); err != nil {
+				return nil, 0, fmt.Errorf("bad %s: %w", name, err)
+			}
+		}
 	}
-	return table.UniformTolerances(t, numeric, cat), numeric, nil
+	return table.UniformTolerances(t, frac[0], frac[1]), frac[0], nil
 }
 
 // timingHeaders maps the X-Spartan-Timing-* header suffixes to the
@@ -484,11 +469,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown agg %q", q.Get("agg")))
 		return
 	}
-	numTol, catTol, err := tolParams(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
 	spec := query.Query{Agg: agg, Column: q.Get("col"), GroupBy: q.Get("groupby")}
 
 	// The body is buffered so it can be opened as a seekable archive: its
@@ -514,8 +494,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	tol := table.UniformTolerancesSchema(sr.Schema(), numTol, catTol)
-	res, qs, err := sr.QuerySpan(r.Context(), root, tol, spec)
+	// The intervals come from the tolerances the archive records.
+	res, qs, err := sr.QuerySpan(r.Context(), root, spec)
 	if !s.answerErr(w, err) {
 		return
 	}

@@ -137,7 +137,7 @@ func TestQueryEndpoint(t *testing.T) {
 	compressed, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 
-	url := srv.URL + "/query?agg=avg&col=charge_cents&groupby=plan&tolerance=0.01&where=" +
+	url := srv.URL + "/query?agg=avg&col=charge_cents&groupby=plan&where=" +
 		"duration_sec%20%3E%20100"
 	resp2, err := http.Post(url, "application/x-spartan", bytes.NewReader(compressed))
 	if err != nil {

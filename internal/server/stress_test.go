@@ -49,7 +49,7 @@ func TestStressConcurrentTraffic(t *testing.T) {
 					}
 				} else {
 					resp, err := http.Post(
-						srv.URL+"/query?agg=avg&col=charge_cents&groupby=plan&tolerance=0.01&where=duration_sec%20%3E%20100",
+						srv.URL+"/query?agg=avg&col=charge_cents&groupby=plan&where=duration_sec%20%3E%20100",
 						"application/x-spartan", bytes.NewReader(compressed))
 					if err != nil {
 						t.Errorf("query: %v", err)

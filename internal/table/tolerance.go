@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 )
 
 // Tolerance is the per-attribute acceptable information loss (the eᵢ of the
@@ -38,8 +39,7 @@ func UniformTolerances(t *Table, numericFrac, catProb float64) Tolerances {
 }
 
 // UniformTolerancesSchema is UniformTolerances from a schema alone, for
-// callers that know the attribute kinds without materializing rows (e.g.
-// querying an archive footer before decoding any segment).
+// callers that know the attribute kinds without materializing rows.
 func UniformTolerancesSchema(s Schema, numericFrac, catProb float64) Tolerances {
 	tol := make(Tolerances, len(s))
 	for i := range s {
@@ -76,6 +76,21 @@ func (e Tolerance) ClassBudgets(dict []string) map[int32]float64 {
 	return out
 }
 
+// Bound returns the largest error e allows on any value: Value, or for a
+// categorical tolerance with per-class overrides the largest of Value and
+// every PerClass probability. A column whose every class c keeps at most
+// PerClass[c] of its rows misclassified has at most Bound() of all its
+// rows misclassified, so Bound is the one mismatch rate a reader may
+// assume without knowing the class of each row. Call it on a resolved
+// tolerance: a quantile form's Value is a fraction, not a bound.
+func (e Tolerance) Bound() float64 {
+	b := e.Value
+	for _, p := range e.PerClass {
+		b = math.Max(b, p)
+	}
+	return b
+}
+
 // Resolve converts quantile-form numeric tolerances into absolute bounds
 // using the observed column ranges of t, and validates the vector. The
 // returned slice has Quantile=false everywhere.
@@ -108,8 +123,8 @@ func (tol Tolerances) ResolveRanges(schema Schema, ranges []float64) (Tolerances
 	out := make(Tolerances, len(tol))
 	for i, e := range tol {
 		attr := schema[i]
-		if e.Value < 0 {
-			return nil, fmt.Errorf("table: attribute %q has negative tolerance %g", attr.Name, e.Value)
+		if e.Value < 0 || math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
+			return nil, fmt.Errorf("table: attribute %q has tolerance %g, want a finite value >= 0", attr.Name, e.Value)
 		}
 		switch attr.Kind {
 		case Numeric:

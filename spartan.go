@@ -145,13 +145,6 @@ func UniformTolerances(t *Table, numericFrac, catProb float64) Tolerances {
 	return table.UniformTolerances(t, numericFrac, catProb)
 }
 
-// UniformTolerancesSchema is UniformTolerances from a schema alone, for
-// callers that know the attribute kinds without materializing rows
-// (e.g. querying an archive footer before decoding any segment).
-func UniformTolerancesSchema(s Schema, numericFrac, catProb float64) Tolerances {
-	return table.UniformTolerancesSchema(s, numericFrac, catProb)
-}
-
 // Compress writes the semantically compressed form of t to w and reports
 // statistics. The input table is not modified.
 func Compress(w io.Writer, t *Table, opts Options) (*Stats, error) {
