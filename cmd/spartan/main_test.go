@@ -331,6 +331,9 @@ func TestCommandErrors(t *testing.T) {
 		{"query bad where", func() error {
 			return cmdQuery([]string{"-in", sptn, "-agg", "count", "-where", "nope >"})
 		}},
+		{"query NaN constant", func() error {
+			return cmdQuery([]string{"-in", sptn, "-agg", "count", "-where", "duration_sec < NaN"})
+		}},
 		{"deps missing flags", func() error { return cmdDeps(nil) }},
 	}
 	for _, c := range cases {

@@ -78,12 +78,9 @@ func NewModelBlock(src *table.Table, materialized []int, models []*cart.Model) (
 	}
 	mb := &ModelBlock{
 		Schema:       src.Schema().Clone(),
-		Dicts:        make([][]string, src.NumCols()),
+		Dicts:        src.Dicts(),
 		Tolerances:   table.ZeroTolerances(src),
 		Materialized: slices.Clone(materialized),
-	}
-	for i := range mb.Dicts {
-		mb.Dicts[i] = src.Col(i).Dict
 	}
 	sort.Ints(mb.Materialized)
 	for _, m := range sortedByTarget(models) {
@@ -113,7 +110,7 @@ func (mb *ModelBlock) Encode(w io.Writer) (Breakdown, error) {
 	}
 	var payload bytes.Buffer
 	pw := bufio.NewWriter(&payload)
-	if err := writeSchema(pw, mb.Schema, mb.Dicts); err != nil {
+	if err := table.WriteSchema(pw, mb.Schema, mb.Dicts); err != nil {
 		return bd, err
 	}
 	for i, e := range mb.Tolerances {
@@ -402,9 +399,9 @@ func readModelBlock(br byteReader, lim DecodeLimits) (*ModelBlock, error) {
 		return nil, err
 	}
 	pr := bytes.NewReader(payload)
-	schema, dicts, err := readSchemaLimited(pr, lim)
+	schema, dicts, err := table.ReadSchema(pr, lim.MaxCols, lim.MaxDictEntries)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("codec: %w", err)
 	}
 	ncols := len(schema)
 	tols := make(table.Tolerances, ncols)
@@ -822,107 +819,9 @@ func readFullGrowing(r io.Reader, n, limit uint64) ([]byte, error) {
 	return dst, nil
 }
 
-// --- schema helpers (same layout as the raw table format) ---
-
-func writeSchema(bw *bufio.Writer, schema table.Schema, dicts [][]string) error {
-	if err := putUvarint(bw, uint64(len(schema))); err != nil {
-		return err
-	}
-	for i, a := range schema {
-		if err := putString(bw, a.Name); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(a.Kind)); err != nil {
-			return err
-		}
-		if a.Kind == table.Categorical {
-			if err := putUvarint(bw, uint64(len(dicts[i]))); err != nil {
-				return err
-			}
-			for _, s := range dicts[i] {
-				if err := putString(bw, s); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func readSchemaLimited(br byteReader, lim DecodeLimits) (table.Schema, [][]string, error) {
-	ncols, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, nil, fmt.Errorf("codec: reading column count: %w", err)
-	}
-	if ncols == 0 || ncols > lim.MaxCols {
-		return nil, nil, fmt.Errorf("codec: column count %d outside limit %d", ncols, lim.MaxCols)
-	}
-	schema := make(table.Schema, ncols)
-	dicts := make([][]string, ncols)
-	for i := range schema {
-		name, err := getString(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		kb, err := br.ReadByte()
-		if err != nil {
-			return nil, nil, err
-		}
-		kind := table.Kind(kb)
-		if kind != table.Numeric && kind != table.Categorical {
-			return nil, nil, fmt.Errorf("codec: unknown kind %d", kb)
-		}
-		schema[i] = table.Attribute{Name: name, Kind: kind}
-		if kind == table.Categorical {
-			dlen, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, nil, err
-			}
-			if dlen > lim.MaxDictEntries {
-				return nil, nil, fmt.Errorf("codec: dictionary size %d exceeds limit %d", dlen, lim.MaxDictEntries)
-			}
-			// Grow incrementally so a lying header cannot force a huge
-			// allocation before the stream runs out.
-			dict := make([]string, 0, min(int(dlen), 1<<12))
-			for d := uint64(0); d < dlen; d++ {
-				s, err := getString(br)
-				if err != nil {
-					return nil, nil, err
-				}
-				dict = append(dict, s)
-			}
-			dicts[i] = dict
-		}
-	}
-	return schema, dicts, nil
-}
-
 // putUvarint appends into the writer's free buffer, so the per-cell
 // T′ loop does not heap-allocate a scratch array on every call.
 func putUvarint(bw *bufio.Writer, v uint64) error {
 	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 	return err
-}
-
-func putString(bw *bufio.Writer, s string) error {
-	if err := putUvarint(bw, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := bw.WriteString(s)
-	return err
-}
-
-func getString(br byteReader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<24 {
-		return "", fmt.Errorf("codec: implausible string length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -35,7 +35,7 @@ func Compress(t *table.Table, p Params, gzipPayload bool) ([]byte, error) {
 func (c *Clustering) Encode(t *table.Table, gzipPayload bool) ([]byte, error) {
 	var body bytes.Buffer
 	bw := bufio.NewWriter(&body)
-	if err := writeSchema(bw, t); err != nil {
+	if err := table.WriteSchema(bw, t.Schema(), t.Dicts()); err != nil {
 		return nil, err
 	}
 	if err := putUvarint(bw, uint64(len(c.Fascicles))); err != nil {
@@ -144,9 +144,9 @@ func Decompress(data []byte) (*table.Table, error) {
 		body = zr
 	}
 	br := bufio.NewReader(body)
-	schema, dicts, err := readSchema(br)
+	schema, dicts, err := table.ReadSchema(br, 1<<16, 1<<22)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fascicle: %w", err)
 	}
 	ncols := len(schema)
 	cols := make([]*table.Column, ncols)
@@ -271,107 +271,11 @@ func Decompress(data []byte) (*table.Table, error) {
 
 // --- shared low-level helpers ---
 
-func writeSchema(bw *bufio.Writer, t *table.Table) error {
-	if err := putUvarint(bw, uint64(t.NumCols())); err != nil {
-		return err
-	}
-	for i := 0; i < t.NumCols(); i++ {
-		a := t.Attr(i)
-		if err := putString(bw, a.Name); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(a.Kind)); err != nil {
-			return err
-		}
-		if a.Kind == table.Categorical {
-			dict := t.Col(i).Dict
-			if err := putUvarint(bw, uint64(len(dict))); err != nil {
-				return err
-			}
-			for _, s := range dict {
-				if err := putString(bw, s); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func readSchema(br *bufio.Reader) (table.Schema, [][]string, error) {
-	ncols, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fascicle: reading column count: %w", err)
-	}
-	if ncols == 0 || ncols > 1<<16 {
-		return nil, nil, fmt.Errorf("fascicle: implausible column count %d", ncols)
-	}
-	schema := make(table.Schema, ncols)
-	dicts := make([][]string, ncols)
-	for i := range schema {
-		name, err := getString(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		kb, err := br.ReadByte()
-		if err != nil {
-			return nil, nil, err
-		}
-		kind := table.Kind(kb)
-		if kind != table.Numeric && kind != table.Categorical {
-			return nil, nil, fmt.Errorf("fascicle: unknown kind %d", kb)
-		}
-		schema[i] = table.Attribute{Name: name, Kind: kind}
-		if kind == table.Categorical {
-			dlen, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, nil, err
-			}
-			if dlen > 1<<22 {
-				return nil, nil, fmt.Errorf("fascicle: implausible dictionary size %d", dlen)
-			}
-			dict := make([]string, 0, min(int(dlen), 1<<12))
-			for d := uint64(0); d < dlen; d++ {
-				s, err := getString(br)
-				if err != nil {
-					return nil, nil, err
-				}
-				dict = append(dict, s)
-			}
-			dicts[i] = dict
-		}
-	}
-	return schema, dicts, nil
-}
-
 func putUvarint(bw *bufio.Writer, v uint64) error {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
 	_, err := bw.Write(buf[:n])
 	return err
-}
-
-func putString(bw *bufio.Writer, s string) error {
-	if err := putUvarint(bw, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := bw.WriteString(s)
-	return err
-}
-
-func getString(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<24 {
-		return "", fmt.Errorf("fascicle: implausible string length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
 
 func putFloat64(bw *bufio.Writer, v float64) error {

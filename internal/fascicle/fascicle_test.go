@@ -368,7 +368,7 @@ func TestDecompressRejectsHugeCompactAttribute(t *testing.T) {
 	// count, the first fascicle's compact-attribute count.
 	var prefix bytes.Buffer
 	bw := bufio.NewWriter(&prefix)
-	if err := writeSchema(bw, tb); err != nil {
+	if err := table.WriteSchema(bw, tb.Schema(), tb.Dicts()); err != nil {
 		t.Fatal(err)
 	}
 	if err := putUvarint(bw, uint64(len(c.Fascicles))); err != nil {

@@ -197,33 +197,35 @@ func (p *numCmp) columns() []string { return []string{p.column} }
 func (p *numCmp) fill(ctx *evalCtx, t *table.Table, out []tri) {
 	e := ctx.tol[p.column]
 	for r, x := range t.Col(ctx.cols[p.column]).Floats {
-		out[r] = p.verdict(x, e)
+		out[r] = p.verdict(x, x, e)
 	}
 }
 
-// verdict compares the interval [x−e, x+e], certain to contain the
-// original value of a reconstructed x, against the constant.
-func (p *numCmp) verdict(x, e float64) tri {
-	lo, hi := x-e, x+e
+// verdict compares the interval [lo−e, hi+e], certain to contain the
+// original value of every reconstructed x in [lo, hi], against the
+// constant: yes when every such x is a definite match, no when every one
+// is a definite non-match. A row passes lo = hi = x; a zone its envelope.
+func (p *numCmp) verdict(lo, hi, e float64) tri {
+	l, h, v := lo-e, hi+e, p.value
 	switch p.op {
 	case Lt:
-		return intervalCmp(hi < p.value, lo >= p.value)
+		return intervalCmp(h < v, l >= v)
 	case Le:
-		return intervalCmp(hi <= p.value, lo > p.value)
+		return intervalCmp(h <= v, l > v)
 	case Gt:
-		return intervalCmp(lo > p.value, hi <= p.value)
+		return intervalCmp(l > v, h <= v)
 	case Ge:
-		return intervalCmp(lo >= p.value, hi < p.value)
+		return intervalCmp(l >= v, h < v)
 	case Eq:
 		if e == 0 {
-			return intervalCmp(x == p.value, x != p.value)
+			return intervalCmp(lo == v && hi == v, v < lo || v > hi)
 		}
-		return intervalCmp(false, lo > p.value || hi < p.value)
+		return intervalCmp(false, l > v || h < v)
 	case Ne:
 		if e == 0 {
-			return intervalCmp(x != p.value, x == p.value)
+			return intervalCmp(v < lo || v > hi, lo == v && hi == v)
 		}
-		return intervalCmp(lo > p.value || hi < p.value, false)
+		return intervalCmp(l > v || h < v, false)
 	default:
 		return maybe
 	}
@@ -610,7 +612,8 @@ func validate(ctx *evalCtx, q Query) error {
 			}
 		}
 		// NumCmp on a categorical column or CatIn on a numeric one would
-		// read the wrong slice; reject them up front with a clean error.
+		// read the wrong slice, and a NaN constant compares with nothing;
+		// reject them up front with a clean error.
 		if err := checkPredicateKinds(ctx, q.Where); err != nil {
 			return err
 		}
@@ -626,6 +629,10 @@ func checkPredicateKinds(ctx *evalCtx, p Predicate) error {
 	case *numCmp:
 		if ctx.kind(v.column) != table.Numeric {
 			return fmt.Errorf("query: numeric comparison on categorical column %q", v.column)
+		}
+		// No value is ordered against NaN, so every row would be uncertain.
+		if math.IsNaN(v.value) {
+			return fmt.Errorf("query: comparison of column %q with NaN", v.column)
 		}
 	case *catIn:
 		if ctx.kind(v.column) != table.Categorical {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,6 +160,59 @@ func TestValidationErrors(t *testing.T) {
 	for i, q := range cases {
 		if _, err := Run(tb, nil, q); err == nil {
 			t.Errorf("case %d: Run accepted invalid query %+v", i, q)
+		}
+	}
+}
+
+// TestNaNConstantRefused pins that a comparison with a NaN constant is
+// refused by validation, naming the column, wherever it sits in the
+// predicate and whatever the tolerance: no value is ordered against NaN,
+// so every row would otherwise come back uncertain. Infinite constants
+// stay legal and are answered exactly on a lossless table.
+func TestNaNConstantRefused(t *testing.T) {
+	schema := table.Schema{{Name: "x", Kind: table.Numeric}}
+	b := table.MustBuilder(schema)
+	for i := 0; i < 10; i++ {
+		b.MustAppendRow(float64(i))
+	}
+	tb := b.MustBuild()
+	lossless := table.ZeroTolerances(tb)
+	half := table.Tolerances{{Value: 0.5}}
+	for _, tc := range []struct {
+		expr string
+		tol  table.Tolerances
+	}{
+		{"x < NaN", lossless},
+		{"x != NaN", half},
+		{"x == nan", lossless},
+		{"x >= 1 || !(x <= NaN)", half},
+	} {
+		p, err := ParsePredicate(tc.expr, schema)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.expr, err)
+		}
+		q := Query{Agg: Count, Where: p}
+		if res, err := Run(tb, tc.tol, q); err == nil {
+			t.Errorf("%s: Run answered %+v, want an error", tc.expr, res.Groups)
+		} else if !strings.Contains(err.Error(), `"x"`) || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s: error %q does not name the column and NaN", tc.expr, err)
+		}
+		halves := []*table.Table{tb, tb}
+		if _, err := RunSegments(halves, tc.tol, q, &Scope{TotalRows: 20}); err == nil {
+			t.Errorf("%s: RunSegments accepted the query", tc.expr)
+		}
+	}
+	for expr, want := range map[string]float64{"x < Inf": 10, "x > -Inf": 10, "x >= +Inf": 0} {
+		p, err := ParsePredicate(expr, schema)
+		if err != nil {
+			t.Fatalf("%s: %v", expr, err)
+		}
+		res, err := Run(tb, lossless, Query{Agg: Count, Where: p})
+		if err != nil {
+			t.Fatalf("%s: %v", expr, err)
+		}
+		if g := res.Groups[0]; g.Value != want || g.Lo != want || g.Hi != want {
+			t.Errorf("%s: COUNT = %+v, want exactly %g", expr, g, want)
 		}
 	}
 }

@@ -37,8 +37,8 @@ func CanMatch(p Predicate, zones func(column string) (ColumnZone, bool), tol map
 }
 
 // zoneEval evaluates p over a whole segment: yes when every possible row
-// matches, no when none can, maybe otherwise. Numeric comparisons apply
-// the row evaluator's x±e interval logic at the zone's endpoints;
+// matches, no when none can, maybe otherwise. Numeric comparisons take
+// the row evaluator's verdict over the zone's value range;
 // categorical membership refutes only at zero tolerance, because a flip
 // budget lets rows smuggle values the fingerprint never saw.
 func zoneEval(p Predicate, zones func(string) (ColumnZone, bool), tol map[string]float64) tri {
@@ -48,37 +48,10 @@ func zoneEval(p Predicate, zones func(string) (ColumnZone, bool), tol map[string
 		if !ok || z.Kind != table.Numeric {
 			return maybe
 		}
-		e := tol[v.column]
 		// Every row's certain interval [x−e, x+e] lies within
-		// [z.Lo−e, z.Hi+e]; the comparisons below are the row evaluator's
-		// conditions applied to those envelope endpoints, so "yes" means
-		// every row is a definite match and "no" means every row is a
-		// definite non-match.
-		lo, hi := z.Lo-e, z.Hi+e
-		switch v.op {
-		case Lt:
-			return intervalCmp(hi < v.value, lo >= v.value)
-		case Le:
-			return intervalCmp(hi <= v.value, lo > v.value)
-		case Gt:
-			return intervalCmp(lo > v.value, hi <= v.value)
-		case Ge:
-			return intervalCmp(lo >= v.value, hi < v.value)
-		case Eq:
-			if e == 0 {
-				return intervalCmp(z.Lo == v.value && z.Hi == v.value,
-					v.value < z.Lo || v.value > z.Hi)
-			}
-			return intervalCmp(false, lo > v.value || hi < v.value)
-		case Ne:
-			if e == 0 {
-				return intervalCmp(v.value < z.Lo || v.value > z.Hi,
-					z.Lo == v.value && z.Hi == v.value)
-			}
-			return intervalCmp(lo > v.value || hi < v.value, false)
-		default:
-			return maybe
-		}
+		// [z.Lo−e, z.Hi+e]: "yes" means every row is a definite match and
+		// "no" means every row is a definite non-match.
+		return v.verdict(z.Lo, z.Hi, tol[v.column])
 	case *catIn:
 		z, ok := zones(v.column)
 		if !ok || z.Kind != table.Categorical || z.MayContain == nil {

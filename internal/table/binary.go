@@ -54,35 +54,16 @@ func codeBytes(domain int) int {
 }
 
 // WriteBinary serializes the table in the raw fixed-length record format
-// with a self-describing header (magic, schema, dictionaries, row count).
+// with a self-describing header (magic, schema header, row count).
 func WriteBinary(w io.Writer, t *Table) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(rawMagic); err != nil {
 		return err
 	}
-	if err := writeUvarint(bw, uint64(len(t.schema))); err != nil {
+	if err := WriteSchema(bw, t.schema, t.Dicts()); err != nil {
 		return err
 	}
-	for i, a := range t.schema {
-		if err := writeString(bw, a.Name); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(a.Kind)); err != nil {
-			return err
-		}
-		if a.Kind == Categorical {
-			dict := t.cols[i].Dict
-			if err := writeUvarint(bw, uint64(len(dict))); err != nil {
-				return err
-			}
-			for _, s := range dict {
-				if err := writeString(bw, s); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := writeUvarint(bw, uint64(t.rows)); err != nil {
+	if err := putUvarint(bw, uint64(t.rows)); err != nil {
 		return err
 	}
 	var buf [4]byte
@@ -118,48 +99,9 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	if string(magic) != rawMagic {
 		return nil, fmt.Errorf("table: bad binary magic %q", magic)
 	}
-	ncols, err := binary.ReadUvarint(br)
+	schema, dicts, err := ReadSchema(br, 1<<16, 1<<22)
 	if err != nil {
-		return nil, fmt.Errorf("table: reading column count: %w", err)
-	}
-	if ncols == 0 || ncols > 1<<16 {
-		return nil, fmt.Errorf("table: implausible column count %d", ncols)
-	}
-	schema := make(Schema, ncols)
-	cols := make([]*Column, ncols)
-	for i := range schema {
-		name, err := readString(br)
-		if err != nil {
-			return nil, fmt.Errorf("table: reading attribute name: %w", err)
-		}
-		kindByte, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("table: reading attribute kind: %w", err)
-		}
-		kind := Kind(kindByte)
-		if kind != Numeric && kind != Categorical {
-			return nil, fmt.Errorf("table: unknown attribute kind %d", kindByte)
-		}
-		schema[i] = Attribute{Name: name, Kind: kind}
-		cols[i] = &Column{Kind: kind}
-		if kind == Categorical {
-			dlen, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("table: reading dictionary size: %w", err)
-			}
-			if dlen > 1<<22 {
-				return nil, fmt.Errorf("table: implausible dictionary size %d", dlen)
-			}
-			dict := make([]string, 0, min(int(dlen), 1<<12))
-			for d := uint64(0); d < dlen; d++ {
-				s, err := readString(br)
-				if err != nil {
-					return nil, fmt.Errorf("table: reading dictionary entry: %w", err)
-				}
-				dict = append(dict, s)
-			}
-			cols[i].Dict = dict
-		}
+		return nil, fmt.Errorf("table: %w", err)
 	}
 	nrows, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -170,12 +112,11 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	}
 	// Columns grow incrementally so a lying row count in the header cannot
 	// force a huge allocation before the stream runs out of records.
-	initialCap := int(nrows)
-	if initialCap > 1<<16 {
-		initialCap = 1 << 16
-	}
-	for i := range cols {
-		if cols[i].Kind == Numeric {
+	initialCap := min(nrows, 1<<16)
+	cols := make([]*Column, len(schema))
+	for i, a := range schema {
+		cols[i] = &Column{Kind: a.Kind, Dict: dicts[i]}
+		if a.Kind == Numeric {
 			cols[i].Floats = make([]float64, 0, initialCap)
 		} else {
 			cols[i].Codes = make([]int32, 0, initialCap)
@@ -206,28 +147,122 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	return New(schema, cols)
 }
 
-func writeUvarint(w *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
-}
-
-func writeString(w *bufio.Writer, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
+// WriteSchema writes the schema header shared by the raw, SPARC3,
+// fascicle and pzip formats: the column count, then per attribute its
+// name, kind byte and, for a categorical attribute, its dictionary
+// (entry count, then the entries). dicts[i] is read only for
+// categorical attributes.
+func WriteSchema(bw *bufio.Writer, s Schema, dicts [][]string) error {
+	if err := putUvarint(bw, uint64(len(s))); err != nil {
 		return err
 	}
-	_, err := w.WriteString(s)
+	for i, a := range s {
+		if err := putString(bw, a.Name); err != nil {
+			return err
+		}
+		if err := bw.WriteByte(byte(a.Kind)); err != nil {
+			return err
+		}
+		if a.Kind != Categorical {
+			continue
+		}
+		if err := putUvarint(bw, uint64(len(dicts[i]))); err != nil {
+			return err
+		}
+		for _, v := range dicts[i] {
+			if err := putString(bw, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// ReadSchema reads a schema header written by WriteSchema and returns
+// the schema with each attribute's dictionary (nil for numeric ones). It
+// refuses a column count of 0 or over maxCols, a dictionary of more than
+// maxDict entries and a string longer than 2^24 bytes before allocating
+// for them. Errors carry no package prefix; callers add their own.
+func ReadSchema(r interface {
+	io.Reader
+	io.ByteReader
+}, maxCols, maxDict uint64) (Schema, [][]string, error) {
+	ncols, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading column count: %w", err)
+	}
+	if ncols == 0 || ncols > maxCols {
+		return nil, nil, fmt.Errorf("column count %d outside limit %d", ncols, maxCols)
+	}
+	schema := make(Schema, ncols)
+	dicts := make([][]string, ncols)
+	for i := range schema {
+		name, err := readString(r)
+		if err != nil {
+			return nil, nil, fmt.Errorf("reading attribute name: %w", err)
+		}
+		kb, err := r.ReadByte()
+		if err != nil {
+			return nil, nil, fmt.Errorf("reading attribute kind: %w", err)
+		}
+		kind := Kind(kb)
+		if kind != Numeric && kind != Categorical {
+			return nil, nil, fmt.Errorf("unknown attribute kind %d", kb)
+		}
+		schema[i] = Attribute{Name: name, Kind: kind}
+		if kind != Categorical {
+			continue
+		}
+		dlen, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, nil, fmt.Errorf("reading dictionary size: %w", err)
+		}
+		if dlen > maxDict {
+			return nil, nil, fmt.Errorf("dictionary size %d exceeds limit %d", dlen, maxDict)
+		}
+		// Grow incrementally so a lying header cannot force a huge
+		// allocation before the stream runs out.
+		dict := make([]string, 0, min(dlen, 1<<12))
+		for d := uint64(0); d < dlen; d++ {
+			v, err := readString(r)
+			if err != nil {
+				return nil, nil, fmt.Errorf("reading dictionary entry: %w", err)
+			}
+			dict = append(dict, v)
+		}
+		dicts[i] = dict
+	}
+	return schema, dicts, nil
+}
+
+// putUvarint appends into the writer's free buffer, so it does not
+// heap-allocate a scratch array on every call.
+func putUvarint(bw *bufio.Writer, v uint64) error {
+	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
 	return err
 }
 
-func readString(r *bufio.Reader) (string, error) {
+func putString(bw *bufio.Writer, s string) error {
+	if err := putUvarint(bw, uint64(len(s))); err != nil {
+		return err
+	}
+	_, err := bw.WriteString(s)
+	return err
+}
+
+// byteReader is what ReadSchema reads from.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+func readString(r byteReader) (string, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", err
 	}
 	if n > 1<<24 {
-		return "", fmt.Errorf("table: implausible string length %d", n)
+		return "", fmt.Errorf("implausible string length %d", n)
 	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(r, b); err != nil {

@@ -228,6 +228,16 @@ func (t *Table) Attr(i int) Attribute { return t.schema[i] }
 // Col returns the i-th column. Callers must not modify it.
 func (t *Table) Col(i int) *Column { return t.cols[i] }
 
+// Dicts returns each column's dictionary in schema order; only
+// categorical columns use theirs. Callers must not modify them.
+func (t *Table) Dicts() [][]string {
+	dicts := make([][]string, len(t.cols))
+	for i, c := range t.cols {
+		dicts[i] = c.Dict
+	}
+	return dicts
+}
+
 // ColByName returns the column with the given attribute name, or nil.
 func (t *Table) ColByName(name string) *Column {
 	i := t.schema.Index(name)
