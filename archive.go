@@ -25,11 +25,12 @@ type ArchiveWriter = archive.Writer
 // and Query prunes segments via zone maps.
 type Archive = archive.SegReader
 
-// SegmentOptions shapes how CompressArchive splits rows into segments
-// and schedules the parallel compression.
+// SegmentOptions shapes how Compress splits rows into segments and
+// schedules the parallel compression; the zero value writes one segment.
 type SegmentOptions = archive.SegmentOptions
 
-// ArchiveStats aggregates per-segment compression statistics.
+// ArchiveStats is the archive's Stats, totalled over its segments, plus
+// each segment's own.
 type ArchiveStats = archive.TableStats
 
 // ArchiveQueryStats reports how much decoding a query's zone-map
@@ -44,41 +45,36 @@ type FramingError = codec.FramingError
 // that contains zero segments; test for it with errors.Is.
 var ErrEmptyArchive = codec.ErrEmptyArchive
 
-// ErrNotArchive is returned by Decompress, ReadArchive and OpenArchive
+// ErrNotArchive is returned by Decompress and OpenArchive
 // for input that is not a SPARTAN archive; test for it with errors.Is.
 var ErrNotArchive = codec.ErrNotArchive
-
-// DefaultSegmentRows is the segment size used when SegmentOptions
-// leaves SegmentRows zero.
-const DefaultSegmentRows = archive.DefaultSegmentRows
 
 // NewArchiveWriter starts an archive on w. The models are learned from
 // the first block written, and quantile tolerances resolve against that
 // block's value ranges, so prefer absolute tolerances when later blocks
-// may range wider. Use CompressArchive to split and compress a whole
-// table in parallel instead of framing segments by hand; it learns on
-// the whole table.
+// may range wider. Use Compress to split and compress a whole table in
+// parallel instead of framing segments by hand; it learns on the whole
+// table.
 func NewArchiveWriter(w io.Writer, opts Options) (*ArchiveWriter, error) {
 	return archive.NewWriter(w, opts)
 }
 
-// ReadArchive reads r to the end and decompresses it into one table,
-// rows in segment order. It is Decompress.
-func ReadArchive(r io.Reader) (*Table, error) {
-	return archive.ReadAll(r)
-}
-
-// CompressArchive learns the models on all of t, splits t into row
-// segments and writes a segmented archive to w, applying the models to
-// segments concurrently. Quantile tolerances resolve against all of t.
-// The output bytes do not depend on the worker count.
-func CompressArchive(w io.Writer, t *Table, opts Options, seg SegmentOptions) (*ArchiveStats, error) {
-	return archive.WriteTable(w, t, opts, seg)
-}
-
-// CompressArchiveContext is CompressArchive with cancellation.
-func CompressArchiveContext(ctx context.Context, w io.Writer, t *Table, opts Options, seg SegmentOptions) (*ArchiveStats, error) {
+// Compress learns the models on all of t, splits t into row segments
+// (one holding every row unless seg.SegmentRows bounds them) and writes
+// the archive to w, applying the models to the segments concurrently.
+// Quantile tolerances resolve against all of t, and the input table is
+// not modified. The output bytes do not depend on the worker count. The
+// pipeline checks ctx at every phase boundary and inside long-running
+// phases, so a cancelled or expired context aborts the compression
+// promptly with an error wrapping ctx.Err().
+func Compress(ctx context.Context, w io.Writer, t *Table, opts Options, seg SegmentOptions) (*ArchiveStats, error) {
 	return archive.WriteTableContext(ctx, w, t, opts, seg)
+}
+
+// Decompress reads r to the end and decompresses the archive into one
+// table, rows in segment order.
+func Decompress(r io.Reader) (*Table, error) {
+	return codec.Decode(r)
 }
 
 // OpenArchive parses the footer of a seekable archive for on-demand

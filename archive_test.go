@@ -59,7 +59,7 @@ func TestArchiveRoundTripToleranceRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	back, err := ReadArchive(bytes.NewReader(buf.Bytes()))
+	back, err := Decompress(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,7 @@ func TestArchiveReaderStreamsBlocks(t *testing.T) {
 
 // TestRetiredStreamRefused: the retired stream format — the magic
 // "SPRTN2\n", a model block and one body, with no footer — is refused
-// with ErrNotArchive by every reader: Decompress, ReadArchive and
-// OpenArchive, and with 400 by /decompress and /query.
+// with ErrNotArchive by every reader: Decompress and OpenArchive, and with 400 by /decompress and /query.
 func TestRetiredStreamRefused(t *testing.T) {
 	tb := datagen.CDR(300, 1)
 	m, err := core.Learn(context.Background(), tb, Options{})
@@ -153,9 +152,6 @@ func TestRetiredStreamRefused(t *testing.T) {
 
 	if _, err := Decompress(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
 		t.Errorf("Decompress = %v, want ErrNotArchive", err)
-	}
-	if _, err := ReadArchive(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
-		t.Errorf("ReadArchive = %v, want ErrNotArchive", err)
 	}
 	if _, err := OpenArchive(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
 		t.Errorf("OpenArchive = %v, want ErrNotArchive", err)

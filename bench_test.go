@@ -8,6 +8,7 @@ package spartan
 // scale.
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cart"
@@ -148,7 +149,7 @@ func BenchmarkCompressCDR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := CompressBytes(t, opts); err != nil {
+		if _, _, err := compressBytes(t, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,7 +157,7 @@ func BenchmarkCompressCDR(b *testing.B) {
 
 func BenchmarkDecompressCDR(b *testing.B) {
 	t := datagen.CDR(benchRows, 1)
-	data, _, err := CompressBytes(t, Options{Tolerances: UniformTolerances(t, 0.01, 0)})
+	data, _, err := compressBytes(t, Options{Tolerances: UniformTolerances(t, 0.01, 0)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func BenchmarkDecompressCDR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecompressBytes(data); err != nil {
+		if _, err := Decompress(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

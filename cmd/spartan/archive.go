@@ -1,10 +1,7 @@
 package main
 
 import (
-	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"repro"
 )
@@ -16,7 +13,7 @@ func readCompressedFile(path string) (*spartan.Table, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return spartan.ReadArchive(f)
+	return spartan.Decompress(f)
 }
 
 // openArchiveFile opens path as a seekable archive; any other file fails
@@ -33,23 +30,4 @@ func openArchiveFile(path string) (*spartan.Archive, error) {
 		return nil, err
 	}
 	return a, nil
-}
-
-// writeSegmented compresses t into a segmented archive on w, reporting
-// the shared plan once, then per-segment and total statistics, on report.
-func writeSegmented(w, report io.Writer, t *spartan.Table, opts spartan.Options, seg spartan.SegmentOptions) error {
-	stats, err := spartan.CompressArchive(w, t, opts, seg)
-	if err != nil {
-		return err
-	}
-	if len(stats.PerSegment) > 0 {
-		// The first segment carries the learn step's statistics.
-		fmt.Fprintf(report, "predicted: %s (shared by every segment)\n", strings.Join(stats.PerSegment[0].Predicted, ", "))
-	}
-	for i, s := range stats.PerSegment {
-		fmt.Fprintf(report, "segment %d: ratio %.4f (%d outliers)\n", i, s.Ratio, s.Outliers)
-	}
-	fmt.Fprintf(report, "archive: %d segments, %d rows, %d B (ratio %.4f)\n",
-		stats.Segments, stats.Rows, stats.CompressedBytes, stats.Ratio)
-	return nil
 }

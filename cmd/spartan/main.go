@@ -3,16 +3,22 @@
 //
 // Usage:
 //
-//	spartan compress   -in data.csv -out data.sptn [flags]
+//	spartan compress   -in data.csv -out data.sptn [-segment-rows N] [flags]
 //	spartan decompress -in data.sptn -out data.csv
 //	spartan verify     -original data.csv -compressed data.sptn [flags]
 //	spartan inspect    -in data.sptn
+//	spartan query      -in data.sptn -agg avg -col x [-where expr] [-groupby g]
+//	spartan deps       -in data.csv [flags]
 //
-// Table files ending in .csv are parsed as CSV with a header row; any
-// other extension is treated as the raw fixed-record binary format.
+// Every compressed file is an archive: compress writes one segment
+// holding every row unless -segment-rows splits the rows into segments
+// that queries can skip. Table files ending in .csv are parsed as CSV
+// with a header row; any other extension is treated as the raw
+// fixed-record binary format.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -67,6 +73,8 @@ commands:
   query       run a bounded approximate aggregate on a compressed file
   deps        show the inferred Bayesian dependency network for a table
 
+compress writes one archive segment holding every row unless
+-segment-rows N splits the rows into segments that queries can skip.
 run 'spartan <command> -h' for command flags
 `)
 }
@@ -140,23 +148,8 @@ func cmdCompress(args []string) error {
 	}
 	defer f.Close()
 	start := time.Now()
-	if *segRows > 0 {
-		seg := spartan.SegmentOptions{SegmentRows: *segRows, Workers: *workers}
-		report := io.Writer(os.Stderr)
-		if *quiet {
-			report = io.Discard
-		}
-		if err := writeSegmented(f, report, t, opts, seg); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		// Segment mode reuses one trace: the tree shows every segment's spans.
-		tr.WriteTree(os.Stdout)
-		return nil
-	}
-	stats, err := spartan.Compress(f, t, opts)
+	stats, err := spartan.Compress(context.Background(), f, t, opts,
+		spartan.SegmentOptions{SegmentRows: *segRows, Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -164,26 +157,28 @@ func cmdCompress(args []string) error {
 		return err
 	}
 	if !*quiet {
-		printStats(stats, time.Since(start))
+		printStats(os.Stderr, stats, time.Since(start))
 	}
 	tr.WriteTree(os.Stdout)
 	return nil
 }
 
-func printStats(s *spartan.Stats, elapsed time.Duration) {
-	fmt.Printf("raw           %12d B\n", s.RawBytes)
-	fmt.Printf("compressed    %12d B   (ratio %.4f)\n", s.CompressedBytes, s.Ratio)
-	fmt.Printf("  header      %12d B\n", s.HeaderBytes)
-	fmt.Printf("  models      %12d B   (%d CaRTs, %d outliers)\n",
-		s.ModelBytes, len(s.Predicted), s.Outliers)
-	fmt.Printf("  T'          %12d B   (%d fascicles)\n", s.TPrimeBytes, s.Fascicles)
-	fmt.Printf("predicted     %s\n", strings.Join(s.Predicted, ", "))
-	fmt.Printf("materialized  %s\n", strings.Join(s.Materialized, ", "))
-	fmt.Printf("carts built   %d\n", s.CartsBuilt)
-	fmt.Printf("time          %v (deps %v, select %v, outliers %v, rowagg %v, encode %v)\n",
+// printStats reports the shared plan once, then each segment's and the
+// archive's statistics.
+func printStats(w io.Writer, s *spartan.ArchiveStats, elapsed time.Duration) {
+	fmt.Fprintf(w, "predicted: %s (shared by every segment)\n", strings.Join(s.Predicted, ", "))
+	for i, seg := range s.PerSegment {
+		fmt.Fprintf(w, "segment %d: ratio %.4f (%d outliers)\n", i, seg.Ratio, seg.Outliers)
+	}
+	fmt.Fprintf(w, "archive: %d segments, %d rows, %d B (ratio %.4f)\n",
+		s.Segments, s.Rows, s.CompressedBytes, s.Ratio)
+	fmt.Fprintf(w, "  header %d B, models %d B (%d outliers), T' %d B (%d fascicles)\n",
+		s.HeaderBytes, s.ModelBytes, s.Outliers, s.TPrimeBytes, s.Fascicles)
+	fmt.Fprintf(w, "materialized: %s\n", strings.Join(s.Materialized, ", "))
+	fmt.Fprintf(w, "time %v (deps %v, select %v with %d CaRTs built, outliers %v, rowagg %v, encode %v)\n",
 		elapsed.Round(time.Millisecond),
 		s.Timings.DependencyFinder.Round(time.Millisecond),
-		s.Timings.CaRTSelection.Round(time.Millisecond),
+		s.Timings.CaRTSelection.Round(time.Millisecond), s.CartsBuilt,
 		s.Timings.OutlierScan.Round(time.Millisecond),
 		s.Timings.RowAggregation.Round(time.Millisecond),
 		s.Timings.Encode.Round(time.Millisecond))

@@ -286,6 +286,73 @@ func TestQueryEntryPointsAgree(t *testing.T) {
 	}
 }
 
+// TestEntryPointsAgree: spartan.Compress, spartan compress and POST
+// /compress write the same bytes for one table and one set of options,
+// as one segment and as 500-row segments; and SegmentOptions{} writes one
+// segment however many rows the table has.
+func TestEntryPointsAgree(t *testing.T) {
+	_, binPath := writeTempTable(t)
+	raw, err := os.ReadFile(binPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := readTable(binPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(server.New(server.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))))
+	defer srv.Close()
+	for _, rows := range []int{0, 500} {
+		var lib bytes.Buffer
+		opts := spartan.Options{Tolerances: spartan.UniformTolerances(tb, 0.01, 0)}
+		if _, err := spartan.Compress(context.Background(), &lib, tb, opts, spartan.SegmentOptions{SegmentRows: rows}); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(t.TempDir(), "cli.sptn")
+		if err := cmdCompress([]string{"-in", binPath, "-out", out, "-tolerance", "0.01",
+			"-segment-rows", fmt.Sprint(rows), "-q"}); err != nil {
+			t.Fatal(err)
+		}
+		cli, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(fmt.Sprintf("%s/compress?tolerance=0.01&segment-rows=%d", srv.URL, rows),
+			"application/octet-stream", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cli, lib.Bytes()) || !bytes.Equal(served, lib.Bytes()) {
+			t.Errorf("segment-rows %d: spartan.Compress wrote %d bytes, spartan compress %d, /compress %d (equal: %v, %v)",
+				rows, lib.Len(), len(cli), len(served), bytes.Equal(cli, lib.Bytes()), bytes.Equal(served, lib.Bytes()))
+		}
+	}
+
+	b, err := spartan.NewBuilder(spartan.Schema{{Name: "a", Kind: spartan.Numeric}, {Name: "b", Kind: spartan.Numeric}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 70000; i++ {
+		b.MustAppendRow(float64(i%97), float64(i%97*2))
+	}
+	big, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := spartan.Compress(context.Background(), io.Discard, big, spartan.Options{}, spartan.SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Segments != 1 {
+		t.Errorf("SegmentOptions{} wrote %d segments of %d rows, want one", stats.Segments, big.NumRows())
+	}
+}
+
 func TestCommandErrors(t *testing.T) {
 	_, binPath := writeTempTable(t)
 	dir := filepath.Dir(binPath)
@@ -380,7 +447,7 @@ func TestArchiveQueriesUseRecordedTolerance(t *testing.T) {
 	}
 	writeTol := spartan.UniformTolerances(orig, 0.01, 0)
 	var buf bytes.Buffer
-	if _, err := spartan.CompressArchive(&buf, orig, spartan.Options{Tolerances: writeTol}, spartan.SegmentOptions{SegmentRows: 2000}); err != nil {
+	if _, err := spartan.Compress(context.Background(), &buf, orig, spartan.Options{Tolerances: writeTol}, spartan.SegmentOptions{SegmentRows: 2000}); err != nil {
 		t.Fatal(err)
 	}
 	compressed := buf.Bytes()

@@ -1,27 +1,11 @@
 package spartan
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
 	"repro/internal/table"
 )
-
-// CompressBytes is Compress into a fresh byte slice.
-func CompressBytes(t *Table, opts Options) ([]byte, *Stats, error) {
-	var buf bytes.Buffer
-	stats, err := Compress(&buf, t, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return buf.Bytes(), stats, nil
-}
-
-// DecompressBytes is Decompress from a byte slice.
-func DecompressBytes(data []byte) (*Table, error) {
-	return Decompress(bytes.NewReader(data))
-}
 
 // Verify checks that `restored` satisfies the tolerance guarantees with
 // respect to `original`: every numeric cell within its absolute bound,

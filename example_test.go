@@ -1,6 +1,8 @@
 package spartan_test
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -49,11 +51,12 @@ func Example() {
 		{Value: 25000}, // assets ±25,000
 		{Value: 0},     // credit exact
 	}
-	data, _, err := spartan.CompressBytes(tbl, spartan.Options{Tolerances: tol})
+	var archive bytes.Buffer
+	_, err := spartan.Compress(context.Background(), &archive, tbl, spartan.Options{Tolerances: tol}, spartan.SegmentOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	restored, err := spartan.DecompressBytes(data)
+	restored, err := spartan.Decompress(&archive)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,11 +74,12 @@ func Example() {
 // equality.
 func ExampleVerify() {
 	tbl := buildExampleTable()
-	data, _, err := spartan.CompressBytes(tbl, spartan.Options{})
+	var archive bytes.Buffer
+	_, err := spartan.Compress(context.Background(), &archive, tbl, spartan.Options{}, spartan.SegmentOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	restored, err := spartan.DecompressBytes(data)
+	restored, err := spartan.Decompress(&archive)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -18,7 +20,9 @@ func main() {
 	tbl := generateSales(80000)
 	tol := spartan.UniformTolerances(tbl, 0.02, 0)
 
-	data, stats, err := spartan.CompressBytes(tbl, spartan.Options{Tolerances: tol})
+	var archive bytes.Buffer
+	stats, err := spartan.Compress(context.Background(), &archive, tbl,
+		spartan.Options{Tolerances: tol}, spartan.SegmentOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +30,7 @@ func main() {
 		tbl.NumRows(), float64(stats.RawBytes)/1e6, 100*stats.Ratio)
 
 	// The analyst works from the compressed archive only.
-	restored, err := spartan.DecompressBytes(data)
+	restored, err := spartan.Decompress(&archive)
 	if err != nil {
 		log.Fatal(err)
 	}

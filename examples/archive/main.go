@@ -10,6 +10,7 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -23,11 +24,12 @@ func main() {
 	fmt.Printf("inventory table: %d rows, raw %d B\n\n", tbl.NumRows(), tbl.RawSizeBytes())
 
 	// Lossless SPARTAN: nil tolerances mean ē = 0.
-	data, stats, err := spartan.CompressBytes(tbl, spartan.Options{})
+	var archive bytes.Buffer
+	stats, err := spartan.Compress(context.Background(), &archive, tbl, spartan.Options{}, spartan.SegmentOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	restored, err := spartan.DecompressBytes(data)
+	restored, err := spartan.Decompress(&archive)
 	if err != nil {
 		log.Fatal(err)
 	}

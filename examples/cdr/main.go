@@ -10,6 +10,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -26,11 +28,13 @@ func main() {
 
 	for _, frac := range []float64{0, 0.01, 0.05} {
 		tol := spartan.UniformTolerances(tbl, frac, 0)
-		data, stats, err := spartan.CompressBytes(tbl, spartan.Options{Tolerances: tol})
+		var archive bytes.Buffer
+		stats, err := spartan.Compress(context.Background(), &archive, tbl,
+			spartan.Options{Tolerances: tol}, spartan.SegmentOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		restored, err := spartan.DecompressBytes(data)
+		restored, err := spartan.Decompress(&archive)
 		if err != nil {
 			log.Fatal(err)
 		}

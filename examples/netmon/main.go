@@ -7,6 +7,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -23,7 +25,9 @@ func main() {
 
 	// 2% tolerance on byte/packet counters, exact protocol/interface data.
 	tol := spartan.UniformTolerances(tbl, 0.02, 0)
-	data, stats, err := spartan.CompressBytes(tbl, spartan.Options{Tolerances: tol})
+	var archive bytes.Buffer
+	stats, err := spartan.Compress(context.Background(), &archive, tbl,
+		spartan.Options{Tolerances: tol}, spartan.SegmentOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +35,7 @@ func main() {
 		100*stats.Ratio, stats.CompressedBytes)
 	fmt.Printf("predicted columns: %v\n\n", stats.Predicted)
 
-	restored, err := spartan.DecompressBytes(data)
+	restored, err := spartan.Decompress(&archive)
 	if err != nil {
 		log.Fatal(err)
 	}

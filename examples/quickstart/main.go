@@ -5,7 +5,10 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -56,7 +59,9 @@ func main() {
 		{Value: 0},
 	}
 
-	data, stats, err := spartan.CompressBytes(tbl, spartan.Options{Tolerances: tol})
+	ctx := context.Background()
+	var archive bytes.Buffer
+	stats, err := spartan.Compress(ctx, &archive, tbl, spartan.Options{Tolerances: tol}, spartan.SegmentOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +70,7 @@ func main() {
 	fmt.Printf("predicted attributes:    %v\n", stats.Predicted)
 	fmt.Printf("materialized attributes: %v\n", stats.Materialized)
 
-	restored, err := spartan.DecompressBytes(data)
+	restored, err := spartan.Decompress(&archive)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +94,7 @@ func main() {
 	// rows and the economics flip: credit and assets get CaRT models.
 	big := scaledPopulation(20000)
 	bigTol := spartan.UniformTolerances(big, 0.05, 0)
-	_, bigStats, err := spartan.CompressBytes(big, spartan.Options{Tolerances: bigTol})
+	bigStats, err := spartan.Compress(ctx, io.Discard, big, spartan.Options{Tolerances: bigTol}, spartan.SegmentOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -172,9 +172,7 @@ func sameSchema(a, b table.Schema) error {
 	return nil
 }
 
-// ReadAll reads r to the end and decodes it as one table (codec.Decode).
-// A structurally valid archive with zero segments returns
-// codec.ErrEmptyArchive.
+// ReadAll is codec.Decode. It stays because benchmark/workloads.go calls it.
 func ReadAll(r io.Reader) (*table.Table, error) {
 	return codec.Decode(r)
 }

@@ -24,37 +24,34 @@ import (
 	"repro/internal/table"
 )
 
-// DefaultSegmentRows is the segment size used when SegmentOptions leaves
-// SegmentRows zero. Segments share one model block, so their size does
-// not change what is learned; it trades pruning granularity and the
-// per-segment cost (framing, zone maps, a gzip stream and the numeric
-// value dictionaries of its T') against how many segments fit in memory
-// during parallel compression.
-const DefaultSegmentRows = 64 << 10
-
-// SegmentOptions shapes how WriteTable splits and schedules work.
+// SegmentOptions shapes how WriteTableContext splits and schedules work.
 type SegmentOptions struct {
-	// SegmentRows is the target rows per segment; zero selects
-	// DefaultSegmentRows. The final segment holds the remainder.
+	// SegmentRows is the target rows per segment; zero writes one
+	// segment holding every row. The final segment holds the remainder.
+	// Segments share one model block, so their size does not change what
+	// is learned; it trades pruning granularity and the per-segment cost
+	// (framing, zone maps, a gzip stream and the numeric value
+	// dictionaries of its T') against how many segments fit in memory
+	// during parallel compression.
 	SegmentRows int
 	// Workers bounds how many segments compress concurrently; zero
 	// selects GOMAXPROCS. The output bytes do not depend on it.
 	Workers int
 }
 
-// TableStats aggregates per-segment compression statistics. The learn
-// step runs once per archive, and PerSegment[0] carries its share — the
-// dependency-finder and CaRT-selection timings, CartsBuilt, Predicted,
-// Materialized and the model block's bytes — so a sum over PerSegment
-// counts learning exactly once.
+// TableStats is the archive's statistics, summed over its segments,
+// plus each segment's own. The sum's HeaderBytes includes the container's
+// framing, footer and trailer, so its byte split adds up to
+// CompressedBytes. The learn step runs once per archive, and
+// PerSegment[0] carries its share — the dependency-finder and
+// CaRT-selection timings, CartsBuilt, Predicted, Materialized and the
+// model block's bytes — so a sum over PerSegment counts learning exactly
+// once.
 type TableStats struct {
-	Segments        int
-	Rows            int
-	RawBytes        int
-	CompressedBytes int     // total archive size incl. framing and footer
-	Ratio           float64 // CompressedBytes / RawBytes
-	Outliers        int
-	PerSegment      []*core.Stats
+	core.Stats
+	Segments   int
+	Rows       int
+	PerSegment []*core.Stats
 }
 
 // segResult is one compressed segment, ready to append.
@@ -65,16 +62,17 @@ type segResult struct {
 	stats *core.Stats
 }
 
-// WriteTable compresses t into a segmented archive on w. It is
-// WriteTableContext with a background context.
+// WriteTable is WriteTableContext with a background context. It stays
+// because benchmark/workloads.go calls it.
 func WriteTable(w io.Writer, t *table.Table, opts core.Options, seg SegmentOptions) (*TableStats, error) {
 	return WriteTableContext(context.Background(), w, t, opts, seg)
 }
 
-// WriteTableContext learns the archive's models on all of t, then
-// splits t into row segments and applies the models to them
-// concurrently (bounded by seg.Workers), writing frames in segment
-// order. Output bytes are deterministic: segments compress through the
+// WriteTableContext is the one writer of a whole table: it learns the
+// archive's models on all of t, then splits t into row segments and
+// applies the models to them concurrently (bounded by seg.Workers),
+// writing frames in segment order. A table with no rows gets one empty
+// segment. Output bytes are deterministic: segments compress through the
 // same compressSegment as WriteBlock calls, so any worker count —
 // including 1 — produces identical archives, and one segment holding
 // every row produces core.Compress's bytes. The frames are held until
@@ -86,22 +84,15 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 		return nil, fmt.Errorf("archive: nil or empty table")
 	}
 	rows := t.NumRows()
-	if seg.SegmentRows <= 0 {
-		seg.SegmentRows = DefaultSegmentRows
+	size := seg.SegmentRows
+	if size <= 0 {
+		size = max(rows, 1)
 	}
-	nseg := (rows + seg.SegmentRows - 1) / seg.SegmentRows
+	nseg := max((rows+size-1)/size, 1)
 
 	aw, err := NewWriter(w, opts)
 	if err != nil {
 		return nil, err
-	}
-	if nseg == 0 {
-		// A zero-row table yields a legal empty archive; readers report
-		// codec.ErrEmptyArchive because no model was ever learned.
-		if err := aw.Close(); err != nil {
-			return nil, err
-		}
-		return &TableStats{CompressedBytes: int(aw.cw.Size())}, nil
 	}
 	m, err := core.Learn(ctx, t, opts)
 	if err != nil {
@@ -111,7 +102,7 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 
 	results := make([]segResult, nseg)
 	err = par.ForEach(ctx, nseg, seg.Workers, func(ctx context.Context, i int) error {
-		part, err := segmentRows(t, i, seg.SegmentRows)
+		part, err := segmentRows(t, i, size)
 		if err == nil {
 			results[i], err = compressSegment(ctx, m, part)
 		}
@@ -123,29 +114,48 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
-
-	stats := &TableStats{Segments: nseg, Rows: rows, RawBytes: t.RawSizeBytes()}
 	for _, res := range results {
 		if err := aw.cw.WriteSegment(res.body, res.rows, res.zones); err != nil {
 			return nil, err
 		}
-		stats.Outliers += res.stats.Outliers
-		stats.PerSegment = append(stats.PerSegment, res.stats)
 	}
 	if err := aw.Close(); err != nil {
 		return nil, err
 	}
-	first := stats.PerSegment[0]
+
+	first := results[0].stats
 	m.AddLearnStats(first)
 	first.HeaderBytes += aw.block.HeaderBytes
 	first.ModelBytes += aw.block.ModelBytes
 	first.CompressedBytes += aw.block.Total()
-	first.Ratio = float64(first.CompressedBytes) / float64(first.RawBytes)
-	stats.CompressedBytes = int(aw.cw.Size())
-	if stats.RawBytes > 0 {
-		stats.Ratio = float64(stats.CompressedBytes) / float64(stats.RawBytes)
+	first.Ratio = ratio(first.CompressedBytes, first.RawBytes)
+	stats := &TableStats{Segments: nseg, Rows: rows}
+	total := &stats.Stats
+	m.AddLearnStats(total)
+	for _, res := range results {
+		st := res.stats
+		stats.PerSegment = append(stats.PerSegment, st)
+		total.ModelBytes += st.ModelBytes
+		total.TPrimeBytes += st.TPrimeBytes
+		total.Outliers += st.Outliers
+		total.Fascicles += st.Fascicles
+		total.Timings.RowAggregation += st.Timings.RowAggregation
+		total.Timings.OutlierScan += st.Timings.OutlierScan
+		total.Timings.Encode += st.Timings.Encode
 	}
+	total.RawBytes = t.RawSizeBytes()
+	total.CompressedBytes = int(aw.cw.Size())
+	total.HeaderBytes = total.CompressedBytes - total.ModelBytes - total.TPrimeBytes
+	total.Ratio = ratio(total.CompressedBytes, total.RawBytes)
 	return stats, nil
+}
+
+// ratio is compressed/raw, or zero for an input of no raw bytes.
+func ratio(compressed, raw int) float64 {
+	if raw == 0 {
+		return 0
+	}
+	return float64(compressed) / float64(raw)
 }
 
 // segmentRows returns rows [idx·n, idx·n+n) of t: t itself when they are

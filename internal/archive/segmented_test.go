@@ -595,9 +595,11 @@ func TestV1ReadCompat(t *testing.T) {
 	}
 }
 
-// TestWriteTableEmpty: a zero-row table produces a legal empty archive.
+// TestWriteTableEmpty: a zero-row table is written as one empty segment,
+// core.Compress's bytes, and decodes to an empty table with its schema.
 func TestWriteTableEmpty(t *testing.T) {
-	b, err := table.NewBuilder(table.Schema{{Name: "x", Kind: table.Numeric}})
+	schema := table.Schema{{Name: "x", Kind: table.Numeric}, {Name: "g", Kind: table.Categorical}}
+	b, err := table.NewBuilder(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,19 +607,29 @@ func TestWriteTableEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var buf, single bytes.Buffer
 	stats, err := WriteTable(&buf, empty, core.Options{}, SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Segments != 0 {
-		t.Errorf("segments = %d, want 0", stats.Segments)
+	if stats.Segments != 1 || stats.Rows != 0 {
+		t.Errorf("%d segments of %d rows, want one empty segment", stats.Segments, stats.Rows)
 	}
 	if stats.CompressedBytes != buf.Len() {
 		t.Errorf("CompressedBytes = %d, archive is %d bytes", stats.CompressedBytes, buf.Len())
 	}
-	if _, err := ReadAll(bytes.NewReader(buf.Bytes())); !errors.Is(err, codec.ErrEmptyArchive) {
-		t.Errorf("ReadAll = %v, want ErrEmptyArchive", err)
+	if _, err := core.Compress(&single, empty, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), single.Bytes()) {
+		t.Errorf("WriteTable wrote %d bytes, core.Compress %d", buf.Len(), single.Len())
+	}
+	back, err := codec.Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NumRows() != 0 || !slices.Equal(back.Schema(), schema) {
+		t.Errorf("decoded %d rows with schema %v, want 0 rows with %v", back.NumRows(), back.Schema(), schema)
 	}
 }
 

@@ -152,8 +152,7 @@ func (b *treeBuilder) bestSplitSSE(rows []int, y []float64) (candidateSplit, boo
 		} else {
 			s, ok = b.categoricalSplitSSE(rows, y, attr)
 		}
-		if ok && (s.score < best.score ||
-			(floats.SameBits(s.score, best.score) && found && s.attr < best.attr)) {
+		if ok && s.score < best.score {
 			best = s
 			found = true
 		}

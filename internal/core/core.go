@@ -109,10 +109,11 @@ type Options struct {
 	// is fully deterministic for a given (table, options) pair.
 	Seed int64
 	// Trace, when non-nil, receives one span per pipeline component
-	// (see PhaseSpans) under a SpanCompress root, annotated with rows
-	// scanned, CaRTs built, outliers found and bytes written. Tracing is
-	// always on internally — Timings is derived from the spans — so
-	// supplying a Trace costs nothing extra.
+	// (see PhaseSpans) under its run's root (SpanLearn, SpanApply or,
+	// for Compress, SpanCompress), annotated with rows scanned, CaRTs
+	// built, outliers found and bytes written. Tracing is always on
+	// internally — Timings is derived from the spans — so supplying a
+	// Trace costs nothing extra.
 	Trace *obs.Trace
 }
 
@@ -167,15 +168,16 @@ type Stats struct {
 	Timings Timings
 }
 
-// Compress writes the semantically compressed form of t to w and reports
-// statistics. The input table is not modified. It is CompressContext with
-// a background context; long-running or per-request callers should prefer
-// CompressContext so the pipeline can be cancelled.
+// Compress is CompressContext with a background context. It stays
+// because benchmark/workloads.go calls it and archive's tests take its
+// bytes as the reference one-segment archive; every other writer goes
+// through archive.WriteTableContext.
 func Compress(w io.Writer, t *table.Table, opts Options) (*Stats, error) {
 	return CompressContext(context.Background(), w, t, opts)
 }
 
-// CompressContext is Compress with cancellation: the pipeline checks ctx
+// CompressContext writes the semantically compressed form of t to w and
+// reports statistics; it stays as Compress's body. The pipeline checks ctx
 // at every phase boundary and inside each phase's long-running inner
 // loops (WMIS candidate rounds, per-node CaRT growth, fascicle seed
 // growth, outlier row batches), so a cancelled or expired context
@@ -633,8 +635,8 @@ func collectSplitValues(plan *selector.Result) map[int][]float64 {
 	return out
 }
 
-// Decompress reads r to the end and reconstructs the table from a
-// container written by Compress or by a segmented archive writer.
+// Decompress is codec.Decode. It stays because benchmark/workloads.go
+// calls it.
 func Decompress(r io.Reader) (*table.Table, error) {
 	return codec.Decode(r)
 }

@@ -8,10 +8,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/cart"
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -166,14 +168,14 @@ func RunSpartan(t *table.Table, opts core.Options) (CompressorResult, *core.Stat
 		opts.Trace.CaptureResources()
 	}
 	var counter countingWriter
-	stats, err := core.Compress(&counter, t, opts)
+	stats, err := archive.WriteTableContext(context.Background(), &counter, t, opts, archive.SegmentOptions{})
 	if err != nil {
 		return CompressorResult{}, nil, err
 	}
 	if TraceSink != nil {
 		opts.Trace.WriteTree(TraceSink)
 	}
-	return result(t, counter.n, start), stats, nil
+	return result(t, counter.n, start), &stats.Stats, nil
 }
 
 type countingWriter struct{ n int }

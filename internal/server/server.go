@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -128,11 +129,7 @@ func WithRequestTimeout(d time.Duration) Option {
 // by default; requests override with ?segment-rows. n <= 0 (the
 // default) writes one segment.
 func WithSegmentRows(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.segmentRows = n
-		}
-	}
+	return func(s *Server) { s.segmentRows = n }
 }
 
 // WithMaxBodyBytes bounds request bodies; larger uploads are rejected
@@ -350,9 +347,6 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	if hint := t.RawSizeBytes() / 4; hint > 0 {
 		buf.Grow(min(hint, 64<<20))
 	}
-	if segRows == 0 {
-		segRows = t.NumRows()
-	}
 	// The models are learned once, then applied to the segments
 	// concurrently; the response is a seekable archive with zone maps for
 	// pruned /query calls.
@@ -370,20 +364,11 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Spartan-Compressed-Bytes", strconv.Itoa(astats.CompressedBytes))
 	h.Set("X-Spartan-Ratio", strconv.FormatFloat(astats.Ratio, 'f', 4, 64))
 	h.Set("X-Spartan-Segments", strconv.Itoa(astats.Segments))
-	if astats.Segments > 0 {
-		// The first segment carries the shared plan (see TableStats).
-		predicted := astats.PerSegment[0].Predicted
-		s.m.predictedAttrs.Observe(float64(len(predicted)))
-		h.Set("X-Spartan-Predicted", strings.Join(predicted, ","))
-	}
-	// Phase times summed over the segments; only the first carries the
-	// learn phases, so they count once.
+	s.m.predictedAttrs.Observe(float64(len(astats.Predicted)))
+	h.Set("X-Spartan-Predicted", strings.Join(astats.Predicted, ","))
+	// Phase times summed over the segments, the learn phases counted once.
 	for _, th := range timingHeaders {
-		var d time.Duration
-		for _, st := range astats.PerSegment {
-			d += th.get(st.Timings)
-		}
-		h.Set("X-Spartan-Timing-"+th.suffix, d.String())
+		h.Set("X-Spartan-Timing-"+th.suffix, th.get(astats.Timings).String())
 	}
 	h.Set("Content-Type", "application/x-spartan")
 	h.Set("Content-Length", strconv.Itoa(buf.Len()))
@@ -412,7 +397,7 @@ func (s *Server) answerErr(w http.ResponseWriter, err error) bool {
 
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(nil, r.Body, s.maxBodyBytes)
-	t, err := archive.ReadAll(body)
+	t, err := codec.Decode(body)
 	if err != nil {
 		s.bodyError(w, err)
 		return

@@ -127,6 +127,39 @@ func TestCompressCSVInput(t *testing.T) {
 	}
 }
 
+// TestCompressHeaderOnlyCSV: a CSV with a header and no rows compresses
+// to one empty segment and decompresses back to its header, with or
+// without a segment size.
+func TestCompressHeaderOnlyCSV(t *testing.T) {
+	srv := testServer(t)
+	const csv = "x,y\n"
+	for _, params := range []string{"", "?segment-rows=100"} {
+		resp, err := http.Post(srv.URL+"/compress"+params, "text/csv", strings.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compressed, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Spartan-Segments") != "1" {
+			t.Fatalf("compress%s: status %d, %q segments: %q", params, resp.StatusCode, resp.Header.Get("X-Spartan-Segments"), compressed)
+		}
+		req, err := http.NewRequest("POST", srv.URL+"/decompress", bytes.NewReader(compressed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", "text/csv")
+		resp2, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp2.Body)
+		resp2.Body.Close()
+		if resp2.StatusCode != http.StatusOK || string(out) != csv {
+			t.Errorf("decompress%s: status %d, body %q, want %q", params, resp2.StatusCode, out, csv)
+		}
+	}
+}
+
 func TestQueryEndpoint(t *testing.T) {
 	srv := testServer(t)
 	tb := datagen.CDR(2000, 2)

@@ -1,6 +1,7 @@
 package spartan
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/datagen"
@@ -15,11 +16,11 @@ func TestPerClassCategoricalTolerance(t *testing.T) {
 	empIdx := tb.Schema().Index("employment")
 	tol[empIdx].PerClass = map[string]float64{"fulltime": 0}
 
-	data, _, err := CompressBytes(tb, Options{Tolerances: tol})
+	data, _, err := compressBytes(tb, Options{Tolerances: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(data)
+	back, err := Decompress(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +45,14 @@ func TestPerClassValidation(t *testing.T) {
 	bad := append(Tolerances(nil), tol...)
 	empIdx := tb.Schema().Index("employment")
 	bad[empIdx].PerClass = map[string]float64{"fulltime": 1.5}
-	if _, _, err := CompressBytes(tb, Options{Tolerances: bad}); err == nil {
+	if _, _, err := compressBytes(tb, Options{Tolerances: bad}); err == nil {
 		t.Error("accepted per-class tolerance > 1")
 	}
 
 	// Per-class override on a numeric attribute.
 	bad2 := append(Tolerances(nil), tol...)
 	bad2[tb.Schema().Index("age")].PerClass = map[string]float64{"x": 0.5}
-	if _, _, err := CompressBytes(tb, Options{Tolerances: bad2}); err == nil {
+	if _, _, err := compressBytes(tb, Options{Tolerances: bad2}); err == nil {
 		t.Error("accepted per-class tolerance on numeric attribute")
 	}
 }

@@ -1,6 +1,7 @@
 package spartan
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -55,11 +56,11 @@ func exactAggregate(t *testing.T, tb *Table, q Query) float64 {
 func TestRunQueryBoundsContainTruth(t *testing.T) {
 	tb := datagen.CDR(2500, 7)
 	tol := UniformTolerances(tb, 0.02, 0)
-	data, _, err := CompressBytes(tb, Options{Tolerances: tol})
+	data, _, err := compressBytes(tb, Options{Tolerances: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(data)
+	back, err := Decompress(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +96,11 @@ func TestRunQueryBoundsContainTruth(t *testing.T) {
 func TestRunQueryPredicatesAndGroupBy(t *testing.T) {
 	tb := datagen.CDR(2000, 3)
 	tol := UniformTolerances(tb, 0.01, 0)
-	data, _, err := CompressBytes(tb, Options{Tolerances: tol})
+	data, _, err := compressBytes(tb, Options{Tolerances: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(data)
+	back, err := Decompress(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

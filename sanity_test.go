@@ -1,6 +1,7 @@
 package spartan
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/datagen"
@@ -21,7 +22,7 @@ func TestCompressionSanityAcrossDatasets(t *testing.T) {
 	for name, tb := range datasets {
 		t.Run(name, func(t *testing.T) {
 			tol := UniformTolerances(tb, 0.01, 0)
-			data, stats, err := CompressBytes(tb, Options{Tolerances: tol})
+			data, stats, err := compressBytes(tb, Options{Tolerances: tol})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +38,7 @@ func TestCompressionSanityAcrossDatasets(t *testing.T) {
 			if len(stats.Predicted)+len(stats.Materialized) != tb.NumCols() {
 				t.Error("attribute partition incomplete")
 			}
-			back, err := DecompressBytes(data)
+			back, err := Decompress(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +46,7 @@ func TestCompressionSanityAcrossDatasets(t *testing.T) {
 				t.Error(err)
 			}
 			// Decompression must be deterministic.
-			back2, err := DecompressBytes(data)
+			back2, err := Decompress(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,17 +21,20 @@
 //   - RowAggregator: fascicle-clusters the materialized projection without
 //     disturbing any CaRT path.
 //
-// Basic usage:
+// Compress writes an archive; Decompress reads one back:
 //
-//	data, stats, err := spartan.CompressBytes(tbl, spartan.Options{
+//	var buf bytes.Buffer
+//	stats, err := spartan.Compress(ctx, &buf, tbl, spartan.Options{
 //	    Tolerances: spartan.UniformTolerances(tbl, 0.01, 0),
-//	})
+//	}, spartan.SegmentOptions{})
 //	...
-//	restored, err := spartan.DecompressBytes(data)
+//	restored, err := spartan.Decompress(&buf)
+//
+// The zero SegmentOptions writes one segment holding every row; a
+// SegmentRows bound splits the rows into segments that queries can skip.
 package spartan
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/cart"
@@ -85,12 +88,10 @@ type (
 	Span = obs.Span
 )
 
-// Span names emitted by Compress: a SpanCompress root with one child per
-// pipeline component, in PhaseSpans order. CompressArchive emits one
-// SpanLearn root (dependency finder, CaRT selection) and one SpanApply
-// root per segment (row aggregation, outlier scan, encode) instead.
+// Span names emitted by Compress: one SpanLearn root (dependency finder,
+// CaRT selection) and one SpanApply root per segment (row aggregation,
+// outlier scan, encode).
 const (
-	SpanCompress         = core.SpanCompress
 	SpanLearn            = core.SpanLearn
 	SpanApply            = core.SpanApply
 	SpanDependencyFinder = core.SpanDependencyFinder
@@ -143,24 +144,4 @@ func WriteBinary(w io.Writer, t *Table) error { return table.WriteBinary(w, t) }
 // categorical attribute tolerates mismatch probability catProb.
 func UniformTolerances(t *Table, numericFrac, catProb float64) Tolerances {
 	return table.UniformTolerances(t, numericFrac, catProb)
-}
-
-// Compress writes the semantically compressed form of t to w and reports
-// statistics. The input table is not modified.
-func Compress(w io.Writer, t *Table, opts Options) (*Stats, error) {
-	return core.Compress(w, t, opts)
-}
-
-// CompressContext is Compress with cancellation: the pipeline checks ctx
-// at every phase boundary and inside long-running phases, so a cancelled
-// or expired context aborts the compression promptly with an error
-// wrapping ctx.Err().
-func CompressContext(ctx context.Context, w io.Writer, t *Table, opts Options) (*Stats, error) {
-	return core.CompressContext(ctx, w, t, opts)
-}
-
-// Decompress reads r to the end and reconstructs the table from an
-// archive written by Compress or CompressArchive.
-func Decompress(r io.Reader) (*Table, error) {
-	return core.Decompress(r)
 }

@@ -2,6 +2,7 @@ package spartan
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,14 +11,21 @@ import (
 	"repro/internal/table"
 )
 
+// compressBytes compresses tb as one segment into a fresh byte slice.
+func compressBytes(tb *Table, opts Options) ([]byte, *ArchiveStats, error) {
+	var buf bytes.Buffer
+	stats, err := Compress(context.Background(), &buf, tb, opts, SegmentOptions{})
+	return buf.Bytes(), stats, err
+}
+
 func TestCompressDecompressCDR(t *testing.T) {
 	tb := datagen.CDR(3000, 1)
 	tol := UniformTolerances(tb, 0.01, 0)
-	data, stats, err := CompressBytes(tb, Options{Tolerances: tol})
+	data, stats, err := compressBytes(tb, Options{Tolerances: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(data)
+	back, err := Decompress(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +45,11 @@ func TestCompressDecompressCDR(t *testing.T) {
 
 func TestLosslessMode(t *testing.T) {
 	tb := datagen.CDR(1500, 2)
-	data, _, err := CompressBytes(tb, Options{}) // nil tolerances = lossless
+	data, _, err := compressBytes(tb, Options{}) // nil tolerances = lossless
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(data)
+	back, err := Decompress(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +65,11 @@ func TestAllSelectionStrategies(t *testing.T) {
 	tb := datagen.Census(4000, 3)
 	tol := UniformTolerances(tb, 0.01, 0)
 	for _, sel := range []SelectionStrategy{SelectWMISParents, SelectWMISMarkov, SelectGreedy} {
-		data, stats, err := CompressBytes(tb, Options{Tolerances: tol, Selection: sel})
+		data, stats, err := compressBytes(tb, Options{Tolerances: tol, Selection: sel})
 		if err != nil {
 			t.Fatalf("%v: %v", sel, err)
 		}
-		back, err := DecompressBytes(data)
+		back, err := Decompress(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%v: %v", sel, err)
 		}
@@ -80,11 +88,11 @@ func TestErrorBoundProperty(t *testing.T) {
 		tb := datagen.CDR(n, seed)
 		frac := float64(tolByte%10)/100 + 0.001 // 0.1%..9.1%
 		tol := UniformTolerances(tb, frac, 0)
-		data, _, err := CompressBytes(tb, Options{Tolerances: tol, Seed: seed + 1})
+		data, _, err := compressBytes(tb, Options{Tolerances: tol, Seed: seed + 1})
 		if err != nil {
 			return false
 		}
-		back, err := DecompressBytes(data)
+		back, err := Decompress(bytes.NewReader(data))
 		if err != nil {
 			return false
 		}
@@ -98,11 +106,11 @@ func TestErrorBoundProperty(t *testing.T) {
 func TestCategoricalToleranceRespected(t *testing.T) {
 	tb := datagen.Census(3000, 5)
 	tol := UniformTolerances(tb, 0.02, 0.05) // 5% categorical budget
-	data, _, err := CompressBytes(tb, Options{Tolerances: tol})
+	data, _, err := compressBytes(tb, Options{Tolerances: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(data)
+	back, err := Decompress(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,17 +122,17 @@ func TestCategoricalToleranceRespected(t *testing.T) {
 func TestRowAggregationAblation(t *testing.T) {
 	tb := datagen.Corel(4000, 6)
 	tol := UniformTolerances(tb, 0.05, 0)
-	withRA, statsRA, err := CompressBytes(tb, Options{Tolerances: tol})
+	withRA, statsRA, err := compressBytes(tb, Options{Tolerances: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withoutRA, _, err := CompressBytes(tb, Options{Tolerances: tol, DisableRowAggregation: true})
+	withoutRA, _, err := compressBytes(tb, Options{Tolerances: tol, DisableRowAggregation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both must round trip within bounds.
 	for _, data := range [][]byte{withRA, withoutRA} {
-		back, err := DecompressBytes(data)
+		back, err := Decompress(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +148,11 @@ func TestRowAggregationAblation(t *testing.T) {
 func TestDeterministicOutput(t *testing.T) {
 	tb := datagen.CDR(1000, 7)
 	tol := UniformTolerances(tb, 0.01, 0)
-	a, _, err := CompressBytes(tb, Options{Tolerances: tol, Seed: 42})
+	a, _, err := compressBytes(tb, Options{Tolerances: tol, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := CompressBytes(tb, Options{Tolerances: tol, Seed: 42})
+	b, _, err := compressBytes(tb, Options{Tolerances: tol, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +162,12 @@ func TestDeterministicOutput(t *testing.T) {
 }
 
 func TestCompressValidation(t *testing.T) {
-	if _, err := Compress(&bytes.Buffer{}, nil, Options{}); err == nil {
+	if _, err := Compress(context.Background(), &bytes.Buffer{}, nil, Options{}, SegmentOptions{}); err == nil {
 		t.Error("Compress accepted nil table")
 	}
 	tb := datagen.CDR(100, 8)
 	bad := Tolerances{{Value: -1}}
-	if _, _, err := CompressBytes(tb, Options{Tolerances: bad}); err == nil {
+	if _, _, err := compressBytes(tb, Options{Tolerances: bad}); err == nil {
 		t.Error("Compress accepted wrong-length/negative tolerances")
 	}
 }
@@ -179,7 +187,7 @@ func TestVerifyCatchesViolations(t *testing.T) {
 func TestStatsBreakdownConsistent(t *testing.T) {
 	tb := datagen.CDR(2000, 10)
 	tol := UniformTolerances(tb, 0.01, 0)
-	data, stats, err := CompressBytes(tb, Options{Tolerances: tol})
+	data, stats, err := compressBytes(tb, Options{Tolerances: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +207,11 @@ func TestSmallSampleStillGuarantees(t *testing.T) {
 	// the guarantee intact.
 	tb := datagen.Census(5000, 11)
 	tol := UniformTolerances(tb, 0.01, 0)
-	data, _, err := CompressBytes(tb, Options{Tolerances: tol, SampleBytes: 2 << 10})
+	data, _, err := compressBytes(tb, Options{Tolerances: tol, SampleBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(data)
+	back, err := Decompress(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +227,14 @@ func TestSingleColumnTable(t *testing.T) {
 		b.MustAppendRow(float64(rng.Intn(10)))
 	}
 	tb := b.MustBuild()
-	data, stats, err := CompressBytes(tb, Options{Tolerances: UniformTolerances(tb, 0.05, 0)})
+	data, stats, err := compressBytes(tb, Options{Tolerances: UniformTolerances(tb, 0.05, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stats.Predicted) != 0 {
 		t.Error("single column cannot be predicted")
 	}
-	back, err := DecompressBytes(data)
+	back, err := Decompress(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +253,11 @@ func TestConstantColumns(t *testing.T) {
 		b.MustAppendRow(7.0, "same", float64(i%10))
 	}
 	tb := b.MustBuild()
-	data, _, err := CompressBytes(tb, Options{})
+	data, _, err := compressBytes(tb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(data)
+	back, err := Decompress(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +273,11 @@ func TestSingleRowTable(t *testing.T) {
 	})
 	b.MustAppendRow(1.5, "x")
 	tb := b.MustBuild()
-	data, _, err := CompressBytes(tb, Options{})
+	data, _, err := compressBytes(tb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(data)
+	back, err := Decompress(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
