@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/floats"
 	"repro/internal/table"
 )
 
@@ -60,22 +61,17 @@ func (c Config) withDefaults(sampleRows int) Config {
 // attributes cands, trained on sample (typically a small random sample of
 // the full table). tol is the resolved error tolerance of the target
 // (absolute bound for numeric targets, misclassification probability for
-// categorical ones). The returned model has no outliers yet; call
-// (*Model).ComputeOutliers against the full table before measuring
-// PredCost precisely. Build itself returns a cost estimate based on
-// sample-scaled outlier counts.
+// categorical ones); a negative or non-finite tol is refused. The returned
+// model has no outliers yet; call (*Model).ComputeOutliers against the
+// full table before measuring PredCost precisely. Build itself returns a
+// cost estimate based on sample-scaled outlier counts.
 //
 // cands must not contain target; an empty cands yields an error (the
-// selector assigns infinite prediction cost to such attributes).
-func Build(sample *table.Table, target int, cands []int, tol float64,
-	cm *CostModel, cfg Config) (*Model, float64, error) {
-	return BuildContext(context.Background(), sample, target, cands, tol, cm, cfg)
-}
-
-// BuildContext is Build with cancellation: growth checks ctx at every
-// node expansion, so a cancelled context abandons the tree within one
-// split evaluation and returns the (wrapped) context error.
-func BuildContext(ctx context.Context, sample *table.Table, target int, cands []int, tol float64,
+// selector assigns infinite prediction cost to such attributes). Growth
+// checks ctx at every node expansion, so a cancelled context abandons the
+// tree within one split evaluation and returns the (wrapped) context
+// error.
+func Build(ctx context.Context, sample *table.Table, target int, cands []int, tol float64,
 	cm *CostModel, cfg Config) (*Model, float64, error) {
 	if len(cands) == 0 {
 		return nil, 0, fmt.Errorf("cart: no candidate predictors for attribute %d", target)
@@ -91,10 +87,14 @@ func BuildContext(ctx context.Context, sample *table.Table, target int, cands []
 	if sample.NumRows() == 0 {
 		return nil, 0, fmt.Errorf("cart: empty sample")
 	}
+	if tol < 0 || math.IsNaN(tol) || math.IsInf(tol, 0) {
+		return nil, 0, fmt.Errorf("cart: attribute %d has tolerance %g, want a finite value >= 0", target, tol)
+	}
 	cfg = cfg.withDefaults(sample.NumRows())
 	b := &treeBuilder{
 		t:      sample,
 		target: target,
+		kind:   sample.Attr(target).Kind,
 		cands:  append([]int(nil), cands...),
 		tol:    tol,
 		cm:     cm,
@@ -106,40 +106,29 @@ func BuildContext(ctx context.Context, sample *table.Table, target int, cands []
 	for i := range rows {
 		rows[i] = i
 	}
-	kind := sample.Attr(target).Kind
-	var root *Node
-	var cost float64
-	if kind == table.Numeric {
-		root, cost = b.buildRegression(ctx, rows, 0)
-	} else {
-		root, cost = b.buildClassification(ctx, rows, 0)
-	}
+	root, cost := b.grow(ctx, rows, 0)
 	if cfg.Prune == PruneAfter && b.ctxErr == nil {
-		if kind == table.Numeric {
-			root, cost = b.pruneRegression(ctx, root, rows)
-		} else {
-			root, cost = b.pruneClassification(ctx, root, rows)
-		}
+		root, cost = b.prune(ctx, root, rows)
 	}
 	if b.ctxErr != nil {
 		return nil, 0, fmt.Errorf("cart: build cancelled: %w", b.ctxErr)
 	}
-	m := &Model{Target: target, TargetKind: kind, Root: root}
-	return m, cost, nil
+	return &Model{Target: target, TargetKind: b.kind, Root: root}, cost, nil
 }
 
 type treeBuilder struct {
 	t      *table.Table
 	target int
+	kind   table.Kind // the target's kind
 	cands  []int
 	tol    float64
 	cm     *CostModel
 	cfg    Config
 	scale  float64 // full-table rows per sample row
-	// ctxErr records the first cancellation observed during growth. The
-	// recursive builders return a placeholder leaf once it is set, so the
-	// whole tree unwinds without threading an error through every level;
-	// BuildContext converts it into the returned error.
+	// ctxErr records the first cancellation observed during growth. grow
+	// and prune return a placeholder once it is set, so the whole tree
+	// unwinds without threading an error through every level; Build
+	// converts it into the returned error.
 	ctxErr error
 }
 
@@ -175,4 +164,186 @@ func (b *treeBuilder) leafFloor() float64 {
 // outlier bits.
 func (b *treeBuilder) outlierCost(sampleOutliers int) float64 {
 	return b.scale * float64(sampleOutliers) * b.cm.OutlierBits(b.target)
+}
+
+// leafCost is the estimated storage cost of a leaf that stores
+// sampleOutliers of its sample rows as outliers.
+func (b *treeBuilder) leafCost(sampleOutliers int) float64 {
+	return b.cm.LeafBits(b.target) + b.outlierCost(sampleOutliers)
+}
+
+// leaf returns the leaf that best predicts the target over rows, with
+// the number of those rows it would store as outliers. grow and prune
+// see the target's kind only through it.
+//
+// A numeric leaf predicting p satisfies the tolerance for every row whose
+// value lies in [p-tol, p+tol], so the best constant is the centre of the
+// length-2·tol window covering the most rows (a sliding window over the
+// sorted values); the rows outside it are outliers.
+//
+// A categorical leaf predicts its majority class. The global budget (tol·N
+// rows may stay wrong unstored) is distributed pro rata during
+// construction: a leaf of k rows is granted ⌊tol·k⌋ free mismatches, so
+// per-leaf cost estimates sum to a consistent global estimate, and only
+// the mismatches beyond that allowance count as outliers.
+//
+// rows is never empty: Build refuses an empty sample, and a split is kept
+// only when each side has MinLeafRows ≥ 1 rows.
+func (b *treeBuilder) leaf(rows []int) (*Node, int) {
+	if b.kind == table.Numeric {
+		vals := make([]float64, len(rows))
+		for i, r := range rows {
+			vals[i] = b.t.Float(r, b.target)
+		}
+		sort.Float64s(vals)
+		bestLo, bestCount := 0, 1
+		lo := 0
+		for hi := 0; hi < len(vals); hi++ {
+			for vals[hi]-vals[lo] > 2*b.tol {
+				lo++
+			}
+			if hi-lo+1 > bestCount {
+				bestCount = hi - lo + 1
+				bestLo = lo
+			}
+		}
+		// Predictions are rounded through float32 (their wire format) here,
+		// so the outlier scan sees exactly the prediction the decompressor
+		// will compute. Rows the rounding pushes past the bound simply
+		// become outliers.
+		pred := floats.F32((vals[bestLo] + vals[bestLo+bestCount-1]) / 2)
+		return &Node{Leaf: true, NumValue: pred}, len(vals) - bestCount
+	}
+	counts := map[int32]int{}
+	for _, r := range rows {
+		counts[b.t.Code(r, b.target)]++
+	}
+	bestCode, bestCount := int32(0), -1
+	for code, c := range counts {
+		if c > bestCount || (c == bestCount && code < bestCode) {
+			bestCode, bestCount = code, c
+		}
+	}
+	chargeable := len(rows) - bestCount - int(b.tol*float64(len(rows)))
+	return &Node{Leaf: true, CatValue: bestCode}, max(chargeable, 0)
+}
+
+// grow grows (and under PruneIntegrated, prunes) a subtree for the given
+// sample rows, returning the subtree and its estimated storage cost in
+// bits.
+func (b *treeBuilder) grow(ctx context.Context, rows []int, depth int) (*Node, float64) {
+	if b.cancelled(ctx) {
+		return &Node{Leaf: true}, 0
+	}
+	leaf, outliers := b.leaf(rows)
+	leafCost := b.leafCost(outliers)
+
+	// Stop conditions: acceptable leaf (paper's optimization 2), depth or
+	// size bounds.
+	if outliers == 0 || depth >= b.cfg.MaxDepth || len(rows) < 2*b.cfg.MinLeafRows {
+		return leaf, leafCost
+	}
+	// Integrated pruning: if no expansion can beat the leaf, stop now.
+	if b.cfg.Prune == PruneIntegrated && leafCost <= b.leafFloor() {
+		return leaf, leafCost
+	}
+
+	n := b.bestSplit(rows)
+	if n == nil {
+		return leaf, leafCost
+	}
+	leftRows, rightRows := b.routeRows(n, rows)
+	if len(leftRows) < b.cfg.MinLeafRows || len(rightRows) < b.cfg.MinLeafRows {
+		return leaf, leafCost
+	}
+	var leftCost, rightCost float64
+	n.Left, leftCost = b.grow(ctx, leftRows, depth+1)
+	n.Right, rightCost = b.grow(ctx, rightRows, depth+1)
+	splitCost := b.cm.InternalBits(n.SplitAttr) + leftCost + rightCost
+
+	if b.cfg.Prune == PruneIntegrated && leafCost <= splitCost {
+		return leaf, leafCost
+	}
+	return n, splitCost
+}
+
+// prune is the post-hoc pruning pass for PruneAfter mode: bottom-up,
+// replace any subtree whose leaf-equivalent costs no more.
+func (b *treeBuilder) prune(ctx context.Context, n *Node, rows []int) (*Node, float64) {
+	if b.cancelled(ctx) {
+		return n, 0
+	}
+	leaf, outliers := b.leaf(rows)
+	leafCost := b.leafCost(outliers)
+	if n.Leaf {
+		return n, leafCost
+	}
+	leftRows, rightRows := b.routeRows(n, rows)
+	left, leftCost := b.prune(ctx, n.Left, leftRows)
+	right, rightCost := b.prune(ctx, n.Right, rightRows)
+	splitCost := b.cm.InternalBits(n.SplitAttr) + leftCost + rightCost
+	if leafCost <= splitCost {
+		return leaf, leafCost
+	}
+	n.Left, n.Right = left, right
+	return n, splitCost
+}
+
+// bestSplit scores every candidate predictor over rows and returns the
+// lowest-scoring split as an unlinked internal node, or nil when no
+// predictor admits a valid split (all predictor values constant, or no
+// threshold leaves MinLeafRows on each side). A numeric target's splits
+// are scored by total child SSE (the classic CART criterion, an efficient
+// proxy for narrowing leaf windows), a categorical target's by Gini
+// impurity; storage-cost pruning then decides whether a split is kept.
+func (b *treeBuilder) bestSplit(rows []int) *Node {
+	var y []float64
+	var classes []int
+	nc := 0
+	if b.kind == table.Numeric {
+		y = make([]float64, len(rows))
+		for i, r := range rows {
+			y[i] = b.t.Float(r, b.target)
+		}
+	} else {
+		idx := b.classIndex(rows)
+		classes = make([]int, len(rows))
+		for i, r := range rows {
+			classes[i] = idx[b.t.Code(r, b.target)]
+		}
+		nc = len(idx)
+	}
+	var best *Node
+	bestScore := math.Inf(1)
+	for _, attr := range b.cands {
+		var s *Node
+		var score float64
+		numeric := b.t.Attr(attr).Kind == table.Numeric
+		switch {
+		case b.kind == table.Numeric && numeric:
+			s, score = b.numericSplitSSE(rows, y, attr)
+		case b.kind == table.Numeric:
+			s, score = b.categoricalSplitSSE(rows, y, attr)
+		case numeric:
+			s, score = b.numericSplitGini(rows, classes, nc, attr)
+		default:
+			s, score = b.categoricalSplitGini(rows, classes, nc, attr)
+		}
+		if s != nil && score < bestScore {
+			best, bestScore = s, score
+		}
+	}
+	return best
+}
+
+// routeRows splits rows according to a node's split.
+func (b *treeBuilder) routeRows(n *Node, rows []int) (left, right []int) {
+	for _, r := range rows {
+		if n.takeLeft(b.t, r) {
+			left = append(left, r)
+		} else {
+			right = append(right, r)
+		}
+	}
+	return left, right
 }

@@ -7,6 +7,12 @@
 // outlier. The storage cost of a model (tree bits + outlier bits) is what
 // the CaRTSelector trades against the cost of materializing the column.
 //
+// Regression and classification trees share one grower (build.go): they
+// differ only in the leaf (the centre of the densest 2·tol window, or the
+// majority class with a pro-rata mismatch allowance) and in the split
+// criterion (child SSE in regression.go, Gini impurity in
+// classification.go).
+//
 // Two build strategies are provided for the paper's ablation: integrated
 // build+prune (expansion stops when a lower bound proves a subtree cannot
 // beat the leaf, paper §3.3) and build-then-prune (grow fully, prune

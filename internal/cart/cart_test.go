@@ -2,11 +2,14 @@ package cart
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -60,12 +63,12 @@ func modelValues(m *Model) int {
 func TestPaperExample11Classification(t *testing.T) {
 	tb := paperTable(t)
 	cm := NewCostModel(tb)
-	m, _, err := Build(tb, colCredit, []int{colSalary}, 0, cm,
+	m, _, err := Build(context.Background(), tb, colCredit, []int{colSalary}, 0, cm,
 		Config{MinLeafRows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ComputeOutliers(tb, 0); err != nil {
+	if err := m.ComputeOutliers(context.Background(), tb, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := modelValues(m); got > 4 {
@@ -88,12 +91,12 @@ func TestPaperExample11Classification(t *testing.T) {
 func TestPaperExample11Regression(t *testing.T) {
 	tb := paperTable(t)
 	cm := NewCostModel(tb)
-	m, _, err := Build(tb, colAssets, []int{colAge, colSalary}, 25000, cm,
+	m, _, err := Build(context.Background(), tb, colAssets, []int{colAge, colSalary}, 25000, cm,
 		Config{MinLeafRows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ComputeOutliers(tb, 25000); err != nil {
+	if err := m.ComputeOutliers(context.Background(), tb, 25000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := modelValues(m); got > 6 {
@@ -111,21 +114,45 @@ func TestPaperExample11Regression(t *testing.T) {
 func TestBuildValidation(t *testing.T) {
 	tb := paperTable(t)
 	cm := NewCostModel(tb)
-	if _, _, err := Build(tb, colAssets, nil, 1, cm, Config{}); err == nil {
+	if _, _, err := Build(context.Background(), tb, colAssets, nil, 1, cm, Config{}); err == nil {
 		t.Error("Build accepted empty candidate set")
 	}
-	if _, _, err := Build(tb, colAssets, []int{colAssets}, 1, cm, Config{}); err == nil {
+	if _, _, err := Build(context.Background(), tb, colAssets, []int{colAssets}, 1, cm, Config{}); err == nil {
 		t.Error("Build accepted target as its own predictor")
 	}
-	if _, _, err := Build(tb, colAssets, []int{99}, 1, cm, Config{}); err == nil {
+	if _, _, err := Build(context.Background(), tb, colAssets, []int{99}, 1, cm, Config{}); err == nil {
 		t.Error("Build accepted out-of-range candidate")
 	}
 	empty, err := tb.SelectRows(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Build(empty, colAssets, []int{colAge}, 1, cm, Config{}); err == nil {
+	if _, _, err := Build(context.Background(), empty, colAssets, []int{colAge}, 1, cm, Config{}); err == nil {
 		t.Error("Build accepted empty sample")
+	}
+	for _, target := range []int{colAssets, colCredit} {
+		for _, tol := range []float64{-1, math.NaN(), math.Inf(1)} {
+			if _, _, err := Build(context.Background(), tb, target, []int{colAge}, tol, cm, Config{}); err == nil {
+				t.Errorf("Build accepted tolerance %g for target %d", tol, target)
+			}
+		}
+	}
+}
+
+// TestBuildCancelled checks that a cancelled context abandons a build of
+// either target kind under either pruning mode with the context's error.
+func TestBuildCancelled(t *testing.T) {
+	tb := correlatedTable(rand.New(rand.NewSource(5)), 300)
+	cm := NewCostModel(tb)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, target := range []int{1, 2} {
+		for _, mode := range []PruneMode{PruneIntegrated, PruneAfter} {
+			m, _, err := Build(ctx, tb, target, []int{0, 3}, 0, cm, Config{Prune: mode})
+			if !errors.Is(err, context.Canceled) || m != nil {
+				t.Errorf("target %d, mode %d: Build = %v, %v; want nil, context.Canceled", target, mode, m, err)
+			}
+		}
 	}
 }
 
@@ -151,17 +178,43 @@ func correlatedTable(rng *rand.Rand, n int) *table.Table {
 	return b.MustBuild()
 }
 
+// guaranteeHolds reports whether m, after its outlier scan of tb under
+// tol, reconstructs every row of a numeric target within tol, or
+// mismatches at most ⌊tol·n⌋ rows of a categorical one.
+func guaranteeHolds(t *testing.T, m *Model, tb *table.Table, tol float64) bool {
+	t.Helper()
+	if err := m.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
+		t.Fatal(err)
+	}
+	rec := reconstruct(m, tb)
+	if m.TargetKind == table.Numeric {
+		for r := 0; r < tb.NumRows(); r++ {
+			if math.Abs(rec.Floats[r]-tb.Float(r, m.Target)) > tol {
+				return false
+			}
+		}
+		return true
+	}
+	wrong := 0
+	for r := 0; r < tb.NumRows(); r++ {
+		if rec.Codes[r] != tb.Code(r, m.Target) {
+			wrong++
+		}
+	}
+	return wrong <= int(tol*float64(tb.NumRows()))
+}
+
 func TestRegressionErrorGuaranteeProperty(t *testing.T) {
 	f := func(seed int64, tolByte uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tb := correlatedTable(rng, 300)
 		tol := 1 + float64(tolByte)/8 // tolerance in [1, ~33]
 		cm := NewCostModel(tb)
-		m, _, err := Build(tb, 1, []int{0, 3}, tol, cm, Config{})
+		m, _, err := Build(context.Background(), tb, 1, []int{0, 3}, tol, cm, Config{})
 		if err != nil {
 			return false
 		}
-		if err := m.ComputeOutliers(tb, tol); err != nil {
+		if err := m.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
 			return false
 		}
 		rec := reconstruct(m, tb)
@@ -183,11 +236,11 @@ func TestClassificationErrorGuaranteeProperty(t *testing.T) {
 		tb := correlatedTable(rng, 300)
 		tol := float64(tolByte%50) / 100 // tolerance in [0, 0.49]
 		cm := NewCostModel(tb)
-		m, _, err := Build(tb, 2, []int{0, 3}, tol, cm, Config{})
+		m, _, err := Build(context.Background(), tb, 2, []int{0, 3}, tol, cm, Config{})
 		if err != nil {
 			return false
 		}
-		if err := m.ComputeOutliers(tb, tol); err != nil {
+		if err := m.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
 			return false
 		}
 		rec := reconstruct(m, tb)
@@ -212,11 +265,11 @@ func TestSampleBuildFullApply(t *testing.T) {
 	sample := full.Sample(600, rng)
 	cm := NewCostModel(full)
 	tol := 5.0
-	m, _, err := Build(sample, 1, []int{0}, tol, cm, Config{FullRows: full.NumRows()})
+	m, _, err := Build(context.Background(), sample, 1, []int{0}, tol, cm, Config{FullRows: full.NumRows()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ComputeOutliers(full, tol); err != nil {
+	if err := m.ComputeOutliers(context.Background(), full, tol, nil); err != nil {
 		t.Fatal(err)
 	}
 	rec := reconstruct(m, full)
@@ -235,7 +288,7 @@ func TestUsedPredictorsFiltersJunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tb := correlatedTable(rng, 500)
 	cm := NewCostModel(tb)
-	m, _, err := Build(tb, 1, []int{0, 3}, 2, cm, Config{})
+	m, _, err := Build(context.Background(), tb, 1, []int{0, 3}, 2, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +326,11 @@ func TestCategoricalPredictorSplit(t *testing.T) {
 	}
 	tb := b.MustBuild()
 	cm := NewCostModel(tb)
-	m, _, err := Build(tb, 1, []int{0}, 1, cm, Config{})
+	m, _, err := Build(context.Background(), tb, 1, []int{0}, 1, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ComputeOutliers(tb, 1); err != nil {
+	if err := m.ComputeOutliers(context.Background(), tb, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Outliers) != 0 {
@@ -292,11 +345,11 @@ func TestLosslessToleranceZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tb := correlatedTable(rng, 300)
 	cm := NewCostModel(tb)
-	m, _, err := Build(tb, 1, []int{0}, 0, cm, Config{})
+	m, _, err := Build(context.Background(), tb, 1, []int{0}, 0, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ComputeOutliers(tb, 0); err != nil {
+	if err := m.ComputeOutliers(context.Background(), tb, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	rec := reconstruct(m, tb)
@@ -311,19 +364,14 @@ func TestPruneModesAgreeOnGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tb := correlatedTable(rng, 600)
 	cm := NewCostModel(tb)
-	tol := 3.0
-	for _, mode := range []PruneMode{PruneIntegrated, PruneAfter, PruneNone} {
-		m, _, err := Build(tb, 1, []int{0, 3}, tol, cm, Config{Prune: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.ComputeOutliers(tb, tol); err != nil {
-			t.Fatal(err)
-		}
-		rec := reconstruct(m, tb)
-		for r := 0; r < tb.NumRows(); r++ {
-			if math.Abs(rec.Floats[r]-tb.Float(r, 1)) > tol {
-				t.Fatalf("mode %d: row %d violates tolerance", mode, r)
+	for target, tol := range map[int]float64{1: 3, 2: 0.05} {
+		for _, mode := range []PruneMode{PruneIntegrated, PruneAfter, PruneNone} {
+			m, _, err := Build(context.Background(), tb, target, []int{0, 3}, tol, cm, Config{Prune: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !guaranteeHolds(t, m, tb, tol) {
+				t.Errorf("target %d, mode %d: reconstruction violates tolerance %g", target, mode, tol)
 			}
 		}
 	}
@@ -333,27 +381,76 @@ func TestIntegratedPruneYieldsSmallerOrEqualTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	tb := correlatedTable(rng, 600)
 	cm := NewCostModel(tb)
-	mi, costI, err := Build(tb, 1, []int{0, 3}, 5, cm, Config{Prune: PruneIntegrated})
+	for target, tol := range map[int]float64{1: 5, 2: 0.05} {
+		build := func(mode PruneMode) (*Model, float64) {
+			m, cost, err := Build(context.Background(), tb, target, []int{0, 3}, tol, cm, Config{Prune: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, cost
+		}
+		mi, costI := build(PruneIntegrated)
+		mn, _ := build(PruneNone)
+		if mi.NumNodes() > mn.NumNodes() {
+			t.Errorf("target %d: integrated prune grew a bigger tree (%d > %d nodes)",
+				target, mi.NumNodes(), mn.NumNodes())
+		}
+		ma, costA := build(PruneAfter)
+		// Both pruned variants optimize the same cost; allow small slack
+		// for path-dependent growth differences.
+		if costI > costA*1.25+64 {
+			t.Errorf("target %d: integrated cost %.0f much worse than post-prune cost %.0f (trees: %d vs %d nodes)",
+				target, costI, costA, mi.NumNodes(), ma.NumNodes())
+		}
+	}
+}
+
+// TestSplitSearchAllocationIgnoresDictionarySize builds trees over a
+// predictor whose dictionary has 2^18 entries of which the sample sees
+// 64. The split search's per-node maps must be sized by the node's rows,
+// not by the dictionary: sized by the dictionary, these builds allocate
+// about 0.6 GB.
+func TestSplitSearchAllocationIgnoresDictionarySize(t *testing.T) {
+	const rows, seen, dict = 2000, 64, 1 << 18
+	const limit = 32 << 20
+	rng := rand.New(rand.NewSource(9))
+	id := &table.Column{Kind: table.Categorical, Codes: make([]int32, rows), Dict: make([]string, dict)}
+	for i := range id.Dict {
+		id.Dict[i] = strconv.Itoa(i)
+	}
+	y := &table.Column{Kind: table.Numeric, Floats: make([]float64, rows)}
+	class := &table.Column{Kind: table.Categorical, Codes: make([]int32, rows), Dict: make([]string, dict)}
+	copy(class.Dict, id.Dict)
+	for r := 0; r < rows; r++ {
+		g := rng.Intn(seen)
+		id.Codes[r] = int32(g * (dict / seen))
+		y.Floats[r] = float64(g)
+		class.Codes[r] = int32(g % 7)
+	}
+	tb, err := table.New(table.Schema{
+		{Name: "id", Kind: table.Categorical},
+		{Name: "y", Kind: table.Numeric},
+		{Name: "class", Kind: table.Categorical},
+	}, []*table.Column{id, y, class})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn, _, err := Build(tb, 1, []int{0, 3}, 5, cm, Config{Prune: PruneNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mi.NumNodes() > mn.NumNodes() {
-		t.Errorf("integrated prune grew a bigger tree (%d > %d nodes)",
-			mi.NumNodes(), mn.NumNodes())
-	}
-	ma, costA, err := Build(tb, 1, []int{0, 3}, 5, cm, Config{Prune: PruneAfter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both pruned variants optimize the same cost; allow small slack for
-	// path-dependent growth differences.
-	if costI > costA*1.25+64 {
-		t.Errorf("integrated cost %.0f much worse than post-prune cost %.0f (trees: %d vs %d nodes)",
-			costI, costA, mi.NumNodes(), ma.NumNodes())
+	cm := NewCostModel(tb)
+	for _, target := range []int{1, 2} {
+		var m *Model
+		alloc := allocDelta(func() {
+			m, _, err = Build(context.Background(), tb, target, []int{0}, 0, cm, Config{})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.NumNodes() < 3 {
+			t.Errorf("target %d: %d-node tree never searched a split below the root", target, m.NumNodes())
+		}
+		if alloc > limit {
+			t.Errorf("target %d: Build allocated %d MB for a %d-node tree, want < %d MB",
+				target, alloc>>20, m.NumNodes(), limit>>20)
+		}
 	}
 }
 
@@ -366,11 +463,11 @@ func TestModelEncodeDecodeRoundTrip(t *testing.T) {
 		if tb.Attr(target).Kind == table.Categorical {
 			tol = 0.05
 		}
-		m, _, err := Build(tb, target, []int{0, 3}, tol, cm, Config{})
+		m, _, err := Build(context.Background(), tb, target, []int{0, 3}, tol, cm, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.ComputeOutliers(tb, tol); err != nil {
+		if err := m.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -409,7 +506,7 @@ func TestDecodeModelRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	tb := correlatedTable(rng, 200)
 	cm := NewCostModel(tb)
-	m, _, err := Build(tb, 1, []int{0}, 2, cm, Config{})
+	m, _, err := Build(context.Background(), tb, 1, []int{0}, 2, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,144 +1,22 @@
 package cart
 
 import (
-	"context"
 	"math"
 	"sort"
 
 	"repro/internal/floats"
-	"repro/internal/table"
 )
 
-// classification tree construction (paper §3.3, categorical targets,
-// PUBLIC-style integration of building and cost-based pruning).
-//
-// A leaf predicts its majority class; misclassified rows beyond the
-// target's probability budget become stored outliers. The global budget
-// (tol · N rows may stay wrong unstored) is distributed proportionally
-// during construction: a leaf with k rows is granted ⌊tol·k⌋ free errors,
-// so per-leaf cost estimates sum to a consistent global estimate.
-// Split selection minimizes Gini impurity.
+// Split scorers for categorical targets (paper §3.3): each returns the
+// split of one predictor minimizing the weighted Gini impurity of the
+// children, or nil and +Inf when the predictor admits none. y[i] is the
+// dense class index (see classIndex) of rows[i], and nc the number of
+// classes among rows.
 
-// leafStatsClassification returns the majority code, the misclassified
-// count, and the count of misclassifications that exceed the leaf's
-// pro-rata tolerance budget (the ones that would need outlier storage).
-func (b *treeBuilder) leafStatsClassification(rows []int) (majority int32, mis, chargeable int) {
-	counts := map[int32]int{}
-	for _, r := range rows {
-		counts[b.t.Code(r, b.target)]++
-	}
-	bestCode, bestCount := int32(0), -1
-	for code, c := range counts {
-		if c > bestCount || (c == bestCount && code < bestCode) {
-			bestCode, bestCount = code, c
-		}
-	}
-	if bestCount < 0 {
-		return 0, 0, 0
-	}
-	mis = len(rows) - bestCount
-	allowance := int(b.tol * float64(len(rows)))
-	chargeable = mis - allowance
-	if chargeable < 0 {
-		chargeable = 0
-	}
-	return bestCode, mis, chargeable
-}
-
-// buildClassification grows (and under PruneIntegrated, prunes) a subtree,
-// returning it with its estimated storage cost.
-func (b *treeBuilder) buildClassification(ctx context.Context, rows []int, depth int) (*Node, float64) {
-	if b.cancelled(ctx) {
-		return &Node{Leaf: true}, 0
-	}
-	majority, mis, chargeable := b.leafStatsClassification(rows)
-	leaf := &Node{Leaf: true, CatValue: majority}
-	leafCost := b.cm.LeafBits(b.target) + b.outlierCost(chargeable)
-
-	if mis == 0 || chargeable == 0 || depth >= b.cfg.MaxDepth || len(rows) < 2*b.cfg.MinLeafRows {
-		return leaf, leafCost
-	}
-	if b.cfg.Prune == PruneIntegrated && leafCost <= b.leafFloor() {
-		return leaf, leafCost
-	}
-
-	split, ok := b.bestSplitGini(rows)
-	if !ok {
-		return leaf, leafCost
-	}
-	leftRows, rightRows := b.partition(rows, split)
-	if len(leftRows) < b.cfg.MinLeafRows || len(rightRows) < b.cfg.MinLeafRows {
-		return leaf, leafCost
-	}
-	leftNode, leftCost := b.buildClassification(ctx, leftRows, depth+1)
-	rightNode, rightCost := b.buildClassification(ctx, rightRows, depth+1)
-	splitCost := b.cm.InternalBits(split.attr) + leftCost + rightCost
-
-	if b.cfg.Prune == PruneIntegrated && leafCost <= splitCost {
-		return leaf, leafCost
-	}
-	n := &Node{
-		SplitAttr:  split.attr,
-		SplitValue: split.value,
-		SplitLeft:  split.leftCodes,
-		SplitIsCat: split.isCat,
-		Left:       leftNode,
-		Right:      rightNode,
-	}
-	return n, splitCost
-}
-
-// pruneClassification is the post-hoc pass for PruneAfter mode.
-func (b *treeBuilder) pruneClassification(ctx context.Context, n *Node, rows []int) (*Node, float64) {
-	if b.cancelled(ctx) {
-		return n, 0
-	}
-	majority, _, chargeable := b.leafStatsClassification(rows)
-	leafCost := b.cm.LeafBits(b.target) + b.outlierCost(chargeable)
-	if n.Leaf {
-		return n, leafCost
-	}
-	leftRows, rightRows := b.routeRows(n, rows)
-	left, leftCost := b.pruneClassification(ctx, n.Left, leftRows)
-	right, rightCost := b.pruneClassification(ctx, n.Right, rightRows)
-	splitCost := b.cm.InternalBits(n.SplitAttr) + leftCost + rightCost
-	if leafCost <= splitCost {
-		return &Node{Leaf: true, CatValue: majority}, leafCost
-	}
-	n.Left, n.Right = left, right
-	return n, splitCost
-}
-
-// bestSplitGini evaluates all candidate attributes under the Gini
-// impurity criterion.
-func (b *treeBuilder) bestSplitGini(rows []int) (candidateSplit, bool) {
-	classes := b.classIndex(rows)
-	y := make([]int, len(rows))
-	for i, r := range rows {
-		y[i] = classes[b.t.Code(r, b.target)]
-	}
-	nc := len(classes)
-	best := candidateSplit{score: math.Inf(1)}
-	found := false
-	for _, attr := range b.cands {
-		var s candidateSplit
-		var ok bool
-		if b.t.Attr(attr).Kind == table.Numeric {
-			s, ok = b.numericSplitGini(rows, y, nc, attr)
-		} else {
-			s, ok = b.categoricalSplitGini(rows, y, nc, attr)
-		}
-		if ok && s.score < best.score {
-			best = s
-			found = true
-		}
-	}
-	return best, found
-}
-
-// classIndex maps the target codes present in rows to dense indices.
+// classIndex maps the target codes present in rows to dense indices, in
+// order of first appearance.
 func (b *treeBuilder) classIndex(rows []int) map[int32]int {
-	idx := make(map[int32]int, b.t.Col(b.target).DomainSize())
+	idx := make(map[int32]int, min(b.t.Col(b.target).DomainSize(), len(rows)))
 	for _, r := range rows {
 		c := b.t.Code(r, b.target)
 		if _, ok := idx[c]; !ok {
@@ -162,7 +40,7 @@ func giniFromCounts(counts []int, total int) float64 {
 
 // numericSplitGini scans thresholds of a numeric predictor keeping running
 // class counts.
-func (b *treeBuilder) numericSplitGini(rows []int, y []int, nc, attr int) (candidateSplit, bool) {
+func (b *treeBuilder) numericSplitGini(rows []int, y []int, nc, attr int) (*Node, float64) {
 	n := len(rows)
 	type pair struct {
 		x float64
@@ -174,7 +52,7 @@ func (b *treeBuilder) numericSplitGini(rows []int, y []int, nc, attr int) (candi
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].x < ps[j].x })
 	if floats.SameBits(ps[0].x, ps[n-1].x) {
-		return candidateSplit{}, false
+		return nil, math.Inf(1)
 	}
 	totals := make([]int, nc)
 	for _, p := range ps {
@@ -182,8 +60,7 @@ func (b *treeBuilder) numericSplitGini(rows []int, y []int, nc, attr int) (candi
 	}
 	leftCounts := make([]int, nc)
 	rightCounts := append([]int(nil), totals...)
-	best := candidateSplit{attr: attr, score: math.Inf(1)}
-	found := false
+	bestK, bestScore := 0, math.Inf(1)
 	for k := 1; k < n; k++ {
 		leftCounts[ps[k-1].y]++
 		rightCounts[ps[k-1].y]--
@@ -195,26 +72,28 @@ func (b *treeBuilder) numericSplitGini(rows []int, y []int, nc, attr int) (candi
 		}
 		fl, fr := float64(k), float64(n-k)
 		score := (fl*giniFromCounts(leftCounts, k) + fr*giniFromCounts(rightCounts, n-k)) / float64(n)
-		if score < best.score {
-			best.score = score
-			// float32 wire format; see numericSplitSSE.
-			best.value = floats.F32((ps[k-1].x + ps[k].x) / 2)
-			found = true
+		if score < bestScore {
+			bestK, bestScore = k, score
 		}
 	}
-	return best, found
+	if bestK == 0 {
+		return nil, bestScore
+	}
+	return thresholdSplit(attr, ps[bestK-1].x, ps[bestK].x), bestScore
 }
 
 // categoricalSplitGini orders predictor codes by the proportion of the
 // parent's majority class and scans prefix partitions (exact for two
 // classes, a strong heuristic for more).
-func (b *treeBuilder) categoricalSplitGini(rows []int, y []int, nc, attr int) (candidateSplit, bool) {
+func (b *treeBuilder) categoricalSplitGini(rows []int, y []int, nc, attr int) (*Node, float64) {
 	type group struct {
 		code   int32
 		counts []int
 		n      int
 	}
-	groups := make(map[int32]*group, b.t.Col(attr).DomainSize())
+	// The hint is bounded by the node's rows: a predictor's dictionary may
+	// be far larger than the codes a node sees.
+	groups := make(map[int32]*group, min(b.t.Col(attr).DomainSize(), len(rows)))
 	for i, r := range rows {
 		c := b.t.Code(r, attr)
 		g := groups[c]
@@ -226,7 +105,7 @@ func (b *treeBuilder) categoricalSplitGini(rows []int, y []int, nc, attr int) (c
 		g.n++
 	}
 	if len(groups) < 2 {
-		return candidateSplit{}, false
+		return nil, math.Inf(1)
 	}
 	totals := make([]int, nc)
 	n := 0
@@ -254,8 +133,7 @@ func (b *treeBuilder) categoricalSplitGini(rows []int, y []int, nc, attr int) (c
 		}
 		return gs[i].code < gs[j].code
 	})
-	best := candidateSplit{attr: attr, isCat: true, score: math.Inf(1)}
-	found := false
+	bestK, bestScore := -1, math.Inf(1)
 	leftCounts := make([]int, nc)
 	rightCounts := append([]int(nil), totals...)
 	cnt := 0
@@ -270,16 +148,16 @@ func (b *treeBuilder) categoricalSplitGini(rows []int, y []int, nc, attr int) (c
 		}
 		fl, fr := float64(cnt), float64(n-cnt)
 		score := (fl*giniFromCounts(leftCounts, cnt) + fr*giniFromCounts(rightCounts, n-cnt)) / float64(n)
-		if score < best.score {
-			best.score = score
-			left := make([]int32, 0, k+1)
-			for i := 0; i <= k; i++ {
-				left = append(left, gs[i].code)
-			}
-			sort.Slice(left, func(i, j int) bool { return left[i] < left[j] })
-			best.leftCodes = left
-			found = true
+		if score < bestScore {
+			bestK, bestScore = k, score
 		}
 	}
-	return best, found
+	if bestK < 0 {
+		return nil, bestScore
+	}
+	left := make([]int32, bestK+1)
+	for i := range left {
+		left[i] = gs[i].code
+	}
+	return setSplit(attr, left), bestScore
 }

@@ -1,6 +1,7 @@
 package cart
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -37,11 +38,11 @@ func TestEncodePropagatesWriteErrors(t *testing.T) {
 		if tb.Attr(target).Kind != 0 { // categorical
 			tol = 0
 		}
-		m, _, err := Build(tb, target, []int{0}, tol, cm, Config{})
+		m, _, err := Build(context.Background(), tb, target, []int{0}, tol, cm, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.ComputeOutliers(tb, tol); err != nil {
+		if err := m.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Learn each stream's size, then sweep failure points inside it;

@@ -21,28 +21,18 @@ const scanBatchRows = 4096
 // to ⌊tol·N⌋ misclassified rows may remain unstored; the rest are stored
 // as outliers. (All categorical outliers cost the same, so which ones stay
 // unstored is arbitrary; the earliest rows are kept unstored for
-// determinism.)
+// determinism.) perClass optionally gives per-class mismatch budgets
+// instead (paper §2.1's per-class extension): for each true class c, at
+// most perClass[c]·count(c) rows may stay misclassified unstored; classes
+// absent from the map fall back to tol. A nil map keeps the global
+// probability.
 //
 // The table passed here must use the same schema (and, for categorical
 // columns, the same dictionaries) as the sample the model was built on.
-func (m *Model) ComputeOutliers(full *table.Table, tol float64) error {
-	return m.ComputeOutliersBudget(full, tol, nil)
-}
-
-// ComputeOutliersBudget is ComputeOutliers with optional per-class
-// mismatch budgets for categorical targets (paper §2.1's per-class
-// extension): for each true class c, at most perClass[c]·count(c) rows
-// may stay misclassified unstored; classes absent from the map fall back
-// to tol. A nil map reproduces the global-probability semantics.
-func (m *Model) ComputeOutliersBudget(full *table.Table, tol float64, perClass map[int32]float64) error {
-	return m.ComputeOutliersBudgetContext(context.Background(), full, tol, perClass)
-}
-
-// ComputeOutliersBudgetContext is ComputeOutliersBudget with
-// cancellation: the full-table scan checks ctx between row batches
-// (scanBatchRows rows each) and returns the wrapped context error,
-// leaving the model's outlier list in an unspecified but safe state.
-func (m *Model) ComputeOutliersBudgetContext(ctx context.Context, full *table.Table, tol float64, perClass map[int32]float64) error {
+// The scan checks ctx between row batches (scanBatchRows rows each) and
+// returns the wrapped context error, leaving the model's outlier list in
+// an unspecified but safe state.
+func (m *Model) ComputeOutliers(ctx context.Context, full *table.Table, tol float64, perClass map[int32]float64) error {
 	m.Outliers = m.Outliers[:0]
 	f := m.flatten(columns(full))
 	switch m.TargetKind {

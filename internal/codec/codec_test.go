@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -45,18 +46,18 @@ func buildPlan(t *testing.T, tb *table.Table, tol float64) (mats []int, models [
 
 func buildPlanErr(tb *table.Table, tol float64) ([]int, []*cart.Model, error) {
 	cm := cart.NewCostModel(tb)
-	my, _, err := cart.Build(tb, 1, []int{0}, tol, cm, cart.Config{})
+	my, _, err := cart.Build(context.Background(), tb, 1, []int{0}, tol, cm, cart.Config{})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := my.ComputeOutliers(tb, tol); err != nil {
+	if err := my.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
 		return nil, nil, err
 	}
-	mc, _, err := cart.Build(tb, 2, []int{0}, 0, cm, cart.Config{})
+	mc, _, err := cart.Build(context.Background(), tb, 2, []int{0}, 0, cm, cart.Config{})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := mc.ComputeOutliers(tb, 0); err != nil {
+	if err := mc.ComputeOutliers(context.Background(), tb, 0, nil); err != nil {
 		return nil, nil, err
 	}
 	return []int{0, 3}, []*cart.Model{my, mc}, nil
@@ -184,7 +185,7 @@ func TestValidatePlanErrors(t *testing.T) {
 	}
 	// Model using a non-materialized predictor.
 	cm := cart.NewCostModel(tb)
-	bad, _, err := cart.Build(tb, 1, []int{0}, 5, cm, cart.Config{})
+	bad, _, err := cart.Build(context.Background(), tb, 1, []int{0}, 5, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestValidatePlanErrors(t *testing.T) {
 
 func mustModel(t *testing.T, tb *table.Table, cm *cart.CostModel, target int) *cart.Model {
 	t.Helper()
-	m, _, err := cart.Build(tb, target, []int{3}, 1000, cm, cart.Config{})
+	m, _, err := cart.Build(context.Background(), tb, target, []int{3}, 1000, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,25 +247,25 @@ func TestAllPredictedExceptOne(t *testing.T) {
 	tb := testTable(rng, 300)
 	cm := cart.NewCostModel(tb)
 	tolY := 12.0
-	my, _, err := cart.Build(tb, 1, []int{0}, tolY, cm, cart.Config{})
+	my, _, err := cart.Build(context.Background(), tb, 1, []int{0}, tolY, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := my.ComputeOutliers(tb, tolY); err != nil {
+	if err := my.ComputeOutliers(context.Background(), tb, tolY, nil); err != nil {
 		t.Fatal(err)
 	}
-	mc, _, err := cart.Build(tb, 2, []int{0}, 0, cm, cart.Config{})
+	mc, _, err := cart.Build(context.Background(), tb, 2, []int{0}, 0, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mc.ComputeOutliers(tb, 0); err != nil {
+	if err := mc.ComputeOutliers(context.Background(), tb, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	mj, _, err := cart.Build(tb, 3, []int{0}, 1000, cm, cart.Config{})
+	mj, _, err := cart.Build(context.Background(), tb, 3, []int{0}, 1000, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mj.ComputeOutliers(tb, 1000); err != nil {
+	if err := mj.ComputeOutliers(context.Background(), tb, 1000, nil); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -380,7 +381,7 @@ func TestBodiesShareModelBlock(t *testing.T) {
 		outliers := make([][]cart.Outlier, 0, len(mb.Models))
 		for _, tree := range mb.Models {
 			m := *tree
-			if err := m.ComputeOutliers(part, map[int]float64{1: tol, 2: 0}[m.Target]); err != nil {
+			if err := m.ComputeOutliers(context.Background(), part, map[int]float64{1: tol, 2: 0}[m.Target], nil); err != nil {
 				t.Fatal(err)
 			}
 			outliers = append(outliers, m.Outliers)

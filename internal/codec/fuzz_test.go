@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -126,7 +127,7 @@ func twoSegments(f *testing.F, rng *rand.Rand) []byte {
 		outliers := make([][]cart.Outlier, 0, len(mb.Models))
 		for _, tree := range mb.Models {
 			m := *tree
-			if err := m.ComputeOutliers(part, map[int]float64{1: 10, 2: 0}[m.Target]); err != nil {
+			if err := m.ComputeOutliers(context.Background(), part, map[int]float64{1: 10, 2: 0}[m.Target], nil); err != nil {
 				f.Fatal(err)
 			}
 			outliers = append(outliers, m.Outliers)

@@ -373,11 +373,11 @@ func learn(ctx context.Context, root *obs.Span, t *table.Table, opts Options) (*
 		var plan *selector.Result
 		switch opts.Selection {
 		case SelectGreedy:
-			plan, err = selector.GreedyContext(ctx, in, opts.Theta)
+			plan, err = selector.Greedy(ctx, in, opts.Theta)
 		case SelectWMISMarkov:
-			plan, err = selector.MaxIndependentSetContext(ctx, in, selector.MarkovBlanket)
+			plan, err = selector.MaxIndependentSet(ctx, in, selector.MarkovBlanket)
 		default:
-			plan, err = selector.MaxIndependentSetContext(ctx, in, selector.Parents)
+			plan, err = selector.MaxIndependentSet(ctx, in, selector.Parents)
 		}
 		if err != nil {
 			return fmt.Errorf("spartan: CaRT selection: %w", err)
@@ -455,7 +455,7 @@ func (m *Model) apply(ctx context.Context, root *obs.Span, t *table.Table, stats
 			if t.Attr(a).Kind == table.Categorical {
 				perClass = m.resolved[a].ClassBudgets(t.Col(a).Dict)
 			}
-			err := scan.ComputeOutliersBudgetContext(ctx, applied, m.resolved[a].Value, perClass)
+			err := scan.ComputeOutliers(ctx, applied, m.resolved[a].Value, perClass)
 			outliers[i] = scan.Outliers
 			return err
 		})
@@ -589,7 +589,7 @@ func rowAggregate(ctx context.Context, t *table.Table, plan *selector.Result, re
 			splits[i] = splitsByAttr[a]
 		}
 	}
-	clustering, err := fascicle.ClusterContext(ctx, proj, fascicle.Params{
+	clustering, err := fascicle.Cluster(ctx, proj, fascicle.Params{
 		Widths:       widths,
 		SplitValues:  splits,
 		MaxFascicles: opts.MaxFascicles,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -24,7 +25,7 @@ const fascicleMagic = "SPFAS1\n"
 // is true the encoded body is additionally deflated, which is how the
 // RowAggregator block inside SPARTAN's codec is stored.
 func Compress(t *table.Table, p Params, gzipPayload bool) ([]byte, error) {
-	c, err := Cluster(t, p)
+	c, err := Cluster(context.Background(), t, p)
 	if err != nil {
 		return nil, err
 	}

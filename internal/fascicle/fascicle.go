@@ -136,15 +136,10 @@ func (c *Clustering) RowsScanned() int { return c.rowsScanned }
 // when every value shares a key byte) and a counting sort makes one pass
 // over each categorical column. Each seed then costs O(cols·log n) to
 // size its windows by binary search, plus one walk over the sparsest
-// chosen attribute's window (RowsScanned sums those walks).
-func Cluster(t *table.Table, p Params) (*Clustering, error) {
-	return ClusterContext(context.Background(), t, p)
-}
-
-// ClusterContext is Cluster with cancellation: ctx is checked before each
-// seed's growth attempt, so a cancel abandons the clustering within one
-// fascicle and returns the wrapped context error.
-func ClusterContext(ctx context.Context, t *table.Table, p Params) (*Clustering, error) {
+// chosen attribute's window (RowsScanned sums those walks). ctx is checked
+// before each seed's growth attempt, so a cancel abandons the clustering
+// within one fascicle and returns the wrapped context error.
+func Cluster(ctx context.Context, t *table.Table, p Params) (*Clustering, error) {
 	p, err := p.withDefaults(t)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package fascicle
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -50,7 +51,7 @@ func paperWidths() []float64 { return []float64{2, 5000, 25000, 0} }
 // raw 8×4 = 32 values.
 func TestPaperExample21(t *testing.T) {
 	tb := paperTable(t)
-	c, err := Cluster(tb, Params{K: 2, MinSize: 2, Widths: paperWidths()})
+	c, err := Cluster(context.Background(), tb, Params{K: 2, MinSize: 2, Widths: paperWidths()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,20 +102,20 @@ func assertCompact(t *testing.T, tb *table.Table, c *Clustering, widths []float6
 
 func TestClusterParamValidation(t *testing.T) {
 	tb := paperTable(t)
-	if _, err := Cluster(tb, Params{Widths: []float64{1}}); err == nil {
+	if _, err := Cluster(context.Background(), tb, Params{Widths: []float64{1}}); err == nil {
 		t.Error("Cluster accepted wrong-length widths")
 	}
-	if _, err := Cluster(tb, Params{Widths: paperWidths(),
+	if _, err := Cluster(context.Background(), tb, Params{Widths: paperWidths(),
 		SplitValues: [][]float64{nil}}); err == nil {
 		t.Error("Cluster accepted wrong-length split values")
 	}
 	for _, w := range []float64{-1, math.NaN()} {
-		if _, err := Cluster(tb, Params{Widths: []float64{2, w, 25000, 0}}); err == nil {
+		if _, err := Cluster(context.Background(), tb, Params{Widths: []float64{2, w, 25000, 0}}); err == nil {
 			t.Errorf("Cluster accepted width %g", w)
 		}
 	}
 	// K larger than the column count clamps.
-	c, err := Cluster(tb, Params{K: 99, MinSize: 2, Widths: paperWidths()})
+	c, err := Cluster(context.Background(), tb, Params{K: 99, MinSize: 2, Widths: paperWidths()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestClusterCoversAllRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tb := clusteredTable(rng, 500)
 	widths := []float64{1, 1, 0}
-	c, err := Cluster(tb, Params{K: 2, Widths: widths})
+	c, err := Cluster(context.Background(), tb, Params{K: 2, Widths: widths})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestQuantizePreservesOrderAndBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tb := clusteredTable(rng, 400)
 	widths := []float64{1, 1, 0}
-	c, err := Cluster(tb, Params{K: 2, Widths: widths})
+	c, err := Cluster(context.Background(), tb, Params{K: 2, Widths: widths})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestSplitValueInvariantProperty(t *testing.T) {
 		tb := clusteredTable(rng, 200)
 		splits := [][]float64{{10.5, 50.5, 89.9}, {150, 250.2}, nil}
 		widths := []float64{1, 1, 0}
-		c, err := Cluster(tb, Params{K: 2, Widths: widths, SplitValues: splits})
+		c, err := Cluster(context.Background(), tb, Params{K: 2, Widths: widths, SplitValues: splits})
 		if err != nil {
 			return false
 		}
@@ -240,7 +241,7 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 		tb := clusteredTable(rng, 150)
 		w := float64(wByte)/16 + 0.1
 		widths := []float64{w, w, 0}
-		c, err := Cluster(tb, Params{Widths: widths})
+		c, err := Cluster(context.Background(), tb, Params{Widths: widths})
 		if err != nil {
 			return false
 		}
@@ -281,7 +282,7 @@ func TestCompressDecompressMultiset(t *testing.T) {
 	tb := clusteredTable(rng, 300)
 	widths := []float64{1, 1, 0}
 	p := Params{K: 2, Widths: widths}
-	c, err := Cluster(tb, p)
+	c, err := Cluster(context.Background(), tb, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestDecompressRejectsCorruption(t *testing.T) {
 func TestDecompressRejectsHugeCompactAttribute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tb := clusteredTable(rng, 100)
-	c, err := Cluster(tb, Params{K: 2, Widths: []float64{1, 1, 0}})
+	c, err := Cluster(context.Background(), tb, Params{K: 2, Widths: []float64{1, 1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestDecompressRejectsHugeCompactAttribute(t *testing.T) {
 func TestMaxFasciclesRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tb := clusteredTable(rng, 300)
-	c, err := Cluster(tb, Params{K: 2, MaxFascicles: 1, Widths: []float64{1, 1, 0}})
+	c, err := Cluster(context.Background(), tb, Params{K: 2, MaxFascicles: 1, Widths: []float64{1, 1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestMaxFasciclesRespected(t *testing.T) {
 func TestMinSizeRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tb := clusteredTable(rng, 300)
-	c, err := Cluster(tb, Params{K: 2, MinSize: 50, Widths: []float64{1, 1, 0}})
+	c, err := Cluster(context.Background(), tb, Params{K: 2, MinSize: 50, Widths: []float64{1, 1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fascicle
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -117,11 +118,11 @@ func FuzzCluster(f *testing.F) {
 		if err != nil {
 			t.Fatalf("clusterInput built an invalid table: %v", err)
 		}
-		c, err := Cluster(tb, p)
+		c, err := Cluster(context.Background(), tb, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := Cluster(tb, p)
+		again, err := Cluster(context.Background(), tb, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package fascicle
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -127,7 +128,7 @@ func TestRepresentativeZeroSign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Cluster(tb, Params{K: 1, MinSize: 2, MaxFascicles: 1, Widths: []float64{0}})
+		c, err := Cluster(context.Background(), tb, Params{K: 1, MinSize: 2, MaxFascicles: 1, Widths: []float64{0}})
 		if err != nil {
 			t.Fatal(err)
 		}

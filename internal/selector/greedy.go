@@ -10,15 +10,10 @@ import (
 // roots are materialized; every other attribute gets a CaRT built from the
 // attributes materialized so far, and is predicted when the relative
 // storage benefit MaterCost/PredCost is at least theta. At most n-1 CaRTs
-// are built.
-func Greedy(in Input, theta float64) (*Result, error) {
-	return GreedyContext(context.Background(), in, theta)
-}
-
-// GreedyContext is Greedy with cancellation: ctx is checked before each
-// attribute's CaRT construction, so a cancel abandons the traversal within
-// one tree build and returns the wrapped context error.
-func GreedyContext(ctx context.Context, in Input, theta float64) (*Result, error) {
+// are built. ctx is checked before each attribute's CaRT construction, so a
+// cancel abandons the traversal within one tree build and returns the
+// wrapped context error.
+func Greedy(ctx context.Context, in Input, theta float64) (*Result, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}

@@ -25,16 +25,11 @@ import (
 //  4. moves a (near-optimal) maximum-weight independent set to the
 //     predicted side, rewiring affected predictors.
 //
-// Iterations continue until no positive-benefit set exists.
-func MaxIndependentSet(in Input, nb Neighborhood) (*Result, error) {
-	return MaxIndependentSetContext(context.Background(), in, nb)
-}
-
-// MaxIndependentSetContext is MaxIndependentSet with cancellation: ctx is
-// checked at the top of every WMIS iteration (each buildCandidate round)
-// and inside every CaRT construction, so a cancel abandons the search
-// within one tree build and returns the wrapped context error.
-func MaxIndependentSetContext(ctx context.Context, in Input, nb Neighborhood) (*Result, error) {
+// Iterations continue until no positive-benefit set exists. ctx is checked
+// at the top of every WMIS iteration (each buildCandidate round) and inside
+// every CaRT construction, so a cancel abandons the search within one tree
+// build and returns the wrapped context error.
+func MaxIndependentSet(ctx context.Context, in Input, nb Neighborhood) (*Result, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}

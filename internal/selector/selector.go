@@ -155,7 +155,7 @@ func buildEstimate(ctx context.Context, in Input, target int, cands []int) (esti
 	if len(cands) == 0 {
 		return estimate{cost: math.Inf(1)}, false
 	}
-	m, cost, err := cart.BuildContext(ctx, in.Sample, target, cands, in.Tol[target].Value, in.Cost, in.CartCfg)
+	m, cost, err := cart.Build(ctx, in.Sample, target, cands, in.Tol[target].Value, in.Cost, in.CartCfg)
 	if err != nil {
 		return estimate{cost: math.Inf(1)}, false
 	}

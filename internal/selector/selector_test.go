@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,7 +84,7 @@ func paperExampleInput(t *testing.T) Input {
 // materializes X1 and X4, total cost 405.
 func TestPaperExample31Greedy(t *testing.T) {
 	in := paperExampleInput(t)
-	res, err := Greedy(in, 1.5)
+	res, err := Greedy(context.Background(), in, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestPaperExample31Greedy(t *testing.T) {
 // cost of 345.
 func TestPaperExample32MaxIndependentSet(t *testing.T) {
 	in := paperExampleInput(t)
-	res, err := MaxIndependentSet(in, Parents)
+	res, err := MaxIndependentSet(context.Background(), in, Parents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +113,11 @@ func TestPaperExample32MaxIndependentSet(t *testing.T) {
 // WMIS selection strictly beats Greedy (345 < 405).
 func TestPaperMISBeatsGreedy(t *testing.T) {
 	in := paperExampleInput(t)
-	rg, err := Greedy(in, 1.5)
+	rg, err := Greedy(context.Background(), in, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := MaxIndependentSet(in, Parents)
+	rm, err := MaxIndependentSet(context.Background(), in, Parents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestMaxIndependentSetOnRealData(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tb := dependentTable(rng, 800)
 	in := realInput(t, tb)
-	res, err := MaxIndependentSet(in, Parents)
+	res, err := MaxIndependentSet(context.Background(), in, Parents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestGreedyOnRealData(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	tb := dependentTable(rng, 800)
 	in := realInput(t, tb)
-	res, err := Greedy(in, 2)
+	res, err := Greedy(context.Background(), in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestMarkovBlanketNeighborhood(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	tb := dependentTable(rng, 600)
 	in := realInput(t, tb)
-	res, err := MaxIndependentSet(in, MarkovBlanket)
+	res, err := MaxIndependentSet(context.Background(), in, MarkovBlanket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,23 +251,23 @@ func TestInputValidation(t *testing.T) {
 
 	bad := in
 	bad.Net = bayesnet.NewNetwork([]string{"only"})
-	if _, err := Greedy(bad, 2); err == nil {
+	if _, err := Greedy(context.Background(), bad, 2); err == nil {
 		t.Error("Greedy accepted mismatched network")
 	}
 	bad2 := in
 	bad2.Tol = table.Tolerances{{Value: 1}}
-	if _, err := MaxIndependentSet(bad2, Parents); err == nil {
+	if _, err := MaxIndependentSet(context.Background(), bad2, Parents); err == nil {
 		t.Error("MaxIndependentSet accepted wrong-length tolerances")
 	}
 	bad3 := in
 	bad3.Tol = append(table.Tolerances(nil), in.Tol...)
 	bad3.Tol[0] = table.Tolerance{Value: 0.1, Quantile: true}
-	if _, err := Greedy(bad3, 2); err == nil {
+	if _, err := Greedy(context.Background(), bad3, 2); err == nil {
 		t.Error("Greedy accepted unresolved quantile tolerance")
 	}
 	bad4 := in
 	bad4.Sample = nil
-	if _, err := Greedy(bad4, 2); err == nil {
+	if _, err := Greedy(context.Background(), bad4, 2); err == nil {
 		t.Error("Greedy accepted nil sample")
 	}
 }
