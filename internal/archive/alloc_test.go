@@ -164,3 +164,79 @@ func allocDelta(f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
+
+// TestScanQueryAllocatesReadColumnsOnly pins that a query decodes only
+// the attributes it reads: AVG(charge_cents) WHERE duration_sec>60 GROUP
+// BY plan over a 4-segment 32k-row CDR archive, the benchmark's scan,
+// may allocate the columns of its closure (codec.Reader.Columns: the
+// three it names and their predictors), the inflated T′ of every
+// segment and a fixed slack, and that bound must stay under what the
+// same query allocates over fully decoded segments. Storing an unread T′
+// column or running an unread CaRT fails it.
+func TestScanQueryAllocatesReadColumnsOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumented appends allocate a copy of each buffer they grow")
+	}
+	const rows, segRows = 32000, 8000
+	tb := datagen.CDR(rows, 1)
+	var buf bytes.Buffer
+	if _, err := WriteTable(&buf, tb, core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)}, SegmentOptions{SegmentRows: segRows}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	sr, err := OpenSegmented(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	q := query.Query{Agg: query.Avg, Column: "charge_cents", Where: query.NumCmp("duration_sec", query.Gt, 60), GroupBy: "plan"}
+
+	var columns, tprime uint64
+	read := codec.Project(sr.Schema(), sr.Columns(q.Columns()))
+	for _, a := range read {
+		size := uint64(rows) * 8
+		if a.Kind == table.Categorical {
+			size = rows * 4
+		}
+		columns += size
+	}
+	for i := 0; i < sr.NumSegments(); i++ {
+		// A body ends with T′'s gzip trailer, whose last four bytes
+		// (ISIZE) are the inflated T′'s length.
+		seg := sr.Info(i)
+		tprime += uint64(binary.LittleEndian.Uint32(data[seg.Offset+seg.Length-4:]))
+	}
+	least := func(f func()) uint64 { // the least of three runs: a GC mid-run allocates too
+		var m uint64
+		for i := 0; i < 3; i++ {
+			if d := allocDelta(f); i == 0 || d < m {
+				m = d
+			}
+		}
+		return m
+	}
+	projected := least(func() {
+		if _, _, err := sr.Query(nil, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	full := least(func() {
+		if _, err := fullQuery(sr, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// What else the query allocates: the four frames the reader copies,
+	// gzip's inflaters, the flattened tree of the one CaRT it runs and
+	// the aggregated charge_cents values (about 740 KB of appends).
+	// 1,364 KB measured (linux/amd64, go1.24); an unread categorical
+	// column, the smallest, would add 128 KB.
+	const slack = 1400 << 10
+	t.Logf("query allocated %d bytes: columns %d (%v), inflated T′ %d, rest %d; over full decodes %d",
+		projected, columns, read, tprime, int64(projected)-int64(columns+tprime), full)
+	if bound := columns + tprime + slack; bound >= full {
+		t.Fatalf("bound %d (columns + T′ + slack) must stay under the full decode's %d bytes", bound, full)
+	}
+	if projected > columns+tprime+slack {
+		t.Errorf("query allocated %d bytes, want ≤ %d (columns) + %d (T′) + %d", projected, columns, tprime, slack)
+	}
+}

@@ -14,10 +14,12 @@ import (
 // FuzzDecodeArchive asserts the archive layer never panics on corrupted
 // bytes: every input must either decode to a valid table or fail with an
 // error, through ReadAll, through per-segment decodes under tight limits,
-// and through a zone-map pruned Query over the footer it parsed. Input
-// with the retired block-archive magic must always fail. codec.FuzzDecode
-// fuzzes the container reader itself; this target adds the pruning and
-// query code that sits on top of it.
+// and through a zone-map pruned Query over the footer it parsed. A query
+// that decodes only the columns it reads must fail exactly when the same
+// query over fully decoded segments fails, and otherwise answer the
+// same. Input with the retired block-archive magic must always fail.
+// codec.FuzzDecode fuzzes the container reader itself; this target adds
+// the pruning and query code that sits on top of it.
 // Run with `go test -fuzz=FuzzDecodeArchive ./internal/archive` for real
 // fuzzing; the seed corpus runs as a normal test.
 func FuzzDecodeArchive(f *testing.F) {
@@ -95,8 +97,12 @@ func FuzzDecodeArchive(f *testing.F) {
 		MaxModelBytes:  1 << 22,
 	}
 	// A filtered count: pruning walks every segment's zone maps, and the
-	// kept segments are decoded, merged and aggregated.
+	// kept segments are decoded and aggregated.
 	q := query.Query{Agg: query.Count, Where: query.NumCmp("start_hour", query.Gt, 21)}
+	// A grouped average that decodes only charge_cents, plan and plan's
+	// predictors: it must fail exactly when a full decode of the kept
+	// segments fails, and otherwise give the same answer.
+	avg := query.Query{Agg: query.Avg, Column: "charge_cents", GroupBy: "plan"}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, err := ReadAll(bytes.NewReader(data))
@@ -118,6 +124,16 @@ func FuzzDecodeArchive(f *testing.F) {
 		}
 		if _, qs, err := sr.Query(nil, q); err == nil && qs.Decoded+qs.Pruned != qs.Segments {
 			t.Errorf("Query stats %+v: decoded plus pruned is not every segment", qs)
+		}
+		got, _, gotErr := sr.Query(nil, avg)
+		want, wantErr := fullQuery(sr, avg)
+		switch {
+		case (gotErr == nil) != (wantErr == nil):
+			t.Errorf("projected query error %v, full-decode query error %v", gotErr, wantErr)
+		case gotErr == nil:
+			if d := resultDiff(got, want); d != "" {
+				t.Errorf("projected query differs from the full decode: %s", d)
+			}
 		}
 	})
 }

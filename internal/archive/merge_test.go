@@ -112,7 +112,7 @@ func TestMergeAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := sr.ReadSegments(context.Background(), []int{0, 1, 2, 3})
+	tables, err := sr.ReadSegments(context.Background(), []int{0, 1, 2, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +168,10 @@ func TestQuerySpans(t *testing.T) {
 	}
 	if want := []string{"query", "prune", "decode", "aggregate"}; !slices.Equal(names, want) {
 		t.Errorf("spans %q, want %q", names, want)
+	}
+	// The count reads v alone: one of the three attributes is decoded.
+	if got := tr.Find("decode").Attr("columns"); qs.Columns != 1 || got != qs.Columns {
+		t.Errorf("decode span columns %v, QueryStats.Columns %d, want 1 and 1", got, qs.Columns)
 	}
 }
 

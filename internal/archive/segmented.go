@@ -217,13 +217,15 @@ func (sr *SegReader) Close() error {
 	return sr.Reader.Close()
 }
 
-// QueryStats reports how much decoding a query's zone-map pruning saved.
+// QueryStats reports how much decoding a query's zone-map pruning and
+// column projection saved.
 type QueryStats struct {
 	Segments    int // segments in the archive
 	Decoded     int // segments whose bodies were decompressed
 	Pruned      int // segments skipped because their zones refuted Where
 	RowsDecoded int
 	RowsPruned  int
+	Columns     int // attributes decoded per kept segment (see codec.Reader.Columns)
 }
 
 // Query runs q against the archive, decoding only segments whose zone
@@ -243,9 +245,12 @@ func (sr *SegReader) Query(_ table.Tolerances, q query.Query) (*query.Result, *Q
 // children of parent: "prune" for the zone-map checks, "decode" for the
 // frame reads and the parallel segment decode, and "aggregate" for the
 // evaluation over the kept segments, which are queried where they lie
-// and never merged. A nil parent records nothing. Once ctx is done no
-// further segment starts decoding, and the query fails with ctx's error.
-// After Close it fails with codec.ErrReaderClosed.
+// and never merged. A kept segment decodes only the attributes q reads
+// and their predictors (codec.Reader.Columns), so the answer is the one a
+// full decode gives; the decode span's "columns" attribute counts them.
+// A nil parent records nothing. Once ctx is done no further segment
+// starts decoding, and the query fails with ctx's error. After Close it
+// fails with codec.ErrReaderClosed.
 func (sr *SegReader) QuerySpan(ctx context.Context, parent *obs.Span, q query.Query) (*query.Result, *QueryStats, error) {
 	if sr.NumSegments() == 0 {
 		return nil, nil, codec.ErrEmptyArchive
@@ -256,15 +261,17 @@ func (sr *SegReader) QuerySpan(ctx context.Context, parent *obs.Span, q query.Qu
 	kept, scope, stats := sr.prune(tol, q)
 	pruneSpan.Finish()
 
-	decodeSpan := parent.StartChild("decode")
-	ts, err := sr.keptTables(ctx, kept)
+	cols := sr.Columns(q.Columns())
+	stats.Columns = len(codec.Project(sr.Schema(), cols))
+	decodeSpan := parent.StartChild("decode").SetAttr("columns", stats.Columns)
+	ts, err := sr.keptTables(ctx, kept, cols)
 	decodeSpan.Finish()
 	if err != nil {
 		return nil, nil, err
 	}
 
 	aggSpan := parent.StartChild("aggregate")
-	res, err := query.RunSegments(ts, tol, q, scope)
+	res, err := query.RunSegments(ts, codec.Project(tol, cols), q, scope)
 	aggSpan.Finish()
 	if err != nil {
 		return nil, nil, err
@@ -324,20 +331,20 @@ func (sr *SegReader) prune(tol table.Tolerances, q query.Query) ([]int, *query.S
 	return kept, scope, stats
 }
 
-// keptTables decodes the kept segments. With none kept it is one empty
-// table with the archive schema, so query validation and group
-// synthesis still run.
-func (sr *SegReader) keptTables(ctx context.Context, kept []int) ([]*table.Table, error) {
-	tables, err := sr.ReadSegments(ctx, kept) // fails after Close even when nothing is kept
+// keptTables decodes the kept segments, projected onto cols. With none
+// kept it is one empty table with the projected archive schema, so query
+// validation and group synthesis still run.
+func (sr *SegReader) keptTables(ctx context.Context, kept []int, cols []bool) ([]*table.Table, error) {
+	tables, err := sr.ReadSegments(ctx, kept, cols) // fails after Close even when nothing is kept
 	if err != nil || len(tables) > 0 {
 		return tables, err
 	}
-	schema := sr.Schema()
-	cols := make([]*table.Column, len(schema))
+	schema := codec.Project(sr.Schema(), cols)
+	empty := make([]*table.Column, len(schema))
 	for i, a := range schema {
-		cols[i] = &table.Column{Kind: a.Kind}
+		empty[i] = &table.Column{Kind: a.Kind}
 	}
-	t, err := table.New(schema, cols)
+	t, err := table.New(schema, empty)
 	if err != nil {
 		return nil, err
 	}

@@ -579,6 +579,8 @@ func TestDecodeModelRejectsHostileWireValues(t *testing.T) {
 	}
 	num, cat := byte(table.Numeric), byte(table.Categorical)
 	f32 := []byte{0, 0, 0, 0}
+	inf32 := binary.LittleEndian.AppendUint32(nil, math.Float32bits(float32(math.Inf(1))))
+	nan32 := binary.LittleEndian.AppendUint32(nil, math.Float32bits(float32(math.NaN())))
 	deep := new(wire).uvarint(0).b1(num)
 	for i := 0; i <= maxTreeDepth+1; i++ {
 		deep.b1(tagInternalNum).uvarint(0).b1(f32...)
@@ -603,6 +605,11 @@ func TestDecodeModelRejectsHostileWireValues(t *testing.T) {
 			new(wire).uvarint(1, 7).b1(f32...), "outlier row 7 beyond 7 rows"},
 		{"outlier code outside dictionary", outliers(table.Categorical, 10, 3),
 			new(wire).uvarint(1, 0, 3), "outlier code 3 outside dictionary of 3"},
+		// A decode that does not reconstruct the target still checks its
+		// outliers, so a non-finite value is refused here, not by the
+		// table it would have been patched into.
+		{"outlier value not finite", outliers(table.Numeric, 10, 0),
+			new(wire).uvarint(1, 0).b1(nan32...), "outlier value NaN is not finite"},
 		{"huge target attribute", model,
 			new(wire).uvarint(1<<40).b1(num, tagLeafNum).b1(f32...), "implausible target attribute 1099511627776"},
 		{"huge split attribute", model,
@@ -616,6 +623,8 @@ func TestDecodeModelRejectsHostileWireValues(t *testing.T) {
 		{"split code overflows int32", model,
 			new(wire).uvarint(0).b1(cat, tagInternalCat).uvarint(0, 1, 1<<33), "split code 8589934592 overflows int32"},
 		{"tree too deep", model, deep, "tree deeper than 512"},
+		{"leaf value not finite", model,
+			new(wire).uvarint(0).b1(num, tagLeafNum).b1(inf32...), "numeric leaf value +Inf is not finite"},
 	}
 	// A model or outlier list decodes in kilobytes here. 1 MB leaves
 	// room and still catches a split set allocated at its full 2^20-entry

@@ -52,7 +52,7 @@ func (m *Model) Encode(w io.Writer) error {
 }
 
 // DecodeModel reads a model written by Encode. The returned model has no
-// outliers.
+// outliers. A numeric leaf value must be finite.
 func DecodeModel(r io.Reader) (*Model, error) {
 	br := asByteReader(r)
 	target, err := binary.ReadUvarint(br)
@@ -106,9 +106,10 @@ func EncodeOutliers(w io.Writer, kind table.Kind, outliers []Outlier) error {
 }
 
 // DecodeOutliers reads outliers written by EncodeOutliers for a target of
-// the given kind. Every row must lie in [0, rows) and, for a categorical
-// target, every code in [0, dictSize): a decoded outlier is then safe to
-// patch into a reconstructed column.
+// the given kind. Every row must lie in [0, rows), every numeric value
+// must be finite and, for a categorical target, every code in
+// [0, dictSize): a decoded outlier is then safe to patch into a
+// reconstructed column.
 func DecodeOutliers(r io.Reader, kind table.Kind, rows, dictSize int) ([]Outlier, error) {
 	br := asByteReader(r)
 	count, err := binary.ReadUvarint(br)
@@ -138,6 +139,9 @@ func DecodeOutliers(r io.Reader, kind table.Kind, rows, dictSize int) ([]Outlier
 		o := Outlier{Row: row}
 		if kind == table.Numeric {
 			o.Num, err = readFloat32(br)
+			if err == nil && (math.IsNaN(o.Num) || math.IsInf(o.Num, 0)) {
+				return nil, fmt.Errorf("cart: outlier value %g is not finite", o.Num)
+			}
 		} else {
 			var code uint64
 			if code, err = binary.ReadUvarint(br); err == nil {
@@ -221,6 +225,11 @@ func decodeNode(br byteReader, kind table.Kind, depth int) (*Node, error) {
 		v, err := readFloat32(br)
 		if err != nil {
 			return nil, err
+		}
+		// A decoded column must be finite, and no writer stores a NaN or
+		// an infinity, so refuse one here rather than after reconstruction.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("cart: numeric leaf value %g is not finite", v)
 		}
 		return &Node{Leaf: true, NumValue: v}, nil
 	case tagLeafCat:

@@ -328,9 +328,33 @@ func DecodeModelBlock(data []byte, lim DecodeLimits) (*ModelBlock, error) {
 // carries trailing bytes no decoder reads. Bodies that claim more than
 // lim allows — or more rows than their T' payload could possibly deliver
 // — fail early with a descriptive error instead of allocating.
-func (mb *ModelBlock) DecodeBody(frame []byte, lim DecodeLimits) (*table.Table, int, error) {
-	t, rest, err := mb.readBody(frame, lim.withDefaults())
+//
+// cols projects the table: a nil cols decodes every attribute, and
+// otherwise the table holds the attributes cols marks, in schema order.
+// cols has one flag per schema attribute and marks the predictors of
+// every predicted attribute it marks, as Reader.Columns's sets do. An
+// attribute left out is still checked, so a projected decode refuses
+// exactly what a full one refuses: its T' cells are walked but not
+// stored, and its outliers are decoded but its CaRT is not run.
+func (mb *ModelBlock) DecodeBody(frame []byte, lim DecodeLimits, cols []bool) (*table.Table, int, error) {
+	t, rest, err := mb.readBody(frame, lim.withDefaults(), cols)
 	return t, len(frame) - len(rest), err
+}
+
+// Project returns the elements of xs whose flags in cols are set, in
+// order; a nil cols keeps every element. It lays out a projected
+// decode's schema and the tolerances a query over it runs under.
+func Project[S ~[]E, E any](xs S, cols []bool) S {
+	if cols == nil {
+		return xs
+	}
+	out := make(S, 0, len(xs))
+	for i, x := range xs {
+		if cols[i] {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // byteReader is what the section decoders read from.
@@ -468,9 +492,11 @@ func readModelBlock(br byteReader, lim DecodeLimits) (*ModelBlock, error) {
 	return mb, nil
 }
 
-// readBody reads one body from the front of frame, reconstructs its
-// table and returns the bytes after it. lim has its defaults.
-func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits) (*table.Table, []byte, error) {
+// readBody reads one body from the front of frame, reconstructs the
+// attributes cols keeps (nil: all) and returns the bytes after it. lim
+// has its defaults.
+func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits, cols []bool) (*table.Table, []byte, error) {
+	keep := func(a int) bool { return cols == nil || cols[a] }
 	br := bytes.NewReader(frame)
 	nrowsU, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -526,11 +552,14 @@ func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits) (*table.Table, []
 	if err != nil {
 		return nil, nil, err
 	}
-	cols := make([]*table.Column, len(mb.Schema))
+	full := make([]*table.Column, len(mb.Schema))
 	for _, a := range mb.Materialized {
-		cols[a] = &table.Column{Kind: mb.Schema[a].Kind, Dict: mb.Dicts[a]}
-		if p, err = parseColumn(p, cols[a], nrows); err != nil {
+		c := &table.Column{Kind: mb.Schema[a].Kind, Dict: mb.Dicts[a]}
+		if p, err = parseColumn(p, c, nrows, keep(a)); err != nil {
 			return nil, nil, fmt.Errorf("codec: reading column %d: %w", a, err)
+		}
+		if keep(a) {
+			full[a] = c
 		}
 	}
 	// The T' block must end exactly where its columns do.
@@ -541,27 +570,34 @@ func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits) (*table.Table, []
 	// Predicted columns are mutually independent (predictors are always
 	// materialized), so models reconstruct in parallel, each into its own
 	// column. The block's validation guarantees every produced code fits
-	// its dictionary. The fan-out is bounded at GOMAXPROCS: a hostile or
-	// merely wide table can carry thousands of models.
-	for _, m := range mb.Models {
+	// its dictionary, and DecodeModel that every leaf value is finite. The
+	// fan-out is bounded at GOMAXPROCS: a hostile or merely wide table can
+	// carry thousands of models. A model whose target cols leaves out is
+	// not run; its outliers were checked above.
+	var run []int
+	for i, m := range mb.Models {
 		a := m.Target
-		cols[a] = &table.Column{Kind: m.TargetKind, Dict: mb.Dicts[a]}
-		if m.TargetKind == table.Numeric {
-			cols[a].Floats = make([]float64, nrows)
-		} else {
-			cols[a].Codes = make([]int32, nrows)
+		if !keep(a) {
+			continue
 		}
+		full[a] = &table.Column{Kind: m.TargetKind, Dict: mb.Dicts[a]}
+		if m.TargetKind == table.Numeric {
+			full[a].Floats = make([]float64, nrows)
+		} else {
+			full[a].Codes = make([]int32, nrows)
+		}
+		run = append(run, i)
 	}
-	err = par.ForEach(context.Background(), len(mb.Models), 0, func(_ context.Context, i int) error {
-		m := *mb.Models[i]
-		m.Outliers = outliers[i]
-		m.Reconstruct(cols)
+	err = par.ForEach(context.Background(), len(run), 0, func(_ context.Context, k int) error {
+		m := *mb.Models[run[k]]
+		m.Outliers = outliers[run[k]]
+		m.Reconstruct(full)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	t, err := table.New(mb.Schema, cols)
+	t, err := table.New(Project(mb.Schema, cols), Project(full, cols))
 	return t, rest[tpLen:], err
 }
 
@@ -706,17 +742,22 @@ func writeNumericColumn(bw *bufio.Writer, vals []float64) error {
 	return nil
 }
 
-// parseColumn parses c's nrows cells from the front of p and returns
-// the rest. Before allocating the column it checks that p can back nrows
-// cells: at least 1 byte per code or dictionary index and 4 per raw
-// float.
-func parseColumn(p []byte, c *table.Column, nrows int) ([]byte, error) {
+// parseColumn parses nrows cells of c's kind from the front of p and
+// returns the rest; it stores them in c only when store is set. Stored or
+// not, every cell is checked as a decode would: its framing, a code
+// inside c's dictionary, a numeric value (raw cell or numeric-dictionary
+// entry) that is finite. Before any column is allocated it checks that p
+// can back nrows cells: at least 1 byte per code or dictionary index and
+// 4 per raw float.
+func parseColumn(p []byte, c *table.Column, nrows int, store bool) ([]byte, error) {
 	if c.Kind == table.Categorical {
 		if err := backs(p, nrows, 1); err != nil {
 			return nil, err
 		}
-		c.Codes = make([]int32, nrows)
-		for r := range c.Codes {
+		if store {
+			c.Codes = make([]int32, nrows)
+		}
+		for r := 0; r < nrows; r++ {
 			v, n := cell(p)
 			if n <= 0 {
 				return nil, fmt.Errorf("row %d: truncated or overlong cell", r)
@@ -724,7 +765,10 @@ func parseColumn(p []byte, c *table.Column, nrows int) ([]byte, error) {
 			if v >= uint64(len(c.Dict)) {
 				return nil, fmt.Errorf("code %d outside dictionary of %d", v, len(c.Dict))
 			}
-			c.Codes[r], p = int32(v), p[n:]
+			if store {
+				c.Codes[r] = int32(v)
+			}
+			p = p[n:]
 		}
 		return p, nil
 	}
@@ -737,9 +781,17 @@ func parseColumn(p []byte, c *table.Column, nrows int) ([]byte, error) {
 		if err := backs(p, nrows, 4); err != nil {
 			return nil, err
 		}
-		c.Floats = make([]float64, nrows)
-		for r := range c.Floats {
-			c.Floats[r] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*r:])))
+		if store {
+			c.Floats = make([]float64, nrows)
+		}
+		for r := 0; r < nrows; r++ {
+			bits := binary.LittleEndian.Uint32(p[4*r:])
+			if !finite32(bits) {
+				return nil, fmt.Errorf("row %d: value %g is not finite", r, math.Float32frombits(bits))
+			}
+			if store {
+				c.Floats[r] = float64(math.Float32frombits(bits))
+			}
 		}
 		return p[4*nrows:], nil
 	case numEncDict:
@@ -754,16 +806,27 @@ func parseColumn(p []byte, c *table.Column, nrows int) ([]byte, error) {
 		if err := backs(p, int(dlen), 4); err != nil {
 			return nil, err
 		}
-		dict := make([]float64, dlen)
-		for i := range dict {
-			dict[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])))
+		var dict []float64
+		if store {
+			dict = make([]float64, dlen)
+		}
+		for i := 0; i < int(dlen); i++ {
+			bits := binary.LittleEndian.Uint32(p[4*i:])
+			if !finite32(bits) {
+				return nil, fmt.Errorf("numeric dictionary entry %d: value %g is not finite", i, math.Float32frombits(bits))
+			}
+			if store {
+				dict[i] = float64(math.Float32frombits(bits))
+			}
 		}
 		p = p[4*dlen:]
 		if err := backs(p, nrows, 1); err != nil {
 			return nil, err
 		}
-		c.Floats = make([]float64, nrows)
-		for r := range c.Floats {
+		if store {
+			c.Floats = make([]float64, nrows)
+		}
+		for r := 0; r < nrows; r++ {
 			v, n := cell(p)
 			if n <= 0 {
 				return nil, fmt.Errorf("row %d: truncated or overlong cell", r)
@@ -771,13 +834,21 @@ func parseColumn(p []byte, c *table.Column, nrows int) ([]byte, error) {
 			if v >= dlen {
 				return nil, fmt.Errorf("numeric dictionary index %d out of range %d", v, dlen)
 			}
-			c.Floats[r], p = dict[v], p[n:]
+			if store {
+				c.Floats[r] = dict[v]
+			}
+			p = p[n:]
 		}
 		return p, nil
 	default:
 		return nil, fmt.Errorf("unknown numeric column encoding %d", enc)
 	}
 }
+
+// finite32 reports whether the float32 with these bits is finite: its
+// exponent is not all ones (an infinity or a NaN). No writer stores
+// either.
+func finite32(bits uint32) bool { return bits&0x7f800000 != 0x7f800000 }
 
 // backs checks that p holds at least size bytes for each of n cells.
 func backs(p []byte, n, size int) error {

@@ -391,7 +391,7 @@ func TestBodiesShareModelBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, n, err := shared.DecodeBody(body.Bytes(), DecodeLimits{})
+		back, n, err := shared.DecodeBody(body.Bytes(), DecodeLimits{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -523,13 +523,47 @@ func (cr *Reader) Info(i int) SegmentInfo { return cr.segs[i] }
 // TotalRows returns the row count summed over the footer's segments.
 func (cr *Reader) TotalRows() int { return cr.rows }
 
+// Columns returns the attribute set a read of the named attributes
+// decodes (see DecodeBody): each named attribute and the predictors of
+// every predicted one among them. Split attributes are always
+// materialized, so one step closes the set. A read of no attribute keeps
+// attribute 0, so a decoded table still carries its row count. An
+// unknown name, or an archive with no segments, gives nil: every
+// attribute, so the reader's caller reports the unknown name as it would
+// over a full decode.
+func (cr *Reader) Columns(names []string) []bool {
+	if cr.model == nil {
+		return nil
+	}
+	cols := make([]bool, len(cr.model.Schema))
+	for _, name := range names {
+		i := cr.model.Schema.Index(name)
+		if i < 0 {
+			return nil
+		}
+		cols[i] = true
+	}
+	if len(names) == 0 {
+		cols[0] = true
+	}
+	for _, m := range cr.model.Models {
+		if cols[m.Target] {
+			for _, a := range m.UsedPredictors() {
+				cols[a] = true
+			}
+		}
+	}
+	return cols
+}
+
 // ReadSegments reads the frames of segments idx, then decodes them
-// concurrently and returns them in order. Every segment read goes
-// through here. The fan-out is bounded at GOMAXPROCS: each decode holds
-// a whole decompressed segment, so one goroutine per frame on a
-// thousand-segment archive would hold the entire table at once. No
-// segment starts decoding once ctx is done.
-func (cr *Reader) ReadSegments(ctx context.Context, idx []int) ([]*table.Table, error) {
+// concurrently and returns them in order, each projected onto cols (nil:
+// every attribute; see DecodeBody). Every segment read goes through
+// here. The fan-out is bounded at GOMAXPROCS: each decode holds a whole
+// decompressed segment, so one goroutine per frame on a thousand-segment
+// archive would hold the entire table at once. No segment starts
+// decoding once ctx is done.
+func (cr *Reader) ReadSegments(ctx context.Context, idx []int, cols []bool) ([]*table.Table, error) {
 	if cr.closed {
 		return nil, ErrReaderClosed
 	}
@@ -547,7 +581,7 @@ func (cr *Reader) ReadSegments(ctx context.Context, idx []int) ([]*table.Table, 
 	tables := make([]*table.Table, len(idx))
 	err := par.ForEach(ctx, len(idx), 0, func(_ context.Context, k int) error {
 		var err error
-		tables[k], err = cr.decodeSegment(idx[k], frames[k])
+		tables[k], err = cr.decodeSegment(idx[k], frames[k], cols)
 		return err
 	})
 	if err != nil {
@@ -556,12 +590,12 @@ func (cr *Reader) ReadSegments(ctx context.Context, idx []int) ([]*table.Table, 
 	return tables, nil
 }
 
-// decodeSegment decodes segment i's frame against the model block and
-// checks it against the footer: the body must fill the frame exactly (a
-// shorter body means trailing garbage inside the frame) and yield the
-// recorded rows.
-func (cr *Reader) decodeSegment(i int, frame []byte) (*table.Table, error) {
-	t, consumed, err := cr.model.DecodeBody(frame, cr.lim)
+// decodeSegment decodes segment i's frame against the model block,
+// projected onto cols, and checks it against the footer: the body must
+// fill the frame exactly (a shorter body means trailing garbage inside
+// the frame) and yield the recorded rows.
+func (cr *Reader) decodeSegment(i int, frame []byte, cols []bool) (*table.Table, error) {
+	t, consumed, err := cr.model.DecodeBody(frame, cr.lim, cols)
 	if err != nil {
 		return nil, fmt.Errorf("codec: decoding segment %d: %w", i, err)
 	}
@@ -576,7 +610,7 @@ func (cr *Reader) decodeSegment(i int, frame []byte) (*table.Table, error) {
 
 // Segment decodes segment i, verifying its frame against the footer.
 func (cr *Reader) Segment(i int) (*table.Table, error) {
-	tables, err := cr.ReadSegments(context.Background(), []int{i})
+	tables, err := cr.ReadSegments(context.Background(), []int{i}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -591,7 +625,7 @@ func (cr *Reader) ReadAll() (*table.Table, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	tables, err := cr.ReadSegments(context.Background(), idx)
+	tables, err := cr.ReadSegments(context.Background(), idx, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,6 +160,22 @@ func twoColumnBlock(yKind table.Kind, dict []string, leaf func(*hostileBuf)) []b
 	p.uvarint(1) // target y
 	p.b1(byte(yKind))
 	leaf(&p)
+	b.checked(p.Bytes())
+	return b.Bytes()
+}
+
+// xcBlock is a model block for (x numeric, c categorical with the one
+// value "v"), both materialized: no models.
+func xcBlock() []byte {
+	var b, p hostileBuf
+	p.uvarint(2) // ncols
+	p.col("x", table.Numeric)
+	p.col("c", table.Categorical, "v")
+	p.tols(0, 0)
+	p.uvarint(2) // nmat
+	p.uvarint(0) // x
+	p.uvarint(1) // c
+	p.uvarint(0) // nmodels
 	b.checked(p.Bytes())
 	return b.Bytes()
 }
@@ -401,6 +419,47 @@ func hostileCases() []hostileCase {
 	add("isize-high", "inflating T': gzip: invalid checksum", isize(math.MaxUint32))
 	add("isize-low", "inflating T': gzip: invalid checksum", isize(1))
 
+	// Values no writer stores: a non-finite raw cell, numeric-dictionary
+	// entry, outlier and leaf. The T' cases sit in column x of a
+	// two-column table, so a read of column c alone walks x without
+	// storing it; unread-code puts a bad code in c for a read of x alone.
+	// outlier-nan's model is not run by a read of x alone.
+	xc := table.Schema{{Name: "x", Kind: table.Numeric}, {Name: "c", Kind: table.Categorical}}
+	xcBody := func(x ...byte) []byte {
+		return body(1, tprime(gzip.DefaultCompression, x))
+	}
+	var infCell hostileBuf
+	infCell.b1(numEncRaw)
+	infCell.f32(float32(math.Inf(1)))
+	infCell.b1(0) // c's code
+	add("numeric-cell-inf", "reading column 0: row 0: value +Inf is not finite", container(xcBlock(), xcBody(infCell.Bytes()...), xc))
+	var nanDict hostileBuf
+	nanDict.b1(numEncDict)
+	nanDict.uvarint(1)
+	nanDict.f32(float32(math.NaN()))
+	nanDict.uvarint(0)
+	nanDict.b1(0) // c's code
+	add("numeric-dict-nan", "numeric dictionary entry 0: value NaN is not finite", container(xcBlock(), xcBody(nanDict.Bytes()...), xc))
+	var badCode hostileBuf
+	badCode.b1(numEncRaw)
+	badCode.f32(0)
+	badCode.b1(5) // c's code, past its one-entry dictionary
+	add("unread-code", "reading column 1: code 5 outside dictionary of 1", container(xcBlock(), xcBody(badCode.Bytes()...), xc))
+	var nanOut, nanOutBody hostileBuf
+	nanOutBody.uvarint(1) // nrows
+	nanOut.uvarint(1)     // one outlier
+	nanOut.uvarint(0)     // row 0
+	nanOut.f32(float32(math.NaN()))
+	nanOutBody.checked(nanOut.Bytes())
+	xCell := tprime(gzip.DefaultCompression, []byte{numEncRaw, 0, 0, 0, 0})
+	nanOutBody.uvarint(uint64(len(xCell)))
+	_, _ = nanOutBody.Write(xCell)
+	add("outlier-nan", "outlier value NaN is not finite", container(twoColumnBlock(table.Numeric, nil, numLeaf), nanOutBody.Bytes(), xy))
+	add("leaf-inf", "numeric leaf value +Inf is not finite", container(twoColumnBlock(table.Numeric, nil, func(p *hostileBuf) {
+		p.b1(0) // numeric leaf
+		p.f32(float32(math.Inf(1)))
+	}), nil, nil))
+
 	// Trailer and footer.
 	trailer := blockOnly(noCols.Bytes())
 	binary.LittleEndian.PutUint32(trailer[len(trailer)-trailerSize+4:], uint32(len(trailer)))
@@ -565,6 +624,45 @@ func TestDecodeRejectsHostileHeaders(t *testing.T) {
 				t.Errorf("decoder allocated %d bytes rejecting the input, want < %d", delta, allocLimit)
 			}
 		})
+	}
+}
+
+// TestProjectedDecodeRefusesHostileBodies reads every hostileCases
+// archive that opens under each one-attribute projection
+// (Reader.Columns): a query's decode must refuse what a full decode
+// refuses, with the same error, even when the offending column is one it
+// walks without storing or a model it does not run.
+func TestProjectedDecodeRefusesHostileBodies(t *testing.T) {
+	skipping := 0
+	for _, tc := range hostileCases() {
+		cr, err := Open(bytes.NewReader(tc.data), tc.lim)
+		if err != nil {
+			continue // refused before any body decodes, whatever is read
+		}
+		idx := make([]int, cr.NumSegments())
+		for i := range idx {
+			idx[i] = i
+		}
+		for _, a := range cr.Schema() {
+			cols := cr.Columns([]string{a.Name})
+			if slices.Contains(cols, false) {
+				skipping++
+			}
+			t.Run(tc.name+"/"+a.Name, func(t *testing.T) {
+				_, err := cr.ReadSegments(context.Background(), idx, cols)
+				if err == nil {
+					t.Fatal("projected decode accepted a hostile input")
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("error %q does not mention %q", err, tc.wantErr)
+				}
+			})
+		}
+	}
+	// outlier-row, outlier-nan and the three xc cases each leave a
+	// column out of both of their projections.
+	if skipping < 10 {
+		t.Errorf("%d projections leave a column out, want at least 10", skipping)
 	}
 }
 

@@ -375,6 +375,22 @@ type Query struct {
 	GroupBy string
 }
 
+// Columns names the attributes q reads: those of Where, Column unless q
+// only counts, and GroupBy. A name may repeat.
+func (q Query) Columns() []string {
+	var out []string
+	if q.Where != nil {
+		out = q.Where.columns()
+	}
+	if q.Agg != Count {
+		out = append(out, q.Column)
+	}
+	if q.GroupBy != "" {
+		out = append(out, q.GroupBy)
+	}
+	return out
+}
+
 // Group is the result for one group (or the single implicit group).
 type Group struct {
 	Key string // group-by value; "" without GROUP BY

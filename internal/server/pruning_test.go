@@ -68,9 +68,9 @@ func scrapeMetrics(t *testing.T, srv *httptest.Server) string {
 
 // TestQueryPruningHeaders drives /query over the same archive with
 // predicates that prune every segment, no segment, and a proper subset,
-// checking the X-Spartan-Segments-* headers, the aggregate result, and
-// the cumulative spartan_query_segments_total{result} counters after
-// each request. Each case gets a fresh server so the counters start
+// checking the X-Spartan-Segments-* and X-Spartan-Columns-Decoded
+// headers, the aggregate result, and the cumulative
+// spartan_query_segments_total{result} counters after each request. Each case gets a fresh server so the counters start
 // from zero.
 func TestQueryPruningHeaders(t *testing.T) {
 	cases := []struct {
@@ -103,6 +103,10 @@ func TestQueryPruningHeaders(t *testing.T) {
 			}
 			if got := resp.Header.Get("X-Spartan-Segments-Decoded"); got != strconv.Itoa(tc.decoded) {
 				t.Errorf("X-Spartan-Segments-Decoded = %q, want %d", got, tc.decoded)
+			}
+			// The count reads v alone, so g is never decoded.
+			if got := resp.Header.Get("X-Spartan-Columns-Decoded"); got != "1" {
+				t.Errorf("X-Spartan-Columns-Decoded = %q, want 1", got)
 			}
 			var out queryResponse
 			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {

@@ -488,6 +488,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.m.querySegments.Add(float64(qs.Pruned), "pruned")
 	w.Header().Set("X-Spartan-Segments-Decoded", strconv.Itoa(qs.Decoded))
 	w.Header().Set("X-Spartan-Segments-Pruned", strconv.Itoa(qs.Pruned))
+	w.Header().Set("X-Spartan-Columns-Decoded", strconv.Itoa(qs.Columns))
 	resp := queryResponse{Agg: agg.String(), Column: spec.Column}
 	for _, g := range res.Groups {
 		dto := queryGroupDTO{Key: g.Key, Rows: g.Rows, Uncertain: g.UncertainRows}
