@@ -32,7 +32,7 @@ func cmdDeps(args []string) error {
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	s := t.SampleBytes(*sample, rng)
-	net, err := bayesnet.Build(s, bayesnet.Config{MaxParents: 6})
+	net, err := bayesnet.Build(s)
 	if err != nil {
 		return err
 	}

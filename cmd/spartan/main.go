@@ -273,10 +273,6 @@ func cmdInspect(args []string) error {
 	return nil
 }
 
-func readTable(path string) (*spartan.Table, error) {
-	return readTableForced(path, "")
-}
-
 // readTableForced reads a table; forceCat names CSV columns whose kind is
 // forced to categorical even when every value parses as a number (e.g.
 // telephone exchange codes).

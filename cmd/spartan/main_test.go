@@ -183,7 +183,7 @@ func TestQueryAndInspectAndDeps(t *testing.T) {
 	}
 	// Each attribute's line names the tolerance the file records: 1% of
 	// the original's range for a numeric attribute, 0 for a categorical.
-	orig, err := readTable(binPath)
+	orig, err := readTableForced(binPath, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestEntryPointsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := readTable(binPath)
+	tb, err := readTableForced(binPath, "")
 	if err != nil {
 		t.Fatal(err)
 	}

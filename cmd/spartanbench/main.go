@@ -58,7 +58,6 @@ func main() {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	rows := fs.Int("rows", 0, "rows per dataset (0 = per-dataset default)")
 	seed := fs.Int64("seed", 1, "generator seed")
-	csvOut := fs.Bool("csv", false, "emit machine-readable CSV instead of aligned text (fig5, fig6a, fig6b, fig6c, table1)")
 	trace := fs.Bool("trace", false, "print each SPARTAN run's per-phase span tree (paper §4.2 breakdown)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
@@ -69,34 +68,14 @@ func main() {
 	var err error
 	switch cmd {
 	case "fig5":
-		if *csvOut {
-			err = fig5CSV(*rows, *seed)
-			break
-		}
 		err = fig5(*rows, *seed)
 	case "fig6a":
-		if *csvOut {
-			err = fig6aCSV(*rows, *seed)
-			break
-		}
 		err = fig6a(*rows, *seed)
 	case "fig6b":
-		if *csvOut {
-			err = fig6bCSV(*rows, *seed)
-			break
-		}
 		err = fig6b(*rows, *seed)
 	case "fig6c":
-		if *csvOut {
-			err = fig6cCSV(*rows, *seed)
-			break
-		}
 		err = fig6c(*rows, *seed)
 	case "table1":
-		if *csvOut {
-			err = table1CSV(*rows, *seed)
-			break
-		}
 		err = table1(*rows, *seed)
 	case "ablate":
 		err = ablate(*rows, *seed)
@@ -118,7 +97,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: spartanbench <fig5|fig6a|fig6b|fig6c|table1|lossless|ablate|summary> [-rows N] [-seed S] [-csv] [-trace]
+	fmt.Fprint(os.Stderr, `usage: spartanbench <fig5|fig6a|fig6b|fig6c|table1|lossless|ablate|summary> [-rows N] [-seed S] [-trace]
        spartanbench record
        spartanbench diff OLD.json NEW.json
 `)
@@ -176,85 +155,6 @@ func table1(rows int, seed int64) error {
 	header("Table 1: CaRT-selection algorithm vs compression ratio / running time (1% tolerance)")
 	_, err := experiments.Table1(experiments.AllDatasets, rows, seed, os.Stdout)
 	return err
-}
-
-func fig5CSV(rows int, seed int64) error {
-	fmt.Println("dataset,tolerance,gzip_ratio,fascicle_ratio,spartan_ratio")
-	for _, d := range experiments.AllDatasets {
-		ms, err := experiments.Fig5(d, rows, seed, nil)
-		if err != nil {
-			return err
-		}
-		for _, m := range ms {
-			fmt.Printf("%s,%g,%.4f,%.4f,%.4f\n",
-				d, m.Tolerance, m.Gzip.Ratio, m.Fascicles.Ratio, m.Spartan.Ratio)
-		}
-	}
-	return nil
-}
-
-func fig6aCSV(rows int, seed int64) error {
-	fmt.Println("dataset,sample_bytes,spartan_ratio,elapsed_ms")
-	for _, d := range experiments.AllDatasets {
-		pts, err := experiments.Fig6a(d, rows, 0.01, seed, nil)
-		if err != nil {
-			return err
-		}
-		for _, p := range pts {
-			fmt.Printf("%s,%d,%.4f,%d\n", d, p.SampleBytes, p.Ratio, p.Elapsed.Milliseconds())
-		}
-	}
-	return nil
-}
-
-func fig6bCSV(rows int, seed int64) error {
-	fmt.Println("dataset,tolerance,elapsed_ms,deps_ms,select_ms,rowagg_ms,outliers_ms,encode_ms")
-	for _, d := range experiments.AllDatasets {
-		pts, err := experiments.Fig6b(d, rows, seed, nil)
-		if err != nil {
-			return err
-		}
-		for _, p := range pts {
-			t := p.Stats.Timings
-			fmt.Printf("%s,%g,%d,%d,%d,%d,%d,%d\n",
-				d, p.Tolerance, p.Elapsed.Milliseconds(),
-				t.DependencyFinder.Milliseconds(), t.CaRTSelection.Milliseconds(),
-				t.RowAggregation.Milliseconds(), t.OutlierScan.Milliseconds(),
-				t.Encode.Milliseconds())
-		}
-	}
-	return nil
-}
-
-func fig6cCSV(rows int, seed int64) error {
-	fmt.Println("dataset,sample_bytes,elapsed_ms,deps_ms,select_ms,outliers_ms")
-	for _, d := range experiments.AllDatasets {
-		pts, err := experiments.Fig6a(d, rows, 0.01, seed, nil)
-		if err != nil {
-			return err
-		}
-		for _, p := range pts {
-			t := p.Stats.Timings
-			fmt.Printf("%s,%d,%d,%d,%d,%d\n",
-				d, p.SampleBytes, p.Elapsed.Milliseconds(),
-				t.DependencyFinder.Milliseconds(), t.CaRTSelection.Milliseconds(),
-				t.OutlierScan.Milliseconds())
-		}
-	}
-	return nil
-}
-
-func table1CSV(rows int, seed int64) error {
-	fmt.Println("dataset,strategy,spartan_ratio,elapsed_ms,carts_built")
-	rs, err := experiments.Table1(experiments.AllDatasets, rows, seed, nil)
-	if err != nil {
-		return err
-	}
-	for _, r := range rs {
-		fmt.Printf("%s,%s,%.4f,%d,%d\n", r.Dataset, r.Strategy, r.Ratio,
-			r.Elapsed.Milliseconds(), r.CartsBuilt)
-	}
-	return nil
 }
 
 func lossless(rows int, seed int64) error {

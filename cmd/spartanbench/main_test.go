@@ -8,18 +8,13 @@ import "testing"
 func TestReportsSmoke(t *testing.T) {
 	const rows = 800
 	for name, run := range map[string]func(int, int64) error{
-		"fig5":      fig5,
-		"fig5csv":   fig5CSV,
-		"fig6a":     fig6a,
-		"fig6acsv":  fig6aCSV,
-		"fig6b":     fig6b,
-		"fig6bcsv":  fig6bCSV,
-		"fig6c":     fig6c,
-		"fig6ccsv":  fig6cCSV,
-		"table1":    table1,
-		"table1csv": table1CSV,
-		"lossless":  lossless,
-		"ablate":    ablate,
+		"fig5":     fig5,
+		"fig6a":    fig6a,
+		"fig6b":    fig6b,
+		"fig6c":    fig6c,
+		"table1":   table1,
+		"lossless": lossless,
+		"ablate":   ablate,
 	} {
 		if err := run(rows, 1); err != nil {
 			t.Errorf("%s: %v", name, err)

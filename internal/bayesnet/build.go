@@ -9,52 +9,35 @@ import (
 	"repro/internal/table"
 )
 
-// Config controls the constraint-based builder.
-type Config struct {
-	// Bins is the number of equi-depth discretization bins for numeric
-	// attributes (default 8). The paper's CI tests operate on discrete
-	// variables; numeric columns are discretized first.
-	Bins int
-	// Epsilon is the mutual-information threshold (bits) below which two
-	// variables are considered (conditionally) independent (default 0.015).
-	Epsilon float64
-	// MaxCondSet caps the size of conditioning sets in CI tests
-	// (default 3). Larger sets make tests unreliable on small samples
-	// (paper §3.1 cites exactly this concern).
-	MaxCondSet int
-	// MaxParents caps the in-degree of any node after orientation
-	// (default 4); excess edges with the weakest MI are dropped. This keeps
-	// CaRT predictor sets small, mirroring the sparse networks the paper's
-	// selector depends on.
-	MaxParents int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Bins <= 0 {
-		c.Bins = 8
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.015
-	}
-	if c.MaxCondSet <= 0 {
-		c.MaxCondSet = 3
-	}
-	if c.MaxParents <= 0 {
-		c.MaxParents = 4
-	}
-	return c
-}
+// The builder's settings, fixed at the values the compressor uses.
+const (
+	// bins is the number of equi-depth discretization bins for numeric
+	// attributes. The paper's CI tests operate on discrete variables;
+	// numeric columns are discretized first.
+	bins = 8
+	// epsilon is the mutual-information threshold (bits) below which two
+	// variables are considered (conditionally) independent.
+	epsilon = 0.015
+	// maxCondSet caps the size of conditioning sets in CI tests. Larger
+	// sets make tests unreliable on small samples (paper §3.1 cites
+	// exactly this concern).
+	maxCondSet = 3
+	// maxParents caps the in-degree of any node after orientation; excess
+	// edges with the weakest MI are dropped. This keeps CaRT predictor
+	// sets small, mirroring the sparse networks the paper's selector
+	// depends on.
+	maxParents = 6
+)
 
 // Build infers a Bayesian network from the given table (typically a small
 // random sample of the full data, per the paper). The number of CI tests is
-// O(n²·MaxCondSet) here — comfortably under the paper's O(n⁴) budget.
-func Build(t *table.Table, cfg Config) (*Network, error) {
-	cfg = cfg.withDefaults()
+// O(n²·maxCondSet) here — comfortably under the paper's O(n⁴) budget.
+func Build(t *table.Table) (*Network, error) {
 	n := t.NumCols()
 	if n == 0 {
 		return nil, fmt.Errorf("bayesnet: table has no attributes")
 	}
-	codes, cards := discretize(t, cfg.Bins)
+	codes, cards := discretize(t)
 
 	// Pairwise mutual information matrix.
 	mi := make([][]float64, n)
@@ -69,7 +52,7 @@ func Build(t *table.Table, cfg Config) (*Network, error) {
 		}
 	}
 
-	b := &builder{cfg: cfg, n: n, rows: t.NumRows(), codes: codes, cards: cards, mi: mi,
+	b := &builder{n: n, rows: t.NumRows(), codes: codes, cards: cards, mi: mi,
 		adj: make([]map[int]bool, n)}
 	for i := range b.adj {
 		b.adj[i] = make(map[int]bool)
@@ -81,7 +64,6 @@ func Build(t *table.Table, cfg Config) (*Network, error) {
 }
 
 type builder struct {
-	cfg    Config
 	n      int
 	rows   int
 	codes  [][]int
@@ -210,7 +192,7 @@ func (b *builder) connected(u, v int) bool {
 // separated runs MI-divergence CI tests of u ⟂ v conditioned on candidate
 // cut sets drawn from the neighborhoods of u and v, and reports whether any
 // test accepts independence. Candidate sets grow greedily by descending MI
-// with the opposite endpoint, capped at MaxCondSet (this avoids the
+// with the opposite endpoint, capped at maxCondSet (this avoids the
 // exponential subset enumeration, as Cheng et al. do).
 func (b *builder) separated(u, v int) bool {
 	for _, base := range [2]int{u, v} {
@@ -222,10 +204,7 @@ func (b *builder) separated(u, v int) bool {
 		if len(cands) == 0 {
 			continue
 		}
-		limit := b.cfg.MaxCondSet
-		if limit > len(cands) {
-			limit = len(cands)
-		}
+		limit := min(maxCondSet, len(cands))
 		cond := make([]int, 0, limit)
 		for k := 0; k < limit; k++ {
 			cond = append(cond, cands[k])
@@ -267,7 +246,7 @@ const gSignificance = 0.995
 // (card(u)-1)(card(v)-1) degrees of freedom).
 func (b *builder) dependent(u, v int) bool {
 	mi := b.mi[u][v]
-	if mi <= b.cfg.Epsilon {
+	if mi <= epsilon {
 		return false
 	}
 	g := 2 * float64(b.rows) * math.Ln2 * mi
@@ -285,7 +264,7 @@ func (b *builder) ciIndependent(u, v int, cond []int) bool {
 	}
 	z, cz := stats.CompositeCodes(condCols)
 	cmi := stats.ConditionalMutualInformation(b.codes[u], b.codes[v], z, b.cards[u], b.cards[v], cz)
-	if cmi < b.cfg.Epsilon {
+	if cmi < epsilon {
 		return true
 	}
 	g := 2 * float64(b.rows) * math.Ln2 * cmi
@@ -299,7 +278,7 @@ func (b *builder) ciIndependent(u, v int, cond []int) bool {
 // entropies satisfy H(Y|X) < H(X|Y) ⟺ H(Y) < H(X), so this choice makes
 // each child the endpoint its parent explains better — ties broken by
 // total neighborhood MI, hubs first). A single global priority guarantees
-// acyclicity. In-degrees are then capped at MaxParents keeping the
+// acyclicity. In-degrees are then capped at maxParents keeping the
 // strongest-MI parents.
 func (b *builder) orient(t *table.Table) (*Network, error) {
 	prio := make([]float64, b.n)
@@ -341,12 +320,12 @@ func (b *builder) orient(t *table.Table) (*Network, error) {
 	return g, nil
 }
 
-// capParents trims each node's parent set to the MaxParents strongest (by
+// capParents trims each node's parent set to the maxParents strongest (by
 // MI) parents.
 func (b *builder) capParents(g *Network) {
 	for v := 0; v < g.NumNodes(); v++ {
 		ps := g.parents[v]
-		if len(ps) <= b.cfg.MaxParents {
+		if len(ps) <= maxParents {
 			continue
 		}
 		sort.Slice(ps, func(i, j int) bool {
@@ -355,8 +334,8 @@ func (b *builder) capParents(g *Network) {
 			}
 			return ps[i] < ps[j]
 		})
-		dropped := ps[b.cfg.MaxParents:]
-		g.parents[v] = append([]int(nil), ps[:b.cfg.MaxParents]...)
+		dropped := ps[maxParents:]
+		g.parents[v] = append([]int(nil), ps[:maxParents]...)
 		for _, u := range dropped {
 			g.children[u] = removeInt(g.children[u], v)
 		}
@@ -375,7 +354,7 @@ func removeInt(s []int, x int) []int {
 
 // discretize converts every column to integer codes: categorical columns
 // use their dictionary codes, numeric columns are equi-depth discretized.
-func discretize(t *table.Table, bins int) (codes [][]int, cards []int) {
+func discretize(t *table.Table) (codes [][]int, cards []int) {
 	n := t.NumCols()
 	codes = make([][]int, n)
 	cards = make([]int, n)

@@ -20,7 +20,7 @@ const (
 	// node's leaf cost, and grown subtrees costlier than a leaf collapse
 	// immediately. This is SPARTAN's default.
 	PruneIntegrated PruneMode = iota
-	// PruneAfter grows the full tree (bounded by MaxDepth/MinLeafRows),
+	// PruneAfter grows the full tree (bounded by maxDepth/MinLeafRows),
 	// then prunes bottom-up by storage cost — the conventional two-phase
 	// approach the paper compares against.
 	PruneAfter
@@ -28,13 +28,14 @@ const (
 	PruneNone
 )
 
+// maxDepth bounds the tree depth.
+const maxDepth = 24
+
 // Config bounds tree growth.
 type Config struct {
 	// MinLeafRows is the minimum number of sample rows per leaf
 	// (default 4).
 	MinLeafRows int
-	// MaxDepth bounds the tree depth (default 24).
-	MaxDepth int
 	// Prune selects the pruning strategy (default PruneIntegrated).
 	Prune PruneMode
 	// FullRows is the row count of the full table the model will be
@@ -47,9 +48,6 @@ type Config struct {
 func (c Config) withDefaults(sampleRows int) Config {
 	if c.MinLeafRows <= 0 {
 		c.MinLeafRows = 4
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 24
 	}
 	if c.FullRows <= 0 {
 		c.FullRows = sampleRows
@@ -240,7 +238,7 @@ func (b *treeBuilder) grow(ctx context.Context, rows []int, depth int) (*Node, f
 
 	// Stop conditions: acceptable leaf (paper's optimization 2), depth or
 	// size bounds.
-	if outliers == 0 || depth >= b.cfg.MaxDepth || len(rows) < 2*b.cfg.MinLeafRows {
+	if outliers == 0 || depth >= maxDepth || len(rows) < 2*b.cfg.MinLeafRows {
 		return leaf, leafCost
 	}
 	// Integrated pruning: if no expansion can beat the leaf, stop now.

@@ -102,9 +102,6 @@ type Options struct {
 	// DisableRowAggregation turns off the fascicle pass over T'
 	// (ablation).
 	DisableRowAggregation bool
-	// MaxFascicles is the RowAggregator's fascicle budget (the paper's P,
-	// default 500).
-	MaxFascicles int
 	// Seed fixes all sampling randomness; zero means seed 1. Compression
 	// is fully deterministic for a given (table, options) pair.
 	Seed int64
@@ -123,9 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Theta <= 0 {
 		o.Theta = 2
-	}
-	if o.MaxFascicles <= 0 {
-		o.MaxFascicles = 500
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -338,7 +332,7 @@ func learn(ctx context.Context, root *obs.Span, t *table.Table, opts Options) (*
 		if err != nil {
 			return fmt.Errorf("spartan: dependency finder: %w", err)
 		}
-		net, err = bayesnet.Build(sample, bayesnet.Config{MaxParents: 6})
+		net, err = bayesnet.Build(sample)
 		if err != nil {
 			return fmt.Errorf("spartan: dependency finder: %w", err)
 		}
@@ -422,7 +416,7 @@ func (m *Model) apply(ctx context.Context, root *obs.Span, t *table.Table, stats
 		if !m.opts.DisableRowAggregation && len(m.plan.Materialized) > 0 {
 			var clustering *fascicle.Clustering
 			var err error
-			applied, clustering, err = rowAggregate(ctx, t, m.plan, m.resolved, m.opts)
+			applied, clustering, err = rowAggregate(ctx, t, m.plan, m.resolved)
 			if err != nil {
 				return fmt.Errorf("spartan: row aggregation: %w", err)
 			}
@@ -575,7 +569,7 @@ func splitSample(sample *table.Table) (build, holdout *table.Table, err error) {
 
 // rowAggregate runs the fascicle pass over the materialized projection and
 // grafts the quantized columns into a full-width copy of t.
-func rowAggregate(ctx context.Context, t *table.Table, plan *selector.Result, resolved table.Tolerances, opts Options) (*table.Table, *fascicle.Clustering, error) {
+func rowAggregate(ctx context.Context, t *table.Table, plan *selector.Result, resolved table.Tolerances) (*table.Table, *fascicle.Clustering, error) {
 	proj, err := t.Project(plan.Materialized)
 	if err != nil {
 		return nil, nil, err
@@ -589,11 +583,7 @@ func rowAggregate(ctx context.Context, t *table.Table, plan *selector.Result, re
 			splits[i] = splitsByAttr[a]
 		}
 	}
-	clustering, err := fascicle.Cluster(ctx, proj, fascicle.Params{
-		Widths:       widths,
-		SplitValues:  splits,
-		MaxFascicles: opts.MaxFascicles,
-	})
+	clustering, err := fascicle.Cluster(ctx, proj, fascicle.Params{Widths: widths, SplitValues: splits})
 	if err != nil {
 		return nil, nil, err
 	}

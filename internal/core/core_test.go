@@ -47,9 +47,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Theta != 2 {
 		t.Errorf("Theta default = %g, want 2 (paper §4.1)", o.Theta)
 	}
-	if o.MaxFascicles != 500 {
-		t.Errorf("MaxFascicles default = %d, want 500 (paper §4.1)", o.MaxFascicles)
-	}
 	if o.Seed != 1 {
 		t.Errorf("Seed default = %d, want 1", o.Seed)
 	}

@@ -129,16 +129,7 @@ func RunFascicles(t *table.Table, d Dataset, frac float64) (CompressorResult, er
 			widths[i] = frac * t.Col(i).Range()
 		}
 	}
-	minSize := t.NumRows() / 10000
-	if minSize < 2 {
-		minSize = 2
-	}
-	data, err := fascicle.Compress(t, fascicle.Params{
-		K:            d.FascicleK(),
-		MaxFascicles: 500,
-		MinSize:      minSize,
-		Widths:       widths,
-	}, true)
+	data, err := fascicle.Compress(t, fascicle.Params{K: d.FascicleK(), Widths: widths}, true)
 	if err != nil {
 		return CompressorResult{}, err
 	}

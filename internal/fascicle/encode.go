@@ -22,8 +22,10 @@ import (
 const fascicleMagic = "SPFAS1\n"
 
 // Compress clusters the table and encodes the clustering. When gzipPayload
-// is true the encoded body is additionally deflated, which is how the
-// RowAggregator block inside SPARTAN's codec is stored.
+// is true the encoded body is additionally deflated, as the standalone
+// fascicle baseline stores it. SPARTAN's codec does not use this stream:
+// its RowAggregator quantizes T′ (Clustering.Quantize) and the codec
+// writes that T′ in its own format.
 func Compress(t *table.Table, p Params, gzipPayload bool) ([]byte, error) {
 	c, err := Cluster(context.Background(), t, p)
 	if err != nil {

@@ -420,6 +420,28 @@ func TestMinSizeRespected(t *testing.T) {
 	}
 }
 
+// TestParamsDefaults: the zero Params resolve to the paper's fascicle
+// budget P = 500 and minimum size m = max(2, 0.01% of rows) (§4.1).
+func TestParamsDefaults(t *testing.T) {
+	for _, tc := range []struct{ rows, minSize int }{{100, 2}, {29999, 2}, {35000, 3}} {
+		tb, err := table.New(table.Schema{{Name: "x", Kind: table.Numeric}},
+			[]*table.Column{{Kind: table.Numeric, Floats: make([]float64, tc.rows)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Params{Widths: []float64{0}}.withDefaults(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.MaxFascicles != 500 {
+			t.Errorf("%d rows: MaxFascicles default = %d, want 500", tc.rows, p.MaxFascicles)
+		}
+		if p.MinSize != tc.minSize {
+			t.Errorf("%d rows: MinSize default = %d, want %d", tc.rows, p.MinSize, tc.minSize)
+		}
+	}
+}
+
 func TestClampWindow(t *testing.T) {
 	// Seed below the split: window clamps from above.
 	lo, hi := clampWindow(5, 3, 9, []float64{7})

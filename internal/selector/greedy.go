@@ -9,16 +9,14 @@ import (
 // visit the attributes in the topological order of the Bayesian network;
 // roots are materialized; every other attribute gets a CaRT built from the
 // attributes materialized so far, and is predicted when the relative
-// storage benefit MaterCost/PredCost is at least theta. At most n-1 CaRTs
-// are built. ctx is checked before each attribute's CaRT construction, so a
-// cancel abandons the traversal within one tree build and returns the
-// wrapped context error.
+// storage benefit MaterCost/PredCost is at least theta (core.Options
+// supplies the paper's θ = 2, §4.1). At most n-1 CaRTs are built. ctx is
+// checked before each attribute's CaRT construction, so a cancel abandons
+// the traversal within one tree build and returns the wrapped context
+// error.
 func Greedy(ctx context.Context, in Input, theta float64) (*Result, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
-	}
-	if theta <= 0 {
-		theta = 2 // the paper's experimental setting (§4.1)
 	}
 	predicted := map[int]*estimate{}
 	var materialized []int

@@ -162,7 +162,7 @@ func dependentTable(rng *rand.Rand, n int) *table.Table {
 
 func realInput(t *testing.T, tb *table.Table) Input {
 	t.Helper()
-	net, err := bayesnet.Build(tb, bayesnet.Config{})
+	net, err := bayesnet.Build(tb)
 	if err != nil {
 		t.Fatal(err)
 	}

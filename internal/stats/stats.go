@@ -1,6 +1,6 @@
 // Package stats provides the statistical substrate for SPARTAN's
-// DependencyFinder: entropy, (conditional) mutual information, chi-square
-// tests over contingency tables, and equi-depth discretization of numeric
+// DependencyFinder: entropy, (conditional) mutual information, composite
+// codes for conditioning sets, and equi-depth discretization of numeric
 // attributes. All quantities operate on integer-coded columns so the
 // Bayesian-network builder can treat numeric and categorical attributes
 // uniformly after discretization.
@@ -138,57 +138,6 @@ func CompositeCodes(cols [][]int) (codes []int, card int) {
 	return codes, len(index)
 }
 
-// ChiSquare computes the chi-square statistic and degrees of freedom for
-// independence of two integer-coded vectors. Rows/columns with zero
-// marginals are excluded from the degrees of freedom.
-func ChiSquare(x, y []int, cx, cy int) (statistic float64, dof int) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("stats: length mismatch %d vs %d", len(x), len(y)))
-	}
-	joint := make([]float64, cx*cy)
-	mx := make([]float64, cx)
-	my := make([]float64, cy)
-	for i := range x {
-		joint[x[i]*cy+y[i]]++
-		mx[x[i]]++
-		my[y[i]]++
-	}
-	n := float64(len(x))
-	if n == 0 {
-		return 0, 0
-	}
-	stat := 0.0
-	nzx, nzy := 0, 0
-	for _, v := range mx {
-		if v > 0 {
-			nzx++
-		}
-	}
-	for _, v := range my {
-		if v > 0 {
-			nzy++
-		}
-	}
-	for xi := 0; xi < cx; xi++ {
-		if mx[xi] == 0 {
-			continue
-		}
-		for yi := 0; yi < cy; yi++ {
-			if my[yi] == 0 {
-				continue
-			}
-			expected := mx[xi] * my[yi] / n
-			d := joint[xi*cy+yi] - expected
-			stat += d * d / expected
-		}
-	}
-	dof = (nzx - 1) * (nzy - 1)
-	if dof < 0 {
-		dof = 0
-	}
-	return stat, dof
-}
-
 // Discretizer maps numeric values into equi-depth bins. Bin boundaries are
 // chosen from sorted sample quantiles; values map to the bin whose
 // right-open interval contains them.
@@ -248,30 +197,4 @@ func (d *Discretizer) CodeAll(values []float64) []int {
 		out[i] = d.Code(v)
 	}
 	return out
-}
-
-// Mean returns the arithmetic mean of values (0 for empty input).
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range values {
-		s += v
-	}
-	return s / float64(len(values))
-}
-
-// Variance returns the population variance of values.
-func Variance(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := Mean(values)
-	s := 0.0
-	for _, v := range values {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(values))
 }

@@ -137,38 +137,6 @@ func TestCompositeCodes(t *testing.T) {
 	}
 }
 
-func TestChiSquare(t *testing.T) {
-	// Perfect dependence in a 2x2 table, n=40: chi2 = n.
-	x := make([]int, 40)
-	y := make([]int, 40)
-	for i := range x {
-		x[i] = i % 2
-		y[i] = i % 2
-	}
-	stat, dof := ChiSquare(x, y, 2, 2)
-	approx(t, stat, 40, 1e-9, "chi2(perfect)")
-	if dof != 1 {
-		t.Errorf("dof = %d, want 1", dof)
-	}
-
-	// Balanced independence: chi2 = 0.
-	var xi, yi []int
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			xi = append(xi, i)
-			yi = append(yi, j)
-		}
-	}
-	stat0, _ := ChiSquare(xi, yi, 2, 2)
-	approx(t, stat0, 0, 1e-12, "chi2(indep)")
-
-	// Empty marginal categories don't count toward dof.
-	_, dof2 := ChiSquare([]int{0, 0}, []int{0, 1}, 5, 3)
-	if dof2 != 0 {
-		t.Errorf("dof with single x level = %d, want 0", dof2)
-	}
-}
-
 func TestDiscretizerEquiDepth(t *testing.T) {
 	values := make([]float64, 100)
 	for i := range values {
@@ -245,14 +213,6 @@ func TestDiscretizerCodeAllMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestMeanVariance(t *testing.T) {
-	approx(t, Mean([]float64{1, 2, 3}), 2, 1e-12, "Mean")
-	approx(t, Mean(nil), 0, 1e-12, "Mean(empty)")
-	approx(t, Variance([]float64{2, 2, 2}), 0, 1e-12, "Var(const)")
-	approx(t, Variance([]float64{1, 3}), 1, 1e-12, "Var")
-	approx(t, Variance(nil), 0, 1e-12, "Var(empty)")
 }
 
 func TestLengthMismatchPanics(t *testing.T) {

@@ -10,7 +10,6 @@ package table
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Kind distinguishes the two attribute classes of the paper (§2.1):
@@ -395,22 +394,4 @@ func MaxAbsDiff(a, b *Table) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// SortedDistinctFloats returns the sorted distinct values of a numeric
-// column.
-func (c *Column) SortedDistinctFloats() []float64 {
-	if c.Kind != Numeric {
-		panic("table: SortedDistinctFloats on categorical column")
-	}
-	seen := make(map[float64]struct{}, 64)
-	for _, v := range c.Floats {
-		seen[v] = struct{}{}
-	}
-	out := make([]float64, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Float64s(out)
-	return out
 }

@@ -231,24 +231,6 @@ func TestMinMaxRange(t *testing.T) {
 	}
 }
 
-func TestSortedDistinctFloats(t *testing.T) {
-	b := MustBuilder(Schema{{Name: "x", Kind: Numeric}})
-	for _, v := range []float64{3, 1, 3, 2, 1} {
-		b.MustAppendRow(v)
-	}
-	tb := b.MustBuild()
-	got := tb.Col(0).SortedDistinctFloats()
-	want := []float64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("distinct = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("distinct = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	s := Schema{{Name: "a", Kind: Numeric}, {Name: "b", Kind: Categorical}}
 	numCol := &Column{Kind: Numeric, Floats: []float64{1, 2}}
