@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"runtime"
 	"slices"
 	"testing"
@@ -152,6 +153,36 @@ func TestDecodeAllocatesColumnsOnce(t *testing.T) {
 		allocated, columns, predicted, tprime, int64(allocated)-int64(columns+tprime))
 	if allocated > columns+tprime+slack {
 		t.Errorf("decode allocated %d bytes, want ≤ %d (columns) + %d (T′) + %d", allocated, columns, tprime, slack)
+	}
+}
+
+// TestIngestAllocations pins what a segmented ingest allocates: the
+// benchmark's ingest_cdr_segmented (32k CDR rows, 8k-row segments, 1%
+// numeric tolerance) averaged over three WriteTable calls after a
+// warm-up. About 17 MB measured (linux/amd64, go1.24); a fresh deflate
+// compressor per sample column and per segment (about 1 MB each) or a
+// copy of every segment puts it past 24 MB.
+func TestIngestAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumented appends allocate a copy of each buffer they grow")
+	}
+	const rows, segRows, runs, ceiling = 32000, 8000, 3, 24 << 20
+	tb := datagen.CDR(rows, 1)
+	opts := core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)}
+	write := func() {
+		if _, err := WriteTable(io.Discard, tb, opts, SegmentOptions{SegmentRows: segRows}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	mean := allocDelta(func() {
+		for i := 0; i < runs; i++ {
+			write()
+		}
+	}) / runs
+	t.Logf("WriteTable allocated %.1f MB per call", float64(mean)/(1<<20))
+	if mean > ceiling {
+		t.Errorf("WriteTable allocated %d bytes per call, want ≤ %d", mean, ceiling)
 	}
 }
 

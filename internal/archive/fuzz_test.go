@@ -32,11 +32,7 @@ func FuzzDecodeArchive(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		block, err := segmentRows(tb, i, 300)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if _, err := aw.WriteBlock(block); err != nil {
+		if _, err := aw.WriteBlock(segmentRows(tb, i, 300)); err != nil {
 			f.Fatal(err)
 		}
 	}

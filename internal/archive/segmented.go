@@ -102,10 +102,8 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 
 	results := make([]segResult, nseg)
 	err = par.ForEach(ctx, nseg, seg.Workers, func(ctx context.Context, i int) error {
-		part, err := segmentRows(t, i, size)
-		if err == nil {
-			results[i], err = compressSegment(ctx, m, part)
-		}
+		var err error
+		results[i], err = compressSegment(ctx, m, segmentRows(t, i, size))
 		if err != nil {
 			return fmt.Errorf("segment %d: %w", i, err)
 		}
@@ -158,20 +156,13 @@ func ratio(compressed, raw int) float64 {
 	return float64(compressed) / float64(raw)
 }
 
-// segmentRows returns rows [idx·n, idx·n+n) of t: t itself when they are
-// all of its rows, else a copy. It only reads t, so segments slice
-// concurrently over one shared table.
-func segmentRows(t *table.Table, idx, n int) (*table.Table, error) {
+// segmentRows returns rows [idx·n, idx·n+n) of t as a view sharing t's
+// storage (t itself when they are all of it). Applying a model only reads
+// its body: row aggregation quantizes a clone of the projection, and the
+// outlier scan, encoder and zone maps read the columns in place.
+func segmentRows(t *table.Table, idx, n int) *table.Table {
 	lo := idx * n
-	hi := min(lo+n, t.NumRows())
-	if lo == 0 && hi == t.NumRows() {
-		return t, nil
-	}
-	sel := make([]int, hi-lo)
-	for i := range sel {
-		sel[i] = lo + i
-	}
-	return t.SelectRows(sel)
+	return t.Slice(lo, min(lo+n, t.NumRows()))
 }
 
 // compressSegment applies the archive's model to one segment, returning

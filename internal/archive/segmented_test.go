@@ -125,6 +125,25 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestWriteTableLeavesInputUnchanged: segments are views that share the
+// input's column storage, so applying the models to them must only read
+// it, at any segment size and worker count.
+func TestWriteTableLeavesInputUnchanged(t *testing.T) {
+	tb := datagen.CDR(10000, 2)
+	orig := tb.Clone()
+	opts := core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)}
+	for _, segRows := range []int{0, 500, 8000} {
+		for _, workers := range []int{1, 4} {
+			if _, err := WriteTable(io.Discard, tb, opts, SegmentOptions{SegmentRows: segRows, Workers: workers}); err != nil {
+				t.Fatalf("segment rows %d, %d workers: %v", segRows, workers, err)
+			}
+			if !table.Equal(tb, orig) {
+				t.Fatalf("segment rows %d, %d workers: WriteTable modified its input", segRows, workers)
+			}
+		}
+	}
+}
+
 // TestLearnOnce: WriteTable learns one model for the whole table. The
 // learn step's counts appear once, in the first segment's statistics,
 // and every segment decodes with the archive dictionaries.

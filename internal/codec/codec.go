@@ -28,6 +28,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/cart"
 	"repro/internal/par"
@@ -171,20 +172,11 @@ func (mb *ModelBlock) EncodeBody(w io.Writer, src *table.Table, outliers [][]car
 	}
 
 	var tprime bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&tprime, gzip.BestCompression)
-	if err != nil {
-		return bd, err
+	cols := make([]*table.Column, len(mb.Materialized))
+	for i, a := range mb.Materialized {
+		cols[i] = src.Col(a)
 	}
-	zbw := bufio.NewWriter(zw)
-	for _, a := range mb.Materialized {
-		if err := writeColumn(zbw, src.Col(a)); err != nil {
-			return bd, err
-		}
-	}
-	if err := zbw.Flush(); err != nil {
-		return bd, err
-	}
-	if err := zw.Close(); err != nil {
+	if err := deflateColumns(&tprime, bestCompression, cols...); err != nil {
 		return bd, err
 	}
 
@@ -192,6 +184,7 @@ func (mb *ModelBlock) EncodeBody(w io.Writer, src *table.Table, outliers [][]car
 		return bd, err
 	}
 	bd.HeaderBytes = len(rows)
+	var err error
 	if bd.ModelBytes, err = writeChecked(w, outBuf.Bytes()); err != nil {
 		return bd, err
 	}
@@ -627,29 +620,20 @@ func inflate(tp []byte) ([]byte, error) {
 	return p, nil
 }
 
-// EstimateBitsPerValue encodes a column exactly as the T' block would
-// (dictionary or raw cells, then deflate) and returns the achieved bits
-// per value. SPARTAN uses this on sample columns to price materialization
-// honestly during CaRT selection. The fixed gzip stream overhead is
-// excluded and the result is floored at 0.25 bits.
+// EstimateBitsPerValue encodes a column with the T' block's cell
+// encoding (dictionary or raw cells), deflates it at BestSpeed, and
+// returns the achieved bits per value. SPARTAN uses this on sample
+// columns to price materialization during CaRT selection. T' itself is
+// deflated at BestCompression, so the price approximates, and usually
+// exceeds, what the column costs in T'. The fixed gzip stream overhead
+// is excluded and the result is floored at 0.25 bits.
 func EstimateBitsPerValue(c *table.Column) (float64, error) {
 	n := c.Len()
 	if n == 0 {
 		return 0, nil
 	}
 	var body bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&body, gzip.BestSpeed)
-	if err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriter(zw)
-	if err := writeColumn(bw, c); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	if err := zw.Close(); err != nil {
+	if err := deflateColumns(&body, bestSpeed, c); err != nil {
 		return 0, err
 	}
 	payload := body.Len() - 24
@@ -661,6 +645,43 @@ func EstimateBitsPerValue(c *table.Column) (float64, error) {
 		bits = 0.25
 	}
 	return bits, nil
+}
+
+// Each deflate level keeps a pool of gzip writers: a writer holds about
+// 1 MB of compressor state, and ingest deflates every sample column and
+// every segment's T'. A writer Reset onto a new buffer writes the same
+// bytes as a new one.
+var (
+	bestSpeed       = gzipPool(gzip.BestSpeed)
+	bestCompression = gzipPool(gzip.BestCompression)
+)
+
+func gzipPool(level int) *sync.Pool {
+	return &sync.Pool{New: func() any {
+		zw, err := gzip.NewWriterLevel(nil, level)
+		if err != nil {
+			panic(err) // level is one of gzip's constants
+		}
+		return zw
+	}}
+}
+
+// deflateColumns writes cols, each in the T' cell encoding, as one gzip
+// stream into dst through a writer from pool.
+func deflateColumns(dst *bytes.Buffer, pool *sync.Pool, cols ...*table.Column) error {
+	zw := pool.Get().(*gzip.Writer)
+	defer pool.Put(zw)
+	zw.Reset(dst)
+	bw := bufio.NewWriter(zw)
+	for _, c := range cols {
+		if err := writeColumn(bw, c); err != nil {
+			return err
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	return zw.Close()
 }
 
 // Numeric column encodings inside the T' block. Fascicle quantization

@@ -7,6 +7,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -78,7 +79,7 @@ func MutualInformation(x, y []int, cx, cy int) float64 {
 }
 
 // ConditionalMutualInformation returns I(X;Y|Z) in bits, where z is an
-// integer-coded conditioning vector with cardinality cz. Z is typically a
+// integer-coded conditioning vector with values in [0, cz). Z is typically a
 // composite code built with CompositeCodes from several conditioning
 // attributes.
 func ConditionalMutualInformation(x, y, z []int, cx, cy, cz int) float64 {
@@ -88,16 +89,20 @@ func ConditionalMutualInformation(x, y, z []int, cx, cy, cz int) float64 {
 	if len(x) == 0 {
 		return 0
 	}
-	// Group rows by z value and sum per-stratum weighted MI.
-	byZ := make(map[int][]int)
+	// Group rows by z value and sum the per-stratum weighted MI in
+	// ascending z, so every call adds the same terms in the same order.
+	strata := make([][]int, cz)
 	for i, zi := range z {
-		byZ[zi] = append(byZ[zi], i)
+		strata[zi] = append(strata[zi], i)
 	}
 	n := float64(len(x))
 	cmi := 0.0
 	xs := make([]int, 0, 64)
 	ys := make([]int, 0, 64)
-	for _, rows := range byZ {
+	for _, rows := range strata {
+		if len(rows) == 0 {
+			continue
+		}
 		xs = xs[:0]
 		ys = ys[:0]
 		for _, r := range rows {
@@ -111,8 +116,10 @@ func ConditionalMutualInformation(x, y, z []int, cx, cy, cz int) float64 {
 
 // CompositeCodes combines several integer-coded columns into a single code
 // per row, with the combined cardinality returned. Only combinations that
-// actually occur receive codes, keeping the cardinality equal to the number
-// of distinct observed tuples (important for CI tests on samples).
+// actually occur receive codes, in order of first occurrence, so codes are
+// dense in [0, card) and the cardinality equals the number of distinct
+// observed tuples (important for CI tests on samples). Column values must
+// fit in 32 bits, as dictionary codes do.
 func CompositeCodes(cols [][]int) (codes []int, card int) {
 	if len(cols) == 0 {
 		return nil, 1
@@ -120,12 +127,11 @@ func CompositeCodes(cols [][]int) (codes []int, card int) {
 	n := len(cols[0])
 	codes = make([]int, n)
 	index := make(map[string]int)
-	key := make([]byte, 0, len(cols)*3)
+	key := make([]byte, 0, len(cols)*4)
 	for i := 0; i < n; i++ {
 		key = key[:0]
 		for _, c := range cols {
-			v := c[i]
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), 0xFF)
+			key = binary.LittleEndian.AppendUint32(key, uint32(c[i]))
 		}
 		k := string(key)
 		code, ok := index[k]

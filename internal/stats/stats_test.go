@@ -107,6 +107,25 @@ func TestConditionalMIScreensChain(t *testing.T) {
 	approx(t, ConditionalMutualInformation(x, y, z, 2, 2, 2), 0, 1e-9, "I(X;Y|Z) on chain")
 }
 
+// TestConditionalMIIsDeterministic: the strata's terms are summed in one
+// order, so repeated calls return the same float64. A sum in map order
+// differs in its last bits from call to call on this many strata, which
+// can flip a G-test at its threshold.
+func TestConditionalMIIsDeterministic(t *testing.T) {
+	const n, strata = 6000, 300
+	rng := rand.New(rand.NewSource(5))
+	x, y, z := make([]int, n), make([]int, n), make([]int, n)
+	for i := range x {
+		x[i], y[i], z[i] = rng.Intn(4), rng.Intn(5), rng.Intn(strata)
+	}
+	want := math.Float64bits(ConditionalMutualInformation(x, y, z, 4, 5, strata))
+	for i := 0; i < 20; i++ {
+		if got := math.Float64bits(ConditionalMutualInformation(x, y, z, 4, 5, strata)); got != want {
+			t.Fatalf("call %d returned %#x, first call %#x", i+2, got, want)
+		}
+	}
+}
+
 func TestCompositeCodes(t *testing.T) {
 	a := []int{0, 0, 1, 1}
 	b := []int{0, 1, 0, 1}
@@ -134,6 +153,11 @@ func TestCompositeCodes(t *testing.T) {
 	_, card3 := CompositeCodes([][]int{a3, b3})
 	if card3 != 2 {
 		t.Errorf("card = %d, want 2 (only 2 observed combos)", card3)
+	}
+
+	// Codes are keyed by all 32 bits: v and v+2^24 stay apart.
+	if c4, card4 := CompositeCodes([][]int{{0, 1 << 24}}); card4 != 2 || c4[0] == c4[1] {
+		t.Errorf("CompositeCodes({0, 1<<24}) = %v, %d; want 2 distinct codes", c4, card4)
 	}
 }
 

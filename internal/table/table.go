@@ -314,6 +314,31 @@ func (t *Table) SelectRows(rows []int) (*Table, error) {
 	return New(t.schema.Clone(), cols)
 }
 
+// Slice returns rows [lo, hi) of t as a table that shares t's column
+// storage: t itself when that is every row, else a view whose columns are
+// cut with full slice expressions, so an append to one reallocates
+// instead of writing into t. Like t, the view must not be modified in
+// place. Slice panics if the range is out of bounds, as slicing does.
+func (t *Table) Slice(lo, hi int) *Table {
+	if lo < 0 || hi < lo || hi > t.rows {
+		panic(fmt.Sprintf("table: slice [%d:%d] out of range [0,%d]", lo, hi, t.rows))
+	}
+	if lo == 0 && hi == t.rows {
+		return t
+	}
+	cols := make([]*Column, len(t.cols))
+	for i, c := range t.cols {
+		nc := &Column{Kind: c.Kind, Dict: c.Dict}
+		if c.Kind == Numeric {
+			nc.Floats = c.Floats[lo:hi:hi]
+		} else {
+			nc.Codes = c.Codes[lo:hi:hi]
+		}
+		cols[i] = nc
+	}
+	return &Table{schema: t.schema, cols: cols, rows: hi - lo}
+}
+
 // Clone returns a deep copy of the table.
 func (t *Table) Clone() *Table {
 	cols := make([]*Column, len(t.cols))

@@ -169,6 +169,35 @@ func TestSelectRows(t *testing.T) {
 	}
 }
 
+func TestSlice(t *testing.T) {
+	tb := paperTable(t)
+	if tb.Slice(0, tb.NumRows()) != tb {
+		t.Error("a slice of every row is not the table itself")
+	}
+	want, err := tb.SelectRows([]int{2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tb.Slice(2, 5)
+	if !Equal(s, want) {
+		t.Fatal("Slice(2, 5) differs from rows 2, 3, 4")
+	}
+	// The view is capped at its rows: an append reallocates rather than
+	// overwrite row 5 of tb.
+	orig := tb.Clone()
+	_ = append(s.Col(0).Floats, -1)
+	_ = append(s.Col(3).Codes, 0)
+	if !Equal(tb, orig) {
+		t.Error("appending to a slice's column wrote into the table")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Slice(5, 2) did not panic")
+		}
+	}()
+	tb.Slice(5, 2)
+}
+
 func TestEqualAndClone(t *testing.T) {
 	a := paperTable(t)
 	b := a.Clone()
