@@ -69,6 +69,11 @@ func (c Config) withDefaults(sampleRows int) Config {
 // checks ctx at every node expansion, so a cancelled context abandons the
 // tree within one split evaluation and returns the (wrapped) context
 // error.
+//
+// One build allocates its row buffer and the split search's scratch once,
+// sized by the sample, not once per node: grow hands each child a
+// disjoint sub-slice of its node's rows (see routeRows), so the whole
+// tree is grown in one []int.
 func Build(ctx context.Context, sample *table.Table, target int, cands []int, tol float64,
 	cm *CostModel, cfg Config) (*Model, float64, error) {
 	if len(cands) == 0 {
@@ -88,7 +93,8 @@ func Build(ctx context.Context, sample *table.Table, target int, cands []int, to
 	if tol < 0 || math.IsNaN(tol) || math.IsInf(tol, 0) {
 		return nil, 0, fmt.Errorf("cart: attribute %d has tolerance %g, want a finite value >= 0", target, tol)
 	}
-	cfg = cfg.withDefaults(sample.NumRows())
+	n := sample.NumRows()
+	cfg = cfg.withDefaults(n)
 	b := &treeBuilder{
 		t:      sample,
 		target: target,
@@ -97,15 +103,25 @@ func Build(ctx context.Context, sample *table.Table, target int, cands []int, to
 		tol:    tol,
 		cm:     cm,
 		cfg:    cfg,
-		scale:  float64(cfg.FullRows) / float64(sample.NumRows()),
+		scale:  float64(cfg.FullRows) / float64(n),
+		spare:  make([]int, n),
+	}
+	if b.kind == table.Numeric {
+		b.ys = make([]float64, n)
+		b.vals = make([]float64, n)
+		b.ssePairs = make([]ssePair, n)
+	} else {
+		b.classes = make([]int, n)
+		b.giniPairs = make([]giniPair, n)
 	}
 	sort.Ints(b.cands)
-	rows := make([]int, sample.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
+	rows := make([]int, n)
+	fillRows(rows)
 	root, cost := b.grow(ctx, rows, 0)
 	if cfg.Prune == PruneAfter && b.ctxErr == nil {
+		// grow left rows permuted; refilling gives prune's nodes the row
+		// order grow's nodes saw.
+		fillRows(rows)
 		root, cost = b.prune(ctx, root, rows)
 	}
 	if b.ctxErr != nil {
@@ -114,6 +130,28 @@ func Build(ctx context.Context, sample *table.Table, target int, cands []int, to
 	return &Model{Target: target, TargetKind: b.kind, Root: root}, cost, nil
 }
 
+// fillRows sets rows to 0…len(rows)−1, the sample order.
+func fillRows(rows []int) {
+	for i := range rows {
+		rows[i] = i
+	}
+}
+
+// treeBuilder grows one tree. Build owns the row buffer every node's rows
+// are a sub-slice of; routeRows partitions a node's sub-slice in place, so
+// the children get disjoint sub-slices and a node's rows are permuted once
+// its children have been grown (prune therefore refills the buffer before
+// routing it again). The scratch slices below hold the sample's rows at
+// most; each is used by one call at a time and is dead before grow or
+// prune recurses, so the recursion shares them.
+//
+// Row order reaches the output: the scorers' sorts keep tied predictor
+// values in an order that depends on it, and their prefix sums round in
+// that order. routeRows is stable, so every node sees its rows in the
+// order copying them into fresh slices would give, and the scorers sort
+// with slices.SortFunc, the same pdqsort as sort.Slice (the same
+// comparisons and swaps), so the trees match a per-node-copy builder's
+// bit for bit (TestBuildDigest).
 type treeBuilder struct {
 	t      *table.Table
 	target int
@@ -123,6 +161,14 @@ type treeBuilder struct {
 	cm     *CostModel
 	cfg    Config
 	scale  float64 // full-table rows per sample row
+
+	spare     []int      // routeRows' right rows
+	ys        []float64  // bestSplit's numeric target values
+	classes   []int      // bestSplit's dense class indices
+	vals      []float64  // leaf's sorted numeric target values
+	ssePairs  []ssePair  // numericSplitSSE's (predictor, target) pairs
+	giniPairs []giniPair // numericSplitGini's (predictor, class) pairs
+
 	// ctxErr records the first cancellation observed during growth. grow
 	// and prune return a placeholder once it is set, so the whole tree
 	// unwinds without threading an error through every level; Build
@@ -189,7 +235,7 @@ func (b *treeBuilder) leafCost(sampleOutliers int) float64 {
 // only when each side has MinLeafRows ≥ 1 rows.
 func (b *treeBuilder) leaf(rows []int) (*Node, int) {
 	if b.kind == table.Numeric {
-		vals := make([]float64, len(rows))
+		vals := b.vals[:len(rows)]
 		for i, r := range rows {
 			vals[i] = b.t.Float(r, b.target)
 		}
@@ -299,13 +345,13 @@ func (b *treeBuilder) bestSplit(rows []int) *Node {
 	var classes []int
 	nc := 0
 	if b.kind == table.Numeric {
-		y = make([]float64, len(rows))
+		y = b.ys[:len(rows)]
 		for i, r := range rows {
 			y[i] = b.t.Float(r, b.target)
 		}
 	} else {
 		idx := b.classIndex(rows)
-		classes = make([]int, len(rows))
+		classes = b.classes[:len(rows)]
 		for i, r := range rows {
 			classes[i] = idx[b.t.Code(r, b.target)]
 		}
@@ -334,14 +380,22 @@ func (b *treeBuilder) bestSplit(rows []int) *Node {
 	return best
 }
 
-// routeRows splits rows according to a node's split.
+// routeRows partitions rows in place by a node's split and returns the
+// two halves: left = rows[:k], the rows the split sends left, and right =
+// rows[k:]. The partition is stable, so each half keeps the rows' order,
+// the order appending them to fresh slices would give: left rows are
+// compacted to the front as they are met, right rows wait in b.spare.
 func (b *treeBuilder) routeRows(n *Node, rows []int) (left, right []int) {
+	spare := b.spare[:0]
+	k := 0
 	for _, r := range rows {
 		if n.takeLeft(b.t, r) {
-			left = append(left, r)
+			rows[k] = r
+			k++
 		} else {
-			right = append(right, r)
+			spare = append(spare, r)
 		}
 	}
-	return left, right
+	copy(rows[k:], spare)
+	return rows[:k:k], rows[k:]
 }
