@@ -144,7 +144,7 @@ func (tol Tolerances) ResolveRanges(schema Schema, ranges []float64) (Tolerances
 				return nil, fmt.Errorf("table: attribute %q has categorical tolerance %g > 1", attr.Name, e.Value)
 			}
 			for class, p := range e.PerClass {
-				if p < 0 || p > 1 {
+				if !(p >= 0 && p <= 1) { // also refuses NaN
 					return nil, fmt.Errorf("table: attribute %q class %q has tolerance %g outside [0, 1]", attr.Name, class, p)
 				}
 			}

@@ -2,6 +2,7 @@ package spartan
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/datagen"
@@ -47,6 +48,18 @@ func TestPerClassValidation(t *testing.T) {
 	bad[empIdx].PerClass = map[string]float64{"fulltime": 1.5}
 	if _, _, err := compressBytes(tb, Options{Tolerances: bad}); err == nil {
 		t.Error("accepted per-class tolerance > 1")
+	}
+
+	// A NaN per-class override is refused before anything is written: a
+	// table whose segment frames outgrow the writer's buffer shows it.
+	big := datagen.Census(4000, 31)
+	nan := UniformTolerances(big, 0.02, 0.1)
+	nan[empIdx].PerClass = map[string]float64{"fulltime": math.NaN()}
+	if _, err := nan.Resolve(big); err == nil {
+		t.Error("Resolve accepted a NaN per-class tolerance")
+	}
+	if data, _, err := compressBytes(big, Options{Tolerances: nan}); err == nil || len(data) != 0 {
+		t.Errorf("Compress with a NaN per-class tolerance wrote %d bytes and returned %v", len(data), err)
 	}
 
 	// Per-class override on a numeric attribute.
