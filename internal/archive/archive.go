@@ -40,8 +40,7 @@ type Writer struct {
 	// built when a block first needs recoding.
 	dicts  [][]string
 	index  []map[string]int32
-	block  codec.Breakdown // the model block's bytes, set by Close
-	err    error           // Close's result
+	err    error // Close's result
 	closed bool
 }
 
@@ -82,26 +81,20 @@ func (aw *Writer) WriteBlock(t *table.Table) (*core.Stats, error) {
 		return nil, err // nothing reached the stream; the writer stays usable
 	}
 	if aw.model == nil {
-		aw.setModel(m)
+		// The learn input's dictionaries become the archive dictionaries,
+		// clipped so appending new values never writes into them.
+		aw.model = m
+		aw.dicts = make([][]string, len(m.Block().Dicts))
+		for c, d := range m.Block().Dicts {
+			aw.dicts[c] = slices.Clip(d)
+		}
+		aw.index = make([]map[string]int32, len(aw.dicts))
 		m.AddLearnStats(res.stats)
 	}
 	if err := aw.cw.WriteSegment(res.body, res.rows, res.zones); err != nil {
 		return nil, err
 	}
 	return res.stats, nil
-}
-
-// setModel makes m the archive's model and its learn input's
-// dictionaries the archive dictionaries.
-func (aw *Writer) setModel(m *core.Model) {
-	aw.model = m
-	aw.dicts = make([][]string, len(m.Block().Dicts))
-	for c, d := range m.Block().Dicts {
-		// Clipped, so appending new values never writes into the learn
-		// input's dictionary.
-		aw.dicts[c] = slices.Clip(d)
-	}
-	aw.index = make([]map[string]int32, len(aw.dicts))
 }
 
 // remap returns t with every categorical column coded against the
@@ -155,7 +148,7 @@ func (aw *Writer) Close() error {
 			final.Dicts = aw.dicts
 			mb = &final
 		}
-		aw.block, aw.err = aw.cw.Close(mb)
+		_, aw.err = aw.cw.Close(mb)
 	}
 	return aw.err
 }

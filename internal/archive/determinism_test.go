@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -50,21 +51,30 @@ func TestDoubleCompressByteIdentity(t *testing.T) {
 
 // TestCompressIsOneSegmentArchive: core.Compress writes exactly the
 // bytes of a WriteTable archive whose one segment holds every row,
-// lossless and lossy.
+// lossless and lossy, and reports that archive's totals: every Stats
+// field but the timings.
 func TestCompressIsOneSegmentArchive(t *testing.T) {
 	for name, tb := range map[string]*table.Table{"cdr": datagen.CDR(3000, 7), "census": datagen.Census(3000, 7)} {
 		for _, tol := range []float64{0, 0.01} {
 			opts := core.Options{Tolerances: table.UniformTolerances(tb, tol, 0)}
 			var single, arch bytes.Buffer
-			if _, err := core.Compress(&single, tb, opts); err != nil {
+			st, err := core.Compress(&single, tb, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := WriteTable(&arch, tb, opts, SegmentOptions{SegmentRows: tb.NumRows()}); err != nil {
+			ts, err := WriteTable(&arch, tb, opts, SegmentOptions{SegmentRows: tb.NumRows()})
+			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(single.Bytes(), arch.Bytes()) {
 				t.Errorf("%s at tolerance %g: core.Compress wrote %d bytes, the one-segment archive %d",
 					name, tol, single.Len(), arch.Len())
+			}
+			got, want := *st, ts.Stats
+			got.Timings, want.Timings = core.Timings{}, core.Timings{}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at tolerance %g: core.Compress reports %+v, the one-segment archive %+v",
+					name, tol, got, want)
 			}
 		}
 	}

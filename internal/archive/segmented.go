@@ -71,14 +71,16 @@ func WriteTable(w io.Writer, t *table.Table, opts core.Options, seg SegmentOptio
 // WriteTableContext is the one writer of a whole table: it learns the
 // archive's models on all of t, then splits t into row segments and
 // applies the models to them concurrently (bounded by seg.Workers),
-// writing frames in segment order. A table with no rows gets one empty
-// segment. Output bytes are deterministic: segments compress through the
-// same compressSegment as WriteBlock calls, so any worker count —
-// including 1 — produces identical archives, and one segment holding
-// every row produces core.Compress's bytes. The frames are held until
-// every segment is done, then appended in order; they are a fraction of
-// the table, which is already in memory. Cancelling ctx abandons
-// in-flight segments and returns.
+// writing frames in segment order and then the model block. A table with
+// no rows gets one empty segment. Output bytes are deterministic:
+// segments compress through the same compressSegment as WriteBlock
+// calls, so any worker count — including 1 — produces identical
+// archives, and one segment holding every row produces core.Compress's
+// bytes. A whole-table learn sees every categorical value, so the model
+// block needs no dictionary remap and is written as learned. The frames
+// are held until every segment is done, then appended in order; they are
+// a fraction of the table, which is already in memory. Cancelling ctx
+// abandons in-flight segments and returns.
 func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts core.Options, seg SegmentOptions) (*TableStats, error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("archive: nil or empty table")
@@ -90,16 +92,10 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 	}
 	nseg := max((rows+size-1)/size, 1)
 
-	aw, err := NewWriter(w, opts)
-	if err != nil {
-		return nil, err
-	}
 	m, err := core.Learn(ctx, t, opts)
 	if err != nil {
 		return nil, err
 	}
-	aw.setModel(m)
-
 	results := make([]segResult, nseg)
 	err = par.ForEach(ctx, nseg, seg.Workers, func(ctx context.Context, i int) error {
 		var err error
@@ -112,20 +108,22 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
+	cw := codec.NewWriter(w)
 	for _, res := range results {
-		if err := aw.cw.WriteSegment(res.body, res.rows, res.zones); err != nil {
+		if err := cw.WriteSegment(res.body, res.rows, res.zones); err != nil {
 			return nil, err
 		}
 	}
-	if err := aw.Close(); err != nil {
+	block, err := cw.Close(m.Block())
+	if err != nil {
 		return nil, err
 	}
 
 	first := results[0].stats
 	m.AddLearnStats(first)
-	first.HeaderBytes += aw.block.HeaderBytes
-	first.ModelBytes += aw.block.ModelBytes
-	first.CompressedBytes += aw.block.Total()
+	first.HeaderBytes += block.HeaderBytes
+	first.ModelBytes += block.ModelBytes
+	first.CompressedBytes += block.Total()
 	first.Ratio = ratio(first.CompressedBytes, first.RawBytes)
 	stats := &TableStats{Segments: nseg, Rows: rows}
 	total := &stats.Stats
@@ -142,7 +140,7 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 		total.Timings.Encode += st.Timings.Encode
 	}
 	total.RawBytes = t.RawSizeBytes()
-	total.CompressedBytes = int(aw.cw.Size())
+	total.CompressedBytes = int(cw.Size())
 	total.HeaderBytes = total.CompressedBytes - total.ModelBytes - total.TPrimeBytes
 	total.Ratio = ratio(total.CompressedBytes, total.RawBytes)
 	return stats, nil

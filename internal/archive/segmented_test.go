@@ -406,21 +406,17 @@ func learnBody(t *testing.T, tb *table.Table) (*core.Model, []byte) {
 }
 
 // singleFrameArchive writes a one-segment archive with model m whose
-// frame and footer row count are given verbatim, through the writer's
+// frame and footer row count are given verbatim, through the container's
 // own framing, model-block and footer code, so tests can plant exactly
 // one inconsistency.
 func singleFrameArchive(t *testing.T, m *core.Model, tb *table.Table, frame []byte, rows int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	aw, err := NewWriter(&buf, core.Options{})
-	if err != nil {
+	cw := codec.NewWriter(&buf)
+	if err := cw.WriteSegment(frame, rows, codec.ComputeZones(tb, nil)); err != nil {
 		t.Fatal(err)
 	}
-	aw.setModel(m)
-	if err := aw.cw.WriteSegment(frame, rows, codec.ComputeZones(tb, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := aw.Close(); err != nil {
+	if _, err := cw.Close(m.Block()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

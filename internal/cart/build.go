@@ -60,9 +60,9 @@ func (c Config) withDefaults(sampleRows int) Config {
 // the full table). tol is the resolved error tolerance of the target
 // (absolute bound for numeric targets, misclassification probability for
 // categorical ones); a negative or non-finite tol is refused. The returned
-// model has no outliers yet; call (*Model).ComputeOutliers against the
-// full table before measuring PredCost precisely. Build itself returns a
-// cost estimate based on sample-scaled outlier counts.
+// model is the tree alone; (*Model).ComputeOutliers finds a table's
+// outliers against it. Build itself returns a cost estimate based on
+// sample-scaled outlier counts.
 //
 // cands must not contain target; an empty cands yields an error (the
 // selector assigns infinite prediction cost to such attributes). Growth

@@ -3,8 +3,7 @@
 //
 // A Model predicts one target attribute from a set of predictor attributes.
 // Trees are built on a sample, then "applied" to the full table where every
-// row violating the target's error tolerance is recorded as an exact
-// outlier. The storage cost of a model (tree bits + outlier bits) is what
+// row violating the target's error tolerance becomes an exact outlier. The storage cost of a model (tree bits + outlier bits) is what
 // the CaRTSelector trades against the cost of materializing the column.
 //
 // Regression and classification trees share one grower (build.go): they
@@ -181,15 +180,14 @@ type Outlier struct {
 	Code int32   // exact code (classification targets)
 }
 
-// Model is a CaRT predictor 𝒳ᵢ → Xᵢ for a single target attribute.
+// Model is a CaRT predictor 𝒳ᵢ → Xᵢ for a single target attribute. It is
+// only the tree: the outliers of a set of rows are ComputeOutliers's
+// result, and a learned model is never written again, so any number of
+// scans and reconstructions may share it.
 type Model struct {
 	Target     int // target column index
 	TargetKind table.Kind
 	Root       *Node
-	// Outliers lists full-table rows stored exactly. For numeric targets it
-	// contains every row violating the absolute bound; for categorical
-	// targets it contains misclassified rows beyond the probability budget.
-	Outliers []Outlier
 }
 
 // UsedPredictors returns the sorted set of attribute indices that actually

@@ -53,8 +53,8 @@ const (
 
 // modelValues counts the "values" stored by a model the way Example 1.1 of
 // the paper counts them: tree nodes (labels + split values) plus outliers.
-func modelValues(m *Model) int {
-	return m.NumNodes() + len(m.Outliers)
+func modelValues(m *Model, outliers []Outlier) int {
+	return m.NumNodes() + len(outliers)
 }
 
 // TestPaperExample11Classification mirrors Figure 1(b): predicting credit
@@ -68,15 +68,16 @@ func TestPaperExample11Classification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ComputeOutliers(context.Background(), tb, 0, nil); err != nil {
+	outliers, err := m.ComputeOutliers(context.Background(), tb, 0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := modelValues(m); got > 4 {
+	if got := modelValues(m, outliers); got > 4 {
 		t.Errorf("credit model stores %d values, paper achieves 4\n%s", got, m)
 	}
 	// Reconstruction must be exact (tolerance 0 means all misclassified
 	// rows are stored).
-	rec := reconstruct(m, tb)
+	rec := reconstruct(m, tb, outliers)
 	for r := 0; r < tb.NumRows(); r++ {
 		if rec.Codes[r] != tb.Col(colCredit).Codes[r] {
 			t.Errorf("row %d: reconstructed credit %d != %d",
@@ -96,14 +97,15 @@ func TestPaperExample11Regression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ComputeOutliers(context.Background(), tb, 25000, nil); err != nil {
+	outliers, err := m.ComputeOutliers(context.Background(), tb, 25000, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := modelValues(m); got > 6 {
+	if got := modelValues(m, outliers); got > 6 {
 		t.Errorf("assets model stores %d values, paper achieves 6\n%s", got, m)
 	}
 	// Every reconstructed value is within tolerance.
-	rec := reconstruct(m, tb)
+	rec := reconstruct(m, tb, outliers)
 	for r := 0; r < tb.NumRows(); r++ {
 		if d := math.Abs(rec.Floats[r] - tb.Float(r, colAssets)); d > 25000 {
 			t.Errorf("row %d: |err| = %g > 25000", r, d)
@@ -183,10 +185,11 @@ func correlatedTable(rng *rand.Rand, n int) *table.Table {
 // mismatches at most ⌊tol·n⌋ rows of a categorical one.
 func guaranteeHolds(t *testing.T, m *Model, tb *table.Table, tol float64) bool {
 	t.Helper()
-	if err := m.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
+	outliers, err := m.ComputeOutliers(context.Background(), tb, tol, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec := reconstruct(m, tb)
+	rec := reconstruct(m, tb, outliers)
 	if m.TargetKind == table.Numeric {
 		for r := 0; r < tb.NumRows(); r++ {
 			if math.Abs(rec.Floats[r]-tb.Float(r, m.Target)) > tol {
@@ -214,10 +217,11 @@ func TestRegressionErrorGuaranteeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := m.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
+		outliers, err := m.ComputeOutliers(context.Background(), tb, tol, nil)
+		if err != nil {
 			return false
 		}
-		rec := reconstruct(m, tb)
+		rec := reconstruct(m, tb, outliers)
 		for r := 0; r < tb.NumRows(); r++ {
 			if math.Abs(rec.Floats[r]-tb.Float(r, 1)) > tol+1e-9 {
 				return false
@@ -240,10 +244,11 @@ func TestClassificationErrorGuaranteeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := m.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
+		outliers, err := m.ComputeOutliers(context.Background(), tb, tol, nil)
+		if err != nil {
 			return false
 		}
-		rec := reconstruct(m, tb)
+		rec := reconstruct(m, tb, outliers)
 		wrong := 0
 		for r := 0; r < tb.NumRows(); r++ {
 			if rec.Codes[r] != tb.Col(2).Codes[r] {
@@ -269,17 +274,18 @@ func TestSampleBuildFullApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ComputeOutliers(context.Background(), full, tol, nil); err != nil {
+	outliers, err := m.ComputeOutliers(context.Background(), full, tol, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec := reconstruct(m, full)
+	rec := reconstruct(m, full, outliers)
 	for r := 0; r < full.NumRows(); r++ {
 		if math.Abs(rec.Floats[r]-full.Float(r, 1)) > tol {
 			t.Fatalf("row %d violates tolerance after outlier pass", r)
 		}
 	}
 	// The strong x→y correlation means few outliers.
-	if frac := float64(len(m.Outliers)) / float64(full.NumRows()); frac > 0.1 {
+	if frac := float64(len(outliers)) / float64(full.NumRows()); frac > 0.1 {
 		t.Errorf("outlier fraction %.2f unexpectedly high", frac)
 	}
 }
@@ -330,11 +336,12 @@ func TestCategoricalPredictorSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ComputeOutliers(context.Background(), tb, 1, nil); err != nil {
+	outliers, err := m.ComputeOutliers(context.Background(), tb, 1, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Outliers) != 0 {
-		t.Errorf("outliers = %d, want 0:\n%s", len(m.Outliers), m)
+	if len(outliers) != 0 {
+		t.Errorf("outliers = %d, want 0:\n%s", len(outliers), m)
 	}
 	if m.NumLeaves() != 4 {
 		t.Errorf("leaves = %d, want 4 (one per region)", m.NumLeaves())
@@ -349,10 +356,11 @@ func TestLosslessToleranceZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ComputeOutliers(context.Background(), tb, 0, nil); err != nil {
+	outliers, err := m.ComputeOutliers(context.Background(), tb, 0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec := reconstruct(m, tb)
+	rec := reconstruct(m, tb, outliers)
 	for r := 0; r < tb.NumRows(); r++ {
 		if !floats.SameBits(rec.Floats[r], tb.Float(r, 1)) {
 			t.Fatalf("lossless reconstruction differs at row %d", r)
@@ -467,14 +475,15 @@ func TestModelEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
+		outliers, err := m.ComputeOutliers(context.Background(), tb, tol, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		if err := m.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := EncodeOutliers(&buf, m.TargetKind, m.Outliers); err != nil {
+		if err := EncodeOutliers(&buf, m.TargetKind, outliers); err != nil {
 			t.Fatal(err)
 		}
 		got, err := DecodeModel(&buf)
@@ -484,12 +493,12 @@ func TestModelEncodeDecodeRoundTrip(t *testing.T) {
 		if got.Target != m.Target || got.TargetKind != m.TargetKind {
 			t.Fatalf("decoded header mismatch: %+v vs %+v", got, m)
 		}
-		outliers, err := DecodeOutliers(&buf, m.TargetKind, tb.NumRows(), len(tb.Col(m.Target).Dict))
+		decoded, err := DecodeOutliers(&buf, m.TargetKind, tb.NumRows(), len(tb.Col(m.Target).Dict))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(outliers, m.Outliers) {
-			t.Fatalf("outliers %v, want %v", outliers, m.Outliers)
+		if !slices.Equal(decoded, outliers) {
+			t.Fatalf("outliers %v, want %v", decoded, outliers)
 		}
 		// Predictions must agree row by row.
 		for r := 0; r < tb.NumRows(); r++ {
@@ -655,13 +664,8 @@ func TestDecodeModelRejectsHostileWireValues(t *testing.T) {
 }
 
 func TestEncodeRejectsUnorderedOutliers(t *testing.T) {
-	m := &Model{
-		Target:     0,
-		TargetKind: table.Numeric,
-		Root:       &Node{Leaf: true, NumValue: 1},
-		Outliers:   []Outlier{{Row: 5, Num: 1}, {Row: 2, Num: 2}},
-	}
-	if err := EncodeOutliers(&bytes.Buffer{}, m.TargetKind, m.Outliers); err == nil {
+	outliers := []Outlier{{Row: 5, Num: 1}, {Row: 2, Num: 2}}
+	if err := EncodeOutliers(&bytes.Buffer{}, table.Numeric, outliers); err == nil {
 		t.Error("EncodeOutliers accepted out-of-order outliers")
 	}
 }
@@ -701,8 +705,8 @@ func TestCostModel(t *testing.T) {
 	}
 	m := &Model{Target: colAge, TargetKind: table.Numeric,
 		Root: &Node{Leaf: true, NumValue: 1}}
-	if got := cm.PredCost(m); !floats.SameBits(got, cm.LeafBits(colAge)) {
-		t.Errorf("PredCost(single leaf) = %g, want %g", got, cm.LeafBits(colAge))
+	if got := cm.ModelTreeBits(m); !floats.SameBits(got, cm.LeafBits(colAge)) {
+		t.Errorf("ModelTreeBits(single leaf) = %g, want %g", got, cm.LeafBits(colAge))
 	}
 }
 

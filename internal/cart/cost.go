@@ -101,10 +101,3 @@ func (cm *CostModel) ModelTreeBits(m *Model) float64 {
 	}
 	return walk(m.Root)
 }
-
-// PredCost returns the full prediction cost of a model: tree bits plus
-// outlier storage (paper: PredCost(𝒳ᵢ→Xᵢ), excluding predictor
-// materialization).
-func (cm *CostModel) PredCost(m *Model) float64 {
-	return cm.ModelTreeBits(m) + float64(len(m.Outliers))*cm.OutlierBits(m.Target)
-}

@@ -42,14 +42,15 @@ func TestEncodePropagatesWriteErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
+		outliers, err := m.ComputeOutliers(context.Background(), tb, tol, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		// Learn each stream's size, then sweep failure points inside it;
 		// every write must surface the error.
 		for name, encode := range map[string]func(w *failAfter) error{
 			"Encode":         func(w *failAfter) error { return m.Encode(w) },
-			"EncodeOutliers": func(w *failAfter) error { return EncodeOutliers(w, m.TargetKind, m.Outliers) },
+			"EncodeOutliers": func(w *failAfter) error { return EncodeOutliers(w, m.TargetKind, outliers) },
 		} {
 			probe := failAfter{n: 1 << 30}
 			if err := encode(&probe); err != nil {

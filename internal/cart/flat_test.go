@@ -26,8 +26,9 @@ func predictRef(m *Model, t *table.Table, r int) (float64, int32) {
 	return n.NumValue, n.CatValue
 }
 
-// reconstruct runs m.Reconstruct over tb into a fresh target column.
-func reconstruct(m *Model, tb *table.Table) *table.Column {
+// reconstruct runs m.Reconstruct over tb, patching in outliers, into a
+// fresh target column.
+func reconstruct(m *Model, tb *table.Table, outliers []Outlier) *table.Column {
 	cols := columns(tb)
 	out := &table.Column{Kind: m.TargetKind, Dict: tb.Col(m.Target).Dict}
 	if m.TargetKind == table.Numeric {
@@ -36,7 +37,7 @@ func reconstruct(m *Model, tb *table.Table) *table.Column {
 		out.Codes = make([]int32, tb.NumRows())
 	}
 	cols[m.Target] = out
-	m.Reconstruct(cols)
+	m.Reconstruct(cols, outliers)
 	return out
 }
 
@@ -195,7 +196,7 @@ func TestHugeSplitCodesStayLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec = reconstruct(m, tb)
+		rec = reconstruct(m, tb, nil)
 	})
 	for r, v := range rec.Floats {
 		if !floats.SameBits(v, 1) {

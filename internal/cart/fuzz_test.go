@@ -22,14 +22,15 @@ func FuzzDecodeModel(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := m.ComputeOutliers(context.Background(), tb, 2, nil); err != nil {
+	outliers, err := m.ComputeOutliers(context.Background(), tb, 2, nil)
+	if err != nil {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := m.Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
-	if err := EncodeOutliers(&buf, m.TargetKind, m.Outliers); err != nil {
+	if err := EncodeOutliers(&buf, m.TargetKind, outliers); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()

@@ -13,8 +13,9 @@ import (
 // millisecond of work.
 const scanBatchRows = 4096
 
-// ComputeOutliers runs the model over the full table and records every row
-// whose prediction violates the target's tolerance.
+// ComputeOutliers runs the model over the full table and returns every row
+// whose prediction violates the target's tolerance, in row order. It only
+// reads the model, so any number of scans may share one tree.
 //
 // For numeric targets the bound is per-row, so every violating row is
 // stored exactly. For categorical targets the bound is a probability: up
@@ -30,38 +31,37 @@ const scanBatchRows = 4096
 // The table passed here must use the same schema (and, for categorical
 // columns, the same dictionaries) as the sample the model was built on.
 // The scan checks ctx between row batches (scanBatchRows rows each) and
-// returns the wrapped context error, leaving the model's outlier list in
-// an unspecified but safe state.
-func (m *Model) ComputeOutliers(ctx context.Context, full *table.Table, tol float64, perClass map[int32]float64) error {
-	m.Outliers = m.Outliers[:0]
+// returns the wrapped context error.
+func (m *Model) ComputeOutliers(ctx context.Context, full *table.Table, tol float64, perClass map[int32]float64) ([]Outlier, error) {
+	var out []Outlier
 	f := m.flatten(columns(full))
 	switch m.TargetKind {
 	case table.Numeric:
 		col := full.Col(m.Target)
 		if col.Kind != table.Numeric {
-			return fmt.Errorf("cart: model target %d is numeric, table column is not", m.Target)
+			return nil, fmt.Errorf("cart: model target %d is numeric, table column is not", m.Target)
 		}
 		for base := 0; base < full.NumRows(); base += scanBatchRows {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("cart: outlier scan: %w", err)
+				return nil, fmt.Errorf("cart: outlier scan: %w", err)
 			}
 			for r, end := base, minRow(base+scanBatchRows, full.NumRows()); r < end; r++ {
 				pred, _ := f.predict(r)
 				actual := col.Floats[r]
 				if diff := actual - pred; diff > tol || diff < -tol {
-					m.Outliers = append(m.Outliers, Outlier{Row: r, Num: actual})
+					out = append(out, Outlier{Row: r, Num: actual})
 				}
 			}
 		}
 	case table.Categorical:
 		col := full.Col(m.Target)
 		if col.Kind != table.Categorical {
-			return fmt.Errorf("cart: model target %d is categorical, table column is not", m.Target)
+			return nil, fmt.Errorf("cart: model target %d is categorical, table column is not", m.Target)
 		}
 		var wrong []Outlier
 		for base := 0; base < full.NumRows(); base += scanBatchRows {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("cart: outlier scan: %w", err)
+				return nil, fmt.Errorf("cart: outlier scan: %w", err)
 			}
 			for r, end := base, minRow(base+scanBatchRows, full.NumRows()); r < end; r++ {
 				_, pred := f.predict(r)
@@ -75,8 +75,7 @@ func (m *Model) ComputeOutliers(ctx context.Context, full *table.Table, tol floa
 			if allowance > len(wrong) {
 				allowance = len(wrong)
 			}
-			m.Outliers = append(m.Outliers, wrong[allowance:]...)
-			return nil
+			return wrong[allowance:], nil
 		}
 		// Per-class budgets: allowance_c = ⌊e_c · |rows with class c|⌋.
 		classCount := map[int32]int{}
@@ -96,10 +95,10 @@ func (m *Model) ComputeOutliers(ctx context.Context, full *table.Table, tol floa
 				allowanceLeft[o.Code]--
 				continue
 			}
-			m.Outliers = append(m.Outliers, o)
+			out = append(out, o)
 		}
 	}
-	return nil
+	return out, nil
 }
 
 func minRow(a, b int) int {
@@ -146,16 +145,17 @@ func (m *Model) CountViolations(t *table.Table, tol float64) int {
 
 // Reconstruct fills the model's target column, cols[m.Target], with its
 // predictions over the predictor columns in cols (a table's columns by
-// attribute index) and patches in its outliers. The caller allocates the
-// target column with the table's row count.
-func (m *Model) Reconstruct(cols []*table.Column) {
+// attribute index) and patches in outliers, the rows those predictions
+// missed. The caller allocates the target column with the table's row
+// count.
+func (m *Model) Reconstruct(cols []*table.Column, outliers []Outlier) {
 	f := m.flatten(cols)
 	out := cols[m.Target]
 	if m.TargetKind == table.Numeric {
 		for r := range out.Floats {
 			out.Floats[r], _ = f.predict(r)
 		}
-		for _, o := range m.Outliers {
+		for _, o := range outliers {
 			out.Floats[o.Row] = o.Num
 		}
 		return
@@ -163,7 +163,7 @@ func (m *Model) Reconstruct(cols []*table.Column) {
 	for r := range out.Codes {
 		_, out.Codes[r] = f.predict(r)
 	}
-	for _, o := range m.Outliers {
+	for _, o := range outliers {
 		out.Codes[o.Row] = o.Code
 	}
 }

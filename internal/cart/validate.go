@@ -8,8 +8,8 @@ import (
 
 // ValidateStructure checks a (typically freshly decoded) model against a
 // schema: every split attribute must be in range, satisfy `usable` (e.g.
-// be materialized), and match the split form's kind; categorical leaf,
-// split-set and outlier codes must fit the corresponding dictionaries.
+// be materialized), and match the split form's kind; categorical leaf and
+// split-set codes must fit the corresponding dictionaries.
 // This is what makes running an untrusted model safe.
 func (m *Model) ValidateStructure(schema table.Schema, dictSizes []int, usable func(int) bool) error {
 	if m.Target < 0 || m.Target >= len(schema) {
@@ -52,15 +52,5 @@ func (m *Model) ValidateStructure(schema table.Schema, dictSizes []int, usable f
 		}
 		return walk(n.Right)
 	}
-	if err := walk(m.Root); err != nil {
-		return err
-	}
-	if m.TargetKind == table.Categorical {
-		for _, o := range m.Outliers {
-			if o.Code < 0 || int(o.Code) >= dictSizes[m.Target] {
-				return fmt.Errorf("cart: outlier code %d outside dictionary of attribute %d", o.Code, m.Target)
-			}
-		}
-	}
-	return nil
+	return walk(m.Root)
 }

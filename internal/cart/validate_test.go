@@ -27,7 +27,7 @@ func TestValidateStructureAccepts(t *testing.T) {
 			Left:  &Node{Leaf: true, CatValue: 0},
 			Right: &Node{Leaf: true, CatValue: 1}},
 		Right: &Node{Leaf: true, CatValue: 1},
-	}, Outliers: []Outlier{{Row: 3, Code: 1}}}
+	}}
 	if err := m.ValidateStructure(schema, dicts, allMat); err != nil {
 		t.Errorf("valid model rejected: %v", err)
 	}
@@ -61,9 +61,6 @@ func TestValidateStructureRejects(t *testing.T) {
 				Left: leaf(0), Right: leaf(1)}}, allMat},
 		{"leaf code outside dictionary",
 			&Model{Target: 3, TargetKind: table.Categorical, Root: leaf(9)}, allMat},
-		{"outlier code outside dictionary",
-			&Model{Target: 3, TargetKind: table.Categorical, Root: leaf(0),
-				Outliers: []Outlier{{Row: 1, Code: 5}}}, allMat},
 		{"nil child",
 			&Model{Target: 1, TargetKind: table.Numeric, Root: &Node{
 				SplitAttr: 0, Left: &Node{Leaf: true}}}, allMat},

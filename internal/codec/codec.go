@@ -63,16 +63,16 @@ type ModelBlock struct {
 	// Materialized lists the materialized attributes in ascending order.
 	Materialized []int
 	// Models holds one CaRT per predicted attribute, in ascending target
-	// order. Only the trees belong to the block; outliers belong to
-	// bodies, so these models carry none.
+	// order. A body's outliers are its own, listed in the same order, so
+	// every body of the block reads these trees and none writes them.
 	Models []*cart.Model
 }
 
 // NewModelBlock checks a compression plan against src and returns its
 // model block: src's schema and dictionaries, all-zero (lossless)
-// tolerances, the materialized attributes and the models' trees. models
-// must have distinct targets, all outside materialized, and their
-// predictors inside it.
+// tolerances, the materialized attributes and models, sorted by target
+// and shared, not copied. models must have distinct targets, all outside
+// materialized, and their predictors inside it.
 func NewModelBlock(src *table.Table, materialized []int, models []*cart.Model) (*ModelBlock, error) {
 	if err := validatePlan(src, materialized, models); err != nil {
 		return nil, err
@@ -82,22 +82,11 @@ func NewModelBlock(src *table.Table, materialized []int, models []*cart.Model) (
 		Dicts:        src.Dicts(),
 		Tolerances:   table.ZeroTolerances(src),
 		Materialized: slices.Clone(materialized),
+		Models:       slices.Clone(models),
 	}
 	sort.Ints(mb.Materialized)
-	for _, m := range sortedByTarget(models) {
-		tree := *m
-		tree.Outliers = nil
-		mb.Models = append(mb.Models, &tree)
-	}
+	slices.SortFunc(mb.Models, func(a, b *cart.Model) int { return a.Target - b.Target })
 	return mb, nil
-}
-
-// sortedByTarget returns the models in ascending target order, the order
-// of a model block and of a body's outlier lists.
-func sortedByTarget(models []*cart.Model) []*cart.Model {
-	out := slices.Clone(models)
-	slices.SortFunc(out, func(a, b *cart.Model) int { return a.Target - b.Target })
-	return out
 }
 
 // Encode writes the model block: the byte length and CRC-32 of its
@@ -582,9 +571,7 @@ func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits, cols []bool) (*ta
 		run = append(run, i)
 	}
 	err = par.ForEach(context.Background(), len(run), 0, func(_ context.Context, k int) error {
-		m := *mb.Models[run[k]]
-		m.Outliers = outliers[run[k]]
-		m.Reconstruct(full)
+		mb.Models[run[k]].Reconstruct(full, outliers[run[k]])
 		return nil
 	})
 	if err != nil {

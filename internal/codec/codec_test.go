@@ -34,45 +34,54 @@ func testTable(rng *rand.Rand, n int) *table.Table {
 }
 
 // buildPlan constructs models for y (regression, tol) and c
-// (classification, exact) from x, materializing x and junk.
-func buildPlan(t *testing.T, tb *table.Table, tol float64) (mats []int, models []*cart.Model) {
+// (classification, exact) from x, materializing x and junk. tols maps
+// each model's target to its tolerance.
+func buildPlan(t *testing.T, tb *table.Table, tol float64) (mats []int, models []*cart.Model, tols map[int]float64) {
 	t.Helper()
-	mats, models, err := buildPlanErr(tb, tol)
+	mats, models, tols, err := buildPlanErr(tb, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mats, models
+	return mats, models, tols
 }
 
-func buildPlanErr(tb *table.Table, tol float64) ([]int, []*cart.Model, error) {
+func buildPlanErr(tb *table.Table, tol float64) ([]int, []*cart.Model, map[int]float64, error) {
 	cm := cart.NewCostModel(tb)
 	my, _, err := cart.Build(context.Background(), tb, 1, []int{0}, tol, cm, cart.Config{})
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := my.ComputeOutliers(context.Background(), tb, tol, nil); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	mc, _, err := cart.Build(context.Background(), tb, 2, []int{0}, 0, cm, cart.Config{})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if err := mc.ComputeOutliers(context.Background(), tb, 0, nil); err != nil {
-		return nil, nil, err
-	}
-	return []int{0, 3}, []*cart.Model{my, mc}, nil
+	return []int{0, 3}, []*cart.Model{my, mc}, map[int]float64{1: tol, 2: 0}, nil
 }
 
-// encode writes a one-segment container for src under a plan whose
-// models carry their outliers. The breakdown covers every byte written.
-func encode(w io.Writer, src *table.Table, materialized []int, models []*cart.Model) (Breakdown, error) {
+// scanOutliers returns the outliers of src against each of models, in
+// their order, each under the tolerance tols gives its target.
+func scanOutliers(src *table.Table, models []*cart.Model, tols map[int]float64) ([][]cart.Outlier, error) {
+	outliers := make([][]cart.Outlier, len(models))
+	for i, m := range models {
+		var err error
+		if outliers[i], err = m.ComputeOutliers(context.Background(), src, tols[m.Target], nil); err != nil {
+			return nil, err
+		}
+	}
+	return outliers, nil
+}
+
+// encode writes a one-segment container for src under a plan, each
+// model's outliers found under the tolerance tols gives its target. The
+// breakdown covers every byte written.
+func encode(w io.Writer, src *table.Table, materialized []int, models []*cart.Model, tols map[int]float64) (Breakdown, error) {
 	mb, err := NewModelBlock(src, materialized, models)
 	if err != nil {
 		return Breakdown{}, err
 	}
-	outliers := make([][]cart.Outlier, 0, len(models))
-	for _, m := range sortedByTarget(models) {
-		outliers = append(outliers, m.Outliers)
+	outliers, err := scanOutliers(src, mb.Models, tols)
+	if err != nil {
+		return Breakdown{}, err
 	}
 	var body bytes.Buffer
 	bd, err := mb.EncodeBody(&body, src, outliers)
@@ -93,10 +102,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tb := testTable(rng, 1000)
 	tol := 10.0
-	mats, models := buildPlan(t, tb, tol)
+	mats, models, tols := buildPlan(t, tb, tol)
 
 	var buf bytes.Buffer
-	bd, err := encode(&buf, tb, mats, models)
+	bd, err := encode(&buf, tb, mats, models, tols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +138,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestLosslessRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tb := testTable(rng, 500)
-	mats, models := buildPlan(t, tb, 0)
+	mats, models, tols := buildPlan(t, tb, 0)
 	var buf bytes.Buffer
-	if _, err := encode(&buf, tb, mats, models); err != nil {
+	if _, err := encode(&buf, tb, mats, models, tols); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Decode(&buf)
@@ -146,9 +155,9 @@ func TestLosslessRoundTrip(t *testing.T) {
 func TestBreakdownSections(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tb := testTable(rng, 800)
-	mats, models := buildPlan(t, tb, 10)
+	mats, models, tols := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
-	bd, err := encode(&buf, tb, mats, models)
+	bd, err := encode(&buf, tb, mats, models, tols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,22 +174,22 @@ func TestBreakdownSections(t *testing.T) {
 func TestValidatePlanErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tb := testTable(rng, 100)
-	_, models := buildPlan(t, tb, 10)
+	_, models, tols := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
 
-	if _, err := encode(&buf, tb, []int{0, 0, 3}, models[:1]); err == nil {
+	if _, err := encode(&buf, tb, []int{0, 0, 3}, models[:1], tols); err == nil {
 		t.Error("NewModelBlock accepted duplicate materialized attribute")
 	}
-	if _, err := encode(&buf, tb, []int{0, 99}, models); err == nil {
+	if _, err := encode(&buf, tb, []int{0, 99}, models, tols); err == nil {
 		t.Error("NewModelBlock accepted out-of-range materialized attribute")
 	}
-	if _, err := encode(&buf, tb, []int{0, 1, 3}, models); err == nil {
+	if _, err := encode(&buf, tb, []int{0, 1, 3}, models, tols); err == nil {
 		t.Error("NewModelBlock accepted attribute both materialized and predicted")
 	}
-	if _, err := encode(&buf, tb, []int{0, 3}, models[:1]); err == nil {
+	if _, err := encode(&buf, tb, []int{0, 3}, models[:1], tols); err == nil {
 		t.Error("NewModelBlock accepted incomplete partition")
 	}
-	if _, err := encode(&buf, tb, []int{0, 3}, []*cart.Model{models[0], models[0]}); err == nil {
+	if _, err := encode(&buf, tb, []int{0, 3}, []*cart.Model{models[0], models[0]}, tols); err == nil {
 		t.Error("NewModelBlock accepted duplicate model targets")
 	}
 	// Model using a non-materialized predictor.
@@ -189,7 +198,7 @@ func TestValidatePlanErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := encode(&buf, tb, []int{2, 3}, []*cart.Model{bad, mustModel(t, tb, cm, 0)}); err == nil {
+	if _, err := encode(&buf, tb, []int{2, 3}, []*cart.Model{bad, mustModel(t, tb, cm, 0)}, tols); err == nil {
 		t.Error("NewModelBlock accepted model with non-materialized predictor")
 	}
 }
@@ -206,9 +215,9 @@ func mustModel(t *testing.T, tb *table.Table, cm *cart.CostModel, target int) *c
 func TestDecodeRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tb := testTable(rng, 200)
-	mats, models := buildPlan(t, tb, 10)
+	mats, models, tols := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
-	if _, err := encode(&buf, tb, mats, models); err != nil {
+	if _, err := encode(&buf, tb, mats, models, tols); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -251,25 +260,16 @@ func TestAllPredictedExceptOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := my.ComputeOutliers(context.Background(), tb, tolY, nil); err != nil {
-		t.Fatal(err)
-	}
 	mc, _, err := cart.Build(context.Background(), tb, 2, []int{0}, 0, cm, cart.Config{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mc.ComputeOutliers(context.Background(), tb, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	mj, _, err := cart.Build(context.Background(), tb, 3, []int{0}, 1000, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mj.ComputeOutliers(context.Background(), tb, 1000, nil); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if _, err := encode(&buf, tb, []int{0}, []*cart.Model{my, mc, mj}); err != nil {
+	if _, err := encode(&buf, tb, []int{0}, []*cart.Model{my, mc, mj}, map[int]float64{1: tolY, 2: 0, 3: 1000}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Decode(&buf)
@@ -307,9 +307,9 @@ var errBoom = errors.New("boom")
 func TestEncodePropagatesWriteErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tb := testTable(rng, 200)
-	mats, models := buildPlan(t, tb, 10)
+	mats, models, tols := buildPlan(t, tb, 10)
 	for _, cut := range []int{0, 10, 200} {
-		if _, err := encode(&failAfter{n: cut}, tb, mats, models); err == nil {
+		if _, err := encode(&failAfter{n: cut}, tb, mats, models, tols); err == nil {
 			t.Errorf("Encode succeeded with writer failing at %d bytes", cut)
 		}
 	}
@@ -318,9 +318,9 @@ func TestEncodePropagatesWriteErrors(t *testing.T) {
 func TestDecodeDetectsModelCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tb := testTable(rng, 300)
-	mats, models := buildPlan(t, tb, 10)
+	mats, models, tols := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
-	if _, err := encode(&buf, tb, mats, models); err != nil {
+	if _, err := encode(&buf, tb, mats, models, tols); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -353,7 +353,7 @@ func TestBodiesShareModelBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tb := testTable(rng, 600)
 	tol := 10.0
-	mats, models := buildPlan(t, tb, tol)
+	mats, models, tols := buildPlan(t, tb, tol)
 	mb, err := NewModelBlock(tb, mats, models)
 	if err != nil {
 		t.Fatal(err)
@@ -378,13 +378,9 @@ func TestBodiesShareModelBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outliers := make([][]cart.Outlier, 0, len(mb.Models))
-		for _, tree := range mb.Models {
-			m := *tree
-			if err := m.ComputeOutliers(context.Background(), part, map[int]float64{1: tol, 2: 0}[m.Target], nil); err != nil {
-				t.Fatal(err)
-			}
-			outliers = append(outliers, m.Outliers)
+		outliers, err := scanOutliers(part, mb.Models, tols)
+		if err != nil {
+			t.Fatal(err)
 		}
 		var body bytes.Buffer
 		bd, err := mb.EncodeBody(&body, part, outliers)

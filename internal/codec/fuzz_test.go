@@ -2,7 +2,6 @@ package codec
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"testing"
 
@@ -20,9 +19,9 @@ func FuzzDecode(f *testing.F) {
 	// A valid one-segment container plus a few mutations.
 	rng := rand.New(rand.NewSource(1))
 	tb := testTable(rng, 50)
-	mats, models := buildPlanF(f, tb, 10)
+	mats, models, tols := buildPlanF(f, tb, 10)
 	var buf bytes.Buffer
-	if _, err := encode(&buf, tb, mats, models); err != nil {
+	if _, err := encode(&buf, tb, mats, models, tols); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -108,7 +107,7 @@ func FuzzDecode(f *testing.F) {
 func twoSegments(f *testing.F, rng *rand.Rand) []byte {
 	f.Helper()
 	tb := testTable(rng, 600)
-	mats, models := buildPlanF(f, tb, 10)
+	mats, models, tols := buildPlanF(f, tb, 10)
 	mb, err := NewModelBlock(tb, mats, models)
 	if err != nil {
 		f.Fatal(err)
@@ -124,13 +123,9 @@ func twoSegments(f *testing.F, rng *rand.Rand) []byte {
 		if err != nil {
 			f.Fatal(err)
 		}
-		outliers := make([][]cart.Outlier, 0, len(mb.Models))
-		for _, tree := range mb.Models {
-			m := *tree
-			if err := m.ComputeOutliers(context.Background(), part, map[int]float64{1: 10, 2: 0}[m.Target], nil); err != nil {
-				f.Fatal(err)
-			}
-			outliers = append(outliers, m.Outliers)
+		outliers, err := scanOutliers(part, mb.Models, tols)
+		if err != nil {
+			f.Fatal(err)
 		}
 		var body bytes.Buffer
 		if _, err := mb.EncodeBody(&body, part, outliers); err != nil {
@@ -147,11 +142,11 @@ func twoSegments(f *testing.F, rng *rand.Rand) []byte {
 }
 
 // buildPlanF mirrors buildPlan for fuzz seeds (testing.F instead of *T).
-func buildPlanF(f *testing.F, tb *table.Table, tol float64) ([]int, []*cart.Model) {
+func buildPlanF(f *testing.F, tb *table.Table, tol float64) ([]int, []*cart.Model, map[int]float64) {
 	f.Helper()
-	mats, models, err := buildPlanErr(tb, tol)
+	mats, models, tols, err := buildPlanErr(tb, tol)
 	if err != nil {
 		f.Fatal(err)
 	}
-	return mats, models
+	return mats, models, tols
 }

@@ -725,9 +725,9 @@ func TestInflateClampsISIZE(t *testing.T) {
 func TestDecodeLimitedTightens(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tb := testTable(rng, 200)
-	mats, models := buildPlan(t, tb, 10)
+	mats, models, tols := buildPlan(t, tb, 10)
 	var buf bytes.Buffer
-	if _, err := encode(&buf, tb, mats, models); err != nil {
+	if _, err := encode(&buf, tb, mats, models, tols); err != nil {
 		t.Fatal(err)
 	}
 	decode := func(lim DecodeLimits) error {

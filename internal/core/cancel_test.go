@@ -14,20 +14,19 @@ import (
 	"repro/internal/obs"
 )
 
-// TestCompressContextPreCancelled asserts that an already-cancelled
-// context stops the pipeline before the first phase runs: no bytes are
-// written, the error wraps context.Canceled and names the phase, and the
-// root span carries cancelled=true.
-func TestCompressContextPreCancelled(t *testing.T) {
+// TestLearnPreCancelled asserts that an already-cancelled context stops
+// the learn step before its first phase runs: the error wraps
+// context.Canceled and names the phase, and the learn root carries
+// cancelled=true.
+func TestLearnPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	tb := datagen.CDR(500, 1)
-	tr := obs.NewTrace("compress")
-	var sink countingWriter
-	_, err := core.CompressContext(ctx, &sink, tb, core.Options{Trace: tr})
+	tr := obs.NewTrace("learn")
+	_, err := core.Learn(ctx, tb, core.Options{Trace: tr})
 	if err == nil {
-		t.Fatal("CompressContext succeeded with a cancelled context")
+		t.Fatal("Learn succeeded with a cancelled context")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
@@ -35,10 +34,10 @@ func TestCompressContextPreCancelled(t *testing.T) {
 	if !strings.Contains(err.Error(), core.SpanDependencyFinder) {
 		t.Errorf("error %q does not name the phase it died in", err)
 	}
-	if sink.n != 0 {
-		t.Errorf("%d bytes written despite pre-cancelled context", sink.n)
+	if tr.Find(core.SpanDependencyFinder) != nil {
+		t.Error("the dependency finder started despite a pre-cancelled context")
 	}
-	root := tr.Find(core.SpanCompress)
+	root := tr.Find(core.SpanLearn)
 	if root == nil {
 		t.Fatal("missing root span")
 	}
@@ -47,17 +46,17 @@ func TestCompressContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestCompressContextMidFlight cancels the context between the first and
-// second phase (via a span observer, so the cancel is deterministically
-// mid-pipeline) and asserts the run aborts promptly, wraps
+// TestLearnMidFlight cancels the context between the learn step's first
+// and second phase (via a span observer, so the cancel is
+// deterministically mid-step) and asserts the run aborts promptly, wraps
 // context.Canceled, annotates the dying phase's span, and leaks no
 // goroutines.
-func TestCompressContextMidFlight(t *testing.T) {
+func TestLearnMidFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	tr := obs.NewTrace("compress")
+	tr := obs.NewTrace("learn")
 	var cancelledAt time.Time
 	tr.OnSpanEnd(func(sp *obs.Span) {
 		if sp.Name == core.SpanDependencyFinder {
@@ -67,10 +66,10 @@ func TestCompressContextMidFlight(t *testing.T) {
 	})
 
 	tb := datagen.CDR(5000, 1)
-	_, err := core.CompressContext(ctx, io.Discard, tb, core.Options{Trace: tr})
+	_, err := core.Learn(ctx, tb, core.Options{Trace: tr})
 	returned := time.Now()
 	if err == nil {
-		t.Fatal("CompressContext succeeded despite mid-flight cancel")
+		t.Fatal("Learn succeeded despite mid-flight cancel")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
@@ -79,7 +78,7 @@ func TestCompressContextMidFlight(t *testing.T) {
 		t.Errorf("error %q does not name the phase it died in", err)
 	}
 	if d := returned.Sub(cancelledAt); d > 100*time.Millisecond {
-		t.Errorf("pipeline took %v after cancel, want <100ms", d)
+		t.Errorf("learn took %v after cancel, want <100ms", d)
 	}
 
 	// The cancelled phase's span (and the root) must be annotated.
@@ -88,7 +87,7 @@ func TestCompressContextMidFlight(t *testing.T) {
 			t.Error("cancelled phase span not annotated cancelled=true")
 		}
 	}
-	if root := tr.Find(core.SpanCompress); root != nil {
+	if root := tr.Find(core.SpanLearn); root != nil {
 		if v, _ := root.Attr("cancelled").(bool); !v {
 			t.Error("root span not annotated cancelled=true")
 		}
@@ -109,15 +108,19 @@ func TestCompressContextMidFlight(t *testing.T) {
 	}
 }
 
-// TestCompressContextDeadline drives cancellation through a deadline
-// instead of an explicit cancel, exercising the in-phase checkpoints:
-// the tiny budget expires inside a running phase, not at a boundary.
-func TestCompressContextDeadline(t *testing.T) {
+// TestLearnApplyDeadline drives cancellation through a deadline instead
+// of an explicit cancel, exercising the in-phase checkpoints: the tiny
+// budget expires inside a running phase of Learn or Apply, not at a
+// boundary.
+func TestLearnApplyDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 
 	tb := datagen.CDR(20000, 1)
-	_, err := core.CompressContext(ctx, io.Discard, tb, core.Options{})
+	m, err := core.Learn(ctx, tb, core.Options{})
+	if err == nil {
+		_, err = m.Apply(ctx, io.Discard, tb)
+	}
 	if err == nil {
 		t.Skip("machine fast enough to finish inside the deadline")
 	}
@@ -127,11 +130,4 @@ func TestCompressContextDeadline(t *testing.T) {
 	if !strings.Contains(err.Error(), "spartan: ") {
 		t.Errorf("error %q does not carry the pipeline prefix", err)
 	}
-}
-
-type countingWriter struct{ n int }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
 }

@@ -3,12 +3,15 @@
 //
 //	DependencyFinder → CaRTSelector ⇄ CaRTBuilder → RowAggregator → codec
 //
-// The pipeline has two steps. Learn runs the dependency finder and CaRT
-// selection on a sample and resolves tolerances against the whole input;
-// Apply runs row aggregation, the outlier scan and the encoder over one
-// set of rows. Compress is Learn followed by one Apply, as the paper
-// describes ("then uses the CaRTs built to compress the full data set in
-// one pass"); a segmented archive learns once and applies per segment.
+// The pipeline has two steps, each under its own trace root. Learn runs
+// the dependency finder and CaRT selection on a sample and resolves
+// tolerances against the whole input; its Model is read-only. Apply runs
+// row aggregation, the outlier scan and the encoder over one set of rows
+// and is the only step that produces per-row output: the outliers and T'
+// of one codec body. Compress is Learn followed by one Apply over every
+// row, written as a one-segment container, as the paper describes ("then
+// uses the CaRTs built to compress the full data set in one pass"); a
+// segmented archive learns once and applies per segment.
 //
 // It is the paper's primary contribution — everything else under internal/
 // is a substrate it composes. The exported types here are re-exported by
@@ -36,12 +39,10 @@ import (
 )
 
 // Span names emitted by the pipeline, one per component (paper §2.3)
-// plus the encoder. Compress puts all five under a SpanCompress root;
-// Learn puts the first two under a SpanLearn root and Apply the last
-// three under a SpanApply root. Consumers keying metrics or assertions
-// off the trace should use these constants.
+// plus the encoder. Learn puts the first two under a SpanLearn root and
+// Apply the last three under a SpanApply root. Consumers keying metrics
+// or assertions off the trace should use these constants.
 const (
-	SpanCompress         = "compress"
 	SpanLearn            = "learn"
 	SpanApply            = "apply"
 	SpanDependencyFinder = "dependency_finder"
@@ -106,11 +107,10 @@ type Options struct {
 	// is fully deterministic for a given (table, options) pair.
 	Seed int64
 	// Trace, when non-nil, receives one span per pipeline component
-	// (see PhaseSpans) under its run's root (SpanLearn, SpanApply or,
-	// for Compress, SpanCompress), annotated with rows scanned, CaRTs
-	// built, outliers found and bytes written. Tracing is always on
-	// internally — Timings is derived from the spans — so supplying a
-	// Trace costs nothing extra.
+	// (see PhaseSpans) under its step's root (SpanLearn or SpanApply),
+	// annotated with rows scanned, CaRTs built, outliers found and bytes
+	// written. Tracing is always on internally — Timings is derived from
+	// the spans — so supplying a Trace costs nothing extra.
 	Trace *obs.Trace
 }
 
@@ -162,67 +162,45 @@ type Stats struct {
 	Timings Timings
 }
 
-// Compress is CompressContext with a background context. It stays
-// because benchmark/workloads.go calls it and archive's tests take its
-// bytes as the reference one-segment archive; every other writer goes
-// through archive.WriteTableContext.
+// Compress writes t to w as a container with one segment holding every
+// row: Learn, one Apply into a buffer, then the container with the
+// model block. Its Stats are the totals of that container, the same
+// archive.WriteTable reports for one segment. It stays because
+// benchmark/workloads.go calls it and archive's tests take its bytes as
+// the reference one-segment archive; every other writer goes through
+// archive.WriteTableContext.
 func Compress(w io.Writer, t *table.Table, opts Options) (*Stats, error) {
-	return CompressContext(context.Background(), w, t, opts)
-}
-
-// CompressContext writes the semantically compressed form of t to w and
-// reports statistics; it stays as Compress's body. The pipeline checks ctx
-// at every phase boundary and inside each phase's long-running inner
-// loops (WMIS candidate rounds, per-node CaRT growth, fascicle seed
-// growth, outlier row batches), so a cancelled or expired context
-// abandons the run within milliseconds. The returned error wraps
-// ctx.Err() together with the phase the run died in, and the trace span
-// of that phase (plus the root) is annotated cancelled=true.
-//
-// It is Learn followed by one Apply over all of t, written as a
-// container with one segment, with every phase under one SpanCompress
-// root. The bytes are those of a segmented archive whose one segment
-// holds every row.
-func CompressContext(ctx context.Context, w io.Writer, t *table.Table, opts Options) (*Stats, error) {
-	if t == nil || t.NumCols() == 0 {
-		return nil, fmt.Errorf("spartan: nil or empty table")
-	}
-	opts = opts.withDefaults()
-	stats := &Stats{RawBytes: t.RawSizeBytes()}
-	root := startRoot(opts, SpanCompress, t).SetAttr("raw_bytes", stats.RawBytes)
-	defer root.Finish()
-
-	m, err := learn(ctx, root, t, opts)
+	ctx := context.Background()
+	m, err := Learn(ctx, t, opts)
 	if err != nil {
-		return nil, failCompress(root, err)
+		return nil, err
+	}
+	var body bytes.Buffer
+	stats, err := m.Apply(ctx, &body, t)
+	if err != nil {
+		return nil, err
+	}
+	cw := codec.NewWriter(w)
+	if err := cw.WriteSegment(body.Bytes(), t.NumRows(), codec.ComputeZones(t, m.resolved)); err != nil {
+		return nil, err
+	}
+	block, err := cw.Close(m.block)
+	if err != nil {
+		return nil, err
 	}
 	m.AddLearnStats(stats)
-	err = m.apply(ctx, root, t, stats, func(applied *table.Table, outliers [][]cart.Outlier) (codec.Breakdown, error) {
-		var body bytes.Buffer
-		bd, err := m.block.EncodeBody(&body, applied, outliers)
-		if err != nil {
-			return bd, err
-		}
-		cw := codec.NewWriter(w)
-		if err := cw.WriteSegment(body.Bytes(), t.NumRows(), codec.ComputeZones(t, m.resolved)); err != nil {
-			return bd, err
-		}
-		block, err := cw.Close(m.block)
-		bd.ModelBytes += block.ModelBytes
-		bd.HeaderBytes = int(cw.Size()) - bd.ModelBytes - bd.TPrimeBytes
-		return bd, err
-	})
-	if err != nil {
-		return nil, failCompress(root, err)
-	}
-	root.SetAttr("ratio", fmt.Sprintf("%.4f", stats.Ratio))
+	stats.ModelBytes += block.ModelBytes
+	stats.CompressedBytes = int(cw.Size())
+	stats.HeaderBytes = stats.CompressedBytes - stats.ModelBytes - stats.TPrimeBytes
+	stats.Ratio = ratio(stats.CompressedBytes, stats.RawBytes)
 	return stats, nil
 }
 
 // Model is the learn step's product: the tolerances resolved against the
 // learn input, the selected CaRTs and the codec model block they
-// serialize to. Apply never modifies it, so any number of Apply calls —
-// one per archive segment — may share one Model concurrently.
+// serialize to. Nothing writes it after Learn — each Apply keeps its
+// outliers to itself — so any number of Apply calls, one per archive
+// segment, may share one Model concurrently.
 type Model struct {
 	opts     Options
 	resolved table.Tolerances
@@ -235,78 +213,21 @@ type Model struct {
 // t, CaRT selection, and the resolution of quantile tolerances against
 // all of t. Its dependency_finder and cart_selection spans go under a
 // SpanLearn root on opts.Trace.
-func Learn(ctx context.Context, t *table.Table, opts Options) (*Model, error) {
+//
+// Learn and Apply check ctx at every phase boundary and inside each
+// phase's long-running inner loops (WMIS candidate rounds, per-node CaRT
+// growth, fascicle seed growth, outlier row batches), so a cancelled or
+// expired context abandons the step within milliseconds. The returned
+// error wraps ctx.Err() together with the phase the step died in, and
+// the trace span of that phase (plus the root) is annotated
+// cancelled=true.
+func Learn(ctx context.Context, t *table.Table, opts Options) (_ *Model, err error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("spartan: nil or empty table")
 	}
 	opts = opts.withDefaults()
 	root := startRoot(opts, SpanLearn, t)
-	defer root.Finish()
-	m, err := learn(ctx, root, t, opts)
-	if err != nil {
-		return nil, failCompress(root, err)
-	}
-	return m, nil
-}
-
-// Block returns the model block every body of this model decodes
-// against.
-func (m *Model) Block() *codec.ModelBlock { return m.block }
-
-// Tolerances returns the absolute tolerances the model was learned
-// under: every body it encodes reconstructs within them.
-func (m *Model) Tolerances() table.Tolerances { return m.resolved }
-
-// AddLearnStats adds the learn step's share of the statistics to st: the
-// dependency-finder and CaRT-selection timings, CartsBuilt, Predicted
-// and Materialized. Apply leaves these zero, so an archive adds them to
-// its first segment and a sum over segments counts learning once.
-func (m *Model) AddLearnStats(st *Stats) {
-	st.Timings.DependencyFinder += m.learned.Timings.DependencyFinder
-	st.Timings.CaRTSelection += m.learned.Timings.CaRTSelection
-	st.CartsBuilt += m.learned.CartsBuilt
-	st.Predicted = append(st.Predicted, m.learned.Predicted...)
-	st.Materialized = append(st.Materialized, m.learned.Materialized...)
-}
-
-// Apply runs the apply step on body — row aggregation, the outlier scan
-// and the encoder — and writes one codec body to w (no container, no
-// model block; see Block). body must have the learn input's schema, and its
-// categorical codes must index the dictionaries the body is decoded
-// with. The row_aggregation, outlier_scan and encode spans go under a
-// SpanApply root on the learn options' Trace. The returned Stats cover
-// the apply step only (see AddLearnStats).
-func (m *Model) Apply(ctx context.Context, w io.Writer, body *table.Table) (*Stats, error) {
-	if body == nil || !slices.Equal(body.Schema(), m.block.Schema) {
-		return nil, fmt.Errorf("spartan: body schema differs from the learned schema")
-	}
-	stats := &Stats{RawBytes: body.RawSizeBytes()}
-	root := startRoot(m.opts, SpanApply, body)
-	defer root.Finish()
-	err := m.apply(ctx, root, body, stats, func(applied *table.Table, outliers [][]cart.Outlier) (codec.Breakdown, error) {
-		return m.block.EncodeBody(w, applied, outliers)
-	})
-	if err != nil {
-		return nil, failCompress(root, err)
-	}
-	return stats, nil
-}
-
-// startRoot opens the root span of one pipeline run on opts.Trace, or on
-// a private trace when the caller supplied none: tracing is
-// unconditional because Timings is read off the spans, and a
-// caller-supplied Trace additionally sees every span (plus whatever
-// observer it registered via OnSpanEnd).
-func startRoot(opts Options, name string, t *table.Table) *obs.Span {
-	tr := opts.Trace
-	if tr == nil {
-		tr = obs.NewTrace(name)
-	}
-	return tr.Start(name).SetAttr("rows", t.NumRows()).SetAttr("cols", t.NumCols())
-}
-
-// learn runs the learn step's phases under root.
-func learn(ctx context.Context, root *obs.Span, t *table.Table, opts Options) (*Model, error) {
+	defer finishRoot(root, &err)
 	tol := opts.Tolerances
 	if tol == nil {
 		tol = table.ZeroTolerances(t)
@@ -404,14 +325,45 @@ func learn(ctx context.Context, root *obs.Span, t *table.Table, opts Options) (*
 	return m, nil
 }
 
-// apply runs the apply step's phases over t under root, filling stats;
-// encode writes the result.
-func (m *Model) apply(ctx context.Context, root *obs.Span, t *table.Table, stats *Stats,
-	encode func(applied *table.Table, outliers [][]cart.Outlier) (codec.Breakdown, error)) error {
+// Block returns the model block every body of this model decodes
+// against.
+func (m *Model) Block() *codec.ModelBlock { return m.block }
+
+// Tolerances returns the absolute tolerances the model was learned
+// under: every body it encodes reconstructs within them.
+func (m *Model) Tolerances() table.Tolerances { return m.resolved }
+
+// AddLearnStats adds the learn step's share of the statistics to st: the
+// dependency-finder and CaRT-selection timings, CartsBuilt, Predicted
+// and Materialized. Apply leaves these zero, so an archive adds them to
+// its first segment and a sum over segments counts learning once.
+func (m *Model) AddLearnStats(st *Stats) {
+	st.Timings.DependencyFinder += m.learned.Timings.DependencyFinder
+	st.Timings.CaRTSelection += m.learned.Timings.CaRTSelection
+	st.CartsBuilt += m.learned.CartsBuilt
+	st.Predicted = append(st.Predicted, m.learned.Predicted...)
+	st.Materialized = append(st.Materialized, m.learned.Materialized...)
+}
+
+// Apply runs the apply step on t — row aggregation, the outlier scan
+// and the encoder — and writes t's codec body to w (no container, no
+// model block; see Block). t must have the learn input's schema, and its
+// categorical codes must index the dictionaries the body is decoded
+// with. The row_aggregation, outlier_scan and encode spans go under a
+// SpanApply root on the learn options' Trace. The returned Stats cover
+// the apply step only (see AddLearnStats).
+func (m *Model) Apply(ctx context.Context, w io.Writer, t *table.Table) (_ *Stats, err error) {
+	if t == nil || !slices.Equal(t.Schema(), m.block.Schema) {
+		return nil, fmt.Errorf("spartan: body schema differs from the learned schema")
+	}
+	stats := &Stats{RawBytes: t.RawSizeBytes()}
+	root := startRoot(m.opts, SpanApply, t)
+	defer finishRoot(root, &err)
+
 	// RowAggregator: fascicle-quantize the materialized projection without
 	// crossing any CaRT split value.
 	applied := t
-	err := runPhase(ctx, root, SpanRowAggregation, &stats.Timings.RowAggregation, func(sp *obs.Span) error {
+	err = runPhase(ctx, root, SpanRowAggregation, &stats.Timings.RowAggregation, func(sp *obs.Span) error {
 		var seedsTried, rowsScanned int
 		if !m.opts.DisableRowAggregation && len(m.plan.Materialized) > 0 {
 			var clustering *fascicle.Clustering
@@ -429,7 +381,7 @@ func (m *Model) apply(ctx context.Context, root *obs.Span, t *table.Table, stats
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Outlier scan: one pass over the rows per model (paper §2.3:
@@ -440,17 +392,16 @@ func (m *Model) apply(ctx context.Context, root *obs.Span, t *table.Table, stats
 	err = runPhase(ctx, root, SpanOutlierScan, &stats.Timings.OutlierScan, func(sp *obs.Span) error {
 		// One scan per predicted attribute, bounded to GOMAXPROCS workers
 		// so a wide table cannot run hundreds of full-table scans at once.
-		// Each scan checks ctx between row batches, and collects its
-		// outliers on a copy of the shared tree.
+		// Each scan checks ctx between row batches and only reads its
+		// tree, which every segment shares.
 		err := par.ForEach(ctx, len(trees), 0, func(ctx context.Context, i int) error {
-			scan := *trees[i]
-			a := scan.Target
+			a := trees[i].Target
 			var perClass map[int32]float64
 			if t.Attr(a).Kind == table.Categorical {
 				perClass = m.resolved[a].ClassBudgets(t.Col(a).Dict)
 			}
-			err := scan.ComputeOutliers(ctx, applied, m.resolved[a].Value, perClass)
-			outliers[i] = scan.Outliers
+			var err error
+			outliers[i], err = trees[i].ComputeOutliers(ctx, applied, m.resolved[a].Value, perClass)
 			return err
 		})
 		if err != nil {
@@ -464,12 +415,12 @@ func (m *Model) apply(ctx context.Context, root *obs.Span, t *table.Table, stats
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Encode.
-	return runPhase(ctx, root, SpanEncode, &stats.Timings.Encode, func(sp *obs.Span) error {
-		bd, err := encode(applied, outliers)
+	err = runPhase(ctx, root, SpanEncode, &stats.Timings.Encode, func(sp *obs.Span) error {
+		bd, err := m.block.EncodeBody(w, applied, outliers)
 		if err != nil {
 			return fmt.Errorf("spartan: encoding: %w", err)
 		}
@@ -477,15 +428,30 @@ func (m *Model) apply(ctx context.Context, root *obs.Span, t *table.Table, stats
 		stats.ModelBytes = bd.ModelBytes
 		stats.TPrimeBytes = bd.TPrimeBytes
 		stats.CompressedBytes = bd.Total()
-		if stats.RawBytes > 0 {
-			stats.Ratio = float64(stats.CompressedBytes) / float64(stats.RawBytes)
-		}
+		stats.Ratio = ratio(stats.CompressedBytes, stats.RawBytes)
 		sp.SetAttr("bytes_written", stats.CompressedBytes).
 			SetAttr("header_bytes", stats.HeaderBytes).
 			SetAttr("model_bytes", stats.ModelBytes).
 			SetAttr("tprime_bytes", stats.TPrimeBytes)
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return stats, nil
+}
+
+// startRoot opens the root span of one pipeline run on opts.Trace, or on
+// a private trace when the caller supplied none: tracing is
+// unconditional because Timings is read off the spans, and a
+// caller-supplied Trace additionally sees every span (plus whatever
+// observer it registered via OnSpanEnd).
+func startRoot(opts Options, name string, t *table.Table) *obs.Span {
+	tr := opts.Trace
+	if tr == nil {
+		tr = obs.NewTrace(name)
+	}
+	return tr.Start(name).SetAttr("rows", t.NumRows()).SetAttr("cols", t.NumCols())
 }
 
 // runPhase runs one pipeline component inside a child span of root,
@@ -510,14 +476,22 @@ func runPhase(ctx context.Context, root *obs.Span, name string, timing *time.Dur
 	return fn(sp)
 }
 
-// failCompress marks the root span of a run that died from cancellation
-// and passes the error through, so every error return of CompressContext
-// leaves a correctly-annotated trace.
-func failCompress(root *obs.Span, err error) error {
-	if isCancellation(err) {
+// ratio is compressed/raw, or zero for an input of no raw bytes.
+func ratio(compressed, raw int) float64 {
+	if raw == 0 {
+		return 0
+	}
+	return float64(compressed) / float64(raw)
+}
+
+// finishRoot finishes the root span of a run, first marking it
+// cancelled=true when the run died from cancellation, so every error
+// return of Learn and Apply leaves a correctly-annotated trace.
+func finishRoot(root *obs.Span, err *error) {
+	if isCancellation(*err) {
 		root.SetAttr("cancelled", true)
 	}
-	return err
+	root.Finish()
 }
 
 // isCancellation reports whether err stems from a done context.

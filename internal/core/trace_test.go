@@ -1,32 +1,28 @@
 package core_test
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/obs"
 )
 
-// TestCompressTrace asserts that one span is emitted per pipeline phase,
-// under a single root, with monotonic timestamps, and that the Timings
-// struct agrees with the span durations.
+// TestCompressTrace asserts that Compress emits one span per pipeline
+// phase under the learn and apply roots every writer emits, with
+// monotonic timestamps, and that the Timings struct agrees with the span
+// durations.
 func TestCompressTrace(t *testing.T) {
 	tb := datagen.CDR(2000, 1)
 	tr := obs.NewTrace("compress")
-	stats, err := core.Compress(io.Discard, tb, core.Options{Trace: tr})
+	var out bytes.Buffer
+	stats, err := core.Compress(&out, tb, core.Options{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	root := tr.Find(core.SpanCompress)
-	if root == nil {
-		t.Fatal("missing root compress span")
-	}
-	if root.Depth != 0 || root.End.IsZero() {
-		t.Fatalf("root span depth=%d finished=%v", root.Depth, !root.End.IsZero())
 	}
 
 	spans := tr.Spans()
@@ -39,26 +35,43 @@ func TestCompressTrace(t *testing.T) {
 			t.Errorf("phase %q: %d spans, want exactly 1", phase, byName[phase])
 		}
 	}
-	if len(spans) != len(core.PhaseSpans)+1 {
-		t.Errorf("got %d spans, want %d", len(spans), len(core.PhaseSpans)+1)
+	// Spans are reported in start order: the learn root and its two
+	// phases, then the apply root and its three.
+	want := []string{core.SpanLearn, core.SpanDependencyFinder, core.SpanCaRTSelection,
+		core.SpanApply, core.SpanRowAggregation, core.SpanOutlierScan, core.SpanEncode}
+	if len(spans) != len(want) {
+		t.Fatalf("got %d spans, want %d", len(spans), len(want))
 	}
 
-	// Monotonic: spans are reported in start order; each phase must end
-	// before the next begins, every span must close inside the root, and
-	// no span may end before it starts.
-	var prev *obs.Span
-	for _, s := range spans[1:] {
-		if s.Depth != 1 {
-			t.Errorf("span %q depth = %d, want 1", s.Name, s.Depth)
+	// Monotonic: each span must end before the next begins unless it is
+	// the next one's root, every phase must close inside its root, and no
+	// span may end before it starts.
+	var root, prev *obs.Span
+	for i, s := range spans {
+		if s.Name != want[i] {
+			t.Errorf("span %d = %q, want %q", i, s.Name, want[i])
 		}
 		if s.End.Before(s.Start) {
 			t.Errorf("span %q ends before it starts", s.Name)
 		}
-		if s.Start.Before(root.Start) || s.End.After(root.End) {
-			t.Errorf("span %q [%v, %v] escapes root [%v, %v]",
-				s.Name, s.Start, s.End, root.Start, root.End)
+		if s.Name == core.SpanLearn || s.Name == core.SpanApply {
+			if s.Depth != 0 {
+				t.Errorf("root %q depth = %d, want 0", s.Name, s.Depth)
+			}
+			if prev != nil && s.Start.Before(prev.End) {
+				t.Errorf("root %q starts before %q ends", s.Name, prev.Name)
+			}
+			root, prev = s, s
+			continue
 		}
-		if prev != nil && s.Start.Before(prev.End) {
+		if s.Depth != 1 {
+			t.Errorf("span %q depth = %d, want 1", s.Name, s.Depth)
+		}
+		if s.Start.Before(root.Start) || s.End.After(root.End) {
+			t.Errorf("span %q [%v, %v] escapes root %q [%v, %v]",
+				s.Name, s.Start, s.End, root.Name, root.Start, root.End)
+		}
+		if prev != root && s.Start.Before(prev.End) {
 			t.Errorf("span %q starts before %q ends", s.Name, prev.Name)
 		}
 		prev = s
@@ -103,8 +116,14 @@ func TestCompressTrace(t *testing.T) {
 	if got := tr.Find(core.SpanOutlierScan).Attr("outliers"); got != stats.Outliers {
 		t.Errorf("outliers attr = %v, want %d", got, stats.Outliers)
 	}
-	if got := tr.Find(core.SpanEncode).Attr("bytes_written"); got != stats.CompressedBytes {
-		t.Errorf("bytes_written attr = %v, want %d", got, stats.CompressedBytes)
+	// encode writes the one segment's body; the container around it is
+	// written after the apply step.
+	cr, err := codec.Open(bytes.NewReader(out.Bytes()), codec.DecodeLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, body := tr.Find(core.SpanEncode).Attr("bytes_written"), int(cr.Info(0).Length); got != body {
+		t.Errorf("bytes_written attr = %v, want the body's %d bytes", got, body)
 	}
 
 	// The rendered tree mentions every phase.
@@ -117,8 +136,9 @@ func TestCompressTrace(t *testing.T) {
 	}
 }
 
-// TestCompressTraceObserver checks the OnSpanEnd hook fires once per span
-// so a metrics registry can be fed from the pipeline.
+// TestCompressTraceObserver checks the OnSpanEnd hook fires once per span,
+// both roots included, so a metrics registry can be fed from the
+// pipeline.
 func TestCompressTraceObserver(t *testing.T) {
 	tb := datagen.CDR(500, 2)
 	tr := obs.NewTrace("compress")
@@ -127,11 +147,11 @@ func TestCompressTraceObserver(t *testing.T) {
 	if _, err := core.Compress(io.Discard, tb, core.Options{Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
-	if len(ended) != len(core.PhaseSpans)+1 {
-		t.Fatalf("observer fired %d times (%v), want %d", len(ended), ended, len(core.PhaseSpans)+1)
+	if len(ended) != len(core.PhaseSpans)+2 {
+		t.Fatalf("observer fired %d times (%v), want %d", len(ended), ended, len(core.PhaseSpans)+2)
 	}
-	// Root finishes last.
-	if ended[len(ended)-1] != core.SpanCompress {
-		t.Errorf("last ended span = %q, want %q", ended[len(ended)-1], core.SpanCompress)
+	// The apply root finishes last.
+	if ended[len(ended)-1] != core.SpanApply {
+		t.Errorf("last ended span = %q, want %q", ended[len(ended)-1], core.SpanApply)
 	}
 }

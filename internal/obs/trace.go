@@ -214,7 +214,7 @@ func (t *Trace) Find(name string) *Span {
 
 // WriteTree renders the span tree as indented text, one span per line:
 //
-//	compress                            182ms  rows=25000 cols=10
+//	learn                               121ms  rows=25000 cols=10
 //	  dependency_finder                  23ms  sample_rows=1571
 //	  cart_selection                     98ms  carts_built=14
 //

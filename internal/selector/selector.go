@@ -100,8 +100,8 @@ func (in Input) validate() error {
 // Result is a complete prediction plan.
 type Result struct {
 	// Predicted lists predicted attribute indices (sorted); Models[i] is
-	// the CaRT for attribute i (outliers estimated on the sample; callers
-	// recompute them against the full table).
+	// the CaRT for attribute i: a tree only, shared read-only by every
+	// outlier scan over the rows it is applied to.
 	Predicted []int
 	Models    map[int]*cart.Model
 	// Materialized lists the remaining attributes (sorted).
