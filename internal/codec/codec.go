@@ -360,7 +360,7 @@ func readChecked(br byteReader, what string, lim DecodeLimits) ([]byte, error) {
 		return nil, fmt.Errorf("codec: reading %s checksum: %w", what, err)
 	}
 	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
-	payload, err := readFullGrowing(br, n, lim.MaxModelBytes)
+	payload, err := readFullGrowing(br, nil, n, lim.MaxModelBytes)
 	if err != nil {
 		return nil, fmt.Errorf("codec: reading %s: %w", what, err)
 	}
@@ -530,10 +530,13 @@ func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits, cols []bool) (*ta
 		// substantiated by payload, so cap it outright.
 		return nil, nil, fmt.Errorf("codec: %d rows with no materialized columns exceeds limit %d", nrows, lim.MaxUnverifiedRows)
 	}
-	p, err := inflate(rest[:tpLen])
+	buf := tprimeBufs.get()
+	p, err := inflate(rest[:tpLen], *buf)
 	if err != nil {
 		return nil, nil, err
 	}
+	*buf = p
+	defer tprimeBufs.put(buf) // every column copies its cells out of p
 	full := make([]*table.Column, len(mb.Schema))
 	for _, a := range mb.Materialized {
 		c := &table.Column{Kind: mb.Schema[a].Kind, Dict: mb.Dicts[a]}
@@ -581,30 +584,72 @@ func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits, cols []bool) (*ta
 	return t, rest[tpLen:], err
 }
 
-// inflate decompresses a T' block whole. The gzip trailer's ISIZE sizes
-// the buffer, clamped to what deflate could expand tp to; it is only a
-// hint: the buffer grows in readFullGrowing's chunks, so a lying ISIZE
-// costs at most one chunk up front, and an honest T' past 4 GiB (ISIZE
-// is its length mod 2^32) reads on to the end. gzip checks ISIZE itself.
-func inflate(tp []byte) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(tp))
-	if err != nil {
+// inflate decompresses a T' block whole into dst's storage, growing it
+// when it is too small. The gzip trailer's ISIZE sizes the read, clamped
+// to what deflate could expand tp to; it is only a hint: the buffer grows
+// in readFullGrowing's chunks, so a lying ISIZE costs at most one chunk
+// up front, and an honest T' past 4 GiB (ISIZE is its length mod 2^32)
+// reads on to the end. gzip checks ISIZE itself.
+func inflate(tp, dst []byte) ([]byte, error) {
+	in, _ := inflaters.Get().(*inflater)
+	if in == nil {
+		in = new(inflater)
+	}
+	defer inflaters.Put(in)
+	in.src.Reset(tp)
+	defer in.src.Reset(nil) // the pooled reader must not pin tp
+	if err := in.zr.Reset(&in.src); err != nil {
 		return nil, fmt.Errorf("codec: opening T' stream: %w", err)
 	}
-	defer zr.Close()
 	// The gzip header alone is 10 bytes, so tp holds a trailer's worth.
 	limit := uint64(len(tp)) * maxDeflateRatio
 	hint := min(uint64(binary.LittleEndian.Uint32(tp[len(tp)-4:])), limit)
-	p, err := readFullGrowing(zr, hint, limit)
+	p, err := readFullGrowing(&in.zr, dst, hint, limit)
 	if err == nil {
 		var more []byte
-		more, err = io.ReadAll(zr)
+		more, err = io.ReadAll(&in.zr)
 		p = append(p, more...)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("codec: inflating T': %w", err)
 	}
 	return p, nil
+}
+
+// Reading keeps what one body's decode needs for the next, the mirror of
+// the writers' pools: a gzip reader with its inflate state, and one pool
+// of byte buffers each for the segment frames and their inflated T'. A
+// buffer goes back only once nothing aliases it: the body decoders copy
+// every cell, outlier and section out of the bytes they read.
+var (
+	inflaters             sync.Pool // *inflater
+	frameBufs, tprimeBufs bufPool
+)
+
+// inflater is a gzip reader over an in-memory T' block.
+type inflater struct {
+	src bytes.Reader
+	zr  gzip.Reader
+}
+
+// bufPool pools byte buffers of one use, so each comes back about the
+// size the next one needs.
+type bufPool struct{ p sync.Pool }
+
+// get returns a pooled buffer, empty when the pool is.
+func (bp *bufPool) get() *[]byte {
+	if b, ok := bp.p.Get().(*[]byte); ok {
+		return b
+	}
+	return new([]byte)
+}
+
+// put returns b to the pool unless it grew past one readChunk, so a huge
+// segment does not stay pinned.
+func (bp *bufPool) put(b *[]byte) {
+	if cap(*b) <= readChunk {
+		bp.p.Put(b)
+	}
 }
 
 // EstimateBitsPerValue encodes a column with the T' block's cell
@@ -875,20 +920,30 @@ func cell(p []byte) (uint64, int) {
 	return binary.Uvarint(p)
 }
 
-// readFullGrowing reads exactly n bytes, growing the buffer in bounded
-// chunks so a lying length cannot force a huge upfront allocation: a
-// truncated input fails after at most one chunk of slack. n is checked
-// against limit here rather than trusting the caller's guard: the
-// function is the allocation sink, so the bound that protects it must
-// travel with the call.
-func readFullGrowing(r io.Reader, n, limit uint64) ([]byte, error) {
+// readChunk is the step readFullGrowing grows its buffer by.
+const readChunk = 1 << 20
+
+// readFullGrowing reads exactly n bytes into dst's storage when it has
+// room for them, and otherwise into a buffer grown in bounded chunks so a
+// lying length cannot force a huge upfront allocation: a truncated input
+// fails after at most one chunk of slack. n is checked against limit here
+// rather than trusting the caller's guard: the function is the
+// allocation sink, so the bound that protects it must travel with the
+// call.
+func readFullGrowing(r io.Reader, dst []byte, n, limit uint64) ([]byte, error) {
 	if n > limit {
 		return nil, fmt.Errorf("codec: read length %d exceeds limit %d", n, limit)
 	}
-	const chunk = 1 << 20
-	dst := make([]byte, 0, min(n, chunk))
+	if uint64(cap(dst)) >= n {
+		dst = dst[:n]
+		if _, err := io.ReadFull(r, dst); err != nil {
+			return nil, err
+		}
+		return dst, nil
+	}
+	dst = dst[:0]
 	for uint64(len(dst)) < n {
-		want := min(n-uint64(len(dst)), chunk)
+		want := min(n-uint64(len(dst)), readChunk)
 		start := len(dst)
 		dst = append(dst, make([]byte, want)...)
 		if _, err := io.ReadFull(r, dst[start:]); err != nil {

@@ -36,26 +36,18 @@ func testTable(rng *rand.Rand, n int) *table.Table {
 // buildPlan constructs models for y (regression, tol) and c
 // (classification, exact) from x, materializing x and junk. tols maps
 // each model's target to its tolerance.
-func buildPlan(t *testing.T, tb *table.Table, tol float64) (mats []int, models []*cart.Model, tols map[int]float64) {
+func buildPlan(t testing.TB, tb *table.Table, tol float64) (mats []int, models []*cart.Model, tols map[int]float64) {
 	t.Helper()
-	mats, models, tols, err := buildPlanErr(tb, tol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mats, models, tols
-}
-
-func buildPlanErr(tb *table.Table, tol float64) ([]int, []*cart.Model, map[int]float64, error) {
 	cm := cart.NewCostModel(tb)
 	my, _, err := cart.Build(context.Background(), tb, 1, []int{0}, tol, cm, cart.Config{})
 	if err != nil {
-		return nil, nil, nil, err
+		t.Fatal(err)
 	}
 	mc, _, err := cart.Build(context.Background(), tb, 2, []int{0}, 0, cm, cart.Config{})
 	if err != nil {
-		return nil, nil, nil, err
+		t.Fatal(err)
 	}
-	return []int{0, 3}, []*cart.Model{my, mc}, map[int]float64{1: tol, 2: 0}, nil
+	return []int{0, 3}, []*cart.Model{my, mc}, map[int]float64{1: tol, 2: 0}
 }
 
 // scanOutliers returns the outliers of src against each of models, in

@@ -362,7 +362,7 @@ func Open(r io.ReadSeeker, lim DecodeLimits) (*Reader, error) {
 	if _, err := r.Seek(size-int64(trailerSize)-footLen, io.SeekStart); err != nil {
 		return nil, err
 	}
-	foot, err := readFullGrowing(r, uint64(footLen), maxFooterBytes)
+	foot, err := readFullGrowing(r, nil, uint64(footLen), maxFooterBytes)
 	if err != nil {
 		return nil, fmt.Errorf("codec: reading footer: %w", err)
 	}
@@ -380,7 +380,7 @@ func Open(r io.ReadSeeker, lim DecodeLimits) (*Reader, error) {
 		if _, err := r.Seek(blockExt.Offset, io.SeekStart); err != nil {
 			return nil, err
 		}
-		block, err := readFullGrowing(r, uint64(blockExt.Length), maxArchiveBytes)
+		block, err := readFullGrowing(r, nil, uint64(blockExt.Length), maxArchiveBytes)
 		if err != nil {
 			return nil, fmt.Errorf("codec: reading model block: %w", err)
 		}
@@ -567,21 +567,30 @@ func (cr *Reader) ReadSegments(ctx context.Context, idx []int, cols []bool) ([]*
 	if cr.closed {
 		return nil, ErrReaderClosed
 	}
-	frames := make([][]byte, len(idx))
-	for k, i := range idx {
+	// The frames are pooled buffers; a decoded table holds none of their
+	// bytes, and every decode is done once ForEach returns.
+	frames := make([]*[]byte, 0, len(idx))
+	defer func() {
+		for _, f := range frames {
+			frameBufs.put(f)
+		}
+	}()
+	for _, i := range idx {
 		seg := cr.segs[i]
 		if _, err := cr.r.Seek(seg.Offset, io.SeekStart); err != nil {
 			return nil, err
 		}
+		f := frameBufs.get()
 		var err error
-		if frames[k], err = readFullGrowing(cr.r, uint64(seg.Length), maxArchiveBytes); err != nil {
+		if *f, err = readFullGrowing(cr.r, *f, uint64(seg.Length), maxArchiveBytes); err != nil {
 			return nil, fmt.Errorf("codec: reading segment %d: %w", i, err)
 		}
+		frames = append(frames, f)
 	}
 	tables := make([]*table.Table, len(idx))
 	err := par.ForEach(ctx, len(idx), 0, func(_ context.Context, k int) error {
 		var err error
-		tables[k], err = cr.decodeSegment(idx[k], frames[k], cols)
+		tables[k], err = cr.decodeSegment(idx[k], *frames[k], cols)
 		return err
 	})
 	if err != nil {

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"repro/internal/cart"
-	"repro/internal/table"
 )
 
 // FuzzDecode asserts the one reader never panics on arbitrary input:
@@ -19,7 +16,7 @@ func FuzzDecode(f *testing.F) {
 	// A valid one-segment container plus a few mutations.
 	rng := rand.New(rand.NewSource(1))
 	tb := testTable(rng, 50)
-	mats, models, tols := buildPlanF(f, tb, 10)
+	mats, models, tols := buildPlan(f, tb, 10)
 	var buf bytes.Buffer
 	if _, err := encode(&buf, tb, mats, models, tols); err != nil {
 		f.Fatal(err)
@@ -104,10 +101,10 @@ func FuzzDecode(f *testing.F) {
 
 // twoSegments writes a container of two bodies of rows from one table
 // against one model block.
-func twoSegments(f *testing.F, rng *rand.Rand) []byte {
+func twoSegments(f testing.TB, rng *rand.Rand) []byte {
 	f.Helper()
 	tb := testTable(rng, 600)
-	mats, models, tols := buildPlanF(f, tb, 10)
+	mats, models, tols := buildPlan(f, tb, 10)
 	mb, err := NewModelBlock(tb, mats, models)
 	if err != nil {
 		f.Fatal(err)
@@ -139,14 +136,4 @@ func twoSegments(f *testing.F, rng *rand.Rand) []byte {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// buildPlanF mirrors buildPlan for fuzz seeds (testing.F instead of *T).
-func buildPlanF(f *testing.F, tb *table.Table, tol float64) ([]int, []*cart.Model, map[int]float64) {
-	f.Helper()
-	mats, models, tols, err := buildPlanErr(tb, tol)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return mats, models, tols
 }

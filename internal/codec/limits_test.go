@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -666,6 +667,44 @@ func TestProjectedDecodeRefusesHostileBodies(t *testing.T) {
 	}
 }
 
+// TestPooledStateDoesNotLeak alternates every hostileCases decode with a
+// decode of one valid two-segment archive in one process, so pooled gzip
+// readers and buffers pass from each input to the next: every valid
+// decode must equal one made before any hostile input, and every hostile
+// input must fail as TestDecodeRejectsHostileHeaders pins it, with the
+// error its decode gave before the valid one ran.
+func TestPooledStateDoesNotLeak(t *testing.T) {
+	decode := func(data []byte, lim DecodeLimits) (*table.Table, error) {
+		cr, err := Open(bytes.NewReader(data), lim)
+		if err != nil {
+			return nil, err
+		}
+		return cr.ReadAll()
+	}
+	valid := twoSegments(t, rand.New(rand.NewSource(3)))
+	want, err := decode(valid, DecodeLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range hostileCases() {
+		_, first := decode(tc.data, tc.lim)
+		got, err := decode(valid, DecodeLimits{})
+		if err != nil {
+			t.Fatalf("after %s: valid archive: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s: valid archive decoded to a different table", tc.name)
+		}
+		_, again := decode(tc.data, tc.lim)
+		if first == nil || again == nil {
+			t.Fatalf("%s: decoder accepted a hostile input (errors %v, then %v)", tc.name, first, again)
+		}
+		if !strings.Contains(again.Error(), tc.wantErr) || again.Error() != first.Error() {
+			t.Errorf("%s: error %q after a valid decode, %q before; want one mentioning %q", tc.name, again, first, tc.wantErr)
+		}
+	}
+}
+
 // TestReadFullGrowingCapped drives the allocation sink directly with
 // lengths its callers should never let through: the function must
 // enforce the cap it is given itself, erroring before any allocation
@@ -675,7 +714,7 @@ func TestReadFullGrowingCapped(t *testing.T) {
 	for _, n := range []uint64{limit + 1, 1 << 40, math.MaxUint64} {
 		var err error
 		delta := allocDelta(func() {
-			_, err = readFullGrowing(bytes.NewReader(nil), n, limit)
+			_, err = readFullGrowing(bytes.NewReader(nil), nil, n, limit)
 		})
 		if err == nil {
 			t.Errorf("n=%d: readFullGrowing accepted a length past the cap", n)
@@ -689,7 +728,7 @@ func TestReadFullGrowingCapped(t *testing.T) {
 
 	// An in-cap read delivers exactly n bytes, across chunk boundaries.
 	payload := bytes.Repeat([]byte{0xab}, 3<<20)
-	got, err := readFullGrowing(bytes.NewReader(payload), uint64(len(payload)), math.MaxUint64)
+	got, err := readFullGrowing(bytes.NewReader(payload), nil, uint64(len(payload)), math.MaxUint64)
 	if err != nil {
 		t.Fatalf("in-cap read failed: %v", err)
 	}
@@ -697,7 +736,7 @@ func TestReadFullGrowingCapped(t *testing.T) {
 		t.Errorf("read %d bytes, want %d identical bytes", len(got), len(payload))
 	}
 	// Truncated input surfaces the read error, not a silent short buffer.
-	if _, err := readFullGrowing(bytes.NewReader(payload[:10]), 1000, limit); err == nil {
+	if _, err := readFullGrowing(bytes.NewReader(payload[:10]), nil, 1000, limit); err == nil {
 		t.Error("truncated input did not error")
 	}
 }
@@ -710,7 +749,7 @@ func TestInflateClampsISIZE(t *testing.T) {
 	tp := tprime(gzip.DefaultCompression, []byte("abc"))
 	binary.LittleEndian.PutUint32(tp[len(tp)-4:], math.MaxUint32)
 	var err error
-	delta := allocDelta(func() { _, err = inflate(tp) })
+	delta := allocDelta(func() { _, err = inflate(tp, nil) })
 	if err == nil || !strings.Contains(err.Error(), "invalid checksum") {
 		t.Errorf("inflate of a lying ISIZE: error %v, want gzip's checksum error", err)
 	}

@@ -439,6 +439,27 @@ func RunScoped(t *table.Table, tol table.Tolerances, q Query, scope *Scope) (*Re
 // RunScoped on that concatenation under the same scope. Attributes the
 // scope leaves out take their observed range over all of ts.
 func RunSegments(ts []*table.Table, tol table.Tolerances, q Query, scope *Scope) (*Result, error) {
+	ctx, err := newEvalCtx(ts, tol, q, scope)
+	if err != nil {
+		return nil, err
+	}
+	// Categorical flip budget from predicate and group-by columns.
+	flips := flipBudget(ctx, q)
+
+	res := &Result{}
+	for _, b := range groupRows(ctx, q, flips > 0) {
+		g, err := aggregate(ctx, q, b, flips)
+		if err != nil {
+			return nil, err
+		}
+		res.Groups = append(res.Groups, g)
+	}
+	return res, nil
+}
+
+// newEvalCtx checks that ts share one schema, resolves tol against ts
+// and scope, and validates q against the schema.
+func newEvalCtx(ts []*table.Table, tol table.Tolerances, q Query, scope *Scope) (*evalCtx, error) {
 	if len(ts) == 0 {
 		return nil, fmt.Errorf("query: no table to run on")
 	}
@@ -474,45 +495,55 @@ func RunSegments(ts []*table.Table, tol table.Tolerances, q Query, scope *Scope)
 	if err := validate(ctx, q); err != nil {
 		return nil, err
 	}
-
-	// Categorical flip budget from predicate and group-by columns.
-	flips := flipBudget(ctx, q)
-
-	res := &Result{}
-	for _, b := range groupRows(ctx, q) {
-		g, err := aggregate(ctx, q, b, flips)
-		if err != nil {
-			return nil, err
-		}
-		res.Groups = append(res.Groups, g)
-	}
-	return res, nil
+	return ctx, nil
 }
 
 // bucket is one group's matching rows: how many match definitely and
-// how many uncertainly, and, unless the query only counts, the
-// aggregated column's values on those rows in row order.
+// how many uncertainly, and, unless the query only counts, what its
+// aggregate needs of the aggregated column's values on those rows.
+// Definite values stream into the accumulator of the aggregate, in row
+// order; uncertain values, the few rows near a threshold, are kept.
 type bucket struct {
-	key              string
-	def, unc         int
+	key      string
+	def, unc int
+	// sum, lo and hi are Σv, Σ(v−e) and Σ(v+e) over the definite values
+	// (SUM and AVG); ext is their least (MIN) or greatest (MAX), ±Inf
+	// while there is none.
+	sum, lo, hi, ext float64
+	// defVals holds the definite values in row order when groupRows is
+	// asked to keep them (a flip budget's removal bounds sort them);
+	// uncVals holds the uncertain values in row order.
 	defVals, uncVals []float64
 }
 
 // groupRows evaluates q.Where over every table of ctx and puts each row
-// it does not refute into a bucket. Without GROUP BY there is exactly one
-// bucket, empty when nothing matches (an empty selection still yields
-// one group). With it there is one bucket per key of a matching row,
-// sorted by key, and a row finds its bucket through a slice indexed by
-// its group code; codes that share a string share a bucket.
-func groupRows(ctx *evalCtx, q Query) []*bucket {
+// it does not refute into a bucket, keeping the definite values when
+// keepDef is set. Without GROUP BY there is exactly one bucket, empty
+// when nothing matches (an empty selection still yields one group). With
+// it there is one bucket per key of a matching row, sorted by key, and a
+// row finds its bucket through a slice indexed by its group code; codes
+// that share a string share a bucket.
+func groupRows(ctx *evalCtx, q Query, keepDef bool) []*bucket {
 	valCol, groupCol := -1, -1
+	var e float64
 	if q.Agg != Count {
 		valCol = ctx.cols[q.Column]
+		e = ctx.tol[q.Column]
 	}
 	if q.GroupBy != "" {
 		groupCol = ctx.cols[q.GroupBy]
 	}
-	all := &bucket{}
+	newBucket := func(key string) *bucket {
+		b := &bucket{key: key}
+		switch q.Agg {
+		case Min:
+			b.ext = math.Inf(1)
+		case Max:
+			b.ext = math.Inf(-1)
+		}
+		return b
+	}
+	all := newBucket("")
 	byKey := map[string]*bucket{}
 	var match []tri
 	for _, t := range ctx.ts {
@@ -544,22 +575,36 @@ func groupRows(ctx *evalCtx, q Query) []*bucket {
 				c := codes[r]
 				if b = byCode[c]; b == nil {
 					if b = byKey[dict[c]]; b == nil {
-						b = &bucket{key: dict[c]}
+						b = newBucket(dict[c])
 						byKey[dict[c]] = b
 					}
 					byCode[c] = b
 				}
 			}
-			if m == yes {
-				b.def++
-				if vals != nil {
-					b.defVals = append(b.defVals, vals[r])
-				}
-			} else {
+			if m == maybe {
 				b.unc++
 				if vals != nil {
 					b.uncVals = append(b.uncVals, vals[r])
 				}
+				continue
+			}
+			b.def++
+			if vals == nil {
+				continue
+			}
+			v := vals[r]
+			switch q.Agg {
+			case Sum, Avg:
+				b.sum += v
+				b.lo += v - e
+				b.hi += v + e
+			case Min:
+				b.ext = min(b.ext, v)
+			case Max:
+				b.ext = max(b.ext, v)
+			}
+			if keepDef {
+				b.defVals = append(b.defVals, v)
 			}
 		}
 	}
@@ -694,7 +739,7 @@ func flipBudget(ctx *evalCtx, q Query) int {
 }
 
 // aggregate computes the point estimate and the sound interval for one
-// group.
+// group; b holds its definite values when flips > 0.
 func aggregate(ctx *evalCtx, q Query, b *bucket, flips int) (Group, error) {
 	g := Group{Key: b.key, Rows: b.def, UncertainRows: b.unc + flips}
 	switch q.Agg {
@@ -703,10 +748,10 @@ func aggregate(ctx *evalCtx, q Query, b *bucket, flips int) (Group, error) {
 		g.Lo = math.Max(0, float64(b.def-flips))
 		g.Hi = float64(b.def + b.unc + flips)
 	case Sum:
-		sumInterval(ctx, q.Column, b.defVals, b.uncVals, flips, &g)
+		sumInterval(ctx, q.Column, b, flips, &g)
 	case Avg:
 		var s Group
-		sumInterval(ctx, q.Column, b.defVals, b.uncVals, flips, &s)
+		sumInterval(ctx, q.Column, b, flips, &s)
 		cntLo := math.Max(0, float64(b.def-flips))
 		cntHi := float64(b.def + b.unc + flips)
 		if b.def == 0 {
@@ -716,29 +761,24 @@ func aggregate(ctx *evalCtx, q Query, b *bucket, flips int) (Group, error) {
 		}
 		g.Lo, g.Hi = divideInterval(s.Lo, s.Hi, cntLo, cntHi)
 	case Min:
-		extremeInterval(ctx, q.Column, b.defVals, b.uncVals, flips, true, &g)
+		extremeInterval(ctx, q.Column, b, flips, true, &g)
 	case Max:
-		extremeInterval(ctx, q.Column, b.defVals, b.uncVals, flips, false, &g)
+		extremeInterval(ctx, q.Column, b, flips, false, &g)
 	default:
 		return g, fmt.Errorf("query: unknown aggregate %d", q.Agg)
 	}
 	return g, nil
 }
 
-// sumInterval fills g with the SUM estimate and bounds over the definite
-// values def and the uncertain values unc: definite rows contribute
-// their full value interval; uncertain rows contribute only when that
-// widens the bound; flip-budget rows may add or remove the most extreme
-// definite contributions. With flips it sorts def in place.
-func sumInterval(ctx *evalCtx, column string, def, unc []float64, flips int, g *Group) {
+// sumInterval fills g with the SUM estimate and bounds over b: definite
+// rows contribute their full value interval (b's streamed sums);
+// uncertain rows contribute only when that widens the bound; flip-budget
+// rows may add or remove the most extreme definite contributions. With
+// flips it sorts b.defVals in place.
+func sumInterval(ctx *evalCtx, column string, b *bucket, flips int, g *Group) {
 	e := ctx.tol[column]
-	sum, lo, hi := 0.0, 0.0, 0.0
-	for _, v := range def {
-		sum += v
-		lo += v - e
-		hi += v + e
-	}
-	for _, v := range unc {
+	lo, hi := b.lo, b.hi
+	for _, v := range b.uncVals {
 		lo += math.Min(0, v-e)
 		hi += math.Max(0, v+e)
 	}
@@ -748,6 +788,7 @@ func sumInterval(ctx *evalCtx, column string, def, unc []float64, flips int, g *
 	// values for removals.
 	if flips > 0 {
 		tLo, tHi := ctx.colBounds(column)
+		def := b.defVals
 		sort.Float64s(def)
 		for i := 0; i < flips; i++ {
 			lo += math.Min(0, tLo-e)
@@ -761,7 +802,7 @@ func sumInterval(ctx *evalCtx, column string, def, unc []float64, flips int, g *
 			}
 		}
 	}
-	g.Value = sum
+	g.Value = b.sum
 	g.Lo = lo
 	g.Hi = hi
 }
@@ -785,64 +826,64 @@ func divideInterval(sLo, sHi, cLo, cHi float64) (float64, float64) {
 	return lo, hi
 }
 
-// extremeInterval fills g for MIN (isMin) or MAX over the definite
-// values def and the uncertain values unc. With flips it sorts def in
-// place.
-func extremeInterval(ctx *evalCtx, column string, def, unc []float64, flips int, isMin bool, g *Group) {
+// extremeInterval fills g for MIN (isMin) or MAX over b. With flips it
+// sorts b.defVals in place.
+func extremeInterval(ctx *evalCtx, column string, b *bucket, flips int, isMin bool, g *Group) {
 	e := ctx.tol[column]
-	if len(def) == 0 && len(unc) == 0 {
+	if b.def == 0 && b.unc == 0 {
 		g.Value, g.Lo, g.Hi = math.NaN(), math.NaN(), math.NaN()
 		return
 	}
-	best := math.Inf(1)
-	if !isMin {
-		best = math.Inf(-1)
-	}
-	for _, v := range def {
-		if isMin {
-			best = math.Min(best, v)
-		} else {
-			best = math.Max(best, v)
-		}
-	}
+	best := b.ext
 	g.Value = best
-	if len(def) == 0 {
+	if b.def == 0 {
 		g.Value = math.NaN()
 	}
 	// Bounds: uncertain/flipped rows can push the extreme outward but a
 	// definite extreme limits how far inward it can be.
 	outward := best
-	for _, v := range unc {
+	for _, v := range b.uncVals {
 		if isMin {
 			outward = math.Min(outward, v)
 		} else {
 			outward = math.Max(outward, v)
 		}
 	}
+	var tLo, tHi float64
 	if flips > 0 {
-		tLo, tHi := ctx.colBounds(column)
+		tLo, tHi = ctx.colBounds(column)
 		if isMin {
 			outward = math.Min(outward, tLo)
 		} else {
 			outward = math.Max(outward, tHi)
 		}
 	}
-	if flips > 0 && len(def) > 0 {
+	def := b.defVals
+	if flips > 0 && b.def > 0 {
 		sort.Float64s(def)
 	}
 	if isMin {
 		g.Lo = outward - e
 		g.Hi = best + e
-		if flips > 0 && len(def) > 0 {
+		if flips > 0 && b.def > 0 {
 			// The current minimum row might be a flip mistake; the true
-			// minimum could be as high as the (flips+1)-th smallest.
-			g.Hi = def[min(flips, len(def)-1)] + e
+			// minimum could be as high as the (flips+1)-th smallest, or,
+			// when every definite row may flip out, any row's value.
+			if flips >= b.def {
+				g.Hi = tHi + e
+			} else {
+				g.Hi = def[flips] + e
+			}
 		}
 	} else {
 		g.Lo = best - e
 		g.Hi = outward + e
-		if flips > 0 && len(def) > 0 {
-			g.Lo = def[max(len(def)-1-flips, 0)] - e
+		if flips > 0 && b.def > 0 {
+			if flips >= b.def {
+				g.Lo = tLo - e
+			} else {
+				g.Lo = def[b.def-1-flips] - e
+			}
 		}
 	}
 	if math.IsNaN(g.Value) {

@@ -362,6 +362,41 @@ func TestCategoricalFlipBudget(t *testing.T) {
 	}
 }
 
+// TestExtremeFlipBudgetCoversEveryDefiniteRow: when the flip budget is
+// at least the definite rows, every one of them may flip out, so MIN's
+// upper and MAX's lower bound fall back to the column's extremes. The
+// reconstructed c is [a,b,b,b], the original [b,a,b,b]; the 0.5
+// categorical tolerance gives a flip budget of 2 over 4 rows. Only the
+// second row holds c='a' in the original, and its x is the column's
+// maximum for MIN, its minimum for MAX.
+func TestExtremeFlipBudgetCoversEveryDefiniteRow(t *testing.T) {
+	build := func(xs []float64, cs ...string) *table.Table {
+		b := table.MustBuilder(table.Schema{{Name: "c", Kind: table.Categorical}, {Name: "x", Kind: table.Numeric}})
+		for i, x := range xs {
+			b.MustAppendRow(cs[i], x)
+		}
+		return b.MustBuild()
+	}
+	for _, tc := range []struct {
+		agg AggKind
+		xs  []float64
+	}{
+		{Min, []float64{1, 100, 5, 7}},
+		{Max, []float64{100, 1, 5, 7}},
+	} {
+		recon, orig := build(tc.xs, "a", "b", "b", "b"), build(tc.xs, "b", "a", "b", "b")
+		q := Query{Agg: tc.agg, Column: "x", Where: CatEq("c", "a")}
+		res, err := Run(recon, table.UniformTolerances(recon, 0, 0.5), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runExact(t, orig, q)[""]
+		if g := res.Groups[0]; !(want >= g.Lo && want <= g.Hi) {
+			t.Errorf("%v(x) WHERE c='a' = %g in [%g, %g]; the original's %g is outside", tc.agg, g.Value, g.Lo, g.Hi, want)
+		}
+	}
+}
+
 func TestTriLogic(t *testing.T) {
 	if triAnd(yes, maybe) != maybe || triAnd(no, maybe) != no || triAnd(yes, yes) != yes {
 		t.Error("triAnd wrong")
