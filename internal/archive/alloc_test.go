@@ -146,15 +146,18 @@ func TestDecodeAllocatesColumnsOnce(t *testing.T) {
 // TestIngestAllocations pins what a segmented ingest allocates: the
 // benchmark's ingest_cdr_segmented (32k CDR rows, 8k-row segments, 1%
 // numeric tolerance) averaged over three WriteTable calls after a
-// warm-up. About 11.6 MB measured (linux/amd64, go1.24); a fresh
-// deflate compressor per sample column and per segment (about 1 MB each),
-// a copy of every segment, or CaRT growth copying each node's rows and
-// split pairs (about 17 MB) puts it past 14 MB.
+// warm-up. About 9.4–10.5 MB measured at GOMAXPROCS 1 and 2 and up to
+// 11.5 MB at 4 to 16, where more segments miss the pooled deflate
+// writers (linux/amd64, go1.24); a fresh deflate compressor per sample
+// column and per segment (about 1 MB each), a copy of every segment, or
+// CaRT growth copying each node's rows and split pairs (about 17 MB)
+// puts it past 12 MB. A fascicle index of []int rows with a sorted copy
+// of each numeric column adds about 1 MB (10.3–12.8 MB).
 func TestIngestAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumented appends allocate a copy of each buffer they grow")
 	}
-	const rows, segRows, runs, ceiling = 32000, 8000, 3, 14 << 20
+	const rows, segRows, runs, ceiling = 32000, 8000, 3, 12 << 20
 	tb := datagen.CDR(rows, 1)
 	opts := core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)}
 	write := func() {

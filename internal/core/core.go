@@ -364,7 +364,7 @@ func (m *Model) Apply(ctx context.Context, w io.Writer, t *table.Table) (_ *Stat
 	// crossing any CaRT split value.
 	applied := t
 	err = runPhase(ctx, root, SpanRowAggregation, &stats.Timings.RowAggregation, func(sp *obs.Span) error {
-		var seedsTried, rowsScanned int
+		var seedsTried, rowsScanned, pairLists int
 		if !m.opts.DisableRowAggregation && len(m.plan.Materialized) > 0 {
 			var clustering *fascicle.Clustering
 			var err error
@@ -373,11 +373,12 @@ func (m *Model) Apply(ctx context.Context, w io.Writer, t *table.Table) (_ *Stat
 				return fmt.Errorf("spartan: row aggregation: %w", err)
 			}
 			stats.Fascicles = len(clustering.Fascicles)
-			seedsTried, rowsScanned = clustering.SeedsTried(), clustering.RowsScanned()
+			seedsTried, rowsScanned, pairLists = clustering.SeedsTried(), clustering.RowsScanned(), clustering.PairLists()
 		}
 		sp.SetAttr("fascicles", stats.Fascicles)
 		sp.SetAttr("seeds_tried", seedsTried)
 		sp.SetAttr("rows_scanned", rowsScanned)
+		sp.SetAttr("pair_lists", pairLists)
 		return nil
 	})
 	if err != nil {

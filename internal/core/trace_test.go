@@ -100,7 +100,8 @@ func TestCompressTrace(t *testing.T) {
 	}
 	// Row aggregation reports its work: every fascicle comes from a tried
 	// seed, at most 4·MaxFascicles+64 seeds are tried, and each seed's
-	// candidate walk visits at least the seed and at most every row.
+	// candidate walk visits at least the seed and at most every row, and
+	// at most two pair lists per clustered column are built.
 	ra := tr.Find(core.SpanRowAggregation)
 	if got := ra.Attr("fascicles"); got != stats.Fascicles {
 		t.Errorf("fascicles attr = %v, want %d", got, stats.Fascicles)
@@ -112,6 +113,9 @@ func TestCompressTrace(t *testing.T) {
 	}
 	if scanned < seeds || scanned > seeds*tb.NumRows() {
 		t.Errorf("rows_scanned = %v with %d seeds over %d rows", ra.Attr("rows_scanned"), seeds, tb.NumRows())
+	}
+	if lists, ok := ra.Attr("pair_lists").(int); !ok || lists < 0 || lists > 2*tb.NumCols() {
+		t.Errorf("pair_lists = %v, want at most 2 per column of %d", ra.Attr("pair_lists"), tb.NumCols())
 	}
 	if got := tr.Find(core.SpanOutlierScan).Attr("outliers"); got != stats.Outliers {
 		t.Errorf("outliers attr = %v, want %d", got, stats.Outliers)

@@ -120,6 +120,7 @@ type Clustering struct {
 	params      Params
 	seedsTried  int
 	rowsScanned int
+	pairLists   int
 }
 
 // SeedsTried returns the number of seeds the clustering tried to grow,
@@ -130,26 +131,53 @@ func (c *Clustering) SeedsTried() int { return c.seedsTried }
 // visited, counting the already-assigned rows a candidate walk skips.
 func (c *Clustering) RowsScanned() int { return c.rowsScanned }
 
+// PairLists returns the number of pair lists the clustering built, each
+// one uint32 per row: the walk's memory beyond the index.
+func (c *Clustering) PairLists() int { return c.pairLists }
+
 // Cluster detects fascicles greedily. The result is deterministic for a
-// given table and parameters. Index construction is O(n·cols): a stable
-// radix sort makes at most 8 byte passes over each numeric column (fewer
-// when every value shares a key byte) and a counting sort makes one pass
-// over each categorical column. Each seed then costs O(cols·log n) to
-// size its windows by binary search, plus one walk over the sparsest
-// chosen attribute's window (RowsScanned sums those walks). Each walked
-// row is checked against the other chosen windows from the tightest to
-// the widest, the order in which a non-member is likeliest to fail
-// early; the check has no side effects, so its order changes no
-// fascicle. ctx is checked before each seed's growth attempt, so a
-// cancel abandons the clustering within one fascicle and returns the
-// wrapped context error.
+// given table and parameters. A table of more than 2^32 rows is refused
+// with an error before anything is allocated: the index numbers rows in
+// uint32.
+//
+// Index construction is O(n·cols): a stable radix sort makes at most 8
+// byte passes over each numeric column (fewer when every value shares a
+// key byte) and a counting sort makes one pass over each categorical
+// column. Each seed then costs O(cols·log n) to size its windows by
+// binary search, plus one walk over its candidate rows (RowsScanned sums
+// those walks). The candidates are the sparsest chosen window's rows or,
+// when shorter, the rows of the tightest chosen categorical window c
+// that also lie in the sparsest other chosen window a. That intersection
+// is c's bucket of a pair list, a's sorted rows regrouped by c's code,
+// cut by two binary searches. A pair list is built in one pass once the
+// seeds that wanted it have checked half a table of rows without it, and
+// kept for the call. At most 2·cols lists are built (PairLists), which
+// caps their memory at twice the index's own row lists; a seed whose
+// pair has no list walks its sparsest window. Both walks visit a
+// superset of the members that the other chosen windows filter to the
+// same set, so the choice changes no fascicle. Each walked row is
+// checked against the other chosen windows from the tightest to the
+// widest, the order in which a non-member is likeliest to fail early;
+// the check has no side effects, so its order changes no fascicle
+// either. ctx is checked before each seed's growth attempt, so a cancel
+// abandons the clustering within one fascicle and returns the wrapped
+// context error.
 func Cluster(ctx context.Context, t *table.Table, p Params) (*Clustering, error) {
+	if uint64(t.NumRows()) > 1<<32 {
+		return nil, fmt.Errorf("fascicle: %d rows, at most 2^32 supported", t.NumRows())
+	}
 	p, err := p.withDefaults(t)
 	if err != nil {
 		return nil, err
 	}
-	n := t.NumRows()
 	g := newGrower(t, p)
+	return g.cluster(ctx, g.candidates)
+}
+
+// cluster grows fascicles from successive seeds; walk lists a seed's
+// candidate members from its chosen windows.
+func (g *grower) cluster(ctx context.Context, walk func(chosen []attrMatch) []int) (*Clustering, error) {
+	n, p := g.t.NumRows(), g.p
 	fascicles := make([]Fascicle, 0, p.MaxFascicles)
 
 	// Seeds that fail to grow are skipped permanently; cap total attempts
@@ -167,7 +195,7 @@ func Cluster(ctx context.Context, t *table.Table, p Params) (*Clustering, error)
 			break
 		}
 		tries++
-		f, ok := g.grow(seed)
+		f, ok := g.grow(seed, walk)
 		if !ok {
 			seed++ // this seed stays a leftover unless a later fascicle absorbs it
 			continue
@@ -190,16 +218,14 @@ func Cluster(ctx context.Context, t *table.Table, p Params) (*Clustering, error)
 		}
 	}
 	return &Clustering{Fascicles: fascicles, Leftover: leftover, params: p,
-		seedsTried: tries, rowsScanned: g.rowsScanned}, nil
+		seedsTried: tries, rowsScanned: g.rowsScanned, pairLists: len(g.pairs)}, nil
 }
 
 // colIndex accelerates window membership queries. sortedRows lists every
 // row in stable ascending order of its value (numeric) or code
 // (categorical), so equal values keep ascending row order.
 type colIndex struct {
-	sortedRows []int
-	// sortedVals holds a numeric column's values in sortedRows order.
-	sortedVals []float64
+	sortedRows []uint32
 	// codeStart delimits a categorical column's buckets: the rows with
 	// code c are sortedRows[codeStart[c]:codeStart[c+1]].
 	codeStart []int
@@ -212,7 +238,7 @@ func buildIndex(t *table.Table) []colIndex {
 	n := t.NumRows()
 	idx := make([]colIndex, t.NumCols())
 	var keys, spareKeys []uint64
-	var spareRows []int
+	var spareRows []uint32
 	for a := range idx {
 		col := t.Col(a)
 		if col.Kind != table.Numeric {
@@ -220,23 +246,19 @@ func buildIndex(t *table.Table) []colIndex {
 			continue
 		}
 		if keys == nil {
-			keys, spareKeys, spareRows = make([]uint64, n), make([]uint64, n), make([]int, n)
+			keys, spareKeys, spareRows = make([]uint64, n), make([]uint64, n), make([]uint32, n)
 		}
 		for r, v := range col.Floats {
 			keys[r] = sortKey(v)
 		}
-		rows := make([]int, n)
+		rows := make([]uint32, n)
 		for r := range rows {
-			rows[r] = r
+			rows[r] = uint32(r)
 		}
 		// The sorted order may land in either buffer; the other becomes
 		// the next column's scratch.
 		rows, spareRows = radixSort(keys, spareKeys, rows, spareRows)
-		vals := make([]float64, n)
-		for i, r := range rows {
-			vals[i] = col.Floats[r]
-		}
-		idx[a] = colIndex{sortedRows: rows, sortedVals: vals}
+		idx[a] = colIndex{sortedRows: rows}
 	}
 	return idx
 }
@@ -260,7 +282,7 @@ func sortKey(v float64) uint64 {
 // significant, skipping every byte in which all keys agree. keys and
 // rows are permuted in step through the spare buffers of equal length;
 // it returns the buffer holding the sorted rows and the one left spare.
-func radixSort(keys, spareKeys []uint64, rows, spareRows []int) (sorted, spare []int) {
+func radixSort(keys, spareKeys []uint64, rows, spareRows []uint32) (sorted, spare []uint32) {
 	var differ uint64
 	for _, k := range keys {
 		differ |= k ^ keys[0]
@@ -302,25 +324,48 @@ func bucketCodes(codes []int32, dictSize int) colIndex {
 	}
 	next := make([]int, dictSize)
 	copy(next, start)
-	rows := make([]int, len(codes))
+	rows := make([]uint32, len(codes))
 	for r, c := range codes {
-		rows[next[c]] = r
+		rows[next[c]] = uint32(r)
 		next[c]++
 	}
 	return colIndex{sortedRows: rows, codeStart: start}
 }
 
-// window returns the index range [from, to) of sortedVals holding the
-// values in [lo, hi].
-func (ci *colIndex) window(lo, hi float64) (from, to int) {
-	from = sort.SearchFloat64s(ci.sortedVals, lo)
-	to = sort.Search(len(ci.sortedVals), func(i int) bool { return ci.sortedVals[i] > hi })
+// valueWindow returns the index range [from, to) of rows, stably sorted
+// by vals, whose values lie in [lo, hi]. -0 and +0 share a sort key and
+// compare equal, so both predicates stay monotone. The two binary
+// searches share one loop: their loads do not depend on each other, so
+// the processor overlaps them, which repays the extra load through rows.
+func valueWindow(vals []float64, rows []uint32, lo, hi float64) (from, to int) {
+	n := len(rows)
+	if n == 0 {
+		return 0, 0
+	}
+	// Each answer lies in [from, from+n] and [to, to+n].
+	for n > 1 {
+		half := n / 2
+		if vals[rows[from+half-1]] < lo {
+			from += half
+		}
+		if vals[rows[to+half-1]] <= hi {
+			to += half
+		}
+		n -= half
+	}
+	if vals[rows[from]] < lo {
+		from++
+	}
+	if vals[rows[to]] <= hi {
+		to++
+	}
 	return from, to
 }
 
 // attrMatch records, for one attribute, the compactness window around the
 // current seed: sortedRows[from:to] of the attribute's index, which may
-// include already-assigned rows.
+// include already-assigned rows. A categorical window is the seed code's
+// bucket, so from and to are codeStart[seedC] and codeStart[seedC+1].
 type attrMatch struct {
 	attr     int
 	from, to int
@@ -335,12 +380,23 @@ type attrMatch struct {
 func (am *attrMatch) count() int { return am.to - am.from }
 
 // fits reports whether row r lies in the window.
-func (am *attrMatch) fits(r int) bool {
+func (am *attrMatch) fits(r uint32) bool {
 	if am.isCat {
 		return am.codes[r] == am.seedC
 	}
 	v := am.vals[r]
 	return v >= am.lo && v <= am.hi
+}
+
+// within returns the index range [from, to) of rows, stably sorted by
+// the attribute's value or code, whose rows lie in the window.
+func (am *attrMatch) within(rows []uint32) (from, to int) {
+	if !am.isCat {
+		return valueWindow(am.vals, rows, am.lo, am.hi)
+	}
+	from = sort.Search(len(rows), func(i int) bool { return am.codes[rows[i]] >= am.seedC })
+	to = from + sort.Search(len(rows)-from, func(i int) bool { return am.codes[rows[from+i]] > am.seedC })
+	return from, to
 }
 
 // grower grows fascicles from seeds over one table. Its buffers are
@@ -351,6 +407,16 @@ type grower struct {
 	p        Params
 	idx      []colIndex
 	assigned []bool
+
+	// pairs[c·cols+a] is pair(c, a): idx[a].sortedRows stably regrouped
+	// by categorical column c's code, so that the rows with code v are
+	// its [codeStart[v], codeStart[v+1]) in a's order, codeStart being
+	// idx[c]'s. owed[c·cols+a] counts the rows that seeds wanting pair
+	// (c, a) checked while it had no list; see pair.
+	pairs    map[int][]uint32
+	owed     map[int]int
+	maxPairs int
+	next     []int // bucket cursors while a pair list is built
 
 	matches  []attrMatch
 	rows     []int
@@ -363,20 +429,33 @@ type grower struct {
 }
 
 func newGrower(t *table.Table, p Params) *grower {
+	nc := t.NumCols()
 	return &grower{
 		t:        t,
 		p:        p,
 		idx:      buildIndex(t),
 		assigned: make([]bool, t.NumRows()),
-		matches:  make([]attrMatch, 0, t.NumCols()),
+		pairs:    make(map[int][]uint32),
+		owed:     make(map[int]int),
+		maxPairs: 2 * nc,
+		matches:  make([]attrMatch, 0, nc),
 		reps:     make([]float64, 0, p.K),
 		counts:   make(map[float64]int, 16),
 	}
 }
 
 // grow builds the candidate fascicle seeded at row seed and reports
-// whether it meets the minimum size.
-func (g *grower) grow(seed int) (Fascicle, bool) {
+// whether it meets the minimum size. walk lists the candidate members.
+func (g *grower) grow(seed int, walk func(chosen []attrMatch) []int) (Fascicle, bool) {
+	chosen := g.choose(seed)
+	rows := walk(chosen)
+	g.rows = rows
+	return g.keep(chosen, rows)
+}
+
+// choose sizes every attribute's compactness window around seed and
+// returns the K most populated, in descending count order.
+func (g *grower) choose(seed int) []attrMatch {
 	t, p := g.t, g.p
 	g.matches = g.matches[:0]
 	for a := 0; a < t.NumCols(); a++ {
@@ -394,7 +473,7 @@ func (g *grower) grow(seed int) (Fascicle, bool) {
 			best := -1
 			for _, anchor := range [3][2]float64{{s - 2*w, s}, {s - w, s + w}, {s, s + 2*w}} {
 				lo, hi := clampWindow(s, anchor[0], anchor[1], splits)
-				if from, to := g.idx[a].window(lo, hi); to-from > best {
+				if from, to := valueWindow(am.vals, g.idx[a].sortedRows, lo, hi); to-from > best {
 					best = to - from
 					am.from, am.to, am.lo, am.hi = from, to, lo, hi
 				}
@@ -408,37 +487,99 @@ func (g *grower) grow(seed int) (Fascicle, bool) {
 	}
 	// Keep the K attributes with the highest estimated population.
 	slices.SortStableFunc(g.matches, func(x, y attrMatch) int { return cmp.Compare(y.count(), x.count()) })
-	chosen := g.matches[:p.K]
+	return g.matches[:p.K]
+}
 
-	// Walk the sparsest chosen attribute's window, keeping the unassigned
-	// rows that fit every other chosen window. chosen is in descending
-	// count order, so the other windows are checked from the back: the
-	// tightest window rejects most rows and ends the check soonest.
-	sparse := 0
+// candidates returns the unassigned rows that fit every chosen window,
+// in walk order. It walks the sparsest chosen window or, when shorter,
+// the rows of the tightest chosen categorical window c that lie in the
+// sparsest other chosen window a, and checks each row against the
+// chosen windows it was not drawn from. chosen is in descending count
+// order, so those are checked from the back: the tightest window
+// rejects most rows and ends the check soonest.
+func (g *grower) candidates(chosen []attrMatch) []int {
+	sparse, c := 0, -1
 	for j := range chosen {
 		if chosen[j].count() < chosen[sparse].count() {
 			sparse = j
 		}
+		if chosen[j].isCat && (c < 0 || chosen[j].count() < chosen[c].count()) {
+			c = j
+		}
 	}
-	window := g.idx[chosen[sparse].attr].sortedRows[chosen[sparse].from:chosen[sparse].to]
-	g.rowsScanned += len(window)
+	walk := g.idx[chosen[sparse].attr].sortedRows[chosen[sparse].from:chosen[sparse].to]
+	skip1, skip2 := sparse, sparse
+	owed := -1 // the pair whose missing list this walk pays for
+	if c >= 0 && len(chosen) > 1 {
+		a := -1
+		for j := range chosen {
+			if j != c && (a < 0 || chosen[j].count() < chosen[a].count()) {
+				a = j
+			}
+		}
+		k := chosen[c].attr*g.t.NumCols() + chosen[a].attr
+		if list := g.pair(k, chosen[c].attr, chosen[a].attr); list != nil {
+			bucket := list[chosen[c].from:chosen[c].to]
+			if from, to := chosen[a].within(bucket); to-from < len(walk) {
+				walk, skip1, skip2 = bucket[from:to], c, a
+			}
+		} else if len(g.pairs) < g.maxPairs {
+			owed = k
+		}
+	}
+	g.rowsScanned += len(walk)
 	rows := g.rows[:0]
-	for _, r := range window {
+	checked := 0
+	for _, r := range walk {
 		if g.assigned[r] {
 			continue
 		}
+		checked++
 		ok := true
 		for j := len(chosen) - 1; j >= 0; j-- {
-			if j != sparse && !chosen[j].fits(r) {
+			if j != skip1 && j != skip2 && !chosen[j].fits(r) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			rows = append(rows, r)
+			rows = append(rows, int(r))
 		}
 	}
-	g.rows = rows
+	if owed >= 0 {
+		g.owed[owed] += checked
+	}
+	return rows
+}
+
+// pair returns pair(c, a), whose key in pairs is k, or nil while it has
+// no list. The list is built once the seeds that wanted it have checked
+// half a table of rows without it, and only while fewer than maxPairs
+// lists exist. Building a list costs one pass over the rows, so a pair
+// that few seeds share, as in a table of a few large fascicles, is
+// never built and costs no more than the single-window walk.
+func (g *grower) pair(k, c, a int) []uint32 {
+	if list, ok := g.pairs[k]; ok || len(g.pairs) == g.maxPairs || 2*g.owed[k] < g.t.NumRows() {
+		return list
+	}
+	start := g.idx[c].codeStart
+	next := append(g.next[:0], start[:len(start)-1]...)
+	codes := g.t.Col(c).Codes
+	list := make([]uint32, len(codes))
+	for _, r := range g.idx[a].sortedRows {
+		v := codes[r]
+		list[next[v]] = r
+		next[v]++
+	}
+	g.next = next
+	g.pairs[k] = list
+	return list
+}
+
+// keep turns the candidate members rows of the chosen windows into a
+// fascicle: representatives, then the members they cover.
+func (g *grower) keep(chosen []attrMatch, rows []int) (Fascicle, bool) {
+	p := g.p
 	if len(rows) < p.MinSize {
 		return Fascicle{}, false
 	}

@@ -469,19 +469,19 @@ func TestColIndexRangeQueries(t *testing.T) {
 	tb := paperTable(t)
 	idx := buildIndex(tb)
 	// Salary column: values 15k..110k.
-	from, to := idx[1].window(50000, 90000)
+	from, to := valueWindow(tb.Col(1).Floats, idx[1].sortedRows, 50000, 90000)
 	if to-from != 4 { // 50,76,80,90 (k)
 		t.Errorf("window size = %d, want 4", to-from)
 	}
-	rows := append([]int(nil), idx[1].sortedRows[from:to]...)
-	sort.Ints(rows)
-	if want := []int{0, 4, 5, 7}; !slices.Equal(rows, want) {
+	rows := slices.Clone(idx[1].sortedRows[from:to])
+	slices.Sort(rows)
+	if want := []uint32{0, 4, 5, 7}; !slices.Equal(rows, want) {
 		t.Errorf("window rows = %v, want %v", rows, want)
 	}
 	// Categorical buckets.
 	good := tb.Col(3).Codes[0]
 	bucket := idx[3].sortedRows[idx[3].codeStart[good]:idx[3].codeStart[good+1]]
-	if want := []int{0, 1, 4, 5, 7}; !slices.Equal(bucket, want) {
+	if want := []uint32{0, 1, 4, 5, 7}; !slices.Equal(bucket, want) {
 		t.Errorf("bucket = %v, want %v", bucket, want)
 	}
 }

@@ -103,8 +103,11 @@ func clusterInput(data []byte) (*table.Table, Params, error) {
 // fascicles and leftovers partition the rows, each in ascending order;
 // every compact numeric member lies within its width of the
 // representative and on the representative's side of every split;
-// every compact categorical member equals its representative; and two
-// runs agree.
+// every compact categorical member equals its representative; two runs
+// agree; and the fascicles, leftovers and seeds tried equal those of the
+// single-window reference walk, which scans at least as many rows. A
+// seed whose pair has no list yet, or none left in the 2·cols budget,
+// walks its sparsest window, so both walks are fuzzed.
 func FuzzCluster(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 1, 2, 0, 8, 0, 1, 2, 3, 1, 2, 4, 5, 5, 5, 0x80, 0})
@@ -112,16 +115,21 @@ func FuzzCluster(f *testing.F) {
 	f.Add([]byte{0x3f, 0, 0, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte("?100100100011000000000")) // four categorical columns, rows agreeing on some
 	f.Add([]byte{0x03, 3, 3, 8, 24, 2, 0xf0, 0x10, 8, 1, 0x80, 0, 0x80, 0, 0x80, 0, 0, 0, 0xf0, 0xf8, 0x7f, 0x7f, 0xff, 0x01})
+	// Two 4-code categorical columns, then two numeric ones (width 1 with
+	// a split at 1, and width 2), over 48 rows whose code pairs repeat, so
+	// the seeds share a column pair whose list is built and walked.
+	pairSeed := []byte{0x0f, 3, 2, 16, 3, 3, 8, 1, 4, 16, 0}
+	for r := 0; r < 48; r++ {
+		pairSeed = append(pairSeed, byte(r%4), byte(r/4%4), byte(r%7), byte(r%5))
+	}
+	f.Add(pairSeed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tb, p, err := clusterInput(data)
 		if err != nil {
 			t.Fatalf("clusterInput built an invalid table: %v", err)
 		}
-		c, err := Cluster(context.Background(), tb, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c, _ := matchReference(t, tb, p)
 		again, err := Cluster(context.Background(), tb, p)
 		if err != nil {
 			t.Fatal(err)
