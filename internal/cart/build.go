@@ -56,13 +56,13 @@ func (c Config) withDefaults(sampleRows int) Config {
 }
 
 // Build constructs a CaRT predicting target from the candidate predictor
-// attributes cands, trained on sample (typically a small random sample of
-// the full table). tol is the resolved error tolerance of the target
-// (absolute bound for numeric targets, misclassification probability for
-// categorical ones); a negative or non-finite tol is refused. The returned
-// model is the tree alone; (*Model).ComputeOutliers finds a table's
-// outliers against it. Build itself returns a cost estimate based on
-// sample-scaled outlier counts.
+// attributes cands, trained on s (typically a small random sample of the
+// full table, sorted once by NewSample). tol is the resolved error
+// tolerance of the target (absolute bound for numeric targets,
+// misclassification probability for categorical ones); a negative or
+// non-finite tol is refused. The returned model is the tree alone;
+// (*Model).ComputeOutliers finds a table's outliers against it. Build
+// itself returns a cost estimate based on sample-scaled outlier counts.
 //
 // cands must not contain target; an empty cands yields an error (the
 // selector assigns infinite prediction cost to such attributes). Growth
@@ -70,12 +70,13 @@ func (c Config) withDefaults(sampleRows int) Config {
 // tree within one split evaluation and returns the (wrapped) context
 // error.
 //
-// One build allocates its row buffer and the split search's scratch once,
-// sized by the sample, not once per node: grow hands each child a
-// disjoint sub-slice of its node's rows (see routeRows), so the whole
-// tree is grown in one []int.
-func Build(ctx context.Context, sample *table.Table, target int, cands []int, tol float64,
+// One build allocates its buffers once, sized by the sample, not once per
+// node: grow hands each child a disjoint sub-slice of its node's rows (see
+// routeRows) and the matching range of every sorted list (see partition),
+// so the whole tree is grown in one []int and one []int32.
+func Build(ctx context.Context, s *Sample, target int, cands []int, tol float64,
 	cm *CostModel, cfg Config) (*Model, float64, error) {
+	sample := s.t
 	if len(cands) == 0 {
 		return nil, 0, fmt.Errorf("cart: no candidate predictors for attribute %d", target)
 	}
@@ -90,44 +91,71 @@ func Build(ctx context.Context, sample *table.Table, target int, cands []int, to
 	if sample.NumRows() == 0 {
 		return nil, 0, fmt.Errorf("cart: empty sample")
 	}
+	if sample.NumRows() > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("cart: sample of %d rows exceeds %d", sample.NumRows(), math.MaxInt32)
+	}
 	if tol < 0 || math.IsNaN(tol) || math.IsInf(tol, 0) {
 		return nil, 0, fmt.Errorf("cart: attribute %d has tolerance %g, want a finite value >= 0", target, tol)
 	}
-	n := sample.NumRows()
-	cfg = cfg.withDefaults(n)
-	b := &treeBuilder{
-		t:      sample,
-		target: target,
-		kind:   sample.Attr(target).Kind,
-		cands:  append([]int(nil), cands...),
-		tol:    tol,
-		cm:     cm,
-		cfg:    cfg,
-		scale:  float64(cfg.FullRows) / float64(n),
-		spare:  make([]int, n),
-	}
-	if b.kind == table.Numeric {
-		b.ys = make([]float64, n)
-		b.vals = make([]float64, n)
-		b.ssePairs = make([]ssePair, n)
-	} else {
-		b.classes = make([]int, n)
-		b.giniPairs = make([]giniPair, n)
-	}
-	sort.Ints(b.cands)
-	rows := make([]int, n)
+	b := newTreeBuilder(s, target, cands, tol, cm, cfg)
+	rows := make([]int, sample.NumRows())
 	fillRows(rows)
-	root, cost := b.grow(ctx, rows, 0)
-	if cfg.Prune == PruneAfter && b.ctxErr == nil {
-		// grow left rows permuted; refilling gives prune's nodes the row
-		// order grow's nodes saw.
+	root, cost := b.grow(ctx, rows, 0, 0)
+	if b.cfg.Prune == PruneAfter && b.ctxErr == nil {
+		// grow left rows and lists permuted; refilling gives prune's nodes
+		// the rows and sorted target values grow's nodes saw.
 		fillRows(rows)
-		root, cost = b.prune(ctx, root, rows)
+		if l := b.lists[target]; l != nil {
+			copy(l, s.sorted[target])
+		}
+		root, cost = b.prune(ctx, root, rows, 0)
 	}
 	if b.ctxErr != nil {
 		return nil, 0, fmt.Errorf("cart: build cancelled: %w", b.ctxErr)
 	}
 	return &Model{Target: target, TargetKind: b.kind, Root: root}, cost, nil
+}
+
+// newTreeBuilder sets up the growth of one tree over s: its scratch, and
+// a copy of the sorted list of each numeric candidate and a numeric
+// target in one buffer.
+func newTreeBuilder(s *Sample, target int, cands []int, tol float64, cm *CostModel, cfg Config) *treeBuilder {
+	sample := s.t
+	n := sample.NumRows()
+	cfg = cfg.withDefaults(n)
+	b := &treeBuilder{
+		t:         sample,
+		target:    target,
+		kind:      sample.Attr(target).Kind,
+		cands:     append([]int(nil), cands...),
+		tol:       tol,
+		cm:        cm,
+		cfg:       cfg,
+		scale:     float64(cfg.FullRows) / float64(n),
+		spare:     make([]int, n),
+		lists:     make([][]int32, sample.NumCols()),
+		left:      make([]bool, n),
+		spareList: make([]int32, n),
+	}
+	if b.kind == table.Categorical {
+		b.classes = make([]int, n)
+	}
+	sort.Ints(b.cands)
+	listed := make([]int, 0, len(b.cands)+1)
+	for _, a := range b.cands {
+		if s.sorted[a] != nil {
+			listed = append(listed, a)
+		}
+	}
+	if s.sorted[target] != nil {
+		listed = append(listed, target)
+	}
+	buf := make([]int32, len(listed)*n)
+	for i, a := range listed {
+		b.lists[a] = buf[i*n : (i+1)*n : (i+1)*n]
+		copy(b.lists[a], s.sorted[a])
+	}
+	return b
 }
 
 // fillRows sets rows to 0…len(rows)−1, the sample order.
@@ -141,17 +169,26 @@ func fillRows(rows []int) {
 // are a sub-slice of; routeRows partitions a node's sub-slice in place, so
 // the children get disjoint sub-slices and a node's rows are permuted once
 // its children have been grown (prune therefore refills the buffer before
-// routing it again). The scratch slices below hold the sample's rows at
-// most; each is used by one call at a time and is dead before grow or
-// prune recurses, so the recursion shares them.
+// routing it again).
 //
-// Row order reaches the output: the scorers' sorts keep tied predictor
-// values in an order that depends on it, and their prefix sums round in
-// that order. routeRows is stable, so every node sees its rows in the
-// order copying them into fresh slices would give, and the scorers sort
-// with slices.SortFunc, the same pdqsort as sort.Slice (the same
-// comparisons and swaps), so the trees match a per-node-copy builder's
-// bit for bit (TestBuildDigest).
+// Each numeric candidate and a numeric target also has a sorted list: the
+// sample's rows in (value, row) order, copied from the Sample. A node
+// whose rows start at offset lo of the row buffer owns the range
+// [lo, lo+len(rows)) of every list, holding its rows in that order;
+// partition splits the range stably between the children, so they stay
+// sorted without a sort. The numeric scorers and the numeric leaf scan
+// these ranges; the categorical scorers and classIndex read rows in node
+// order.
+//
+// Only one ordering reaches the output: the order of tied values inside a
+// node. The SSE prefix sums round in it, and a leaf window whose ends are
+// −0 and +0 predicts the sign of their mean. The lists fix it canonically
+// as row order, which TestPresortMatchesReference checks against a
+// per-node sort with ties broken by row.
+//
+// The scratch slices below hold the sample's rows at most; each is used
+// by one call at a time and is dead before grow or prune recurses, so the
+// recursion shares them.
 type treeBuilder struct {
 	t      *table.Table
 	target int
@@ -162,12 +199,11 @@ type treeBuilder struct {
 	cfg    Config
 	scale  float64 // full-table rows per sample row
 
-	spare     []int      // routeRows' right rows
-	ys        []float64  // bestSplit's numeric target values
-	classes   []int      // bestSplit's dense class indices
-	vals      []float64  // leaf's sorted numeric target values
-	ssePairs  []ssePair  // numericSplitSSE's (predictor, target) pairs
-	giniPairs []giniPair // numericSplitGini's (predictor, class) pairs
+	lists     [][]int32 // by attribute: the sorted list of a numeric candidate or target, else nil
+	spare     []int     // routeRows' right rows
+	left      []bool    // by sample row: partition's side mark
+	spareList []int32   // partition's right rows
+	classes   []int     // by sample row: bestSplit's dense class index
 
 	// ctxErr records the first cancellation observed during growth. grow
 	// and prune return a placeholder once it is set, so the whole tree
@@ -216,14 +252,15 @@ func (b *treeBuilder) leafCost(sampleOutliers int) float64 {
 	return b.cm.LeafBits(b.target) + b.outlierCost(sampleOutliers)
 }
 
-// leaf returns the leaf that best predicts the target over rows, with
-// the number of those rows it would store as outliers. grow and prune
-// see the target's kind only through it.
+// leaf returns the leaf that best predicts the target over the node whose
+// rows start at lo, with the number of those rows it would store as
+// outliers. grow and prune see the target's kind only through it.
 //
 // A numeric leaf predicting p satisfies the tolerance for every row whose
 // value lies in [p-tol, p+tol], so the best constant is the centre of the
 // length-2·tol window covering the most rows (a sliding window over the
-// sorted values); the rows outside it are outliers.
+// node's range of the target's sorted list); the rows outside it are
+// outliers.
 //
 // A categorical leaf predicts its majority class. The global budget (tol·N
 // rows may stay wrong unstored) is distributed pro rata during
@@ -233,30 +270,27 @@ func (b *treeBuilder) leafCost(sampleOutliers int) float64 {
 //
 // rows is never empty: Build refuses an empty sample, and a split is kept
 // only when each side has MinLeafRows ≥ 1 rows.
-func (b *treeBuilder) leaf(rows []int) (*Node, int) {
+func (b *treeBuilder) leaf(rows []int, lo int) (*Node, int) {
 	if b.kind == table.Numeric {
-		vals := b.vals[:len(rows)]
-		for i, r := range rows {
-			vals[i] = b.t.Float(r, b.target)
-		}
-		sort.Float64s(vals)
+		ys := b.t.Col(b.target).Floats
+		list := b.lists[b.target][lo : lo+len(rows)]
 		bestLo, bestCount := 0, 1
-		lo := 0
-		for hi := 0; hi < len(vals); hi++ {
-			for vals[hi]-vals[lo] > 2*b.tol {
-				lo++
+		first := 0
+		for last, r := range list {
+			for ys[r]-ys[list[first]] > 2*b.tol {
+				first++
 			}
-			if hi-lo+1 > bestCount {
-				bestCount = hi - lo + 1
-				bestLo = lo
+			if last-first+1 > bestCount {
+				bestCount = last - first + 1
+				bestLo = first
 			}
 		}
 		// Predictions are rounded through float32 (their wire format) here,
 		// so the outlier scan sees exactly the prediction the decompressor
 		// will compute. Rows the rounding pushes past the bound simply
 		// become outliers.
-		pred := floats.F32((vals[bestLo] + vals[bestLo+bestCount-1]) / 2)
-		return &Node{Leaf: true, NumValue: pred}, len(vals) - bestCount
+		pred := floats.F32((ys[list[bestLo]] + ys[list[bestLo+bestCount-1]]) / 2)
+		return &Node{Leaf: true, NumValue: pred}, len(list) - bestCount
 	}
 	counts := map[int32]int{}
 	for _, r := range rows {
@@ -273,13 +307,13 @@ func (b *treeBuilder) leaf(rows []int) (*Node, int) {
 }
 
 // grow grows (and under PruneIntegrated, prunes) a subtree for the given
-// sample rows, returning the subtree and its estimated storage cost in
-// bits.
-func (b *treeBuilder) grow(ctx context.Context, rows []int, depth int) (*Node, float64) {
+// sample rows, which start at offset lo of the row buffer, returning the
+// subtree and its estimated storage cost in bits.
+func (b *treeBuilder) grow(ctx context.Context, rows []int, lo, depth int) (*Node, float64) {
 	if b.cancelled(ctx) {
 		return &Node{Leaf: true}, 0
 	}
-	leaf, outliers := b.leaf(rows)
+	leaf, outliers := b.leaf(rows, lo)
 	leafCost := b.leafCost(outliers)
 
 	// Stop conditions: acceptable leaf (paper's optimization 2), depth or
@@ -292,7 +326,7 @@ func (b *treeBuilder) grow(ctx context.Context, rows []int, depth int) (*Node, f
 		return leaf, leafCost
 	}
 
-	n := b.bestSplit(rows)
+	n := b.bestSplit(rows, lo)
 	if n == nil {
 		return leaf, leafCost
 	}
@@ -300,9 +334,10 @@ func (b *treeBuilder) grow(ctx context.Context, rows []int, depth int) (*Node, f
 	if len(leftRows) < b.cfg.MinLeafRows || len(rightRows) < b.cfg.MinLeafRows {
 		return leaf, leafCost
 	}
+	b.partition(b.lists, lo, leftRows, rightRows)
 	var leftCost, rightCost float64
-	n.Left, leftCost = b.grow(ctx, leftRows, depth+1)
-	n.Right, rightCost = b.grow(ctx, rightRows, depth+1)
+	n.Left, leftCost = b.grow(ctx, leftRows, lo, depth+1)
+	n.Right, rightCost = b.grow(ctx, rightRows, lo+len(leftRows), depth+1)
 	splitCost := b.cm.InternalBits(n.SplitAttr) + leftCost + rightCost
 
 	if b.cfg.Prune == PruneIntegrated && leafCost <= splitCost {
@@ -312,19 +347,21 @@ func (b *treeBuilder) grow(ctx context.Context, rows []int, depth int) (*Node, f
 }
 
 // prune is the post-hoc pruning pass for PruneAfter mode: bottom-up,
-// replace any subtree whose leaf-equivalent costs no more.
-func (b *treeBuilder) prune(ctx context.Context, n *Node, rows []int) (*Node, float64) {
+// replace any subtree whose leaf-equivalent costs no more. Only leaf reads
+// a sorted list here, so prune keeps only the target's partitioned.
+func (b *treeBuilder) prune(ctx context.Context, n *Node, rows []int, lo int) (*Node, float64) {
 	if b.cancelled(ctx) {
 		return n, 0
 	}
-	leaf, outliers := b.leaf(rows)
+	leaf, outliers := b.leaf(rows, lo)
 	leafCost := b.leafCost(outliers)
 	if n.Leaf {
 		return n, leafCost
 	}
 	leftRows, rightRows := b.routeRows(n, rows)
-	left, leftCost := b.prune(ctx, n.Left, leftRows)
-	right, rightCost := b.prune(ctx, n.Right, rightRows)
+	b.partition(b.lists[b.target:b.target+1], lo, leftRows, rightRows)
+	left, leftCost := b.prune(ctx, n.Left, leftRows, lo)
+	right, rightCost := b.prune(ctx, n.Right, rightRows, lo+len(leftRows))
 	splitCost := b.cm.InternalBits(n.SplitAttr) + leftCost + rightCost
 	if leafCost <= splitCost {
 		return leaf, leafCost
@@ -333,27 +370,25 @@ func (b *treeBuilder) prune(ctx context.Context, n *Node, rows []int) (*Node, fl
 	return n, splitCost
 }
 
-// bestSplit scores every candidate predictor over rows and returns the
-// lowest-scoring split as an unlinked internal node, or nil when no
-// predictor admits a valid split (all predictor values constant, or no
-// threshold leaves MinLeafRows on each side). A numeric target's splits
-// are scored by total child SSE (the classic CART criterion, an efficient
-// proxy for narrowing leaf windows), a categorical target's by Gini
-// impurity; storage-cost pruning then decides whether a split is kept.
-func (b *treeBuilder) bestSplit(rows []int) *Node {
-	var y []float64
+// bestSplit scores every candidate predictor over the node whose rows
+// start at lo and returns the lowest-scoring split as an unlinked internal
+// node, or nil when no predictor admits a valid split (all predictor
+// values constant, or no threshold leaves MinLeafRows on each side). A
+// numeric target's splits are scored by total child SSE (the classic CART
+// criterion, an efficient proxy for narrowing leaf windows), a categorical
+// target's by Gini impurity; storage-cost pruning then decides whether a
+// split is kept.
+func (b *treeBuilder) bestSplit(rows []int, lo int) *Node {
+	var ys []float64
 	var classes []int
 	nc := 0
 	if b.kind == table.Numeric {
-		y = b.ys[:len(rows)]
-		for i, r := range rows {
-			y[i] = b.t.Float(r, b.target)
-		}
+		ys = b.t.Col(b.target).Floats
 	} else {
 		idx := b.classIndex(rows)
-		classes = b.classes[:len(rows)]
-		for i, r := range rows {
-			classes[i] = idx[b.t.Code(r, b.target)]
+		classes = b.classes
+		for _, r := range rows {
+			classes[r] = idx[b.t.Code(r, b.target)]
 		}
 		nc = len(idx)
 	}
@@ -362,14 +397,14 @@ func (b *treeBuilder) bestSplit(rows []int) *Node {
 	for _, attr := range b.cands {
 		var s *Node
 		var score float64
-		numeric := b.t.Attr(attr).Kind == table.Numeric
+		list := b.lists[attr]
 		switch {
-		case b.kind == table.Numeric && numeric:
-			s, score = b.numericSplitSSE(rows, y, attr)
+		case b.kind == table.Numeric && list != nil:
+			s, score = b.numericSplitSSE(list[lo:lo+len(rows)], ys, attr)
 		case b.kind == table.Numeric:
-			s, score = b.categoricalSplitSSE(rows, y, attr)
-		case numeric:
-			s, score = b.numericSplitGini(rows, classes, nc, attr)
+			s, score = b.categoricalSplitSSE(rows, ys, attr)
+		case list != nil:
+			s, score = b.numericSplitGini(list[lo:lo+len(rows)], classes, nc, attr)
 		default:
 			s, score = b.categoricalSplitGini(rows, classes, nc, attr)
 		}
@@ -398,4 +433,36 @@ func (b *treeBuilder) routeRows(n *Node, rows []int) (left, right []int) {
 	}
 	copy(rows[k:], spare)
 	return rows[:k:k], rows[k:]
+}
+
+// partition splits the range [lo, lo+len(left)+len(right)) of each
+// non-nil list in lists between a node's children, as routeRows split its
+// rows into left and right: the left child's rows move to the front of
+// the range and the right child's follow, each in the order the list held
+// them, so both halves stay sorted.
+func (b *treeBuilder) partition(lists [][]int32, lo int, left, right []int) {
+	for _, r := range left {
+		b.left[r] = true
+	}
+	for _, r := range right {
+		b.left[r] = false
+	}
+	n := len(left) + len(right)
+	for _, list := range lists {
+		if list == nil {
+			continue
+		}
+		list = list[lo : lo+n]
+		spare := b.spareList[:0]
+		k := 0
+		for _, r := range list {
+			if b.left[r] {
+				list[k] = r
+				k++
+			} else {
+				spare = append(spare, r)
+			}
+		}
+		copy(list[k:], spare)
+	}
 }

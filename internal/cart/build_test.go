@@ -81,27 +81,31 @@ func TestRouteRowsIsStable(t *testing.T) {
 // TestBuildAllocations pins that a tree build allocates per tree and per
 // node, not per row of each node: for every target of a 12k-row CDR
 // sample under integrated and post-pruning, Build may allocate
-// bytesPerRow for each sample row (the row buffer, routeRows' spare and
-// the split search's scratch: 48 B measured) and bytesPerNode for each
-// node of the tree (the node, its split set and the split search's
-// per-candidate group maps: at most 5.7 KB measured). Copying each
-// node's rows, target values or (x, y) pairs costs about their number
-// times the tree's depth, and fails it.
+// bytesPerRow for each sample row (the row buffer, routeRows' spare, the
+// copied sorted lists of CDR's four numeric columns, partition's side
+// marks and spare, and the per-row class indices: 47 B measured) and
+// bytesPerNode for each node of the tree (the node, its split set and the
+// split search's per-candidate group maps: at most 5.7 KB measured). The
+// Sample is sorted once outside the measurement, as a learn shares it
+// across its builds. Copying each node's rows or sorted lists, or
+// cloning the lists for PruneAfter, costs about their size times the
+// tree's depth or once more per tree, and fails it.
 func TestBuildAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumented appends allocate a copy of each buffer they grow")
 	}
-	const rows, bytesPerRow, bytesPerNode = 12000, 64, 8 << 10
+	const rows, bytesPerRow, bytesPerNode = 12000, 56, 8 << 10
 	tb := datagen.CDR(rows, 1)
 	tol := table.UniformTolerances(tb, 0.01, 0.02)
 	cm := NewCostModel(tb)
+	s := NewSample(tb)
 	for target := 0; target < tb.NumCols(); target++ {
 		cands := otherAttrs(tb, target)
 		for _, mode := range []PruneMode{PruneIntegrated, PruneAfter} {
 			var m *Model
 			var err error
 			alloc := allocDelta(func() {
-				m, _, err = Build(context.Background(), tb, target, cands, tol[target].Value, cm, Config{Prune: mode})
+				m, _, err = Build(context.Background(), s, target, cands, tol[target].Value, cm, Config{Prune: mode})
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -146,7 +150,7 @@ func TestSignedZeroPredictorDoesNotHideSplits(t *testing.T) {
 		{"SSE", 2, 1},
 		{"Gini", 3, 0},
 	} {
-		m, _, err := Build(context.Background(), tb, tc.target, []int{0, 1}, tc.tol, cm, Config{})
+		m, _, err := Build(context.Background(), NewSample(tb), tc.target, []int{0, 1}, tc.tol, cm, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

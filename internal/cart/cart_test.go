@@ -63,7 +63,7 @@ func modelValues(m *Model, outliers []Outlier) int {
 func TestPaperExample11Classification(t *testing.T) {
 	tb := paperTable(t)
 	cm := NewCostModel(tb)
-	m, _, err := Build(context.Background(), tb, colCredit, []int{colSalary}, 0, cm,
+	m, _, err := Build(context.Background(), NewSample(tb), colCredit, []int{colSalary}, 0, cm,
 		Config{MinLeafRows: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestPaperExample11Classification(t *testing.T) {
 func TestPaperExample11Regression(t *testing.T) {
 	tb := paperTable(t)
 	cm := NewCostModel(tb)
-	m, _, err := Build(context.Background(), tb, colAssets, []int{colAge, colSalary}, 25000, cm,
+	m, _, err := Build(context.Background(), NewSample(tb), colAssets, []int{colAge, colSalary}, 25000, cm,
 		Config{MinLeafRows: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -116,25 +116,25 @@ func TestPaperExample11Regression(t *testing.T) {
 func TestBuildValidation(t *testing.T) {
 	tb := paperTable(t)
 	cm := NewCostModel(tb)
-	if _, _, err := Build(context.Background(), tb, colAssets, nil, 1, cm, Config{}); err == nil {
+	if _, _, err := Build(context.Background(), NewSample(tb), colAssets, nil, 1, cm, Config{}); err == nil {
 		t.Error("Build accepted empty candidate set")
 	}
-	if _, _, err := Build(context.Background(), tb, colAssets, []int{colAssets}, 1, cm, Config{}); err == nil {
+	if _, _, err := Build(context.Background(), NewSample(tb), colAssets, []int{colAssets}, 1, cm, Config{}); err == nil {
 		t.Error("Build accepted target as its own predictor")
 	}
-	if _, _, err := Build(context.Background(), tb, colAssets, []int{99}, 1, cm, Config{}); err == nil {
+	if _, _, err := Build(context.Background(), NewSample(tb), colAssets, []int{99}, 1, cm, Config{}); err == nil {
 		t.Error("Build accepted out-of-range candidate")
 	}
 	empty, err := tb.SelectRows(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Build(context.Background(), empty, colAssets, []int{colAge}, 1, cm, Config{}); err == nil {
+	if _, _, err := Build(context.Background(), NewSample(empty), colAssets, []int{colAge}, 1, cm, Config{}); err == nil {
 		t.Error("Build accepted empty sample")
 	}
 	for _, target := range []int{colAssets, colCredit} {
 		for _, tol := range []float64{-1, math.NaN(), math.Inf(1)} {
-			if _, _, err := Build(context.Background(), tb, target, []int{colAge}, tol, cm, Config{}); err == nil {
+			if _, _, err := Build(context.Background(), NewSample(tb), target, []int{colAge}, tol, cm, Config{}); err == nil {
 				t.Errorf("Build accepted tolerance %g for target %d", tol, target)
 			}
 		}
@@ -150,7 +150,7 @@ func TestBuildCancelled(t *testing.T) {
 	cancel()
 	for _, target := range []int{1, 2} {
 		for _, mode := range []PruneMode{PruneIntegrated, PruneAfter} {
-			m, _, err := Build(ctx, tb, target, []int{0, 3}, 0, cm, Config{Prune: mode})
+			m, _, err := Build(ctx, NewSample(tb), target, []int{0, 3}, 0, cm, Config{Prune: mode})
 			if !errors.Is(err, context.Canceled) || m != nil {
 				t.Errorf("target %d, mode %d: Build = %v, %v; want nil, context.Canceled", target, mode, m, err)
 			}
@@ -213,7 +213,7 @@ func TestRegressionErrorGuaranteeProperty(t *testing.T) {
 		tb := correlatedTable(rng, 300)
 		tol := 1 + float64(tolByte)/8 // tolerance in [1, ~33]
 		cm := NewCostModel(tb)
-		m, _, err := Build(context.Background(), tb, 1, []int{0, 3}, tol, cm, Config{})
+		m, _, err := Build(context.Background(), NewSample(tb), 1, []int{0, 3}, tol, cm, Config{})
 		if err != nil {
 			return false
 		}
@@ -240,7 +240,7 @@ func TestClassificationErrorGuaranteeProperty(t *testing.T) {
 		tb := correlatedTable(rng, 300)
 		tol := float64(tolByte%50) / 100 // tolerance in [0, 0.49]
 		cm := NewCostModel(tb)
-		m, _, err := Build(context.Background(), tb, 2, []int{0, 3}, tol, cm, Config{})
+		m, _, err := Build(context.Background(), NewSample(tb), 2, []int{0, 3}, tol, cm, Config{})
 		if err != nil {
 			return false
 		}
@@ -270,7 +270,7 @@ func TestSampleBuildFullApply(t *testing.T) {
 	sample := full.Sample(600, rng)
 	cm := NewCostModel(full)
 	tol := 5.0
-	m, _, err := Build(context.Background(), sample, 1, []int{0}, tol, cm, Config{FullRows: full.NumRows()})
+	m, _, err := Build(context.Background(), NewSample(sample), 1, []int{0}, tol, cm, Config{FullRows: full.NumRows()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestUsedPredictorsFiltersJunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tb := correlatedTable(rng, 500)
 	cm := NewCostModel(tb)
-	m, _, err := Build(context.Background(), tb, 1, []int{0, 3}, 2, cm, Config{})
+	m, _, err := Build(context.Background(), NewSample(tb), 1, []int{0, 3}, 2, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestCategoricalPredictorSplit(t *testing.T) {
 	}
 	tb := b.MustBuild()
 	cm := NewCostModel(tb)
-	m, _, err := Build(context.Background(), tb, 1, []int{0}, 1, cm, Config{})
+	m, _, err := Build(context.Background(), NewSample(tb), 1, []int{0}, 1, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestLosslessToleranceZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tb := correlatedTable(rng, 300)
 	cm := NewCostModel(tb)
-	m, _, err := Build(context.Background(), tb, 1, []int{0}, 0, cm, Config{})
+	m, _, err := Build(context.Background(), NewSample(tb), 1, []int{0}, 0, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestPruneModesAgreeOnGuarantee(t *testing.T) {
 	cm := NewCostModel(tb)
 	for target, tol := range map[int]float64{1: 3, 2: 0.05} {
 		for _, mode := range []PruneMode{PruneIntegrated, PruneAfter, PruneNone} {
-			m, _, err := Build(context.Background(), tb, target, []int{0, 3}, tol, cm, Config{Prune: mode})
+			m, _, err := Build(context.Background(), NewSample(tb), target, []int{0, 3}, tol, cm, Config{Prune: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,7 +391,7 @@ func TestIntegratedPruneYieldsSmallerOrEqualTree(t *testing.T) {
 	cm := NewCostModel(tb)
 	for target, tol := range map[int]float64{1: 5, 2: 0.05} {
 		build := func(mode PruneMode) (*Model, float64) {
-			m, cost, err := Build(context.Background(), tb, target, []int{0, 3}, tol, cm, Config{Prune: mode})
+			m, cost, err := Build(context.Background(), NewSample(tb), target, []int{0, 3}, tol, cm, Config{Prune: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,7 +447,7 @@ func TestSplitSearchAllocationIgnoresDictionarySize(t *testing.T) {
 	for _, target := range []int{1, 2} {
 		var m *Model
 		alloc := allocDelta(func() {
-			m, _, err = Build(context.Background(), tb, target, []int{0}, 0, cm, Config{})
+			m, _, err = Build(context.Background(), NewSample(tb), target, []int{0}, 0, cm, Config{})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -471,7 +471,7 @@ func TestModelEncodeDecodeRoundTrip(t *testing.T) {
 		if tb.Attr(target).Kind == table.Categorical {
 			tol = 0.05
 		}
-		m, _, err := Build(context.Background(), tb, target, []int{0, 3}, tol, cm, Config{})
+		m, _, err := Build(context.Background(), NewSample(tb), target, []int{0, 3}, tol, cm, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +515,7 @@ func TestDecodeModelRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	tb := correlatedTable(rng, 200)
 	cm := NewCostModel(tb)
-	m, _, err := Build(context.Background(), tb, 1, []int{0}, 2, cm, Config{})
+	m, _, err := Build(context.Background(), NewSample(tb), 1, []int{0}, 2, cm, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

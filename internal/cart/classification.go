@@ -1,9 +1,7 @@
 package cart
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/floats"
@@ -11,9 +9,9 @@ import (
 
 // Split scorers for categorical targets (paper §3.3): each returns the
 // split of one predictor minimizing the weighted Gini impurity of the
-// children, or nil and +Inf when the predictor admits none. y[i] is the
-// dense class index (see classIndex) of rows[i], and nc the number of
-// classes among rows.
+// children, or nil and +Inf when the predictor admits none. classes[r]
+// is the dense class index (see classIndex) of sample row r, and nc the
+// number of classes among the node's rows.
 
 // classIndex maps the target codes present in rows to dense indices, in
 // order of first appearance.
@@ -40,37 +38,29 @@ func giniFromCounts(counts []int, total int) float64 {
 	return g
 }
 
-// giniPair is one row's predictor value x and dense class index y.
-type giniPair struct {
-	x float64
-	y int
-}
-
-// numericSplitGini scans thresholds of a numeric predictor keeping running
-// class counts.
-func (b *treeBuilder) numericSplitGini(rows []int, y []int, nc, attr int) (*Node, float64) {
-	n := len(rows)
-	ps := b.giniPairs[:n]
-	for i, r := range rows {
-		ps[i] = giniPair{b.t.Float(r, attr), y[i]}
-	}
-	slices.SortFunc(ps, func(a, b giniPair) int { return cmp.Compare(a.x, b.x) })
+// numericSplitGini scans the thresholds of a numeric predictor keeping
+// running class counts over list, the node's rows in the predictor's
+// (value, row) order.
+func (b *treeBuilder) numericSplitGini(list []int32, classes []int, nc, attr int) (*Node, float64) {
+	xs := b.t.Col(attr).Floats
+	n := len(list)
 	// Comparisons, not bits: −0 and +0 differ in bits, but takeLeft
 	// routes them alike, so no threshold separates them.
-	if ps[0].x >= ps[n-1].x {
+	if xs[list[0]] >= xs[list[n-1]] {
 		return nil, math.Inf(1)
 	}
 	totals := make([]int, nc)
-	for _, p := range ps {
-		totals[p.y]++
+	for _, r := range list {
+		totals[classes[r]]++
 	}
 	leftCounts := make([]int, nc)
 	rightCounts := append([]int(nil), totals...)
 	bestK, bestScore := 0, math.Inf(1)
 	for k := 1; k < n; k++ {
-		leftCounts[ps[k-1].y]++
-		rightCounts[ps[k-1].y]--
-		if ps[k-1].x >= ps[k].x {
+		r := list[k-1]
+		leftCounts[classes[r]]++
+		rightCounts[classes[r]]--
+		if xs[r] >= xs[list[k]] {
 			continue // not a realizable threshold
 		}
 		if k < b.cfg.MinLeafRows || n-k < b.cfg.MinLeafRows {
@@ -85,13 +75,13 @@ func (b *treeBuilder) numericSplitGini(rows []int, y []int, nc, attr int) (*Node
 	if bestK == 0 {
 		return nil, bestScore
 	}
-	return thresholdSplit(attr, ps[bestK-1].x, ps[bestK].x), bestScore
+	return thresholdSplit(attr, xs[list[bestK-1]], xs[list[bestK]]), bestScore
 }
 
 // categoricalSplitGini orders predictor codes by the proportion of the
 // parent's majority class and scans prefix partitions (exact for two
 // classes, a strong heuristic for more).
-func (b *treeBuilder) categoricalSplitGini(rows []int, y []int, nc, attr int) (*Node, float64) {
+func (b *treeBuilder) categoricalSplitGini(rows []int, classes []int, nc, attr int) (*Node, float64) {
 	type group struct {
 		code   int32
 		counts []int
@@ -100,14 +90,14 @@ func (b *treeBuilder) categoricalSplitGini(rows []int, y []int, nc, attr int) (*
 	// The hint is bounded by the node's rows: a predictor's dictionary may
 	// be far larger than the codes a node sees.
 	groups := make(map[int32]*group, min(b.t.Col(attr).DomainSize(), len(rows)))
-	for i, r := range rows {
+	for _, r := range rows {
 		c := b.t.Code(r, attr)
 		g := groups[c]
 		if g == nil {
 			g = &group{code: c, counts: make([]int, nc)}
 			groups[c] = g
 		}
-		g.counts[y[i]]++
+		g.counts[classes[r]]++
 		g.n++
 	}
 	if len(groups) < 2 {

@@ -67,10 +67,11 @@ func digestTrees(t *testing.T, tb *table.Table) []byte {
 	}
 	tol := table.UniformTolerances(tb, 0.01, 0.02)
 	cm := NewCostModel(tb)
+	s := NewSample(tb)
 	for target := 0; target < tb.NumCols(); target++ {
 		cands := otherAttrs(tb, target)
 		for _, mode := range []PruneMode{PruneIntegrated, PruneAfter, PruneNone} {
-			m, cost, err := Build(context.Background(), tb, target, cands, tol[target].Value, cm, Config{Prune: mode})
+			m, cost, err := Build(context.Background(), s, target, cands, tol[target].Value, cm, Config{Prune: mode})
 			if err != nil {
 				t.Fatalf("target %d mode %d: %v", target, mode, err)
 			}

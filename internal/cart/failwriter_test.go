@@ -38,7 +38,7 @@ func TestEncodePropagatesWriteErrors(t *testing.T) {
 		if tb.Attr(target).Kind != 0 { // categorical
 			tol = 0
 		}
-		m, _, err := Build(context.Background(), tb, target, []int{0}, tol, cm, Config{})
+		m, _, err := Build(context.Background(), NewSample(tb), target, []int{0}, tol, cm, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

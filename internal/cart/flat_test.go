@@ -95,7 +95,7 @@ func TestFlatWalkMatchesPointerWalk(t *testing.T) {
 					cands = append(cands, a)
 				}
 			}
-			m, _, err := Build(context.Background(), tb, target, cands, tol[target].Value, cm, Config{})
+			m, _, err := Build(context.Background(), NewSample(tb), target, cands, tol[target].Value, cm, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestFlatWalkMatchesPointerWalk(t *testing.T) {
 	// same bytes with the target's low bit flipped. The others fail to
 	// decode.
 	tb := correlatedTable(rand.New(rand.NewSource(1)), 100)
-	m, _, err := Build(context.Background(), tb, 1, []int{0}, 2, NewCostModel(tb), Config{})
+	m, _, err := Build(context.Background(), NewSample(tb), 1, []int{0}, 2, NewCostModel(tb), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package cart
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -10,40 +9,32 @@ import (
 )
 
 // Split scorers for numeric targets (paper §3.3): each returns the split
-// of one predictor minimizing the total child SSE of the target values y
-// (y[i] belongs to rows[i]), or nil and +Inf when the predictor admits
-// none.
+// of one predictor minimizing the total child SSE of the target values ys
+// (indexed by sample row), or nil and +Inf when the predictor admits none.
 
-// ssePair is one row's predictor value x and target value y.
-type ssePair struct {
-	x, y float64
-}
-
-// numericSplitSSE scans thresholds of a numeric predictor via sorted order
-// and prefix sums, in O(n log n).
-func (b *treeBuilder) numericSplitSSE(rows []int, y []float64, attr int) (*Node, float64) {
-	n := len(rows)
-	ps := b.ssePairs[:n]
-	for i, r := range rows {
-		ps[i] = ssePair{b.t.Float(r, attr), y[i]}
-	}
-	slices.SortFunc(ps, func(a, b ssePair) int { return cmp.Compare(a.x, b.x) })
+// numericSplitSSE scans the thresholds of a numeric predictor with prefix
+// sums over list, the node's rows in the predictor's (value, row) order,
+// in O(n).
+func (b *treeBuilder) numericSplitSSE(list []int32, ys []float64, attr int) (*Node, float64) {
+	xs := b.t.Col(attr).Floats
+	n := len(list)
 	// Comparisons, not bits: −0 and +0 differ in bits, but takeLeft
 	// routes them alike, so no threshold separates them.
-	if ps[0].x >= ps[n-1].x {
+	if xs[list[0]] >= xs[list[n-1]] {
 		return nil, math.Inf(1)
 	}
 	sum, sumsq := 0.0, 0.0
 	total, totalsq := 0.0, 0.0
-	for _, p := range ps {
-		total += p.y
-		totalsq += p.y * p.y
+	for _, r := range list {
+		total += ys[r]
+		totalsq += ys[r] * ys[r]
 	}
 	bestK, bestScore := 0, math.Inf(1)
 	for k := 1; k < n; k++ {
-		sum += ps[k-1].y
-		sumsq += ps[k-1].y * ps[k-1].y
-		if ps[k-1].x >= ps[k].x {
+		r := list[k-1]
+		sum += ys[r]
+		sumsq += ys[r] * ys[r]
+		if xs[r] >= xs[list[k]] {
 			continue // not a realizable threshold
 		}
 		if k < b.cfg.MinLeafRows || n-k < b.cfg.MinLeafRows {
@@ -59,7 +50,7 @@ func (b *treeBuilder) numericSplitSSE(rows []int, y []float64, attr int) (*Node,
 	if bestK == 0 {
 		return nil, bestScore
 	}
-	return thresholdSplit(attr, ps[bestK-1].x, ps[bestK].x), bestScore
+	return thresholdSplit(attr, xs[list[bestK-1]], xs[list[bestK]]), bestScore
 }
 
 // thresholdSplit is the numeric split between the adjacent sorted
@@ -71,7 +62,7 @@ func thresholdSplit(attr int, lo, hi float64) *Node {
 
 // categoricalSplitSSE orders the predictor's codes by mean target value and
 // scans prefix partitions — the classic optimal-for-SSE ordering trick.
-func (b *treeBuilder) categoricalSplitSSE(rows []int, y []float64, attr int) (*Node, float64) {
+func (b *treeBuilder) categoricalSplitSSE(rows []int, ys []float64, attr int) (*Node, float64) {
 	type group struct {
 		code  int32
 		sum   float64
@@ -81,15 +72,15 @@ func (b *treeBuilder) categoricalSplitSSE(rows []int, y []float64, attr int) (*N
 	// The hint is bounded by the node's rows: a predictor's dictionary may
 	// be far larger than the codes a node sees.
 	groups := make(map[int32]*group, min(b.t.Col(attr).DomainSize(), len(rows)))
-	for i, r := range rows {
+	for _, r := range rows {
 		c := b.t.Code(r, attr)
 		g := groups[c]
 		if g == nil {
 			g = &group{code: c}
 			groups[c] = g
 		}
-		g.sum += y[i]
-		g.sumsq += y[i] * y[i]
+		g.sum += ys[r]
+		g.sumsq += ys[r] * ys[r]
 		g.n++
 	}
 	if len(groups) < 2 {

@@ -39,11 +39,11 @@ func testTable(rng *rand.Rand, n int) *table.Table {
 func buildPlan(t testing.TB, tb *table.Table, tol float64) (mats []int, models []*cart.Model, tols map[int]float64) {
 	t.Helper()
 	cm := cart.NewCostModel(tb)
-	my, _, err := cart.Build(context.Background(), tb, 1, []int{0}, tol, cm, cart.Config{})
+	my, _, err := cart.Build(context.Background(), cart.NewSample(tb), 1, []int{0}, tol, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, _, err := cart.Build(context.Background(), tb, 2, []int{0}, 0, cm, cart.Config{})
+	mc, _, err := cart.Build(context.Background(), cart.NewSample(tb), 2, []int{0}, 0, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestValidatePlanErrors(t *testing.T) {
 	}
 	// Model using a non-materialized predictor.
 	cm := cart.NewCostModel(tb)
-	bad, _, err := cart.Build(context.Background(), tb, 1, []int{0}, 5, cm, cart.Config{})
+	bad, _, err := cart.Build(context.Background(), cart.NewSample(tb), 1, []int{0}, 5, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestValidatePlanErrors(t *testing.T) {
 
 func mustModel(t *testing.T, tb *table.Table, cm *cart.CostModel, target int) *cart.Model {
 	t.Helper()
-	m, _, err := cart.Build(context.Background(), tb, target, []int{3}, 1000, cm, cart.Config{})
+	m, _, err := cart.Build(context.Background(), cart.NewSample(tb), target, []int{3}, 1000, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,15 +248,15 @@ func TestAllPredictedExceptOne(t *testing.T) {
 	tb := testTable(rng, 300)
 	cm := cart.NewCostModel(tb)
 	tolY := 12.0
-	my, _, err := cart.Build(context.Background(), tb, 1, []int{0}, tolY, cm, cart.Config{})
+	my, _, err := cart.Build(context.Background(), cart.NewSample(tb), 1, []int{0}, tolY, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, _, err := cart.Build(context.Background(), tb, 2, []int{0}, 0, cm, cart.Config{})
+	mc, _, err := cart.Build(context.Background(), cart.NewSample(tb), 2, []int{0}, 0, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mj, _, err := cart.Build(context.Background(), tb, 3, []int{0}, 1000, cm, cart.Config{})
+	mj, _, err := cart.Build(context.Background(), cart.NewSample(tb), 3, []int{0}, 1000, cm, cart.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

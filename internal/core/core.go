@@ -278,7 +278,7 @@ func Learn(ctx context.Context, t *table.Table, opts Options) (_ *Model, err err
 			cost.SetMaterBits(i, bits)
 		}
 		in := selector.Input{
-			Sample:  build,
+			Sample:  cart.NewSample(build),
 			Holdout: holdout,
 			Tol:     resolved,
 			Net:     net,
@@ -314,7 +314,9 @@ func Learn(ctx context.Context, t *table.Table, opts Options) (_ *Model, err err
 		m.plan = plan
 		m.learned.CartsBuilt = plan.CartsBuilt
 		sp.SetAttr("strategy", opts.Selection.String()).
+			SetAttr("sample_rows", build.NumRows()).
 			SetAttr("carts_built", plan.CartsBuilt).
+			SetAttr("nodes_grown", plan.NodesGrown).
 			SetAttr("predicted", len(plan.Predicted)).
 			SetAttr("materialized", len(plan.Materialized))
 		return nil

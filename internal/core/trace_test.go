@@ -95,8 +95,18 @@ func TestCompressTrace(t *testing.T) {
 	}
 
 	// The §4.2 quantities ride on the spans.
-	if got := tr.Find(core.SpanCaRTSelection).Attr("carts_built"); got != stats.CartsBuilt {
+	cs := tr.Find(core.SpanCaRTSelection)
+	if got := cs.Attr("carts_built"); got != stats.CartsBuilt {
 		t.Errorf("carts_built attr = %v, want %d", got, stats.CartsBuilt)
+	}
+	// Every tree built has a node, and trees grow on the build split of
+	// the dependency finder's sample.
+	if nodes, _ := cs.Attr("nodes_grown").(int); nodes < stats.CartsBuilt {
+		t.Errorf("nodes_grown = %v with %d CaRTs built", cs.Attr("nodes_grown"), stats.CartsBuilt)
+	}
+	sampled, _ := tr.Find(core.SpanDependencyFinder).Attr("sample_rows").(int)
+	if rows, _ := cs.Attr("sample_rows").(int); rows <= 0 || rows > sampled {
+		t.Errorf("cart_selection sample_rows = %v of a %d-row sample", cs.Attr("sample_rows"), sampled)
 	}
 	// Row aggregation reports its work: every fascicle comes from a tried
 	// seed, at most 4·MaxFascicles+64 seeds are tried, and each seed's

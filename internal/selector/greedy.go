@@ -20,7 +20,7 @@ func Greedy(ctx context.Context, in Input, theta float64) (*Result, error) {
 	}
 	predicted := map[int]*estimate{}
 	var materialized []int
-	built := 0
+	var w work
 	for _, xi := range in.Net.TopoOrder() {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("selector: greedy selection cancelled: %w", err)
@@ -30,7 +30,7 @@ func Greedy(ctx context.Context, in Input, theta float64) (*Result, error) {
 			continue
 		}
 		est, ok := buildEstimate(ctx, in, xi, materialized)
-		built++
+		w.add(est)
 		if !ok || est.cost <= 0 {
 			materialized = append(materialized, xi)
 			continue
@@ -41,6 +41,6 @@ func Greedy(ctx context.Context, in Input, theta float64) (*Result, error) {
 			materialized = append(materialized, xi)
 		}
 	}
-	res := finishResult(in, predicted, built)
+	res := finishResult(in, predicted, w)
 	return res, res.Validate()
 }

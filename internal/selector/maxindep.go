@@ -33,13 +33,13 @@ func MaxIndependentSet(ctx context.Context, in Input, nb Neighborhood) (*Result,
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	n := in.Sample.NumCols()
+	n := in.Sample.Table().NumCols()
 	mat := make(map[int]bool, n) // 𝒳_mat
 	for i := 0; i < n; i++ {
 		mat[i] = true
 	}
 	predicted := map[int]*estimate{} // 𝒳_pred with current models
-	built := 0
+	var w work
 
 	neighborhood := func(i int) []int {
 		if nb == MarkovBlanket {
@@ -72,7 +72,7 @@ func MaxIndependentSet(ctx context.Context, in Input, nb Neighborhood) (*Result,
 		costChange := map[int]float64{}
 		for si, xi := range matList {
 			s := &slots[si]
-			built += s.built
+			w.merge(s.work)
 			cand[xi] = s.cand
 			if len(s.newPred) > 0 {
 				newPred[xi] = s.newPred
@@ -141,10 +141,10 @@ func MaxIndependentSet(ctx context.Context, in Input, nb Neighborhood) (*Result,
 			predicted[xi] = cand[xi]
 			delete(mat, xi)
 		}
-		built += repairPlan(ctx, in, mat, predicted)
+		w.merge(repairPlan(ctx, in, mat, predicted))
 	}
 
-	res := finishResult(in, predicted, built)
+	res := finishResult(in, predicted, w)
 	return res, res.Validate()
 }
 
@@ -155,9 +155,9 @@ func MaxIndependentSet(ctx context.Context, in Input, nb Neighborhood) (*Result,
 // predicted side. Offending models are rebuilt against materialized
 // attributes only; if that fails, the attribute reverts to materialized
 // (which is always safe: predicted attributes are never predictors).
-// Returns the number of CaRTs built.
-func repairPlan(ctx context.Context, in Input, mat map[int]bool, predicted map[int]*estimate) int {
-	built := 0
+// Returns the CaRTs built and their nodes.
+func repairPlan(ctx context.Context, in Input, mat map[int]bool, predicted map[int]*estimate) work {
+	var w work
 	for changed := true; changed; {
 		changed = false
 		for _, xj := range sortedKeys2(predicted) {
@@ -194,7 +194,7 @@ func repairPlan(ctx context.Context, in Input, mat map[int]bool, predicted map[i
 			sort.Ints(candList)
 			newEst, ok := buildEstimate(ctx, in, xj, candList)
 			if len(candList) > 0 {
-				built++
+				w.add(newEst)
 			}
 			if ok {
 				predicted[xj] = &newEst
@@ -205,7 +205,7 @@ func repairPlan(ctx context.Context, in Input, mat map[int]bool, predicted map[i
 			changed = true
 		}
 	}
-	return built
+	return w
 }
 
 // candidateSlot is the result of one materialized attribute's Step 1-2
@@ -214,7 +214,7 @@ type candidateSlot struct {
 	cand       *estimate
 	newPred    map[int]*estimate
 	costChange float64
-	built      int
+	work       work
 }
 
 // buildCandidate performs Steps 5-14 of Figure 4 for one materialized
@@ -226,7 +226,7 @@ func buildCandidate(ctx context.Context, in Input, xi int, neigh []int, mat map[
 	cands := materNeighbors(xi, neigh, mat, predicted)
 	est, ok := buildEstimate(ctx, in, xi, cands)
 	if len(cands) > 0 {
-		s.built++
+		s.work.add(est)
 	}
 	if !ok {
 		s.cand = &estimate{cost: est.cost} // +Inf cost, weight < 0
@@ -242,7 +242,7 @@ func buildCandidate(ctx context.Context, in Input, xi int, neigh []int, mat map[
 		}
 		np := union(remove(predicted[xj].used, xi), est.used)
 		newEst, ok2 := buildEstimate(ctx, in, xj, np)
-		s.built++
+		s.work.add(newEst)
 		if !ok2 {
 			continue
 		}

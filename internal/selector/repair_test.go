@@ -32,7 +32,7 @@ func repairInput(t *testing.T) Input {
 		t.Fatal(err)
 	}
 	return Input{
-		Sample: tb,
+		Sample: cart.NewSample(tb),
 		Tol:    table.ZeroTolerances(tb),
 		Net:    net,
 		Cost:   cart.NewCostModel(tb),
@@ -59,8 +59,8 @@ func TestRepairPlanRebuilds(t *testing.T) {
 		1: {model: leaf(1), used: []int{0}, cost: 10},
 		2: {model: leaf(2), used: []int{1}, cost: 10}, // violates: 1 is predicted
 	}
-	built := repairPlan(context.Background(), in, mat, predicted)
-	if built == 0 {
+	w := repairPlan(context.Background(), in, mat, predicted)
+	if w.built == 0 {
 		t.Error("repairPlan built nothing despite a violation")
 	}
 	for xj, est := range predicted {

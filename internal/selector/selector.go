@@ -45,8 +45,9 @@ func (n Neighborhood) String() string {
 
 // Input carries everything the selection algorithms need.
 type Input struct {
-	// Sample is the (small) table sample CaRTs are trained on.
-	Sample *table.Table
+	// Sample is the (small) table sample CaRTs are trained on, sorted
+	// once and shared read-only by every build of the search.
+	Sample *cart.Sample
 	// Tol holds resolved per-attribute tolerances.
 	Tol table.Tolerances
 	// Net is the Bayesian network from the DependencyFinder.
@@ -82,7 +83,7 @@ func (in Input) validate() error {
 	if in.Sample == nil || in.Net == nil || in.Cost == nil {
 		return fmt.Errorf("selector: Sample, Net and Cost are required")
 	}
-	n := in.Sample.NumCols()
+	n := in.Sample.Table().NumCols()
 	if in.Net.NumNodes() != n {
 		return fmt.Errorf("selector: network has %d nodes, table has %d attributes", in.Net.NumNodes(), n)
 	}
@@ -109,6 +110,9 @@ type Result struct {
 	// CartsBuilt counts CaRT constructions performed during the search
 	// (the paper reports these in §4.2).
 	CartsBuilt int
+	// NodesGrown sums the nodes of every tree the search built, kept in
+	// the plan or not; with the sample's rows it bounds the search's work.
+	NodesGrown int
 	// EstimatedCost is the estimated total storage in bits
 	// (materialization of Materialized + prediction of Predicted).
 	EstimatedCost float64
@@ -141,6 +145,7 @@ type estimate struct {
 	model *cart.Model
 	used  []int
 	cost  float64
+	nodes int // the model's node count, 0 when no tree was built
 }
 
 // buildEstimate builds a CaRT for target from cands and packages the
@@ -165,13 +170,30 @@ func buildEstimate(ctx context.Context, in Input, target int, cands []int) (esti
 		cost = in.Cost.ModelTreeBits(m) +
 			scale*float64(violations)*in.Cost.OutlierBits(target)
 	}
-	return estimate{model: m, used: m.UsedPredictors(), cost: cost}, true
+	return estimate{model: m, used: m.UsedPredictors(), cost: cost, nodes: m.NumNodes()}, true
+}
+
+// work counts the CaRTs a search built and their nodes.
+type work struct {
+	built, nodes int
+}
+
+// add counts one build attempt that produced est.
+func (w *work) add(est estimate) {
+	w.built++
+	w.nodes += est.nodes
+}
+
+// merge adds o's counts to w.
+func (w *work) merge(o work) {
+	w.built += o.built
+	w.nodes += o.nodes
 }
 
 // finishResult assembles a Result from the final partition.
-func finishResult(in Input, predicted map[int]*estimate, built int) *Result {
-	n := in.Sample.NumCols()
-	res := &Result{Models: map[int]*cart.Model{}, CartsBuilt: built}
+func finishResult(in Input, predicted map[int]*estimate, w work) *Result {
+	n := in.Sample.Table().NumCols()
+	res := &Result{Models: map[int]*cart.Model{}, CartsBuilt: w.built, NodesGrown: w.nodes}
 	total := 0.0
 	for i := 0; i < n; i++ {
 		if est, ok := predicted[i]; ok {

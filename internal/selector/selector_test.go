@@ -71,7 +71,7 @@ func paperExampleInput(t *testing.T) Input {
 		return best, found
 	}
 	return Input{
-		Sample:  tb,
+		Sample:  cart.NewSample(tb),
 		Tol:     table.ZeroTolerances(tb),
 		Net:     net,
 		Cost:    cart.NewCostModel(tb),
@@ -171,7 +171,7 @@ func realInput(t *testing.T, tb *table.Table) Input {
 		t.Fatal(err)
 	}
 	return Input{
-		Sample:  tb,
+		Sample:  cart.NewSample(tb),
 		Tol:     tol,
 		Net:     net,
 		Cost:    cart.NewCostModel(tb),
@@ -223,6 +223,14 @@ func TestGreedyOnRealData(t *testing.T) {
 	}
 	if res.CartsBuilt >= tb.NumCols() {
 		t.Errorf("Greedy built %d CaRTs, must be < n = %d", res.CartsBuilt, tb.NumCols())
+	}
+	// NodesGrown counts every tree built: the kept ones and the rest.
+	kept := 0
+	for _, m := range res.Models {
+		kept += m.NumNodes()
+	}
+	if res.NodesGrown < kept || res.NodesGrown < res.CartsBuilt {
+		t.Errorf("NodesGrown = %d with %d CaRTs built and %d nodes kept", res.NodesGrown, res.CartsBuilt, kept)
 	}
 	// Partition covers all attributes exactly once.
 	if len(res.Predicted)+len(res.Materialized) != tb.NumCols() {

@@ -87,28 +87,45 @@ func WriteBinary(w io.Writer, t *Table) error {
 	return bw.Flush()
 }
 
+// readBlockBytes bounds one read of ReadBinary's records: it reads as
+// many whole records as fit, and one record when a record is wider.
+const readBlockBytes = 64 << 10
+
 // ReadBinary parses a table written by WriteBinary. Note that numeric
 // values round-trip through float32 (the raw record layout), matching the
 // 4-byte-value cost model used throughout.
 func ReadBinary(r io.Reader) (*Table, error) {
 	br := bufio.NewReader(r)
+	schema, cols, nrows, err := readBinaryHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	if err := readRecords(br, cols, nrows); err != nil {
+		return nil, err
+	}
+	return New(schema, cols)
+}
+
+// readBinaryHeader reads the magic, schema and row count of a raw binary
+// table and returns its schema with one empty column per attribute.
+func readBinaryHeader(br *bufio.Reader) (Schema, []*Column, uint64, error) {
 	magic := make([]byte, len(rawMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("table: reading binary magic: %w", err)
+		return nil, nil, 0, fmt.Errorf("table: reading binary magic: %w", err)
 	}
 	if string(magic) != rawMagic {
-		return nil, fmt.Errorf("table: bad binary magic %q", magic)
+		return nil, nil, 0, fmt.Errorf("table: bad binary magic %q", magic)
 	}
 	schema, dicts, err := ReadSchema(br, 1<<16, 1<<22)
 	if err != nil {
-		return nil, fmt.Errorf("table: %w", err)
+		return nil, nil, 0, fmt.Errorf("table: %w", err)
 	}
 	nrows, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("table: reading row count: %w", err)
+		return nil, nil, 0, fmt.Errorf("table: reading row count: %w", err)
 	}
 	if nrows > 1<<34 {
-		return nil, fmt.Errorf("table: implausible row count %d", nrows)
+		return nil, nil, 0, fmt.Errorf("table: implausible row count %d", nrows)
 	}
 	// Columns grow incrementally so a lying row count in the header cannot
 	// force a huge allocation before the stream runs out of records.
@@ -122,29 +139,74 @@ func ReadBinary(r io.Reader) (*Table, error) {
 			cols[i].Codes = make([]int32, 0, initialCap)
 		}
 	}
-	var buf [4]byte
+	return schema, cols, nrows, nil
+}
+
+// readRecords appends nrows fixed-length records to cols. It reads whole
+// records in blocks of at most readBlockBytes and decodes them row by
+// row. A stream that ends or fails inside a record is reported at the
+// field it cuts, as reading field by field would: io.EOF when the field
+// got no byte, io.ErrUnexpectedEOF when it got some, after any bad code
+// in the record's earlier fields.
+func readRecords(br *bufio.Reader, cols []*Column, nrows uint64) error {
+	widths := make([]int, len(cols))
+	recBytes := 0
+	for i, c := range cols {
+		widths[i] = cellBytes(c)
+		recBytes += widths[i]
+	}
+	perBlock := uint64(max(1, readBlockBytes/recBytes))
+	block := make([]byte, min(nrows, perBlock)*uint64(recBytes))
+	var rec []byte
+	var readErr error
 	for r := uint64(0); r < nrows; r++ {
-		for _, c := range cols {
-			if c.Kind == Numeric {
-				if _, err := io.ReadFull(br, buf[:4]); err != nil {
-					return nil, fmt.Errorf("table: reading record %d: %w", r, err)
+		if len(rec) == 0 && readErr == nil {
+			var n int
+			n, readErr = io.ReadFull(br, block[:min(nrows-r, perBlock)*uint64(recBytes)])
+			rec = block[:n]
+		}
+		for i, c := range cols {
+			w := widths[i]
+			if len(rec) < w {
+				if readErr == io.EOF || readErr == io.ErrUnexpectedEOF {
+					readErr = io.ErrUnexpectedEOF
+					if len(rec) == 0 {
+						readErr = io.EOF
+					}
 				}
-				c.Floats = append(c.Floats, float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[:]))))
-				continue
+				return fmt.Errorf("table: reading record %d: %w", r, readErr)
 			}
-			nb := codeBytes(len(c.Dict))
-			buf = [4]byte{}
-			if _, err := io.ReadFull(br, buf[:nb]); err != nil {
-				return nil, fmt.Errorf("table: reading record %d: %w", r, err)
+			if !appendCell(c, rec[:w]) {
+				return fmt.Errorf("table: record %d has code %d outside dictionary of %d", r, cellCode(rec[:w]), len(c.Dict))
 			}
-			code := int32(binary.LittleEndian.Uint32(buf[:]))
-			if int(code) >= len(c.Dict) {
-				return nil, fmt.Errorf("table: record %d has code %d outside dictionary of %d", r, code, len(c.Dict))
-			}
-			c.Codes = append(c.Codes, code)
+			rec = rec[w:]
 		}
 	}
-	return New(schema, cols)
+	return nil
+}
+
+// appendCell decodes cell, one field of a record, and appends it to c. It
+// reports false, appending nothing, for a code outside c's dictionary.
+func appendCell(c *Column, cell []byte) bool {
+	if c.Kind == Numeric {
+		c.Floats = append(c.Floats, float64(math.Float32frombits(binary.LittleEndian.Uint32(cell))))
+		return true
+	}
+	code := cellCode(cell)
+	if int(code) >= len(c.Dict) {
+		return false
+	}
+	c.Codes = append(c.Codes, code)
+	return true
+}
+
+// cellCode decodes a categorical cell, a little-endian code of 1–4 bytes.
+func cellCode(cell []byte) int32 {
+	var v uint32
+	for i := len(cell) - 1; i >= 0; i-- {
+		v = v<<8 | uint32(cell[i])
+	}
+	return int32(v)
 }
 
 // WriteSchema writes the schema header shared by the raw, SPARC3,

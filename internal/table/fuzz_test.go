@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzReadBinary asserts the raw binary table reader never panics.
+// FuzzReadBinary asserts the raw binary table reader never panics and
+// reads every stream as the field-by-field reference reader does.
 func FuzzReadBinary(f *testing.F) {
 	b := MustBuilder(Schema{
 		{Name: "n", Kind: Numeric},
@@ -33,6 +34,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err == nil && tbl == nil {
 			t.Error("ReadBinary returned nil table without error")
 		}
+		sameAsByField(t, data, nil)
 	})
 }
 
