@@ -132,9 +132,11 @@ func TestArchiveReaderStreamsBlocks(t *testing.T) {
 	}
 }
 
-// TestRetiredStreamRefused: the retired stream format — the magic
-// "SPRTN2\n", a model block and one body, with no footer — is refused
-// with ErrNotArchive by every reader: Decompress and OpenArchive, and with 400 by /decompress and /query.
+// TestRetiredStreamRefused: the retired formats are refused with
+// ErrNotArchive by every reader: Decompress and OpenArchive, and with 400
+// by /decompress and /query. They are the stream format (the magic
+// "SPRTN2\n", a model block and one body, with no footer) and the
+// "SPARC3\n" archive, whose bodies held T' as one gzip stream.
 func TestRetiredStreamRefused(t *testing.T) {
 	tb := datagen.CDR(300, 1)
 	m, err := core.Learn(context.Background(), tb, Options{})
@@ -148,25 +150,35 @@ func TestRetiredStreamRefused(t *testing.T) {
 	if _, err := m.Apply(context.Background(), stream, tb); err != nil {
 		t.Fatal(err)
 	}
-	data := stream.Bytes()
+	// A SPARC3 archive kept the container's framing: its magics are as
+	// long as today's.
+	var archive bytes.Buffer
+	if _, err := Compress(context.Background(), &archive, tb, Options{}, SegmentOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	sparc3 := archive.Bytes()
+	copy(sparc3, "SPARC3\n")
+	copy(sparc3[len(sparc3)-8:], "SPARC3E\n")
 
-	if _, err := Decompress(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
-		t.Errorf("Decompress = %v, want ErrNotArchive", err)
-	}
-	if _, err := OpenArchive(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
-		t.Errorf("OpenArchive = %v, want ErrNotArchive", err)
-	}
 	srv := httptest.NewServer(server.New(server.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))))
 	defer srv.Close()
-	for _, route := range []string{"/decompress", "/query?agg=count"} {
-		resp, err := http.Post(srv.URL+route, "application/x-spartan", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
+	for name, data := range map[string][]byte{"SPRTN2": stream.Bytes(), "SPARC3": sparc3} {
+		if _, err := Decompress(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
+			t.Errorf("%s: Decompress = %v, want ErrNotArchive", name, err)
 		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", route, resp.StatusCode)
+		if _, err := OpenArchive(bytes.NewReader(data)); !errors.Is(err, ErrNotArchive) {
+			t.Errorf("%s: OpenArchive = %v, want ErrNotArchive", name, err)
+		}
+		for _, route := range []string{"/decompress", "/query?agg=count"} {
+			resp, err := http.Post(srv.URL+route, "application/x-spartan", bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: %s: status %d, want 400", name, route, resp.StatusCode)
+			}
 		}
 	}
 }

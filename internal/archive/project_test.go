@@ -3,8 +3,11 @@ package archive
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -167,4 +170,141 @@ func resultDiff(got, want *query.Result) string {
 // describe names a query for an error message.
 func describe(q query.Query) string {
 	return fmt.Sprintf("%v(%s) reading %q", q.Agg, q.Column, q.Columns())
+}
+
+// TestProjectionMatchesFullDecode reads CDR, census, corel and forest
+// archives (lossless and 1%, one and four segments) under every
+// one-attribute projection (codec.Reader.Columns). Every column a
+// projection decodes must equal the same column of a full decode, bit
+// for bit. Then, for each materialized attribute, one byte in the middle
+// of its T′ frame in the last segment is flipped: every projection,
+// those that do not inflate the frame included, and the full decode must
+// refuse the archive with the frame's checksum error.
+func TestProjectionMatchesFullDecode(t *testing.T) {
+	const rows = 800
+	for _, ds := range []struct {
+		name string
+		gen  func(int, int64) *table.Table
+	}{
+		{"cdr", datagen.CDR},
+		{"census", datagen.Census},
+		{"corel", datagen.Corel},
+		{"forest", datagen.ForestCover},
+	} {
+		tb := ds.gen(rows, 1)
+		for _, tol := range []float64{0, 0.01} {
+			for _, nseg := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/tol=%g/segments=%d", ds.name, tol, nseg), func(t *testing.T) {
+					opts := core.Options{Tolerances: table.UniformTolerances(tb, tol, tol)}
+					var buf bytes.Buffer
+					if _, err := WriteTable(&buf, tb, opts, SegmentOptions{SegmentRows: rows / nseg}); err != nil {
+						t.Fatal(err)
+					}
+					m, err := core.Learn(context.Background(), tb, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					data := buf.Bytes()
+					cr, err := codec.Open(bytes.NewReader(data), codec.DecodeLimits{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					idx := make([]int, cr.NumSegments())
+					for i := range idx {
+						idx[i] = i
+					}
+					full, err := cr.ReadSegments(context.Background(), idx, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, a := range tb.Schema() {
+						cols := cr.Columns([]string{a.Name})
+						got, err := cr.ReadSegments(context.Background(), idx, cols)
+						if err != nil {
+							t.Fatalf("projection onto %s: %v", a.Name, err)
+						}
+						for s, seg := range got {
+							for c := 0; c < seg.NumCols(); c++ {
+								name := seg.Attr(c).Name
+								if !sameColumn(seg.Col(c), full[s].Col(full[s].Schema().Index(name))) {
+									t.Errorf("projection onto %s, segment %d: column %s differs from the full decode", a.Name, s, name)
+								}
+							}
+						}
+					}
+
+					last := cr.Info(cr.NumSegments() - 1)
+					frames := tprimeFrames(t, data[last.Offset:last.Offset+last.Length], len(m.Block().Materialized))
+					for i, a := range m.Block().Materialized {
+						bad := bytes.Clone(data)
+						bad[last.Offset+int64(frames[i][0]+frames[i][1]/2)] ^= 0x5a
+						badCR, err := codec.Open(bytes.NewReader(bad), codec.DecodeLimits{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := fmt.Sprintf("T' frame %d checksum mismatch", i)
+						sets := [][]bool{nil}
+						for _, b := range tb.Schema() {
+							sets = append(sets, badCR.Columns([]string{b.Name}))
+						}
+						for _, cols := range sets {
+							if _, err := badCR.ReadSegments(context.Background(), idx, cols); err == nil || !strings.Contains(err.Error(), want) {
+								t.Errorf("frame of %s flipped, projection %v: error %v, want %q", tb.Attr(a).Name, cols, err, want)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// sameColumn reports whether two columns hold the same cells, float
+// bits included.
+func sameColumn(a, b *table.Column) bool {
+	if a.Kind != b.Kind || !slices.Equal(a.Codes, b.Codes) || len(a.Floats) != len(b.Floats) {
+		return false
+	}
+	for r, v := range a.Floats {
+		if math.Float64bits(v) != math.Float64bits(b.Floats[r]) {
+			return false
+		}
+	}
+	return true
+}
+
+// tprimeFrames returns the offset in body and the length of each of the
+// nmat T′ frames of a body (see docs/FORMAT.md): the row count, the
+// checked outliers section, T′'s length, then the frame index, one
+// (length, inflated length, CRC-32) entry per frame, and the frames.
+func tprimeFrames(t *testing.T, body []byte, nmat int) [][2]int {
+	t.Helper()
+	off := 0
+	uvarint := func() int {
+		v, n := binary.Uvarint(body[off:])
+		if n <= 0 {
+			t.Fatalf("bad uvarint at body offset %d", off)
+		}
+		off += n
+		return int(v)
+	}
+	uvarint() // nrows
+	outliers := uvarint()
+	off += 4 + outliers
+	uvarint() // T′ length
+	lens := make([]int, nmat)
+	for i := range lens {
+		lens[i] = uvarint()
+		uvarint() // inflated length
+		off += 4  // CRC-32
+	}
+	frames := make([][2]int, nmat)
+	for i, n := range lens {
+		frames[i] = [2]int{off, n}
+		off += n
+	}
+	if off != len(body) {
+		t.Fatalf("frames end at %d of a %d-byte body", off, len(body))
+	}
+	return frames
 }

@@ -24,7 +24,7 @@ import (
 
 // The container's magic and fixed trailer size (see docs/FORMAT.md).
 const (
-	magic       = "SPARC3\n"
+	magic       = "SPARC4\n"
 	trailerSize = 16
 )
 
@@ -587,26 +587,37 @@ func TestEmptyArchive(t *testing.T) {
 // writes them any more, and no reader accepts them.
 const retiredMagic = "SPARC1\n"
 
-// TestV1ReadCompat: block archives (magic "SPARC1\n", same framing, no
-// footer) are refused with the typed ErrNotArchive instead of decoding.
+// TestV1ReadCompat: retired archives are refused with the typed
+// ErrNotArchive instead of decoding. They are the block archives (magic
+// "SPARC1\n", same framing, no footer) and the "SPARC3\n" archives,
+// whose container is today's but whose bodies held T' as one gzip
+// stream: read as today's, every body would fail mid-decode.
 func TestV1ReadCompat(t *testing.T) {
 	tb := datagen.CDR(900, 9)
-	data := []byte(retiredMagic)
+	sparc1 := []byte(retiredMagic)
 	for i, block := range splitBlocks(t, tb, 300) {
 		var stream bytes.Buffer
 		if _, err := core.Compress(&stream, block, core.Options{Seed: 1 + int64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		data = binary.AppendUvarint(data, uint64(stream.Len()))
-		data = append(data, stream.Bytes()...)
+		sparc1 = binary.AppendUvarint(sparc1, uint64(stream.Len()))
+		sparc1 = append(sparc1, stream.Bytes()...)
 	}
-	data = append(data, 0)
+	sparc1 = append(sparc1, 0)
+	var sparc3 bytes.Buffer
+	if _, err := WriteTable(&sparc3, tb, core.Options{}, SegmentOptions{SegmentRows: 300}); err != nil {
+		t.Fatal(err)
+	}
+	copy(sparc3.Bytes(), "SPARC3\n")
+	copy(sparc3.Bytes()[sparc3.Len()-8:], "SPARC3E\n")
 
-	if _, err := OpenSegmented(bytes.NewReader(data)); !errors.Is(err, codec.ErrNotArchive) {
-		t.Errorf("OpenSegmented = %v, want ErrNotArchive", err)
-	}
-	if _, err := ReadAll(bytes.NewReader(data)); err == nil {
-		t.Error("ReadAll decoded a block archive")
+	for name, data := range map[string][]byte{"SPARC1": sparc1, "SPARC3": sparc3.Bytes()} {
+		if _, err := OpenSegmented(bytes.NewReader(data)); !errors.Is(err, codec.ErrNotArchive) {
+			t.Errorf("%s: OpenSegmented = %v, want ErrNotArchive", name, err)
+		}
+		if _, err := ReadAll(bytes.NewReader(data)); !errors.Is(err, codec.ErrNotArchive) {
+			t.Errorf("%s: ReadAll = %v, want ErrNotArchive", name, err)
+		}
 	}
 }
 

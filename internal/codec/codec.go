@@ -4,7 +4,8 @@
 // the tolerance vector ē the bodies reconstruct within, the list of
 // materialized attributes and the CaRT trees. A body holds
 // what one set of rows adds: the row count, each model's outliers and the
-// deflated projection T' onto the materialized attributes. Both travel in
+// projection T' onto the materialized attributes, one deflated frame per
+// column. Both travel in
 // one container (container.go): one model block shared by one or more
 // segment bodies, and a footer of per-segment zone maps. The package is
 // the only one that knows the container's layout; Writer writes it and
@@ -19,9 +20,10 @@ package codec
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
+	"compress/flate"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -41,7 +43,7 @@ import (
 type Breakdown struct {
 	HeaderBytes int // length and checksum framing, schema, dictionaries, recorded tolerances, attribute lists, row count
 	ModelBytes  int // serialized CaRT trees and outliers
-	TPrimeBytes int // deflated materialized projection
+	TPrimeBytes int // materialized projection: frame index and deflated frames
 }
 
 // Total returns the full compressed size in bytes.
@@ -160,13 +162,21 @@ func (mb *ModelBlock) EncodeBody(w io.Writer, src *table.Table, outliers [][]car
 		}
 	}
 
-	var tprime bytes.Buffer
-	cols := make([]*table.Column, len(mb.Materialized))
-	for i, a := range mb.Materialized {
-		cols[i] = src.Col(a)
-	}
-	if err := deflateColumns(&tprime, bestCompression, cols...); err != nil {
-		return bd, err
+	// T': the frame index, then one raw-deflate frame per materialized
+	// column, in the order of mb.Materialized.
+	d := getDeflater(bestCompression)
+	defer putDeflater(bestCompression, d)
+	var index []byte
+	for _, a := range mb.Materialized {
+		start := d.frames.Len()
+		raw, err := d.frame(src.Col(a))
+		if err != nil {
+			return bd, err
+		}
+		f := d.frames.Bytes()[start:]
+		index = binary.AppendUvarint(index, uint64(len(f)))
+		index = binary.AppendUvarint(index, uint64(raw))
+		index = binary.LittleEndian.AppendUint32(index, crc32.ChecksumIEEE(f))
 	}
 
 	if _, err := w.Write(rows); err != nil {
@@ -177,14 +187,13 @@ func (mb *ModelBlock) EncodeBody(w io.Writer, src *table.Table, outliers [][]car
 	if bd.ModelBytes, err = writeChecked(w, outBuf.Bytes()); err != nil {
 		return bd, err
 	}
-	tpLen := binary.AppendUvarint(nil, uint64(tprime.Len()))
-	if _, err := w.Write(tpLen); err != nil {
-		return bd, err
+	tpLen := binary.AppendUvarint(nil, uint64(len(index)+d.frames.Len()))
+	for _, b := range [][]byte{tpLen, index, d.frames.Bytes()} {
+		if _, err := w.Write(b); err != nil {
+			return bd, err
+		}
 	}
-	if _, err := w.Write(tprime.Bytes()); err != nil {
-		return bd, err
-	}
-	bd.TPrimeBytes = len(tpLen) + tprime.Len()
+	bd.TPrimeBytes = len(tpLen) + len(index) + d.frames.Len()
 	return bd, nil
 }
 
@@ -281,10 +290,10 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 }
 
 // maxDeflateRatio is the largest expansion stored deflate data can
-// achieve (one literal per bit plus framing, ≈1032:1). The T' block's
-// compressed length therefore bounds how many decompressed bytes — and
-// hence rows — a body can actually deliver, letting the decoder reject
-// inflated row counts before allocating for them.
+// achieve (one literal per bit plus framing, ≈1032:1). A frame's length
+// therefore bounds how many inflated bytes it can deliver, and the T'
+// block's length how many rows a body can, letting the decoder reject
+// inflated claims before allocating for them.
 const maxDeflateRatio = 1032
 
 // DecodeModelBlock decodes a model block written by ModelBlock.Encode,
@@ -315,9 +324,12 @@ func DecodeModelBlock(data []byte, lim DecodeLimits) (*ModelBlock, error) {
 // otherwise the table holds the attributes cols marks, in schema order.
 // cols has one flag per schema attribute and marks the predictors of
 // every predicted attribute it marks, as Reader.Columns's sets do. An
-// attribute left out is still checked, so a projected decode refuses
-// exactly what a full one refuses: its T' cells are walked but not
-// stored, and its outliers are decoded but its CaRT is not run.
+// attribute left out is checked as far as it is stored without being
+// read: a materialized one's frame-index entry and frame CRC-32 are
+// checked but the frame is not inflated, and a predicted one's outliers
+// are decoded but its CaRT is not run. A projected decode therefore
+// refuses what a full one refuses, except bad cells inside a frame whose
+// CRC-32 holds and which it does not read.
 func (mb *ModelBlock) DecodeBody(frame []byte, lim DecodeLimits, cols []bool) (*table.Table, int, error) {
 	t, rest, err := mb.readBody(frame, lim.withDefaults(), cols)
 	return t, len(frame) - len(rest), err
@@ -508,11 +520,11 @@ func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits, cols []bool) (*ta
 	}
 
 	// T' block. Before trusting the row count, cross-check it against what
-	// the compressed payload could possibly contain: every materialized
-	// column costs at least one decompressed byte per row, and deflate
-	// expands at most maxDeflateRatio:1, so a claimed count beyond
-	// tpLen·ratio/nmat rows cannot be backed by data. This rejects
-	// inflated counts before any row-sized work begins.
+	// the T' bytes could possibly contain: every materialized column costs
+	// at least one inflated byte per row, and deflate expands at most
+	// maxDeflateRatio:1, so a claimed count beyond tpLen·ratio/nmat rows
+	// cannot be backed by data. This rejects inflated counts before any
+	// row-sized work begins.
 	tpLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, nil, fmt.Errorf("codec: reading T' length: %w", err)
@@ -530,26 +542,31 @@ func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits, cols []bool) (*ta
 		// substantiated by payload, so cap it outright.
 		return nil, nil, fmt.Errorf("codec: %d rows with no materialized columns exceeds limit %d", nrows, lim.MaxUnverifiedRows)
 	}
-	buf := tprimeBufs.get()
-	p, err := inflate(rest[:tpLen], *buf)
+	frames, err := readFrameIndex(rest[:tpLen], len(mb.Materialized))
 	if err != nil {
 		return nil, nil, err
 	}
-	*buf = p
-	defer tprimeBufs.put(buf) // every column copies its cells out of p
+	buf := tprimeBufs.get()
+	defer tprimeBufs.put(buf) // every column copies its cells out of *buf
 	full := make([]*table.Column, len(mb.Schema))
-	for _, a := range mb.Materialized {
+	for i, a := range mb.Materialized {
+		if !keep(a) {
+			continue
+		}
+		p, err := inflate(frames[i], *buf)
+		if err != nil {
+			return nil, nil, fmt.Errorf("codec: inflating column %d: %w", a, err)
+		}
+		*buf = p
 		c := &table.Column{Kind: mb.Schema[a].Kind, Dict: mb.Dicts[a]}
-		if p, err = parseColumn(p, c, nrows, keep(a)); err != nil {
+		if p, err = parseColumn(p, c, nrows); err != nil {
 			return nil, nil, fmt.Errorf("codec: reading column %d: %w", a, err)
 		}
-		if keep(a) {
-			full[a] = c
+		// A frame must end exactly where its column's cells do.
+		if len(p) != 0 {
+			return nil, nil, fmt.Errorf("codec: reading column %d: %d bytes after its cells", a, len(p))
 		}
-	}
-	// The T' block must end exactly where its columns do.
-	if len(p) != 0 {
-		return nil, nil, fmt.Errorf("codec: trailing data in T' block")
+		full[a] = c
 	}
 
 	// Predicted columns are mutually independent (predictors are always
@@ -584,52 +601,108 @@ func (mb *ModelBlock) readBody(frame []byte, lim DecodeLimits, cols []bool) (*ta
 	return t, rest[tpLen:], err
 }
 
-// inflate decompresses a T' block whole into dst's storage, growing it
-// when it is too small. The gzip trailer's ISIZE sizes the read, clamped
-// to what deflate could expand tp to; it is only a hint: the buffer grows
-// in readFullGrowing's chunks, so a lying ISIZE costs at most one chunk
-// up front, and an honest T' past 4 GiB (ISIZE is its length mod 2^32)
-// reads on to the end. gzip checks ISIZE itself.
-func inflate(tp, dst []byte) ([]byte, error) {
+// colFrame is one materialized column's entry in a body's frame index,
+// with the frame it locates.
+type colFrame struct {
+	data []byte // the raw-deflate frame
+	raw  uint64 // its inflated length
+}
+
+// readFrameIndex reads T' (tp): the index of nmat frames, each entry the
+// frame's byte length, its inflated length and the CRC-32 of its bytes,
+// then the frames. Every entry and every frame is checked, whether a
+// decode reads the frame or not: the frames must tile the bytes after the
+// index exactly, each must match its CRC-32, and no inflated length may
+// exceed what deflate could expand its frame to.
+func readFrameIndex(tp []byte, nmat int) ([]colFrame, error) {
+	br := bytes.NewReader(tp)
+	frames := make([]colFrame, nmat)
+	index := make([]struct {
+		len uint64
+		crc [4]byte
+	}, nmat)
+	for i := range index {
+		var err error
+		if index[i].len, err = binary.ReadUvarint(br); err == nil {
+			if frames[i].raw, err = binary.ReadUvarint(br); err == nil {
+				_, err = io.ReadFull(br, index[i].crc[:])
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("codec: reading T' frame index entry %d: %w", i, err)
+		}
+	}
+	rest := tp[len(tp)-br.Len():]
+	for i, e := range index {
+		if e.len > uint64(len(rest)) {
+			return nil, fmt.Errorf("codec: T' frame %d of %d bytes overruns the %d bytes left", i, e.len, len(rest))
+		}
+		frames[i].data, rest = rest[:e.len], rest[e.len:]
+		if frames[i].raw > e.len*maxDeflateRatio {
+			return nil, fmt.Errorf("codec: T' frame %d of %d bytes cannot inflate to %d bytes", i, e.len, frames[i].raw)
+		}
+		want := binary.LittleEndian.Uint32(e.crc[:])
+		if got := crc32.ChecksumIEEE(frames[i].data); got != want {
+			return nil, fmt.Errorf("codec: T' frame %d checksum mismatch (%08x != %08x)", i, got, want)
+		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("codec: %d bytes of T' after its last frame", len(rest))
+	}
+	return frames, nil
+}
+
+// inflate decompresses f whole into dst's storage, growing it in
+// readFullGrowing's chunks when it is too small, so an inflated length
+// the index overstates costs at most one chunk past what the frame
+// delivers. The stream must inflate to exactly f.raw bytes and end where
+// the frame does.
+func inflate(f colFrame, dst []byte) ([]byte, error) {
 	in, _ := inflaters.Get().(*inflater)
 	if in == nil {
-		in = new(inflater)
+		in = &inflater{zr: flate.NewReader(nil)}
 	}
 	defer inflaters.Put(in)
-	in.src.Reset(tp)
-	defer in.src.Reset(nil) // the pooled reader must not pin tp
-	if err := in.zr.Reset(&in.src); err != nil {
-		return nil, fmt.Errorf("codec: opening T' stream: %w", err)
+	in.src.Reset(f.data)
+	defer in.src.Reset(nil) // the pooled reader must not pin the frame
+	if err := in.zr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, err
 	}
-	// The gzip header alone is 10 bytes, so tp holds a trailer's worth.
-	limit := uint64(len(tp)) * maxDeflateRatio
-	hint := min(uint64(binary.LittleEndian.Uint32(tp[len(tp)-4:])), limit)
-	p, err := readFullGrowing(&in.zr, dst, hint, limit)
-	if err == nil {
-		var more []byte
-		more, err = io.ReadAll(&in.zr)
-		p = append(p, more...)
+	p, err := readFullGrowing(in.zr, dst, f.raw, uint64(len(f.data))*maxDeflateRatio)
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, fmt.Errorf("stream ends before its indexed %d bytes: %w", f.raw, err)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("codec: inflating T': %w", err)
+		return nil, err
+	}
+	var more [1]byte
+	if n, err := io.ReadFull(in.zr, more[:]); n > 0 {
+		return nil, fmt.Errorf("stream runs past its indexed %d bytes", f.raw)
+	} else if err != io.EOF {
+		return nil, err
+	}
+	// flate reads a byte reader no further than its stream's last byte.
+	if in.src.Len() != 0 {
+		return nil, fmt.Errorf("%d bytes after the deflate stream", in.src.Len())
 	}
 	return p, nil
 }
 
 // Reading keeps what one body's decode needs for the next, the mirror of
-// the writers' pools: a gzip reader with its inflate state, and one pool
-// of byte buffers each for the segment frames and their inflated T'. A
-// buffer goes back only once nothing aliases it: the body decoders copy
-// every cell, outlier and section out of the bytes they read.
+// the writers' pools: a flate reader with its inflate state, and one pool
+// of byte buffers each for the segment frames and their inflated T'
+// columns. A buffer goes back only once nothing aliases it: the body
+// decoders copy every cell, outlier and section out of the bytes they
+// read.
 var (
 	inflaters             sync.Pool // *inflater
 	frameBufs, tprimeBufs bufPool
 )
 
-// inflater is a gzip reader over an in-memory T' block.
+// inflater is a raw-deflate reader over one in-memory frame.
 type inflater struct {
 	src bytes.Reader
-	zr  gzip.Reader
+	zr  io.ReadCloser // flate's reader, a flate.Resetter
 }
 
 // bufPool pools byte buffers of one use, so each comes back about the
@@ -653,22 +726,25 @@ func (bp *bufPool) put(b *[]byte) {
 }
 
 // EstimateBitsPerValue encodes a column with the T' block's cell
-// encoding (dictionary or raw cells), deflates it at BestSpeed, and
-// returns the achieved bits per value. SPARTAN uses this on sample
-// columns to price materialization during CaRT selection. T' itself is
-// deflated at BestCompression, so the price approximates, and usually
-// exceeds, what the column costs in T'. The fixed gzip stream overhead
-// is excluded and the result is floored at 0.25 bits.
+// encoding (dictionary or raw cells), deflates it at BestSpeed as one
+// frame, and returns the achieved bits per value. SPARTAN uses this on
+// sample columns to price materialization during CaRT selection. T'
+// itself is deflated at BestCompression, so the price approximates, and
+// usually exceeds, what the column costs in T'. Six bytes of fixed stream
+// overhead are excluded, the 24 plans have always excluded from a gzip
+// stream, 18 bytes longer, of the same frame; the result is floored at
+// 0.25 bits.
 func EstimateBitsPerValue(c *table.Column) (float64, error) {
 	n := c.Len()
 	if n == 0 {
 		return 0, nil
 	}
-	var body bytes.Buffer
-	if err := deflateColumns(&body, bestSpeed, c); err != nil {
+	d := getDeflater(bestSpeed)
+	defer putDeflater(bestSpeed, d)
+	if _, err := d.frame(c); err != nil {
 		return 0, err
 	}
-	payload := body.Len() - 24
+	payload := d.frames.Len() - 6
 	if payload < 1 {
 		payload = 1
 	}
@@ -679,47 +755,76 @@ func EstimateBitsPerValue(c *table.Column) (float64, error) {
 	return bits, nil
 }
 
-// Each deflate level keeps a pool of gzip writers: a writer holds about
-// 1 MB of compressor state, and ingest deflates every sample column and
-// every segment's T'. A writer Reset onto a new buffer writes the same
+// Each deflate level keeps a pool of deflaters: a flate writer holds
+// about 1 MB of compressor state, and ingest deflates every sample column
+// and every segment's T'. A writer Reset onto a new frame writes the same
 // bytes as a new one.
 var (
-	bestSpeed       = gzipPool(gzip.BestSpeed)
-	bestCompression = gzipPool(gzip.BestCompression)
+	bestSpeed       = deflaterPool(flate.BestSpeed)
+	bestCompression = deflaterPool(flate.BestCompression)
 )
 
-func gzipPool(level int) *sync.Pool {
+func deflaterPool(level int) *sync.Pool {
 	return &sync.Pool{New: func() any {
-		zw, err := gzip.NewWriterLevel(nil, level)
+		zw, err := flate.NewWriter(nil, level)
 		if err != nil {
-			panic(err) // level is one of gzip's constants
+			panic(err) // level is one of flate's constants
 		}
-		return zw
+		d := &deflater{zw: zw}
+		d.bw = bufio.NewWriter(d)
+		return d
 	}}
 }
 
-// deflateColumns writes cols, each in the T' cell encoding, as one gzip
-// stream into dst through a writer from pool.
-func deflateColumns(dst *bytes.Buffer, pool *sync.Pool, cols ...*table.Column) error {
-	zw := pool.Get().(*gzip.Writer)
-	defer pool.Put(zw)
-	zw.Reset(dst)
-	bw := bufio.NewWriter(zw)
-	for _, c := range cols {
-		if err := writeColumn(bw, c); err != nil {
-			return err
-		}
+// deflater writes raw-deflate frames, back to back, into frames: cells go
+// through bw into the flate writer zw, counted on the way.
+type deflater struct {
+	zw     *flate.Writer
+	bw     *bufio.Writer
+	frames bytes.Buffer
+	raw    int // bytes written into the current frame's stream
+}
+
+// getDeflater returns a deflater from pool with no frames.
+func getDeflater(pool *sync.Pool) *deflater {
+	d := pool.Get().(*deflater)
+	d.frames.Reset()
+	return d
+}
+
+// putDeflater returns d to pool, dropping its frame buffer when it grew
+// past one readChunk, so a huge segment does not stay pinned.
+func putDeflater(pool *sync.Pool, d *deflater) {
+	if d.frames.Cap() > readChunk {
+		d.frames = bytes.Buffer{}
 	}
-	if err := bw.Flush(); err != nil {
-		return err
+	pool.Put(d)
+}
+
+func (d *deflater) Write(p []byte) (int, error) {
+	d.raw += len(p)
+	return d.zw.Write(p)
+}
+
+// frame appends c, in the T' cell encoding, to d.frames as one
+// raw-deflate frame and returns its inflated length.
+func (d *deflater) frame(c *table.Column) (int, error) {
+	d.raw = 0
+	d.zw.Reset(&d.frames)
+	d.bw.Reset(d)
+	if err := writeColumn(d.bw, c); err != nil {
+		return 0, err
 	}
-	return zw.Close()
+	if err := d.bw.Flush(); err != nil {
+		return 0, err
+	}
+	return d.raw, d.zw.Close()
 }
 
 // Numeric column encodings inside the T' block. Fascicle quantization
 // leaves materialized columns with few distinct values, so a value
 // dictionary plus per-row indexes usually beats raw 4-byte cells (and the
-// surrounding gzip crushes the index stream further).
+// column's deflate frame crushes the index stream further).
 const (
 	numEncRaw  byte = 0 // nrows × float32
 	numEncDict byte = 1 // dict size, dict of float32, nrows × uvarint index
@@ -795,21 +900,18 @@ func writeNumericColumn(bw *bufio.Writer, vals []float64) error {
 	return nil
 }
 
-// parseColumn parses nrows cells of c's kind from the front of p and
-// returns the rest; it stores them in c only when store is set. Stored or
-// not, every cell is checked as a decode would: its framing, a code
-// inside c's dictionary, a numeric value (raw cell or numeric-dictionary
-// entry) that is finite. Before any column is allocated it checks that p
-// can back nrows cells: at least 1 byte per code or dictionary index and
-// 4 per raw float.
-func parseColumn(p []byte, c *table.Column, nrows int, store bool) ([]byte, error) {
+// parseColumn parses nrows cells of c's kind from the front of p into c
+// and returns the rest. Every cell is checked: its framing, a code inside
+// c's dictionary, a numeric value (raw cell or numeric-dictionary entry)
+// that is finite. Before any column is allocated it checks that p can
+// back nrows cells: at least 1 byte per code or dictionary index and 4
+// per raw float.
+func parseColumn(p []byte, c *table.Column, nrows int) ([]byte, error) {
 	if c.Kind == table.Categorical {
 		if err := backs(p, nrows, 1); err != nil {
 			return nil, err
 		}
-		if store {
-			c.Codes = make([]int32, nrows)
-		}
+		c.Codes = make([]int32, nrows)
 		for r := 0; r < nrows; r++ {
 			v, n := cell(p)
 			if n <= 0 {
@@ -818,9 +920,7 @@ func parseColumn(p []byte, c *table.Column, nrows int, store bool) ([]byte, erro
 			if v >= uint64(len(c.Dict)) {
 				return nil, fmt.Errorf("code %d outside dictionary of %d", v, len(c.Dict))
 			}
-			if store {
-				c.Codes[r] = int32(v)
-			}
+			c.Codes[r] = int32(v)
 			p = p[n:]
 		}
 		return p, nil
@@ -834,17 +934,13 @@ func parseColumn(p []byte, c *table.Column, nrows int, store bool) ([]byte, erro
 		if err := backs(p, nrows, 4); err != nil {
 			return nil, err
 		}
-		if store {
-			c.Floats = make([]float64, nrows)
-		}
+		c.Floats = make([]float64, nrows)
 		for r := 0; r < nrows; r++ {
 			bits := binary.LittleEndian.Uint32(p[4*r:])
 			if !finite32(bits) {
 				return nil, fmt.Errorf("row %d: value %g is not finite", r, math.Float32frombits(bits))
 			}
-			if store {
-				c.Floats[r] = float64(math.Float32frombits(bits))
-			}
+			c.Floats[r] = float64(math.Float32frombits(bits))
 		}
 		return p[4*nrows:], nil
 	case numEncDict:
@@ -859,26 +955,19 @@ func parseColumn(p []byte, c *table.Column, nrows int, store bool) ([]byte, erro
 		if err := backs(p, int(dlen), 4); err != nil {
 			return nil, err
 		}
-		var dict []float64
-		if store {
-			dict = make([]float64, dlen)
-		}
+		dict := make([]float64, dlen)
 		for i := 0; i < int(dlen); i++ {
 			bits := binary.LittleEndian.Uint32(p[4*i:])
 			if !finite32(bits) {
 				return nil, fmt.Errorf("numeric dictionary entry %d: value %g is not finite", i, math.Float32frombits(bits))
 			}
-			if store {
-				dict[i] = float64(math.Float32frombits(bits))
-			}
+			dict[i] = float64(math.Float32frombits(bits))
 		}
 		p = p[4*dlen:]
 		if err := backs(p, nrows, 1); err != nil {
 			return nil, err
 		}
-		if store {
-			c.Floats = make([]float64, nrows)
-		}
+		c.Floats = make([]float64, nrows)
 		for r := 0; r < nrows; r++ {
 			v, n := cell(p)
 			if n <= 0 {
@@ -887,9 +976,7 @@ func parseColumn(p []byte, c *table.Column, nrows int, store bool) ([]byte, erro
 			if v >= dlen {
 				return nil, fmt.Errorf("numeric dictionary index %d out of range %d", v, dlen)
 			}
-			if store {
-				c.Floats[r] = dict[v]
-			}
+			c.Floats[r] = dict[v]
 			p = p[n:]
 		}
 		return p, nil

@@ -1,4 +1,4 @@
-// The container ("SPARC3\n") is the one compressed form: a magic, one
+// The container ("SPARC4\n") is the one compressed form: a magic, one
 // length-prefixed frame per segment, each holding a body; a zero length
 // ending the segment region; the model block every body decodes against;
 // a footer recording the model block's extent and each segment's extent,
@@ -26,11 +26,11 @@ import (
 )
 
 const (
-	magic = "SPARC3\n"
+	magic = "SPARC4\n"
 	// Trailer layout: crc32(footer) uint32 LE, footer length uint32 LE,
 	// end magic. Fixed size so a reader finds it at EOF−16 without
 	// scanning.
-	endMagic    = "SPARC3E\n"
+	endMagic    = "SPARC4E\n"
 	trailerSize = 4 + 4 + len(endMagic)
 	// maxFooterBytes caps the trailer's declared footer length (256 MiB —
 	// far above any real footer, which costs tens of bytes per segment).
@@ -44,7 +44,7 @@ const (
 var (
 	// ErrNotArchive is returned for input that does not start with the
 	// container magic; test for it with errors.Is.
-	ErrNotArchive = errors.New("codec: not a SPARC3 archive")
+	ErrNotArchive = errors.New("codec: not a SPARC4 archive")
 	// ErrEmptyArchive is returned when reading the rows of a structurally
 	// valid archive that holds zero segments: no model was ever learned,
 	// so no table can be reconstructed.

@@ -2,7 +2,7 @@ package codec
 
 import (
 	"bytes"
-	"compress/gzip"
+	"compress/flate"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -108,15 +108,50 @@ func oneColumnBlock(kind table.Kind, dict ...string) []byte {
 
 func oneNumericBlock() []byte { return oneColumnBlock(table.Numeric) }
 
-// tprime deflates raw T' bytes at level. gzip.NoCompression stores them,
-// so the compressed length grows with the payload and a body can claim
-// up to maxDeflateRatio rows per stored byte.
-func tprime(level int, raw []byte) []byte {
-	var tp bytes.Buffer
-	zw, _ := gzip.NewWriterLevel(&tp, level) // level is a valid constant
-	_, _ = zw.Write(raw)                     // a bytes.Buffer sink cannot fail
+// forged is one T' frame and the frame-index entry that locates it,
+// whose claims a test may set to lie.
+type forged struct {
+	data []byte // the frame
+	len  uint64 // its indexed byte length
+	raw  uint64 // its indexed inflated length
+	crc  uint32 // its indexed CRC-32
+}
+
+// deflated deflates raw cells at level into a frame with a truthful
+// index entry. flate.NoCompression stores them, so the frame's length
+// grows with the cells and a body can claim up to maxDeflateRatio rows
+// per stored byte.
+func deflated(level int, raw []byte) forged {
+	var f bytes.Buffer
+	zw, _ := flate.NewWriter(&f, level) // level is a valid constant
+	_, _ = zw.Write(raw)                // a bytes.Buffer sink cannot fail
 	_ = zw.Close()
-	return tp.Bytes()
+	return forged{data: f.Bytes(), len: uint64(f.Len()), raw: uint64(len(raw)), crc: crc32.ChecksumIEEE(f.Bytes())}
+}
+
+// tprimeOf lays out a T' block: the index of the frames' entries, then
+// their bytes.
+func tprimeOf(frames ...forged) []byte {
+	var b hostileBuf
+	for _, f := range frames {
+		b.uvarint(f.len)
+		b.uvarint(f.raw)
+		_, _ = b.Write(binary.LittleEndian.AppendUint32(nil, f.crc))
+	}
+	for _, f := range frames {
+		_, _ = b.Write(f.data)
+	}
+	return b.Bytes()
+}
+
+// tprime deflates each materialized column's raw cells at level into its
+// own frame and lays them out as a T' block.
+func tprime(level int, cols ...[]byte) []byte {
+	frames := make([]forged, len(cols))
+	for i, c := range cols {
+		frames[i] = deflated(level, c)
+	}
+	return tprimeOf(frames...)
 }
 
 // body is a body of nrows rows, no outliers (its block has no models)
@@ -185,12 +220,15 @@ func xcBlock() []byte {
 // it, or Open and ReadAll under lim when lim is set (for bounds that
 // only loosened limits can reach). wantErr is a fragment of the error
 // that names the violated bound; for claims a guard admits but no
-// payload backs, it is the truncation the decoder runs into.
+// payload backs, it is the truncation the decoder runs into. skippedBy,
+// when set, names the one attribute whose projection does not read the
+// frame holding the bad cells, and so decodes.
 type hostileCase struct {
-	name    string
-	data    []byte
-	lim     DecodeLimits
-	wantErr string
+	name      string
+	data      []byte
+	lim       DecodeLimits
+	wantErr   string
+	skippedBy string
 }
 
 // hostileCases holds one input per guard on a wire count or index in
@@ -334,17 +372,42 @@ func hostileCases() []hostileCase {
 	unv.uvarint(0) // empty T' block
 	add("unverified-rows", "67108865 rows with no materialized columns exceeds limit", container(unvModel.Bytes(), unv.Bytes(), table.Schema{{Name: "y", Kind: table.Numeric}}))
 
-	add("tprime-not-gzip", "opening T' stream: gzip: invalid header", container(oneNumericBlock(), body(1, []byte("not a gzip stream")), oneNumeric))
+	// The frame index and its frames: a cut entry, a frame past the end
+	// of T', bytes after the last frame, an inflated length past what the
+	// frame could deliver, a frame that is not deflate data, and one with
+	// bytes after its stream.
+	var cutIndex hostileBuf
+	cutIndex.uvarint(5) // frame length; the inflated length is missing
+	add("frame-index-cut", "reading T' frame index entry 0: EOF", container(oneNumericBlock(), body(1, cutIndex.Bytes()), oneNumeric))
+	cellFrame := deflated(flate.DefaultCompression, []byte{numEncRaw, 0, 0, 0, 0})
+	overrun := cellFrame
+	overrun.len++
+	add("frame-overrun", fmt.Sprintf("T' frame 0 of %d bytes overruns the %d bytes left", overrun.len, len(cellFrame.data)),
+		container(oneNumericBlock(), body(1, tprimeOf(overrun)), oneNumeric))
+	add("frames-short", "1 bytes of T' after its last frame", container(oneNumericBlock(),
+		body(1, append(tprimeOf(cellFrame), 0)), oneNumeric))
+	ratio := cellFrame
+	ratio.raw = ratio.len*maxDeflateRatio + 1
+	add("frame-ratio", fmt.Sprintf("T' frame 0 of %d bytes cannot inflate to %d bytes", ratio.len, ratio.raw),
+		container(oneNumericBlock(), body(1, tprimeOf(ratio)), oneNumeric))
+	notDeflate := []byte("not a deflate stream")
+	add("frame-not-deflate", "inflating column 0: flate: corrupt input", container(oneNumericBlock(),
+		body(1, tprimeOf(forged{data: notDeflate, len: uint64(len(notDeflate)), raw: 5, crc: crc32.ChecksumIEEE(notDeflate)})), oneNumeric))
+	trailing := cellFrame
+	trailing.data = append(slices.Clip(trailing.data), 0)
+	trailing.len++
+	trailing.crc = crc32.ChecksumIEEE(trailing.data)
+	add("frame-trailing", "inflating column 0: 1 bytes after the deflate stream", container(oneNumericBlock(), body(1, tprimeOf(trailing)), oneNumeric))
 
 	cat := table.Schema{{Name: "a", Kind: table.Categorical}}
 	add("column-code", "code 5 outside dictionary of 1", container(oneColumnBlock(table.Categorical, "v"),
-		body(1, tprime(gzip.DefaultCompression, []byte{5})), cat))
+		body(1, tprime(flate.DefaultCompression, []byte{5})), cat))
 
 	var numDict hostileBuf
 	numDict.b1(numEncDict)
 	numDict.uvarint(1 << 22)
 	add("numeric-dict-size", "numeric dictionary size 4194304 exceeds limit", container(oneNumericBlock(),
-		body(1, tprime(gzip.DefaultCompression, numDict.Bytes())), oneNumeric))
+		body(1, tprime(flate.DefaultCompression, numDict.Bytes())), oneNumeric))
 
 	var numIx hostileBuf
 	numIx.b1(numEncDict)
@@ -352,7 +415,7 @@ func hostileCases() []hostileCase {
 	numIx.f32(0)
 	numIx.uvarint(3)
 	add("numeric-dict-index", "numeric dictionary index 3 out of range 1", container(oneNumericBlock(),
-		body(1, tprime(gzip.DefaultCompression, numIx.Bytes())), oneNumeric))
+		body(1, tprime(flate.DefaultCompression, numIx.Bytes())), oneNumeric))
 
 	// Stored T' blocks of ~4 KB and ~8 KB claim the most rows the deflate
 	// cross-check admits (over 4 and 8 million) but hold a thousand
@@ -362,99 +425,110 @@ func hostileCases() []hostileCase {
 	for i := 0; i < 1000; i++ {
 		cells.f32(float32(i))
 	}
-	tp := tprime(gzip.NoCompression, cells.Bytes())
+	tp := tprime(flate.NoCompression, cells.Bytes())
 	add("tprime-short", "cells of at least 4 bytes each cannot fit in 4000 bytes", container(oneNumericBlock(), body(uint64(len(tp))*maxDeflateRatio, tp), oneNumeric))
-	tp = tprime(gzip.NoCompression, make([]byte, 8000))
+	tp = tprime(flate.NoCompression, make([]byte, 8000))
 	add("tprime-short-codes", "cells of at least 1 bytes each cannot fit in 8000 bytes", container(oneColumnBlock(table.Categorical, "v"),
 		body(uint64(len(tp))*maxDeflateRatio, tp), cat))
 	var dictShort hostileBuf
 	dictShort.b1(numEncDict)
 	dictShort.uvarint(1 << 16)
 	add("numeric-dict-short", "65536 cells of at least 4 bytes each cannot fit in 0 bytes", container(oneNumericBlock(),
-		body(1, tprime(gzip.DefaultCompression, dictShort.Bytes())), oneNumeric))
+		body(1, tprime(flate.DefaultCompression, dictShort.Bytes())), oneNumeric))
 	var ixShort hostileBuf
 	ixShort.b1(numEncDict)
 	ixShort.uvarint(1)
 	ixShort.f32(0)
-	tp = tprime(gzip.NoCompression, ixShort.Bytes())
+	tp = tprime(flate.NoCompression, ixShort.Bytes())
 	add("numeric-dict-cells-short", "cells of at least 1 bytes each cannot fit in 0 bytes", container(oneNumericBlock(),
 		body(uint64(len(tp))*maxDeflateRatio, tp), oneNumeric))
 	// Two-byte varints whose second byte is missing: a code, a numeric
 	// dictionary's size and a dictionary index.
 	add("cell-cut", "row 0: truncated or overlong cell", container(oneColumnBlock(table.Categorical, "v"),
-		body(1, tprime(gzip.DefaultCompression, []byte{0x80})), cat))
+		body(1, tprime(flate.DefaultCompression, []byte{0x80})), cat))
 	add("numeric-dict-size-cut", "truncated or overlong numeric dictionary size", container(oneNumericBlock(),
-		body(1, tprime(gzip.DefaultCompression, []byte{numEncDict, 0x80})), oneNumeric))
+		body(1, tprime(flate.DefaultCompression, []byte{numEncDict, 0x80})), oneNumeric))
 	var ixCut hostileBuf
 	ixCut.b1(numEncDict)
 	ixCut.uvarint(1)
 	ixCut.f32(0)
 	ixCut.b1(0x80)
 	add("numeric-dict-cell-cut", "row 0: truncated or overlong cell", container(oneNumericBlock(),
-		body(1, tprime(gzip.DefaultCompression, ixCut.Bytes())), oneNumeric))
+		body(1, tprime(flate.DefaultCompression, ixCut.Bytes())), oneNumeric))
 	// A numeric column with no encoding byte, and a cell past the last
 	// column.
 	add("numeric-encoding-missing", "reading column 0: unexpected EOF", container(oneNumericBlock(),
-		body(1, tprime(gzip.DefaultCompression, nil)), oneNumeric))
-	add("tprime-trailing", "trailing data in T' block", container(oneColumnBlock(table.Categorical, "v"),
-		body(1, tprime(gzip.DefaultCompression, []byte{0, 0})), cat))
+		body(1, tprime(flate.DefaultCompression, nil)), oneNumeric))
+	add("tprime-trailing", "reading column 0: 1 bytes after its cells", container(oneColumnBlock(table.Categorical, "v"),
+		body(1, tprime(flate.DefaultCompression, []byte{0, 0})), cat))
 
 	// A T' length one byte past the end of the body.
-	tp = tprime(gzip.DefaultCompression, []byte{0})
-	var overrun hostileBuf
-	overrun.uvarint(1)
-	overrun.checked(nil)
-	overrun.uvarint(uint64(len(tp) + 1))
-	_, _ = overrun.Write(tp)
-	add("tprime-overrun", fmt.Sprintf("implausible T' length %d: %d bytes left in the body", len(tp)+1, len(tp)), container(oneColumnBlock(table.Categorical, "v"), overrun.Bytes(), cat))
+	tp = tprime(flate.DefaultCompression, []byte{0})
+	var tpOverrun hostileBuf
+	tpOverrun.uvarint(1)
+	tpOverrun.checked(nil)
+	tpOverrun.uvarint(uint64(len(tp) + 1))
+	_, _ = tpOverrun.Write(tp)
+	add("tprime-overrun", fmt.Sprintf("implausible T' length %d: %d bytes left in the body", len(tp)+1, len(tp)), container(oneColumnBlock(table.Categorical, "v"), tpOverrun.Bytes(), cat))
 
-	// ISIZE, the gzip trailer's length, lying high and low. The stored
-	// ~8 KB block admits 8 MB of output: were ISIZE trusted as a size
-	// up front, the lie would allocate it. Sized as a hint, it is a
-	// capacity that grows only as data arrives; gzip refuses both lies.
-	isize := func(v uint32) []byte {
-		tp := tprime(gzip.NoCompression, make([]byte, 8000))
-		binary.LittleEndian.PutUint32(tp[len(tp)-4:], v)
-		return container(oneColumnBlock(table.Categorical, "v"), body(8000, tp), cat)
+	// A frame's indexed inflated length lying high and low. The stored
+	// ~8 KB frame admits 8 MB of output: were the index trusted as a size
+	// up front, the lie would allocate it. The buffer grows only as data
+	// arrives, and the stream's length refuses both lies.
+	indexed := func(f func(ix *forged)) []byte {
+		fr := deflated(flate.NoCompression, make([]byte, 8000))
+		f(&fr)
+		return container(oneColumnBlock(table.Categorical, "v"), body(8000, tprimeOf(fr)), cat)
 	}
-	add("isize-high", "inflating T': gzip: invalid checksum", isize(math.MaxUint32))
-	add("isize-low", "inflating T': gzip: invalid checksum", isize(1))
+	add("frame-raw-high", "stream ends before its indexed", indexed(func(ix *forged) { ix.raw = ix.len * maxDeflateRatio }))
+	add("frame-raw-low", "inflating column 0: stream runs past its indexed 1 bytes", indexed(func(ix *forged) { ix.raw = 1 }))
 
 	// Values no writer stores: a non-finite raw cell, numeric-dictionary
-	// entry, outlier and leaf. The T' cases sit in column x of a
-	// two-column table, so a read of column c alone walks x without
-	// storing it; unread-code puts a bad code in c for a read of x alone.
-	// outlier-nan's model is not run by a read of x alone.
+	// entry, outlier and leaf. The T' cases sit in column x's frame of a
+	// two-column table, so a read of column c alone does not inflate it
+	// and decodes; unread-code puts a bad code in c's frame, which a read
+	// of x alone skips. outlier-nan's model is not run by a read of x
+	// alone. frame-crc-unread breaks the CRC-32 of x's frame, which every
+	// read checks.
 	xc := table.Schema{{Name: "x", Kind: table.Numeric}, {Name: "c", Kind: table.Categorical}}
-	xcBody := func(x ...byte) []byte {
-		return body(1, tprime(gzip.DefaultCompression, x))
+	xcBody := func(x []byte, code byte) []byte {
+		return body(1, tprime(flate.DefaultCompression, x, []byte{code}))
+	}
+	// The footer records the body's one row, so the projection that skips
+	// the bad frame decodes.
+	addSkipped := func(name, wantErr, skippedBy string, x []byte, code byte) {
+		var buf bytes.Buffer
+		cw := NewWriter(&buf)
+		_ = cw.WriteSegment(xcBody(x, code), 1, make([]ZoneMap, len(xc))) // bytes.Buffer writes cannot fail
+		_ = cw.finish(xcBlock(), xc)
+		cases = append(cases, hostileCase{name: name, data: buf.Bytes(), wantErr: wantErr, skippedBy: skippedBy})
 	}
 	var infCell hostileBuf
 	infCell.b1(numEncRaw)
 	infCell.f32(float32(math.Inf(1)))
-	infCell.b1(0) // c's code
-	add("numeric-cell-inf", "reading column 0: row 0: value +Inf is not finite", container(xcBlock(), xcBody(infCell.Bytes()...), xc))
+	addSkipped("numeric-cell-inf", "reading column 0: row 0: value +Inf is not finite", "c", infCell.Bytes(), 0)
 	var nanDict hostileBuf
 	nanDict.b1(numEncDict)
 	nanDict.uvarint(1)
 	nanDict.f32(float32(math.NaN()))
 	nanDict.uvarint(0)
-	nanDict.b1(0) // c's code
-	add("numeric-dict-nan", "numeric dictionary entry 0: value NaN is not finite", container(xcBlock(), xcBody(nanDict.Bytes()...), xc))
-	var badCode hostileBuf
-	badCode.b1(numEncRaw)
-	badCode.f32(0)
-	badCode.b1(5) // c's code, past its one-entry dictionary
-	add("unread-code", "reading column 1: code 5 outside dictionary of 1", container(xcBlock(), xcBody(badCode.Bytes()...), xc))
+	addSkipped("numeric-dict-nan", "numeric dictionary entry 0: value NaN is not finite", "c", nanDict.Bytes(), 0)
+	xCell := []byte{numEncRaw, 0, 0, 0, 0}
+	// c's code 5 is past its one-entry dictionary.
+	addSkipped("unread-code", "reading column 1: code 5 outside dictionary of 1", "x", xCell, 5)
+	badCRC := deflated(flate.DefaultCompression, xCell)
+	badCRC.crc++
+	add("frame-crc-unread", "T' frame 0 checksum mismatch", container(xcBlock(),
+		body(1, tprimeOf(badCRC, deflated(flate.DefaultCompression, []byte{0}))), xc))
 	var nanOut, nanOutBody hostileBuf
 	nanOutBody.uvarint(1) // nrows
 	nanOut.uvarint(1)     // one outlier
 	nanOut.uvarint(0)     // row 0
 	nanOut.f32(float32(math.NaN()))
 	nanOutBody.checked(nanOut.Bytes())
-	xCell := tprime(gzip.DefaultCompression, []byte{numEncRaw, 0, 0, 0, 0})
-	nanOutBody.uvarint(uint64(len(xCell)))
-	_, _ = nanOutBody.Write(xCell)
+	xFrame := tprime(flate.DefaultCompression, xCell)
+	nanOutBody.uvarint(uint64(len(xFrame)))
+	_, _ = nanOutBody.Write(xFrame)
 	add("outlier-nan", "outlier value NaN is not finite", container(twoColumnBlock(table.Numeric, nil, numLeaf), nanOutBody.Bytes(), xy))
 	add("leaf-inf", "numeric leaf value +Inf is not finite", container(twoColumnBlock(table.Numeric, nil, func(p *hostileBuf) {
 		p.b1(0) // numeric leaf
@@ -517,7 +591,7 @@ func hostileCases() []hostileCase {
 	wrap.uvarint(1<<63 + 5) // nrows
 	wrap.checked(nil)
 	wrap.uvarint(1 << 60) // tpLen
-	_, _ = wrap.Write(tprime(gzip.DefaultCompression, cells.Bytes()))
+	_, _ = wrap.Write(tprime(flate.DefaultCompression, cells.Bytes()))
 	cases = append(cases, hostileCase{name: "rows-past-int", data: container(oneNumericBlock(), wrap.Bytes(), oneNumeric),
 		lim: DecodeLimits{MaxRows: math.MaxUint64}, wantErr: "row count 9223372036854775813 exceeds limit 9223372036854775807"})
 	return append(cases, toleranceCases()...)
@@ -538,7 +612,7 @@ func toleranceCases() []hostileCase {
 		if kind == table.Numeric {
 			cell = []byte{numEncRaw, 0, 0, 0, 0}
 		}
-		return container(b.Bytes(), body(1, tprime(gzip.DefaultCompression, cell)), table.Schema{{Name: "a", Kind: kind}})
+		return container(b.Bytes(), body(1, tprime(flate.DefaultCompression, cell)), table.Schema{{Name: "a", Kind: kind}})
 	}
 	recorded := func(kind table.Kind, v float64) []byte {
 		var p hostileBuf
@@ -631,8 +705,10 @@ func TestDecodeRejectsHostileHeaders(t *testing.T) {
 // TestProjectedDecodeRefusesHostileBodies reads every hostileCases
 // archive that opens under each one-attribute projection
 // (Reader.Columns): a query's decode must refuse what a full decode
-// refuses, with the same error, even when the offending column is one it
-// walks without storing or a model it does not run.
+// refuses, with the same error, even when the offending model is one it
+// does not run or the offending frame's index entry or CRC-32 is one it
+// does not inflate. Only bad cells inside a frame it does not read go
+// unseen: the projection onto a case's skippedBy attribute decodes.
 func TestProjectedDecodeRefusesHostileBodies(t *testing.T) {
 	skipping := 0
 	for _, tc := range hostileCases() {
@@ -651,6 +727,12 @@ func TestProjectedDecodeRefusesHostileBodies(t *testing.T) {
 			}
 			t.Run(tc.name+"/"+a.Name, func(t *testing.T) {
 				_, err := cr.ReadSegments(context.Background(), idx, cols)
+				if a.Name == tc.skippedBy {
+					if err != nil {
+						t.Fatalf("projection that skips the bad frame failed: %v", err)
+					}
+					return
+				}
 				if err == nil {
 					t.Fatal("projected decode accepted a hostile input")
 				}
@@ -660,15 +742,15 @@ func TestProjectedDecodeRefusesHostileBodies(t *testing.T) {
 			})
 		}
 	}
-	// outlier-row, outlier-nan and the three xc cases each leave a
-	// column out of both of their projections.
+	// outlier-row, outlier-nan and the four xc cases each leave a column
+	// out of both of their projections.
 	if skipping < 10 {
 		t.Errorf("%d projections leave a column out, want at least 10", skipping)
 	}
 }
 
 // TestPooledStateDoesNotLeak alternates every hostileCases decode with a
-// decode of one valid two-segment archive in one process, so pooled gzip
+// decode of one valid two-segment archive in one process, so pooled flate
 // readers and buffers pass from each input to the next: every valid
 // decode must equal one made before any hostile input, and every hostile
 // input must fail as TestDecodeRejectsHostileHeaders pins it, with the
@@ -741,20 +823,29 @@ func TestReadFullGrowingCapped(t *testing.T) {
 	}
 }
 
-// TestInflateClampsISIZE drives inflate with a tiny T' block whose ISIZE
-// claims 4 GiB. The hint is clamped to what deflate could expand the
-// block to, so the lie costs kilobytes rather than a 1 MiB chunk, and
-// gzip refuses it.
-func TestInflateClampsISIZE(t *testing.T) {
-	tp := tprime(gzip.DefaultCompression, []byte("abc"))
-	binary.LittleEndian.PutUint32(tp[len(tp)-4:], math.MaxUint32)
-	var err error
-	delta := allocDelta(func() { _, err = inflate(tp, nil) })
-	if err == nil || !strings.Contains(err.Error(), "invalid checksum") {
-		t.Errorf("inflate of a lying ISIZE: error %v, want gzip's checksum error", err)
-	}
-	if delta > 1<<18 {
-		t.Errorf("inflate of a %d-byte block allocated %d bytes", len(tp), delta)
+// TestInflateBoundsFrame drives inflate with a tiny frame whose index
+// entry claims more than it holds. A claim past what deflate could
+// expand the frame to is refused before any allocation; a claim at that
+// bound costs at most the bound, kilobytes rather than a 1 MiB chunk,
+// and the stream's end refuses it.
+func TestInflateBoundsFrame(t *testing.T) {
+	f := deflated(flate.DefaultCompression, []byte("abc"))
+	bound := f.len * maxDeflateRatio
+	for _, tc := range []struct {
+		raw     uint64
+		wantErr string
+	}{
+		{math.MaxUint32, "exceeds limit"},
+		{bound, "stream ends before its indexed"},
+	} {
+		var err error
+		delta := allocDelta(func() { _, err = inflate(colFrame{data: f.data, raw: tc.raw}, nil) })
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("inflate of a frame claiming %d bytes: error %v, want one mentioning %q", tc.raw, err, tc.wantErr)
+		}
+		if delta > 1<<18 {
+			t.Errorf("inflate of a %d-byte frame claiming %d bytes allocated %d bytes", f.len, tc.raw, delta)
+		}
 	}
 }
 

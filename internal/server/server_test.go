@@ -302,7 +302,7 @@ func TestSegmentedCompressAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(compressed, []byte("SPARC3\n")) {
+	if !bytes.HasPrefix(compressed, []byte("SPARC4\n")) {
 		t.Fatalf("compressed body does not start with the archive magic")
 	}
 	// The plan is learned once on the whole table, so it is the one a
