@@ -129,9 +129,9 @@ func TestDecodeAllocatesColumnsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// What else a decode allocates: the model block, gzip's Huffman
-	// tables, the outliers and the flattened trees. 107 KB measured
-	// (linux/amd64, go1.24).
+	// What else a decode allocates: the model block, the T' frame index,
+	// the outliers and the flattened trees. 97 KB measured (linux/amd64,
+	// go1.24).
 	const slack = 128 << 10
 	if slack >= predicted {
 		t.Fatalf("slack %d must stay under the predicted columns' %d bytes", slack, predicted)
@@ -146,10 +146,10 @@ func TestDecodeAllocatesColumnsOnce(t *testing.T) {
 // TestIngestAllocations pins what a segmented ingest allocates: the
 // benchmark's ingest_cdr_segmented (32k CDR rows, 8k-row segments, 1%
 // numeric tolerance) averaged over three WriteTable calls after a
-// warm-up. About 9.4–10.5 MB measured at GOMAXPROCS 1 and 2 and up to
-// 11.5 MB at 4 to 16, where more segments miss the pooled deflate
+// warm-up. About 8.7–9.1 MB measured at GOMAXPROCS 1 and 2 and up to
+// 10.2 MB at 4 to 16, where more segments miss the pooled deflate
 // writers (linux/amd64, go1.24); a fresh deflate compressor per sample
-// column and per segment (about 1 MB each), a copy of every segment, or
+// column and per T′ frame (about 1 MB each), a copy of every segment, or
 // CaRT growth copying each node's rows and split pairs (about 17 MB)
 // puts it past 12 MB. A fascicle index of []int rows with a sorted copy
 // of each numeric column adds about 1 MB (10.3–12.8 MB).
@@ -250,12 +250,12 @@ func TestScanQueryAllocatesReadColumnsOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// What else the query allocates: gzip's Huffman tables (about
-	// 120 KB), the uncertain charge_cents values and the match verdicts,
-	// the outliers and the flattened tree of the one CaRT it runs.
-	// 250 KB measured (linux/amd64, go1.24); an unread categorical
-	// column, the smallest, would add 128 KB.
-	const slack = 288 << 10
+	// What else the query allocates: the uncertain charge_cents values
+	// and the match verdicts, the T' frame indexes, the outliers and the
+	// flattened tree of the one CaRT it runs. 150 KB measured
+	// (linux/amd64, go1.24); an unread categorical column, the smallest,
+	// would add 128 KB.
+	const slack = 192 << 10
 	t.Logf("query allocated %d bytes: columns %d (%v), rest %d; over full decodes %d",
 		projected, columns, read, int64(projected)-int64(columns), full)
 	if bound := columns + slack; bound >= full {

@@ -30,8 +30,8 @@ type SegmentOptions struct {
 	// segment holding every row. The final segment holds the remainder.
 	// Segments share one model block, so their size does not change what
 	// is learned; it trades pruning granularity and the per-segment cost
-	// (framing, zone maps, a gzip stream and the numeric value
-	// dictionaries of its T') against how many segments fit in memory
+	// (framing, zone maps, one deflate frame per T' column and the
+	// numeric value dictionaries of its T') against how many segments fit in memory
 	// during parallel compression.
 	SegmentRows int
 	// Workers bounds how many segments compress concurrently; zero

@@ -157,7 +157,7 @@ type Stats struct {
 
 	HeaderBytes int // container framing, footer and zone maps, schema + dictionaries, attribute lists, row count
 	ModelBytes  int // serialized CaRT trees and outliers
-	TPrimeBytes int // deflated materialized projection
+	TPrimeBytes int // materialized projection: frame index and deflated frames
 
 	Timings Timings
 }

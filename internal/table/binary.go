@@ -209,7 +209,7 @@ func cellCode(cell []byte) int32 {
 	return int32(v)
 }
 
-// WriteSchema writes the schema header shared by the raw, SPARC3,
+// WriteSchema writes the schema header shared by the raw, SPARC4,
 // fascicle and pzip formats: the column count, then per attribute its
 // name, kind byte and, for a categorical attribute, its dictionary
 // (entry count, then the entries). dicts[i] is read only for
