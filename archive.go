@@ -49,6 +49,12 @@ var ErrEmptyArchive = codec.ErrEmptyArchive
 // for input that is not a SPARTAN archive; test for it with errors.Is.
 var ErrNotArchive = codec.ErrNotArchive
 
+// ErrExceedsLimits is returned by Compress and ArchiveWriter.WriteBlock
+// for a table whose archive the default reader would refuse: more than
+// 2^16 attributes, or a dictionary over 2^24 entries. Test for it with
+// errors.Is.
+var ErrExceedsLimits = codec.ErrExceedsLimits
+
 // NewArchiveWriter starts an archive on w. The models are learned from
 // the first block written, and quantile tolerances resolve against that
 // block's value ranges, so prefer absolute tolerances when later blocks

@@ -9,11 +9,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/server"
+	"repro/internal/table"
 )
 
 // TestArchiveRoundTripToleranceRespected drives the public archive API
@@ -181,4 +184,35 @@ func TestRetiredStreamRefused(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWriterRefusesWhatReaderRefuses: a table with more attributes than
+// the default reader accepts (2^16) is refused with ErrExceedsLimits
+// before anything is learned, by Compress and by an ArchiveWriter's
+// first block. Without the check the dependency finder would start on
+// its ≈2^31 attribute pairs.
+func TestWriterRefusesWhatReaderRefuses(t *testing.T) {
+	const ncols = 1<<16 + 1
+	schema := make(Schema, ncols)
+	cols := make([]*table.Column, ncols)
+	for c := range schema {
+		schema[c] = Attribute{Name: "a" + strconv.Itoa(c), Kind: Numeric}
+		cols[c] = &table.Column{Kind: Numeric, Floats: []float64{float64(c)}}
+	}
+	wide, err := table.New(schema, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := Compress(context.Background(), io.Discard, wide, Options{}, SegmentOptions{}); !errors.Is(err, ErrExceedsLimits) {
+		t.Errorf("Compress = %v, want ErrExceedsLimits", err)
+	}
+	aw, err := NewArchiveWriter(io.Discard, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := aw.WriteBlock(wide); !errors.Is(err, ErrExceedsLimits) {
+		t.Errorf("WriteBlock = %v, want ErrExceedsLimits", err)
+	}
+	t.Logf("both refused in %v", time.Since(start))
 }

@@ -1,11 +1,9 @@
 // Spartanvet is SPARTAN's domain-aware static-analysis suite:
-// analyzers that encode invariants the Go compiler cannot see. All six
+// analyzers that encode invariants the Go compiler cannot see. All five
 // are syntactic and look at one package at a time: raw float equality on
-// tolerances, unfinished pipeline spans, unbalanced registry locks,
-// swallowed archive-write errors, context-threading conventions in the
-// pipeline packages, and defers inside per-row loops. A synthetic check,
-// staleignore, flags //spartanvet:ignore directives that no longer
-// suppress anything.
+// tolerances, unfinished pipeline spans, swallowed archive-write errors,
+// context-threading conventions in the pipeline packages, and defers
+// inside per-row loops.
 //
 // Some invariants have tests instead of an analyzer: the decoders'
 // hostile-input tables in internal/codec and internal/cart pin every
@@ -15,7 +13,9 @@
 // internal/core's TestApplyAllocationsDoNotGrowWithRows measures that
 // the apply step does not allocate per row. Metric names and label sets
 // are checked by obs.Registry when each family is registered, so every
-// test that builds the HTTP server checks every registration.
+// test that builds the HTTP server checks every registration, and
+// internal/obs's TestRegistryUsableAfterPanics requires every registry
+// lock to be released when its critical section panics.
 //
 // It takes package patterns and no flags, covers test files, prints
 // one line per finding and gates on any:
@@ -25,8 +25,7 @@
 //
 // or simply `make lint`.
 //
-// See docs/DEVELOPMENT.md for the analyzer catalogue and the
-// //spartanvet:ignore suppression syntax.
+// See docs/DEVELOPMENT.md for the analyzer catalogue.
 package main
 
 import (
@@ -37,7 +36,6 @@ import (
 	"repro/internal/analysis/deferloop"
 	"repro/internal/analysis/errcheckio"
 	"repro/internal/analysis/floatcmp"
-	"repro/internal/analysis/lockbalance"
 	"repro/internal/analysis/spanfinish"
 	"repro/internal/analysis/unitchecker"
 )
@@ -47,7 +45,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	floatcmp.Analyzer,
 	spanfinish.Analyzer,
-	lockbalance.Analyzer,
 	errcheckio.Analyzer,
 	ctxfirst.Analyzer,
 	deferloop.Analyzer,

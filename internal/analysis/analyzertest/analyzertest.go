@@ -85,17 +85,12 @@ func runPackage(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	}
 
 	var diags []analysis.Diagnostic
-	sup := analysis.IndexSuppressions(fset, files)
-	pass := analysis.NewPassShared(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
+	pass := analysis.NewPass(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
 		diags = append(diags, d)
-	}, sup)
+	})
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("analyzer %s: %v", a.Name, err)
 	}
-	// Directives for this analyzer that suppressed nothing are findings
-	// too (matched against want comments like real diagnostics), so
-	// fixtures cover the staleness check end to end.
-	diags = append(diags, sup.Stale(map[string]bool{a.Name: true}, false)...)
 
 	wants := collectWants(t, fset, files)
 	for _, d := range diags {

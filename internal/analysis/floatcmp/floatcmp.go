@@ -10,9 +10,7 @@
 // epsilon comparison was intended, violating a guaranteed tolerance) or
 // an unstated bit-exactness requirement. Both must be spelled out via
 // the helpers in internal/floats — floats.SameBits for deterministic
-// bit-exact identity, floats.Within for tolerance checks — or, for a
-// genuine raw comparison, suppressed with //spartanvet:ignore and a
-// reason.
+// bit-exact identity, floats.Within for tolerance checks.
 package floatcmp
 
 import (

@@ -37,8 +37,3 @@ func fine(a, b float64, i, j int) bool {
 	s := "x"
 	return s != "y" // strings are not flagged
 }
-
-func suppressed(a, b float64) bool {
-	//spartanvet:ignore floatcmp sentinel comparison against the exact stored value
-	return a == b
-}

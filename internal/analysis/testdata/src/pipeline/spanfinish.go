@@ -75,12 +75,6 @@ func childSpans(tr *Trace) {
 	_ = child
 }
 
-func suppressedHandoff(tr *Trace) *Span {
-	//spartanvet:ignore spanfinish ownership moves to the caller
-	sp := tr.Start("compress")
-	return sp
-}
-
 type errString string
 
 func (e errString) Error() string { return string(e) }

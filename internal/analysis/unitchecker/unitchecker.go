@@ -3,10 +3,8 @@
 // compiles what it must and hands back export data for every package,
 // type-checks each matched package from source against that export
 // data, runs the analyzers over it, and prints each finding as a
-// "file:line:col: message [name]" line on stderr, exiting 2 if there is
-// any. Findings a //spartanvet:ignore directive covers are dropped; a
-// directive that no longer suppresses anything is itself reported as a
-// finding under the name "staleignore".
+// "file:line:col: message [name]" line on stderr, exiting 2 if there
+// is any.
 //
 // Test files are covered through the test variants `go list -test`
 // reports. A package with in-package tests is analyzed as "p [p.test]"
@@ -220,27 +218,16 @@ func checkPackage(p *listPackage, exports map[string]string, cwd string, analyze
 		return nil, err
 	}
 
-	// One suppression index shared by every analyzer, so that after the
-	// runs it knows which directives earned their keep.
-	sup := analysis.IndexSuppressions(fset, files)
-	toDiag := func(d analysis.Diagnostic) Diag {
-		pos := fset.Position(d.Pos)
-		pos.Filename = relativeTo(pos.Filename, cwd)
-		return Diag{Position: pos, Message: d.Message, Analyzer: d.Analyzer}
-	}
 	var diags []Diag
-	known := map[string]bool{}
 	for _, a := range analyzers {
-		known[a.Name] = true
-		pass := analysis.NewPassShared(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
-			diags = append(diags, toDiag(d))
-		}, sup)
+		pass := analysis.NewPass(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
+			pos := fset.Position(d.Pos)
+			pos.Filename = relativeTo(pos.Filename, cwd)
+			diags = append(diags, Diag{Position: pos, Message: d.Message, Analyzer: d.Analyzer})
+		})
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
-	}
-	for _, d := range sup.Stale(known, true) {
-		diags = append(diags, toDiag(d))
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		pi, pj := diags[i].Position, diags[j].Position

@@ -79,14 +79,6 @@ func TestGoVetFindsSeededViolations(t *testing.T) {
 
 func Same(a, b float64) bool { return a == b }
 `,
-		"obs/obs.go": `package obs
-
-import "sync"
-
-type R struct{ mu sync.Mutex }
-
-func (r *R) Touch() { r.mu.Lock() }
-`,
 		"codec/codec.go": `package codec
 
 import "bufio"
@@ -111,7 +103,7 @@ func Leak(tr *Trace) { tr.Start("compress") }
 		t.Fatalf("exit %d on seeded violations, want 2; stderr:\n%s", code, stderr)
 	}
 	for _, wantFrag := range []string{
-		"[floatcmp]", "[lockbalance]", "[errcheckio]", "[spanfinish]",
+		"[floatcmp]", "[errcheckio]", "[spanfinish]",
 	} {
 		if !strings.Contains(stderr, wantFrag) {
 			t.Errorf("output missing a %s finding:\n%s", wantFrag, stderr)
@@ -147,8 +139,8 @@ func TestSame(t *testing.T) {
 }
 
 // TestTestFilesCovered checks that test files are linted: a finding in
-// an in-package _test.go file, a stale directive in one, and a finding
-// in an external p_test package must all be reported.
+// an in-package _test.go file and a finding in an external p_test
+// package must both be reported.
 func TestTestFilesCovered(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module tested\n\ngo 1.22\n",
@@ -167,9 +159,6 @@ func TestSame(t *testing.T) {
 		t.Fatal("mismatch")
 	}
 }
-
-//spartanvet:ignore floatcmp nothing here compares floats any more
-func TestNothing(t *testing.T) {}
 `,
 		"pipeline/pipeline.go": `package pipeline
 
@@ -201,7 +190,6 @@ func TestLeak(t *testing.T) {
 	}
 	for _, want := range []string{
 		"cart/cart_test.go:6:", "[floatcmp]",
-		"cart/cart_test.go:11:", "[staleignore]",
 		"pipeline/pipeline_test.go:11:", "[spanfinish]",
 	} {
 		if !strings.Contains(stderr, want) {
@@ -211,8 +199,8 @@ func TestLeak(t *testing.T) {
 }
 
 // TestStandaloneText checks the one output mode gates: findings print
-// to stderr and the exit code is non-zero, with the suppressed finding
-// dropped. Flags are refused: the tool takes package patterns only.
+// to stderr and the exit code is non-zero. Flags are refused: the tool
+// takes package patterns only.
 func TestStandaloneText(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module seeded\n\ngo 1.22\n",
@@ -220,29 +208,13 @@ func TestStandaloneText(t *testing.T) {
 
 func Same(a, b float64) bool { return a == b }
 `,
-		"codec/codec.go": `package codec
-
-import "bufio"
-
-//spartanvet:ignore errcheckio best-effort trailer write
-func Emit(w *bufio.Writer) { w.WriteByte(0) }
-
-//spartanvet:ignore floatcmp nothing here compares floats
-func Noop() {}
-`,
 	})
 	_, stderr, code := runTool(t, dir, "./...")
 	if code != 2 {
 		t.Fatalf("text mode exited %d, want 2\nstderr: %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "[floatcmp]") {
+	if !strings.Contains(stderr, "cart/cart.go:3:") || !strings.Contains(stderr, "[floatcmp]") {
 		t.Errorf("stderr missing the floatcmp finding:\n%s", stderr)
-	}
-	if !strings.Contains(stderr, "[staleignore]") {
-		t.Errorf("stderr missing the stale-directive finding:\n%s", stderr)
-	}
-	if strings.Contains(stderr, "[errcheckio]") {
-		t.Errorf("suppressed errcheckio finding leaked into text output:\n%s", stderr)
 	}
 
 	if _, stderr, code := runTool(t, dir, "-sarif", "./..."); code != 2 || !strings.Contains(stderr, "unrecognized flag -sarif") {

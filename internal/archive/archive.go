@@ -99,11 +99,11 @@ func (aw *Writer) WriteBlock(t *table.Table) (*core.Stats, error) {
 
 // remap returns t with every categorical column coded against the
 // archive dictionary, appending the values the archive has not seen yet.
+// A block that would grow a dictionary past what the default reader
+// accepts is refused with codec.ErrExceedsLimits, changing nothing.
 func (aw *Writer) remap(t *table.Table) (*table.Table, error) {
-	cols := make([]*table.Column, t.NumCols())
-	for c := range cols {
+	for c := range t.NumCols() {
 		src := t.Col(c)
-		cols[c] = src
 		if src.Kind != table.Categorical {
 			continue
 		}
@@ -112,6 +112,23 @@ func (aw *Writer) remap(t *table.Table) (*table.Table, error) {
 			for code, v := range aw.dicts[c] {
 				aw.index[c][v] = int32(code)
 			}
+		}
+		n := len(aw.dicts[c])
+		for _, v := range src.Dict {
+			if _, ok := aw.index[c][v]; !ok {
+				n++
+			}
+		}
+		if err := codec.CheckDict(t.Attr(c).Name, n); err != nil {
+			return nil, err
+		}
+	}
+	cols := make([]*table.Column, t.NumCols())
+	for c := range cols {
+		src := t.Col(c)
+		cols[c] = src
+		if src.Kind != table.Categorical {
+			continue
 		}
 		codeOf := make([]int32, len(src.Dict))
 		for i, v := range src.Dict {

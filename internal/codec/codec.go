@@ -289,6 +289,35 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 	return l
 }
 
+// ErrExceedsLimits is returned, wrapped, for a table whose archive the
+// default DecodeLimits would refuse: more than MaxCols attributes, or a
+// categorical dictionary over MaxDictEntries. Writers refuse such a
+// table before learning anything; test for it with errors.Is.
+var ErrExceedsLimits = errors.New("codec: table exceeds the default decode limits")
+
+// CheckTable returns ErrExceedsLimits, wrapped, if the default reader
+// would refuse an archive of t.
+func CheckTable(t *table.Table) error {
+	if n, max := uint64(t.NumCols()), (DecodeLimits{}).withDefaults().MaxCols; n > max {
+		return fmt.Errorf("%w: %d attributes, at most %d", ErrExceedsLimits, n, max)
+	}
+	for c := range t.NumCols() {
+		if err := CheckDict(t.Attr(c).Name, len(t.Col(c).Dict)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckDict returns ErrExceedsLimits, wrapped, if the default reader
+// would refuse a dictionary of n entries for attribute name.
+func CheckDict(name string, n int) error {
+	if max := (DecodeLimits{}).withDefaults().MaxDictEntries; uint64(n) > max {
+		return fmt.Errorf("%w: attribute %q has %d dictionary entries, at most %d", ErrExceedsLimits, name, n, max)
+	}
+	return nil
+}
+
 // maxDeflateRatio is the largest expansion stored deflate data can
 // achieve (one literal per bit plus framing, ≈1032:1). A frame's length
 // therefore bounds how many inflated bytes it can deliver, and the T'

@@ -878,3 +878,18 @@ func TestDecodeLimitedTightens(t *testing.T) {
 		t.Error("MaxCols=1 accepted a multi-column container")
 	}
 }
+
+// TestCheckDictMatchesReader: the write-side dictionary check refuses
+// exactly what the default reader refuses.
+func TestCheckDictMatchesReader(t *testing.T) {
+	max := int((DecodeLimits{}).withDefaults().MaxDictEntries)
+	if err := CheckDict("a", max); err != nil {
+		t.Errorf("CheckDict at the limit = %v, want nil", err)
+	}
+	if err := CheckDict("a", max+1); !errors.Is(err, ErrExceedsLimits) {
+		t.Errorf("CheckDict past the limit = %v, want ErrExceedsLimits", err)
+	}
+	if err := CheckTable(testTable(rand.New(rand.NewSource(7)), 10)); err != nil {
+		t.Errorf("CheckTable on a small table = %v, want nil", err)
+	}
+}

@@ -212,7 +212,8 @@ type Model struct {
 // Learn runs the learn step on t: the dependency finder on a sample of
 // t, CaRT selection, and the resolution of quantile tolerances against
 // all of t. Its dependency_finder and cart_selection spans go under a
-// SpanLearn root on opts.Trace.
+// SpanLearn root on opts.Trace. A table whose archive the default reader
+// would refuse is refused first, with codec.ErrExceedsLimits.
 //
 // Learn and Apply check ctx at every phase boundary and inside each
 // phase's long-running inner loops (WMIS candidate rounds, per-node CaRT
@@ -224,6 +225,9 @@ type Model struct {
 func Learn(ctx context.Context, t *table.Table, opts Options) (_ *Model, err error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("spartan: nil or empty table")
+	}
+	if err := codec.CheckTable(t); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
 	root := startRoot(opts, SpanLearn, t)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestExpositionGolden pins the exact Prometheus text format emitted for
@@ -123,6 +124,64 @@ func TestLabelArityPanics(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("m", "h", "a", "b").Inc("only-one")
+}
+
+// panicWriter fails every write by panicking, as a broken response
+// writer might.
+type panicWriter struct{}
+
+func (panicWriter) Write([]byte) (int, error) { panic("write failed") }
+
+// TestRegistryUsableAfterPanics: a panic raised while the registry holds
+// a lock (a label-arity mismatch in an update, a re-registration with
+// another type, a writer that panics mid-render) must release that lock,
+// so the same registry still takes an Inc and renders. A lock leaked by a
+// non-deferred Unlock would hang those calls; they run under a deadline
+// and the test fails on timeout instead.
+func TestRegistryUsableAfterPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fn   func(r *Registry)
+	}{
+		{"Counter.Add", func(r *Registry) { r.Counter("c_total", "h", "route").Add(1) }},
+		{"Gauge.Set", func(r *Registry) { r.Gauge("g", "h").Set(1, "extra") }},
+		{"Gauge.Add", func(r *Registry) { r.Gauge("g", "h").Add(1, "extra") }},
+		{"Histogram.Observe", func(r *Registry) { r.Histogram("h_seconds", "h", nil, "route").Observe(1) }},
+		{"register", func(r *Registry) { r.Gauge("c_total", "h", "route") }},
+		{"WritePrometheus", func(r *Registry) { r.WritePrometheus(panicWriter{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			c := r.Counter("c_total", "h", "route")
+			r.Gauge("g", "h")
+			r.Histogram("h_seconds", "h", nil, "route")
+			c.Inc("/a")
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("no panic")
+					}
+				}()
+				tc.fn(r)
+			}()
+
+			done := make(chan string, 1)
+			go func() {
+				c.Inc("/a")
+				var b strings.Builder
+				r.WritePrometheus(&b)
+				done <- b.String()
+			}()
+			select {
+			case out := <-done:
+				if !strings.Contains(out, `c_total{route="/a"} 2`) {
+					t.Errorf("render after the panic:\n%s", out)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Inc and WritePrometheus still blocked 5s after a recovered panic: a lock was not released")
+			}
+		})
+	}
 }
 
 // TestConcurrentUse hammers every metric kind from many goroutines; run

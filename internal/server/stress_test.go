@@ -15,8 +15,8 @@ import (
 // the overload limiter, and the parallel pipeline underneath; this test
 // exists to fail under -race if any of those shared structures regress,
 // and to hang if a worker goroutine leaks or misses its Done.
-// lockbalance covers the registry's lock discipline statically. Runs in
-// CI's race job; skipped under -short.
+// obs.TestRegistryUsableAfterPanics covers the registry's lock release
+// on a panic. Runs in CI's race job; skipped under -short.
 func TestStressConcurrentTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test: meaningful only under -race in the full run")
