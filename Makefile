@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-json benchdiff bin
+.PHONY: check vet lint build test race bench-json benchdiff bin
 
 check: vet build race lint
 
@@ -32,9 +32,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # bench-json runs benchmark/ on every BENCHMARK.json workload (seeds 1-3
 # plus one traced run, about 8.5 minutes) into the next BENCH_<n>.json;

@@ -3,12 +3,11 @@ package main
 // Self-benchmark for the analyzer suite: every registered analyzer runs
 // over a fixed fixture corpus so `go test -bench=. ./cmd/spartanvet`
 // attributes analysis cost per analyzer. The corpus is a subset of the
-// golden fixtures — archive writes, tolerance checks, span discipline,
-// loop bodies — so each analyzer meets code it inspects, not only
-// packages it skips. Record a baseline before growing the suite and
-// compare with benchstat or `-benchtime=10x` eyeballing; a new analyzer
-// that doubles the total shows up here long before it shows up as a slow
-// `make lint`.
+// golden fixtures — archive writes, tolerance checks, span discipline —
+// so each analyzer meets code it inspects, not only packages it skips.
+// Record a baseline before growing the suite and compare with benchstat
+// or `-benchtime=10x` eyeballing; a new analyzer that doubles the total
+// shows up here long before it shows up as a slow `make lint`.
 
 import (
 	"go/ast"
@@ -33,7 +32,6 @@ var benchCorpus = []string{
 	"codec",
 	"cart",
 	"pipeline",
-	"deferloop",
 }
 
 type benchPkg struct {

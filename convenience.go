@@ -50,24 +50,29 @@ func Verify(original, restored *Table, tol Tolerances) error {
 
 // verifyPerClass checks per-class categorical bounds: for each class c,
 // the fraction of rows whose original value is c that decompress to a
-// different value must not exceed that class's tolerance.
+// different value must not exceed that class's tolerance. Classes are
+// checked in the order of the original column's dictionary, so the error
+// names the same class on every call.
 func verifyPerClass(original, restored *Table, col int, tol Tolerance) error {
 	oc, rc := original.Col(col), restored.Col(col)
-	counts := map[string]int{}
-	wrong := map[string]int{}
-	for r := 0; r < original.NumRows(); r++ {
-		class := oc.Dict[oc.Codes[r]]
-		counts[class]++
-		if rc.Dict[rc.Codes[r]] != class {
-			wrong[class]++
+	counts := make([]int, len(oc.Dict))
+	wrong := make([]int, len(oc.Dict))
+	for r, c := range oc.Codes {
+		counts[c]++
+		if rc.Dict[rc.Codes[r]] != oc.Dict[c] {
+			wrong[c]++
 		}
 	}
-	for class, n := range counts {
+	for c, n := range counts {
+		if n == 0 {
+			continue
+		}
+		class := oc.Dict[c]
 		bound := tol.Value
 		if v, ok := tol.PerClass[class]; ok {
 			bound = v
 		}
-		if rate := float64(wrong[class]) / float64(n); rate > bound {
+		if rate := float64(wrong[c]) / float64(n); rate > bound {
 			return fmt.Errorf("spartan: attribute %q class %q: mismatch rate %g exceeds tolerance %g",
 				original.Attr(col).Name, class, rate, bound)
 		}

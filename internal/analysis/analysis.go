@@ -14,10 +14,10 @@
 // The analyzers themselves encode SPARTAN invariants the compiler cannot
 // see: tolerance comparisons must not use raw float equality (floatcmp),
 // pipeline spans must be finished (spanfinish), archive writes must not
-// swallow errors (errcheckio), pipeline functions take a context first
-// (ctxfirst), and per-row loops hold no defer (deferloop). Metric names
-// and label sets are checked at run time by obs.Registry itself, and its
-// lock release on a panic by an obs test.
+// swallow errors (errcheckio), and pipeline functions take a context
+// first (ctxfirst). Metric names and label sets are checked at run time
+// by obs.Registry itself, its lock release on a panic by an obs test, and
+// per-row loops by allocation pins.
 package analysis
 
 import (

@@ -65,7 +65,7 @@ func runPackage(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	// Type-check under the fixture's package-clause name rather than the
 	// directory name, so one analyzer's fixtures can live in their own
 	// directory while still matching a scoped analyzer's PackageBase
-	// (e.g. testdata/src/deferloop declares `package fascicle`).
+	// (e.g. testdata/src/ctxfirst declares `package core`).
 	if name := files[0].Name.Name; name != "" {
 		pkgPath = name
 	}

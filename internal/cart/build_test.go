@@ -120,6 +120,88 @@ func TestBuildAllocations(t *testing.T) {
 	}
 }
 
+// TestRowLoopAllocations pins that the model's passes over a table's
+// rows allocate per call, not per row: sorting a learn sample
+// (NewSample), the outlier scan (ComputeOutliers, numeric, categorical
+// and with per-class budgets), the selectors' holdout count
+// (CountViolations) and decoding's reconstruction with its outlier
+// patch (Reconstruct). Trees learned on 4k census rows run over those
+// rows and over 32k; the coarse categorical tree and tight tolerances
+// leave thousands of outliers at 32k rows. 8× the rows may add at most
+// growthSlack allocations (the outlier lists' appends grow them), while
+// a defer or a scratch value escaping in one of these loops adds one per
+// row or outlier.
+func TestRowLoopAllocations(t *testing.T) {
+	const small, large, growthSlack = 4000, 32000, 32
+	full := datagen.Census(large, 1)
+	head := make([]int, small)
+	for i := range head {
+		head[i] = i
+	}
+	part, err := full.SelectRows(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	num, cat := full.Schema().Index("weekly_earn"), full.Schema().Index("employment")
+	cm := NewCostModel(part)
+	s := NewSample(part)
+	numTree, _, err := Build(context.Background(), s, num, otherAttrs(part, num), 50, cm, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	catTree, _, err := Build(context.Background(), s, cat, otherAttrs(part, cat), 0.3, cm, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perClass := table.Tolerance{Value: 0.2, PerClass: map[string]float64{"fulltime": 0}}.ClassBudgets(full.Col(cat).Dict)
+	// Each case prepares its input outside the measurement and returns the
+	// measured call.
+	scan := func(m *Model, tol float64, perClass []float64) func(*table.Table) func() {
+		return func(tb *table.Table) func() {
+			return func() {
+				if _, err := m.ComputeOutliers(context.Background(), tb, tol, perClass); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	patch := func(m *Model, tol float64) func(*table.Table) func() {
+		return func(tb *table.Table) func() {
+			outliers, err := m.ComputeOutliers(context.Background(), tb, tol, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(outliers) < tb.NumRows()/20 {
+				t.Fatalf("%d outliers over %d rows, want at least 5%% to patch", len(outliers), tb.NumRows())
+			}
+			cols := columns(tb)
+			cols[m.Target] = &table.Column{Kind: m.TargetKind, Floats: make([]float64, tb.NumRows()), Codes: make([]int32, tb.NumRows())}
+			return func() { m.Reconstruct(cols, outliers) }
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		prep func(*table.Table) func()
+	}{
+		{"NewSample", func(tb *table.Table) func() { return func() { NewSample(tb) } }},
+		{"ComputeOutliers/numeric", scan(numTree, 5, nil)},
+		{"ComputeOutliers/categorical", scan(catTree, 0.01, nil)},
+		{"ComputeOutliers/per-class", scan(catTree, 0.2, perClass)},
+		{"CountViolations/numeric", func(tb *table.Table) func() { return func() { numTree.CountViolations(tb, 5) } }},
+		{"CountViolations/categorical", func(tb *table.Table) func() { return func() { catTree.CountViolations(tb, 0.01) } }},
+		{"Reconstruct/numeric", patch(numTree, 5)},
+		{"Reconstruct/categorical", patch(catTree, 0)},
+	} {
+		a := mallocs(tc.prep(part))
+		b := mallocs(tc.prep(full))
+		t.Logf("%s: %d allocations at %d rows, %d at %d", tc.name, a, small, b, large)
+		if b > a+growthSlack {
+			t.Errorf("%s allocates per row: %d allocations at %d rows, %d at %d, want ≤ %d",
+				tc.name, a, small, b, large, a+growthSlack)
+		}
+	}
+}
+
 // TestSignedZeroPredictorDoesNotHideSplits builds trees over a predictor
 // z that is −0 for the first half of the rows and +0 for the second. The
 // two zeros differ in bits but compare equal, so no threshold separates

@@ -569,6 +569,19 @@ func allocDelta(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// mallocs runs f after a collection and reports how many heap objects it
+// allocated. The collection empties the runtime's central pool of defer
+// records, so a defer in a loop body counts once per iteration even when
+// an earlier run left its records behind.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestDecodeModelRejectsHostileWireValues hand-crafts model and outlier
 // streams whose varints are structurally valid but semantically hostile,
 // one per guard on a wire count, index or code in serialize.go, and one

@@ -23,16 +23,16 @@ const scanBatchRows = 4096
 // as outliers. (All categorical outliers cost the same, so which ones stay
 // unstored is arbitrary; the earliest rows are kept unstored for
 // determinism.) perClass optionally gives per-class mismatch budgets
-// instead (paper §2.1's per-class extension): for each true class c, at
-// most perClass[c]·count(c) rows may stay misclassified unstored; classes
-// absent from the map fall back to tol. A nil map keeps the global
-// probability.
+// instead (paper §2.1's per-class extension), one per dictionary code
+// (table.Tolerance.ClassBudgets): for each true class c, at most
+// perClass[c]·count(c) rows may stay misclassified unstored. A nil
+// perClass keeps the global probability.
 //
 // The table passed here must use the same schema (and, for categorical
 // columns, the same dictionaries) as the sample the model was built on.
 // The scan checks ctx between row batches (scanBatchRows rows each) and
 // returns the wrapped context error.
-func (m *Model) ComputeOutliers(ctx context.Context, full *table.Table, tol float64, perClass map[int32]float64) ([]Outlier, error) {
+func (m *Model) ComputeOutliers(ctx context.Context, full *table.Table, tol float64, perClass []float64) ([]Outlier, error) {
 	var out []Outlier
 	f := m.flatten(columns(full))
 	switch m.TargetKind {
@@ -78,21 +78,16 @@ func (m *Model) ComputeOutliers(ctx context.Context, full *table.Table, tol floa
 			return wrong[allowance:], nil
 		}
 		// Per-class budgets: allowance_c = ⌊e_c · |rows with class c|⌋.
-		classCount := map[int32]int{}
+		left := make([]int, len(col.Dict))
 		for _, c := range col.Codes {
-			classCount[c]++
+			left[c]++
 		}
-		allowanceLeft := make(map[int32]int, len(classCount))
-		for c, n := range classCount {
-			e, ok := perClass[c]
-			if !ok {
-				e = tol
-			}
-			allowanceLeft[c] = int(e * float64(n))
+		for c, n := range left {
+			left[c] = int(perClass[c] * float64(n))
 		}
 		for _, o := range wrong {
-			if allowanceLeft[o.Code] > 0 {
-				allowanceLeft[o.Code]--
+			if left[o.Code] > 0 {
+				left[o.Code]--
 				continue
 			}
 			out = append(out, o)

@@ -1,11 +1,13 @@
 package codec
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cart"
@@ -394,4 +396,70 @@ func TestBodiesShareModelBlock(t *testing.T) {
 			t.Errorf("rows %v: bounds violated: %v", rows, diffs)
 		}
 	}
+}
+
+// TestRawColumnAllocations pins that a T′ column of raw float32 cells,
+// the encoding of a column with more than 2^16 distinct values, is
+// written (writeNumericColumn) and parsed (parseColumn) without a heap
+// allocation per cell: 4× the rows, 2^17 and 2^19 distinct values, may
+// add at most growthSlack allocations, while a defer or an escaping
+// scratch array in a cell loop adds one per row. (Through a body, each
+// deflate block's Huffman tables would add allocations with the bytes.)
+func TestRawColumnAllocations(t *testing.T) {
+	const small, large, growthSlack = 1 << 17, 1 << 19, 16
+	measure := func(rows int) (write, parse uint64) {
+		vals := make([]float64, rows)
+		for r := range vals {
+			vals[r] = float64(r) / 2 // distinct and float32-exact
+		}
+		var cells bytes.Buffer
+		cells.Grow(1 + 4*rows)
+		bw := bufio.NewWriter(&cells)
+		write = mallocs(func() {
+			if err := writeNumericColumn(bw, vals); err != nil {
+				t.Fatal(err)
+			}
+			if err := bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if enc := cells.Bytes()[0]; enc != numEncRaw {
+			t.Fatalf("%d distinct values written in encoding %d, want raw cells", rows, enc)
+		}
+		c := &table.Column{Kind: table.Numeric}
+		parse = mallocs(func() {
+			if rest, err := parseColumn(cells.Bytes(), c, rows); err != nil || len(rest) != 0 {
+				t.Fatalf("parseColumn: %d bytes left, %v", len(rest), err)
+			}
+		})
+		if c.Floats[rows-1] != vals[rows-1] {
+			t.Fatalf("row %d parsed as %g, want %g", rows-1, c.Floats[rows-1], vals[rows-1])
+		}
+		return write, parse
+	}
+	writeA, parseA := measure(small)
+	writeB, parseB := measure(large)
+	for _, c := range []struct {
+		name string
+		a, b uint64
+	}{{"writeNumericColumn", writeA, writeB}, {"parseColumn", parseA, parseB}} {
+		t.Logf("%s: %d allocations at %d rows, %d at %d", c.name, c.a, small, c.b, large)
+		if c.b > c.a+growthSlack {
+			t.Errorf("%s allocates per cell: %d allocations at %d rows, %d at %d, want ≤ %d",
+				c.name, c.a, small, c.b, large, c.a+growthSlack)
+		}
+	}
+}
+
+// mallocs runs f after a collection and reports how many heap objects it
+// allocated. The collection empties the runtime's central pool of defer
+// records, so a defer in a loop body counts once per iteration even when
+// an earlier run left its records behind.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

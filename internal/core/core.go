@@ -403,7 +403,7 @@ func (m *Model) Apply(ctx context.Context, w io.Writer, t *table.Table) (_ *Stat
 		// tree, which every segment shares.
 		err := par.ForEach(ctx, len(trees), 0, func(ctx context.Context, i int) error {
 			a := trees[i].Target
-			var perClass map[int32]float64
+			var perClass []float64
 			if t.Attr(a).Kind == table.Categorical {
 				perClass = m.resolved[a].ClassBudgets(t.Col(a).Dict)
 			}

@@ -2,9 +2,9 @@
 // evaluation (§4) against the synthetic stand-in datasets: Figure 5
 // (compression ratio vs error threshold × three datasets), Figures 6(a-c)
 // (sample-size and running-time sweeps), Table 1 (CaRT-selection
-// algorithms), and the ablations DESIGN.md calls out. Both the
-// `spartanbench` command and the root testing.B benchmarks drive this
-// package.
+// algorithms), and the ablations DESIGN.md calls out. The `spartanbench`
+// command drives this package; its smoke tests run each experiment at
+// small scale.
 package experiments
 
 import (

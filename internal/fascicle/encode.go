@@ -36,29 +36,21 @@ func Compress(t *table.Table, p Params, gzipPayload bool) ([]byte, error) {
 
 // Encode serializes the clustering against its source table.
 func (c *Clustering) Encode(t *table.Table, gzipPayload bool) ([]byte, error) {
-	var body bytes.Buffer
-	bw := bufio.NewWriter(&body)
+	var schema bytes.Buffer
+	bw := bufio.NewWriter(&schema)
 	if err := table.WriteSchema(bw, t.Schema(), t.Dicts()); err != nil {
 		return nil, err
 	}
-	if err := putUvarint(bw, uint64(len(c.Fascicles))); err != nil {
-		return nil, err
-	}
-	for i := range c.Fascicles {
-		if err := encodeFascicle(bw, t, &c.Fascicles[i]); err != nil {
-			return nil, err
-		}
-	}
-	if err := putUvarint(bw, uint64(len(c.Leftover))); err != nil {
-		return nil, err
-	}
-	for _, r := range c.Leftover {
-		if err := writeRow(bw, t, r, nil); err != nil {
-			return nil, err
-		}
-	}
 	if err := bw.Flush(); err != nil {
 		return nil, err
+	}
+	body := binary.AppendUvarint(schema.Bytes(), uint64(len(c.Fascicles)))
+	for i := range c.Fascicles {
+		body = appendFascicle(body, t, &c.Fascicles[i])
+	}
+	body = binary.AppendUvarint(body, uint64(len(c.Leftover)))
+	for _, r := range c.Leftover {
+		body = appendRow(body, t, r, nil)
 	}
 
 	var out bytes.Buffer
@@ -66,7 +58,7 @@ func (c *Clustering) Encode(t *table.Table, gzipPayload bool) ([]byte, error) {
 	if gzipPayload {
 		out.WriteByte(1)
 		zw := gzip.NewWriter(&out)
-		if _, err := zw.Write(body.Bytes()); err != nil {
+		if _, err := zw.Write(body); err != nil {
 			return nil, err
 		}
 		if err := zw.Close(); err != nil {
@@ -74,59 +66,47 @@ func (c *Clustering) Encode(t *table.Table, gzipPayload bool) ([]byte, error) {
 		}
 	} else {
 		out.WriteByte(0)
-		out.Write(body.Bytes())
+		out.Write(body)
 	}
 	return out.Bytes(), nil
 }
 
-func encodeFascicle(bw *bufio.Writer, t *table.Table, f *Fascicle) error {
-	if err := putUvarint(bw, uint64(len(f.CompactAttrs))); err != nil {
-		return err
-	}
+func appendFascicle(b []byte, t *table.Table, f *Fascicle) []byte {
+	b = binary.AppendUvarint(b, uint64(len(f.CompactAttrs)))
 	for j, attr := range f.CompactAttrs {
-		if err := putUvarint(bw, uint64(attr)); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(attr))
 		if t.Attr(attr).Kind == table.Numeric {
-			if err := putFloat64(bw, f.NumReps[j]); err != nil {
-				return err
-			}
-		} else if err := putUvarint(bw, uint64(f.CatReps[j])); err != nil {
-			return err
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.NumReps[j]))
+		} else {
+			b = binary.AppendUvarint(b, uint64(f.CatReps[j]))
 		}
 	}
-	if err := putUvarint(bw, uint64(len(f.Rows))); err != nil {
-		return err
-	}
+	b = binary.AppendUvarint(b, uint64(len(f.Rows)))
 	compact := make(map[int]bool, len(f.CompactAttrs))
 	for _, a := range f.CompactAttrs {
 		compact[a] = true
 	}
 	for _, r := range f.Rows {
-		if err := writeRow(bw, t, r, compact); err != nil {
-			return err
-		}
+		b = appendRow(b, t, r, compact)
 	}
-	return nil
+	return b
 }
 
-// writeRow writes the row's values for all attributes not in skip. Numeric
-// cells are 4-byte floats (the raw record width), categorical cells are
-// uvarint codes.
-func writeRow(bw *bufio.Writer, t *table.Table, row int, skip map[int]bool) error {
+// appendRow appends the row's values for all attributes not in skip.
+// Numeric cells are 4-byte floats (the raw record width), categorical
+// cells are uvarint codes.
+func appendRow(b []byte, t *table.Table, row int, skip map[int]bool) []byte {
 	for a := 0; a < t.NumCols(); a++ {
 		if skip[a] {
 			continue
 		}
 		if t.Attr(a).Kind == table.Numeric {
-			if err := putFloat32(bw, t.Float(row, a)); err != nil {
-				return err
-			}
-		} else if err := putUvarint(bw, uint64(t.Code(row, a))); err != nil {
-			return err
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(t.Float(row, a))))
+		} else {
+			b = binary.AppendUvarint(b, uint64(t.Code(row, a)))
 		}
 	}
-	return nil
+	return b
 }
 
 // Decompress decodes a stream produced by Compress/Encode. Row order
@@ -147,6 +127,9 @@ func Decompress(data []byte) (*table.Table, error) {
 		body = zr
 	}
 	br := bufio.NewReader(body)
+	// Float cells are read through one buffer: an array local to each
+	// read would escape to the heap through io.ReadFull on every cell.
+	scratch := make([]byte, 8)
 	schema, dicts, err := table.ReadSchema(br, 1<<16, 1<<22)
 	if err != nil {
 		return nil, fmt.Errorf("fascicle: %w", err)
@@ -177,7 +160,7 @@ func Decompress(data []byte) (*table.Table, error) {
 				continue
 			}
 			if schema[a].Kind == table.Numeric {
-				v, err := readFloat32(br)
+				v, err := readFloat32(br, scratch)
 				if err != nil {
 					return err
 				}
@@ -230,7 +213,7 @@ func Decompress(data []byte) (*table.Table, error) {
 			attr := int(attrU)
 			skip[attr] = true
 			if schema[attr].Kind == table.Numeric {
-				v, err := readFloat64(br)
+				v, err := readFloat64(br, scratch)
 				if err != nil {
 					return nil, err
 				}
@@ -272,41 +255,18 @@ func Decompress(data []byte) (*table.Table, error) {
 	return table.New(schema, cols)
 }
 
-// --- shared low-level helpers ---
-
-func putUvarint(bw *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := bw.Write(buf[:n])
-	return err
-}
-
-func putFloat64(bw *bufio.Writer, v float64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	_, err := bw.Write(buf[:])
-	return err
-}
-
-func readFloat64(br *bufio.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
+// readFloat64 reads an 8-byte float through scratch.
+func readFloat64(br *bufio.Reader, scratch []byte) (float64, error) {
+	if _, err := io.ReadFull(br, scratch[:8]); err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(scratch)), nil
 }
 
-func putFloat32(bw *bufio.Writer, v float64) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v)))
-	_, err := bw.Write(buf[:])
-	return err
-}
-
-func readFloat32(br *bufio.Reader) (float64, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
+// readFloat32 reads a 4-byte float cell through scratch.
+func readFloat32(br *bufio.Reader, scratch []byte) (float64, error) {
+	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
 		return 0, err
 	}
-	return float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[:]))), nil
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(scratch))), nil
 }

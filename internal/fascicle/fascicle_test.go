@@ -372,17 +372,13 @@ func TestDecompressRejectsHugeCompactAttribute(t *testing.T) {
 	if err := table.WriteSchema(bw, tb.Schema(), tb.Dicts()); err != nil {
 		t.Fatal(err)
 	}
-	if err := putUvarint(bw, uint64(len(c.Fascicles))); err != nil {
-		t.Fatal(err)
-	}
-	if err := putUvarint(bw, uint64(len(c.Fascicles[0].CompactAttrs))); err != nil {
-		t.Fatal(err)
-	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	off := len(fascicleMagic) + 1 + prefix.Len()
-	if !bytes.Equal(data[len(fascicleMagic)+1:off], prefix.Bytes()) ||
+	want := binary.AppendUvarint(prefix.Bytes(), uint64(len(c.Fascicles)))
+	want = binary.AppendUvarint(want, uint64(len(c.Fascicles[0].CompactAttrs)))
+	off := len(fascicleMagic) + 1 + len(want)
+	if !bytes.Equal(data[len(fascicleMagic)+1:off], want) ||
 		data[off] != byte(c.Fascicles[0].CompactAttrs[0]) {
 		t.Fatal("stream layout does not match the encoder's")
 	}

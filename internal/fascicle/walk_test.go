@@ -214,16 +214,28 @@ func TestPairWalkMatchesReference(t *testing.T) {
 // TestClusterAllocations bounds what Cluster allocates per row and
 // column: the uint32 index rows (4 bytes per row and column), at most
 // 2·cols pair lists of 4 bytes per row, and per-row state. On 32k CDR
-// rows and on a random wide table that spends the list budget it
-// measured 11.1 and 13.5 bytes per row and column (linux/amd64, go1.24).
-// Index rows of []int (19.4 and 25.8) or a kept copy of each numeric
-// column's sorted values (14.4 on CDR) put one of them past its bound.
-// Seeds build few more lists than the budget allows even there, so the
-// budget itself is checked by TestPairWalkMatchesReference.
+// rows, on a random wide table that spends the list budget and on a
+// table of eight large clusters it measured 11.1, 13.5 and 12.4 bytes
+// per row and column (linux/amd64, go1.24). Index rows of []int (19.4
+// and 25.8) or a kept copy of each numeric column's sorted values (14.4
+// on CDR) put one of them past its bound. Seeds build few more lists
+// than the budget allows even there, so the budget itself is checked by
+// TestPairWalkMatchesReference.
+//
+// It also bounds how many objects Cluster allocates: four slices per
+// fascicle, per column its index, pair lists and buffers, and the growth
+// of the representatives' tally, at most perFascicle·fascicles +
+// perColumn·cols + tally (2073, 1323 and 117 measured against bounds of
+// 2724, 2181 and 184). A defer or an escaping value in a loop over rows
+// adds one per iteration: the seed scan's skip over assigned rows does
+// tens of thousands, and the eight clusters give keep, mode and the
+// candidate walk thousands of rows, and mode thousands of distinct
+// values, in one call.
 func TestClusterAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumented appends allocate a copy of each buffer they grow")
 	}
+	const perFascicle, perColumn, tally = 5, 16, 64
 	for _, tc := range []struct {
 		name  string
 		tb    *table.Table
@@ -231,6 +243,7 @@ func TestClusterAllocations(t *testing.T) {
 	}{
 		{"cdr-32k", datagen.CDR(32000, 1), 12},
 		{"wide", wideTable(t, 8000, 8000), 15},
+		{"blocks", blockTable(t, 32000), 15},
 	} {
 		p := Params{Widths: rangeWidths(t, tc.tb, 0.01)}
 		var before, after runtime.MemStats
@@ -242,9 +255,93 @@ func TestClusterAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		perCell := float64(after.TotalAlloc-before.TotalAlloc) / float64(tc.tb.NumRows()*tc.tb.NumCols())
-		t.Logf("%s: %.1f bytes per row and column, %d pair lists", tc.name, perCell, c.PairLists())
+		objects, limit := after.Mallocs-before.Mallocs, uint64(perFascicle*len(c.Fascicles)+perColumn*tc.tb.NumCols()+tally)
+		t.Logf("%s: %.1f bytes per row and column, %d allocations (limit %d), %d fascicles, %d pair lists",
+			tc.name, perCell, objects, limit, len(c.Fascicles), c.PairLists())
 		if perCell > tc.bound {
 			t.Errorf("%s: Cluster allocated %.1f bytes per row and column, want ≤ %g", tc.name, perCell, tc.bound)
 		}
+		if objects > limit {
+			t.Errorf("%s: Cluster made %d allocations for %d fascicles over %d columns, want ≤ %d",
+				tc.name, objects, len(c.Fascicles), tc.tb.NumCols(), limit)
+		}
 	}
+}
+
+// TestStandaloneAllocations pins that the stand-alone fascicle format
+// (the paper's §4.1 baseline) writes and reads a table without a heap
+// allocation per row or cell: Compress plus Decompress at 8k and 32k
+// rows may differ by at most growthSlack allocations (the decoded
+// columns' appends grow them), while a defer or an escaping scratch
+// array in a row loop of Encode or Decompress adds one per row. CDR,
+// clustered into at most 50 fascicles, leaves most rows over; the eight
+// clusters of blockTable put thousands of rows in each fascicle.
+func TestStandaloneAllocations(t *testing.T) {
+	const small, large, growthSlack = 8000, 32000, 128
+	for _, tc := range []struct {
+		name         string
+		gen          func(rows int) *table.Table
+		maxFascicles int
+	}{
+		{"cdr", func(rows int) *table.Table { return datagen.CDR(rows, 1) }, 50},
+		{"blocks", func(rows int) *table.Table { return blockTable(t, rows) }, 0},
+	} {
+		measure := func(rows int) uint64 {
+			tb := tc.gen(rows)
+			p := Params{Widths: rangeWidths(t, tb, 0.01), MaxFascicles: tc.maxFascicles}
+			return mallocs(func() {
+				data, err := Compress(tb, p, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back, err := Decompress(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if back.NumRows() != rows {
+					t.Fatalf("%s: decompressed %d rows, want %d", tc.name, back.NumRows(), rows)
+				}
+			})
+		}
+		a, b := measure(small), measure(large)
+		t.Logf("%s: Compress+Decompress made %d allocations at %d rows, %d at %d", tc.name, a, small, b, large)
+		if b > a+growthSlack {
+			t.Errorf("%s: Compress+Decompress allocates per row: %d allocations at %d rows, %d at %d, want ≤ %d",
+				tc.name, a, small, b, large, a+growthSlack)
+		}
+	}
+}
+
+// mallocs runs f after a collection and reports how many heap objects it
+// allocated. The collection empties the runtime's central pool of defer
+// records, so a defer in a loop body counts once per iteration even when
+// an earlier run left its records behind.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// blockTable draws each of n rows from one of eight groups: four numeric
+// columns within 2 of the group's values and the group's label, so each
+// group clusters into fascicles of thousands of rows. Column a takes up
+// to 2048 distinct values per group, so choosing a fascicle's
+// representative (mode) tallies thousands of them.
+func blockTable(t testing.TB, n int) *table.Table {
+	rng := rand.New(rand.NewSource(5))
+	b := table.MustBuilder(table.Schema{
+		{Name: "a", Kind: table.Numeric},
+		{Name: "b", Kind: table.Numeric},
+		{Name: "c", Kind: table.Numeric},
+		{Name: "d", Kind: table.Numeric},
+		{Name: "g", Kind: table.Categorical},
+	})
+	for range n {
+		g := rng.Intn(8)
+		b.MustAppendRow(float64(100*g)+float64(rng.Intn(2048))/1024, float64(50*g+rng.Intn(3)), float64(700-90*g+rng.Intn(3)), float64(rng.Intn(1000)), fmt.Sprint("g", g))
+	}
+	return b.MustBuild()
 }

@@ -58,20 +58,19 @@ func ZeroTolerances(t *Table) Tolerances {
 }
 
 // ClassBudgets converts a categorical tolerance into per-code mismatch
-// probabilities for the given dictionary: PerClass overrides where
-// present, Value elsewhere. A nil map is returned when no per-class
-// overrides exist (callers then use the scalar Value).
-func (e Tolerance) ClassBudgets(dict []string) map[int32]float64 {
+// probabilities for the given dictionary, indexed by code: PerClass
+// overrides where present, Value elsewhere. It returns nil when no
+// per-class overrides exist (callers then use the scalar Value).
+func (e Tolerance) ClassBudgets(dict []string) []float64 {
 	if len(e.PerClass) == 0 {
 		return nil
 	}
-	out := make(map[int32]float64, len(dict))
+	out := make([]float64, len(dict))
 	for code, name := range dict {
-		p := e.Value
+		out[code] = e.Value
 		if v, ok := e.PerClass[name]; ok {
-			p = v
+			out[code] = v
 		}
-		out[int32(code)] = p
 	}
 	return out
 }

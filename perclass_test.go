@@ -2,7 +2,9 @@ package spartan
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -94,5 +96,35 @@ func TestVerifyPerClassCatchesViolations(t *testing.T) {
 	}
 	if err := Verify(tb, mutated, tol); err == nil {
 		t.Error("Verify missed a per-class violation")
+	}
+}
+
+// TestVerifyPerClassErrorIsStable breaks the bound of two classes at
+// once: Verify must name the same one, the first in the original
+// column's dictionary, on every call.
+func TestVerifyPerClassErrorIsStable(t *testing.T) {
+	tb := datagen.Census(500, 33)
+	empIdx := tb.Schema().Index("employment")
+	tol := UniformTolerances(tb, 0.02, 0)
+	mutated := tb.Clone()
+	col := mutated.Col(empIdx)
+	tol[empIdx].PerClass = map[string]float64{col.Dict[0]: 0}
+	// Flip one row of each of the first two classes.
+	for _, target := range []int32{0, 1} {
+		for r, c := range col.Codes {
+			if c == target {
+				col.Codes[r] = 2
+				break
+			}
+		}
+	}
+	first := Verify(tb, mutated, tol)
+	if first == nil || !strings.Contains(first.Error(), fmt.Sprintf("class %q", col.Dict[0])) {
+		t.Fatalf("Verify = %v, want a violation of class %q", first, col.Dict[0])
+	}
+	for range 50 {
+		if err := Verify(tb, mutated, tol); err == nil || err.Error() != first.Error() {
+			t.Fatalf("Verify = %v, then %v", first, err)
+		}
 	}
 }
