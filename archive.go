@@ -55,6 +55,12 @@ var ErrNotArchive = codec.ErrNotArchive
 // errors.Is.
 var ErrExceedsLimits = codec.ErrExceedsLimits
 
+// ErrNotFloat32 is returned by Compress and ArchiveWriter.WriteBlock for
+// a table holding a numeric value that float32, the archive's cell type,
+// cannot hold exactly (a table built with NewBuilder rounds its input).
+// Test for it with errors.Is.
+var ErrNotFloat32 = codec.ErrNotFloat32
+
 // NewArchiveWriter starts an archive on w. The models are learned from
 // the first block written, and quantile tolerances resolve against that
 // block's value ranges, so prefer absolute tolerances when later blocks

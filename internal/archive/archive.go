@@ -99,9 +99,13 @@ func (aw *Writer) WriteBlock(t *table.Table) (*core.Stats, error) {
 
 // remap returns t with every categorical column coded against the
 // archive dictionary, appending the values the archive has not seen yet.
-// A block that would grow a dictionary past what the default reader
-// accepts is refused with codec.ErrExceedsLimits, changing nothing.
+// A block that codec.CheckTable refuses, or that would grow a
+// dictionary past what the default reader accepts, is refused with
+// codec.ErrNotFloat32 or codec.ErrExceedsLimits, changing nothing.
 func (aw *Writer) remap(t *table.Table) (*table.Table, error) {
+	if err := codec.CheckTable(t); err != nil {
+		return nil, err
+	}
 	for c := range t.NumCols() {
 		src := t.Col(c)
 		if src.Kind != table.Categorical {

@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/codec"
@@ -94,6 +95,54 @@ func TestArchiveRoundTripLossy(t *testing.T) {
 		if d > tol[i].Value+1e-9 {
 			t.Errorf("attribute %d error %g > %g", i, d, tol[i].Value)
 		}
+	}
+}
+
+// TestWritersRefuseValuesFloat32CannotHold: an archive stores numeric
+// values as float32, so a table built with table.New holding 0.1 would
+// decode to 0.10000000149, past a tolerance of 0. WriteTable refuses it
+// through core.Learn's check, and a Writer's later block, which skips
+// Learn, through remap's, leaving the writer usable.
+func TestWritersRefuseValuesFloat32CannotHold(t *testing.T) {
+	build := func(bad bool) *table.Table {
+		x := make([]float64, 200)
+		codes := make([]int32, len(x))
+		for r := range x {
+			x[r] = float64(r%16) / 8
+			codes[r] = int32(r % 3)
+		}
+		if bad {
+			x[150] = 0.1
+		}
+		tb, err := table.New(table.Schema{{Name: "x", Kind: table.Numeric}, {Name: "g", Kind: table.Categorical}},
+			[]*table.Column{{Kind: table.Numeric, Floats: x}, {Kind: table.Categorical, Codes: codes, Dict: []string{"a", "b", "c"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	good, bad := build(false), build(true)
+	if _, err := WriteTable(io.Discard, bad, core.Options{}, SegmentOptions{}); !errors.Is(err, codec.ErrNotFloat32) {
+		t.Errorf("WriteTable = %v, want ErrNotFloat32", err)
+	}
+	aw, err := NewWriter(io.Discard, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := aw.WriteBlock(good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := aw.WriteBlock(bad); !errors.Is(err, codec.ErrNotFloat32) {
+		t.Errorf("later WriteBlock = %v, want ErrNotFloat32", err)
+	}
+	if _, err := aw.WriteBlock(good); err != nil {
+		t.Fatalf("WriteBlock after a refused block: %v", err)
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if aw.Blocks() != 2 {
+		t.Errorf("%d blocks written, want the 2 accepted", aw.Blocks())
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -295,15 +296,29 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 // table before learning anything; test for it with errors.Is.
 var ErrExceedsLimits = errors.New("codec: table exceeds the default decode limits")
 
+// ErrNotFloat32 is returned, wrapped, for a table with a numeric value
+// that float32 cannot hold exactly. An archive stores numeric values as
+// float32, so such a value would decode rounded, past a tolerance of 0.
+// table.Builder rounds its input to float32; a table built with
+// table.New may not be. Test for it with errors.Is.
+var ErrNotFloat32 = errors.New("codec: numeric value not exactly representable as float32")
+
 // CheckTable returns ErrExceedsLimits, wrapped, if the default reader
-// would refuse an archive of t.
+// would refuse an archive of t, and ErrNotFloat32, wrapped, if a numeric
+// cell of t would not round-trip through the archive.
 func CheckTable(t *table.Table) error {
 	if n, max := uint64(t.NumCols()), (DecodeLimits{}).withDefaults().MaxCols; n > max {
 		return fmt.Errorf("%w: %d attributes, at most %d", ErrExceedsLimits, n, max)
 	}
 	for c := range t.NumCols() {
-		if err := CheckDict(t.Attr(c).Name, len(t.Col(c).Dict)); err != nil {
+		col := t.Col(c)
+		if err := CheckDict(t.Attr(c).Name, len(col.Dict)); err != nil {
 			return err
+		}
+		for r, v := range col.Floats {
+			if float64(float32(v)) != v {
+				return fmt.Errorf("%w: attribute %q row %d is %v", ErrNotFloat32, t.Attr(c).Name, r, v)
+			}
 		}
 	}
 	return nil
@@ -759,10 +774,11 @@ func (bp *bufPool) put(b *[]byte) {
 // frame, and returns the achieved bits per value. SPARTAN uses this on
 // sample columns to price materialization during CaRT selection. T'
 // itself is deflated at BestCompression, so the price approximates, and
-// usually exceeds, what the column costs in T'. Six bytes of fixed stream
-// overhead are excluded, the 24 plans have always excluded from a gzip
-// stream, 18 bytes longer, of the same frame; the result is floored at
-// 0.25 bits.
+// usually exceeds, what the column costs in T'. It excludes six bytes of
+// fixed stream overhead, which keeps the price equal to that of the
+// frame's gzip stream, 18 bytes longer, less 24 bytes: the price the
+// selection's plans have been made with. The result is floored at 0.25
+// bits.
 func EstimateBitsPerValue(c *table.Column) (float64, error) {
 	n := c.Len()
 	if n == 0 {
@@ -812,6 +828,7 @@ type deflater struct {
 	bw     *bufio.Writer
 	frames bytes.Buffer
 	raw    int // bytes written into the current frame's stream
+	dict   numDict
 }
 
 // getDeflater returns a deflater from pool with no frames.
@@ -821,11 +838,15 @@ func getDeflater(pool *sync.Pool) *deflater {
 	return d
 }
 
-// putDeflater returns d to pool, dropping its frame buffer when it grew
-// past one readChunk, so a huge segment does not stay pinned.
+// putDeflater returns d to pool, dropping its frame buffer and its
+// dictionary's row ids when either grew past one readChunk, so a huge
+// segment does not stay pinned.
 func putDeflater(pool *sync.Pool, d *deflater) {
 	if d.frames.Cap() > readChunk {
 		d.frames = bytes.Buffer{}
+	}
+	if 4*cap(d.dict.ids) > readChunk {
+		d.dict.ids = nil
 	}
 	pool.Put(d)
 }
@@ -841,7 +862,7 @@ func (d *deflater) frame(c *table.Column) (int, error) {
 	d.raw = 0
 	d.zw.Reset(&d.frames)
 	d.bw.Reset(d)
-	if err := writeColumn(d.bw, c); err != nil {
+	if err := writeColumn(d.bw, c, &d.dict); err != nil {
 		return 0, err
 	}
 	if err := d.bw.Flush(); err != nil {
@@ -863,9 +884,9 @@ const (
 // values, raw float32 cells are at least as compact.
 const dictLimit = 1 << 16
 
-func writeColumn(bw *bufio.Writer, c *table.Column) error {
+func writeColumn(bw *bufio.Writer, c *table.Column, nd *numDict) error {
 	if c.Kind == table.Numeric {
-		return writeNumericColumn(bw, c.Floats)
+		return writeNumericColumn(bw, c.Floats, nd)
 	}
 	for _, code := range c.Codes {
 		if err := putUvarint(bw, uint64(code)); err != nil {
@@ -875,22 +896,15 @@ func writeColumn(bw *bufio.Writer, c *table.Column) error {
 	return nil
 }
 
-func writeNumericColumn(bw *bufio.Writer, vals []float64) error {
-	index := make(map[float64]int, 256)
-	for _, v := range vals {
-		if _, ok := index[v]; !ok {
-			if len(index) >= dictLimit {
-				index = nil
-				break
-			}
-			index[v] = 0
-		}
-	}
-	if index == nil {
+// writeNumericColumn writes vals as a dictionary of its distinct values,
+// ascending, and one index per row, or as raw cells when vals hold more
+// than dictLimit distinct values. nd is the dictionary's scratch.
+func writeNumericColumn(bw *bufio.Writer, vals []float64, nd *numDict) error {
+	var buf [4]byte
+	if !nd.build(vals) {
 		if err := bw.WriteByte(numEncRaw); err != nil {
 			return err
 		}
-		var buf [4]byte
 		for _, v := range vals {
 			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v)))
 			if _, err := bw.Write(buf[:]); err != nil {
@@ -899,34 +913,98 @@ func writeNumericColumn(bw *bufio.Writer, vals []float64) error {
 		}
 		return nil
 	}
-	// Deterministic dictionary: ascending value order.
-	dict := make([]float64, 0, len(index))
-	for v := range index {
-		dict = append(dict, v)
-	}
-	sort.Float64s(dict)
+	dict := append(nd.sorted[:0], nd.distinct...)
+	slices.Sort(dict)
+	rank := slices.Grow(nd.rank[:0], len(dict))[:len(dict)]
 	for i, v := range dict {
-		index[v] = i
+		rank[nd.slots[nd.find(v)]-1] = uint32(i)
 	}
+	nd.sorted, nd.rank = dict, rank
 	if err := bw.WriteByte(numEncDict); err != nil {
 		return err
 	}
 	if err := putUvarint(bw, uint64(len(dict))); err != nil {
 		return err
 	}
-	var buf [4]byte
 	for _, v := range dict {
 		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v)))
 		if _, err := bw.Write(buf[:]); err != nil {
 			return err
 		}
 	}
-	for _, v := range vals {
-		if err := putUvarint(bw, uint64(index[v])); err != nil {
+	for _, id := range nd.ids {
+		if err := putUvarint(bw, uint64(rank[id])); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// numDict numbers a numeric column's distinct values without a map: an
+// open-addressing table of ids, kept at most half full, over the values
+// in first-seen order. A pooled deflater keeps one, so each column
+// reuses the buffers of the last.
+type numDict struct {
+	slots    []int32   // 1 + the id of the value probed there; 0 when empty
+	shift    uint      // 64 - log2(len(slots))
+	distinct []float64 // id -> value, in first-seen order
+	ids      []int32   // row -> id of its value
+	sorted   []float64 // the distinct values, ascending
+	rank     []uint32  // id -> position in sorted
+}
+
+// build numbers vals in ids and distinct and reports whether they hold
+// at most dictLimit distinct values; it stops at the first value past
+// the limit. Values key by ==, as in a map[float64]: -0 and +0 share the
+// entry of whichever comes first.
+func (nd *numDict) build(vals []float64) bool {
+	nd.distinct = nd.distinct[:0]
+	nd.resize(256)
+	ids := slices.Grow(nd.ids[:0], len(vals))[:len(vals)]
+	nd.ids = ids
+	for r, v := range vals {
+		i := nd.find(v)
+		s := nd.slots[i]
+		if s == 0 {
+			if len(nd.distinct) == dictLimit {
+				return false
+			}
+			nd.distinct = append(nd.distinct, v)
+			s = int32(len(nd.distinct))
+			nd.slots[i] = s
+			if 2*len(nd.distinct) > len(nd.slots) {
+				nd.resize(2 * len(nd.slots))
+			}
+		}
+		ids[r] = s - 1
+	}
+	return true
+}
+
+// find returns the slot holding v, or the empty slot where v belongs.
+// -0 hashes as +0, so the two zeros probe the same slots.
+func (nd *numDict) find(v float64) int {
+	b := math.Float64bits(v)
+	if b == 1<<63 {
+		b = 0
+	}
+	mask := len(nd.slots) - 1
+	for i := int((b * 0x9e3779b97f4a7c15) >> nd.shift); ; i = (i + 1) & mask {
+		if s := nd.slots[i]; s == 0 || nd.distinct[s-1] == v {
+			return i
+		}
+	}
+}
+
+// resize empties the table to n slots, a power of two, and reinserts
+// the distinct values.
+func (nd *numDict) resize(n int) {
+	nd.slots = slices.Grow(nd.slots[:0], n)[:n]
+	clear(nd.slots)
+	nd.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for id, v := range nd.distinct {
+		nd.slots[nd.find(v)] = int32(id + 1)
+	}
 }
 
 // parseColumn parses nrows cells of c's kind from the front of p into c

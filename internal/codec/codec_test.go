@@ -415,8 +415,9 @@ func TestRawColumnAllocations(t *testing.T) {
 		var cells bytes.Buffer
 		cells.Grow(1 + 4*rows)
 		bw := bufio.NewWriter(&cells)
+		var nd numDict
 		write = mallocs(func() {
-			if err := writeNumericColumn(bw, vals); err != nil {
+			if err := writeNumericColumn(bw, vals, &nd); err != nil {
 				t.Fatal(err)
 			}
 			if err := bw.Flush(); err != nil {

@@ -213,7 +213,8 @@ type Model struct {
 // t, CaRT selection, and the resolution of quantile tolerances against
 // all of t. Its dependency_finder and cart_selection spans go under a
 // SpanLearn root on opts.Trace. A table whose archive the default reader
-// would refuse is refused first, with codec.ErrExceedsLimits.
+// would refuse is refused first, with codec.ErrExceedsLimits, and one
+// with a numeric value float32 cannot hold, with codec.ErrNotFloat32.
 //
 // Learn and Apply check ctx at every phase boundary and inside each
 // phase's long-running inner loops (WMIS candidate rounds, per-node CaRT

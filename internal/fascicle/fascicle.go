@@ -102,15 +102,6 @@ type Fascicle struct {
 	CatReps      []int32   // representative per compact categorical attribute
 }
 
-// repFor returns the representative for compact attribute position j.
-func (f *Fascicle) repFor(t *table.Table, j int) (float64, int32) {
-	attr := f.CompactAttrs[j]
-	if t.Attr(attr).Kind == table.Numeric {
-		return f.NumReps[j], 0
-	}
-	return 0, f.CatReps[j]
-}
-
 // Clustering is the result of fascicle detection over a table.
 type Clustering struct {
 	Fascicles []Fascicle
@@ -143,11 +134,16 @@ func (c *Clustering) PairLists() int { return c.pairLists }
 // Index construction is O(n·cols): a stable radix sort makes at most 8
 // byte passes over each numeric column (fewer when every value shares a
 // key byte) and a counting sort makes one pass over each categorical
-// column. Each seed then costs O(cols·log n) to size its windows by
-// binary search, plus one walk over its candidate rows (RowsScanned sums
-// those walks). The candidates are the sparsest chosen window's rows or,
-// when shorter, the rows of the tightest chosen categorical window c
-// that also lie in the sparsest other chosen window a. That intersection
+// column. Each seed then sizes its windows: a categorical window is its
+// code's bucket, and a numeric window costs one probe of the attribute's
+// 256-entry memo of the windows sized in this call, keyed by the seed
+// value's bits; only a miss sizes it by binary search, O(log n). The memo
+// cannot change a fascicle, since a window depends only on the seed
+// value, the width, the split values and the index. Then the seed costs
+// one walk over its candidate rows (RowsScanned sums those walks). The
+// candidates are the sparsest chosen window's rows or, when shorter, the
+// rows of the tightest chosen categorical window c that also lie in the
+// sparsest other chosen window a. That intersection
 // is c's bucket of a pair list, a's sorted rows regrouped by c's code,
 // cut by two binary searches. A pair list is built in one pass once the
 // seeds that wanted it have checked half a table of rows without it, and
@@ -171,12 +167,12 @@ func Cluster(ctx context.Context, t *table.Table, p Params) (*Clustering, error)
 		return nil, err
 	}
 	g := newGrower(t, p)
-	return g.cluster(ctx, g.candidates)
+	return g.cluster(ctx, g.choose, g.candidates)
 }
 
-// cluster grows fascicles from successive seeds; walk lists a seed's
-// candidate members from its chosen windows.
-func (g *grower) cluster(ctx context.Context, walk func(chosen []attrMatch) []int) (*Clustering, error) {
+// cluster grows fascicles from successive seeds; choose picks a seed's
+// windows and walk lists its candidate members from them.
+func (g *grower) cluster(ctx context.Context, choose func(seed int) []attrMatch, walk func(chosen []attrMatch) []int) (*Clustering, error) {
 	n, p := g.t.NumRows(), g.p
 	fascicles := make([]Fascicle, 0, p.MaxFascicles)
 
@@ -195,7 +191,7 @@ func (g *grower) cluster(ctx context.Context, walk func(chosen []attrMatch) []in
 			break
 		}
 		tries++
-		f, ok := g.grow(seed, walk)
+		f, ok := g.grow(seed, choose, walk)
 		if !ok {
 			seed++ // this seed stays a leftover unless a later fascicle absorbs it
 			continue
@@ -418,7 +414,13 @@ type grower struct {
 	maxPairs int
 	next     []int // bucket cursors while a pair list is built
 
-	matches  []attrMatch
+	// memo[a] caches numeric attribute a's windows sized in this call;
+	// nil for a categorical attribute. See choose.
+	memo [][]memoEntry
+
+	matches  []attrMatch // every attribute's window around the seed
+	order    []int       // indices into matches of the chosen windows
+	chosen   []attrMatch
 	rows     []int
 	reps     []float64
 	counts   map[float64]int // distinct value -> position in tally
@@ -428,8 +430,38 @@ type grower struct {
 	rowsScanned int
 }
 
+// memoSlots is the size of each numeric attribute's window memo.
+const memoSlots = 256
+
+// emptyKey marks an unused memo entry. It is a NaN's bits, and a table
+// holds only finite values, so no seed value has them.
+const emptyKey = 0x7ff8000000000001
+
+// memoEntry is the window sized around the seed value whose bits are
+// key: sortedRows[from:to] of the attribute's index, values in [lo, hi].
+type memoEntry struct {
+	key      uint64
+	from, to int
+	lo, hi   float64
+}
+
+// memoSlot returns the memo entry a value with bits b maps to.
+func memoSlot(b uint64) int { return int((b * 0x9e3779b97f4a7c15) >> 56) }
+
 func newGrower(t *table.Table, p Params) *grower {
 	nc := t.NumCols()
+	matches := make([]attrMatch, nc)
+	memo := make([][]memoEntry, nc)
+	for a := range matches {
+		col := t.Col(a)
+		matches[a] = attrMatch{attr: a, isCat: col.Kind != table.Numeric, vals: col.Floats, codes: col.Codes}
+		if col.Kind == table.Numeric {
+			memo[a] = make([]memoEntry, memoSlots)
+			for i := range memo[a] {
+				memo[a][i].key = emptyKey
+			}
+		}
+	}
 	return &grower{
 		t:        t,
 		p:        p,
@@ -438,56 +470,99 @@ func newGrower(t *table.Table, p Params) *grower {
 		pairs:    make(map[int][]uint32),
 		owed:     make(map[int]int),
 		maxPairs: 2 * nc,
-		matches:  make([]attrMatch, 0, nc),
+		memo:     memo,
+		matches:  matches,
+		order:    make([]int, 0, p.K),
+		chosen:   make([]attrMatch, 0, p.K),
 		reps:     make([]float64, 0, p.K),
 		counts:   make(map[float64]int, 16),
 	}
 }
 
 // grow builds the candidate fascicle seeded at row seed and reports
-// whether it meets the minimum size. walk lists the candidate members.
-func (g *grower) grow(seed int, walk func(chosen []attrMatch) []int) (Fascicle, bool) {
-	chosen := g.choose(seed)
+// whether it meets the minimum size. choose picks the seed's windows and
+// walk lists the candidate members.
+func (g *grower) grow(seed int, choose func(seed int) []attrMatch, walk func(chosen []attrMatch) []int) (Fascicle, bool) {
+	chosen := choose(seed)
 	rows := walk(chosen)
 	g.rows = rows
 	return g.keep(chosen, rows)
 }
 
 // choose sizes every attribute's compactness window around seed and
-// returns the K most populated, in descending count order.
+// returns the K most populated, in descending count order. A numeric
+// window depends only on the seed value, the attribute's width and split
+// values and the index, all fixed for the call, so it is sized once per
+// value: memo[a] holds the last window sized for each of memoSlots
+// direct-mapped keys, the seed values' bits. -0 and +0 have entries of
+// their own and size the same window.
 func (g *grower) choose(seed int) []attrMatch {
-	t, p := g.t, g.p
-	g.matches = g.matches[:0]
-	for a := 0; a < t.NumCols(); a++ {
-		col := t.Col(a)
-		am := attrMatch{attr: a}
-		if col.Kind == table.Numeric {
-			// The compactness window may sit anywhere as long as it has
-			// width ≤ 2·w and contains the seed; try the three natural
-			// anchorings and keep the most populated one. Counts come from
-			// the sorted index and may include already-assigned rows — a
-			// deliberate approximation that keeps scoring O(log n).
-			am.vals = col.Floats
-			s, w := am.vals[seed], p.Widths[a]
-			splits := splitsFor(p, a)
-			best := -1
-			for _, anchor := range [3][2]float64{{s - 2*w, s}, {s - w, s + w}, {s, s + 2*w}} {
-				lo, hi := clampWindow(s, anchor[0], anchor[1], splits)
-				if from, to := valueWindow(am.vals, g.idx[a].sortedRows, lo, hi); to-from > best {
-					best = to - from
-					am.from, am.to, am.lo, am.hi = from, to, lo, hi
-				}
-			}
-		} else {
-			am.isCat, am.codes = true, col.Codes
+	for a := range g.matches {
+		am := &g.matches[a]
+		if am.isCat {
 			am.seedC = am.codes[seed]
 			am.from, am.to = g.idx[a].codeStart[am.seedC], g.idx[a].codeStart[am.seedC+1]
+			continue
 		}
-		g.matches = append(g.matches, am)
+		s := am.vals[seed]
+		b := math.Float64bits(s)
+		e := &g.memo[a][memoSlot(b)]
+		if e.key != b {
+			e.from, e.to, e.lo, e.hi = g.window(a, s)
+			e.key = b
+		}
+		am.from, am.to, am.lo, am.hi = e.from, e.to, e.lo, e.hi
 	}
-	// Keep the K attributes with the highest estimated population.
-	slices.SortStableFunc(g.matches, func(x, y attrMatch) int { return cmp.Compare(y.count(), x.count()) })
-	return g.matches[:p.K]
+	return g.top()
+}
+
+// window sizes numeric attribute a's compactness window around seed
+// value s. The window may sit anywhere as long as it has width ≤ 2·w and
+// contains the seed; it tries the three natural anchorings and keeps the
+// most populated one, the first on a tie. Counts come from the sorted
+// index and may include already-assigned rows — a deliberate
+// approximation that keeps sizing O(log n).
+func (g *grower) window(a int, s float64) (from, to int, lo, hi float64) {
+	vals, rows, w, splits := g.t.Col(a).Floats, g.idx[a].sortedRows, g.p.Widths[a], splitsFor(g.p, a)
+	best := -1
+	for _, anchor := range [3][2]float64{{s - 2*w, s}, {s - w, s + w}, {s, s + 2*w}} {
+		l, h := clampWindow(s, anchor[0], anchor[1], splits)
+		if f, t := valueWindow(vals, rows, l, h); t-f > best {
+			best = t - f
+			from, to, lo, hi = f, t, l, h
+		}
+	}
+	return from, to, lo, hi
+}
+
+// top copies the K most populated of matches into chosen, in descending
+// count order and, on a tie, in attribute order: the first K of a stable
+// sort by descending count. It insertion-sorts indices, so a seed moves
+// K windows, not every attribute's.
+func (g *grower) top() []attrMatch {
+	k, order := g.p.K, g.order[:0]
+	for i := range g.matches {
+		c := g.matches[i].count()
+		j := len(order)
+		if j == k {
+			if c <= g.matches[order[k-1]].count() {
+				continue
+			}
+			j--
+		} else {
+			order = append(order, 0)
+		}
+		for ; j > 0 && g.matches[order[j-1]].count() < c; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	chosen := g.chosen[:0]
+	for _, i := range order {
+		chosen = append(chosen, g.matches[i])
+	}
+	g.order, g.chosen = order, chosen
+	return chosen
 }
 
 // candidates returns the unassigned rows that fit every chosen window,
@@ -700,28 +775,39 @@ func clampWindow(s, lo, hi float64, splits []float64) (float64, float64) {
 // Quantize returns a copy of the table with every compact attribute value
 // replaced by its fascicle representative, preserving row order. Each
 // changed numeric value moves by at most the attribute's width; categorical
-// values never change (their compactness requires equality). This is the
-// in-place form used by SPARTAN's RowAggregator: the quantized column has
-// far fewer distinct values, which the downstream entropy coder exploits.
+// values never change (their compactness requires equality), so the copy
+// shares t's categorical columns and copies only its numeric ones. This is
+// the in-place form used by SPARTAN's RowAggregator: the quantized column
+// has far fewer distinct values, which the downstream entropy coder
+// exploits.
 //
 // Representatives are float32-exact and validated against every member at
 // construction time, so the guarantees hold bit-exactly after the table
 // travels through the float32 wire format.
 func (c *Clustering) Quantize(t *table.Table) *table.Table {
-	out := t.Clone()
+	cols := make([]*table.Column, t.NumCols())
+	for a := range cols {
+		col := t.Col(a)
+		if col.Kind == table.Numeric {
+			clone := *col
+			clone.Floats = slices.Clone(col.Floats)
+			col = &clone
+		}
+		cols[a] = col
+	}
 	for fi := range c.Fascicles {
 		f := &c.Fascicles[fi]
 		for j, attr := range f.CompactAttrs {
-			col := out.Col(attr)
-			num, cat := f.repFor(t, j)
-			for _, r := range f.Rows {
-				if col.Kind == table.Numeric {
-					col.Floats[r] = num
-				} else {
-					col.Codes[r] = cat
+			if col := cols[attr]; col.Kind == table.Numeric {
+				for _, r := range f.Rows {
+					col.Floats[r] = f.NumReps[j]
 				}
 			}
 		}
+	}
+	out, err := table.New(t.Schema(), cols)
+	if err != nil {
+		panic("fascicle: quantized copy of a valid table failed: " + err.Error())
 	}
 	return out
 }

@@ -105,9 +105,9 @@ func clusterInput(data []byte) (*table.Table, Params, error) {
 // representative and on the representative's side of every split;
 // every compact categorical member equals its representative; two runs
 // agree; and the fascicles, leftovers and seeds tried equal those of the
-// single-window reference walk, which scans at least as many rows. A
-// seed whose pair has no list yet, or none left in the 2·cols budget,
-// walks its sparsest window, so both walks are fuzzed.
+// unmemoized single-window reference walk, which scans at least as many
+// rows. A seed whose pair has no list yet, or none left in the 2·cols
+// budget, walks its sparsest window, so both walks are fuzzed.
 func FuzzCluster(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 1, 2, 0, 8, 0, 1, 2, 3, 1, 2, 4, 5, 5, 5, 0x80, 0})
@@ -170,7 +170,7 @@ func FuzzCluster(f *testing.F) {
 				if j > 0 && fc.CompactAttrs[j-1] >= a {
 					t.Fatalf("fascicle %d compact attributes not ascending: %v", fi, fc.CompactAttrs)
 				}
-				num, cat := fc.repFor(tb, j)
+				num, cat := fc.NumReps[j], fc.CatReps[j]
 				for _, r := range fc.Rows {
 					if tb.Attr(a).Kind == table.Categorical {
 						if tb.Code(r, a) != cat {

@@ -1,8 +1,10 @@
 package fascicle
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -13,16 +15,45 @@ import (
 	"repro/internal/table"
 )
 
-// referenceCluster is Cluster with the single-window walk: every seed
-// walks its sparsest chosen window and keeps the unassigned rows that
-// fit every chosen window.
+// referenceCluster is Cluster without the window memo and with the
+// single-window walk: every seed sizes every numeric window by binary
+// search, keeps the K most populated by a stable sort, walks its
+// sparsest chosen window and keeps the unassigned rows that fit every
+// chosen window.
 func referenceCluster(t *table.Table, p Params) (*Clustering, error) {
 	p, err := p.withDefaults(t)
 	if err != nil {
 		return nil, err
 	}
 	g := newGrower(t, p)
-	return g.cluster(context.Background(), func(chosen []attrMatch) []int {
+	var matches []attrMatch
+	choose := func(seed int) []attrMatch {
+		matches = matches[:0]
+		for a := 0; a < t.NumCols(); a++ {
+			col := t.Col(a)
+			am := attrMatch{attr: a}
+			if col.Kind == table.Numeric {
+				am.vals = col.Floats
+				s, w := am.vals[seed], p.Widths[a]
+				best := -1
+				for _, anchor := range [3][2]float64{{s - 2*w, s}, {s - w, s + w}, {s, s + 2*w}} {
+					lo, hi := clampWindow(s, anchor[0], anchor[1], splitsFor(p, a))
+					if from, to := valueWindow(am.vals, g.idx[a].sortedRows, lo, hi); to-from > best {
+						best = to - from
+						am.from, am.to, am.lo, am.hi = from, to, lo, hi
+					}
+				}
+			} else {
+				am.isCat, am.codes = true, col.Codes
+				am.seedC = am.codes[seed]
+				am.from, am.to = g.idx[a].codeStart[am.seedC], g.idx[a].codeStart[am.seedC+1]
+			}
+			matches = append(matches, am)
+		}
+		slices.SortStableFunc(matches, func(x, y attrMatch) int { return cmp.Compare(y.count(), x.count()) })
+		return matches[:p.K]
+	}
+	return g.cluster(context.Background(), choose, func(chosen []attrMatch) []int {
 		sparse := 0
 		for j := range chosen {
 			if chosen[j].count() < chosen[sparse].count() {
@@ -141,6 +172,38 @@ func wideTable(t testing.TB, n, groups int) *table.Table {
 	return tb
 }
 
+// repeatTable is a hostile input for the window memo. Its numeric
+// columns take 41, 21 and 600 values, so most seeds reuse a window sized
+// for an earlier seed and column c's values collide in the memo's slots,
+// and each holds -0 and +0 side by side; its categorical column takes 50.
+// someSplits draws split values from these values, the zeros included.
+func repeatTable(t testing.TB, n int) *table.Table {
+	rng := rand.New(rand.NewSource(7))
+	signed := func(v int, scale float64) float64 {
+		if v != 0 {
+			return float64(v) * scale
+		}
+		if rng.Intn(2) == 0 {
+			return math.Copysign(0, -1)
+		}
+		return 0
+	}
+	b := table.MustBuilder(table.Schema{
+		{Name: "a", Kind: table.Numeric},
+		{Name: "b", Kind: table.Numeric},
+		{Name: "c", Kind: table.Numeric},
+		{Name: "g", Kind: table.Categorical},
+	})
+	for range n {
+		b.MustAppendRow(signed(rng.Intn(41)-20, 0.5), signed(rng.Intn(21)-10, 2), signed(rng.Intn(600)-300, 0.25), fmt.Sprint("g", rng.Intn(50)))
+	}
+	tb := b.MustBuild()
+	if !slices.ContainsFunc(tb.Col(0).Floats, func(v float64) bool { return math.Float64bits(v) == 1<<63 }) {
+		t.Fatal("repeatTable holds no -0")
+	}
+	return tb
+}
+
 // rangeWidths gives every numeric attribute of tb frac of its range as
 // width, every categorical attribute 0.
 func rangeWidths(t testing.TB, tb *table.Table, frac float64) []float64 {
@@ -172,10 +235,11 @@ func someSplits(tb *table.Table, rng *rand.Rand) [][]float64 {
 	return splits
 }
 
-// TestPairWalkMatchesReference checks that the pair walk finds exactly
-// the fascicles of the single-window walk on the datagen tables and on a
-// wide table that spends the pair-list budget, at 1% and 5% widths, with
-// and without split values.
+// TestPairWalkMatchesReference checks that the memoized, pair-walking
+// Cluster finds exactly the fascicles of the unmemoized single-window
+// reference on the datagen tables, on a wide table that spends the
+// pair-list budget and on a table of repeated values and signed zeros,
+// at 1% and 5% widths, with and without split values.
 func TestPairWalkMatchesReference(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -187,6 +251,7 @@ func TestPairWalkMatchesReference(t *testing.T) {
 		{"forest", datagen.ForestCover(8000, 1)},
 		{"corel", datagen.Corel(8000, 1)},
 		{"wide", wideTable(t, 4000, 256)},
+		{"repeats", repeatTable(t, 8000)},
 	}
 	if testing.Short() {
 		inputs = inputs[:1]
@@ -213,19 +278,20 @@ func TestPairWalkMatchesReference(t *testing.T) {
 
 // TestClusterAllocations bounds what Cluster allocates per row and
 // column: the uint32 index rows (4 bytes per row and column), at most
-// 2·cols pair lists of 4 bytes per row, and per-row state. On 32k CDR
-// rows, on a random wide table that spends the list budget and on a
-// table of eight large clusters it measured 11.1, 13.5 and 12.4 bytes
-// per row and column (linux/amd64, go1.24). Index rows of []int (19.4
-// and 25.8) or a kept copy of each numeric column's sorted values (14.4
-// on CDR) put one of them past its bound. Seeds build few more lists
-// than the budget allows even there, so the budget itself is checked by
-// TestPairWalkMatchesReference.
+// 2·cols pair lists of 4 bytes per row, per-row state and the window
+// memo (10 KiB per numeric column). On 32k CDR rows, on a random wide
+// table that spends the list budget and on a table of eight large
+// clusters it measured 11.3, 13.6 and 12.9 bytes per row and column
+// (linux/amd64, go1.24). A memo for every column would take the wide
+// table's 52 to 14.8. Index rows of []int (19.4 and 25.8) or a kept copy
+// of each numeric column's sorted values (14.4 on CDR) put one of them
+// past its bound. Seeds build few more lists than the budget allows even
+// there, so the budget itself is checked by TestPairWalkMatchesReference.
 //
 // It also bounds how many objects Cluster allocates: four slices per
 // fascicle, per column its index, pair lists and buffers, and the growth
 // of the representatives' tally, at most perFascicle·fascicles +
-// perColumn·cols + tally (2073, 1323 and 117 measured against bounds of
+// perColumn·cols + tally (2082, 1330 and 128 measured against bounds of
 // 2724, 2181 and 184). A defer or an escaping value in a loop over rows
 // adds one per iteration: the seed scan's skip over assigned rows does
 // tens of thousands, and the eight clusters give keep, mode and the
