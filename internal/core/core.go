@@ -101,7 +101,10 @@ type Options struct {
 	// Prune selects the CaRT pruning strategy (default PruneIntegrated).
 	Prune cart.PruneMode
 	// DisableRowAggregation turns off the fascicle pass over T'
-	// (ablation).
+	// (ablation). Without it, Learn still runs the pass only when the
+	// learn sample predicts it saves at least 1% of T' (see
+	// Model.Apply), so setting it changes the bytes only of archives
+	// whose sample passed that test.
 	DisableRowAggregation bool
 	// Seed fixes all sampling randomness; zero means seed 1. Compression
 	// is fully deterministic for a given (table, options) pair.
@@ -132,7 +135,7 @@ func (o Options) withDefaults() Options {
 // spans (see Options.Trace), kept as a struct for convenient access.
 type Timings struct {
 	DependencyFinder time.Duration
-	CaRTSelection    time.Duration // includes all CaRT builds
+	CaRTSelection    time.Duration // includes all CaRT builds and the row-aggregation probe
 	OutlierScan      time.Duration // full-table pass applying the models
 	RowAggregation   time.Duration
 	Encode           time.Duration
@@ -207,7 +210,16 @@ type Model struct {
 	plan     *selector.Result
 	block    *codec.ModelBlock
 	learned  Stats // the learn step's share; see AddLearnStats
+	// aggregate is whether Apply runs the fascicle pass; Learn decides
+	// it once, so every segment of an archive takes the same decision.
+	aggregate bool
 }
+
+// minAggregationSaving is the share of the learn sample's estimated
+// materialized T' bits the fascicle pass must save for Apply to run it.
+// Below it the sample estimate does not resolve the pass's effect on the
+// whole table (DESIGN.md §1, "The sample gate").
+const minAggregationSaving = 0.01
 
 // Learn runs the learn step on t: the dependency finder on a sample of
 // t, CaRT selection, and the resolution of quantile tolerances against
@@ -318,12 +330,21 @@ func Learn(ctx context.Context, t *table.Table, opts Options) (_ *Model, err err
 		}
 		m.plan = plan
 		m.learned.CartsBuilt = plan.CartsBuilt
+		var saving float64
+		if !opts.DisableRowAggregation {
+			if saving, err = aggregationSaving(ctx, sample, plan, resolved, materBits); err != nil {
+				return fmt.Errorf("spartan: CaRT selection: row aggregation probe: %w", err)
+			}
+			m.aggregate = saving >= minAggregationSaving
+		}
 		sp.SetAttr("strategy", opts.Selection.String()).
 			SetAttr("sample_rows", build.NumRows()).
 			SetAttr("carts_built", plan.CartsBuilt).
 			SetAttr("nodes_grown", plan.NodesGrown).
 			SetAttr("predicted", len(plan.Predicted)).
-			SetAttr("materialized", len(plan.Materialized))
+			SetAttr("materialized", len(plan.Materialized)).
+			SetAttr("aggregate", m.aggregate).
+			SetAttr("aggregation_saving", saving)
 		return nil
 	})
 	if err != nil {
@@ -354,11 +375,14 @@ func (m *Model) AddLearnStats(st *Stats) {
 
 // Apply runs the apply step on t — row aggregation, the outlier scan
 // and the encoder — and writes t's codec body to w (no container, no
-// model block; see Block). t must have the learn input's schema, and its
-// categorical codes must index the dictionaries the body is decoded
-// with. The row_aggregation, outlier_scan and encode spans go under a
-// SpanApply root on the learn options' Trace. The returned Stats cover
-// the apply step only (see AddLearnStats).
+// model block; see Block). Row aggregation runs only when Learn's probe
+// of the sample found the pass saves at least minAggregationSaving of
+// the materialized T'; otherwise its span reports no work. t must have
+// the learn input's schema, and its categorical codes must index the
+// dictionaries the body is decoded with. The row_aggregation,
+// outlier_scan and encode spans go under a SpanApply root on the learn
+// options' Trace. The returned Stats cover the apply step only (see
+// AddLearnStats).
 func (m *Model) Apply(ctx context.Context, w io.Writer, t *table.Table) (_ *Stats, err error) {
 	if t == nil || !slices.Equal(t.Schema(), m.block.Schema) {
 		return nil, fmt.Errorf("spartan: body schema differs from the learned schema")
@@ -372,7 +396,7 @@ func (m *Model) Apply(ctx context.Context, w io.Writer, t *table.Table) (_ *Stat
 	applied := t
 	err = runPhase(ctx, root, SpanRowAggregation, &stats.Timings.RowAggregation, func(sp *obs.Span) error {
 		var seedsTried, rowsScanned, pairLists int
-		if !m.opts.DisableRowAggregation && len(m.plan.Materialized) > 0 {
+		if m.aggregate {
 			var clustering *fascicle.Clustering
 			var err error
 			applied, clustering, err = rowAggregate(ctx, t, m.plan, m.resolved)
@@ -520,6 +544,40 @@ func estimateMaterBits(sample *table.Table) ([]float64, error) {
 		out[i] = bits
 	}
 	return out, nil
+}
+
+// aggregationSaving prices the fascicle pass on the learn sample: the
+// share of the sample's estimated materialized T' bits that running
+// rowAggregate over it saves. Only numeric columns are re-priced; the
+// pass never changes a categorical cell. Without a materialized numeric
+// attribute whose bound is above 0 the pass cannot change any cell (a
+// zero-width window holds only values equal by ==), so the saving is 0
+// and nothing is probed.
+func aggregationSaving(ctx context.Context, sample *table.Table, plan *selector.Result, resolved table.Tolerances, materBits []float64) (float64, error) {
+	var before float64
+	lossy := false
+	for _, a := range plan.Materialized {
+		before += materBits[a]
+		lossy = lossy || sample.Attr(a).Kind == table.Numeric && resolved[a].Value > 0
+	}
+	if !lossy || sample.NumRows() == 0 {
+		return 0, nil
+	}
+	aggregated, _, err := rowAggregate(ctx, sample, plan, resolved)
+	if err != nil {
+		return 0, err
+	}
+	var after float64
+	for _, a := range plan.Materialized {
+		bits := materBits[a]
+		if sample.Attr(a).Kind == table.Numeric {
+			if bits, err = codec.EstimateBitsPerValue(aggregated.Col(a)); err != nil {
+				return 0, err
+			}
+		}
+		after += bits
+	}
+	return (before - after) / before, nil
 }
 
 // splitSample partitions the sample into build (3/4) and holdout (1/4)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/obs"
+	"repro/internal/table"
 )
 
 // TestCompressTrace asserts that Compress emits one span per pipeline
@@ -17,10 +18,27 @@ import (
 // monotonic timestamps, and that the Timings struct agrees with the span
 // durations.
 func TestCompressTrace(t *testing.T) {
-	tb := datagen.CDR(2000, 1)
+	// Lossless CDR, where the fascicle pass cannot change a cell and
+	// Learn skips it, and corel at 5%, where the learn sample says the
+	// pass pays and Apply runs it.
+	cases := []struct {
+		name      string
+		tb        *table.Table
+		tol       float64
+		aggregate bool
+	}{
+		{"cdr-lossless", datagen.CDR(2000, 1), 0, false},
+		{"corel-5%", datagen.Corel(2000, 1), 0.05, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkCompressTrace(t, c.tb, c.tol, c.aggregate) })
+	}
+}
+
+func checkCompressTrace(t *testing.T, tb *table.Table, tol float64, aggregate bool) {
 	tr := obs.NewTrace("compress")
 	var out bytes.Buffer
-	stats, err := core.Compress(&out, tb, core.Options{Trace: tr})
+	stats, err := core.Compress(&out, tb, core.Options{Tolerances: table.UniformTolerances(tb, tol, 0), Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +126,26 @@ func TestCompressTrace(t *testing.T) {
 	if rows, _ := cs.Attr("sample_rows").(int); rows <= 0 || rows > sampled {
 		t.Errorf("cart_selection sample_rows = %v of a %d-row sample", cs.Attr("sample_rows"), sampled)
 	}
+	// cart_selection records whether Apply runs the fascicle pass.
+	if got := cs.Attr("aggregate"); got != aggregate {
+		t.Errorf("aggregate attr = %v (saving %v), want %v", got, cs.Attr("aggregation_saving"), aggregate)
+	}
 	// Row aggregation reports its work: every fascicle comes from a tried
 	// seed, at most 4·MaxFascicles+64 seeds are tried, and each seed's
 	// candidate walk visits at least the seed and at most every row, and
-	// at most two pair lists per clustered column are built.
+	// at most two pair lists per clustered column are built. A skipped
+	// pass keeps its span and reports no work.
 	ra := tr.Find(core.SpanRowAggregation)
 	if got := ra.Attr("fascicles"); got != stats.Fascicles {
 		t.Errorf("fascicles attr = %v, want %d", got, stats.Fascicles)
 	}
 	seeds, _ := ra.Attr("seeds_tried").(int)
 	scanned, _ := ra.Attr("rows_scanned").(int)
-	if stats.Fascicles == 0 || seeds < stats.Fascicles || seeds > 4*500+64 {
+	if !aggregate {
+		if stats.Fascicles != 0 || seeds != 0 || scanned != 0 {
+			t.Errorf("skipped pass: %d fascicles, seeds_tried = %v, rows_scanned = %v", stats.Fascicles, ra.Attr("seeds_tried"), ra.Attr("rows_scanned"))
+		}
+	} else if stats.Fascicles == 0 || seeds < stats.Fascicles || seeds > 4*500+64 {
 		t.Errorf("seeds_tried = %v with %d fascicles", ra.Attr("seeds_tried"), stats.Fascicles)
 	}
 	if scanned < seeds || scanned > seeds*tb.NumRows() {

@@ -403,7 +403,7 @@ func Ablations(d Dataset, rows int, seed int64, w io.Writer) ([]AblationRow, err
 		name string
 		opts core.Options
 	}{
-		{"default (integrated prune, rowagg on)", core.Options{Tolerances: tol}},
+		{"default (integrated prune, rowagg gated)", core.Options{Tolerances: tol}},
 		{"prune after building", core.Options{Tolerances: tol, Prune: cart.PruneAfter}},
 		{"row aggregation off", core.Options{Tolerances: tol, DisableRowAggregation: true}},
 		{"greedy selection", core.Options{Tolerances: tol, Selection: core.SelectGreedy}},

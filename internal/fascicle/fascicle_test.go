@@ -14,6 +14,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/datagen"
 	"repro/internal/floats"
 	"repro/internal/table"
 )
@@ -254,6 +255,37 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuantizeAtZeroWidthsKeepsCells pins the fact core.Learn relies on to
+// skip the fascicle pass unprobed: with every width 0, Quantize(Cluster(t))
+// changes no cell, since a zero-width window holds only values equal by
+// == (Within at tolerance 0). A window holding both -0 and +0 may give
+// one of them the other's sign; no datagen table has such a pair.
+func TestQuantizeAtZeroWidthsKeepsCells(t *testing.T) {
+	for name, tb := range map[string]*table.Table{
+		"cdr": datagen.CDR(4000, 1), "census": datagen.Census(4000, 1),
+		"corel": datagen.Corel(4000, 1), "forest": datagen.ForestCover(4000, 1),
+	} {
+		c, err := Cluster(context.Background(), tb, Params{Widths: make([]float64, tb.NumCols())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Fascicles) == 0 {
+			t.Fatalf("%s: no fascicles at zero widths", name)
+		}
+		q := c.Quantize(tb)
+		for a := range tb.NumCols() {
+			if tb.Attr(a).Kind != table.Numeric {
+				continue
+			}
+			for r, v := range tb.Col(a).Floats {
+				if got := q.Col(a).Floats[r]; !floats.Within(got, v, 0) {
+					t.Fatalf("%s: %s row %d: %v quantized to %v at zero width", name, tb.Attr(a).Name, r, v, got)
+				}
+			}
+		}
 	}
 }
 
