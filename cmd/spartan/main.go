@@ -86,7 +86,7 @@ func compressionFlags(fs *flag.FlagSet) (tol, catTol *float64, sample *int, sel 
 	sample = fs.Int("sample", 50<<10, "model-inference sample size in bytes")
 	sel = fs.String("selection", "wmis-parents", "CaRT selection: wmis-parents, wmis-markov or greedy")
 	theta = fs.Float64("theta", 2, "greedy selection benefit threshold")
-	noRowAgg = fs.Bool("no-rowagg", false, "disable the fascicle RowAggregator pass")
+	noRowAgg = fs.Bool("no-rowagg", false, "disable the RowAggregator: store materialized cells without snapping them to the 2e grid")
 	seed = fs.Int64("seed", 1, "sampling seed")
 	return
 }
@@ -172,8 +172,8 @@ func printStats(w io.Writer, s *spartan.ArchiveStats, elapsed time.Duration) {
 	}
 	fmt.Fprintf(w, "archive: %d segments, %d rows, %d B (ratio %.4f)\n",
 		s.Segments, s.Rows, s.CompressedBytes, s.Ratio)
-	fmt.Fprintf(w, "  header %d B, models %d B (%d outliers), T' %d B (%d fascicles)\n",
-		s.HeaderBytes, s.ModelBytes, s.Outliers, s.TPrimeBytes, s.Fascicles)
+	fmt.Fprintf(w, "  header %d B, models %d B (%d outliers), T' %d B\n",
+		s.HeaderBytes, s.ModelBytes, s.Outliers, s.TPrimeBytes)
 	fmt.Fprintf(w, "materialized: %s\n", strings.Join(s.Materialized, ", "))
 	fmt.Fprintf(w, "time %v (deps %v, select %v with %d CaRTs built, outliers %v, rowagg %v, encode %v)\n",
 		elapsed.Round(time.Millisecond),

@@ -134,7 +134,6 @@ func WriteTableContext(ctx context.Context, w io.Writer, t *table.Table, opts co
 		total.ModelBytes += st.ModelBytes
 		total.TPrimeBytes += st.TPrimeBytes
 		total.Outliers += st.Outliers
-		total.Fascicles += st.Fascicles
 		total.Timings.RowAggregation += st.Timings.RowAggregation
 		total.Timings.OutlierScan += st.Timings.OutlierScan
 		total.Timings.Encode += st.Timings.Encode
@@ -156,8 +155,9 @@ func ratio(compressed, raw int) float64 {
 
 // segmentRows returns rows [idx·n, idx·n+n) of t as a view sharing t's
 // storage (t itself when they are all of it). Applying a model only reads
-// its body: row aggregation quantizes a clone of the projection, and the
-// outlier scan, encoder and zone maps read the columns in place.
+// its body: row aggregation snaps copies of the lossy materialized
+// columns, and the outlier scan, encoder and zone maps read the columns
+// in place.
 func segmentRows(t *table.Table, idx, n int) *table.Table {
 	lo := idx * n
 	return t.Slice(lo, min(lo+n, t.NumRows()))

@@ -144,9 +144,8 @@ func (mb *ModelBlock) Encode(w io.Writer) (Breakdown, error) {
 // EncodeBody writes one body: src's row count, the outliers (outliers[i]
 // belongs to mb.Models[i]) and T'. src must have mb's schema, its
 // categorical codes must index the dictionaries the body is decoded
-// with, and its materialized columns carry the final (e.g.
-// fascicle-quantized) values; its predicted columns are ignored (the
-// models replace them).
+// with, and its materialized columns carry the final (e.g. grid-snapped)
+// values; its predicted columns are ignored (the models replace them).
 func (mb *ModelBlock) EncodeBody(w io.Writer, src *table.Table, outliers [][]cart.Outlier) (Breakdown, error) {
 	var bd Breakdown
 	if src.NumCols() != len(mb.Schema) {
@@ -871,8 +870,8 @@ func (d *deflater) frame(c *table.Column) (int, error) {
 	return d.raw, d.zw.Close()
 }
 
-// Numeric column encodings inside the T' block. Fascicle quantization
-// leaves materialized columns with few distinct values, so a value
+// Numeric column encodings inside the T' block. The RowAggregator's grid
+// leaves lossy materialized columns with few distinct values, so a value
 // dictionary plus per-row indexes usually beats raw 4-byte cells (and the
 // column's deflate frame crushes the index stream further).
 const (

@@ -10,7 +10,7 @@ import (
 )
 
 // TestApplyAllocationsDoNotGrowWithRows measures what a lint rule could
-// only guess: the apply step (row aggregation, outlier scan and the T′
+// only guess: the apply step (the grid snap, outlier scan and the T′
 // encoder, the paper's one pass over the full data set) must not
 // heap-allocate per row or per cell. One model, learned on all rows, is
 // applied to the first 2k rows and to all 32k; 16× the rows may cost at
@@ -34,9 +34,11 @@ func TestApplyAllocationsDoNotGrowWithRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Pin the fascicle pass's allocations too, whatever the
-			// sample gate decided for this table.
-			m.aggregate = true
+			// The snap loop runs over every row of a lossy materialized
+			// column, so it is pinned only if some cell moves.
+			if _, moved, err := snap(tb, m.plan.Materialized, m.resolved, m.splits, new([]float64)); err != nil || moved == 0 {
+				t.Fatalf("snap moved %d cells (err %v); the pin needs a lossy materialized column", moved, err)
+			}
 			head := make([]int, small)
 			for i := range head {
 				head[i] = i

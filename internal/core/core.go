@@ -24,14 +24,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/bayesnet"
 	"repro/internal/cart"
 	"repro/internal/codec"
-	"repro/internal/fascicle"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/selector"
@@ -100,11 +101,9 @@ type Options struct {
 	Theta float64
 	// Prune selects the CaRT pruning strategy (default PruneIntegrated).
 	Prune cart.PruneMode
-	// DisableRowAggregation turns off the fascicle pass over T'
-	// (ablation). Without it, Learn still runs the pass only when the
-	// learn sample predicts it saves at least 1% of T' (see
-	// Model.Apply), so setting it changes the bytes only of archives
-	// whose sample passed that test.
+	// DisableRowAggregation turns off the RowAggregator's 2e grid over
+	// T' (ablation): every materialized cell is then stored as it is.
+	// Lossless archives are the same either way.
 	DisableRowAggregation bool
 	// Seed fixes all sampling randomness; zero means seed 1. Compression
 	// is fully deterministic for a given (table, options) pair.
@@ -135,7 +134,7 @@ func (o Options) withDefaults() Options {
 // spans (see Options.Trace), kept as a struct for convenient access.
 type Timings struct {
 	DependencyFinder time.Duration
-	CaRTSelection    time.Duration // includes all CaRT builds and the row-aggregation probe
+	CaRTSelection    time.Duration // includes all CaRT builds
 	OutlierScan      time.Duration // full-table pass applying the models
 	RowAggregation   time.Duration
 	Encode           time.Duration
@@ -156,7 +155,7 @@ type Stats struct {
 	Materialized []string // names of materialized attributes
 	CartsBuilt   int      // CaRTs constructed during selection
 	Outliers     int      // total outlier values stored
-	Fascicles    int      // fascicles found by the RowAggregator
+	Fascicles    int      // always 0, since the RowAggregator forms no fascicles; benchmark/workloads.go reads it
 
 	HeaderBytes int // container framing, footer and zone maps, schema + dictionaries, attribute lists, row count
 	ModelBytes  int // serialized CaRT trees and outliers
@@ -209,17 +208,9 @@ type Model struct {
 	resolved table.Tolerances
 	plan     *selector.Result
 	block    *codec.ModelBlock
-	learned  Stats // the learn step's share; see AddLearnStats
-	// aggregate is whether Apply runs the fascicle pass; Learn decides
-	// it once, so every segment of an archive takes the same decision.
-	aggregate bool
+	learned  Stats             // the learn step's share; see AddLearnStats
+	splits   map[int][]float64 // each attribute's numeric split values, sorted; see snap
 }
-
-// minAggregationSaving is the share of the learn sample's estimated
-// materialized T' bits the fascicle pass must save for Apply to run it.
-// Below it the sample estimate does not resolve the pass's effect on the
-// whole table (DESIGN.md §1, "The sample gate").
-const minAggregationSaving = 0.01
 
 // Learn runs the learn step on t: the dependency finder on a sample of
 // t, CaRT selection, and the resolution of quantile tolerances against
@@ -230,11 +221,10 @@ const minAggregationSaving = 0.01
 //
 // Learn and Apply check ctx at every phase boundary and inside each
 // phase's long-running inner loops (WMIS candidate rounds, per-node CaRT
-// growth, fascicle seed growth, outlier row batches), so a cancelled or
-// expired context abandons the step within milliseconds. The returned
-// error wraps ctx.Err() together with the phase the step died in, and
-// the trace span of that phase (plus the root) is annotated
-// cancelled=true.
+// growth, outlier row batches), so a cancelled or expired context
+// abandons the step within milliseconds. The returned error wraps
+// ctx.Err() together with the phase the step died in, and the trace span
+// of that phase (plus the root) is annotated cancelled=true.
 func Learn(ctx context.Context, t *table.Table, opts Options) (_ *Model, err error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("spartan: nil or empty table")
@@ -329,22 +319,14 @@ func Learn(ctx context.Context, t *table.Table, opts Options) (_ *Model, err err
 			m.block.Tolerances[i].Value = e.Bound()
 		}
 		m.plan = plan
+		m.splits = collectSplitValues(plan)
 		m.learned.CartsBuilt = plan.CartsBuilt
-		var saving float64
-		if !opts.DisableRowAggregation {
-			if saving, err = aggregationSaving(ctx, sample, plan, resolved, materBits); err != nil {
-				return fmt.Errorf("spartan: CaRT selection: row aggregation probe: %w", err)
-			}
-			m.aggregate = saving >= minAggregationSaving
-		}
 		sp.SetAttr("strategy", opts.Selection.String()).
 			SetAttr("sample_rows", build.NumRows()).
 			SetAttr("carts_built", plan.CartsBuilt).
 			SetAttr("nodes_grown", plan.NodesGrown).
 			SetAttr("predicted", len(plan.Predicted)).
-			SetAttr("materialized", len(plan.Materialized)).
-			SetAttr("aggregate", m.aggregate).
-			SetAttr("aggregation_saving", saving)
+			SetAttr("materialized", len(plan.Materialized))
 		return nil
 	})
 	if err != nil {
@@ -375,14 +357,11 @@ func (m *Model) AddLearnStats(st *Stats) {
 
 // Apply runs the apply step on t — row aggregation, the outlier scan
 // and the encoder — and writes t's codec body to w (no container, no
-// model block; see Block). Row aggregation runs only when Learn's probe
-// of the sample found the pass saves at least minAggregationSaving of
-// the materialized T'; otherwise its span reports no work. t must have
-// the learn input's schema, and its categorical codes must index the
-// dictionaries the body is decoded with. The row_aggregation,
-// outlier_scan and encode spans go under a SpanApply root on the learn
-// options' Trace. The returned Stats cover the apply step only (see
-// AddLearnStats).
+// model block; see Block). t must have the learn input's schema, and its
+// categorical codes must index the dictionaries the body is decoded
+// with. The row_aggregation, outlier_scan and encode spans go under a
+// SpanApply root on the learn options' Trace. The returned Stats cover
+// the apply step only (see AddLearnStats).
 func (m *Model) Apply(ctx context.Context, w io.Writer, t *table.Table) (_ *Stats, err error) {
 	if t == nil || !slices.Equal(t.Schema(), m.block.Schema) {
 		return nil, fmt.Errorf("spartan: body schema differs from the learned schema")
@@ -391,25 +370,20 @@ func (m *Model) Apply(ctx context.Context, w io.Writer, t *table.Table) (_ *Stat
 	root := startRoot(m.opts, SpanApply, t)
 	defer finishRoot(root, &err)
 
-	// RowAggregator: fascicle-quantize the materialized projection without
-	// crossing any CaRT split value.
+	// RowAggregator: snap the materialized numeric cells to their 2e
+	// grid without crossing any CaRT split value.
 	applied := t
+	cells := snapCells.Get().(*[]float64)
+	defer snapCells.Put(cells)
 	err = runPhase(ctx, root, SpanRowAggregation, &stats.Timings.RowAggregation, func(sp *obs.Span) error {
-		var seedsTried, rowsScanned, pairLists int
-		if m.aggregate {
-			var clustering *fascicle.Clustering
+		snapped := 0
+		if !m.opts.DisableRowAggregation {
 			var err error
-			applied, clustering, err = rowAggregate(ctx, t, m.plan, m.resolved)
-			if err != nil {
+			if applied, snapped, err = snap(t, m.plan.Materialized, m.resolved, m.splits, cells); err != nil {
 				return fmt.Errorf("spartan: row aggregation: %w", err)
 			}
-			stats.Fascicles = len(clustering.Fascicles)
-			seedsTried, rowsScanned, pairLists = clustering.SeedsTried(), clustering.RowsScanned(), clustering.PairLists()
 		}
-		sp.SetAttr("fascicles", stats.Fascicles)
-		sp.SetAttr("seeds_tried", seedsTried)
-		sp.SetAttr("rows_scanned", rowsScanned)
-		sp.SetAttr("pair_lists", pairLists)
+		sp.SetAttr("cells_snapped", snapped)
 		return nil
 	})
 	if err != nil {
@@ -546,40 +520,6 @@ func estimateMaterBits(sample *table.Table) ([]float64, error) {
 	return out, nil
 }
 
-// aggregationSaving prices the fascicle pass on the learn sample: the
-// share of the sample's estimated materialized T' bits that running
-// rowAggregate over it saves. Only numeric columns are re-priced; the
-// pass never changes a categorical cell. Without a materialized numeric
-// attribute whose bound is above 0 the pass cannot change any cell (a
-// zero-width window holds only values equal by ==), so the saving is 0
-// and nothing is probed.
-func aggregationSaving(ctx context.Context, sample *table.Table, plan *selector.Result, resolved table.Tolerances, materBits []float64) (float64, error) {
-	var before float64
-	lossy := false
-	for _, a := range plan.Materialized {
-		before += materBits[a]
-		lossy = lossy || sample.Attr(a).Kind == table.Numeric && resolved[a].Value > 0
-	}
-	if !lossy || sample.NumRows() == 0 {
-		return 0, nil
-	}
-	aggregated, _, err := rowAggregate(ctx, sample, plan, resolved)
-	if err != nil {
-		return 0, err
-	}
-	var after float64
-	for _, a := range plan.Materialized {
-		bits := materBits[a]
-		if sample.Attr(a).Kind == table.Numeric {
-			if bits, err = codec.EstimateBitsPerValue(aggregated.Col(a)); err != nil {
-				return 0, err
-			}
-		}
-		after += bits
-	}
-	return (before - after) / before, nil
-}
-
 // splitSample partitions the sample into build (3/4) and holdout (1/4)
 // subsets by row position. With fewer than 8 rows the whole sample builds
 // and no holdout is used.
@@ -607,45 +547,63 @@ func splitSample(sample *table.Table) (build, holdout *table.Table, err error) {
 	return b, h, nil
 }
 
-// rowAggregate runs the fascicle pass over the materialized projection and
-// grafts the quantized columns into a full-width copy of t.
-func rowAggregate(ctx context.Context, t *table.Table, plan *selector.Result, resolved table.Tolerances) (*table.Table, *fascicle.Clustering, error) {
-	proj, err := t.Project(plan.Materialized)
-	if err != nil {
-		return nil, nil, err
-	}
-	widths := make([]float64, proj.NumCols())
-	splits := make([][]float64, proj.NumCols())
-	splitsByAttr := collectSplitValues(plan)
-	for i, a := range plan.Materialized {
-		if t.Attr(a).Kind == table.Numeric {
-			widths[i] = resolved[a].Value
-			splits[i] = splitsByAttr[a]
+// snapCells recycles snap's buffers across Apply calls: Apply encodes
+// the snapped table before it returns, so its cells are dead by then.
+var snapCells = sync.Pool{New: func() any { return new([]float64) }}
+
+// snap is the RowAggregator (paper §3.4): it spends the bound e of each
+// materialized numeric attribute on T'. A cell v moves to the nearest
+// point of the attribute's 2e grid, g = float32(round(v/2e)·2e), when g
+// is within e of v and no split value s of a selected CaRT separates
+// them, that is (v ≤ s) ≠ (g ≤ s); otherwise v stays. With the split
+// values sorted, v and g lie on the same side of every one exactly when
+// a binary search puts them at the same position. So every CaRT follows
+// the same path on the snapped table as on t, and its predictions and
+// outliers are t's. A column's smallest and largest cells stay too, so
+// a decoded table's value ranges cover the original's and a quantile
+// tolerance resolved against them (query.Run) is no smaller than the
+// bound the cells were written under. The snapped columns share the
+// buffer *cells, grown as needed, and t is not written. snap returns the
+// table to encode and the cells it moved.
+func snap(t *table.Table, materialized []int, resolved table.Tolerances, splits map[int][]float64, cells *[]float64) (*table.Table, int, error) {
+	var lossy []int
+	for _, a := range materialized {
+		if t.Attr(a).Kind == table.Numeric && resolved[a].Value > 0 {
+			lossy = append(lossy, a)
 		}
 	}
-	clustering, err := fascicle.Cluster(ctx, proj, fascicle.Params{Widths: widths, SplitValues: splits})
-	if err != nil {
-		return nil, nil, err
+	if len(lossy) == 0 {
+		return t, 0, nil
 	}
-	quantized := clustering.Quantize(proj)
-
+	n, moved := t.NumRows(), 0
 	cols := make([]*table.Column, t.NumCols())
-	for i := 0; i < t.NumCols(); i++ {
-		cols[i] = t.Col(i)
+	for a := range cols {
+		cols[a] = t.Col(a)
 	}
-	for i, a := range plan.Materialized {
-		cols[a] = quantized.Col(i)
+	*cells = slices.Grow((*cells)[:0], len(lossy)*n)[:len(lossy)*n]
+	for i, a := range lossy {
+		e, sp := resolved[a].Value, splits[a]
+		lo, hi := cols[a].MinMax()
+		out := (*cells)[i*n : (i+1)*n : (i+1)*n]
+		for r, v := range cols[a].Floats {
+			out[r] = v
+			g := float64(float32(math.Round(v/(2*e)) * 2 * e))
+			vi, _ := slices.BinarySearch(sp, v)
+			gi, _ := slices.BinarySearch(sp, g)
+			if g != v && math.Abs(g-v) <= e && gi == vi && v > lo && v < hi {
+				out[r] = g
+				moved++
+			}
+		}
+		cols[a] = &table.Column{Kind: table.Numeric, Floats: out}
 	}
-	merged, err := table.New(t.Schema(), cols)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged, clustering, nil
+	snapped, err := table.New(t.Schema(), cols)
+	return snapped, moved, err
 }
 
 // collectSplitValues walks every selected model and gathers, per
 // attribute, the numeric split thresholds whose straddling the
-// RowAggregator must avoid (paper §3.4).
+// RowAggregator must avoid (paper §3.4), each attribute's sorted.
 func collectSplitValues(plan *selector.Result) map[int][]float64 {
 	out := map[int][]float64{}
 	for _, m := range plan.Models {
@@ -661,6 +619,9 @@ func collectSplitValues(plan *selector.Result) map[int][]float64 {
 			walk(n.Right)
 		}
 		walk(m.Root)
+	}
+	for _, splits := range out {
+		slices.Sort(splits)
 	}
 	return out
 }

@@ -18,24 +18,22 @@ import (
 // monotonic timestamps, and that the Timings struct agrees with the span
 // durations.
 func TestCompressTrace(t *testing.T) {
-	// Lossless CDR, where the fascicle pass cannot change a cell and
-	// Learn skips it, and corel at 5%, where the learn sample says the
-	// pass pays and Apply runs it.
+	// Lossless CDR, where the grid moves no cell, and corel at 5%, where
+	// it moves many.
 	cases := []struct {
-		name      string
-		tb        *table.Table
-		tol       float64
-		aggregate bool
+		name string
+		tb   *table.Table
+		tol  float64
 	}{
-		{"cdr-lossless", datagen.CDR(2000, 1), 0, false},
-		{"corel-5%", datagen.Corel(2000, 1), 0.05, true},
+		{"cdr-lossless", datagen.CDR(2000, 1), 0},
+		{"corel-5%", datagen.Corel(2000, 1), 0.05},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { checkCompressTrace(t, c.tb, c.tol, c.aggregate) })
+		t.Run(c.name, func(t *testing.T) { checkCompressTrace(t, c.tb, c.tol) })
 	}
 }
 
-func checkCompressTrace(t *testing.T, tb *table.Table, tol float64, aggregate bool) {
+func checkCompressTrace(t *testing.T, tb *table.Table, tol float64) {
 	tr := obs.NewTrace("compress")
 	var out bytes.Buffer
 	stats, err := core.Compress(&out, tb, core.Options{Tolerances: table.UniformTolerances(tb, tol, 0), Trace: tr})
@@ -126,33 +124,12 @@ func checkCompressTrace(t *testing.T, tb *table.Table, tol float64, aggregate bo
 	if rows, _ := cs.Attr("sample_rows").(int); rows <= 0 || rows > sampled {
 		t.Errorf("cart_selection sample_rows = %v of a %d-row sample", cs.Attr("sample_rows"), sampled)
 	}
-	// cart_selection records whether Apply runs the fascicle pass.
-	if got := cs.Attr("aggregate"); got != aggregate {
-		t.Errorf("aggregate attr = %v (saving %v), want %v", got, cs.Attr("aggregation_saving"), aggregate)
-	}
-	// Row aggregation reports its work: every fascicle comes from a tried
-	// seed, at most 4·MaxFascicles+64 seeds are tried, and each seed's
-	// candidate walk visits at least the seed and at most every row, and
-	// at most two pair lists per clustered column are built. A skipped
-	// pass keeps its span and reports no work.
-	ra := tr.Find(core.SpanRowAggregation)
-	if got := ra.Attr("fascicles"); got != stats.Fascicles {
-		t.Errorf("fascicles attr = %v, want %d", got, stats.Fascicles)
-	}
-	seeds, _ := ra.Attr("seeds_tried").(int)
-	scanned, _ := ra.Attr("rows_scanned").(int)
-	if !aggregate {
-		if stats.Fascicles != 0 || seeds != 0 || scanned != 0 {
-			t.Errorf("skipped pass: %d fascicles, seeds_tried = %v, rows_scanned = %v", stats.Fascicles, ra.Attr("seeds_tried"), ra.Attr("rows_scanned"))
-		}
-	} else if stats.Fascicles == 0 || seeds < stats.Fascicles || seeds > 4*500+64 {
-		t.Errorf("seeds_tried = %v with %d fascicles", ra.Attr("seeds_tried"), stats.Fascicles)
-	}
-	if scanned < seeds || scanned > seeds*tb.NumRows() {
-		t.Errorf("rows_scanned = %v with %d seeds over %d rows", ra.Attr("rows_scanned"), seeds, tb.NumRows())
-	}
-	if lists, ok := ra.Attr("pair_lists").(int); !ok || lists < 0 || lists > 2*tb.NumCols() {
-		t.Errorf("pair_lists = %v, want at most 2 per column of %d", ra.Attr("pair_lists"), tb.NumCols())
+	// Row aggregation reports the cells it snapped: none lossless, and
+	// at most every materialized cell otherwise.
+	snapped, ok := tr.Find(core.SpanRowAggregation).Attr("cells_snapped").(int)
+	if !ok || (tol == 0) != (snapped == 0) || snapped > tb.NumRows()*len(stats.Materialized) {
+		t.Errorf("cells_snapped = %v at tolerance %g, %d rows and %d materialized attributes",
+			tr.Find(core.SpanRowAggregation).Attr("cells_snapped"), tol, tb.NumRows(), len(stats.Materialized))
 	}
 	if got := tr.Find(core.SpanOutlierScan).Attr("outliers"); got != stats.Outliers {
 		t.Errorf("outliers attr = %v, want %d", got, stats.Outliers)

@@ -392,7 +392,7 @@ type AblationRow struct {
 }
 
 // Ablations measures SPARTAN's design knobs on one dataset at the default
-// tolerance: integrated vs post pruning, RowAggregator on/off.
+// tolerance: integrated vs post pruning, the RowAggregator's grid on/off.
 func Ablations(d Dataset, rows int, seed int64, w io.Writer) ([]AblationRow, error) {
 	t, err := d.Load(rows, seed)
 	if err != nil {
@@ -403,7 +403,7 @@ func Ablations(d Dataset, rows int, seed int64, w io.Writer) ([]AblationRow, err
 		name string
 		opts core.Options
 	}{
-		{"default (integrated prune, rowagg gated)", core.Options{Tolerances: tol}},
+		{"default (integrated prune, 2e grid)", core.Options{Tolerances: tol}},
 		{"prune after building", core.Options{Tolerances: tol, Prune: cart.PruneAfter}},
 		{"row aggregation off", core.Options{Tolerances: tol, DisableRowAggregation: true}},
 		{"greedy selection", core.Options{Tolerances: tol, Selection: core.SelectGreedy}},

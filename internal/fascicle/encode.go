@@ -23,8 +23,8 @@ const fascicleMagic = "SPFAS1\n"
 
 // Compress clusters the table and encodes the clustering. When gzipPayload
 // is true the encoded body is additionally deflated, as the standalone
-// fascicle baseline stores it. SPARTAN's codec does not use this stream:
-// its RowAggregator quantizes T′ (Clustering.Quantize) and the codec
+// fascicle baseline stores it. SPARTAN's pipeline uses neither this
+// stream nor Cluster: its RowAggregator snaps T′ to a grid and the codec
 // writes that T′ in its own format.
 func Compress(t *table.Table, p Params, gzipPayload bool) ([]byte, error) {
 	c, err := Cluster(context.Background(), t, p)

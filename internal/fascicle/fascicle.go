@@ -1,19 +1,15 @@
 // Package fascicle implements row-wise semantic compression with fascicles
-// (Jagadish, Madar, Ng, VLDB 1999), the technique SPARTAN uses in its
-// RowAggregator component (paper §3.4) and compares against as a baseline
-// (paper §4).
+// (Jagadish, Madar, Ng, VLDB 1999), the baseline SPARTAN compares against
+// (paper §4, Figure 5). SPARTAN's own RowAggregator (paper §3.4) does not
+// use it: core snaps each materialized numeric cell to a 2e grid, which
+// keeps the paper's split-value rule without clustering rows (DESIGN.md
+// §1).
 //
 // A fascicle is a set of rows that agree, within a compactness tolerance,
 // on k "compact" attributes: a numeric attribute is compact in a row set
 // when its value range has width at most 2e (so the range midpoint is
 // within e of every member); a categorical attribute is compact when all
 // rows share one value. Compact attributes are stored once per fascicle.
-//
-// For SPARTAN's RowAggregator the paper strengthens compactness: a compact
-// numeric attribute's range [x', x”] must not straddle any CaRT split
-// value v (either x' > v or x” ≤ v), which guarantees the quantized
-// predictor values traverse exactly the same tree paths as the originals.
-// This package implements that rule via the SplitValues option.
 //
 // The lattice search of the original Single-k algorithm is replaced by a
 // deterministic seeded greedy growth (DESIGN.md §4): take the first
@@ -53,9 +49,6 @@ type Params struct {
 	// Widths[i] = eᵢ). Categorical attributes are compact only when equal,
 	// regardless of width; their entry must be 0.
 	Widths []float64
-	// SplitValues optionally lists, per attribute, the CaRT split values
-	// that compact ranges must not straddle (RowAggregator mode).
-	SplitValues [][]float64
 }
 
 func (p Params) withDefaults(t *table.Table) (Params, error) {
@@ -84,9 +77,6 @@ func (p Params) withDefaults(t *table.Table) (Params, error) {
 		if p.MinSize < 2 {
 			p.MinSize = 2
 		}
-	}
-	if p.SplitValues != nil && len(p.SplitValues) != t.NumCols() {
-		return p, fmt.Errorf("fascicle: %d split-value lists for %d attributes", len(p.SplitValues), t.NumCols())
 	}
 	return p, nil
 }
@@ -139,7 +129,7 @@ func (c *Clustering) PairLists() int { return c.pairLists }
 // 256-entry memo of the windows sized in this call, keyed by the seed
 // value's bits; only a miss sizes it by binary search, O(log n). The memo
 // cannot change a fascicle, since a window depends only on the seed
-// value, the width, the split values and the index. Then the seed costs
+// value, the width and the index. Then the seed costs
 // one walk over its candidate rows (RowsScanned sums those walks). The
 // candidates are the sparsest chosen window's rows or, when shorter, the
 // rows of the tightest chosen categorical window c that also lie in the
@@ -491,11 +481,11 @@ func (g *grower) grow(seed int, choose func(seed int) []attrMatch, walk func(cho
 
 // choose sizes every attribute's compactness window around seed and
 // returns the K most populated, in descending count order. A numeric
-// window depends only on the seed value, the attribute's width and split
-// values and the index, all fixed for the call, so it is sized once per
-// value: memo[a] holds the last window sized for each of memoSlots
-// direct-mapped keys, the seed values' bits. -0 and +0 have entries of
-// their own and size the same window.
+// window depends only on the seed value, the attribute's width and the
+// index, all fixed for the call, so it is sized once per value: memo[a]
+// holds the last window sized for each of memoSlots direct-mapped keys,
+// the seed values' bits. -0 and +0 have entries of their own and size
+// the same window.
 func (g *grower) choose(seed int) []attrMatch {
 	for a := range g.matches {
 		am := &g.matches[a]
@@ -523,13 +513,12 @@ func (g *grower) choose(seed int) []attrMatch {
 // index and may include already-assigned rows — a deliberate
 // approximation that keeps sizing O(log n).
 func (g *grower) window(a int, s float64) (from, to int, lo, hi float64) {
-	vals, rows, w, splits := g.t.Col(a).Floats, g.idx[a].sortedRows, g.p.Widths[a], splitsFor(g.p, a)
+	vals, rows, w := g.t.Col(a).Floats, g.idx[a].sortedRows, g.p.Widths[a]
 	best := -1
 	for _, anchor := range [3][2]float64{{s - 2*w, s}, {s - w, s + w}, {s, s + 2*w}} {
-		l, h := clampWindow(s, anchor[0], anchor[1], splits)
-		if f, t := valueWindow(vals, rows, l, h); t-f > best {
+		if f, t := valueWindow(vals, rows, anchor[0], anchor[1]); t-f > best {
 			best = t - f
-			from, to, lo, hi = f, t, l, h
+			from, to, lo, hi = f, t, anchor[0], anchor[1]
 		}
 	}
 	return from, to, lo, hi
@@ -688,9 +677,7 @@ func (g *grower) keep(chosen []attrMatch, rows []int) (Fascicle, bool) {
 			if am.isCat {
 				continue
 			}
-			v := am.vals[r]
-			if math.Abs(reps[ci]-v) > p.Widths[am.attr] ||
-				!sameSide(reps[ci], v, splitsFor(p, am.attr)) {
+			if math.Abs(reps[ci]-am.vals[r]) > p.Widths[am.attr] {
 				ok = false
 				break
 			}
@@ -744,83 +731,6 @@ func (g *grower) mode(vals []float64, rows []int) float64 {
 		}
 	}
 	return bestV
-}
-
-func splitsFor(p Params, attr int) []float64 {
-	if p.SplitValues == nil {
-		return nil
-	}
-	return p.SplitValues[attr]
-}
-
-// clampWindow shrinks a candidate window [lo, hi] containing seed value s
-// so it does not straddle any split value: the final range must satisfy
-// lo > v or hi <= v for every split v (the paper's RowAggregator
-// compactness rule). The seed always remains inside.
-func clampWindow(s, lo, hi float64, splits []float64) (float64, float64) {
-	for _, v := range splits {
-		if s <= v {
-			// Seed on the "≤ v" side: clamp hi to v.
-			if hi > v {
-				hi = v
-			}
-		} else if lo <= v {
-			// Seed on the "> v" side: clamp lo just above v.
-			lo = math.Nextafter(v, math.Inf(1))
-		}
-	}
-	return lo, hi
-}
-
-// Quantize returns a copy of the table with every compact attribute value
-// replaced by its fascicle representative, preserving row order. Each
-// changed numeric value moves by at most the attribute's width; categorical
-// values never change (their compactness requires equality), so the copy
-// shares t's categorical columns and copies only its numeric ones. This is
-// the in-place form used by SPARTAN's RowAggregator: the quantized column
-// has far fewer distinct values, which the downstream entropy coder
-// exploits.
-//
-// Representatives are float32-exact and validated against every member at
-// construction time, so the guarantees hold bit-exactly after the table
-// travels through the float32 wire format.
-func (c *Clustering) Quantize(t *table.Table) *table.Table {
-	cols := make([]*table.Column, t.NumCols())
-	for a := range cols {
-		col := t.Col(a)
-		if col.Kind == table.Numeric {
-			clone := *col
-			clone.Floats = slices.Clone(col.Floats)
-			col = &clone
-		}
-		cols[a] = col
-	}
-	for fi := range c.Fascicles {
-		f := &c.Fascicles[fi]
-		for j, attr := range f.CompactAttrs {
-			if col := cols[attr]; col.Kind == table.Numeric {
-				for _, r := range f.Rows {
-					col.Floats[r] = f.NumReps[j]
-				}
-			}
-		}
-	}
-	out, err := table.New(t.Schema(), cols)
-	if err != nil {
-		panic("fascicle: quantized copy of a valid table failed: " + err.Error())
-	}
-	return out
-}
-
-// sameSide reports whether a and b fall on the same side of every split
-// value.
-func sameSide(a, b float64, splits []float64) bool {
-	for _, v := range splits {
-		if (a <= v) != (b <= v) {
-			return false
-		}
-	}
-	return true
 }
 
 // CompressedValueCount returns the number of values the clustering stores,

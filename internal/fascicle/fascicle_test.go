@@ -106,10 +106,6 @@ func TestClusterParamValidation(t *testing.T) {
 	if _, err := Cluster(context.Background(), tb, Params{Widths: []float64{1}}); err == nil {
 		t.Error("Cluster accepted wrong-length widths")
 	}
-	if _, err := Cluster(context.Background(), tb, Params{Widths: paperWidths(),
-		SplitValues: [][]float64{nil}}); err == nil {
-		t.Error("Cluster accepted wrong-length split values")
-	}
 	for _, w := range []float64{-1, math.NaN()} {
 		if _, err := Cluster(context.Background(), tb, Params{Widths: []float64{2, w, 25000, 0}}); err == nil {
 			t.Errorf("Cluster accepted width %g", w)
@@ -187,7 +183,7 @@ func TestQuantizePreservesOrderAndBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := c.Quantize(tb)
+	q := quantize(c, tb)
 	if q.NumRows() != tb.NumRows() {
 		t.Fatal("Quantize changed row count")
 	}
@@ -206,36 +202,6 @@ func TestQuantizePreservesOrderAndBounds(t *testing.T) {
 	}
 }
 
-func TestSplitValueInvariantProperty(t *testing.T) {
-	// Property: with SplitValues set, quantized values stay on the same
-	// side of every split value as the originals.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tb := clusteredTable(rng, 200)
-		splits := [][]float64{{10.5, 50.5, 89.9}, {150, 250.2}, nil}
-		widths := []float64{1, 1, 0}
-		c, err := Cluster(context.Background(), tb, Params{K: 2, Widths: widths, SplitValues: splits})
-		if err != nil {
-			return false
-		}
-		q := c.Quantize(tb)
-		for a := 0; a < 2; a++ {
-			for r := 0; r < tb.NumRows(); r++ {
-				orig, quant := tb.Float(r, a), q.Float(r, a)
-				for _, v := range splits[a] {
-					if (orig <= v) != (quant <= v) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuantizeErrorBoundProperty(t *testing.T) {
 	f := func(seed int64, wByte uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -246,7 +212,7 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q := c.Quantize(tb)
+		q := quantize(c, tb)
 		diffs, err := table.MaxAbsDiff(tb, q)
 		if err != nil {
 			return false
@@ -258,11 +224,11 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 	}
 }
 
-// TestQuantizeAtZeroWidthsKeepsCells pins the fact core.Learn relies on to
-// skip the fascicle pass unprobed: with every width 0, Quantize(Cluster(t))
-// changes no cell, since a zero-width window holds only values equal by
-// == (Within at tolerance 0). A window holding both -0 and +0 may give
-// one of them the other's sign; no datagen table has such a pair.
+// TestQuantizeAtZeroWidthsKeepsCells checks that the fascicle baseline is
+// lossless at zero widths: quantize(Cluster(t)) changes no cell, since a
+// zero-width window holds only values equal by == (Within at tolerance
+// 0). A window holding both -0 and +0 may give one of them the other's
+// sign; no datagen table has such a pair.
 func TestQuantizeAtZeroWidthsKeepsCells(t *testing.T) {
 	for name, tb := range map[string]*table.Table{
 		"cdr": datagen.CDR(4000, 1), "census": datagen.Census(4000, 1),
@@ -275,7 +241,7 @@ func TestQuantizeAtZeroWidthsKeepsCells(t *testing.T) {
 		if len(c.Fascicles) == 0 {
 			t.Fatalf("%s: no fascicles at zero widths", name)
 		}
-		q := c.Quantize(tb)
+		q := quantize(c, tb)
 		for a := range tb.NumCols() {
 			if tb.Attr(a).Kind != table.Numeric {
 				continue
@@ -287,6 +253,37 @@ func TestQuantizeAtZeroWidthsKeepsCells(t *testing.T) {
 			}
 		}
 	}
+}
+
+// quantize returns a copy of t with every compact numeric value replaced
+// by its fascicle's representative, in t's row order: the table a
+// decompressed fascicle stream holds, up to row order. Categorical
+// values never change, since their compactness requires equality, so
+// the copy shares t's categorical columns.
+func quantize(c *Clustering, t *table.Table) *table.Table {
+	cols := make([]*table.Column, t.NumCols())
+	for a := range cols {
+		col := t.Col(a)
+		if col.Kind == table.Numeric {
+			col = &table.Column{Kind: table.Numeric, Floats: slices.Clone(col.Floats)}
+		}
+		cols[a] = col
+	}
+	for fi := range c.Fascicles {
+		f := &c.Fascicles[fi]
+		for j, attr := range f.CompactAttrs {
+			if col := cols[attr]; col.Kind == table.Numeric {
+				for _, r := range f.Rows {
+					col.Floats[r] = f.NumReps[j]
+				}
+			}
+		}
+	}
+	out, err := table.New(t.Schema(), cols)
+	if err != nil {
+		panic("fascicle: quantized copy of a valid table failed: " + err.Error())
+	}
+	return out
 }
 
 // rowStrings renders a table as a sorted multiset of row strings for
@@ -332,7 +329,7 @@ func TestCompressDecompressMultiset(t *testing.T) {
 		}
 		// Decompressed rows (a multiset) must equal the quantized table's
 		// rows, modulo float32 storage of non-compact numeric cells.
-		want := rowStrings(c.Quantize(tb))
+		want := rowStrings(quantize(c, tb))
 		got := rowStrings(back)
 		mismatches := 0
 		for i := range want {
@@ -470,29 +467,6 @@ func TestParamsDefaults(t *testing.T) {
 	}
 }
 
-func TestClampWindow(t *testing.T) {
-	// Seed below the split: window clamps from above.
-	lo, hi := clampWindow(5, 3, 9, []float64{7})
-	if !floats.SameBits(lo, 3) || !floats.SameBits(hi, 7) {
-		t.Errorf("clampWindow = [%g,%g], want [3,7]", lo, hi)
-	}
-	// Seed above the split: lo must end up strictly greater than 7.
-	lo, hi = clampWindow(8, 5, 11, []float64{7})
-	if !(lo > 7) || !floats.SameBits(hi, 11) {
-		t.Errorf("clampWindow = [%g,%g], want (7,11]", lo, hi)
-	}
-	// Seed exactly on the split is on the "≤ v" side.
-	lo, hi = clampWindow(7, 5, 9, []float64{7})
-	if !floats.SameBits(lo, 5) || !floats.SameBits(hi, 7) {
-		t.Errorf("clampWindow = [%g,%g], want [5,7]", lo, hi)
-	}
-	// No splits: unchanged.
-	lo, hi = clampWindow(5, 1, 9, nil)
-	if !floats.SameBits(lo, 1) || !floats.SameBits(hi, 9) {
-		t.Errorf("clampWindow = [%g,%g], want [1,9]", lo, hi)
-	}
-}
-
 func TestColIndexRangeQueries(t *testing.T) {
 	tb := paperTable(t)
 	idx := buildIndex(tb)
@@ -511,21 +485,5 @@ func TestColIndexRangeQueries(t *testing.T) {
 	bucket := idx[3].sortedRows[idx[3].codeStart[good]:idx[3].codeStart[good+1]]
 	if want := []uint32{0, 1, 4, 5, 7}; !slices.Equal(bucket, want) {
 		t.Errorf("bucket = %v, want %v", bucket, want)
-	}
-}
-
-func TestSameSide(t *testing.T) {
-	if !sameSide(1, 2, []float64{5}) {
-		t.Error("1 and 2 are both below 5")
-	}
-	if sameSide(4, 6, []float64{5}) {
-		t.Error("4 and 6 straddle 5")
-	}
-	if !sameSide(4, 6, nil) {
-		t.Error("no splits means always same side")
-	}
-	// Boundary: v <= split is the left side.
-	if sameSide(5, 5.1, []float64{5}) {
-		t.Error("5 (left) and 5.1 (right) straddle the split at 5")
 	}
 }

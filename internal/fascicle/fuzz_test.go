@@ -54,7 +54,7 @@ func (b *fuzzBytes) next() byte {
 
 // clusterInput decodes a fuzz input into a table of 1–4 columns of mixed
 // kinds, built through table.New, and Params with fuzz-chosen K, MinSize,
-// MaxFascicles, widths and split values. Numeric cells are raw float64
+// MaxFascicles and widths. Numeric cells are raw float64
 // multiples of 0.3 (mostly not float32-exact), with byte 0x80 as -0.
 func clusterInput(data []byte) (*table.Table, Params, error) {
 	in := fuzzBytes(data)
@@ -65,7 +65,6 @@ func clusterInput(data []byte) (*table.Table, Params, error) {
 		MinSize:      int(in.next()) % 5,
 		MaxFascicles: int(in.next()) % 17,
 		Widths:       make([]float64, ncols),
-		SplitValues:  make([][]float64, ncols),
 	}
 	schema := make(table.Schema, ncols)
 	cols := make([]*table.Column, ncols)
@@ -79,9 +78,6 @@ func clusterInput(data []byte) (*table.Table, Params, error) {
 		schema[a].Kind = table.Numeric
 		cols[a] = &table.Column{Kind: table.Numeric}
 		p.Widths[a] = float64(in.next()) / 8
-		for range in.next() % 3 {
-			p.SplitValues[a] = append(p.SplitValues[a], float64(int8(in.next()))/4)
-		}
 	}
 	for rows := 0; len(in) > 0 && rows < 512; rows++ {
 		for _, c := range cols {
@@ -102,11 +98,10 @@ func clusterInput(data []byte) (*table.Table, Params, error) {
 // FuzzCluster asserts Cluster's contract on fuzz-derived tables: the
 // fascicles and leftovers partition the rows, each in ascending order;
 // every compact numeric member lies within its width of the
-// representative and on the representative's side of every split;
-// every compact categorical member equals its representative; two runs
-// agree; and the fascicles, leftovers and seeds tried equal those of the
-// unmemoized single-window reference walk, which scans at least as many
-// rows. A seed whose pair has no list yet, or none left in the 2·cols
+// representative; every compact categorical member equals its
+// representative; two runs agree; and the fascicles, leftovers and seeds
+// tried equal those of the unmemoized single-window reference walk, which
+// scans at least as many rows. A seed whose pair has no list yet, or none left in the 2·cols
 // budget, walks its sparsest window, so both walks are fuzzed.
 func FuzzCluster(f *testing.F) {
 	f.Add([]byte{})
@@ -115,10 +110,10 @@ func FuzzCluster(f *testing.F) {
 	f.Add([]byte{0x3f, 0, 0, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte("?100100100011000000000")) // four categorical columns, rows agreeing on some
 	f.Add([]byte{0x03, 3, 3, 8, 24, 2, 0xf0, 0x10, 8, 1, 0x80, 0, 0x80, 0, 0x80, 0, 0, 0, 0xf0, 0xf8, 0x7f, 0x7f, 0xff, 0x01})
-	// Two 4-code categorical columns, then two numeric ones (width 1 with
-	// a split at 1, and width 2), over 48 rows whose code pairs repeat, so
-	// the seeds share a column pair whose list is built and walked.
-	pairSeed := []byte{0x0f, 3, 2, 16, 3, 3, 8, 1, 4, 16, 0}
+	// Two 4-code categorical columns, then two numeric ones (widths 1
+	// and 2), over 48 rows whose code pairs repeat, so the seeds share a
+	// column pair whose list is built and walked.
+	pairSeed := []byte{0x0f, 3, 2, 16, 3, 3, 8, 16}
 	for r := 0; r < 48; r++ {
 		pairSeed = append(pairSeed, byte(r%4), byte(r/4%4), byte(r%7), byte(r%5))
 	}
@@ -181,9 +176,6 @@ func FuzzCluster(f *testing.F) {
 					v := tb.Float(r, a)
 					if math.Abs(v-num) > p.Widths[a] {
 						t.Errorf("fascicle %d row %d attr %d: %g is farther than %g from %g", fi, r, a, v, p.Widths[a], num)
-					}
-					if !sameSide(v, num, p.SplitValues[a]) {
-						t.Errorf("fascicle %d row %d attr %d: %g and representative %g straddle a split of %v", fi, r, a, v, num, p.SplitValues[a])
 					}
 				}
 			}

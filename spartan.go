@@ -18,8 +18,8 @@
 //   - CaRTSelector: picks the predicted set via Greedy or iterated
 //     Weighted-Maximum-Independent-Set search;
 //   - CaRTBuilder: grows guaranteed-error trees with integrated pruning;
-//   - RowAggregator: fascicle-clusters the materialized projection without
-//     disturbing any CaRT path.
+//   - RowAggregator: snaps the materialized numeric cells to a grid two
+//     tolerances wide without disturbing any CaRT path.
 //
 // Compress writes an archive; Decompress reads one back:
 //

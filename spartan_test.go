@@ -127,7 +127,7 @@ func TestRowAggregationAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withoutRA, _, err := compressBytes(tb, Options{Tolerances: tol, DisableRowAggregation: true})
+	withoutRA, statsOff, err := compressBytes(tb, Options{Tolerances: tol, DisableRowAggregation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +141,14 @@ func TestRowAggregationAblation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// On corel at 5% the learn sample says the pass pays, so it runs and
-	// shrinks the archive.
-	if got := tr.Find(SpanCaRTSelection).Attr("aggregate"); got != true {
-		t.Errorf("aggregate = %v on Corel at 5%%, want true", got)
+	// On corel at 5% the grid snaps cells and shrinks T′ without
+	// touching a model or an outlier.
+	if snapped, _ := tr.Find(SpanRowAggregation).Attr("cells_snapped").(int); snapped == 0 || len(withRA) >= len(withoutRA) {
+		t.Errorf("row aggregation: %d cells snapped, %d bytes against %d without", snapped, len(withRA), len(withoutRA))
 	}
-	if statsRA.Fascicles == 0 || len(withRA) >= len(withoutRA) {
-		t.Errorf("row aggregation: %d fascicles, %d bytes against %d without", statsRA.Fascicles, len(withRA), len(withoutRA))
+	if statsRA.ModelBytes != statsOff.ModelBytes || statsRA.Outliers != statsOff.Outliers {
+		t.Errorf("row aggregation: %d outliers in %d model bytes, without it %d in %d",
+			statsRA.Outliers, statsRA.ModelBytes, statsOff.Outliers, statsOff.ModelBytes)
 	}
 }
 
