@@ -123,17 +123,23 @@ func RunGzip(t *table.Table) (CompressorResult, error) {
 // per-dataset parameters.
 func RunFascicles(t *table.Table, d Dataset, frac float64) (CompressorResult, error) {
 	start := time.Now()
+	data, err := fascicle.Compress(t, fascicleParams(t, d, frac), true)
+	if err != nil {
+		return CompressorResult{}, err
+	}
+	return result(t, len(data), start), nil
+}
+
+// fascicleParams gives every numeric attribute of t frac of its range as
+// width and takes d's compact-attribute count.
+func fascicleParams(t *table.Table, d Dataset, frac float64) fascicle.Params {
 	widths := make([]float64, t.NumCols())
 	for i := 0; i < t.NumCols(); i++ {
 		if t.Attr(i).Kind == table.Numeric {
 			widths[i] = frac * t.Col(i).Range()
 		}
 	}
-	data, err := fascicle.Compress(t, fascicle.Params{K: d.FascicleK(), Widths: widths}, true)
-	if err != nil {
-		return CompressorResult{}, err
-	}
-	return result(t, len(data), start), nil
+	return fascicle.Params{K: d.FascicleK(), Widths: widths}
 }
 
 // RunPzip measures the pzip-style column-grouping baseline (lossless;
