@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -27,7 +26,7 @@ const fascicleMagic = "SPFAS1\n"
 // stream nor Cluster: its RowAggregator snaps T′ to a grid and the codec
 // writes that T′ in its own format.
 func Compress(t *table.Table, p Params, gzipPayload bool) ([]byte, error) {
-	c, err := Cluster(context.Background(), t, p)
+	c, err := Cluster(t, p)
 	if err != nil {
 		return nil, err
 	}

@@ -20,11 +20,9 @@ package fascicle
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/floats"
 	"repro/internal/table"
@@ -34,8 +32,7 @@ import (
 // Single-k algorithm.
 type Params struct {
 	// K is the number of compact attributes per fascicle. Zero defaults to
-	// two-thirds of the attribute count (the paper's RowAggregator
-	// setting).
+	// two-thirds of the attribute count.
 	K int
 	// MaxFascicles bounds the number of fascicles (the paper's P,
 	// default 500).
@@ -44,7 +41,7 @@ type Params struct {
 	// candidate groups stay uncompressed. Default max(2, 0.01% of rows).
 	MinSize int
 	// Widths holds the per-attribute compactness tolerance: for a numeric
-	// attribute i the maximum allowed value range is 2·Widths[i] (the paper
+	// attribute i the value range may be at most 2·Widths[i] (the paper
 	// sets the compactness tolerance to twice the error tolerance, i.e.
 	// Widths[i] = eᵢ). Categorical attributes are compact only when equal,
 	// regardless of width; their entry must be 0.
@@ -97,24 +94,9 @@ type Clustering struct {
 	Fascicles []Fascicle
 	// Leftover lists rows assigned to no fascicle; they are stored
 	// verbatim.
-	Leftover    []int
-	params      Params
-	seedsTried  int
-	rowsScanned int
-	pairLists   int
+	Leftover []int
+	params   Params
 }
-
-// SeedsTried returns the number of seeds the clustering tried to grow,
-// successful or not.
-func (c *Clustering) SeedsTried() int { return c.seedsTried }
-
-// RowsScanned returns the number of candidate rows the seed growths
-// visited, counting the already-assigned rows a candidate walk skips.
-func (c *Clustering) RowsScanned() int { return c.rowsScanned }
-
-// PairLists returns the number of pair lists the clustering built, each
-// one uint32 per row: the walk's memory beyond the index.
-func (c *Clustering) PairLists() int { return c.pairLists }
 
 // Cluster detects fascicles greedily. The result is deterministic for a
 // given table and parameters. A table of more than 2^32 rows is refused
@@ -124,31 +106,11 @@ func (c *Clustering) PairLists() int { return c.pairLists }
 // Index construction is O(n·cols): a stable radix sort makes at most 8
 // byte passes over each numeric column (fewer when every value shares a
 // key byte) and a counting sort makes one pass over each categorical
-// column. Each seed then sizes its windows: a categorical window is its
-// code's bucket, and a numeric window costs one probe of the attribute's
-// 256-entry memo of the windows sized in this call, keyed by the seed
-// value's bits; only a miss sizes it by binary search, O(log n). The memo
-// cannot change a fascicle, since a window depends only on the seed
-// value, the width and the index. Then the seed costs
-// one walk over its candidate rows (RowsScanned sums those walks). The
-// candidates are the sparsest chosen window's rows or, when shorter, the
-// rows of the tightest chosen categorical window c that also lie in the
-// sparsest other chosen window a. That intersection
-// is c's bucket of a pair list, a's sorted rows regrouped by c's code,
-// cut by two binary searches. A pair list is built in one pass once the
-// seeds that wanted it have checked half a table of rows without it, and
-// kept for the call. At most 2·cols lists are built (PairLists), which
-// caps their memory at twice the index's own row lists; a seed whose
-// pair has no list walks its sparsest window. Both walks visit a
-// superset of the members that the other chosen windows filter to the
-// same set, so the choice changes no fascicle. Each walked row is
-// checked against the other chosen windows from the tightest to the
-// widest, the order in which a non-member is likeliest to fail early;
-// the check has no side effects, so its order changes no fascicle
-// either. ctx is checked before each seed's growth attempt, so a cancel
-// abandons the clustering within one fascicle and returns the wrapped
-// context error.
-func Cluster(ctx context.Context, t *table.Table, p Params) (*Clustering, error) {
+// column. Each seed then sizes every window, a categorical one as its
+// code's bucket and a numeric one by binary search, O(log n), keeps the
+// K most populated and walks the sparsest of them: its unassigned rows
+// that fit every other chosen window are the candidate members.
+func Cluster(t *table.Table, p Params) (*Clustering, error) {
 	if uint64(t.NumRows()) > 1<<32 {
 		return nil, fmt.Errorf("fascicle: %d rows, at most 2^32 supported", t.NumRows())
 	}
@@ -157,13 +119,7 @@ func Cluster(ctx context.Context, t *table.Table, p Params) (*Clustering, error)
 		return nil, err
 	}
 	g := newGrower(t, p)
-	return g.cluster(ctx, g.choose, g.candidates)
-}
-
-// cluster grows fascicles from successive seeds; choose picks a seed's
-// windows and walk lists its candidate members from them.
-func (g *grower) cluster(ctx context.Context, choose func(seed int) []attrMatch, walk func(chosen []attrMatch) []int) (*Clustering, error) {
-	n, p := g.t.NumRows(), g.p
+	n := t.NumRows()
 	fascicles := make([]Fascicle, 0, p.MaxFascicles)
 
 	// Seeds that fail to grow are skipped permanently; cap total attempts
@@ -171,9 +127,6 @@ func (g *grower) cluster(ctx context.Context, choose func(seed int) []attrMatch,
 	maxTries := 4*p.MaxFascicles + 64
 	seed, tries := 0, 0
 	for len(fascicles) < p.MaxFascicles && tries < maxTries {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("fascicle: clustering cancelled: %w", err)
-		}
 		for seed < n && g.assigned[seed] {
 			seed++
 		}
@@ -181,7 +134,8 @@ func (g *grower) cluster(ctx context.Context, choose func(seed int) []attrMatch,
 			break
 		}
 		tries++
-		f, ok := g.grow(seed, choose, walk)
+		chosen := g.choose(seed)
+		f, ok := g.keep(chosen, g.candidates(chosen))
 		if !ok {
 			seed++ // this seed stays a leftover unless a later fascicle absorbs it
 			continue
@@ -203,8 +157,7 @@ func (g *grower) cluster(ctx context.Context, choose func(seed int) []attrMatch,
 			leftover = append(leftover, r)
 		}
 	}
-	return &Clustering{Fascicles: fascicles, Leftover: leftover, params: p,
-		seedsTried: tries, rowsScanned: g.rowsScanned, pairLists: len(g.pairs)}, nil
+	return &Clustering{Fascicles: fascicles, Leftover: leftover, params: p}, nil
 }
 
 // colIndex accelerates window membership queries. sortedRows lists every
@@ -374,39 +327,13 @@ func (am *attrMatch) fits(r uint32) bool {
 	return v >= am.lo && v <= am.hi
 }
 
-// within returns the index range [from, to) of rows, stably sorted by
-// the attribute's value or code, whose rows lie in the window.
-func (am *attrMatch) within(rows []uint32) (from, to int) {
-	if !am.isCat {
-		return valueWindow(am.vals, rows, am.lo, am.hi)
-	}
-	from = sort.Search(len(rows), func(i int) bool { return am.codes[rows[i]] >= am.seedC })
-	to = from + sort.Search(len(rows)-from, func(i int) bool { return am.codes[rows[from+i]] > am.seedC })
-	return from, to
-}
-
 // grower grows fascicles from seeds over one table. Its buffers are
 // reused from seed to seed; only an accepted fascicle's slices are
 // allocated fresh.
 type grower struct {
-	t        *table.Table
 	p        Params
 	idx      []colIndex
 	assigned []bool
-
-	// pairs[c·cols+a] is pair(c, a): idx[a].sortedRows stably regrouped
-	// by categorical column c's code, so that the rows with code v are
-	// its [codeStart[v], codeStart[v+1]) in a's order, codeStart being
-	// idx[c]'s. owed[c·cols+a] counts the rows that seeds wanting pair
-	// (c, a) checked while it had no list; see pair.
-	pairs    map[int][]uint32
-	owed     map[int]int
-	maxPairs int
-	next     []int // bucket cursors while a pair list is built
-
-	// memo[a] caches numeric attribute a's windows sized in this call;
-	// nil for a categorical attribute. See choose.
-	memo [][]memoEntry
 
 	matches  []attrMatch // every attribute's window around the seed
 	order    []int       // indices into matches of the chosen windows
@@ -416,51 +343,18 @@ type grower struct {
 	counts   map[float64]int // distinct value -> position in tally
 	distinct []float64       // distinct values in first-seen order
 	tally    []int           // occurrences of distinct[i]
-
-	rowsScanned int
 }
-
-// memoSlots is the size of each numeric attribute's window memo.
-const memoSlots = 256
-
-// emptyKey marks an unused memo entry. It is a NaN's bits, and a table
-// holds only finite values, so no seed value has them.
-const emptyKey = 0x7ff8000000000001
-
-// memoEntry is the window sized around the seed value whose bits are
-// key: sortedRows[from:to] of the attribute's index, values in [lo, hi].
-type memoEntry struct {
-	key      uint64
-	from, to int
-	lo, hi   float64
-}
-
-// memoSlot returns the memo entry a value with bits b maps to.
-func memoSlot(b uint64) int { return int((b * 0x9e3779b97f4a7c15) >> 56) }
 
 func newGrower(t *table.Table, p Params) *grower {
-	nc := t.NumCols()
-	matches := make([]attrMatch, nc)
-	memo := make([][]memoEntry, nc)
+	matches := make([]attrMatch, t.NumCols())
 	for a := range matches {
 		col := t.Col(a)
 		matches[a] = attrMatch{attr: a, isCat: col.Kind != table.Numeric, vals: col.Floats, codes: col.Codes}
-		if col.Kind == table.Numeric {
-			memo[a] = make([]memoEntry, memoSlots)
-			for i := range memo[a] {
-				memo[a][i].key = emptyKey
-			}
-		}
 	}
 	return &grower{
-		t:        t,
 		p:        p,
 		idx:      buildIndex(t),
 		assigned: make([]bool, t.NumRows()),
-		pairs:    make(map[int][]uint32),
-		owed:     make(map[int]int),
-		maxPairs: 2 * nc,
-		memo:     memo,
 		matches:  matches,
 		order:    make([]int, 0, p.K),
 		chosen:   make([]attrMatch, 0, p.K),
@@ -469,23 +363,13 @@ func newGrower(t *table.Table, p Params) *grower {
 	}
 }
 
-// grow builds the candidate fascicle seeded at row seed and reports
-// whether it meets the minimum size. choose picks the seed's windows and
-// walk lists the candidate members.
-func (g *grower) grow(seed int, choose func(seed int) []attrMatch, walk func(chosen []attrMatch) []int) (Fascicle, bool) {
-	chosen := choose(seed)
-	rows := walk(chosen)
-	g.rows = rows
-	return g.keep(chosen, rows)
-}
-
 // choose sizes every attribute's compactness window around seed and
 // returns the K most populated, in descending count order. A numeric
-// window depends only on the seed value, the attribute's width and the
-// index, all fixed for the call, so it is sized once per value: memo[a]
-// holds the last window sized for each of memoSlots direct-mapped keys,
-// the seed values' bits. -0 and +0 have entries of their own and size
-// the same window.
+// window may sit anywhere as long as it has width ≤ 2·w and contains the
+// seed; it tries the three natural anchorings and keeps the most
+// populated one, the first on a tie. Counts come from the sorted index
+// and may include already-assigned rows — a deliberate approximation
+// that keeps sizing O(log n).
 func (g *grower) choose(seed int) []attrMatch {
 	for a := range g.matches {
 		am := &g.matches[a]
@@ -494,34 +378,16 @@ func (g *grower) choose(seed int) []attrMatch {
 			am.from, am.to = g.idx[a].codeStart[am.seedC], g.idx[a].codeStart[am.seedC+1]
 			continue
 		}
-		s := am.vals[seed]
-		b := math.Float64bits(s)
-		e := &g.memo[a][memoSlot(b)]
-		if e.key != b {
-			e.from, e.to, e.lo, e.hi = g.window(a, s)
-			e.key = b
+		s, w, rows := am.vals[seed], g.p.Widths[a], g.idx[a].sortedRows
+		best := -1
+		for _, anchor := range [3][2]float64{{s - 2*w, s}, {s - w, s + w}, {s, s + 2*w}} {
+			if from, to := valueWindow(am.vals, rows, anchor[0], anchor[1]); to-from > best {
+				best = to - from
+				am.from, am.to, am.lo, am.hi = from, to, anchor[0], anchor[1]
+			}
 		}
-		am.from, am.to, am.lo, am.hi = e.from, e.to, e.lo, e.hi
 	}
 	return g.top()
-}
-
-// window sizes numeric attribute a's compactness window around seed
-// value s. The window may sit anywhere as long as it has width ≤ 2·w and
-// contains the seed; it tries the three natural anchorings and keeps the
-// most populated one, the first on a tie. Counts come from the sorted
-// index and may include already-assigned rows — a deliberate
-// approximation that keeps sizing O(log n).
-func (g *grower) window(a int, s float64) (from, to int, lo, hi float64) {
-	vals, rows, w := g.t.Col(a).Floats, g.idx[a].sortedRows, g.p.Widths[a]
-	best := -1
-	for _, anchor := range [3][2]float64{{s - 2*w, s}, {s - w, s + w}, {s, s + 2*w}} {
-		if f, t := valueWindow(vals, rows, anchor[0], anchor[1]); t-f > best {
-			best = t - f
-			from, to, lo, hi = f, t, anchor[0], anchor[1]
-		}
-	}
-	return from, to, lo, hi
 }
 
 // top copies the K most populated of matches into chosen, in descending
@@ -554,54 +420,21 @@ func (g *grower) top() []attrMatch {
 	return chosen
 }
 
-// candidates returns the unassigned rows that fit every chosen window,
-// in walk order. It walks the sparsest chosen window or, when shorter,
-// the rows of the tightest chosen categorical window c that lie in the
-// sparsest other chosen window a, and checks each row against the
-// chosen windows it was not drawn from. chosen is in descending count
-// order, so those are checked from the back: the tightest window
-// rejects most rows and ends the check soonest.
+// candidates returns the unassigned rows of the sparsest chosen window,
+// the last, that fit every other chosen window, in index order. Those are
+// checked from the back: the tightest window rejects most rows and ends
+// the check soonest.
 func (g *grower) candidates(chosen []attrMatch) []int {
-	sparse, c := 0, -1
-	for j := range chosen {
-		if chosen[j].count() < chosen[sparse].count() {
-			sparse = j
-		}
-		if chosen[j].isCat && (c < 0 || chosen[j].count() < chosen[c].count()) {
-			c = j
-		}
-	}
-	walk := g.idx[chosen[sparse].attr].sortedRows[chosen[sparse].from:chosen[sparse].to]
-	skip1, skip2 := sparse, sparse
-	owed := -1 // the pair whose missing list this walk pays for
-	if c >= 0 && len(chosen) > 1 {
-		a := -1
-		for j := range chosen {
-			if j != c && (a < 0 || chosen[j].count() < chosen[a].count()) {
-				a = j
-			}
-		}
-		k := chosen[c].attr*g.t.NumCols() + chosen[a].attr
-		if list := g.pair(k, chosen[c].attr, chosen[a].attr); list != nil {
-			bucket := list[chosen[c].from:chosen[c].to]
-			if from, to := chosen[a].within(bucket); to-from < len(walk) {
-				walk, skip1, skip2 = bucket[from:to], c, a
-			}
-		} else if len(g.pairs) < g.maxPairs {
-			owed = k
-		}
-	}
-	g.rowsScanned += len(walk)
+	last := len(chosen) - 1
+	sparse := &chosen[last]
 	rows := g.rows[:0]
-	checked := 0
-	for _, r := range walk {
+	for _, r := range g.idx[sparse.attr].sortedRows[sparse.from:sparse.to] {
 		if g.assigned[r] {
 			continue
 		}
-		checked++
 		ok := true
-		for j := len(chosen) - 1; j >= 0; j-- {
-			if j != skip1 && j != skip2 && !chosen[j].fits(r) {
+		for j := last - 1; j >= 0; j-- {
+			if !chosen[j].fits(r) {
 				ok = false
 				break
 			}
@@ -610,34 +443,8 @@ func (g *grower) candidates(chosen []attrMatch) []int {
 			rows = append(rows, int(r))
 		}
 	}
-	if owed >= 0 {
-		g.owed[owed] += checked
-	}
+	g.rows = rows
 	return rows
-}
-
-// pair returns pair(c, a), whose key in pairs is k, or nil while it has
-// no list. The list is built once the seeds that wanted it have checked
-// half a table of rows without it, and only while fewer than maxPairs
-// lists exist. Building a list costs one pass over the rows, so a pair
-// that few seeds share, as in a table of a few large fascicles, is
-// never built and costs no more than the single-window walk.
-func (g *grower) pair(k, c, a int) []uint32 {
-	if list, ok := g.pairs[k]; ok || len(g.pairs) == g.maxPairs || 2*g.owed[k] < g.t.NumRows() {
-		return list
-	}
-	start := g.idx[c].codeStart
-	next := append(g.next[:0], start[:len(start)-1]...)
-	codes := g.t.Col(c).Codes
-	list := make([]uint32, len(codes))
-	for _, r := range g.idx[a].sortedRows {
-		v := codes[r]
-		list[next[v]] = r
-		next[v]++
-	}
-	g.next = next
-	g.pairs[k] = list
-	return list
 }
 
 // keep turns the candidate members rows of the chosen windows into a

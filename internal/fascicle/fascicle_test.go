@@ -3,7 +3,6 @@ package fascicle
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -52,7 +51,7 @@ func paperWidths() []float64 { return []float64{2, 5000, 25000, 0} }
 // raw 8×4 = 32 values.
 func TestPaperExample21(t *testing.T) {
 	tb := paperTable(t)
-	c, err := Cluster(context.Background(), tb, Params{K: 2, MinSize: 2, Widths: paperWidths()})
+	c, err := Cluster(tb, Params{K: 2, MinSize: 2, Widths: paperWidths()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +102,16 @@ func assertCompact(t *testing.T, tb *table.Table, c *Clustering, widths []float6
 
 func TestClusterParamValidation(t *testing.T) {
 	tb := paperTable(t)
-	if _, err := Cluster(context.Background(), tb, Params{Widths: []float64{1}}); err == nil {
+	if _, err := Cluster(tb, Params{Widths: []float64{1}}); err == nil {
 		t.Error("Cluster accepted wrong-length widths")
 	}
 	for _, w := range []float64{-1, math.NaN()} {
-		if _, err := Cluster(context.Background(), tb, Params{Widths: []float64{2, w, 25000, 0}}); err == nil {
+		if _, err := Cluster(tb, Params{Widths: []float64{2, w, 25000, 0}}); err == nil {
 			t.Errorf("Cluster accepted width %g", w)
 		}
 	}
 	// K larger than the column count clamps.
-	c, err := Cluster(context.Background(), tb, Params{K: 99, MinSize: 2, Widths: paperWidths()})
+	c, err := Cluster(tb, Params{K: 99, MinSize: 2, Widths: paperWidths()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestClusterCoversAllRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tb := clusteredTable(rng, 500)
 	widths := []float64{1, 1, 0}
-	c, err := Cluster(context.Background(), tb, Params{K: 2, Widths: widths})
+	c, err := Cluster(tb, Params{K: 2, Widths: widths})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestQuantizePreservesOrderAndBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tb := clusteredTable(rng, 400)
 	widths := []float64{1, 1, 0}
-	c, err := Cluster(context.Background(), tb, Params{K: 2, Widths: widths})
+	c, err := Cluster(tb, Params{K: 2, Widths: widths})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 		tb := clusteredTable(rng, 150)
 		w := float64(wByte)/16 + 0.1
 		widths := []float64{w, w, 0}
-		c, err := Cluster(context.Background(), tb, Params{Widths: widths})
+		c, err := Cluster(tb, Params{Widths: widths})
 		if err != nil {
 			return false
 		}
@@ -234,7 +233,7 @@ func TestQuantizeAtZeroWidthsKeepsCells(t *testing.T) {
 		"cdr": datagen.CDR(4000, 1), "census": datagen.Census(4000, 1),
 		"corel": datagen.Corel(4000, 1), "forest": datagen.ForestCover(4000, 1),
 	} {
-		c, err := Cluster(context.Background(), tb, Params{Widths: make([]float64, tb.NumCols())})
+		c, err := Cluster(tb, Params{Widths: make([]float64, tb.NumCols())})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +310,7 @@ func TestCompressDecompressMultiset(t *testing.T) {
 	tb := clusteredTable(rng, 300)
 	widths := []float64{1, 1, 0}
 	p := Params{K: 2, Widths: widths}
-	c, err := Cluster(context.Background(), tb, p)
+	c, err := Cluster(tb, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +382,7 @@ func TestDecompressRejectsCorruption(t *testing.T) {
 func TestDecompressRejectsHugeCompactAttribute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tb := clusteredTable(rng, 100)
-	c, err := Cluster(context.Background(), tb, Params{K: 2, Widths: []float64{1, 1, 0}})
+	c, err := Cluster(tb, Params{K: 2, Widths: []float64{1, 1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +421,7 @@ func TestDecompressRejectsHugeCompactAttribute(t *testing.T) {
 func TestMaxFasciclesRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tb := clusteredTable(rng, 300)
-	c, err := Cluster(context.Background(), tb, Params{K: 2, MaxFascicles: 1, Widths: []float64{1, 1, 0}})
+	c, err := Cluster(tb, Params{K: 2, MaxFascicles: 1, Widths: []float64{1, 1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +433,7 @@ func TestMaxFasciclesRespected(t *testing.T) {
 func TestMinSizeRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tb := clusteredTable(rng, 300)
-	c, err := Cluster(context.Background(), tb, Params{K: 2, MinSize: 50, Widths: []float64{1, 1, 0}})
+	c, err := Cluster(tb, Params{K: 2, MinSize: 50, Widths: []float64{1, 1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package fascicle
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -123,7 +122,7 @@ func TestRepresentativeZeroSign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Cluster(context.Background(), tb, Params{K: 1, MinSize: 2, MaxFascicles: 1, Widths: []float64{0}})
+		c, err := Cluster(tb, Params{K: 1, MinSize: 2, MaxFascicles: 1, Widths: []float64{0}})
 		if err != nil {
 			t.Fatal(err)
 		}
