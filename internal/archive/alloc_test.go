@@ -146,18 +146,19 @@ func TestDecodeAllocatesColumnsOnce(t *testing.T) {
 // TestIngestAllocations pins what a segmented ingest allocates: the
 // benchmark's ingest_cdr_segmented (32k CDR rows, 8k-row segments, 1%
 // numeric tolerance) averaged over three WriteTable calls after a
-// warm-up. About 8.7–9.1 MB measured at GOMAXPROCS 1 and 2 and up to
-// 10.2 MB at 4 to 16, where more segments miss the pooled deflate
-// writers (linux/amd64, go1.24); a fresh deflate compressor per sample
-// column and per T′ frame (about 1 MB each), a copy of every segment, or
-// CaRT growth copying each node's rows and split pairs (about 17 MB)
-// puts it past 12 MB. A fascicle index of []int rows with a sorted copy
-// of each numeric column adds about 1 MB (10.3–12.8 MB).
+// warm-up. About 2.6 MB measured at GOMAXPROCS 1, 2.6–2.8 MB at 2 and
+// 2.9–3.5 MB at 4 to 16 (linux/amd64, go1.24). The codec's deflaters
+// come from free lists that outlive the collection allocDelta starts
+// with. A deflater rebuilt per sample column or per segment (0.7–1.2 MB
+// of flate state for each writer), a copy of every segment, or CaRT
+// growth copying each node's rows and split pairs (about 17 MB) puts it
+// past 4 MB. Pooling the deflaters in sync.Pools, which a collection
+// empties, measured 3.4 MB at 1 P, 4.6 MB at 2 and 5.8 MB at 4.
 func TestIngestAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumented appends allocate a copy of each buffer they grow")
 	}
-	const rows, segRows, runs, ceiling = 32000, 8000, 3, 12 << 20
+	const rows, segRows, runs, ceiling = 32000, 8000, 3, 4 << 20
 	tb := datagen.CDR(rows, 1)
 	opts := core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)}
 	write := func() {

@@ -178,7 +178,7 @@ func TestQuerySpans(t *testing.T) {
 // TestOneSegmentAllocations: a segment that spans the whole table is the
 // table itself, not a copy, so a one-segment WriteTable allocates what
 // core.Compress does. The byte comparison is skipped under -race, whose
-// sync.Pool drops pooled deflate writers at random.
+// sync.Pool drops pooled buffers at random.
 func TestOneSegmentAllocations(t *testing.T) {
 	tb := datagen.CDR(32<<10, 1)
 	allocs := testing.AllocsPerRun(5, func() {

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -400,7 +399,7 @@ func TestBodiesShareModelBlock(t *testing.T) {
 
 // TestRawColumnAllocations pins that a T′ column of raw float32 cells,
 // the encoding of a column with more than 2^16 distinct values, is
-// written (writeNumericColumn) and parsed (parseColumn) without a heap
+// written (appendNumericColumn) and parsed (parseColumn) without a heap
 // allocation per cell: 4× the rows, 2^17 and 2^19 distinct values, may
 // add at most growthSlack allocations, while a defer or an escaping
 // scratch array in a cell loop adds one per row. (Through a body, each
@@ -412,24 +411,15 @@ func TestRawColumnAllocations(t *testing.T) {
 		for r := range vals {
 			vals[r] = float64(r) / 2 // distinct and float32-exact
 		}
-		var cells bytes.Buffer
-		cells.Grow(1 + 4*rows)
-		bw := bufio.NewWriter(&cells)
+		cells := make([]byte, 0, 1+4*rows)
 		var nd numDict
-		write = mallocs(func() {
-			if err := writeNumericColumn(bw, vals, &nd); err != nil {
-				t.Fatal(err)
-			}
-			if err := bw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if enc := cells.Bytes()[0]; enc != numEncRaw {
+		write = mallocs(func() { cells = appendNumericColumn(cells, vals, &nd) })
+		if enc := cells[0]; enc != numEncRaw {
 			t.Fatalf("%d distinct values written in encoding %d, want raw cells", rows, enc)
 		}
 		c := &table.Column{Kind: table.Numeric}
 		parse = mallocs(func() {
-			if rest, err := parseColumn(cells.Bytes(), c, rows); err != nil || len(rest) != 0 {
+			if rest, err := parseColumn(cells, c, rows); err != nil || len(rest) != 0 {
 				t.Fatalf("parseColumn: %d bytes left, %v", len(rest), err)
 			}
 		})
@@ -443,7 +433,7 @@ func TestRawColumnAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		a, b uint64
-	}{{"writeNumericColumn", writeA, writeB}, {"parseColumn", parseA, parseB}} {
+	}{{"appendNumericColumn", writeA, writeB}, {"parseColumn", parseA, parseB}} {
 		t.Logf("%s: %d allocations at %d rows, %d at %d", c.name, c.a, small, c.b, large)
 		if c.b > c.a+growthSlack {
 			t.Errorf("%s allocates per cell: %d allocations at %d rows, %d at %d, want ≤ %d",

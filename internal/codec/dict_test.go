@@ -68,25 +68,20 @@ func mapWriteNumericColumn(bw *bufio.Writer, vals []float64) error {
 	return nil
 }
 
-// columnBytes writes vals with write and returns the cells.
-func columnBytes(t testing.TB, vals []float64, write func(*bufio.Writer, []float64) error) []byte {
+// matchMapWriter fails unless nd writes vals byte for byte as the map
+// writer does, and returns the cells.
+func matchMapWriter(t testing.TB, nd *numDict, vals []float64) []byte {
+	t.Helper()
+	got := appendNumericColumn(nil, vals, nd)
 	var out bytes.Buffer
 	bw := bufio.NewWriter(&out)
-	if err := write(bw, vals); err != nil {
+	if err := mapWriteNumericColumn(bw, vals); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return out.Bytes()
-}
-
-// matchMapWriter fails unless nd writes vals byte for byte as the map
-// writer does, and returns the cells.
-func matchMapWriter(t testing.TB, nd *numDict, vals []float64) []byte {
-	t.Helper()
-	got := columnBytes(t, vals, func(bw *bufio.Writer, vals []float64) error { return writeNumericColumn(bw, vals, nd) })
-	want := columnBytes(t, vals, mapWriteNumericColumn)
+	want := out.Bytes()
 	if !bytes.Equal(got, want) {
 		at := 0
 		for at < min(len(got), len(want)) && got[at] == want[at] {
