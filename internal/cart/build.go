@@ -118,12 +118,14 @@ func Build(ctx context.Context, s *Sample, target int, cands []int, tol float64,
 
 // newTreeBuilder sets up the growth of one tree over s: its scratch, and
 // a copy of the sorted list of each numeric candidate and a numeric
-// target in one buffer.
+// target in one buffer. The scratch indexed by dense ids is sized by the
+// ids the target and the categorical candidates hold in the sample.
 func newTreeBuilder(s *Sample, target int, cands []int, tol float64, cm *CostModel, cfg Config) *treeBuilder {
 	sample := s.t
 	n := sample.NumRows()
 	cfg = cfg.withDefaults(n)
 	b := &treeBuilder{
+		s:         s,
 		t:         sample,
 		target:    target,
 		kind:      sample.Attr(target).Kind,
@@ -134,19 +136,29 @@ func newTreeBuilder(s *Sample, target int, cands []int, tol float64, cm *CostMod
 		scale:     float64(cfg.FullRows) / float64(n),
 		spare:     make([]int, n),
 		lists:     make([][]int32, sample.NumCols()),
-		left:      make([]bool, n),
+		left:      make([]uint8, n),
 		spareList: make([]int32, n),
 	}
 	if b.kind == table.Categorical {
+		nt := len(s.codes[target])
 		b.classes = make([]int, n)
+		b.classOf = make([]int32, nt)
+		b.classIds = make([]int32, 0, nt)
+		b.classCounts = make([]int, 0, nt)
+		b.leftCounts = make([]int, nt)
+		b.rightCounts = make([]int, nt)
 	}
 	sort.Ints(b.cands)
 	listed := make([]int, 0, len(b.cands)+1)
+	maxIds := 0
 	for _, a := range b.cands {
 		if s.sorted[a] != nil {
 			listed = append(listed, a)
 		}
+		maxIds = max(maxIds, len(s.codes[a]))
 	}
+	b.slot = make([]int32, maxIds)
+	b.side = make([]int8, maxIds)
 	if s.sorted[target] != nil {
 		listed = append(listed, target)
 	}
@@ -178,7 +190,7 @@ func fillRows(rows []int) {
 // partition splits the range stably between the children, so they stay
 // sorted without a sort. The numeric scorers and the numeric leaf scan
 // these ranges; the categorical scorers and classIndex read rows in node
-// order.
+// order, through the sample's dense ids.
 //
 // Only one ordering reaches the output: the order of tied values inside a
 // node. The SSE prefix sums round in it, and a leaf window whose ends are
@@ -186,10 +198,12 @@ func fillRows(rows []int) {
 // as row order, which TestPresortMatchesReference checks against a
 // per-node sort with ties broken by row.
 //
-// The scratch slices below hold the sample's rows at most; each is used
-// by one call at a time and is dead before grow or prune recurses, so the
+// The scratch slices below hold the sample's rows or a column's dense ids
+// at most (groupCounts holds nc counts per group); each is used by one
+// node at a time and is dead before grow or prune recurses, so the
 // recursion shares them.
 type treeBuilder struct {
+	s      *Sample
 	t      *table.Table
 	target int
 	kind   table.Kind // the target's kind
@@ -201,9 +215,22 @@ type treeBuilder struct {
 
 	lists     [][]int32 // by attribute: the sorted list of a numeric candidate or target, else nil
 	spare     []int     // routeRows' right rows
-	left      []bool    // by sample row: partition's side mark
+	left      []uint8   // by sample row: routeRows' side mark, 1 for left, which partition reads
 	spareList []int32   // partition's right rows
-	classes   []int     // by sample row: bestSplit's dense class index
+	side      []int8    // by predictor id: routeRows' side of a categorical split, 1 left, 2 right, 0 until met
+
+	// classIndex's node classes of a categorical target.
+	classes     []int   // by sample row: the row's node class
+	classOf     []int32 // by target id: its node class + 1, 0 outside the node
+	classIds    []int32 // by node class: its target id
+	classCounts []int   // by node class: its rows
+	leftCounts  []int   // by node class: a Gini scan's left rows (see scanCounts)
+	rightCounts []int   // by node class: a Gini scan's right rows
+
+	// The categorical scorers' groups of a node's rows by predictor id.
+	slot        []int32   // by predictor id: its group's index + 1, 0 until met
+	groups      []idGroup // in first-appearance order until sorted
+	groupCounts []int     // the Gini scorer's class counts, nc per group
 
 	// ctxErr records the first cancellation observed during growth. grow
 	// and prune return a placeholder once it is set, so the whole tree
@@ -292,18 +319,17 @@ func (b *treeBuilder) leaf(rows []int, lo int) (*Node, int) {
 		pred := floats.F32((ys[list[bestLo]] + ys[list[bestLo+bestCount-1]]) / 2)
 		return &Node{Leaf: true, NumValue: pred}, len(list) - bestCount
 	}
-	counts := map[int32]int{}
-	for _, r := range rows {
-		counts[b.t.Code(r, b.target)]++
-	}
-	bestCode, bestCount := int32(0), -1
-	for code, c := range counts {
-		if c > bestCount || (c == bestCount && code < bestCode) {
-			bestCode, bestCount = code, c
+	nc := b.classIndex(rows)
+	codes := b.s.codes[b.target]
+	best := 0
+	for k := 1; k < nc; k++ {
+		c, bc := b.classCounts[k], b.classCounts[best]
+		if c > bc || (c == bc && codes[b.classIds[k]] < codes[b.classIds[best]]) {
+			best = k
 		}
 	}
-	chargeable := len(rows) - bestCount - int(b.tol*float64(len(rows)))
-	return &Node{Leaf: true, CatValue: bestCode}, max(chargeable, 0)
+	chargeable := len(rows) - b.classCounts[best] - int(b.tol*float64(len(rows)))
+	return &Node{Leaf: true, CatValue: codes[b.classIds[best]]}, max(chargeable, 0)
 }
 
 // grow grows (and under PruneIntegrated, prunes) a subtree for the given
@@ -334,7 +360,7 @@ func (b *treeBuilder) grow(ctx context.Context, rows []int, lo, depth int) (*Nod
 	if len(leftRows) < b.cfg.MinLeafRows || len(rightRows) < b.cfg.MinLeafRows {
 		return leaf, leafCost
 	}
-	b.partition(b.lists, lo, leftRows, rightRows)
+	b.partition(b.lists, lo, len(rows))
 	var leftCost, rightCost float64
 	n.Left, leftCost = b.grow(ctx, leftRows, lo, depth+1)
 	n.Right, rightCost = b.grow(ctx, rightRows, lo+len(leftRows), depth+1)
@@ -359,7 +385,7 @@ func (b *treeBuilder) prune(ctx context.Context, n *Node, rows []int, lo int) (*
 		return n, leafCost
 	}
 	leftRows, rightRows := b.routeRows(n, rows)
-	b.partition(b.lists[b.target:b.target+1], lo, leftRows, rightRows)
+	b.partition(b.lists[b.target:b.target+1], lo, len(rows))
 	left, leftCost := b.prune(ctx, n.Left, leftRows, lo)
 	right, rightCost := b.prune(ctx, n.Right, rightRows, lo+len(leftRows))
 	splitCost := b.cm.InternalBits(n.SplitAttr) + leftCost + rightCost
@@ -377,20 +403,12 @@ func (b *treeBuilder) prune(ctx context.Context, n *Node, rows []int, lo int) (*
 // numeric target's splits are scored by total child SSE (the classic CART
 // criterion, an efficient proxy for narrowing leaf windows), a categorical
 // target's by Gini impurity; storage-cost pruning then decides whether a
-// split is kept.
+// split is kept. A categorical target's classes are the ones leaf last
+// numbered: grow calls it on the same rows first.
 func (b *treeBuilder) bestSplit(rows []int, lo int) *Node {
 	var ys []float64
-	var classes []int
-	nc := 0
 	if b.kind == table.Numeric {
 		ys = b.t.Col(b.target).Floats
-	} else {
-		idx := b.classIndex(rows)
-		classes = b.classes
-		for _, r := range rows {
-			classes[r] = idx[b.t.Code(r, b.target)]
-		}
-		nc = len(idx)
 	}
 	var best *Node
 	bestScore := math.Inf(1)
@@ -404,9 +422,9 @@ func (b *treeBuilder) bestSplit(rows []int, lo int) *Node {
 		case b.kind == table.Numeric:
 			s, score = b.categoricalSplitSSE(rows, ys, attr)
 		case list != nil:
-			s, score = b.numericSplitGini(list[lo:lo+len(rows)], classes, nc, attr)
+			s, score = b.numericSplitGini(list[lo:lo+len(rows)], attr)
 		default:
-			s, score = b.categoricalSplitGini(rows, classes, nc, attr)
+			s, score = b.categoricalSplitGini(rows, attr)
 		}
 		if s != nil && score < bestScore {
 			best, bestScore = s, score
@@ -420,49 +438,72 @@ func (b *treeBuilder) bestSplit(rows []int, lo int) *Node {
 // rows[k:]. The partition is stable, so each half keeps the rows' order,
 // the order appending them to fresh slices would give: left rows are
 // compacted to the front as they are met, right rows wait in b.spare.
+// Each row's side is also marked in b.left, for partition. A row is
+// written to both sides, and the next row of the side it is not on
+// overwrites it, so the loops do not branch on the side.
+//
+// A numeric split sends a row left when its value is at most SplitValue.
+// A categorical split looks a predictor id up in SplitLeft once, when a
+// row first shows it, and routes the id's other rows by that mark.
 func (b *treeBuilder) routeRows(n *Node, rows []int) (left, right []int) {
-	spare := b.spare[:0]
-	k := 0
-	for _, r := range rows {
-		if n.takeLeft(b.t, r) {
-			rows[k] = r
-			k++
-		} else {
-			spare = append(spare, r)
+	spare := b.spare[:len(rows)]
+	k, j := 0, 0
+	if n.SplitIsCat {
+		ids, codes, side := b.s.ids[n.SplitAttr], b.s.codes[n.SplitAttr], b.side
+		for _, r := range rows {
+			id := ids[r]
+			m := side[id]
+			if m == 0 {
+				m = 2
+				if containsCode(n.SplitLeft, codes[id]) {
+					m = 1
+				}
+				side[id] = m
+			}
+			l := int(2 - m)
+			b.left[r] = uint8(l)
+			rows[k], spare[j] = r, r
+			k, j = k+l, j+1-l
 		}
+		copy(rows[k:], spare[:j])
+		for _, r := range rows {
+			side[ids[r]] = 0
+		}
+		return rows[:k:k], rows[k:]
 	}
-	copy(rows[k:], spare)
+	xs, v := b.t.Col(n.SplitAttr).Floats, n.SplitValue
+	for _, r := range rows {
+		l := 0
+		if xs[r] <= v {
+			l = 1
+		}
+		b.left[r] = uint8(l)
+		rows[k], spare[j] = r, r
+		k, j = k+l, j+1-l
+	}
+	copy(rows[k:], spare[:j])
 	return rows[:k:k], rows[k:]
 }
 
-// partition splits the range [lo, lo+len(left)+len(right)) of each
-// non-nil list in lists between a node's children, as routeRows split its
-// rows into left and right: the left child's rows move to the front of
-// the range and the right child's follow, each in the order the list held
-// them, so both halves stay sorted.
-func (b *treeBuilder) partition(lists [][]int32, lo int, left, right []int) {
-	for _, r := range left {
-		b.left[r] = true
-	}
-	for _, r := range right {
-		b.left[r] = false
-	}
-	n := len(left) + len(right)
+// partition splits the range [lo, lo+n) of each non-nil list in lists
+// between a node's children, as the routeRows call that split the node's
+// n rows marked them in b.left: the left child's rows move to the front
+// of the range and the right child's follow, each in the order the list
+// held them, so both halves stay sorted.
+func (b *treeBuilder) partition(lists [][]int32, lo, n int) {
 	for _, list := range lists {
 		if list == nil {
 			continue
 		}
+		// As in routeRows, a row is written to both sides.
 		list = list[lo : lo+n]
-		spare := b.spareList[:0]
-		k := 0
+		spare := b.spareList[:n]
+		k, j := 0, 0
 		for _, r := range list {
-			if b.left[r] {
-				list[k] = r
-				k++
-			} else {
-				spare = append(spare, r)
-			}
+			l := int(b.left[r])
+			list[k], spare[j] = r, r
+			k, j = k+l, j+1-l
 		}
-		copy(list[k:], spare)
+		copy(list[k:], spare[:j])
 	}
 }

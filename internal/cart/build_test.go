@@ -14,28 +14,24 @@ import (
 
 // TestRouteRowsIsStable partitions random row lists, full of ties on the
 // split attribute, by numeric and categorical splits, and requires the
-// in-place partition to give the left and right sequences that appending
-// each row to a fresh slice gives, as sub-slices of the input that leave
-// the rest of its buffer alone.
+// in-place partition of a builder from newTreeBuilder to give the left
+// and right sequences the reference builder's appending routing gives, as
+// sub-slices of the input that leave the rest of its buffer alone, and to
+// mark each row's side for partition.
 func TestRouteRowsIsStable(t *testing.T) {
 	const n = 500
 	rng := rand.New(rand.NewSource(7))
-	b := table.MustBuilder(table.Schema{{Name: "x", Kind: table.Numeric}, {Name: "g", Kind: table.Categorical}})
+	b := table.MustBuilder(table.Schema{
+		{Name: "x", Kind: table.Numeric},
+		{Name: "g", Kind: table.Categorical},
+		{Name: "y", Kind: table.Numeric},
+	})
 	for i := 0; i < n; i++ {
-		b.MustAppendRow(float64(rng.Intn(8)), fmt.Sprintf("g%d", rng.Intn(6)))
+		b.MustAppendRow(float64(rng.Intn(8)), fmt.Sprintf("g%d", rng.Intn(6)), float64(i))
 	}
 	tb := b.MustBuild()
-	tbl := &treeBuilder{t: tb, spare: make([]int, n)}
-	reference := func(s *Node, rows []int) (left, right []int) {
-		for _, r := range rows {
-			if s.takeLeft(tb, r) {
-				left = append(left, r)
-			} else {
-				right = append(right, r)
-			}
-		}
-		return left, right
-	}
+	tbl := newTreeBuilder(NewSample(tb), 2, []int{0, 1}, 0, NewCostModel(tb), Config{})
+	reference := refBuilder{tbl}.routeRows
 	for trial := 0; trial < 200; trial++ {
 		var s *Node
 		if trial%2 == 0 {
@@ -66,6 +62,16 @@ func TestRouteRowsIsStable(t *testing.T) {
 			t.Fatalf("trial %d: routeRows gave %d+%d rows unlike the appended %d+%d, or out of order",
 				trial, len(left), len(right), len(wantL), len(wantR))
 		}
+		for _, r := range left {
+			if tbl.left[r] != 1 {
+				t.Fatalf("trial %d: left row %d is not marked left", trial, r)
+			}
+		}
+		for _, r := range right {
+			if tbl.left[r] != 0 {
+				t.Fatalf("trial %d: right row %d is marked left", trial, r)
+			}
+		}
 		if len(left)+len(right) != len(rows) || (len(left) > 0 && &left[0] != &rows[0]) ||
 			(len(right) > 0 && &right[0] != &rows[len(left)]) || cap(left) != len(left) {
 			t.Fatalf("trial %d: halves are not the disjoint sub-slices rows[:k:k] and rows[k:]", trial)
@@ -85,8 +91,8 @@ func TestRouteRowsIsStable(t *testing.T) {
 // copied sorted lists of CDR's four numeric columns, partition's side
 // marks and spare, and the per-row class indices: 47 B measured) and
 // bytesPerNode for each node of the tree (the node, its split set and the
-// split search's per-candidate group maps: at most 5.7 KB measured). The
-// Sample is sorted once outside the measurement, as a learn shares it
+// split each candidate scores: at most 1.5 KB measured). The Sample is
+// sorted and numbered once outside the measurement, as a learn shares it
 // across its builds. Copying each node's rows or sorted lists, or
 // cloning the lists for PruneAfter, costs about their size times the
 // tree's depth or once more per tree, and fails it.
@@ -94,7 +100,7 @@ func TestBuildAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumented appends allocate a copy of each buffer they grow")
 	}
-	const rows, bytesPerRow, bytesPerNode = 12000, 56, 8 << 10
+	const rows, bytesPerRow, bytesPerNode = 12000, 56, 2 << 10
 	tb := datagen.CDR(rows, 1)
 	tol := table.UniformTolerances(tb, 0.01, 0.02)
 	cm := NewCostModel(tb)

@@ -46,14 +46,6 @@ type Node struct {
 	CatValue int32   // predicted code (classification)
 }
 
-func (n *Node) takeLeft(t *table.Table, row int) bool {
-	if n.SplitIsCat {
-		code := t.Code(row, n.SplitAttr)
-		return containsCode(n.SplitLeft, code)
-	}
-	return t.Float(row, n.SplitAttr) <= n.SplitValue
-}
-
 func containsCode(sorted []int32, c int32) bool {
 	lo, hi := 0, len(sorted)
 	for lo < hi {

@@ -1,29 +1,48 @@
 package cart
 
-import (
-	"math"
-	"sort"
-
-	"repro/internal/floats"
-)
+import "math"
 
 // Split scorers for categorical targets (paper §3.3): each returns the
 // split of one predictor minimizing the weighted Gini impurity of the
-// children, or nil and +Inf when the predictor admits none. classes[r]
-// is the dense class index (see classIndex) of sample row r, and nc the
-// number of classes among the node's rows.
+// children, or nil and +Inf when the predictor admits none. They read the
+// node classes classIndex last set: b.classes[r] of sample row r, and the
+// counts in b.classCounts.
 
-// classIndex maps the target codes present in rows to dense indices, in
-// order of first appearance.
-func (b *treeBuilder) classIndex(rows []int) map[int32]int {
-	idx := make(map[int32]int, min(b.t.Col(b.target).DomainSize(), len(rows)))
+// classIndex numbers the target classes present in rows densely, in
+// order of first appearance in rows: it sets b.classes[r] for each row,
+// and b.classIds[k] and b.classCounts[k] for each class k, and returns the
+// number of classes. The leaf and the Gini scorers scan classes in this
+// order, which their ties and float sums depend on.
+func (b *treeBuilder) classIndex(rows []int) int {
+	ids, classOf := b.s.ids[b.target], b.classOf
+	classIds, counts := b.classIds[:0], b.classCounts[:0]
 	for _, r := range rows {
-		c := b.t.Code(r, b.target)
-		if _, ok := idx[c]; !ok {
-			idx[c] = len(idx)
+		id := ids[r]
+		k := classOf[id]
+		if k == 0 {
+			classIds = append(classIds, id)
+			counts = append(counts, 0)
+			k = int32(len(classIds))
+			classOf[id] = k
 		}
+		b.classes[r] = int(k - 1)
+		counts[k-1]++
 	}
-	return idx
+	for _, id := range classIds {
+		classOf[id] = 0
+	}
+	b.classIds, b.classCounts = classIds, counts
+	return len(classIds)
+}
+
+// scanCounts returns a Gini scan's starting class counts over the node's
+// classes: none on the left, all on the right.
+func (b *treeBuilder) scanCounts() (left, right []int) {
+	nc := len(b.classCounts)
+	left, right = b.leftCounts[:nc], b.rightCounts[:nc]
+	clear(left)
+	copy(right, b.classCounts)
+	return left, right
 }
 
 func giniFromCounts(counts []int, total int) float64 {
@@ -41,20 +60,15 @@ func giniFromCounts(counts []int, total int) float64 {
 // numericSplitGini scans the thresholds of a numeric predictor keeping
 // running class counts over list, the node's rows in the predictor's
 // (value, row) order.
-func (b *treeBuilder) numericSplitGini(list []int32, classes []int, nc, attr int) (*Node, float64) {
-	xs := b.t.Col(attr).Floats
+func (b *treeBuilder) numericSplitGini(list []int32, attr int) (*Node, float64) {
+	xs, classes := b.t.Col(attr).Floats, b.classes
 	n := len(list)
-	// Comparisons, not bits: −0 and +0 differ in bits, but takeLeft
+	// Comparisons, not bits: −0 and +0 differ in bits, but routeRows
 	// routes them alike, so no threshold separates them.
 	if xs[list[0]] >= xs[list[n-1]] {
 		return nil, math.Inf(1)
 	}
-	totals := make([]int, nc)
-	for _, r := range list {
-		totals[classes[r]]++
-	}
-	leftCounts := make([]int, nc)
-	rightCounts := append([]int(nil), totals...)
+	leftCounts, rightCounts := b.scanCounts()
 	bestK, bestScore := 0, math.Inf(1)
 	for k := 1; k < n; k++ {
 		r := list[k-1]
@@ -80,65 +94,51 @@ func (b *treeBuilder) numericSplitGini(list []int32, classes []int, nc, attr int
 
 // categoricalSplitGini orders predictor codes by the proportion of the
 // parent's majority class and scans prefix partitions (exact for two
-// classes, a strong heuristic for more).
-func (b *treeBuilder) categoricalSplitGini(rows []int, classes []int, nc, attr int) (*Node, float64) {
-	type group struct {
-		code   int32
-		counts []int
-		n      int
-	}
-	// The hint is bounded by the node's rows: a predictor's dictionary may
-	// be far larger than the codes a node sees.
-	groups := make(map[int32]*group, min(b.t.Col(attr).DomainSize(), len(rows)))
+// classes, a strong heuristic for more). The groups keep their class
+// counts in b.groupCounts, one per node class each.
+func (b *treeBuilder) categoricalSplitGini(rows []int, attr int) (*Node, float64) {
+	ids, codes, nc := b.s.ids[attr], b.s.codes[attr], len(b.classCounts)
+	b.groupCounts = b.groupCounts[:0]
+	groups := b.groups[:0]
 	for _, r := range rows {
-		c := b.t.Code(r, attr)
-		g := groups[c]
-		if g == nil {
-			g = &group{code: c, counts: make([]int, nc)}
-			groups[c] = g
+		id := ids[r]
+		g := b.slot[id]
+		if g == 0 {
+			groups = append(groups, idGroup{id: id, code: codes[id], off: len(b.groupCounts)})
+			b.groupCounts = append(b.groupCounts, make([]int, nc)...)
+			g = int32(len(groups))
+			b.slot[id] = g
 		}
-		g.counts[classes[r]]++
-		g.n++
+		b.groupCounts[groups[g-1].off+b.classes[r]]++
+		groups[g-1].n++
 	}
+	b.groups = groups
+	b.clearSlots()
 	if len(groups) < 2 {
 		return nil, math.Inf(1)
 	}
-	totals := make([]int, nc)
-	n := 0
-	for _, g := range groups {
-		for cls, c := range g.counts {
-			totals[cls] += c
-		}
-		n += g.n
-	}
+	totals := b.classCounts
+	n := len(rows)
 	majorityClass := 0
 	for cls := 1; cls < nc; cls++ {
 		if totals[cls] > totals[majorityClass] {
 			majorityClass = cls
 		}
 	}
-	gs := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		gs = append(gs, g)
+	for i := range groups {
+		g := &groups[i]
+		g.key = float64(b.groupCounts[g.off+majorityClass]) / float64(g.n)
 	}
-	sort.Slice(gs, func(i, j int) bool {
-		pi := float64(gs[i].counts[majorityClass]) / float64(gs[i].n)
-		pj := float64(gs[j].counts[majorityClass]) / float64(gs[j].n)
-		if !floats.SameBits(pi, pj) {
-			return pi < pj
-		}
-		return gs[i].code < gs[j].code
-	})
+	sortGroups(groups)
 	bestK, bestScore := -1, math.Inf(1)
-	leftCounts := make([]int, nc)
-	rightCounts := append([]int(nil), totals...)
+	leftCounts, rightCounts := b.scanCounts()
 	cnt := 0
-	for k := 0; k < len(gs)-1; k++ {
-		for cls, c := range gs[k].counts {
+	for k := 0; k < len(groups)-1; k++ {
+		for cls, c := range b.groupCounts[groups[k].off : groups[k].off+nc] {
 			leftCounts[cls] += c
 			rightCounts[cls] -= c
 		}
-		cnt += gs[k].n
+		cnt += groups[k].n
 		if cnt < b.cfg.MinLeafRows || n-cnt < b.cfg.MinLeafRows {
 			continue
 		}
@@ -151,9 +151,5 @@ func (b *treeBuilder) categoricalSplitGini(rows []int, classes []int, nc, attr i
 	if bestK < 0 {
 		return nil, bestScore
 	}
-	left := make([]int32, bestK+1)
-	for i := range left {
-		left[i] = gs[i].code
-	}
-	return setSplit(attr, left), bestScore
+	return setSplit(attr, groups[:bestK+1]), bestScore
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/datagen"
@@ -16,14 +17,24 @@ import (
 	"repro/internal/table"
 )
 
-// refBuilder is the builder the sorted lists replaced, kept as the
-// reference Build must match: every node copies its rows' (predictor,
-// target) pairs and sorts them, and a numeric leaf sorts the target
-// values. Its comparators break ties by row, the order the sorted lists
-// keep. It shares the categorical scorers, classIndex and routeRows with
-// treeBuilder, which read rows in node order and never a sorted list.
+// refBuilder is the builder the sorted lists and the dense sample ids
+// replaced, kept as the reference Build must match: every node copies its
+// rows' (predictor, target) pairs and sorts them, a numeric leaf sorts
+// the target values, and classes and categorical groups are counted in
+// maps keyed by code, read through Table.Code. Its comparators break ties
+// by row, the order the sorted lists keep. It routes rows by takeLeft into
+// fresh slices. From treeBuilder it takes only the configuration and the
+// cost formulas: none of the scans Build runs.
 type refBuilder struct {
 	*treeBuilder
+}
+
+// takeLeft reports whether n's split sends row of t left.
+func (n *Node) takeLeft(t *table.Table, row int) bool {
+	if n.SplitIsCat {
+		return containsCode(n.SplitLeft, t.Code(row, n.SplitAttr))
+	}
+	return t.Float(row, n.SplitAttr) <= n.SplitValue
 }
 
 // referenceBuild grows the tree Build grows for valid arguments.
@@ -58,7 +69,18 @@ func sortPairs[Y any](ps []refPair[Y]) {
 
 func (b refBuilder) leaf(rows []int) (*Node, int) {
 	if b.kind != table.Numeric {
-		return b.treeBuilder.leaf(rows, 0)
+		counts := map[int32]int{}
+		for _, r := range rows {
+			counts[b.t.Code(r, b.target)]++
+		}
+		bestCode, bestCount := int32(0), -1
+		for code, c := range counts {
+			if c > bestCount || (c == bestCount && code < bestCode) {
+				bestCode, bestCount = code, c
+			}
+		}
+		chargeable := len(rows) - bestCount - int(b.tol*float64(len(rows)))
+		return &Node{Leaf: true, CatValue: bestCode}, max(chargeable, 0)
 	}
 	ps := make([]refPair[struct{}], len(rows))
 	for i, r := range rows {
@@ -124,6 +146,32 @@ func (b refBuilder) prune(n *Node, rows []int) (*Node, float64) {
 	return n, splitCost
 }
 
+// routeRows sends each row of rows to the side n's split takes it, in
+// order.
+func (b refBuilder) routeRows(n *Node, rows []int) (left, right []int) {
+	for _, r := range rows {
+		if n.takeLeft(b.t, r) {
+			left = append(left, r)
+		} else {
+			right = append(right, r)
+		}
+	}
+	return left, right
+}
+
+// classIndex maps the target codes present in rows to dense indices, in
+// order of first appearance.
+func (b refBuilder) classIndex(rows []int) map[int32]int {
+	idx := make(map[int32]int, min(b.t.Col(b.target).DomainSize(), len(rows)))
+	for _, r := range rows {
+		c := b.t.Code(r, b.target)
+		if _, ok := idx[c]; !ok {
+			idx[c] = len(idx)
+		}
+	}
+	return idx
+}
+
 func (b refBuilder) bestSplit(rows []int) *Node {
 	var ys []float64
 	var classes []int
@@ -132,7 +180,7 @@ func (b refBuilder) bestSplit(rows []int) *Node {
 		ys = b.t.Col(b.target).Floats
 	} else {
 		idx := b.classIndex(rows)
-		classes = b.classes
+		classes = make([]int, b.t.NumRows())
 		for _, r := range rows {
 			classes[r] = idx[b.t.Code(r, b.target)]
 		}
@@ -236,6 +284,153 @@ func (b refBuilder) numericSplitGini(rows []int, classes []int, nc, attr int) (*
 		return nil, bestScore
 	}
 	return thresholdSplit(attr, ps[bestK-1].x, ps[bestK].x), bestScore
+}
+
+func (b refBuilder) categoricalSplitGini(rows []int, classes []int, nc, attr int) (*Node, float64) {
+	type group struct {
+		code   int32
+		counts []int
+		n      int
+	}
+	groups := map[int32]*group{}
+	for _, r := range rows {
+		c := b.t.Code(r, attr)
+		g := groups[c]
+		if g == nil {
+			g = &group{code: c, counts: make([]int, nc)}
+			groups[c] = g
+		}
+		g.counts[classes[r]]++
+		g.n++
+	}
+	if len(groups) < 2 {
+		return nil, math.Inf(1)
+	}
+	totals := make([]int, nc)
+	n := 0
+	for _, g := range groups {
+		for cls, c := range g.counts {
+			totals[cls] += c
+		}
+		n += g.n
+	}
+	majorityClass := 0
+	for cls := 1; cls < nc; cls++ {
+		if totals[cls] > totals[majorityClass] {
+			majorityClass = cls
+		}
+	}
+	gs := make([]*group, 0, len(groups))
+	for _, g := range groups {
+		gs = append(gs, g)
+	}
+	sort.Slice(gs, func(i, j int) bool {
+		pi := float64(gs[i].counts[majorityClass]) / float64(gs[i].n)
+		pj := float64(gs[j].counts[majorityClass]) / float64(gs[j].n)
+		if !floats.SameBits(pi, pj) {
+			return pi < pj
+		}
+		return gs[i].code < gs[j].code
+	})
+	bestK, bestScore := -1, math.Inf(1)
+	leftCounts := make([]int, nc)
+	rightCounts := append([]int(nil), totals...)
+	cnt := 0
+	for k := 0; k < len(gs)-1; k++ {
+		for cls, c := range gs[k].counts {
+			leftCounts[cls] += c
+			rightCounts[cls] -= c
+		}
+		cnt += gs[k].n
+		if cnt < b.cfg.MinLeafRows || n-cnt < b.cfg.MinLeafRows {
+			continue
+		}
+		fl, fr := float64(cnt), float64(n-cnt)
+		score := (fl*giniFromCounts(leftCounts, cnt) + fr*giniFromCounts(rightCounts, n-cnt)) / float64(n)
+		if score < bestScore {
+			bestK, bestScore = k, score
+		}
+	}
+	if bestK < 0 {
+		return nil, bestScore
+	}
+	left := make([]int32, bestK+1)
+	for i := range left {
+		left[i] = gs[i].code
+	}
+	return refSetSplit(attr, left), bestScore
+}
+
+func (b refBuilder) categoricalSplitSSE(rows []int, ys []float64, attr int) (*Node, float64) {
+	type group struct {
+		code  int32
+		sum   float64
+		sumsq float64
+		n     int
+	}
+	groups := map[int32]*group{}
+	for _, r := range rows {
+		c := b.t.Code(r, attr)
+		g := groups[c]
+		if g == nil {
+			g = &group{code: c}
+			groups[c] = g
+		}
+		g.sum += ys[r]
+		g.sumsq += ys[r] * ys[r]
+		g.n++
+	}
+	if len(groups) < 2 {
+		return nil, math.Inf(1)
+	}
+	gs := make([]*group, 0, len(groups))
+	for _, g := range groups {
+		gs = append(gs, g)
+	}
+	sort.Slice(gs, func(i, j int) bool {
+		mi, mj := gs[i].sum/float64(gs[i].n), gs[j].sum/float64(gs[j].n)
+		if !floats.SameBits(mi, mj) {
+			return mi < mj
+		}
+		return gs[i].code < gs[j].code
+	})
+	total, totalsq, n := 0.0, 0.0, 0
+	for _, g := range gs {
+		total += g.sum
+		totalsq += g.sumsq
+		n += g.n
+	}
+	bestK, bestScore := -1, math.Inf(1)
+	sum, sumsq, cnt := 0.0, 0.0, 0
+	for k := 0; k < len(gs)-1; k++ {
+		sum += gs[k].sum
+		sumsq += gs[k].sumsq
+		cnt += gs[k].n
+		if cnt < b.cfg.MinLeafRows || n-cnt < b.cfg.MinLeafRows {
+			continue
+		}
+		fl, fr := float64(cnt), float64(n-cnt)
+		sseL := sumsq - sum*sum/fl
+		sseR := (totalsq - sumsq) - (total-sum)*(total-sum)/fr
+		if score := sseL + sseR; score < bestScore {
+			bestK, bestScore = k, score
+		}
+	}
+	if bestK < 0 {
+		return nil, bestScore
+	}
+	left := make([]int32, bestK+1)
+	for i := range left {
+		left[i] = gs[i].code
+	}
+	return refSetSplit(attr, left), bestScore
+}
+
+// refSetSplit is the categorical split routing the codes in left to the
+// left child; it sorts left in place.
+func refSetSplit(attr int, left []int32) *Node {
+	slices.Sort(left)
+	return &Node{SplitAttr: attr, SplitLeft: left, SplitIsCat: true}
 }
 
 // sameAsReference reports through t whether the tree and cost Build

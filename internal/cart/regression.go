@@ -1,9 +1,9 @@
 package cart
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/floats"
 )
@@ -18,7 +18,7 @@ import (
 func (b *treeBuilder) numericSplitSSE(list []int32, ys []float64, attr int) (*Node, float64) {
 	xs := b.t.Col(attr).Floats
 	n := len(list)
-	// Comparisons, not bits: −0 and +0 differ in bits, but takeLeft
+	// Comparisons, not bits: −0 and +0 differ in bits, but routeRows
 	// routes them alike, so no threshold separates them.
 	if xs[list[0]] >= xs[list[n-1]] {
 		return nil, math.Inf(1)
@@ -63,52 +63,42 @@ func thresholdSplit(attr int, lo, hi float64) *Node {
 // categoricalSplitSSE orders the predictor's codes by mean target value and
 // scans prefix partitions — the classic optimal-for-SSE ordering trick.
 func (b *treeBuilder) categoricalSplitSSE(rows []int, ys []float64, attr int) (*Node, float64) {
-	type group struct {
-		code  int32
-		sum   float64
-		sumsq float64
-		n     int
-	}
-	// The hint is bounded by the node's rows: a predictor's dictionary may
-	// be far larger than the codes a node sees.
-	groups := make(map[int32]*group, min(b.t.Col(attr).DomainSize(), len(rows)))
+	ids, codes := b.s.ids[attr], b.s.codes[attr]
+	groups := b.groups[:0]
 	for _, r := range rows {
-		c := b.t.Code(r, attr)
-		g := groups[c]
-		if g == nil {
-			g = &group{code: c}
-			groups[c] = g
+		id := ids[r]
+		g := b.slot[id]
+		if g == 0 {
+			groups = append(groups, idGroup{id: id, code: codes[id]})
+			g = int32(len(groups))
+			b.slot[id] = g
 		}
-		g.sum += ys[r]
-		g.sumsq += ys[r] * ys[r]
-		g.n++
+		gr := &groups[g-1]
+		gr.sum += ys[r]
+		gr.sumsq += ys[r] * ys[r]
+		gr.n++
 	}
+	b.groups = groups
+	b.clearSlots()
 	if len(groups) < 2 {
 		return nil, math.Inf(1)
 	}
-	gs := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		gs = append(gs, g)
+	for i := range groups {
+		groups[i].key = groups[i].sum / float64(groups[i].n)
 	}
-	sort.Slice(gs, func(i, j int) bool {
-		mi, mj := gs[i].sum/float64(gs[i].n), gs[j].sum/float64(gs[j].n)
-		if !floats.SameBits(mi, mj) {
-			return mi < mj
-		}
-		return gs[i].code < gs[j].code
-	})
+	sortGroups(groups)
 	total, totalsq, n := 0.0, 0.0, 0
-	for _, g := range gs {
+	for _, g := range groups {
 		total += g.sum
 		totalsq += g.sumsq
 		n += g.n
 	}
 	bestK, bestScore := -1, math.Inf(1)
 	sum, sumsq, cnt := 0.0, 0.0, 0
-	for k := 0; k < len(gs)-1; k++ {
-		sum += gs[k].sum
-		sumsq += gs[k].sumsq
-		cnt += gs[k].n
+	for k := 0; k < len(groups)-1; k++ {
+		sum += groups[k].sum
+		sumsq += groups[k].sumsq
+		cnt += groups[k].n
 		if cnt < b.cfg.MinLeafRows || n-cnt < b.cfg.MinLeafRows {
 			continue
 		}
@@ -122,16 +112,51 @@ func (b *treeBuilder) categoricalSplitSSE(rows []int, ys []float64, attr int) (*
 	if bestK < 0 {
 		return nil, bestScore
 	}
-	left := make([]int32, bestK+1)
-	for i := range left {
-		left[i] = gs[i].code
-	}
-	return setSplit(attr, left), bestScore
+	return setSplit(attr, groups[:bestK+1]), bestScore
 }
 
-// setSplit is the categorical split routing the codes in left to the left
-// child; it sorts left in place.
-func setSplit(attr int, left []int32) *Node {
-	slices.Sort(left)
-	return &Node{SplitAttr: attr, SplitLeft: left, SplitIsCat: true}
+// idGroup is a categorical scorer's group: a node's rows of one predictor
+// id.
+type idGroup struct {
+	id, code   int32
+	n          int     // rows
+	sum, sumsq float64 // the SSE scorer's target sums
+	off        int     // the Gini scorer's class counts at b.groupCounts[off:off+nc]
+	key        float64 // the order of the prefix scan
+}
+
+// clearSlots forgets the ids of b.groups, so the next scorer meets every
+// id afresh.
+func (b *treeBuilder) clearSlots() {
+	for _, g := range b.groups {
+		b.slot[g.id] = 0
+	}
+}
+
+// sortGroups orders groups by key, ties by code. Keys are compared by bits
+// first, as refBuilder's scorers compare them, so keys that differ only
+// in the sign of zero compare equal without a code tiebreak.
+func sortGroups(groups []idGroup) {
+	slices.SortFunc(groups, func(a, b idGroup) int {
+		switch {
+		case floats.SameBits(a.key, b.key):
+			return cmp.Compare(a.code, b.code)
+		case a.key < b.key:
+			return -1
+		case b.key < a.key:
+			return 1
+		}
+		return 0
+	})
+}
+
+// setSplit is the categorical split routing the codes of left to the left
+// child.
+func setSplit(attr int, left []idGroup) *Node {
+	codes := make([]int32, len(left))
+	for i, g := range left {
+		codes[i] = g.code
+	}
+	slices.Sort(codes)
+	return &Node{SplitAttr: attr, SplitLeft: codes, SplitIsCat: true}
 }

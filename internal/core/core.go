@@ -555,16 +555,14 @@ var snapCells = sync.Pool{New: func() any { return new([]float64) }}
 // materialized numeric attribute on T'. A cell v moves to the nearest
 // point of the attribute's 2e grid, g = float32(round(v/2e)·2e), when g
 // is within e of v and no split value s of a selected CaRT separates
-// them, that is (v ≤ s) ≠ (g ≤ s); otherwise v stays. With the split
-// values sorted, v and g lie on the same side of every one exactly when
-// a binary search puts them at the same position. So every CaRT follows
-// the same path on the snapped table as on t, and its predictions and
-// outliers are t's. A column's smallest and largest cells stay too, so
-// a decoded table's value ranges cover the original's and a quantile
-// tolerance resolved against them (query.Run) is no smaller than the
-// bound the cells were written under. The snapped columns share the
-// buffer *cells, grown as needed, and t is not written. snap returns the
-// table to encode and the cells it moved.
+// them, that is (v ≤ s) ≠ (g ≤ s); otherwise v stays. So every CaRT
+// follows the same path on the snapped table as on t, and its
+// predictions and outliers are t's. A column's smallest and largest
+// cells stay too, so a decoded table's value ranges cover the original's
+// and a quantile tolerance resolved against them (query.Run) is no
+// smaller than the bound the cells were written under. The snapped
+// columns share the buffer *cells, grown as needed, and t is not
+// written. snap returns the table to encode and the cells it moved.
 func snap(t *table.Table, materialized []int, resolved table.Tolerances, splits map[int][]float64, cells *[]float64) (*table.Table, int, error) {
 	var lossy []int
 	for _, a := range materialized {
@@ -582,23 +580,48 @@ func snap(t *table.Table, materialized []int, resolved table.Tolerances, splits 
 	}
 	*cells = slices.Grow((*cells)[:0], len(lossy)*n)[:len(lossy)*n]
 	for i, a := range lossy {
-		e, sp := resolved[a].Value, splits[a]
-		lo, hi := cols[a].MinMax()
 		out := (*cells)[i*n : (i+1)*n : (i+1)*n]
-		for r, v := range cols[a].Floats {
-			out[r] = v
-			g := float64(float32(math.Round(v/(2*e)) * 2 * e))
-			vi, _ := slices.BinarySearch(sp, v)
-			gi, _ := slices.BinarySearch(sp, g)
-			if g != v && math.Abs(g-v) <= e && gi == vi && v > lo && v < hi {
-				out[r] = g
-				moved++
-			}
-		}
+		moved += snapColumn(out, cols[a], resolved[a].Value, splits[a])
 		cols[a] = &table.Column{Kind: table.Numeric, Floats: out}
 	}
-	snapped, err := table.New(t.Schema(), cols)
+	snapped, err := t.WithColumns(cols)
 	return snapped, moved, err
+}
+
+// snapColumn writes col's cells to out, each snapped to the 2e grid as
+// snap describes, with sp the column's split values sorted, and returns
+// the cells it moved. A cell is kept without a search when g == v, when
+// g is farther than e from v, or when v is the column's minimum or
+// maximum. Otherwise one search finds i, the count of split values
+// below v, and v and g lie on the same side of every split exactly when
+// no split value lies in [v, g) or [g, v): the neighbouring split on g's
+// side, sp[i] above v or sp[i-1] below it, is the only one to compare.
+func snapColumn(out []float64, col *table.Column, e float64, sp []float64) int {
+	src := col.Floats
+	copy(out, src)
+	lo, hi := col.MinMax()
+	twoE, moved := 2*e, 0
+	for r, v := range src {
+		g := float64(float32(math.Round(v/twoE) * 2 * e))
+		if g == v || !(math.Abs(g-v) <= e) || v <= lo || v >= hi {
+			continue
+		}
+		i, j := 0, len(sp)
+		for i < j {
+			h := int(uint(i+j) >> 1)
+			if sp[h] < v {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		if g > v && i < len(sp) && sp[i] < g || g < v && i > 0 && sp[i-1] >= g {
+			continue
+		}
+		out[r] = g
+		moved++
+	}
+	return moved
 }
 
 // collectSplitValues walks every selected model and gathers, per

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // The raw binary format defines the "uncompressed input size" used as the
@@ -100,10 +101,18 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := readRecords(br, cols, nrows); err != nil {
+	nonFinite, err := readRecords(br, cols, nrows)
+	if err != nil {
 		return nil, err
 	}
-	return New(schema, cols)
+	// readRecords checked every code and cell, so the table is assembled
+	// without a second scan, reporting what New would.
+	return assemble(schema, cols, func(i int, _ *Column) error {
+		if nonFinite[i] >= 0 {
+			return notFinite(i, nonFinite[i])
+		}
+		return nil
+	})
 }
 
 // readBinaryHeader reads the magic, schema and row count of a raw binary
@@ -142,29 +151,104 @@ func readBinaryHeader(br *bufio.Reader) (Schema, []*Column, uint64, error) {
 	return schema, cols, nrows, nil
 }
 
-// readRecords appends nrows fixed-length records to cols. It reads whole
-// records in blocks of at most readBlockBytes and decodes them row by
-// row. A stream that ends or fails inside a record is reported at the
-// field it cuts, as reading field by field would: io.EOF when the field
-// got no byte, io.ErrUnexpectedEOF when it got some, after any bad code
-// in the record's earlier fields.
-func readRecords(br *bufio.Reader, cols []*Column, nrows uint64) error {
+// readRecords appends nrows fixed-length records to cols and returns, by
+// column, the first row whose numeric value is not finite, or -1. It
+// reads whole records in blocks of at most readBlockBytes and decodes a
+// full block column by column (see decodeBlock). A block the stream cuts
+// short, or one holding a code outside its dictionary, is walked field by
+// field (see recordError) for the error reading field by field gives.
+func readRecords(br *bufio.Reader, cols []*Column, nrows uint64) ([]int, error) {
 	widths := make([]int, len(cols))
 	recBytes := 0
 	for i, c := range cols {
 		widths[i] = cellBytes(c)
 		recBytes += widths[i]
 	}
+	nonFinite := make([]int, len(cols))
+	for i := range nonFinite {
+		nonFinite[i] = -1
+	}
 	perBlock := uint64(max(1, readBlockBytes/recBytes))
 	block := make([]byte, min(nrows, perBlock)*uint64(recBytes))
-	var rec []byte
-	var readErr error
-	for r := uint64(0); r < nrows; r++ {
-		if len(rec) == 0 && readErr == nil {
-			var n int
-			n, readErr = io.ReadFull(br, block[:min(nrows-r, perBlock)*uint64(recBytes)])
-			rec = block[:n]
+	for r := uint64(0); r < nrows; {
+		k := min(nrows-r, perBlock)
+		n, err := io.ReadFull(br, block[:k*uint64(recBytes)])
+		if err == nil && decodeBlock(cols, block[:n], int(k), widths, int(r), nonFinite) {
+			r += k
+			continue
 		}
+		return nil, recordError(cols, block[:n], err, widths, r)
+	}
+	return nonFinite, nil
+}
+
+// decodeBlock appends the k whole records of block to cols, one column at
+// a time, and sets nonFinite[i] to the first row, counted from base, whose
+// value in numeric column i is not finite, unless it is already set. It
+// reports false for a block holding a code outside its dictionary,
+// leaving some of the block appended. A categorical cell is at most three
+// bytes wide, as readBinaryHeader caps a dictionary at 2^22 entries, so no
+// code is negative.
+func decodeBlock(cols []*Column, block []byte, k int, widths []int, base int, nonFinite []int) bool {
+	recBytes := len(block) / k
+	off := 0
+	for i, c := range cols {
+		w := widths[i]
+		cells := block[off:]
+		off += w
+		if c.Kind == Numeric {
+			var dst []float64
+			c.Floats, dst = extend(c.Floats, k)
+			for j, p := 0, 0; j < k; j, p = j+1, p+recBytes {
+				bits := binary.LittleEndian.Uint32(cells[p : p+4])
+				if bits&0x7f800000 == 0x7f800000 && nonFinite[i] < 0 {
+					nonFinite[i] = base + j
+				}
+				dst[j] = float64(math.Float32frombits(bits))
+			}
+			continue
+		}
+		var dst []int32
+		c.Codes, dst = extend(c.Codes, k)
+		top := int32(0)
+		switch w {
+		case 1:
+			for j, p := 0, 0; j < k; j, p = j+1, p+recBytes {
+				dst[j] = int32(cells[p])
+				top = max(top, dst[j])
+			}
+		case 2:
+			for j, p := 0, 0; j < k; j, p = j+1, p+recBytes {
+				dst[j] = int32(binary.LittleEndian.Uint16(cells[p : p+2]))
+				top = max(top, dst[j])
+			}
+		default:
+			for j, p := 0, 0; j < k; j, p = j+1, p+recBytes {
+				dst[j] = cellCode(cells[p : p+w])
+				top = max(top, dst[j])
+			}
+		}
+		if int(top) >= len(c.Dict) {
+			return false
+		}
+	}
+	return true
+}
+
+// extend grows s by k elements and returns it with its new tail.
+func extend[T any](s []T, k int) (grown, tail []T) {
+	n := len(s)
+	s = slices.Grow(s, k)[:n+k]
+	return s, s[n:]
+}
+
+// recordError walks rec, the bytes from record r on that a block read got
+// before readErr, field by field and returns the error of the first field
+// it cannot decode: a code outside its dictionary, or a field the stream
+// cut, reported as reading field by field would, io.EOF when the field
+// got no byte and io.ErrUnexpectedEOF when it got some.
+func recordError(cols []*Column, rec []byte, readErr error, widths []int, r uint64) error {
+	for ; ; r++ {
 		for i, c := range cols {
 			w := widths[i]
 			if len(rec) < w {
@@ -176,28 +260,12 @@ func readRecords(br *bufio.Reader, cols []*Column, nrows uint64) error {
 				}
 				return fmt.Errorf("table: reading record %d: %w", r, readErr)
 			}
-			if !appendCell(c, rec[:w]) {
-				return fmt.Errorf("table: record %d has code %d outside dictionary of %d", r, cellCode(rec[:w]), len(c.Dict))
+			if code := cellCode(rec[:w]); c.Kind == Categorical && int(code) >= len(c.Dict) {
+				return fmt.Errorf("table: record %d has code %d outside dictionary of %d", r, code, len(c.Dict))
 			}
 			rec = rec[w:]
 		}
 	}
-	return nil
-}
-
-// appendCell decodes cell, one field of a record, and appends it to c. It
-// reports false, appending nothing, for a code outside c's dictionary.
-func appendCell(c *Column, cell []byte) bool {
-	if c.Kind == Numeric {
-		c.Floats = append(c.Floats, float64(math.Float32frombits(binary.LittleEndian.Uint32(cell))))
-		return true
-	}
-	code := cellCode(cell)
-	if int(code) >= len(c.Dict) {
-		return false
-	}
-	c.Codes = append(c.Codes, code)
-	return true
 }
 
 // cellCode decodes a categorical cell, a little-endian code of 1–4 bytes.

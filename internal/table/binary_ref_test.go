@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -138,6 +139,68 @@ func TestReadBinaryMatchesByField(t *testing.T) {
 		for cut := boundary - 2*recBytes; cut <= min(boundary+2*recBytes, len(data)); cut++ {
 			sameAsByField(t, data[:cut], nil)
 			sameAsByField(t, data[:cut], errRead)
+		}
+	}
+}
+
+// acrossBlocks returns raw streams of one table of more than two read
+// blocks: whole; with a code outside its dictionary in the last record
+// of the second block; cut inside a record of the last block; with both
+// faults, where the bad code is reported; and whole with a NaN and an
+// infinity in different blocks and columns, where the earlier column's
+// is reported, as New reports it.
+func acrossBlocks(tb testing.TB) [][]byte {
+	const recBytes = 11 // float32, two-byte code, float32, one-byte code
+	perBlock := readBlockBytes / recBytes
+	rows := 2*perBlock + 50
+	dict := make([]string, 300)
+	for i := range dict {
+		dict[i] = fmt.Sprint("v", i)
+	}
+	b := MustBuilder(Schema{{Name: "n", Kind: Numeric}, {Name: "c", Kind: Categorical}, {Name: "m", Kind: Numeric}, {Name: "s", Kind: Categorical}})
+	for r := range rows {
+		b.MustAppendRow(float64(r)/4, dict[(r*7)%len(dict)], -float64(r), []string{"x", "y", "z"}[r%3])
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, b.MustBuild()); err != nil {
+		tb.Fatal(err)
+	}
+	whole := buf.Bytes()
+	recStart := len(whole) - rows*recBytes
+	at := func(r, field int) int { return recStart + r*recBytes + field }
+
+	badCode := bytes.Clone(whole)
+	badCode[at(2*perBlock-1, 4)], badCode[at(2*perBlock-1, 5)] = 0xFF, 0xFF
+	cut := at(rows-3, 5) // inside the two-byte code of a record of the last block
+	nonFinite := bytes.Clone(whole)
+	binary.LittleEndian.PutUint32(nonFinite[at(100, 6):], math.Float32bits(float32(math.NaN())))
+	binary.LittleEndian.PutUint32(nonFinite[at(2*perBlock+10, 0):], math.Float32bits(float32(math.Inf(1))))
+	return [][]byte{whole, badCode, whole[:cut], badCode[:cut], nonFinite}
+}
+
+// TestReadBinaryAcrossBlocks reads the acrossBlocks streams, each ending
+// and failing where it is cut, and requires ReadBinary to answer each as
+// the field-by-field reader does: full blocks decode column by column,
+// and a faulty or cut block reports the field reading field by field
+// stops at.
+func TestReadBinaryAcrossBlocks(t *testing.T) {
+	streams := acrossBlocks(t)
+	for _, data := range streams {
+		sameAsByField(t, data, nil)
+		sameAsByField(t, data, errRead)
+	}
+	perBlock := readBlockBytes / 11 // acrossBlocks' records are 11 bytes wide
+	badCode := fmt.Sprintf("record %d has code 65535", 2*perBlock-1)
+	for i, want := range []string{
+		"",
+		badCode,
+		fmt.Sprintf("reading record %d: unexpected EOF", 2*perBlock+47),
+		badCode,
+		fmt.Sprintf("column 0 row %d is not finite", 2*perBlock+10),
+	} {
+		_, err := ReadBinary(bytes.NewReader(streams[i]))
+		if (err == nil) != (want == "") || err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("stream %d: ReadBinary error %v, want one naming %q", i, err, want)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package table
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -193,5 +195,58 @@ func TestToleranceResolveErrors(t *testing.T) {
 	bad3[3].Quantile = true
 	if _, err := bad3.Resolve(tb); err == nil {
 		t.Error("Resolve accepted quantile tolerance on categorical attribute")
+	}
+}
+
+// TestReadBinaryAllocations pins that ReadBinary allocates per call, not
+// per record or cell: reading 32k rows of a table of float cells and one-,
+// two- and three-byte codes, eight times the rows of the small read and
+// several read blocks each, may add at most growthSlack allocations. Both
+// tables have the same dictionaries, and the columns are sized up front
+// (up to 2^16 rows), so a defer or a scratch value escaping in the block
+// decoder's column loops adds one per record.
+func TestReadBinaryAllocations(t *testing.T) {
+	const small, large, growthSlack = 4000, 32000, 8
+	schema := Schema{{Name: "x", Kind: Numeric}, {Name: "s", Kind: Categorical}, {Name: "m", Kind: Categorical}, {Name: "w", Kind: Categorical}}
+	encode := func(rows int) []byte {
+		cols := []*Column{{Kind: Numeric, Floats: make([]float64, rows)}}
+		for _, size := range []int{5, 300, 1 << 17} {
+			c := &Column{Kind: Categorical, Codes: make([]int32, rows), Dict: make([]string, size)}
+			for i := range c.Dict {
+				c.Dict[i] = strconv.Itoa(i)
+			}
+			for r := range c.Codes {
+				c.Codes[r] = int32(r * 13 % size)
+			}
+			cols = append(cols, c)
+		}
+		for r := range rows {
+			cols[0].Floats[r] = float64(r) / 8
+		}
+		tb, err := New(schema, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, tb); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	read := func(data []byte) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	a, b := read(encode(small)), read(encode(large))
+	t.Logf("%d allocations at %d rows, %d at %d", a, small, b, large)
+	if b > a+growthSlack {
+		t.Errorf("ReadBinary allocates per record: %d allocations at %d rows, %d at %d, want ≤ %d",
+			a, small, b, large, a+growthSlack)
 	}
 }

@@ -7,7 +7,9 @@ import (
 )
 
 // FuzzReadBinary asserts the raw binary table reader never panics and
-// reads every stream as the field-by-field reference reader does.
+// reads every stream as the field-by-field reference reader does. Beside
+// a 2-row table, the seeds hold the acrossBlocks streams, which fill more
+// than two read blocks, so the column-wise block decoder runs.
 func FuzzReadBinary(f *testing.F) {
 	b := MustBuilder(Schema{
 		{Name: "n", Kind: Numeric},
@@ -28,6 +30,9 @@ func FuzzReadBinary(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[len(rawMagic)+1] ^= 0x7F
 	f.Add(mutated)
+	for _, data := range acrossBlocks(f) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, err := ReadBinary(bytes.NewReader(data))

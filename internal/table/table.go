@@ -171,8 +171,28 @@ type Table struct {
 }
 
 // New constructs a table from a schema and matching columns. It validates
-// that kinds agree and all columns have equal length.
+// that kinds agree and all columns have equal length, and that every
+// categorical code indexes its dictionary and every numeric value is
+// finite.
 func New(schema Schema, cols []*Column) (*Table, error) {
+	return assemble(schema, cols, checkCells)
+}
+
+// WithColumns returns a table of t's schema over cols, one column per
+// attribute, checked as New checks them, except that the columns that
+// are t's own are not scanned again.
+func (t *Table) WithColumns(cols []*Column) (*Table, error) {
+	return assemble(t.schema, cols, func(i int, c *Column) error {
+		if c == t.cols[i] {
+			return nil
+		}
+		return checkCells(i, c)
+	})
+}
+
+// assemble is New with the scan of column i's cells left to cells(i, c),
+// which runs in column order between the column's kind and length checks.
+func assemble(schema Schema, cols []*Column, cells func(i int, c *Column) error) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,18 +207,8 @@ func New(schema Schema, cols []*Column) (*Table, error) {
 		if c.Kind != schema[i].Kind {
 			return nil, fmt.Errorf("table: column %d kind %v != schema kind %v", i, c.Kind, schema[i].Kind)
 		}
-		if c.Kind == Categorical {
-			for r, code := range c.Codes {
-				if int(code) < 0 || int(code) >= len(c.Dict) {
-					return nil, fmt.Errorf("table: column %d row %d code %d out of dictionary range %d", i, r, code, len(c.Dict))
-				}
-			}
-		} else {
-			for r, v := range c.Floats {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("table: column %d row %d is not finite", i, r)
-				}
-			}
+		if err := cells(i, c); err != nil {
+			return nil, err
 		}
 		if rows == -1 {
 			rows = c.Len()
@@ -210,6 +220,30 @@ func New(schema Schema, cols []*Column) (*Table, error) {
 		rows = 0
 	}
 	return &Table{schema: schema.Clone(), cols: cols, rows: rows}, nil
+}
+
+// checkCells reports the first categorical code of column i outside its
+// dictionary, or the first numeric value that is not finite.
+func checkCells(i int, c *Column) error {
+	if c.Kind == Categorical {
+		for r, code := range c.Codes {
+			if int(code) < 0 || int(code) >= len(c.Dict) {
+				return fmt.Errorf("table: column %d row %d code %d out of dictionary range %d", i, r, code, len(c.Dict))
+			}
+		}
+		return nil
+	}
+	for r, v := range c.Floats {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return notFinite(i, r)
+		}
+	}
+	return nil
+}
+
+// notFinite is New's error for row r of column i.
+func notFinite(i, r int) error {
+	return fmt.Errorf("table: column %d row %d is not finite", i, r)
 }
 
 // NumRows returns the number of tuples.

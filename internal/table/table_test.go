@@ -284,6 +284,38 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestWithColumns checks that a table rebuilt over its own columns and
+// new ones is checked as New checks it, except that its own columns are
+// not scanned again: a new column with a non-finite value or a bad code
+// is refused with New's error, a new ragged column too, and t's own
+// columns pass even when they hold a cell New would refuse.
+func TestWithColumns(t *testing.T) {
+	s := Schema{{Name: "a", Kind: Numeric}, {Name: "b", Kind: Categorical}}
+	numCol := &Column{Kind: Numeric, Floats: []float64{1, 2}}
+	catCol := &Column{Kind: Categorical, Codes: []int32{0, 1}, Dict: []string{"x", "y"}}
+	tb, err := New(s, []*Column{numCol, catCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := &Column{Kind: Numeric, Floats: []float64{1, math.NaN()}}
+	badCode := &Column{Kind: Categorical, Codes: []int32{0, 5}, Dict: []string{"x", "y"}}
+	for _, cols := range [][]*Column{{nan, catCol}, {numCol, badCode}, {{Kind: Numeric, Floats: []float64{1}}, catCol}} {
+		_, err := tb.WithColumns(cols)
+		_, want := New(s, cols)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("WithColumns error %v, want New's %v", err, want)
+		}
+	}
+	got, err := tb.WithColumns([]*Column{{Kind: Numeric, Floats: []float64{3, 4}}, catCol})
+	if err != nil || got.Float(1, 0) != 4 || got.Code(1, 1) != 1 {
+		t.Errorf("WithColumns over a new valid column: %v", err)
+	}
+	numCol.Floats[1] = math.Inf(1) // t's own column is trusted, not scanned again
+	if _, err := tb.WithColumns([]*Column{numCol, catCol}); err != nil {
+		t.Errorf("WithColumns scanned t's own column: %v", err)
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	tb := paperTable(t)
 	var sb strings.Builder
