@@ -146,10 +146,11 @@ func TestRetiredStreamRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := bytes.NewBufferString("SPRTN2\n")
-	if _, err := m.Block().Encode(stream); err != nil {
+	block, _, err := m.Block().Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
+	stream := bytes.NewBuffer(append([]byte("SPRTN2\n"), block...))
 	if _, err := m.Apply(context.Background(), stream, tb); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"runtime"
 	"runtime/debug"
@@ -264,5 +265,62 @@ func TestScanQueryAllocatesReadColumnsOnly(t *testing.T) {
 	}
 	if projected > columns+slack {
 		t.Errorf("query allocated %d bytes, want ≤ %d (columns) + %d", projected, columns, slack)
+	}
+}
+
+// TestModelEncodeAllocations pins what writing a many-model archive
+// allocates beyond the bytes it writes, on 2k rows learned at 1%:
+// codec.Writer.Close (the model block and footer) and one Model.Apply
+// (the snap, the outlier scan and the body), each the least of three
+// warm runs on one P. Forest has 22 models and CDR 4. Every section is
+// appended to one byte slice, and the measured excess is 6.2 KiB (CDR)
+// and 9.5 KiB (forest) for Close, 3.9 KiB and 163 KiB for Apply
+// (linux/amd64, go1.24). A 4 KiB bufio.Writer per model and per
+// section, as the sections were once written, measured 30 KiB and 105
+// KiB for Close, 20 KiB and 240 KiB for Apply.
+func TestModelEncodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumented appends allocate a copy of each buffer they grow")
+	}
+	ctx := context.Background()
+	for _, ds := range []struct {
+		name                   string
+		gen                    func(int, int64) *table.Table
+		closeSlack, applySlack uint64
+	}{
+		{"cdr", datagen.CDR, 16 << 10, 12 << 10},
+		{"forest", datagen.ForestCover, 16 << 10, 208 << 10},
+	} {
+		t.Run(ds.name, func(t *testing.T) {
+			tb := ds.gen(2000, 1)
+			m, err := core.Learn(ctx, tb, core.Options{Tolerances: table.UniformTolerances(tb, 0.01, 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var size int64
+			closeBytes := steadyAlloc(func() {
+				cw := codec.NewWriter(io.Discard)
+				if _, err := cw.Close(m.Block()); err != nil {
+					t.Fatal(err)
+				}
+				size = cw.Size()
+			})
+			var body int
+			applyBytes := steadyAlloc(func() {
+				st, err := m.Apply(ctx, io.Discard, tb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body = st.CompressedBytes
+			})
+			t.Logf("%d models: Close %d B for %d written, Apply %d B for %d written",
+				len(m.Block().Models), closeBytes, size, applyBytes, body)
+			if extra := closeBytes - min(closeBytes, uint64(size)); extra > ds.closeSlack {
+				t.Errorf("Close allocated %d bytes beyond its %d written, want ≤ %d", extra, size, ds.closeSlack)
+			}
+			if extra := applyBytes - min(applyBytes, uint64(body)); extra > ds.applySlack {
+				t.Errorf("Apply allocated %d bytes beyond its %d written, want ≤ %d", extra, body, ds.applySlack)
+			}
+		})
 	}
 }

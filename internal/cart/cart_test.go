@@ -479,21 +479,22 @@ func TestModelEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := m.Encode(&buf); err != nil {
+		data, err := m.AppendBinary(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := EncodeOutliers(&buf, m.TargetKind, outliers); err != nil {
+		if data, err = AppendOutliers(data, m.TargetKind, outliers); err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeModel(&buf)
+		buf := bytes.NewReader(data)
+		got, err := DecodeModel(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Target != m.Target || got.TargetKind != m.TargetKind {
 			t.Fatalf("decoded header mismatch: %+v vs %+v", got, m)
 		}
-		decoded, err := DecodeOutliers(&buf, m.TargetKind, tb.NumRows(), len(tb.Col(m.Target).Dict))
+		decoded, err := DecodeOutliers(buf, m.TargetKind, tb.NumRows(), len(tb.Col(m.Target).Dict))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,11 +520,10 @@ func TestDecodeModelRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
+	data, err := m.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
 	if _, err := DecodeModel(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Error("DecodeModel accepted truncated stream")
 	}
@@ -678,8 +678,8 @@ func TestDecodeModelRejectsHostileWireValues(t *testing.T) {
 
 func TestEncodeRejectsUnorderedOutliers(t *testing.T) {
 	outliers := []Outlier{{Row: 5, Num: 1}, {Row: 2, Num: 2}}
-	if err := EncodeOutliers(&bytes.Buffer{}, table.Numeric, outliers); err == nil {
-		t.Error("EncodeOutliers accepted out-of-order outliers")
+	if _, err := AppendOutliers(nil, table.Numeric, outliers); err == nil {
+		t.Error("AppendOutliers accepted out-of-order outliers")
 	}
 }
 

@@ -1,7 +1,6 @@
 package cart
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -59,7 +58,7 @@ func TestBuildDigest(t *testing.T) {
 // digestTrees hashes the trees and costs TestBuildDigest builds on tb.
 func digestTrees(t *testing.T, tb *table.Table) []byte {
 	h := sha256.New()
-	var buf bytes.Buffer
+	var buf []byte
 	var word [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(word[:], v)
@@ -75,12 +74,11 @@ func digestTrees(t *testing.T, tb *table.Table) []byte {
 			if err != nil {
 				t.Fatalf("target %d mode %d: %v", target, mode, err)
 			}
-			buf.Reset()
-			if err := m.Encode(&buf); err != nil {
+			if buf, err = m.AppendBinary(buf[:0]); err != nil {
 				t.Fatalf("target %d mode %d: %v", target, mode, err)
 			}
-			put(uint64(buf.Len()))
-			_, _ = h.Write(buf.Bytes())
+			put(uint64(len(buf)))
+			_, _ = h.Write(buf)
 			put(math.Float64bits(cost))
 		}
 	}

@@ -111,11 +111,10 @@ func TestFlatWalkMatchesPointerWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
+	valid, err := m.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
 	mutated := append([]byte(nil), valid...)
 	mutated[0] ^= 0x01
 	for i, data := range [][]byte{valid, mutated} {

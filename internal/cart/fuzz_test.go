@@ -26,14 +26,13 @@ func FuzzDecodeModel(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
+	valid, err := m.AppendBinary(nil)
+	if err != nil {
 		f.Fatal(err)
 	}
-	if err := EncodeOutliers(&buf, m.TargetKind, outliers); err != nil {
+	if valid, err = AppendOutliers(valid, m.TargetKind, outliers); err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)/2])
@@ -177,20 +176,20 @@ func FuzzBuild(f *testing.F) {
 			t.Fatalf("reconstruction violates tolerance %g:\n%s", tol, m)
 		}
 		checkFlatWalk(t, "fuzz", m, tb)
-		var enc bytes.Buffer
-		if err := m.Encode(&enc); err != nil {
-			t.Fatal(err)
-		}
-		dm, err := DecodeModel(bytes.NewReader(enc.Bytes()))
+		enc, err := m.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var again bytes.Buffer
-		if err := dm.Encode(&again); err != nil {
+		dm, err := DecodeModel(bytes.NewReader(enc))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(enc.Bytes(), again.Bytes()) {
-			t.Fatal("Encode(DecodeModel(Encode(m))) differs from Encode(m)")
+		again, err := dm.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) {
+			t.Fatal("AppendBinary(DecodeModel(AppendBinary(m))) differs from AppendBinary(m)")
 		}
 		checkFlatWalk(t, "fuzz decoded", dm, tb)
 	})

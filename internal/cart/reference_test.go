@@ -439,14 +439,15 @@ func refSetSplit(attr int, left []int32) *Node {
 func sameAsReference(t *testing.T, m *Model, cost float64, s *Sample, target int, cands []int, tol float64, cm *CostModel, cfg Config) bool {
 	t.Helper()
 	ref, refCost := referenceBuild(s, target, cands, tol, cm, cfg)
-	var got, want bytes.Buffer
-	if err := m.Encode(&got); err != nil {
+	got, err := m.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Encode(&want); err != nil {
+	want, err := ref.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return bytes.Equal(got.Bytes(), want.Bytes()) && math.Float64bits(cost) == math.Float64bits(refCost)
+	return bytes.Equal(got, want) && math.Float64bits(cost) == math.Float64bits(refCost)
 }
 
 // defaultSampleBytes is core.Options' default SampleBytes, the budget of
@@ -506,11 +507,11 @@ func TestSampleSharedByConcurrentBuilds(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := m.Encode(&buf); err != nil {
+		buf, err := m.AppendBinary(nil)
+		if err != nil {
 			return nil, err
 		}
-		return binary.LittleEndian.AppendUint64(buf.Bytes(), math.Float64bits(cost)), nil
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(cost)), nil
 	}
 	want := make([][]byte, tb.NumCols())
 	for target := range want {

@@ -1,7 +1,6 @@
 package cart
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -35,26 +34,21 @@ const (
 	tagInternalCat
 )
 
-// Encode writes the model's target, kind and tree to w. Its outliers are
-// not written; see EncodeOutliers.
-func (m *Model) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := putUvarint(bw, uint64(m.Target)); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(byte(m.TargetKind)); err != nil {
-		return err
-	}
-	if err := encodeNode(bw, m.Root, m.TargetKind); err != nil {
-		return err
-	}
-	return bw.Flush()
+// AppendBinary appends the model's target, kind and tree to dst. Its
+// outliers are not written; see AppendOutliers.
+func (m *Model) AppendBinary(dst []byte) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(m.Target))
+	dst = append(dst, byte(m.TargetKind))
+	return appendNode(dst, m.Root, m.TargetKind)
 }
 
-// DecodeModel reads a model written by Encode. The returned model has no
-// outliers. A numeric leaf value must be finite.
-func DecodeModel(r io.Reader) (*Model, error) {
-	br := asByteReader(r)
+// DecodeModel reads a model written by AppendBinary, consuming exactly
+// its bytes of br. The returned model has no outliers. A numeric leaf
+// value must be finite.
+func DecodeModel(br interface {
+	io.Reader
+	io.ByteReader
+}) (*Model, error) {
 	target, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("cart: reading model target: %w", err)
@@ -77,41 +71,36 @@ func DecodeModel(r io.Reader) (*Model, error) {
 	return &Model{Target: int(target), TargetKind: kind, Root: root}, nil
 }
 
-// EncodeOutliers writes the outliers of a target of the given kind to w.
-// They must be in increasing row order, as the outlier scan produces
-// them.
-func EncodeOutliers(w io.Writer, kind table.Kind, outliers []Outlier) error {
-	bw := bufio.NewWriter(w)
-	if err := putUvarint(bw, uint64(len(outliers))); err != nil {
-		return err
-	}
+// AppendOutliers appends the outliers of a target of the given kind to
+// dst. They must be in increasing row order, as the outlier scan
+// produces them.
+func AppendOutliers(dst []byte, kind table.Kind, outliers []Outlier) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(outliers)))
 	prev := 0
 	for _, o := range outliers {
 		if o.Row < prev {
-			return fmt.Errorf("cart: outliers not in increasing row order (%d after %d)", o.Row, prev)
+			return nil, fmt.Errorf("cart: outliers not in increasing row order (%d after %d)", o.Row, prev)
 		}
-		if err := putUvarint(bw, uint64(o.Row-prev)); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, uint64(o.Row-prev))
 		prev = o.Row
 		if kind == table.Numeric {
-			if err := putFloat32(bw, o.Num); err != nil {
-				return err
-			}
-		} else if err := putUvarint(bw, uint64(o.Code)); err != nil {
-			return err
+			dst = appendFloat32(dst, o.Num)
+		} else {
+			dst = binary.AppendUvarint(dst, uint64(o.Code))
 		}
 	}
-	return bw.Flush()
+	return dst, nil
 }
 
-// DecodeOutliers reads outliers written by EncodeOutliers for a target of
-// the given kind. Every row must lie in [0, rows), every numeric value
-// must be finite and, for a categorical target, every code in
-// [0, dictSize): a decoded outlier is then safe to patch into a
-// reconstructed column.
-func DecodeOutliers(r io.Reader, kind table.Kind, rows, dictSize int) ([]Outlier, error) {
-	br := asByteReader(r)
+// DecodeOutliers reads outliers written by AppendOutliers for a target
+// of the given kind, consuming exactly their bytes of br. Every row must
+// lie in [0, rows), every numeric value must be finite and, for a
+// categorical target, every code in [0, dictSize): a decoded outlier is
+// then safe to patch into a reconstructed column.
+func DecodeOutliers(br interface {
+	io.Reader
+	io.ByteReader
+}, kind table.Kind, rows, dictSize int) ([]Outlier, error) {
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("cart: reading outlier count: %w", err)
@@ -159,52 +148,30 @@ func DecodeOutliers(r io.Reader, kind table.Kind, rows, dictSize int) ([]Outlier
 	return out, nil
 }
 
-func encodeNode(bw *bufio.Writer, n *Node, kind table.Kind) error {
+func appendNode(dst []byte, n *Node, kind table.Kind) ([]byte, error) {
 	if n == nil {
-		return fmt.Errorf("cart: nil node in tree")
+		return nil, fmt.Errorf("cart: nil node in tree")
 	}
-	if n.Leaf {
-		if kind == table.Numeric {
-			if err := bw.WriteByte(tagLeafNum); err != nil {
-				return err
-			}
-			return putFloat32(bw, n.NumValue)
-		}
-		if err := bw.WriteByte(tagLeafCat); err != nil {
-			return err
-		}
-		return putUvarint(bw, uint64(n.CatValue))
-	}
-	if n.SplitIsCat {
-		if err := bw.WriteByte(tagInternalCat); err != nil {
-			return err
-		}
-		if err := putUvarint(bw, uint64(n.SplitAttr)); err != nil {
-			return err
-		}
-		if err := putUvarint(bw, uint64(len(n.SplitLeft))); err != nil {
-			return err
-		}
+	switch {
+	case n.Leaf && kind == table.Numeric:
+		return appendFloat32(append(dst, tagLeafNum), n.NumValue), nil
+	case n.Leaf:
+		return binary.AppendUvarint(append(dst, tagLeafCat), uint64(n.CatValue)), nil
+	case n.SplitIsCat:
+		dst = binary.AppendUvarint(append(dst, tagInternalCat), uint64(n.SplitAttr))
+		dst = binary.AppendUvarint(dst, uint64(len(n.SplitLeft)))
 		for _, c := range n.SplitLeft {
-			if err := putUvarint(bw, uint64(c)); err != nil {
-				return err
-			}
+			dst = binary.AppendUvarint(dst, uint64(c))
 		}
-	} else {
-		if err := bw.WriteByte(tagInternalNum); err != nil {
-			return err
-		}
-		if err := putUvarint(bw, uint64(n.SplitAttr)); err != nil {
-			return err
-		}
-		if err := putFloat32(bw, n.SplitValue); err != nil {
-			return err
-		}
+	default:
+		dst = binary.AppendUvarint(append(dst, tagInternalNum), uint64(n.SplitAttr))
+		dst = appendFloat32(dst, n.SplitValue)
 	}
-	if err := encodeNode(bw, n.Left, kind); err != nil {
-		return err
+	dst, err := appendNode(dst, n.Left, kind)
+	if err != nil {
+		return nil, err
 	}
-	return encodeNode(bw, n.Right, kind)
+	return appendNode(dst, n.Right, kind)
 }
 
 const maxTreeDepth = 512 // defends against malformed recursive input
@@ -291,16 +258,8 @@ func decodeNode(br byteReader, kind table.Kind, depth int) (*Node, error) {
 	}
 }
 
-// putUvarint and putFloat32 append into the writer's free buffer, so
-// writing an outlier does not heap-allocate a scratch array per value.
-func putUvarint(bw *bufio.Writer, v uint64) error {
-	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
-	return err
-}
-
-func putFloat32(bw *bufio.Writer, v float64) error {
-	_, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), math.Float32bits(float32(v))))
-	return err
+func appendFloat32(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
 }
 
 // readFloat32 reads the four little-endian bytes one ReadByte at a
@@ -323,18 +282,10 @@ func readFloat32(br byteReader) (float64, error) {
 	return float64(math.Float32frombits(bits)), nil
 }
 
-// byteReader is what the decoders read from. Readers that already have
-// ReadByte (bufio.Reader, bytes.Reader, bytes.Buffer) are used as they
-// are, so a decoder consumes exactly its own bytes and the next one can
-// continue from the same reader.
+// byteReader is what the decoders read from: a reader with ReadByte
+// (bytes.Reader, bytes.Buffer) reads no further than the bytes a decoder
+// consumes, so the next one can continue from the same reader.
 type byteReader interface {
 	io.Reader
 	io.ByteReader
-}
-
-func asByteReader(r io.Reader) byteReader {
-	if br, ok := r.(byteReader); ok {
-		return br
-	}
-	return bufio.NewReader(r)
 }

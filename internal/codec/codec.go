@@ -18,7 +18,6 @@
 package codec
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"context"
@@ -92,53 +91,38 @@ func NewModelBlock(src *table.Table, materialized []int, models []*cart.Model) (
 	return mb, nil
 }
 
-// Encode writes the model block: the byte length and CRC-32 of its
+// Encode returns the model block: the byte length and CRC-32 of its
 // payload, then the payload (schema with dictionaries, recorded
 // tolerances, materialized attributes, model count and trees). It
 // refuses a tolerance the decoder would refuse.
-func (mb *ModelBlock) Encode(w io.Writer) (Breakdown, error) {
+func (mb *ModelBlock) Encode() ([]byte, Breakdown, error) {
 	var bd Breakdown
 	if len(mb.Tolerances) != len(mb.Schema) {
-		return bd, fmt.Errorf("codec: %d tolerances for %d attributes", len(mb.Tolerances), len(mb.Schema))
+		return nil, bd, fmt.Errorf("codec: %d tolerances for %d attributes", len(mb.Tolerances), len(mb.Schema))
 	}
-	var payload bytes.Buffer
-	pw := bufio.NewWriter(&payload)
-	if err := table.WriteSchema(pw, mb.Schema, mb.Dicts); err != nil {
-		return bd, err
-	}
+	payload := table.AppendSchema(nil, mb.Schema, mb.Dicts)
 	for i, e := range mb.Tolerances {
 		if err := checkTolerance(mb.Schema, i, e.Value); err != nil {
-			return bd, err
+			return nil, bd, err
 		}
-		if _, err := pw.Write(binary.LittleEndian.AppendUint64(pw.AvailableBuffer(), math.Float64bits(e.Value))); err != nil {
-			return bd, err
-		}
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(e.Value))
 	}
-	if err := putUvarint(pw, uint64(len(mb.Materialized))); err != nil {
-		return bd, err
-	}
+	payload = binary.AppendUvarint(payload, uint64(len(mb.Materialized)))
 	for _, a := range mb.Materialized {
-		if err := putUvarint(pw, uint64(a)); err != nil {
-			return bd, err
-		}
+		payload = binary.AppendUvarint(payload, uint64(a))
 	}
-	if err := pw.Flush(); err != nil {
-		return bd, err
-	}
-	header := payload.Len()
-	_, _ = payload.Write(binary.AppendUvarint(nil, uint64(len(mb.Models)))) // bytes.Buffer writes cannot fail
+	header := len(payload)
+	payload = binary.AppendUvarint(payload, uint64(len(mb.Models)))
 	for _, m := range mb.Models {
-		if err := m.Encode(&payload); err != nil {
-			return bd, err
+		var err error
+		if payload, err = m.AppendBinary(payload); err != nil {
+			return nil, bd, err
 		}
 	}
-	n, err := writeChecked(w, payload.Bytes())
-	if err != nil {
-		return bd, err
-	}
-	bd.HeaderBytes = n - payload.Len() + header
-	bd.ModelBytes = payload.Len() - header
-	return bd, nil
+	block := appendChecked(nil, payload)
+	bd.HeaderBytes = len(block) - len(payload) + header
+	bd.ModelBytes = len(payload) - header
+	return block, bd, nil
 }
 
 // EncodeBody writes one body: src's row count, the outliers (outliers[i]
@@ -154,10 +138,10 @@ func (mb *ModelBlock) EncodeBody(w io.Writer, src *table.Table, outliers [][]car
 	if len(outliers) != len(mb.Models) {
 		return bd, fmt.Errorf("codec: %d outlier lists for %d models", len(outliers), len(mb.Models))
 	}
-	rows := binary.AppendUvarint(nil, uint64(src.NumRows()))
-	var outBuf bytes.Buffer
+	var out []byte
 	for i, m := range mb.Models {
-		if err := cart.EncodeOutliers(&outBuf, m.TargetKind, outliers[i]); err != nil {
+		var err error
+		if out, err = cart.AppendOutliers(out, m.TargetKind, outliers[i]); err != nil {
 			return bd, err
 		}
 	}
@@ -178,36 +162,27 @@ func (mb *ModelBlock) EncodeBody(w io.Writer, src *table.Table, outliers [][]car
 		index = binary.LittleEndian.AppendUint32(index, crc32.ChecksumIEEE(f))
 	}
 
-	if _, err := w.Write(rows); err != nil {
-		return bd, err
-	}
-	bd.HeaderBytes = len(rows)
-	var err error
-	if bd.ModelBytes, err = writeChecked(w, outBuf.Bytes()); err != nil {
-		return bd, err
-	}
-	tpLen := binary.AppendUvarint(nil, uint64(len(index)+len(d.frames)))
-	for _, b := range [][]byte{tpLen, index, d.frames} {
+	head := binary.AppendUvarint(nil, uint64(src.NumRows()))
+	bd.HeaderBytes = len(head)
+	head = appendChecked(head, out)
+	bd.ModelBytes = len(head) - bd.HeaderBytes
+	head = binary.AppendUvarint(head, uint64(len(index)+len(d.frames)))
+	head = append(head, index...)
+	bd.TPrimeBytes = len(head) - bd.HeaderBytes - bd.ModelBytes + len(d.frames)
+	for _, b := range [][]byte{head, d.frames} {
 		if _, err := w.Write(b); err != nil {
 			return bd, err
 		}
 	}
-	bd.TPrimeBytes = len(tpLen) + len(index) + len(d.frames)
 	return bd, nil
 }
 
-// writeChecked writes a length-prefixed, CRC-32-protected section and
-// returns the bytes written.
-func writeChecked(w io.Writer, payload []byte) (int, error) {
-	head := binary.AppendUvarint(nil, uint64(len(payload)))
-	head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(head); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return 0, err
-	}
-	return len(head) + len(payload), nil
+// appendChecked appends a length-prefixed, CRC-32-protected section
+// holding payload to dst.
+func appendChecked(dst, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 func validatePlan(src *table.Table, materialized []int, models []*cart.Model) error {
@@ -338,7 +313,7 @@ func CheckDict(name string, n int) error {
 // inflated claims before allocating for them.
 const maxDeflateRatio = 1032
 
-// DecodeModelBlock decodes a model block written by ModelBlock.Encode,
+// DecodeModelBlock decodes a model block returned by ModelBlock.Encode,
 // which must fill data exactly. Its trees are structurally validated
 // against the schema, dictionaries and materialized attributes, so they
 // are safe to run over any body that decodes against the block.
@@ -399,7 +374,7 @@ type byteReader interface {
 	io.ByteReader
 }
 
-// readChecked reads a section written by writeChecked, verifying its
+// readChecked reads a section written by appendChecked, verifying its
 // CRC. The length is bounded by lim.MaxModelBytes before any allocation.
 func readChecked(br byteReader, what string, lim DecodeLimits) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
@@ -1168,11 +1143,4 @@ func readFullGrowing(r io.Reader, dst []byte, n, limit uint64) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-// putUvarint appends into the writer's free buffer, so the per-cell
-// T′ loop does not heap-allocate a scratch array on every call.
-func putUvarint(bw *bufio.Writer, v uint64) error {
-	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
-	return err
 }

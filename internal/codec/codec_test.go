@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cart"
@@ -308,6 +310,49 @@ func TestEncodePropagatesWriteErrors(t *testing.T) {
 	}
 }
 
+// TestWriterRefusesInvalidSections: Close refuses a model block whose
+// tolerance vector is short or holds a value the decoder would refuse,
+// or whose tree has a nil node, and a segment whose zone maps do not
+// cover the schema. cart.TestEncodeRejectsUnorderedOutliers covers the
+// outlier row order.
+func TestWriterRefusesInvalidSections(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tb := testTable(rng, 200)
+	mats, models, _ := buildPlan(t, tb, 10)
+	block := func(edit func(mb *ModelBlock)) *ModelBlock {
+		mb, err := NewModelBlock(tb, mats, models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(mb)
+		return mb
+	}
+	for _, tc := range []struct {
+		name, want string
+		mb         *ModelBlock
+		zones      int
+	}{
+		{"tolerance-count", "3 tolerances for 4 attributes",
+			block(func(mb *ModelBlock) { mb.Tolerances = mb.Tolerances[:3] }), 4},
+		{"tolerance-range", `tolerance NaN of "x" is out of range`,
+			block(func(mb *ModelBlock) { mb.Tolerances[0].Value = math.NaN() }), 4},
+		{"nil-node", "nil node",
+			block(func(mb *ModelBlock) { mb.Models[0] = &cart.Model{Target: 1} }), 4},
+		{"zones", "segment has 3 zones for 4 attributes",
+			block(func(*ModelBlock) {}), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cw := NewWriter(io.Discard)
+			if err := cw.WriteSegment([]byte{0}, 1, make([]ZoneMap, tc.zones)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cw.Close(tc.mb); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Close error %v, want it to mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestDecodeDetectsModelCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tb := testTable(rng, 300)
@@ -321,19 +366,18 @@ func TestDecodeDetectsModelCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var block bytes.Buffer
-	bd, err := mb.Encode(&block)
+	block, bd, err := mb.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := bytes.Index(data, block.Bytes())
+	at := bytes.Index(data, block)
 	if at < 0 {
 		t.Fatal("model block not found in the container")
 	}
 	// Flip a byte in the middle of the trees: the model block's CRC must
 	// catch it even if the byte still parses structurally.
 	bad := append([]byte(nil), data...)
-	bad[at+block.Len()-bd.ModelBytes/2] ^= 0x40
+	bad[at+len(block)-bd.ModelBytes/2] ^= 0x40
 	if _, err := Decode(bytes.NewReader(bad)); err == nil {
 		t.Error("Decode accepted a corrupted models section")
 	}
@@ -351,15 +395,15 @@ func TestBodiesShareModelBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var block bytes.Buffer
-	if _, err := mb.Encode(&block); err != nil {
-		t.Fatal(err)
-	}
-	shared, err := DecodeModelBlock(block.Bytes(), DecodeLimits{})
+	block, _, err := mb.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeModelBlock(append(block.Bytes(), 0), DecodeLimits{}); err == nil {
+	shared, err := DecodeModelBlock(block, DecodeLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeModelBlock(append(block, 0), DecodeLimits{}); err == nil {
 		t.Error("DecodeModelBlock accepted a trailing byte")
 	}
 	for _, rows := range [][2]int{{0, 250}, {250, 600}} {

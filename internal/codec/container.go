@@ -207,33 +207,27 @@ func (cw *Writer) Close(mb *ModelBlock) (Breakdown, error) {
 	// Serialize the model block to memory first: the footer needs its
 	// extent, and an encoding error must not leave a partial section on
 	// the wire.
-	var block bytes.Buffer
-	bd, err := mb.Encode(&block)
+	block, bd, err := mb.Encode()
 	if err != nil {
 		return bd, err
 	}
-	return bd, cw.finish(block.Bytes(), mb.Schema)
+	return bd, cw.finish(block, mb.Schema)
 }
 
 // finish writes the terminator, the encoded model block, the footer (its
 // zone maps laid out by schema) and the trailer, then flushes.
 func (cw *Writer) finish(block []byte, schema table.Schema) error {
-	var foot bytes.Buffer
-	fw := bufio.NewWriter(&foot)
-	if err := writeFooter(fw, extent{Offset: cw.off + 1, Length: int64(len(block))}, schema, cw.segs); err != nil {
+	foot, err := appendFooter(nil, extent{Offset: cw.off + 1, Length: int64(len(block))}, schema, cw.segs)
+	if err != nil {
 		return err
 	}
-	if err := fw.Flush(); err != nil {
-		return err
+	if len(foot) > maxFooterBytes {
+		return fmt.Errorf("codec: footer of %d bytes exceeds format limit %d", len(foot), maxFooterBytes)
 	}
-	if foot.Len() > maxFooterBytes {
-		return fmt.Errorf("codec: footer of %d bytes exceeds format limit %d", foot.Len(), maxFooterBytes)
-	}
-	var tr [trailerSize]byte
-	binary.LittleEndian.PutUint32(tr[0:4], crc32.ChecksumIEEE(foot.Bytes()))
-	binary.LittleEndian.PutUint32(tr[4:8], uint32(foot.Len()))
-	copy(tr[8:], endMagic)
-	for _, chunk := range [][]byte{{0}, block, foot.Bytes(), tr[:]} {
+	tail := binary.LittleEndian.AppendUint32(foot, crc32.ChecksumIEEE(foot))
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(foot)))
+	tail = append(tail, endMagic...)
+	for _, chunk := range [][]byte{{0}, block, tail} {
 		if _, err := cw.w.Write(chunk); err != nil {
 			cw.err = err
 			return err
@@ -244,41 +238,31 @@ func (cw *Writer) finish(block []byte, schema table.Schema) error {
 	return cw.err
 }
 
-// writeFooter serializes the footer: the model block's extent (of length
-// zero in a container with no segments), then the segment directory with
-// zone maps laid out by the schema's kinds. The schema itself, with its
-// dictionaries, is in the model block.
-func writeFooter(bw *bufio.Writer, modelBlock extent, schema table.Schema, segs []SegmentInfo) error {
-	for _, v := range []uint64{uint64(modelBlock.Offset), uint64(modelBlock.Length), uint64(len(segs))} {
-		if err := putUvarint(bw, v); err != nil {
-			return err
-		}
-	}
+// appendFooter appends the footer to dst: the model block's extent (of
+// length zero in a container with no segments), then the segment
+// directory with zone maps laid out by the schema's kinds. The schema
+// itself, with its dictionaries, is in the model block.
+func appendFooter(dst []byte, modelBlock extent, schema table.Schema, segs []SegmentInfo) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(modelBlock.Offset))
+	dst = binary.AppendUvarint(dst, uint64(modelBlock.Length))
+	dst = binary.AppendUvarint(dst, uint64(len(segs)))
 	for _, seg := range segs {
-		for _, v := range []uint64{uint64(seg.Offset), uint64(seg.Length), uint64(seg.Rows)} {
-			if err := putUvarint(bw, v); err != nil {
-				return err
-			}
-		}
+		dst = binary.AppendUvarint(dst, uint64(seg.Offset))
+		dst = binary.AppendUvarint(dst, uint64(seg.Length))
+		dst = binary.AppendUvarint(dst, uint64(seg.Rows))
 		if len(seg.Zones) != len(schema) {
-			return fmt.Errorf("codec: segment has %d zones for %d attributes", len(seg.Zones), len(schema))
+			return nil, fmt.Errorf("codec: segment has %d zones for %d attributes", len(seg.Zones), len(schema))
 		}
 		for i, z := range seg.Zones {
-			var b [16]byte
-			n := 8
-			if schema[i].Kind == table.Numeric {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(z.Min))
-				binary.LittleEndian.PutUint64(b[8:], math.Float64bits(z.Max))
-				n = 16
-			} else {
-				binary.LittleEndian.PutUint64(b[:], z.Fingerprint)
+			if schema[i].Kind != table.Numeric {
+				dst = binary.LittleEndian.AppendUint64(dst, z.Fingerprint)
+				continue
 			}
-			if _, err := bw.Write(b[:n]); err != nil {
-				return err
-			}
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(z.Min))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(z.Max))
 		}
 	}
-	return nil
+	return dst, nil
 }
 
 // Reader reads a container through its footer: the model block is
@@ -369,7 +353,7 @@ func Open(r io.ReadSeeker, lim DecodeLimits) (*Reader, error) {
 	if got := crc32.ChecksumIEEE(foot); got != wantCRC {
 		return nil, fmt.Errorf("codec: footer checksum mismatch (want %08x, got %08x)", wantCRC, got)
 	}
-	fbr := bufio.NewReader(bytes.NewReader(foot))
+	fbr := bytes.NewReader(foot)
 	blockExt, err := readExtent(fbr, size, "model block")
 	if err != nil {
 		return nil, err
@@ -403,7 +387,7 @@ func Open(r io.ReadSeeker, lim DecodeLimits) (*Reader, error) {
 
 // readExtent reads an extent from the footer and checks it lies inside a
 // container of size bytes, after the magic.
-func readExtent(br *bufio.Reader, size int64, what string) (extent, error) {
+func readExtent(br *bytes.Reader, size int64, what string) (extent, error) {
 	off, err := binary.ReadUvarint(br)
 	if err != nil {
 		return extent{}, fmt.Errorf("codec: reading %s offset: %w", what, err)
@@ -427,7 +411,7 @@ func readExtent(br *bufio.Reader, size int64, what string) (extent, error) {
 // byte size, used to reject segment extents pointing outside it; lim
 // (with its defaults) bounds the allocations a hostile footer could
 // otherwise demand.
-func readSegments(br *bufio.Reader, size int64, schema table.Schema, lim DecodeLimits) ([]SegmentInfo, error) {
+func readSegments(br *bytes.Reader, size int64, schema table.Schema, lim DecodeLimits) ([]SegmentInfo, error) {
 	nsegs, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("codec: reading footer segment count: %w", err)

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"math"
@@ -10,12 +9,12 @@ import (
 	"testing"
 )
 
-// mapWriteNumericColumn is the map-based numeric column writer that
+// mapAppendNumericColumn is the map-based numeric column writer that
 // numDict replaced, kept as the reference its bytes must equal: a
 // map[float64]int numbers the distinct values (-0 and +0 share the key
 // first inserted), the dictionary is sorted ascending, and more than
 // dictLimit distinct values fall back to raw cells.
-func mapWriteNumericColumn(bw *bufio.Writer, vals []float64) error {
+func mapAppendNumericColumn(dst []byte, vals []float64) []byte {
 	index := make(map[float64]int, 256)
 	for _, v := range vals {
 		if _, ok := index[v]; !ok {
@@ -27,17 +26,11 @@ func mapWriteNumericColumn(bw *bufio.Writer, vals []float64) error {
 		}
 	}
 	if index == nil {
-		if err := bw.WriteByte(numEncRaw); err != nil {
-			return err
-		}
-		var buf [4]byte
+		dst = append(dst, numEncRaw)
 		for _, v := range vals {
-			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v)))
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
 		}
-		return nil
+		return dst
 	}
 	dict := make([]float64, 0, len(index))
 	for v := range index {
@@ -47,25 +40,15 @@ func mapWriteNumericColumn(bw *bufio.Writer, vals []float64) error {
 	for i, v := range dict {
 		index[v] = i
 	}
-	if err := bw.WriteByte(numEncDict); err != nil {
-		return err
-	}
-	if err := putUvarint(bw, uint64(len(dict))); err != nil {
-		return err
-	}
-	var buf [4]byte
+	dst = append(dst, numEncDict)
+	dst = binary.AppendUvarint(dst, uint64(len(dict)))
 	for _, v := range dict {
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v)))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
 	}
 	for _, v := range vals {
-		if err := putUvarint(bw, uint64(index[v])); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, uint64(index[v]))
 	}
-	return nil
+	return dst
 }
 
 // matchMapWriter fails unless nd writes vals byte for byte as the map
@@ -73,15 +56,7 @@ func mapWriteNumericColumn(bw *bufio.Writer, vals []float64) error {
 func matchMapWriter(t testing.TB, nd *numDict, vals []float64) []byte {
 	t.Helper()
 	got := appendNumericColumn(nil, vals, nd)
-	var out bytes.Buffer
-	bw := bufio.NewWriter(&out)
-	if err := mapWriteNumericColumn(bw, vals); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := out.Bytes()
+	want := mapAppendNumericColumn(nil, vals)
 	if !bytes.Equal(got, want) {
 		at := 0
 		for at < min(len(got), len(want)) && got[at] == want[at] {

@@ -35,15 +35,8 @@ func Compress(t *table.Table, p Params, gzipPayload bool) ([]byte, error) {
 
 // Encode serializes the clustering against its source table.
 func (c *Clustering) Encode(t *table.Table, gzipPayload bool) ([]byte, error) {
-	var schema bytes.Buffer
-	bw := bufio.NewWriter(&schema)
-	if err := table.WriteSchema(bw, t.Schema(), t.Dicts()); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	body := binary.AppendUvarint(schema.Bytes(), uint64(len(c.Fascicles)))
+	body := table.AppendSchema(nil, t.Schema(), t.Dicts())
+	body = binary.AppendUvarint(body, uint64(len(c.Fascicles)))
 	for i := range c.Fascicles {
 		body = appendFascicle(body, t, &c.Fascicles[i])
 	}

@@ -1,7 +1,6 @@
 package fascicle
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"math"
@@ -395,15 +394,8 @@ func TestDecompressRejectsHugeCompactAttribute(t *testing.T) {
 	}
 	// The body before the first attribute index: schema, fascicle
 	// count, the first fascicle's compact-attribute count.
-	var prefix bytes.Buffer
-	bw := bufio.NewWriter(&prefix)
-	if err := table.WriteSchema(bw, tb.Schema(), tb.Dicts()); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := binary.AppendUvarint(prefix.Bytes(), uint64(len(c.Fascicles)))
+	want := table.AppendSchema(nil, tb.Schema(), tb.Dicts())
+	want = binary.AppendUvarint(want, uint64(len(c.Fascicles)))
 	want = binary.AppendUvarint(want, uint64(len(c.Fascicles[0].CompactAttrs)))
 	off := len(fascicleMagic) + 1 + len(want)
 	if !bytes.Equal(data[len(fascicleMagic)+1:off], want) ||

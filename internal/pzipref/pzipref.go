@@ -35,42 +35,23 @@ const maxSampleRows = 512
 func Compress(t *table.Table) ([]byte, error) {
 	groups := planGroups(t)
 
-	var out bytes.Buffer
-	out.WriteString(magic)
-	bw := bufio.NewWriter(&out)
-	if err := table.WriteSchema(bw, t.Schema(), t.Dicts()); err != nil {
-		return nil, err
-	}
-	if err := putUvarint(bw, uint64(t.NumRows())); err != nil {
-		return nil, err
-	}
-	if err := putUvarint(bw, uint64(len(groups))); err != nil {
-		return nil, err
-	}
+	out := table.AppendSchema([]byte(magic), t.Schema(), t.Dicts())
+	out = binary.AppendUvarint(out, uint64(t.NumRows()))
+	out = binary.AppendUvarint(out, uint64(len(groups)))
 	for _, g := range groups {
-		if err := putUvarint(bw, uint64(len(g))); err != nil {
-			return nil, err
-		}
+		out = binary.AppendUvarint(out, uint64(len(g)))
 		for _, c := range g {
-			if err := putUvarint(bw, uint64(c)); err != nil {
-				return nil, err
-			}
+			out = binary.AppendUvarint(out, uint64(c))
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
 	}
 	for _, g := range groups {
 		payload, err := gzipGroup(t, g, 0, t.NumRows())
 		if err != nil {
 			return nil, err
 		}
-		var lenBuf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-		out.Write(lenBuf[:n])
-		out.Write(payload)
+		out = append(binary.AppendUvarint(out, uint64(len(payload))), payload...)
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // planGroups chooses a contiguous column partition (like the original
@@ -119,29 +100,23 @@ func mustGzipSize(t *table.Table, cols []int, rows int) int {
 // gzipGroup serializes rows [lo, hi) of the given columns row-major and
 // deflates them.
 func gzipGroup(t *table.Table, cols []int, lo, hi int) ([]byte, error) {
+	var cells []byte
+	for r := lo; r < hi; r++ {
+		for _, c := range cols {
+			col := t.Col(c)
+			if col.Kind == table.Numeric {
+				cells = binary.LittleEndian.AppendUint32(cells, math.Float32bits(float32(col.Floats[r])))
+			} else {
+				cells = binary.AppendUvarint(cells, uint64(col.Codes[r]))
+			}
+		}
+	}
 	var buf bytes.Buffer
 	zw, err := gzip.NewWriterLevel(&buf, gzip.BestCompression)
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriter(zw)
-	var b4 [4]byte
-	for r := lo; r < hi; r++ {
-		for _, c := range cols {
-			col := t.Col(c)
-			if col.Kind == table.Numeric {
-				binary.LittleEndian.PutUint32(b4[:], math.Float32bits(float32(col.Floats[r])))
-				if _, err := bw.Write(b4[:]); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if err := putUvarint(bw, uint64(col.Codes[r])); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := zw.Write(cells); err != nil {
 		return nil, err
 	}
 	if err := zw.Close(); err != nil {
@@ -259,11 +234,4 @@ func Decompress(data []byte) (*table.Table, error) {
 		}
 	}
 	return table.New(schema, cols)
-}
-
-func putUvarint(bw *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := bw.Write(buf[:n])
-	return err
 }

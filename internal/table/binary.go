@@ -55,37 +55,33 @@ func codeBytes(domain int) int {
 }
 
 // WriteBinary serializes the table in the raw fixed-length record format
-// with a self-describing header (magic, schema header, row count).
+// with a self-describing header (magic, schema header, row count). It
+// writes whole records in blocks of at most readBlockBytes (one record
+// when a record is wider), the blocks ReadBinary reads.
 func WriteBinary(w io.Writer, t *Table) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(rawMagic); err != nil {
-		return err
-	}
-	if err := WriteSchema(bw, t.schema, t.Dicts()); err != nil {
-		return err
-	}
-	if err := putUvarint(bw, uint64(t.rows)); err != nil {
-		return err
-	}
-	var buf [4]byte
+	buf := AppendSchema(append(make([]byte, 0, readBlockBytes), rawMagic...), t.schema, t.Dicts())
+	buf = binary.AppendUvarint(buf, uint64(t.rows))
+	width := t.RawBytesPerRow()
 	for r := 0; r < t.rows; r++ {
+		if len(buf) > 0 && len(buf)+width > readBlockBytes {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 		for _, c := range t.cols {
 			if c.Kind == Numeric {
-				binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(c.Floats[r])))
-				if _, err := bw.Write(buf[:4]); err != nil {
-					return err
-				}
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(c.Floats[r])))
 				continue
 			}
-			nb := codeBytes(len(c.Dict))
-			v := uint32(c.Codes[r])
-			binary.LittleEndian.PutUint32(buf[:], v)
-			if _, err := bw.Write(buf[:nb]); err != nil {
-				return err
+			v, nb := uint32(c.Codes[r]), codeBytes(len(c.Dict))
+			for i := 0; i < nb; i++ {
+				buf = append(buf, byte(v>>(8*i)))
 			}
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // readBlockBytes bounds one read of ReadBinary's records: it reads as
@@ -277,38 +273,28 @@ func cellCode(cell []byte) int32 {
 	return int32(v)
 }
 
-// WriteSchema writes the schema header shared by the raw, SPARC4,
-// fascicle and pzip formats: the column count, then per attribute its
-// name, kind byte and, for a categorical attribute, its dictionary
-// (entry count, then the entries). dicts[i] is read only for
-// categorical attributes.
-func WriteSchema(bw *bufio.Writer, s Schema, dicts [][]string) error {
-	if err := putUvarint(bw, uint64(len(s))); err != nil {
-		return err
-	}
+// AppendSchema appends the schema header shared by the raw, SPARC4,
+// fascicle and pzip formats to dst: the column count, then per attribute
+// its name, kind byte and, for a categorical attribute, its dictionary
+// (entry count, then the entries). Strings are a uvarint length and the
+// bytes. dicts[i] is read only for categorical attributes.
+func AppendSchema(dst []byte, s Schema, dicts [][]string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	for i, a := range s {
-		if err := putString(bw, a.Name); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(a.Kind)); err != nil {
-			return err
-		}
+		dst = append(binary.AppendUvarint(dst, uint64(len(a.Name))), a.Name...)
+		dst = append(dst, byte(a.Kind))
 		if a.Kind != Categorical {
 			continue
 		}
-		if err := putUvarint(bw, uint64(len(dicts[i]))); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, uint64(len(dicts[i])))
 		for _, v := range dicts[i] {
-			if err := putString(bw, v); err != nil {
-				return err
-			}
+			dst = append(binary.AppendUvarint(dst, uint64(len(v))), v...)
 		}
 	}
-	return nil
+	return dst
 }
 
-// ReadSchema reads a schema header written by WriteSchema and returns
+// ReadSchema reads a schema header written by AppendSchema and returns
 // the schema with each attribute's dictionary (nil for numeric ones). It
 // refuses a column count of 0 or over maxCols, a dictionary of more than
 // maxDict entries and a string longer than 2^24 bytes before allocating
@@ -363,21 +349,6 @@ func ReadSchema(r interface {
 		dicts[i] = dict
 	}
 	return schema, dicts, nil
-}
-
-// putUvarint appends into the writer's free buffer, so it does not
-// heap-allocate a scratch array on every call.
-func putUvarint(bw *bufio.Writer, v uint64) error {
-	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
-	return err
-}
-
-func putString(bw *bufio.Writer, s string) error {
-	if err := putUvarint(bw, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := bw.WriteString(s)
-	return err
 }
 
 // byteReader is what ReadSchema reads from.
